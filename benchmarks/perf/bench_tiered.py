@@ -16,8 +16,8 @@ cluster-popularity workload and gates the memory-frontier claim:
   1.5x of the baseline's;
 * **off bit-identity** — ``cold_tier="off"`` must remain *exactly*
   today's engine: byte-identical base extents between an off build and
-  a pq build, and staged-vs-reference answers, RdmaStats and cache
-  counters identical across serial/pipelined x worker-count schedules.
+  a pq build (staged-vs-reference-loop identity of the off path is
+  ``tests/serving/test_engine_equivalence.py``'s job).
 
 Any violated gate exits non-zero, so the CI tiered-smoke job doubles as
 a regression gate.
@@ -34,7 +34,6 @@ Writes ``benchmarks/perf/BENCH_tiered.json`` (override with ``--output``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import platform
@@ -76,8 +75,6 @@ WARMUP_BATCHES = 3
 MIN_DRAM_REDUCTION = 0.70
 MIN_RECALL_RATIO = 0.95
 MAX_P99_RATIO = 1.5
-
-ORACLE_MATRIX = [(False, 1), (False, 4), (True, 1), (True, 4)]
 
 
 def check(condition: bool, what: str) -> None:
@@ -142,41 +139,6 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
         }
     finally:
         client.close()
-
-
-def off_bit_identity_oracle(deployment, queries):
-    """Staged vs reference, serial/pipelined x workers, off mode."""
-    outcomes = []
-    for pipeline, workers in ORACLE_MATRIX:
-        config = deployment.config.replace(pipeline_waves=pipeline,
-                                           search_workers=workers)
-        staged = DHnswClient(deployment.layout, deployment.meta, config,
-                             cost_model=deployment.cost_model,
-                             name=f"staged-{pipeline}-{workers}")
-        oracle = DHnswClient(deployment.layout, deployment.meta, config,
-                             cost_model=deployment.cost_model,
-                             name=f"oracle-{pipeline}-{workers}")
-        oracle.engine.plan_executor = "reference"
-        try:
-            lhs = staged.search_batch(queries, k=10)
-            rhs = oracle.search_batch(queries, k=10)
-            identical = (
-                all(np.array_equal(a.ids, b.ids)
-                    and np.array_equal(a.distances, b.distances)
-                    for a, b in zip(lhs.results, rhs.results))
-                and dataclasses.asdict(lhs.rdma)
-                == dataclasses.asdict(rhs.rdma)
-                and staged.cache.counters() == oracle.cache.counters())
-            check(identical,
-                  f"cold_tier='off' staged vs reference diverged at "
-                  f"pipeline={pipeline} workers={workers}")
-            outcomes.append({"pipeline_waves": pipeline,
-                             "search_workers": workers,
-                             "bit_identical": True})
-        finally:
-            staged.close()
-            oracle.close()
-    return outcomes
 
 
 def read_base_extents(deployment):
@@ -276,8 +238,6 @@ def main() -> None:
                       f"p99 x{s['p99_ratio']:.2f}" for s in sweep) + ")")
     headline = max(passing, key=lambda s: s["dram_reduction"])
 
-    oracle = off_bit_identity_oracle(off_deployment, batches[0])
-
     report = {
         "benchmark": "tiered hot/cold memory under Zipfian cluster skew",
         "mode": mode,
@@ -308,7 +268,6 @@ def main() -> None:
         },
         "off_bit_identity": {
             "base_extents_byte_identical": True,
-            "staged_vs_reference": oracle,
         },
         "acceptance": {
             "min_dram_reduction": MIN_DRAM_REDUCTION,

@@ -14,12 +14,14 @@ The client is a *façade* over three lower layers:
   the simulated-RDMA transport in decorators (fault injection, retries).
 * :mod:`repro.serving` — the batched query path is the staged pipeline
   Planner → Fetcher → Decoder → Executor → Merger composed by
-  :attr:`DHnswClient.engine`; the former private methods remain as thin
-  delegates so downstream code and tests keep working.
+  :attr:`DHnswClient.engine`.
 * :mod:`repro.mutation` — the write path (insert / delete / batched
   insert, CAS-coordinated shadow rebuilds, grace-period reclamation)
-  composed by :attr:`DHnswClient.mutation`, with the same thin-delegate
-  treatment.
+  composed by :attr:`DHnswClient.mutation`.
+
+Callers that need a single stage reach it through those attributes
+(``client.engine.fetcher``, ``client.mutation.rebuild_group`` …); the
+client itself exposes only the request-level API.
 
 The client's loading behaviour is controlled by a
 :class:`~repro.core.baselines.Scheme`, which is how the three systems of
@@ -35,30 +37,23 @@ from typing import Callable
 import numpy as np
 
 from repro.core.baselines import Scheme, SchemePolicy, policy_for
-from repro.core.cache import CachedCluster, ClusterCache
-from repro.core.cluster_search import replay_overflow
+from repro.core.cache import ClusterCache
 from repro.core.config import DHnswConfig
 from repro.core.engine import RemoteLayout
-from repro.core.merge import TopKMerger
 from repro.core.meta_index import MetaHnsw
-from repro.core.query_planner import BatchPlan, Wave
 from repro.core.results import BatchResult, QueryResult
 from repro.core.fsck import RepairReport, repair_replica
 from repro.errors import LayoutError, NoHealthyReplicaError
 from repro.layout.group_layout import cluster_read_extent
 from repro.layout.cold import deserialize_codebook
 from repro.layout.metadata import GlobalMetadata
-from repro.layout.serializer import OverflowRecord
 from repro.mutation.writer import InsertReport, MutationEngine
 from repro.rdma.compute_node import ComputeNode
 from repro.rdma.control import ControlClient
 from repro.rdma.network import CostModel
-from repro.serving import reference
 from repro.serving.engine import ServingEngine
-from repro.serving.executor import PlanExecution, overlap_saved
 from repro.serving.tiered import TieredClusterStore
 from repro.transport import (
-    ReadDescriptor,
     ReplicatedTransport,
     RetryingTransport,
     RetryPolicy,
@@ -68,9 +63,6 @@ from repro.transport import (
 )
 
 __all__ = ["DHnswClient", "InsertReport"]
-
-# Retained name: the execution record now lives in ``repro.serving``.
-_PlanExecution = PlanExecution
 
 
 class DHnswClient:
@@ -232,22 +224,6 @@ class DHnswClient:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # Executor-pool introspection (the pools themselves moved to the
-    # serving layer's WaveExecutor).
-    @property
-    def _thread_pool(self):
-        return self.engine.executor._thread_pool
-
-    @property
-    def _search_pool(self):
-        return self.engine.executor._search_pool
-
-    def _get_thread_pool(self):
-        return self.engine.executor._get_thread_pool()
-
-    def _get_search_pool(self):
-        return self.engine.executor._get_search_pool()
-
     # ------------------------------------------------------------------
     # Metadata freshness
     # ------------------------------------------------------------------
@@ -376,95 +352,6 @@ class DHnswClient:
         """
         return self.engine.search_batch(queries, k, ef_search, filter_fn)
 
-    # -- staged-pipeline delegates (retained private surface) -----------
-    def _execute_plan(self, plan: BatchPlan, queries: np.ndarray,
-                      merger: TopKMerger, k: int, ef: int) -> PlanExecution:
-        return self.engine.execute_plan(plan, queries, merger, k, ef)
-
-    def _execute_plan_serial(self, plan: BatchPlan, queries: np.ndarray,
-                             merger: TopKMerger, k: int,
-                             ef: int) -> PlanExecution:
-        return self.engine.executor.execute_serial(plan, queries, merger,
-                                                   k, ef)
-
-    def _execute_plan_pipelined(self, plan: BatchPlan, queries: np.ndarray,
-                                merger: TopKMerger, k: int,
-                                ef: int) -> PlanExecution:
-        return self.engine.executor.execute_pipelined(plan, queries, merger,
-                                                      k, ef)
-
-    def _execute_plan_reference(self, plan: BatchPlan, queries: np.ndarray,
-                                merger: TopKMerger, k: int,
-                                ef: int) -> PlanExecution:
-        """The retained monolithic wave loop (equivalence oracle)."""
-        return reference.execute_plan(self, plan, queries, merger, k, ef)
-
-    def _execute_naive(self, required: list[list[int]], queries: np.ndarray,
-                       merger: TopKMerger, k: int,
-                       ef: int) -> PlanExecution:
-        return self.engine.executor.execute_naive(required, queries, merger,
-                                                  k, ef)
-
-    def _load_wave(self, wave: Wave,
-                   execution: PlanExecution) -> dict[int, CachedCluster]:
-        return self.engine.fetcher.load_wave(wave, execution)
-
-    def _load_hit_wave(self, wave: Wave, entries: dict[int, CachedCluster],
-                       execution: PlanExecution) -> None:
-        self.engine.fetcher.load_hit_wave(wave, entries, execution)
-
-    def _run_wave_compute(self, wave: Wave,
-                          entries: dict[int, CachedCluster],
-                          queries: np.ndarray, merger: TopKMerger, k: int,
-                          ef: int) -> int:
-        return self.engine.executor.run_wave_compute(wave, entries, queries,
-                                                     merger, k, ef)
-
-    _overlap_saved = staticmethod(overlap_saved)
-
-    # ------------------------------------------------------------------
-    # Cluster IO delegates (now the serving layer's Fetcher/Decoder)
-    # ------------------------------------------------------------------
-    def _extent_descriptors(self, cluster_ids: list[int]
-                            ) -> tuple[list[ReadDescriptor],
-                                       list[tuple[int, int, int]]]:
-        return self.engine.fetcher.extent_descriptors(cluster_ids)
-
-    def _fetch_clusters(self, cluster_ids: list[int],
-                        doorbell: bool) -> dict[int, CachedCluster]:
-        return self.engine.fetcher.fetch_clusters(cluster_ids, doorbell)
-
-    def _decode_extent(self, cluster_id: int, extent_offset: int,
-                       payload: bytes) -> CachedCluster:
-        return self.engine.decoder.decode_extent(cluster_id, extent_offset,
-                                                 payload)
-
-    def _parse_extent(self, cluster_id: int, extent_offset: int,
-                      payload: bytes) -> CachedCluster:
-        return self.engine.decoder.parse_extent(cluster_id, extent_offset,
-                                                payload)
-
-    def _cache_put(self, entry: CachedCluster,
-                   count_miss: bool = True) -> None:
-        self.engine.fetcher.cache_put(entry, count_miss=count_miss)
-
-    def _validate_cached(self, cluster_ids: list[int]) -> None:
-        self.engine.fetcher.validate_cached(cluster_ids)
-
-    @property
-    def _deserialize_us(self) -> float:
-        return self.engine.decoder.pending_deserialize_us
-
-    @_deserialize_us.setter
-    def _deserialize_us(self, value: float) -> None:
-        self.engine.decoder.pending_deserialize_us = value
-
-    # ------------------------------------------------------------------
-    # Overflow replay lives in ``repro.core.cluster_search`` now (shared
-    # with the executor task); the static method stays as the public spot
-    # tests and downstream code reach it through.
-    _replay_overflow = staticmethod(replay_overflow)
-
     # ------------------------------------------------------------------
     # Mutation (façade over ``repro.mutation``: §3.2 FAA reservation +
     # WRITE, multi-writer CAS coordination, shadow rebuilds)
@@ -504,24 +391,3 @@ class DHnswClient:
         with rebuilds in between.
         """
         return self.mutation.insert_batch(vectors, global_ids)
-
-    # -- retained private surface (thin delegates) ----------------------
-    def _reserve_and_write(self, cluster_id: int, vector: np.ndarray,
-                           global_id: int, tombstone: bool = False) -> int:
-        return self.mutation._reserve_and_write(cluster_id, vector,
-                                                global_id, tombstone)
-
-    def _reserve_run(self, group_id: int, count: int) -> tuple[int, int]:
-        return self.mutation._reserve_run(group_id, count)
-
-    def _patch_cached_entries(self, group_id: int, slot: int,
-                              record: OverflowRecord) -> None:
-        self.mutation._patch_cached_entries(group_id, slot, record)
-
-    def _group_members(self, group_id: int) -> list[int]:
-        return self.mutation._group_members(group_id)
-
-    def _rebuild_group(self, group_id: int) -> bool:
-        """Lead (or yield) a shadow rebuild of ``group_id``; see
-        :class:`repro.mutation.rebuild.ShadowRebuild`."""
-        return self.mutation.rebuild_group(group_id)

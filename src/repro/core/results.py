@@ -62,7 +62,7 @@ class BatchResult:
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False
-    #: The pre-PR-4 closed-form estimate ``_overlap_saved`` computes from
+    #: The pre-PR-4 closed-form estimate ``overlap_saved`` computes from
     #: per-wave (fetch, process) profiles — retained as a test oracle that
     #: must match the measured ``overlap_saved_us``.
     overlap_oracle_us: float = 0.0
@@ -110,22 +110,6 @@ class BatchResult:
         if not self.results:
             return 0.0
         return ((self.breakdown.total_us + self.overlap_saved_us)
-                / len(self.results))
-
-    @property
-    def pipelined_latency_per_query_us(self) -> float:
-        """Per-query latency with wave fetch/compute overlap applied.
-
-        Kept for compatibility: when the pipeline actually ran
-        (``pipeline_executed``) the measured total already includes the
-        overlap, so this equals ``latency_per_query_us``; otherwise it
-        subtracts the (then zero) estimate as before.
-        """
-        if not self.results:
-            return 0.0
-        if self.pipeline_executed:
-            return self.latency_per_query_us
-        return ((self.breakdown.total_us - self.overlap_saved_us)
                 / len(self.results))
 
     @property

@@ -15,8 +15,8 @@ cluster's insertion randomness from whichever process builds it.
 This module lives in the hnsw layer on purpose: it depends only on the
 index and the serializer, so both the offline builder
 (:mod:`repro.core.engine`) and the online rebuild path
-(:meth:`repro.core.client.DHnswClient._rebuild_group`) can fan tasks out
-without layering cycles.
+(:meth:`repro.mutation.writer.MutationEngine.rebuild_group`) can fan
+tasks out without layering cycles.
 """
 
 from __future__ import annotations

@@ -6,9 +6,6 @@ attributing wall/simulated time and bytes to each stage.  The layer talks
 to remote memory exclusively through :mod:`repro.transport` (enforced by
 ``tests/test_layering.py``) and holds no index state — the client remains
 the single owner of metadata, cache, and transport.
-
-``repro.serving.reference`` keeps the pre-decomposition monolithic loop as
-an equivalence oracle.
 """
 
 from repro.serving.decoder import Decoder

@@ -9,10 +9,6 @@ client exposes.  The engine holds no index state of its own: everything it
 needs (metadata, cache, transport, cost model, policy) lives on the host
 client and is read late, so decorating ``host.transport`` after
 construction (fault injection, retries) affects every stage immediately.
-
-``plan_executor`` switches the wave loop between the staged path and the
-retained monolithic transcription in :mod:`repro.serving.reference` — the
-equivalence oracle the acceptance tests compare against.
 """
 
 from __future__ import annotations
@@ -21,13 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.query_planner import BatchPlan
 from repro.core.results import BatchResult
 from repro.errors import StaleReadError
 from repro.metrics.latency import LatencyBreakdown
-from repro.serving import reference
 from repro.serving.decoder import Decoder
-from repro.serving.executor import PlanExecution, WaveExecutor
+from repro.serving.executor import WaveExecutor
 from repro.serving.fetcher import Fetcher
 from repro.serving.merger import Merger
 from repro.serving.planner import Planner
@@ -47,10 +41,6 @@ class ServingEngine:
         self.fetcher = Fetcher(host, self.decoder)
         self.executor = WaveExecutor(host, self.fetcher)
         self.merger = Merger(host)
-        #: ``"staged"`` (default) runs the stage pipeline; ``"reference"``
-        #: runs the retained monolithic oracle.  Simulated numbers must be
-        #: bit-identical either way.
-        self.plan_executor = "staged"
         self._request_counter = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -70,10 +60,8 @@ class ServingEngine:
                      ef_search: int | None = None,
                      filter_fn: "Callable[[int], bool] | None" = None
                      ) -> BatchResult:
-        """Answer a batch of queries with full latency/traffic accounting.
-
-        The staged twin of the former ``DHnswClient.search_batch`` body;
-        the client's method is now a façade over this one.
+        """Answer a batch of queries with full latency/traffic accounting
+        (``DHnswClient.search_batch`` is a façade over this method).
 
         Epoch consistency: the batch is planned against the metadata
         version pinned by its entry refresh.  If a concurrent shadow
@@ -123,8 +111,8 @@ class ServingEngine:
             else:
                 hot_required, cold_required = required, {}
             plan = self.planner.plan(hot_required, trace)
-            execution = self.execute_plan(plan, queries, merger, k, ef,
-                                          trace)
+            execution = self.executor.execute_plan(plan, queries, merger,
+                                                   k, ef, trace)
             if tier is not None:
                 cold = tier.execute_cold(cold_required, queries, merger,
                                          k, trace)
@@ -132,12 +120,8 @@ class ServingEngine:
             waves = len(plan.waves)
             pruned = plan.duplicate_requests_pruned
         else:
-            if self.plan_executor == "reference":
-                execution = reference.execute_naive(host, required, queries,
-                                                    merger, k, ef)
-            else:
-                execution = self.executor.execute_naive(
-                    required, queries, merger, k, ef, trace)
+            execution = self.executor.execute_naive(
+                required, queries, merger, k, ef, trace)
             waves = 0
             pruned = 0
         if execution.charged_in_loop:
@@ -186,14 +170,3 @@ class ServingEngine:
                            tier_promotions=promotions,
                            tier_demotions=demotions,
                            trace=trace)
-
-    # -- plan dispatch -----------------------------------------------------
-    def execute_plan(self, plan: BatchPlan, queries: np.ndarray, merger,
-                     k: int, ef: int,
-                     trace: TraceContext | None = None) -> PlanExecution:
-        """Run a wave schedule on the configured executor path."""
-        if self.plan_executor == "reference":
-            return reference.execute_plan(self.host, plan, queries, merger,
-                                          k, ef)
-        return self.executor.execute_plan(plan, queries, merger, k, ef,
-                                          trace)

@@ -144,56 +144,59 @@ class WaveExecutor:
         waves = plan.waves
         doorbell = host.policy.doorbell_batching
         profiles: list[tuple[float, float]] = []  # (fetch, process) per wave
+        # Wave i+1's (token, extents) between its issue and its poll.
         pending: tuple | None = None
-        pending_index = -1
 
-        for index, wave in enumerate(waves):
-            sync_network_before = host.node.stats.network_time_us
-            entries: dict[int, CachedCluster] = {}
-            if wave.fetch_cluster_ids:
-                token, extents = (pending if pending_index == index
-                                  else fetcher.issue_async(
-                                      list(wave.fetch_cluster_ids),
-                                      doorbell))
-                with span(trace, "fetch"):
-                    payloads = fetcher.poll(token)
-                wave_fetch_us = token.elapsed_us
+        try:
+            for index, wave in enumerate(waves):
+                sync_network_before = host.node.stats.network_time_us
+                entries: dict[int, CachedCluster] = {}
+                if wave.fetch_cluster_ids:
+                    token, extents = pending or fetcher.issue_async(
+                        list(wave.fetch_cluster_ids), doorbell)
+                    pending = None
+                    with span(trace, "fetch"):
+                        payloads = fetcher.poll(token)
+                    wave_fetch_us = token.elapsed_us
+                else:
+                    fetcher.load_hit_wave(wave, entries, execution, trace)
+                    wave_fetch_us = (host.node.stats.network_time_us
+                                     - sync_network_before)
+                # Wave i's bytes are local: put wave i+1's READ on the wire
+                # before decoding and searching wave i.
                 if (index + 1 < len(waves)
                         and waves[index + 1].fetch_cluster_ids):
                     pending = fetcher.issue_async(
                         list(waves[index + 1].fetch_cluster_ids), doorbell)
-                    pending_index = index + 1
+                if wave.fetch_cluster_ids:
+                    with span(trace, "decode"):
+                        loaded = {
+                            cid: fetcher.decoder.decode_extent(cid, offset,
+                                                               payload)
+                            for (cid, offset, _), payload
+                            in zip(extents, payloads)}
+                    execution.fetched += len(loaded)
+                    for entry in loaded.values():
+                        if host.policy.use_cluster_cache:
+                            fetcher.cache_put(entry)
+                    entries.update(loaded)
+                deserialize_us = fetcher.decoder.drain_deserialize_us()
                 with span(trace, "decode"):
-                    loaded = {
-                        cid: fetcher.decoder.decode_extent(cid, offset,
-                                                           payload)
-                        for (cid, offset, _), payload
-                        in zip(extents, payloads)}
-                execution.fetched += len(loaded)
-                for entry in loaded.values():
-                    if host.policy.use_cluster_cache:
-                        fetcher.cache_put(entry)
-                entries.update(loaded)
-            else:
-                fetcher.load_hit_wave(wave, entries, execution, trace)
-                wave_fetch_us = (host.node.stats.network_time_us
-                                 - sync_network_before)
-                if (index + 1 < len(waves)
-                        and waves[index + 1].fetch_cluster_ids):
-                    pending = fetcher.issue_async(
-                        list(waves[index + 1].fetch_cluster_ids), doorbell)
-                    pending_index = index + 1
-            deserialize_us = fetcher.decoder.drain_deserialize_us()
-            with span(trace, "decode"):
-                charged = host.node.charge_time(deserialize_us)
-            wave_evals = self.run_wave_compute(wave, entries, queries,
-                                               merger, k, ef, trace)
-            with span(trace, "compute"):
-                charged += host.node.charge_compute(wave_evals,
-                                                    host.meta.dim)
-            execution.sub_evals += wave_evals
-            execution.charged_compute_us += charged
-            profiles.append((wave_fetch_us, charged))
+                    charged = host.node.charge_time(deserialize_us)
+                wave_evals = self.run_wave_compute(wave, entries, queries,
+                                                   merger, k, ef, trace)
+                with span(trace, "compute"):
+                    charged += host.node.charge_compute(wave_evals,
+                                                        host.meta.dim)
+                execution.sub_evals += wave_evals
+                execution.charged_compute_us += charged
+                profiles.append((wave_fetch_us, charged))
+        finally:
+            if pending is not None:
+                # An error (e.g. StaleReadError out of decode) escaped with
+                # the prefetch in flight: retire it, or its copy-on-write
+                # guard outlives the request.  Charges and records nothing.
+                host.transport.abandon(pending[0])
         execution.overlap_oracle_us = overlap_saved(profiles)
         return execution
 

@@ -128,8 +128,8 @@ class TraceContext:
 def span(trace: TraceContext | None, name: str):
     """``trace.stage(name)``, or a no-op context when tracing is off.
 
-    Lets stages accept ``trace=None`` (direct unit-test invocation, the
-    reference oracle) without branching at every call site.
+    Lets stages accept ``trace=None`` (direct unit-test invocation)
+    without branching at every call site.
     """
     if trace is None:
         return contextlib.nullcontext()

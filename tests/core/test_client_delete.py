@@ -87,7 +87,8 @@ class TestDeleteReclamation:
         for i in range(small_config.overflow_capacity_records):
             client.insert(target + (i + 1) * 1e-3, 42_000 + i)
         # After the rebuild the base graph no longer contains id 17.
-        entry = client._fetch_clusters([cid], doorbell=False)[cid]
+        entry = client.engine.fetcher.fetch_clusters(
+            [cid], doorbell=False)[cid]
         assert 17 not in entry.index.labels
         assert all(not record.tombstone for record in entry.overflow)
         assert client.search(target, 1, ef_search=32).ids[0] != 17

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import DHnswClient, Scheme
-from repro.core.client import DHnswClient as Client
+from repro.core.cluster_search import replay_overflow
 from repro.layout.serializer import OverflowRecord
+from repro.serving.executor import overlap_saved
 
 
 def record(gid, cid=0, tombstone=False):
@@ -19,53 +20,50 @@ def record(gid, cid=0, tombstone=False):
 
 class TestReplayOverflow:
     def test_insert_then_delete_is_dead(self):
-        state = Client._replay_overflow([record(1), record(1,
-                                                          tombstone=True)])
+        state = replay_overflow([record(1), record(1, tombstone=True)])
         assert state[1] is None
 
     def test_delete_then_insert_is_alive(self):
-        state = Client._replay_overflow([record(1, tombstone=True),
-                                         record(1)])
+        state = replay_overflow([record(1, tombstone=True), record(1)])
         assert state[1] is not None
 
     def test_last_write_wins(self):
         fresh = OverflowRecord(1, 0, np.ones(2, dtype=np.float32))
-        state = Client._replay_overflow([record(1), fresh])
+        state = replay_overflow([record(1), fresh])
         assert state[1] is fresh
 
     def test_independent_ids(self):
-        state = Client._replay_overflow(
-            [record(1), record(2, tombstone=True)])
+        state = replay_overflow([record(1), record(2, tombstone=True)])
         assert state[1] is not None
         assert state[2] is None
 
     def test_empty(self):
-        assert Client._replay_overflow([]) == {}
+        assert replay_overflow([]) == {}
 
 
 class TestOverlapSaved:
     def test_fewer_than_two_waves_saves_nothing(self):
-        assert Client._overlap_saved([]) == 0.0
-        assert Client._overlap_saved([(5.0, 3.0)]) == 0.0
+        assert overlap_saved([]) == 0.0
+        assert overlap_saved([(5.0, 3.0)]) == 0.0
 
     def test_perfectly_balanced_waves(self):
         # fetch == process == 10: serial 40, pipelined 10+10+10 = 30.
         profiles = [(10.0, 10.0), (10.0, 10.0)]
-        assert Client._overlap_saved(profiles) == pytest.approx(10.0)
+        assert overlap_saved(profiles) == pytest.approx(10.0)
 
     def test_network_bound_waves(self):
         # Tiny compute: almost nothing to hide fetches behind.
         profiles = [(10.0, 1.0), (10.0, 1.0)]
-        assert Client._overlap_saved(profiles) == pytest.approx(1.0)
+        assert overlap_saved(profiles) == pytest.approx(1.0)
 
     def test_compute_bound_waves(self):
         # Tiny fetches: hiding them saves the full fetch time.
         profiles = [(1.0, 10.0), (1.0, 10.0)]
-        assert Client._overlap_saved(profiles) == pytest.approx(1.0)
+        assert overlap_saved(profiles) == pytest.approx(1.0)
 
     def test_never_negative(self):
         profiles = [(0.0, 0.0), (0.0, 0.0), (5.0, 0.0)]
-        assert Client._overlap_saved(profiles) >= 0.0
+        assert overlap_saved(profiles) >= 0.0
 
 
 class TestFilteredSearch:
@@ -118,10 +116,11 @@ class TestDecodeCacheHygiene:
                              scheme=Scheme.NAIVE,
                              cost_model=mutable_deployment.cost_model)
         cid = client.meta.classify(small_dataset.queries[0])
-        first = client._fetch_clusters([cid], doorbell=False)[cid]
+        fetch_clusters = client.engine.fetcher.fetch_clusters
+        first = fetch_clusters([cid], doorbell=False)[cid]
         first.overflow.append(
             OverflowRecord(123456, cid,
                            np.zeros(client.meta.dim, dtype=np.float32)))
-        second = client._fetch_clusters([cid], doorbell=False)[cid]
+        second = fetch_clusters([cid], doorbell=False)[cid]
         assert all(record.global_id != 123456
                    for record in second.overflow)

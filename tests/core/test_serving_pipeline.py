@@ -25,6 +25,7 @@ from repro.core import DHnswClient
 from repro.core.cache import ClusterCache
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
+from repro.errors import StaleReadError
 from tests.core.test_cache import make_entry
 
 
@@ -46,7 +47,7 @@ class TestHitWaveRefetch:
     refetch counted as a miss."""
 
     def run_hit_plan(self, client, queries, cid):
-        execution = client._execute_plan(
+        execution = client.engine.executor.execute_plan(
             hit_plan(cid), queries, TopKMerger(len(queries), 10), k=10,
             ef=16)
         return execution
@@ -57,7 +58,8 @@ class TestHitWaveRefetch:
         queries = small_dataset.queries[:1]
         cid = 0
         # Warm the cluster, then evict it behind the planner's back.
-        client._cache_put(client._fetch_clusters([cid], True)[cid])
+        fetcher = client.engine.fetcher
+        fetcher.cache_put(fetcher.fetch_clusters([cid], True)[cid])
         client.cache.invalidate(cid)
         before_hits, before_misses, _ = client.cache.counters()
         fetched_before = client.node.stats.read_ops
@@ -99,18 +101,57 @@ class TestHitWaveRefetch:
         config = small_config.replace(pipeline_waves=True)
         client = make_client(built_deployment, config)
         queries = small_dataset.queries[:1]
-        client._cache_put(client._fetch_clusters([0], True)[0])
+        fetcher = client.engine.fetcher
+        fetcher.cache_put(fetcher.fetch_clusters([0], True)[0])
         client.cache.invalidate(0)
         plan = BatchPlan(
             waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0),)),
                    Wave(fetch_cluster_ids=(1,), serviced=((0, 1),))),
             cache_hit_cluster_ids=(0,), unique_clusters=2,
             duplicate_requests_pruned=0)
-        execution = client._execute_plan(plan, queries,
-                                         TopKMerger(1, 10), k=10, ef=16)
+        execution = client.engine.executor.execute_plan(
+            plan, queries, TopKMerger(1, 10), k=10, ef=16)
         assert execution.pipeline_executed
         assert execution.fetched == 2        # refetch of 0 plus fetch of 1
         assert client.cache.peek(0) is not None
+
+
+class TestPrefetchAbandonedOnError:
+    """An error escaping the pipelined loop with wave ``i+1``'s READ in
+    flight must retire that READ: its copy-on-write guard otherwise stays
+    on the memory node for the life of the process."""
+
+    def test_stale_decode_releases_prefetch_guard(
+            self, built_deployment, small_config, small_dataset):
+        config = small_config.replace(pipeline_waves=True)
+        client = make_client(built_deployment, config)
+        memory_node = built_deployment.layout.memory_node
+        assert len(memory_node._guards) == 0
+        decoder = client.engine.decoder
+        decode_extent = decoder.decode_extent
+        calls = 0
+
+        def stale_once(cluster_id, extent_offset, payload):
+            nonlocal calls
+            calls += 1
+            if calls == 1:
+                # The re-pin path: wave 0's decode fails after wave 1's
+                # prefetch was issued.
+                raise StaleReadError("sealed by a concurrent cutover",
+                                     op="READ")
+            return decode_extent(cluster_id, extent_offset, payload)
+
+        decoder.decode_extent = stale_once
+        batch = client.search_batch(small_dataset.queries, 10, ef_search=32)
+
+        assert calls > 1                      # the batch was re-planned
+        assert batch.pipeline_executed and batch.waves >= 2
+        assert len(memory_node._guards) == 0
+        fresh = make_client(built_deployment, config).search_batch(
+            small_dataset.queries, 10, ef_search=32)
+        assert batch.ids_list() == fresh.ids_list()
+        for got, want in zip(batch.results, fresh.results):
+            np.testing.assert_array_equal(got.distances, want.distances)
 
 
 class TestWorkerIdentity:

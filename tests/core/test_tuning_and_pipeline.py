@@ -71,7 +71,8 @@ class TestWavePipelining:
                                     ef_search=32)
         assert batch.overlap_saved_us == 0.0
         assert not batch.pipeline_executed
-        assert (batch.pipelined_latency_per_query_us
+        # Nothing overlapped, so the serial reconstruction is the total.
+        assert (batch.serial_latency_per_query_us
                 == pytest.approx(batch.latency_per_query_us))
 
     def test_pipelining_saves_time_on_multi_wave_batches(
@@ -93,7 +94,7 @@ class TestWavePipelining:
 
     def test_measured_overlap_matches_oracle(self, built_deployment,
                                              small_config, small_dataset):
-        """The realized schedule is exactly the retained ``_overlap_saved``
+        """The realized schedule is exactly the retained ``overlap_saved``
         closed form: measured hidden wire time == the oracle's estimate
         from the per-wave (fetch, process) profiles."""
         config = small_config.replace(pipeline_waves=True)

@@ -1,17 +1,19 @@
-"""The pre-seam monolithic execution path, retained as an oracle.
+"""The pre-seam monolithic wave loop, kept test-side as a schedule oracle.
 
-This module is a faithful transcription of the serving loop as it lived
-inside ``DHnswClient`` before the staged decomposition: one function per
-former private method, operating directly on the client.  It exists so the
-equivalence tests can run the same plan through both paths and assert
-bit-identical results, sub-evaluations, RDMA counters, and cache counters
-(``tests/serving/test_engine_equivalence.py``).  Delete it once the staged
-path has survived a release.
+A faithful transcription of the serving loop as it lived inside
+``DHnswClient`` before the staged decomposition: one function per former
+private method, operating directly on the client.  ``install(client)``
+swaps it in for the staged ``WaveExecutor`` schedules so
+``test_engine_equivalence.py`` can run the same batches through both and
+assert bit-identical results, sub-evaluations, RDMA counters, and cache
+counters.
 
-It shares the client's decoder (memoization + deserialize accumulator) and
-worker pools with the staged path — those are substrate, not
-orchestration; the point of the oracle is to pin the *schedule*: the exact
-verb order, charge order, and cache interaction of the original loop.
+It is *not* an independent implementation: it shares the client's fetcher,
+decoder (memoization + deserialize accumulator), cache and worker pools
+with the staged path — those are substrate, not orchestration.  What it
+pins is the *schedule*: the exact verb order, charge order, and cache
+interaction of the original loop.  It takes no pins and records no trace
+spans, so an installed client is single-request only.
 """
 
 from __future__ import annotations
@@ -27,12 +29,20 @@ from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import LayoutError
 from repro.serving.executor import PlanExecution, overlap_saved
 
-__all__ = [
-    "execute_naive",
-    "execute_plan",
-    "execute_plan_pipelined",
-    "execute_plan_serial",
-]
+
+def install(client) -> None:
+    """Replace ``client``'s staged wave schedules with this loop.
+
+    Instance attributes on the executor — the same seam the spine's tracer
+    wraps — so the engine's ``_search_batch_once`` runs unchanged around it.
+    """
+    executor = client.engine.executor
+    executor.execute_plan = (
+        lambda plan, queries, merger, k, ef, trace=None:
+        execute_plan(client, plan, queries, merger, k, ef))
+    executor.execute_naive = (
+        lambda required, queries, merger, k, ef, trace=None:
+        execute_naive(client, required, queries, merger, k, ef))
 
 
 def execute_plan(host, plan: BatchPlan, queries: np.ndarray,

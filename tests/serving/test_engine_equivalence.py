@@ -1,11 +1,11 @@
-"""Staged pipeline vs the retained monolithic reference, bit for bit.
+"""Staged pipeline vs the monolithic reference loop, bit for bit.
 
-The refactor's acceptance oracle: ``ServingEngine`` with
-``plan_executor = "reference"`` replays the pre-refactor monolithic wave
-loop.  For every executor configuration, a staged client and a reference
-client over the same layout must produce identical answers *and*
-identical simulated ledgers — same RdmaStats field by field, same latency
-breakdown, same cache counters.
+The refactor's acceptance oracle: ``reference_loop.install`` makes a
+client replay the pre-refactor monolithic wave loop.  For every executor
+configuration, a staged client and a reference client over the same
+layout must produce identical answers *and* identical simulated ledgers —
+same RdmaStats field by field, same latency breakdown, same cache
+counters.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.client import DHnswClient
+from tests.serving import reference_loop
 
 MATRIX = [
     ("thread", 1),
@@ -66,7 +67,7 @@ def test_staged_matches_reference(built_deployment, small_dataset,
                          executor=executor, workers=workers)
     oracle = make_client(built_deployment, "oracle", pipeline=pipeline,
                          executor=executor, workers=workers)
-    oracle.engine.plan_executor = "reference"
+    reference_loop.install(oracle)
     try:
         # Cold batch (all misses), then a warm batch (cache hits plus the
         # overflow-tail validation path) — both must match exactly.
@@ -89,7 +90,7 @@ def test_reference_covers_naive_path(built_deployment, small_dataset):
     queries = small_dataset.queries[:6]
     staged = built_deployment.make_client(Scheme.NAIVE, "naive-staged")
     oracle = built_deployment.make_client(Scheme.NAIVE, "naive-oracle")
-    oracle.engine.plan_executor = "reference"
+    reference_loop.install(oracle)
     try:
         assert_batches_identical(staged.search_batch(queries, k=5),
                                  oracle.search_batch(queries, k=5))
