@@ -17,8 +17,9 @@ and asserts the PR's acceptance criteria:
 * every configuration returns bit-identical results and identical
   ``sub_evals`` (worker count and scheduling never change answers);
 * with pipelining on, the simulated end-to-end batch latency improves
-  over the serial schedule by at least the retained ``overlap_saved``
-  oracle, and the measured hidden wire time matches that oracle.
+  over the serial schedule by at least the wire time the transport
+  measured as hidden (that the measurement equals the closed-form
+  schedule is pinned test-side, ``tests/core/test_tuning_and_pipeline.py``).
 
 Any violated criterion exits non-zero, so the CI smoke job doubles as a
 regression gate.  The compute-phase wall-clock ratio of 4 process workers
@@ -111,7 +112,6 @@ def run_config(deployment, queries, overrides, reps):
                 "latency_per_query_us": round(batch.latency_per_query_us,
                                               4),
                 "overlap_saved_us": round(batch.overlap_saved_us, 3),
-                "overlap_oracle_us": round(batch.overlap_oracle_us, 3),
                 "waves": batch.waves,
             },
             "sub_evals": batch.sub_evals,
@@ -142,12 +142,11 @@ def assert_acceptance(sections, batches) -> dict:
                             "to overlap; enlarge the corpus")
     improvement = (reference.breakdown.total_us
                    - piped.breakdown.total_us)
-    oracle = piped.overlap_oracle_us
-    check(improvement >= oracle * (1 - 1e-6) - 1e-6,
+    hidden = piped.overlap_saved_us
+    check(hidden > 0.0, "pipelined run hid no wire time")
+    check(improvement >= hidden * (1 - 1e-6) - 1e-6,
           f"simulated improvement {improvement:.3f}us fell short of the "
-          f"overlap oracle {oracle:.3f}us")
-    check(abs(piped.overlap_saved_us - oracle) <= max(1e-6, 1e-9 * oracle),
-          "measured hidden wire time drifted from the oracle")
+          f"hidden wire time {hidden:.3f}us")
     check(piped.breakdown.network_us < reference.breakdown.network_us,
           "pipelining did not shrink the exposed network bucket")
 
@@ -156,7 +155,7 @@ def assert_acceptance(sections, batches) -> dict:
     speedup = single / workers if workers > 0 else float("inf")
     return {
         "simulated_improvement_us": round(improvement, 3),
-        "overlap_oracle_us": round(oracle, 3),
+        "overlap_saved_us": round(hidden, 3),
         "compute_phase_speedup_workers4": round(speedup, 2),
         "bit_identical": True,
     }

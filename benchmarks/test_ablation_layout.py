@@ -20,13 +20,15 @@ from repro.layout.group_layout import cluster_read_extent
 from repro.layout.serializer import overflow_record_size
 from repro.rdma import QueuePair, SimClock
 
-from .conftest import emit_table
+from .conftest import BenchWorld, emit_table
 
 NUM_INSERTS = 32
 
 
 def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
-    world = sift_world
+    # A private deployment: inserted into the session-shared world, these
+    # records would ride along in every table generated after this one.
+    world = BenchWorld(sift_world.dataset, sift_world.config)
     client = world.client(Scheme.DHNSW, contended=False)
     probe = world.dataset.queries[0]
     cluster_id = client.meta.classify(probe)

@@ -18,6 +18,10 @@ from repro.pq import PqCodebook, PqRerankIndex
 from .conftest import emit_table
 
 SUBSPACES = (4, 8, 16)
+#: Exact re-rank depth: a fixed share of the corpus (about 4 %, never below
+#: 50).  ADC ranks get coarser as the corpus grows — a fixed depth of 50
+#: repairs 1200 vectors to 0.998 recall but 8000 only to 0.69-0.77.
+MIN_RERANK, RERANK_SHARE = 50, 24
 
 
 def test_ablation_pq_transfer(sift_world, benchmark):
@@ -27,6 +31,7 @@ def test_ablation_pq_transfer(sift_world, benchmark):
     truth = world.dataset.ground_truth[:100]
     model = world.cost_model
 
+    rerank_depth = max(MIN_RERANK, len(data) // RERANK_SHARE)
     full_bytes = data.nbytes
     full_transfer_us = model.transfer_us(full_bytes)
     rows = []
@@ -44,7 +49,7 @@ def test_ablation_pq_transfer(sift_world, benchmark):
             return recall_at_k(result, truth, 10)
 
         adc_recall = recall(0)
-        reranked_recall = recall(50)
+        reranked_recall = recall(rerank_depth)
         recalls[subspaces] = (adc_recall, reranked_recall)
         ratio = full_bytes / index.compressed_bytes
         compressed_us = model.transfer_us(index.compressed_bytes)
@@ -73,7 +78,8 @@ def test_ablation_pq_transfer(sift_world, benchmark):
     codebook.train(data)
     index = PqRerankIndex(codebook)
     index.add(data)
-    benchmark.pedantic(lambda: index.search(queries[0], 10, rerank=50),
+    benchmark.pedantic(lambda: index.search(queries[0], 10,
+                                            rerank=rerank_depth),
                        rounds=1, iterations=1)
     benchmark.extra_info["recalls"] = {
         str(subspaces): recalls[subspaces] for subspaces in SUBSPACES}

@@ -104,7 +104,10 @@ def _built_hnsw(data):
 
 
 def _built_vamana(data):
-    index = VamanaIndex(data.shape[1], r=16, alpha=1.2,
+    # Degree bound matched to HNSW's level-0 bound (2m = 32): at r=16 the
+    # flat graph loses navigability between the corpus's 100 clusters once
+    # it holds 4000 vectors (recall@10 0.36; 1.00 at the smoke scale).
+    index = VamanaIndex(data.shape[1], r=32, alpha=1.2,
                         ef_construction=64, seed=0)
     index.build(data)
     return index

@@ -144,8 +144,6 @@ class ShardedDeployment:
             cache_evictions=sum(batch.cache_evictions
                                 for batch in shard_batches),
             pipeline_executed=any(batch.pipeline_executed
-                                  for batch in shard_batches),
-            overlap_oracle_us=sum(batch.overlap_oracle_us
                                   for batch in shard_batches))
 
     def search(self, query: np.ndarray, k: int,

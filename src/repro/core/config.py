@@ -47,10 +47,6 @@ class DHnswConfig:
     overflow_capacity_records:
         Slots in each group's shared overflow area.  The paper sizes the
         area at 0.75 MB for SIFT1M; slots are the scale-free equivalent.
-    validate_overflow_on_hit:
-        When True (default), cache hits verify the remote overflow tail
-        counter (piggybacked on the wave's doorbell batch) and fetch only
-        the delta records, so searches observe concurrent inserts.
     mutation_retry_limit:
         Bounded retries of the mutation path's reserve/rebuild loop when
         another writer wins a race (rebuild leadership lost, or a slot
@@ -155,7 +151,6 @@ class DHnswConfig:
     cache_fraction: float = 0.10
     batch_size: int = 2000
     overflow_capacity_records: int = 128
-    validate_overflow_on_hit: bool = True
     mutation_retry_limit: int = 8
     reclaim_eager: bool = True
     adaptive_nprobe: bool = False

@@ -34,7 +34,13 @@ import struct
 from repro.core.engine import RemoteLayout
 from repro.errors import LayoutError, SerializationError
 from repro.layout.cold import deserialize_codebook, deserialize_cold_cluster
-from repro.layout.group_layout import decode_overflow_tail, overflow_area_size
+from repro.layout.group_layout import (
+    decode_overflow_tail,
+    overflow_area_size,
+    overflow_slot_offset,
+    overflow_tail_extent,
+    unpack_overflow_tail,
+)
 from repro.layout.metadata import GlobalMetadata, rebuild_lock_offset
 from repro.layout.serializer import (
     deserialize_cluster,
@@ -166,8 +172,8 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             continue
         extents.append((group.overflow_offset,
                         group.overflow_offset + area_size, location))
-        (raw_tail,) = _U64.unpack(
-            _read(node, layout, group.overflow_offset, 8))
+        raw_tail = unpack_overflow_tail(
+            _read(node, layout, *overflow_tail_extent(group)))
         count, sealed = decode_overflow_tail(raw_tail,
                                              group.capacity_records)
         tails[gid] = count
@@ -183,7 +189,9 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                 "warning", location,
                 f"tail counter {raw_tail} exceeds capacity "
                 f"{group.capacity_records} (torn reservation)"))
-        blob = _read(node, layout, group.overflow_offset + 8,
+        blob = _read(node, layout,
+                     overflow_slot_offset(group.overflow_offset,
+                                          metadata.dim, 0),
                      tails[gid] * record_size)
         records = unpack_overflow_records(blob, metadata.dim, tails[gid])
         valid_members = set(members_by_group.get(gid, []))

@@ -18,7 +18,7 @@ import dataclasses
 from repro.core.cache import ClusterCache
 from repro.errors import ConfigError
 
-__all__ = ["BatchPlan", "Wave", "plan_batch"]
+__all__ = ["BatchPlan", "Wave", "plan_batch", "plan_naive"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,3 +113,16 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
         unique_clusters=unique,
         duplicate_requests_pruned=total_requests - unique,
     )
+
+
+def plan_naive(required: list[list[int]]) -> BatchPlan:
+    """Naive d-HNSW as a schedule: one ``(query, cluster)`` pair per wave,
+    in query order, nothing deduplicated — one READ round trip per pair."""
+    pairs = [(query_index, cluster_id)
+             for query_index, cluster_ids in enumerate(required)
+             for cluster_id in cluster_ids]
+    waves = tuple(Wave(fetch_cluster_ids=(cid,), serviced=((q, cid),))
+                  for q, cid in pairs)
+    return BatchPlan(waves=waves, cache_hit_cluster_ids=(),
+                     unique_clusters=len({cid for _, cid in pairs}),
+                     duplicate_requests_pruned=0)

@@ -46,12 +46,11 @@ class BatchResult:
     cache_hits: int
     duplicate_requests_pruned: int
     waves: int
-    #: *Measured* simulated time the double-buffered loader hid by fetching
-    #: wave i+1 while searching wave i (0 unless ``pipeline_waves`` is on).
-    #: Since PR 4 the overlap is actually scheduled: ``breakdown.total_us``
-    #: is already the pipelined latency and this field is the realized
-    #: saving relative to a serial schedule (see
-    #: ``serial_latency_per_query_us``).
+    #: *Measured* simulated time the wave loop hid by fetching wave i+1
+    #: while searching wave i (0 unless ``pipeline_waves`` is on):
+    #: ``breakdown.total_us`` is the pipelined latency and this field the
+    #: saving relative to a serial schedule
+    #: (``serial_latency_per_query_us``).
     overlap_saved_us: float = 0.0
     #: Sub-HNSW distance evaluations performed for the batch.
     sub_evals: int = 0
@@ -62,10 +61,6 @@ class BatchResult:
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False
-    #: The pre-PR-4 closed-form estimate ``overlap_saved`` computes from
-    #: per-wave (fetch, process) profiles — retained as a test oracle that
-    #: must match the measured ``overlap_saved_us``.
-    overlap_oracle_us: float = 0.0
     #: Clusters served from the cold (PQ/Vamana) tier this batch, and the
     #: tier transitions the post-batch rebalance made.  All zero when
     #: ``cold_tier="off"``.

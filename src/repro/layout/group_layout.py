@@ -19,15 +19,25 @@ is the engine's job.
 from __future__ import annotations
 
 import dataclasses
+import struct
 from typing import Iterable
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, StaleReadError
 from repro.layout.metadata import ClusterEntry, GlobalMetadata, GroupEntry
-from repro.layout.serializer import overflow_record_size
+from repro.layout.serializer import (
+    OverflowRecord,
+    overflow_record_size,
+    unpack_overflow_records,
+)
 
 __all__ = ["GroupPlan", "plan_groups", "cluster_read_extent",
            "overflow_area_size", "decode_overflow_tail",
+           "unpack_overflow_tail", "pack_overflow_tail",
+           "live_overflow_count", "overflow_tail_extent",
+           "overflow_slot_offset", "unpack_overflow_area",
            "OVERFLOW_TAIL_BYTES", "OVERFLOW_SEALED"]
+
+_TAIL = struct.Struct("<Q")
 
 OVERFLOW_TAIL_BYTES = 8  # u64 tail counter at the head of each overflow area
 
@@ -55,6 +65,51 @@ def decode_overflow_tail(raw_tail: int,
     if sealed:
         raw_tail -= OVERFLOW_SEALED
     return min(raw_tail, capacity_records), sealed
+
+
+def unpack_overflow_tail(buffer: "bytes | memoryview", offset: int = 0) -> int:
+    """The raw u64 tail word stored at ``buffer[offset:]``."""
+    return _TAIL.unpack_from(buffer, offset)[0]
+
+
+def pack_overflow_tail(count: int) -> bytes:
+    """Wire form of a tail word holding ``count`` records."""
+    return _TAIL.pack(count)
+
+
+def live_overflow_count(buffer: "bytes | memoryview", capacity_records: int,
+                        where: str, offset: int = 0) -> int:
+    """Record count behind the tail word at ``buffer[offset:]``, for a
+    reader about to serve the area (``where`` names what it read).
+
+    A sealed word means a cutover moved the group after the reader's
+    metadata refresh, so the area misses every write since: raises the
+    retryable :class:`StaleReadError`; callers refresh and re-plan.
+    """
+    count, sealed = decode_overflow_tail(
+        unpack_overflow_tail(buffer, offset), capacity_records)
+    if sealed:
+        raise StaleReadError(
+            f"{where} sealed by a concurrent rebuild cutover; refresh "
+            f"metadata and re-plan", op="READ")
+    return count
+
+
+def overflow_tail_extent(group: GroupEntry) -> tuple[int, int]:
+    """Region ``(offset, length)`` of a group's tail word."""
+    return group.overflow_offset, OVERFLOW_TAIL_BYTES
+
+
+def overflow_slot_offset(overflow_offset: int, dim: int, slot: int) -> int:
+    """Region offset of record ``slot`` in the area at ``overflow_offset``."""
+    return (overflow_offset + OVERFLOW_TAIL_BYTES
+            + slot * overflow_record_size(dim))
+
+
+def unpack_overflow_area(area: "bytes | memoryview", dim: int,
+                         count: int) -> list[OverflowRecord]:
+    """The first ``count`` records of an area buffer (tail word first)."""
+    return unpack_overflow_records(area[OVERFLOW_TAIL_BYTES:], dim, count)
 
 
 def overflow_area_size(dim: int, capacity_records: int) -> int:

@@ -69,9 +69,12 @@ from repro.errors import LayoutError
 from repro.hnsw.parallel_build import ClusterRebuildTask, rebuild_cluster_blob
 from repro.layout.group_layout import (
     OVERFLOW_SEALED,
-    OVERFLOW_TAIL_BYTES,
     decode_overflow_tail,
     overflow_area_size,
+    overflow_slot_offset,
+    pack_overflow_tail,
+    unpack_overflow_area,
+    unpack_overflow_tail,
 )
 from repro.layout.metadata import (ColdDirectory, ColdExtentEntry,
                                    GlobalMetadata, rebuild_lock_offset)
@@ -195,15 +198,15 @@ class ShadowRebuild:
             host.node.charge_time(
                 host.cost_model.deserialize_us(len(payload)))
         overflow_off = group.overflow_offset - start
-        (raw_tail,) = _U64.unpack_from(payload, overflow_off)
-        t0, sealed = decode_overflow_tail(raw_tail, group.capacity_records)
+        t0, sealed = decode_overflow_tail(
+            unpack_overflow_tail(payload, overflow_off),
+            group.capacity_records)
         if sealed:
             raise LayoutError(
                 f"group {self.group_id} already sealed while its rebuild "
                 f"lock is held — lost or leaked cutover")
-        records = unpack_overflow_records(
-            payload[overflow_off + OVERFLOW_TAIL_BYTES:],
-            metadata.dim, t0)
+        records = unpack_overflow_area(payload[overflow_off:],
+                                       metadata.dim, t0)
         blobs: dict[int, bytes] = {}
         for cid in member_ids:
             cluster = metadata.clusters[cid]
@@ -263,7 +266,7 @@ class ShadowRebuild:
             # recycled space never inherits a stale (sealed) counter.
             host.transport.write(host.layout.rkey,
                                  host.layout.addr(overflow_offset),
-                                 bytes(OVERFLOW_TAIL_BYTES))
+                                 pack_overflow_tail(0))
         self._new_base = base
         self._new_total = total
         self._new_offsets = offsets
@@ -274,7 +277,7 @@ class ShadowRebuild:
         host = self.host
         snap = self._snapshot
         assert snap is not None
-        record_size = overflow_record_size(host.metadata.dim)
+        dim = host.metadata.dim
         with span(self.trace, "publish"):
             # 1. Seal the old tail.  The FAA's return value is the exact
             #    final raw tail — no later reservation can land below the
@@ -289,21 +292,20 @@ class ShadowRebuild:
             if t1 > snap.t0:
                 blob = host.transport.read(
                     host.layout.rkey,
-                    host.layout.addr(snap.old_overflow_offset
-                                     + OVERFLOW_TAIL_BYTES
-                                     + snap.t0 * record_size),
-                    (t1 - snap.t0) * record_size)
+                    host.layout.addr(overflow_slot_offset(
+                        snap.old_overflow_offset, dim, snap.t0)),
+                    (t1 - snap.t0) * overflow_record_size(dim))
                 migrated = unpack_overflow_records(
-                    bytes(blob), host.metadata.dim, t1 - snap.t0)
+                    bytes(blob), dim, t1 - snap.t0)
                 host.transport.write(
                     host.layout.rkey,
-                    host.layout.addr(self._new_overflow_offset
-                                     + OVERFLOW_TAIL_BYTES),
+                    host.layout.addr(overflow_slot_offset(
+                        self._new_overflow_offset, dim, 0)),
                     pack_overflow_records(migrated))
             host.transport.write(
                 host.layout.rkey,
                 host.layout.addr(self._new_overflow_offset),
-                _U64.pack(len(migrated)))
+                pack_overflow_tail(len(migrated)))
             self.migrated_records = len(migrated)
             # 3. Publish against the *authoritative* block: another
             #    group's rebuild may have published since this one

@@ -37,7 +37,8 @@ import dataclasses
 import numpy as np
 
 from repro.errors import GroupSealedError, OverflowFullError
-from repro.layout.group_layout import OVERFLOW_SEALED, OVERFLOW_TAIL_BYTES
+from repro.layout.group_layout import (decode_overflow_tail,
+                                       overflow_slot_offset)
 from repro.layout.serializer import (
     OverflowRecord,
     overflow_record_size,
@@ -244,9 +245,8 @@ class MutationEngine:
                     record = OverflowRecord(global_id=global_ids[row],
                                             cluster_id=cid,
                                             vector=vectors[row])
-                    record_addr = host.layout.addr(
-                        group.overflow_offset + OVERFLOW_TAIL_BYTES
-                        + slot * record_size)
+                    record_addr = host.layout.addr(overflow_slot_offset(
+                        group.overflow_offset, host.metadata.dim, slot))
                     descriptors.append(WriteDescriptor(
                         host.layout.rkey, record_addr,
                         pack_overflow_record(record)))
@@ -272,26 +272,15 @@ class MutationEngine:
         host = self.host
         group_id = host.metadata.clusters[cluster_id].group_id
         group = host.metadata.groups[group_id]
-        tail_addr = host.layout.addr(group.overflow_offset)
-        with span(trace, "reserve"):
-            raw = host.transport.faa(host.layout.rkey, tail_addr, 1)
-            if raw >= OVERFLOW_SEALED:
-                # A cutover sealed this area between our refresh and the
-                # FAA; roll back and retry at the group's new location.
-                host.transport.faa(host.layout.rkey, tail_addr, -1)
-                raise GroupSealedError(group_id)
-            if raw >= group.capacity_records:
-                # Roll the reservation back before rebuilding.
-                host.transport.faa(host.layout.rkey, tail_addr, -1)
-                raise OverflowFullError(
-                    group_id, group.capacity_records,
-                    overflow_record_size(host.metadata.dim))
-        slot = int(raw)
+        slot, claimed = self._reserve_run(group_id, 1, trace)
+        if not claimed:
+            raise OverflowFullError(
+                group_id, group.capacity_records,
+                overflow_record_size(host.metadata.dim))
         record = OverflowRecord(global_id=global_id, cluster_id=cluster_id,
                                 vector=vector, tombstone=tombstone)
-        record_size = overflow_record_size(host.metadata.dim)
-        record_addr = host.layout.addr(
-            group.overflow_offset + OVERFLOW_TAIL_BYTES + slot * record_size)
+        record_addr = host.layout.addr(overflow_slot_offset(
+            group.overflow_offset, host.metadata.dim, slot))
         with span(trace, "write"):
             host.transport.write(host.layout.rkey, record_addr,
                                  pack_overflow_record(record))
@@ -313,12 +302,14 @@ class MutationEngine:
         group = host.metadata.groups[group_id]
         tail_addr = host.layout.addr(group.overflow_offset)
         with span(trace, "reserve"):
-            raw = host.transport.faa(host.layout.rkey, tail_addr, count)
-            if raw >= OVERFLOW_SEALED:
+            slot0, sealed = decode_overflow_tail(
+                host.transport.faa(host.layout.rkey, tail_addr, count),
+                group.capacity_records)
+            if sealed:
                 host.transport.faa(host.layout.rkey, tail_addr, -count)
                 raise GroupSealedError(group_id)
-            slot0 = int(raw)
-            claimed = min(count, max(0, group.capacity_records - slot0))
+            # A reservation that lands past capacity decodes clamped to it.
+            claimed = min(count, group.capacity_records - slot0)
             if claimed < count:
                 host.transport.faa(host.layout.rkey, tail_addr,
                                    -(count - claimed))

@@ -10,7 +10,7 @@ the single owner of metadata, cache, and transport.
 
 from repro.serving.decoder import Decoder
 from repro.serving.engine import ServingEngine
-from repro.serving.executor import PlanExecution, WaveExecutor, overlap_saved
+from repro.serving.executor import PlanExecution, WaveExecutor
 from repro.serving.fetcher import Fetcher
 from repro.serving.merger import Merger
 from repro.serving.planner import Planner
@@ -26,5 +26,4 @@ __all__ = [
     "StageReport",
     "TraceContext",
     "WaveExecutor",
-    "overlap_saved",
 ]

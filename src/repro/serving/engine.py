@@ -102,44 +102,24 @@ class ServingEngine:
         # Tiering applies only under the full scheme (deduplicated
         # batches); with cold_tier="off" there is no tier store and the
         # path below is bit-identical to the untiered engine.
-        tier = getattr(host, "tier_store", None)
+        tier = (getattr(host, "tier_store", None)
+                if host.policy.deduplicate_batch else None)
         cold = ColdExecution()
         promotions = demotions = 0
-        if host.policy.deduplicate_batch:
-            if tier is not None:
-                hot_required, cold_required = tier.split(required)
-            else:
-                hot_required, cold_required = required, {}
-            plan = self.planner.plan(hot_required, trace)
-            execution = self.executor.execute_plan(plan, queries, merger,
-                                                   k, ef, trace)
-            if tier is not None:
-                cold = tier.execute_cold(cold_required, queries, merger,
-                                         k, trace)
-                promotions, demotions = tier.rebalance(trace)
-            waves = len(plan.waves)
-            pruned = plan.duplicate_requests_pruned
-        else:
-            execution = self.executor.execute_naive(
-                required, queries, merger, k, ef, trace)
-            waves = 0
-            pruned = 0
-        if execution.charged_in_loop:
-            # The pipelined executor charged deserialize + compute wave by
-            # wave (that interleaving is the whole point); just attribute.
-            breakdown.sub_hnsw_us += execution.charged_compute_us
-            self.decoder.drain_deserialize_us()
-        else:
-            with trace.stage("compute"):
-                breakdown.sub_hnsw_us += host.node.charge_compute(
-                    execution.sub_evals, host.meta.dim)
-            # Deserialization of fetched blobs is CPU work on loaded data —
-            # it belongs to the sub-HNSW bucket (see CostModel docs).
-            with trace.stage("decode"):
-                breakdown.sub_hnsw_us += host.node.charge_time(
-                    self.decoder.drain_deserialize_us())
-        # Cold serving charged its compute inside execute_cold (the waves
-        # above never saw those clusters); attribute it to the same bucket.
+        cold_required: dict[int, list[int]] = {}
+        if tier is not None:
+            required, cold_required = tier.split(required)
+        plan = self.planner.plan(required, trace)
+        execution = self.executor.execute_plan(plan, queries, merger,
+                                               k, ef, trace)
+        if tier is not None:
+            cold = tier.execute_cold(cold_required, queries, merger,
+                                     k, trace)
+            promotions, demotions = tier.rebalance(trace)
+        # The wave loop charged decode + search to the clock itself, and
+        # cold serving its compute inside execute_cold (the waves never
+        # saw those clusters); both belong to the sub-HNSW bucket.
+        breakdown.sub_hnsw_us += execution.sub_hnsw_us
         breakdown.sub_hnsw_us += cold.compute_us
 
         # --- finalize ---------------------------------------------------
@@ -159,13 +139,14 @@ class ServingEngine:
                            rdma=rdma_delta,
                            clusters_fetched=execution.fetched,
                            cache_hits=execution.hit_count,
-                           duplicate_requests_pruned=pruned, waves=waves,
+                           duplicate_requests_pruned=(
+                               plan.duplicate_requests_pruned),
+                           waves=len(plan.waves),
                            overlap_saved_us=rdma_delta.overlapped_time_us,
                            sub_evals=execution.sub_evals + cold.evals,
                            cache_misses=misses_after - misses_before,
                            cache_evictions=evictions_after - evictions_before,
                            pipeline_executed=execution.pipeline_executed,
-                           overlap_oracle_us=execution.overlap_oracle_us,
                            cold_clusters_served=cold.clusters,
                            tier_promotions=promotions,
                            tier_demotions=demotions,

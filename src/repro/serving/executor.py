@@ -1,11 +1,7 @@
-"""Executor stage: wave schedules to merged candidates.
-
-Runs each wave's per-cluster query groups on the configured executor
-(inline, thread pool, or the cluster-affine process pool) and drives the
-two wave schedules: strictly serial, and the double-buffered pipeline that
-hides wave ``i+1``'s wire time behind wave ``i``'s compute.  Owns the
-worker pools, so shutting the executor down releases every OS resource the
-serving path created.
+"""Executor stage: one loop runs every wave schedule — the deduplicated
+plan serially (paper Tables 1-2), the same plan with wave ``i+1``'s READ
+hidden behind wave ``i``'s search, and the naive one-pair-per-wave plan.
+Waves are searched inline or on the worker pools this stage owns.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from repro.errors import LayoutError
 from repro.serving.fetcher import Fetcher
 from repro.serving.trace import TraceContext, span
 
-__all__ = ["PlanExecution", "WaveExecutor", "overlap_saved"]
+__all__ = ["PlanExecution", "WaveExecutor"]
 
 
 @dataclasses.dataclass
@@ -35,31 +31,12 @@ class PlanExecution:
     sub_evals: int = 0
     fetched: int = 0
     hit_count: int = 0
-    #: Closed-form overlap estimate from the per-wave profiles (the
-    #: pre-PR-4 formula, retained as a test oracle).
-    overlap_oracle_us: float = 0.0
-    #: True when deserialize + compute were charged per wave inside the
-    #: pipelined loop; the engine must then skip its lump charges.
-    charged_in_loop: bool = False
-    #: Simulated µs already charged to the sub-HNSW bucket in-loop.
-    charged_compute_us: float = 0.0
+    #: Simulated µs charged for decode + search (the sub-HNSW bucket).
+    sub_hnsw_us: float = 0.0
+    #: Decode cost of admitted extents, not yet charged to the clock.
+    decode_backlog_us: float = 0.0
+    #: True when wave ``i+1``'s READ was in flight behind wave ``i``.
     pipeline_executed: bool = False
-
-
-def overlap_saved(profiles: list[tuple[float, float]]) -> float:
-    """Serial minus pipelined schedule length for the given waves.
-
-    Pipelined: ``f_0 + sum(max(f_{i+1}, p_i)) + p_last`` — wave
-    ``i``'s search overlaps wave ``i+1``'s fetch.
-    """
-    if len(profiles) < 2:
-        return 0.0
-    serial = sum(fetch + process for fetch, process in profiles)
-    pipelined = profiles[0][0]
-    for (_, process), (next_fetch, _) in zip(profiles, profiles[1:]):
-        pipelined += max(process, next_fetch)
-    pipelined += profiles[-1][1]
-    return serial - pipelined
 
 
 class WaveExecutor:
@@ -94,150 +71,93 @@ class WaveExecutor:
             self._search_pool = SearchPool(self.host.config.search_workers)
         return self._search_pool
 
-    # -- schedules -------------------------------------------------------
+    # -- the schedule -----------------------------------------------------
     def execute_plan(self, plan: BatchPlan, queries: np.ndarray,
                      merger: TopKMerger, k: int, ef: int,
                      trace: TraceContext | None = None) -> PlanExecution:
-        """Run a deduplicated wave schedule.
+        """Take wave ``i``'s bytes, put wave ``i+1``'s READ on the wire,
+        then decode, admit and search wave ``i``.
 
-        With ``config.pipeline_waves`` set and at least two waves, the
-        double-buffered executor actually overlaps wave ``i+1``'s fetch
-        with wave ``i``'s search; otherwise waves run strictly serially
-        (the pre-PR-4 schedule, numerically unchanged).
+        The look-ahead needs ``config.pipeline_waves`` and two waves; the
+        schedule is then ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and
+        search being charged per wave so the poll observes them as elapsed
+        time (hidden wire time lands in ``RdmaStats.overlapped_time_us``).
+        Without it they are charged once, after the last wave.
         """
-        if self.host.config.pipeline_waves and len(plan.waves) >= 2:
-            return self.execute_pipelined(plan, queries, merger, k, ef,
-                                          trace)
-        return self.execute_serial(plan, queries, merger, k, ef, trace)
-
-    def execute_serial(self, plan: BatchPlan, queries: np.ndarray,
-                       merger: TopKMerger, k: int, ef: int,
-                       trace: TraceContext | None = None) -> PlanExecution:
-        """Strictly serial wave schedule: fetch, then search, per wave."""
-        execution = PlanExecution()
-        for wave in plan.waves:
-            entries = self.fetcher.load_wave(wave, execution, trace)
-            execution.sub_evals += self.run_wave_compute(
-                wave, entries, queries, merger, k, ef, trace)
-        return execution
-
-    def execute_pipelined(self, plan: BatchPlan, queries: np.ndarray,
-                          merger: TopKMerger, k: int, ef: int,
-                          trace: TraceContext | None = None
-                          ) -> PlanExecution:
-        """Double-buffered wave schedule: wave ``i+1``'s doorbell-batched
-        fetch is issued asynchronously before wave ``i``'s search runs, so
-        its wire time hides behind compute.
-
-        Deserialize and compute are charged per wave *inside* the loop —
-        that interleaving is what makes the transport's poll observe
-        elapsed time — so ``charged_in_loop`` tells the engine to skip its
-        lump charges.  The realized schedule is exactly the
-        ``overlap_saved`` oracle's ``f_0 + Σ max(p_i, f_{i+1}) + p_last``;
-        the oracle value is recorded for the acceptance test to compare
-        against the measured ``overlapped_time_us``.
-        """
-        host = self.host
-        fetcher = self.fetcher
-        execution = PlanExecution(charged_in_loop=True,
-                                  pipeline_executed=True)
-        waves = plan.waves
+        host, fetcher, waves = self.host, self.fetcher, plan.waves
         doorbell = host.policy.doorbell_batching
-        profiles: list[tuple[float, float]] = []  # (fetch, process) per wave
+        look_ahead = host.config.pipeline_waves and len(waves) >= 2
+        execution = PlanExecution(pipeline_executed=look_ahead)
         # Wave i+1's (token, extents) between its issue and its poll.
         pending: tuple | None = None
-
+        upcoming = [wave.fetch_cluster_ids for wave in waves[1:]] + [()]
         try:
-            for index, wave in enumerate(waves):
-                sync_network_before = host.node.stats.network_time_us
-                entries: dict[int, CachedCluster] = {}
-                if wave.fetch_cluster_ids:
+            for wave, next_ids in zip(waves, upcoming):
+                fetch_ids = wave.fetch_cluster_ids
+                if not fetch_ids:
+                    entries = fetcher.take_hits(wave, execution, trace)
+                elif look_ahead:
                     token, extents = pending or fetcher.issue_async(
-                        list(wave.fetch_cluster_ids), doorbell)
+                        fetch_ids, doorbell)
                     pending = None
-                    with span(trace, "fetch"):
-                        payloads = fetcher.poll(token)
-                    wave_fetch_us = token.elapsed_us
+                    payloads = fetcher.poll(token, trace)
                 else:
-                    fetcher.load_hit_wave(wave, entries, execution, trace)
-                    wave_fetch_us = (host.node.stats.network_time_us
-                                     - sync_network_before)
-                # Wave i's bytes are local: put wave i+1's READ on the wire
-                # before decoding and searching wave i.
-                if (index + 1 < len(waves)
-                        and waves[index + 1].fetch_cluster_ids):
-                    pending = fetcher.issue_async(
-                        list(waves[index + 1].fetch_cluster_ids), doorbell)
-                if wave.fetch_cluster_ids:
-                    with span(trace, "decode"):
-                        loaded = {
-                            cid: fetcher.decoder.decode_extent(cid, offset,
-                                                               payload)
-                            for (cid, offset, _), payload
-                            in zip(extents, payloads)}
-                    execution.fetched += len(loaded)
-                    for entry in loaded.values():
-                        if host.policy.use_cluster_cache:
-                            fetcher.cache_put(entry)
-                    entries.update(loaded)
-                deserialize_us = fetcher.decoder.drain_deserialize_us()
-                with span(trace, "decode"):
-                    charged = host.node.charge_time(deserialize_us)
+                    extents, payloads = fetcher.read(fetch_ids, doorbell,
+                                                     trace)
+                if look_ahead and next_ids:
+                    pending = fetcher.issue_async(next_ids, doorbell)
+                if fetch_ids:
+                    entries = fetcher.admit(extents, payloads, execution,
+                                            trace)
                 wave_evals = self.run_wave_compute(wave, entries, queries,
                                                    merger, k, ef, trace)
-                with span(trace, "compute"):
-                    charged += host.node.charge_compute(wave_evals,
-                                                        host.meta.dim)
                 execution.sub_evals += wave_evals
-                execution.charged_compute_us += charged
-                profiles.append((wave_fetch_us, charged))
+                if look_ahead:
+                    decode_us = self.charge_decode(execution, trace)
+                    execution.sub_hnsw_us += decode_us + self.charge_search(
+                        wave_evals, trace)
         finally:
             if pending is not None:
-                # An error (e.g. StaleReadError out of decode) escaped with
-                # the prefetch in flight: retire it, or its copy-on-write
-                # guard outlives the request.  Charges and records nothing.
+                # An error escaped with the prefetch in flight: retire it
+                # uncharged, or its copy-on-write guard outlives the request.
                 host.transport.abandon(pending[0])
-        execution.overlap_oracle_us = overlap_saved(profiles)
+        if not look_ahead:
+            # Nothing in flight had to observe time wave by wave: one search
+            # charge, then the decodes.  Per-wave charges would move the last
+            # float64 digit of the recorded tables: Σ(evals_w·c) ≠ (Σ evals_w)·c.
+            search_us = self.charge_search(execution.sub_evals, trace)
+            execution.sub_hnsw_us = search_us + self.charge_decode(
+                execution, trace)
         return execution
 
-    def execute_naive(self, required: list[list[int]], queries: np.ndarray,
-                      merger: TopKMerger, k: int, ef: int,
-                      trace: TraceContext | None = None) -> PlanExecution:
-        """Naive d-HNSW: one READ round trip per (query, cluster) pair."""
-        execution = PlanExecution()
-        for query_index, cluster_ids in enumerate(required):
-            for cid in cluster_ids:
-                entry = self.fetcher.fetch_clusters(
-                    [cid], False, trace)[cid]
-                execution.fetched += 1
-                with span(trace, "compute"):
-                    output = search_cluster_entry(
-                        entry, queries[query_index:query_index + 1], k, ef)
-                execution.sub_evals += output.evals
-                merger.add(query_index, output.gids[0], output.dists[0])
-        return execution
+    def charge_decode(self, execution: PlanExecution,
+                      trace: TraceContext | None) -> float:
+        """Charge the decode backlog to the clock; returns the µs."""
+        backlog = execution.decode_backlog_us
+        execution.decode_backlog_us = 0.0
+        with span(trace, "decode"):
+            return self.host.node.charge_time(backlog)
+
+    def charge_search(self, evals: int, trace: TraceContext | None) -> float:
+        """Charge ``evals`` distance evaluations; returns the µs."""
+        with span(trace, "compute"):
+            return self.host.node.charge_compute(evals, self.host.meta.dim)
 
     # -- per-wave compute -------------------------------------------------
-    def run_wave_compute(self, wave: Wave,
-                         entries: dict[int, CachedCluster],
+    def run_wave_compute(self, wave: Wave, entries: dict[int, CachedCluster],
                          queries: np.ndarray, merger: TopKMerger, k: int,
-                         ef: int,
-                         trace: TraceContext | None = None) -> int:
+                         ef: int, trace: TraceContext | None = None) -> int:
         """Search a wave's per-cluster query groups on the configured
-        executor; merge candidates in deterministic cluster order.
+        executor, merge in deterministic cluster order, return the evals.
 
-        Tasks are the pure :func:`search_cluster_entry` — each returns
-        private per-query candidate arrays, so nothing shared is mutated
-        off the main thread and results are bit-identical at every worker
-        count.  Returns the wave's distance evaluations.
+        Tasks are the pure :func:`search_cluster_entry`: nothing shared is
+        mutated off the main thread, so every worker count is bit-identical.
         """
         host = self.host
         with span(trace, "compute"):
             tasks: list[tuple[int, CachedCluster, list[int]]] = []
             for cid, query_indices in wave.cluster_groups():
-                entry = entries.get(cid)
-                if entry is None:
-                    entry = host.cache.peek(cid)
+                entry = entries.get(cid) or host.cache.peek(cid)
                 if entry is None:
                     raise LayoutError(
                         f"planned cluster {cid} missing during wave")
@@ -250,9 +170,8 @@ class WaveExecutor:
             for _, entry, _ in tasks:
                 host.cache.pin(entry)
             try:
-                workers = host.config.search_workers
                 started = time.perf_counter()
-                if workers > 1 and len(tasks) > 1:
+                if host.config.search_workers > 1 and len(tasks) > 1:
                     if host.config.search_executor == "process":
                         outputs = self._get_search_pool().run_wave(
                             [(cid,
@@ -274,10 +193,8 @@ class WaveExecutor:
                 for _, entry, _ in tasks:
                     host.cache.unpin(entry)
             host.node.record_wall_compute(time.perf_counter() - started)
-            wave_evals = 0
             for (_, _, query_indices), output in zip(tasks, outputs):
-                wave_evals += output.evals
                 for row, query_index in enumerate(query_indices):
                     merger.add(query_index, output.gids[row],
                                output.dists[row])
-        return wave_evals
+        return sum(output.evals for output in outputs)

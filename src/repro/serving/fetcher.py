@@ -9,15 +9,16 @@ decisions about what was just fetched.
 
 from __future__ import annotations
 
-import struct
+from typing import Sequence
 
 from repro.core.cache import CachedCluster
 from repro.core.query_planner import Wave
-from repro.errors import LayoutError, StaleReadError
+from repro.errors import LayoutError
 from repro.layout.group_layout import (
-    OVERFLOW_TAIL_BYTES,
     cluster_read_extent,
-    decode_overflow_tail,
+    live_overflow_count,
+    overflow_slot_offset,
+    overflow_tail_extent,
 )
 from repro.layout.serializer import (
     overflow_record_size,
@@ -29,8 +30,6 @@ from repro.transport import PendingRead, ReadDescriptor
 
 __all__ = ["Fetcher"]
 
-_U64 = struct.Struct("<Q")
-
 
 class Fetcher:
     """Loads cluster extents through the transport and admits them."""
@@ -40,7 +39,7 @@ class Fetcher:
         self.decoder = decoder
 
     # -- descriptor construction ----------------------------------------
-    def extent_descriptors(self, cluster_ids: list[int]
+    def extent_descriptors(self, cluster_ids: Sequence[int]
                            ) -> tuple[list[ReadDescriptor],
                                       list[tuple[int, int, int]]]:
         """READ descriptors + ``(cid, offset, length)`` extents for a set
@@ -56,20 +55,17 @@ class Fetcher:
         return descriptors, extents
 
     # -- synchronous / asynchronous fetch --------------------------------
-    def fetch_clusters(self, cluster_ids: list[int], doorbell: bool,
-                       trace: TraceContext | None = None
-                       ) -> dict[int, CachedCluster]:
-        """READ each cluster's contiguous extent (blob + overflow)."""
+    def read(self, cluster_ids: Sequence[int], doorbell: bool,
+             trace: TraceContext | None = None
+             ) -> tuple[list[tuple[int, int, int]], list[bytes]]:
+        """Blocking READ of each cluster's contiguous extent (blob +
+        overflow); returns ``(extents, payloads)``."""
         descriptors, extents = self.extent_descriptors(cluster_ids)
         with span(trace, "fetch"):
-            payloads = self.host.transport.read_batch(descriptors,
-                                                      doorbell=doorbell)
-        with span(trace, "decode"):
-            return {cid: self.decoder.decode_extent(cid, offset, payload)
-                    for (cid, offset, _), payload
-                    in zip(extents, payloads)}
+            return extents, self.host.transport.read_batch(
+                descriptors, doorbell=doorbell)
 
-    def issue_async(self, cluster_ids: list[int], doorbell: bool
+    def issue_async(self, cluster_ids: Sequence[int], doorbell: bool
                     ) -> tuple[PendingRead, list[tuple[int, int, int]]]:
         """Issue a non-blocking doorbell fetch; pair with :meth:`poll`."""
         descriptors, extents = self.extent_descriptors(cluster_ids)
@@ -77,9 +73,11 @@ class Fetcher:
                                                      doorbell=doorbell)
         return token, extents
 
-    def poll(self, token: PendingRead) -> list[bytes]:
+    def poll(self, token: PendingRead,
+             trace: TraceContext | None = None) -> list[bytes]:
         """Complete an async fetch, charging only the exposed wait."""
-        return self.host.transport.poll(token)
+        with span(trace, "fetch"):
+            return self.host.transport.poll(token)
 
     # -- cache admission --------------------------------------------------
     def cache_put(self, entry: CachedCluster,
@@ -105,34 +103,35 @@ class Fetcher:
             host.node.release_dram(victim.nbytes)
 
     # -- wave loading -----------------------------------------------------
-    def load_wave(self, wave: Wave, execution,
+    def admit(self, extents: list[tuple[int, int, int]],
+              payloads: list[bytes], execution,
+              trace: TraceContext | None = None,
+              count_miss: bool = True) -> dict[int, CachedCluster]:
+        """Decode fetched extents, count them and their decode cost on
+        ``execution`` (the wave loop charges it), and cache them."""
+        host = self.host
+        loaded: dict[int, CachedCluster] = {}
+        with span(trace, "decode"):
+            for (cid, offset, _), payload in zip(extents, payloads):
+                execution.decode_backlog_us += (
+                    host.cost_model.deserialize_us(len(payload)))
+                loaded[cid] = self.decoder.decode_extent(cid, offset,
+                                                         payload)
+        execution.fetched += len(loaded)
+        if host.policy.use_cluster_cache:
+            for entry in loaded.values():
+                self.cache_put(entry, count_miss=count_miss)
+        return loaded
+
+    def take_hits(self, wave: Wave, execution,
                   trace: TraceContext | None = None
                   ) -> dict[int, CachedCluster]:
-        """Fetch (or look up) a wave's clusters synchronously."""
-        host = self.host
-        entries: dict[int, CachedCluster] = {}
-        if wave.fetch_cluster_ids:
-            loaded = self.fetch_clusters(list(wave.fetch_cluster_ids),
-                                         host.policy.doorbell_batching,
-                                         trace)
-            execution.fetched += len(loaded)
-            for entry in loaded.values():
-                if host.policy.use_cluster_cache:
-                    self.cache_put(entry)
-            entries.update(loaded)
-        else:
-            self.load_hit_wave(wave, entries, execution, trace)
-        return entries
-
-    def load_hit_wave(self, wave: Wave, entries: dict[int, CachedCluster],
-                      execution,
-                      trace: TraceContext | None = None) -> None:
         """Consume a hit wave: validate overflow tails, then take entries
         from the cache, refetching any evicted in the meantime."""
         host = self.host
         hit_ids = sorted({cid for _, cid in wave.serviced})
-        if host.config.validate_overflow_on_hit and hit_ids:
-            self.validate_cached(hit_ids, trace)
+        self.validate_cached(hit_ids, trace)
+        entries: dict[int, CachedCluster] = {}
         for cid in hit_ids:
             entry = host.cache.get(cid)
             if entry is None:
@@ -140,14 +139,13 @@ class Fetcher:
                 # with pathological capacity 1): refetch — and re-insert,
                 # or every later query of the batch refetches it again.
                 # The failed ``get`` above already counted the miss.
-                entry = self.fetch_clusters(
-                    [cid], host.policy.doorbell_batching, trace)[cid]
-                execution.fetched += 1
-                if host.policy.use_cluster_cache:
-                    self.cache_put(entry, count_miss=False)
+                entry = self.admit(
+                    *self.read([cid], host.policy.doorbell_batching, trace),
+                    execution, trace, count_miss=False)[cid]
             else:
                 execution.hit_count += 1
             entries[cid] = entry
+        return entries
 
     # -- overflow freshness ------------------------------------------------
     def validate_cached(self, cluster_ids: list[int],
@@ -167,40 +165,35 @@ class Fetcher:
         if not by_group:
             return
         group_ids = sorted(by_group)
-        descriptors = [ReadDescriptor(
-            host.layout.rkey,
-            host.layout.addr(host.metadata.groups[gid].overflow_offset),
-            OVERFLOW_TAIL_BYTES) for gid in group_ids]
+        descriptors = []
+        for gid in group_ids:
+            offset, length = overflow_tail_extent(host.metadata.groups[gid])
+            descriptors.append(ReadDescriptor(
+                host.layout.rkey, host.layout.addr(offset), length))
         with span(trace, "fetch"):
             payloads = host.transport.read_batch(
                 descriptors, doorbell=host.policy.doorbell_batching)
-        record_size = overflow_record_size(host.metadata.dim)
+        dim = host.metadata.dim
         for gid, payload in zip(group_ids, payloads):
-            (raw_tail,) = _U64.unpack(payload)
             group = host.metadata.groups[gid]
-            tail, sealed = decode_overflow_tail(raw_tail,
-                                                group.capacity_records)
-            if sealed:
-                # The group was relocated by a cutover after this plan's
-                # metadata refresh; don't graft records from a retired
-                # epoch onto cached entries — re-plan at the new version.
-                raise StaleReadError(
-                    f"overflow tail of group {gid} sealed by a concurrent "
-                    f"rebuild cutover; refresh metadata and re-plan",
-                    op="READ")
+            # A sealed tail means the group was relocated by a cutover
+            # after this plan's metadata refresh; never graft records
+            # from a retired epoch onto cached entries.
+            tail = live_overflow_count(payload, group.capacity_records,
+                                       f"overflow tail of group {gid}")
             for cid in by_group[gid]:
                 entry = host.cache.peek(cid)
                 if entry is None or entry.overflow_tail >= tail:
                     continue
                 delta = tail - entry.overflow_tail
-                start = (group.overflow_offset + OVERFLOW_TAIL_BYTES
-                         + entry.overflow_tail * record_size)
                 with span(trace, "fetch"):
                     blob = host.transport.read(
-                        host.layout.rkey, host.layout.addr(start),
-                        delta * record_size)
-                fresh = unpack_overflow_records(blob, host.metadata.dim,
-                                                delta)
+                        host.layout.rkey,
+                        host.layout.addr(overflow_slot_offset(
+                            group.overflow_offset, dim,
+                            entry.overflow_tail)),
+                        delta * overflow_record_size(dim))
+                fresh = unpack_overflow_records(blob, dim, delta)
                 entry.overflow.extend(
                     record for record in fresh
                     if record.cluster_id == cid)

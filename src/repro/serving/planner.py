@@ -2,16 +2,16 @@
 
 First of the serving stages.  Routing runs the cached meta-HNSW over the
 query batch (local compute, charged to the meta bucket); planning turns
-the per-query cluster lists into the deduplicated wave schedule of §3.3
-via :func:`repro.core.query_planner.plan_batch`.
+the per-query cluster lists into the wave schedule the scheme calls for:
+the deduplicated one of §3.3 (:func:`repro.core.query_planner.plan_batch`)
+or the naive baseline's one pair per wave.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cache import ClusterCache
-from repro.core.query_planner import BatchPlan, plan_batch
+from repro.core.query_planner import BatchPlan, plan_batch, plan_naive
 from repro.metrics.latency import LatencyBreakdown
 from repro.serving.trace import TraceContext
 
@@ -44,11 +44,11 @@ class Planner:
 
     def plan(self, required: list[list[int]],
              trace: TraceContext) -> BatchPlan:
-        """Deduplicated wave schedule for the routed cluster lists."""
+        """Wave schedule for the routed cluster lists: deduplicated (§3.3)
+        unless the scheme is the naive baseline."""
         host = self.host
         with trace.stage("plan"):
-            return plan_batch(
-                required,
-                host.cache if host.policy.use_cluster_cache
-                else ClusterCache(1),
-                host.cache.capacity_clusters)
+            if not host.policy.deduplicate_batch:
+                return plan_naive(required)
+            return plan_batch(required, host.cache,
+                              host.cache.capacity_clusters)

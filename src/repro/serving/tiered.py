@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import struct
 
 import numpy as np
 
@@ -44,7 +43,10 @@ from repro.errors import LayoutError, SerializationError
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.layout.cold import (NO_NEIGHBOR, ColdCluster,
                                deserialize_cold_cluster)
-from repro.layout.group_layout import OVERFLOW_TAIL_BYTES, cluster_read_extent
+from repro.layout.group_layout import (cluster_read_extent,
+                                       live_overflow_count,
+                                       overflow_slot_offset,
+                                       overflow_tail_extent)
 from repro.layout.serializer import (overflow_record_size,
                                      unpack_overflow_records)
 from repro.pq.codebook import PqCodebook
@@ -52,8 +54,6 @@ from repro.serving.trace import TraceContext, span
 from repro.transport import ReadDescriptor
 
 __all__ = ["ColdExecution", "TieredClusterStore"]
-
-_U64 = struct.Struct("<Q")
 
 #: Two-phase ADC scan: the full scan prices every node at
 #: ``num_subspaces`` lookup-adds, which dominates cold compute once the
@@ -204,19 +204,20 @@ class TieredClusterStore:
             host.layout.rkey,
             host.layout.addr(cold_dir.extents[cid].offset),
             cold_dir.extents[cid].length) for cid in cids]
-        descriptors += [ReadDescriptor(
-            host.layout.rkey,
-            host.layout.addr(metadata.groups[gid].overflow_offset),
-            OVERFLOW_TAIL_BYTES) for gid in group_ids]
+        for gid in group_ids:
+            offset, length = overflow_tail_extent(metadata.groups[gid])
+            descriptors.append(ReadDescriptor(
+                host.layout.rkey, host.layout.addr(offset), length))
         with span(trace, "cold-fetch"):
             payloads = host.transport.read_batch(
                 descriptors, doorbell=host.policy.doorbell_batching)
         cold_payloads = payloads[:len(cids)]
-        tails: dict[int, int] = {}
-        for gid, payload in zip(group_ids, payloads[len(cids):]):
-            (tail,) = _U64.unpack(payload)
-            tails[gid] = min(int(tail),
-                             metadata.groups[gid].capacity_records)
+        # A tail sealed by a cutover raises StaleReadError here: the cold
+        # extents just read belong to the retired epoch too.
+        tails = {gid: live_overflow_count(
+                     payload, metadata.groups[gid].capacity_records,
+                     f"overflow tail of group {gid}")
+                 for gid, payload in zip(group_ids, payloads[len(cids):])}
 
         # Narrow second read: overflow records of groups that have any.
         record_size = overflow_record_size(metadata.dim)
@@ -225,8 +226,8 @@ class TieredClusterStore:
         if live_groups:
             record_reads = [ReadDescriptor(
                 host.layout.rkey,
-                host.layout.addr(metadata.groups[gid].overflow_offset
-                                 + OVERFLOW_TAIL_BYTES),
+                host.layout.addr(overflow_slot_offset(
+                    metadata.groups[gid].overflow_offset, metadata.dim, 0)),
                 tails[gid] * record_size) for gid in live_groups]
             with span(trace, "cold-fetch"):
                 blobs = host.transport.read_batch(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DHnswClient, Scheme
+from repro.serving import PlanExecution
 
 
 def fresh_client(deployment, config, scheme=Scheme.DHNSW):
@@ -87,8 +88,9 @@ class TestDeleteReclamation:
         for i in range(small_config.overflow_capacity_records):
             client.insert(target + (i + 1) * 1e-3, 42_000 + i)
         # After the rebuild the base graph no longer contains id 17.
-        entry = client.engine.fetcher.fetch_clusters(
-            [cid], doorbell=False)[cid]
+        fetcher = client.engine.fetcher
+        entry = fetcher.admit(*fetcher.read([cid], doorbell=False),
+                              PlanExecution())[cid]
         assert 17 not in entry.index.labels
         assert all(not record.tombstone for record in entry.overflow)
         assert client.search(target, 1, ef_search=32).ids[0] != 17

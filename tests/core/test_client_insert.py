@@ -73,20 +73,6 @@ class TestCrossClientVisibility:
         result = reader.search(probe, 1, ef_search=32)
         assert result.ids[0] == 91_000
 
-    def test_stale_reads_allowed_when_validation_disabled(
-            self, small_dataset, small_config):
-        from repro.cluster import Deployment
-        config = small_config.replace(validate_overflow_on_hit=False)
-        deployment = Deployment(small_dataset.vectors, config)
-        writer = fresh_client(deployment, config)
-        reader = fresh_client(deployment, config)
-        probe = small_dataset.queries[2]
-        reader.search(probe, 1, ef_search=16)   # cache the cluster
-        writer.insert(probe, 92_000)
-        result = reader.search(probe, 1, ef_search=32)
-        # Without tail validation the cached copy misses the new record.
-        assert result.ids[0] != 92_000
-
 
 class TestOverflowRebuild:
     def test_filling_overflow_triggers_rebuild(self, mutable_deployment,

@@ -9,7 +9,8 @@ import pytest
 from repro.core import DHnswClient, Scheme
 from repro.core.cluster_search import replay_overflow
 from repro.layout.serializer import OverflowRecord
-from repro.serving.executor import overlap_saved
+from repro.serving import PlanExecution
+from tests.serving.reference_loop import overlap_saved
 
 
 def record(gid, cid=0, tombstone=False):
@@ -116,11 +117,16 @@ class TestDecodeCacheHygiene:
                              scheme=Scheme.NAIVE,
                              cost_model=mutable_deployment.cost_model)
         cid = client.meta.classify(small_dataset.queries[0])
-        fetch_clusters = client.engine.fetcher.fetch_clusters
-        first = fetch_clusters([cid], doorbell=False)[cid]
+        fetcher = client.engine.fetcher
+
+        def fetch():
+            return fetcher.admit(*fetcher.read([cid], doorbell=False),
+                                 PlanExecution())[cid]
+
+        first = fetch()
         first.overflow.append(
             OverflowRecord(123456, cid,
                            np.zeros(client.meta.dim, dtype=np.float32)))
-        second = fetch_clusters([cid], doorbell=False)[cid]
+        second = fetch()
         assert all(record.global_id != 123456
                    for record in second.overflow)

@@ -26,6 +26,7 @@ from repro.core.cache import ClusterCache
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import StaleReadError
+from repro.serving import PlanExecution
 from tests.core.test_cache import make_entry
 
 
@@ -59,7 +60,7 @@ class TestHitWaveRefetch:
         cid = 0
         # Warm the cluster, then evict it behind the planner's back.
         fetcher = client.engine.fetcher
-        fetcher.cache_put(fetcher.fetch_clusters([cid], True)[cid])
+        fetcher.admit(*fetcher.read([cid], True), PlanExecution())
         client.cache.invalidate(cid)
         before_hits, before_misses, _ = client.cache.counters()
         fetched_before = client.node.stats.read_ops
@@ -102,7 +103,7 @@ class TestHitWaveRefetch:
         client = make_client(built_deployment, config)
         queries = small_dataset.queries[:1]
         fetcher = client.engine.fetcher
-        fetcher.cache_put(fetcher.fetch_clusters([0], True)[0])
+        fetcher.admit(*fetcher.read([0], True), PlanExecution())
         client.cache.invalidate(0)
         plan = BatchPlan(
             waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0),)),

@@ -8,6 +8,7 @@ from repro.core import DHnswClient, Scheme
 from repro.core.tuning import tune_ef_search
 from repro.errors import ConfigError
 from repro.metrics import recall_at_k
+from tests.serving import reference_loop
 
 
 class TestTuneEfSearch:
@@ -94,18 +95,23 @@ class TestWavePipelining:
 
     def test_measured_overlap_matches_oracle(self, built_deployment,
                                              small_config, small_dataset):
-        """The realized schedule is exactly the retained ``overlap_saved``
-        closed form: measured hidden wire time == the oracle's estimate
-        from the per-wave (fetch, process) profiles."""
+        """The realized schedule is exactly the ``overlap_saved`` closed
+        form: measured hidden wire time == the test-side oracle's estimate
+        from its per-wave (fetch, process) profiles — and the staged loop
+        hides exactly as much as the oracle loop does."""
         config = small_config.replace(pipeline_waves=True)
-        client = DHnswClient(built_deployment.layout,
-                             built_deployment.meta, config,
-                             cost_model=built_deployment.cost_model)
-        batch = client.search_batch(small_dataset.queries, 10,
-                                    ef_search=48)
+        staged, oracle = (DHnswClient(built_deployment.layout,
+                                      built_deployment.meta, config,
+                                      cost_model=built_deployment.cost_model)
+                          for _ in range(2))
+        executions = reference_loop.install(oracle)
+        batch = oracle.search_batch(small_dataset.queries, 10, ef_search=48)
         assert batch.pipeline_executed
         assert batch.overlap_saved_us == pytest.approx(
-            batch.overlap_oracle_us, rel=1e-9, abs=1e-6)
+            executions[-1].overlap_oracle_us, rel=1e-9, abs=1e-6)
+        assert staged.search_batch(
+            small_dataset.queries, 10,
+            ef_search=48).overlap_saved_us == batch.overlap_saved_us
 
     def test_saving_bounded_by_smaller_resource(self, built_deployment,
                                                 small_config,

@@ -9,15 +9,20 @@ assert bit-identical results, sub-evaluations, RDMA counters, and cache
 counters.
 
 It is *not* an independent implementation: it shares the client's fetcher,
-decoder (memoization + deserialize accumulator), cache and worker pools
-with the staged path — those are substrate, not orchestration.  What it
-pins is the *schedule*: the exact verb order, charge order, and cache
-interaction of the original loop.  It takes no pins and records no trace
+decoder (memoization), cache and worker pools with the staged path —
+those are substrate, not orchestration.  What it pins is the *schedule*:
+the exact verb order, charge order, and cache interaction of the original
+three loops (serial, pipelined, naive), which ``src/`` now runs as one.
+The pieces of the monolith that have left ``src/`` for good live here with
+it: its ``PlanExecution`` report, the decoder's deserialize side channel
+(``_DeserializeLedger``), the engine's lump charges (in ``install``) and
+the ``overlap_saved`` closed form.  It takes no pins and records no trace
 spans, so an installed client is single-request only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -27,22 +32,103 @@ from repro.core.cluster_search import search_cluster_entry
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import LayoutError
-from repro.serving.executor import PlanExecution, overlap_saved
+from repro.serving import executor as staged
 
 
-def install(client) -> None:
-    """Replace ``client``'s staged wave schedules with this loop.
+@dataclasses.dataclass
+class PlanExecution:
+    """What the monolith's schedules reported back to its engine, which
+    then posted the charges the schedule had not (``charged_in_loop``)."""
 
-    Instance attributes on the executor — the same seam the spine's tracer
-    wraps — so the engine's ``_search_batch_once`` runs unchanged around it.
+    sub_evals: int = 0
+    fetched: int = 0
+    hit_count: int = 0
+    #: Closed-form overlap estimate from the per-wave profiles.
+    overlap_oracle_us: float = 0.0
+    #: True when deserialize + compute were charged per wave inside the
+    #: pipelined loop; the engine then skipped its lump charges.
+    charged_in_loop: bool = False
+    #: Simulated µs already charged to the sub-HNSW bucket in-loop.
+    charged_compute_us: float = 0.0
+    pipeline_executed: bool = False
+
+
+def overlap_saved(profiles: list[tuple[float, float]]) -> float:
+    """Serial minus pipelined schedule length for the given waves.
+
+    Pipelined: ``f_0 + sum(max(f_{i+1}, p_i)) + p_last`` — wave
+    ``i``'s search overlaps wave ``i+1``'s fetch.
     """
-    executor = client.engine.executor
-    executor.execute_plan = (
-        lambda plan, queries, merger, k, ef, trace=None:
-        execute_plan(client, plan, queries, merger, k, ef))
-    executor.execute_naive = (
-        lambda required, queries, merger, k, ef, trace=None:
-        execute_naive(client, required, queries, merger, k, ef))
+    if len(profiles) < 2:
+        return 0.0
+    serial = sum(fetch + process for fetch, process in profiles)
+    pipelined = profiles[0][0]
+    for (_, process), (next_fetch, _) in zip(profiles, profiles[1:]):
+        pipelined += max(process, next_fetch)
+    pipelined += profiles[-1][1]
+    return serial - pipelined
+
+
+class _DeserializeLedger:
+    """The monolith's decoder side channel: every ``decode_extent`` adds
+    the payload's simulated deserialize cost; the schedules drain it."""
+
+    def __init__(self, decoder) -> None:
+        self.pending_us = 0.0
+        decode_extent = decoder.decode_extent
+        cost_model = decoder.host.cost_model
+
+        def counted(cluster_id, extent_offset, payload):
+            self.pending_us += cost_model.deserialize_us(len(payload))
+            return decode_extent(cluster_id, extent_offset, payload)
+
+        decoder.decode_extent = counted
+        decoder.drain_deserialize_us = self.drain
+
+    def drain(self) -> float:
+        pending, self.pending_us = self.pending_us, 0.0
+        return pending
+
+
+def install(client) -> list[PlanExecution]:
+    """Replace ``client``'s staged wave loop with this one.
+
+    An instance attribute on the executor — the same seam the spine's
+    tracer wraps — so the engine's ``_search_batch_once`` runs unchanged
+    around it.  The replacement dispatches on the scheme as the monolith's
+    engine did (the naive schedule reads the ``(query, cluster)`` pairs
+    back out of the one-pair-per-wave plan), then posts the lump charges
+    that engine posted for schedules that did not charge in-loop.
+    Returns the list each batch's oracle-side execution is appended to.
+    """
+    ledger = _DeserializeLedger(client.engine.decoder)
+    executions: list[PlanExecution] = []
+
+    def run(plan, queries, merger, k, ef, trace=None):
+        if client.policy.deduplicate_batch:
+            execution = execute_plan(client, plan, queries, merger, k, ef)
+        else:
+            required: list[list[int]] = [[] for _ in queries]
+            for wave in plan.waves:
+                (query_index, cluster_id), = wave.serviced
+                required[query_index].append(cluster_id)
+            execution = execute_naive(client, required, queries, merger,
+                                      k, ef)
+        executions.append(execution)
+        if execution.charged_in_loop:
+            sub_hnsw_us = execution.charged_compute_us
+            ledger.drain()
+        else:
+            sub_hnsw_us = client.node.charge_compute(execution.sub_evals,
+                                                     client.meta.dim)
+            sub_hnsw_us += client.node.charge_time(ledger.drain())
+        return staged.PlanExecution(
+            sub_evals=execution.sub_evals, fetched=execution.fetched,
+            hit_count=execution.hit_count, sub_hnsw_us=sub_hnsw_us,
+            pipeline_executed=execution.pipeline_executed)
+
+    client.engine.executor.execute_plan = run
+    return executions
 
 
 def execute_plan(host, plan: BatchPlan, queries: np.ndarray,
@@ -175,7 +261,7 @@ def _load_wave(host, wave: Wave,
 def _load_hit_wave(host, wave: Wave, entries: dict[int, CachedCluster],
                    execution: PlanExecution) -> None:
     hit_ids = sorted({cid for _, cid in wave.serviced})
-    if host.config.validate_overflow_on_hit and hit_ids:
+    if hit_ids:
         host.engine.fetcher.validate_cached(hit_ids)
     for cid in hit_ids:
         entry = host.cache.get(cid)

@@ -15,7 +15,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.baselines import Scheme
 from repro.core.client import DHnswClient
+from repro.core.merge import TopKMerger
+from repro.core.query_planner import BatchPlan, Wave
 from tests.serving import reference_loop
 
 MATRIX = [
@@ -24,15 +27,28 @@ MATRIX = [
     ("process", 1),
     ("process", 4),
 ]
+SCHEDULES = pytest.mark.parametrize("pipeline", [False, True],
+                                    ids=["serial", "pipelined"])
 
 
-def make_client(deployment, name, *, pipeline, executor, workers):
-    config = deployment.config.replace(
-        pipeline_waves=pipeline, search_executor=executor,
-        search_workers=workers)
-    return DHnswClient(deployment.layout, deployment.meta, config,
-                       cost_model=deployment.effective_cost_model,
-                       name=name)
+def make_pair(deployment, scheme=Scheme.DHNSW, **overrides):
+    """A staged client and one running the reference loop, same config."""
+    config = deployment.config.replace(**overrides)
+    staged, oracle = (
+        DHnswClient(deployment.layout, deployment.meta, config,
+                    scheme=scheme,
+                    cost_model=deployment.effective_cost_model, name=name)
+        for name in ("staged", "oracle"))
+    reference_loop.install(oracle)
+    return staged, oracle
+
+
+def assert_ledgers_identical(staged, oracle):
+    """Everything a client accumulates: counters, caches and its clock."""
+    assert (dataclasses.asdict(staged.node.stats)
+            == dataclasses.asdict(oracle.node.stats))
+    assert staged.cache.counters() == oracle.cache.counters()
+    assert staged.node.clock.now_us == oracle.node.clock.now_us
 
 
 def assert_batches_identical(staged, oracle):
@@ -40,9 +56,7 @@ def assert_batches_identical(staged, oracle):
         np.testing.assert_array_equal(one.ids, other.ids)
         np.testing.assert_array_equal(one.distances, other.distances)
     assert dataclasses.asdict(staged.rdma) == dataclasses.asdict(oracle.rdma)
-    assert staged.breakdown.meta_hnsw_us == oracle.breakdown.meta_hnsw_us
-    assert staged.breakdown.sub_hnsw_us == oracle.breakdown.sub_hnsw_us
-    assert staged.breakdown.network_us == oracle.breakdown.network_us
+    assert staged.breakdown == oracle.breakdown
     assert staged.sub_evals == oracle.sub_evals
     assert staged.clusters_fetched == oracle.clusters_fetched
     assert staged.cache_hits == oracle.cache_hits
@@ -53,47 +67,102 @@ def assert_batches_identical(staged, oracle):
             == oracle.duplicate_requests_pruned)
     assert staged.pipeline_executed == oracle.pipeline_executed
     assert staged.overlap_saved_us == oracle.overlap_saved_us
-    assert staged.overlap_oracle_us == oracle.overlap_oracle_us
 
 
-@pytest.mark.parametrize("pipeline", [False, True],
-                         ids=["serial", "pipelined"])
+def run_cold_then_warm(staged, oracle, queries, k=10):
+    """A cold batch (all misses), then a warm one (cache hits plus the
+    overflow-tail validation path) — both must match exactly."""
+    try:
+        for _ in range(2):
+            staged_result = staged.search_batch(queries, k=k)
+            oracle_result = oracle.search_batch(queries, k=k)
+            assert_batches_identical(staged_result, oracle_result)
+            assert_ledgers_identical(staged, oracle)
+    finally:
+        staged.close()
+        oracle.close()
+    return staged_result
+
+
+@SCHEDULES
 @pytest.mark.parametrize("executor,workers",
                          MATRIX, ids=[f"{e}{w}" for e, w in MATRIX])
 def test_staged_matches_reference(built_deployment, small_dataset,
                                   pipeline, executor, workers):
-    queries = small_dataset.queries[:12]
-    staged = make_client(built_deployment, "staged", pipeline=pipeline,
-                         executor=executor, workers=workers)
-    oracle = make_client(built_deployment, "oracle", pipeline=pipeline,
-                         executor=executor, workers=workers)
-    reference_loop.install(oracle)
+    staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
+                               search_executor=executor,
+                               search_workers=workers)
+    result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
+    assert result.waves >= 2 and result.pipeline_executed == pipeline
+    # Only the staged path populates per-stage traces.
+    assert result.trace is not None
+    assert result.trace.total_sim_us > 0.0
+
+
+@SCHEDULES
+def test_capacity_one_cache(built_deployment, small_dataset, pipeline):
+    """The smallest cache: one cluster per wave, every wave evicts."""
+    staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
+                               cache_fraction=1e-9)
+    assert staged.cache.capacity_clusters == 1
+    result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
+    assert result.cache_hits == 1 and result.cache_evictions > 0
+
+
+@SCHEDULES
+def test_hit_evicted_between_planning_and_execution(
+        built_deployment, small_dataset, pipeline):
+    """A hit wave whose cluster left the cache after planning refetches
+    and re-admits it; under the look-ahead the next wave's READ is already
+    on the wire while it does."""
+    staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
+                               cache_fraction=1e-9)
+    queries = small_dataset.queries[:2]
+    plan = BatchPlan(
+        waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0), (1, 0))),
+               Wave(fetch_cluster_ids=(1,), serviced=((0, 1),)),
+               Wave(fetch_cluster_ids=(2,), serviced=((1, 2),))),
+        cache_hit_cluster_ids=(0,), unique_clusters=3,
+        duplicate_requests_pruned=0)
     try:
-        # Cold batch (all misses), then a warm batch (cache hits plus the
-        # overflow-tail validation path) — both must match exactly.
-        for _ in range(2):
-            staged_result = staged.search_batch(queries, k=10)
-            oracle_result = oracle.search_batch(queries, k=10)
-            assert_batches_identical(staged_result, oracle_result)
-        # Only the staged path populates per-stage traces.
-        assert staged_result.trace is not None
-        assert staged_result.trace.total_sim_us > 0.0
+        executions = [
+            client.engine.executor.execute_plan(
+                plan, queries, TopKMerger(len(queries), 10), 10, 20)
+            for client in (staged, oracle)]
+        assert executions[0] == executions[1]
+        assert executions[0].fetched == 3 and executions[0].hit_count == 0
+        assert executions[0].pipeline_executed == pipeline
+        assert_ledgers_identical(staged, oracle)
     finally:
         staged.close()
         oracle.close()
+
+
+def test_single_wave_batch_never_looks_ahead(built_deployment,
+                                             small_dataset):
+    """``pipeline_waves`` with a plan of one wave is the serial schedule:
+    deferred charges, nothing in flight."""
+    staged, oracle = make_pair(built_deployment, pipeline_waves=True,
+                               cache_fraction=1.0)
+    result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
+    assert result.waves == 1 and not result.pipeline_executed
+    assert result.overlap_saved_us == 0.0
+
+
+def test_no_doorbell_pipelined(built_deployment, small_dataset):
+    """One round trip per cluster, still hidden behind the previous
+    wave's search."""
+    staged, oracle = make_pair(built_deployment, Scheme.NO_DOORBELL,
+                               pipeline_waves=True)
+    result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
+    assert result.pipeline_executed and result.overlap_saved_us > 0.0
 
 
 def test_reference_covers_naive_path(built_deployment, small_dataset):
-    """With batch dedup off (naive scheme), the oracle path still matches."""
-    from repro.core.baselines import Scheme
-
-    queries = small_dataset.queries[:6]
-    staged = built_deployment.make_client(Scheme.NAIVE, "naive-staged")
-    oracle = built_deployment.make_client(Scheme.NAIVE, "naive-oracle")
-    reference_loop.install(oracle)
-    try:
-        assert_batches_identical(staged.search_batch(queries, k=5),
-                                 oracle.search_batch(queries, k=5))
-    finally:
-        staged.close()
-        oracle.close()
+    """The naive scheme is a plan of one pair per wave through the same
+    loop; the oracle still runs the monolith's dedicated naive schedule."""
+    staged, oracle = make_pair(built_deployment, Scheme.NAIVE)
+    result = run_cold_then_warm(staged, oracle, small_dataset.queries[:6],
+                                k=5)
+    assert result.waves == 6 * built_deployment.config.nprobe
+    assert result.cache_hits == 0

@@ -13,8 +13,10 @@ import pytest
 
 from repro.cluster import Deployment
 from repro.core import DHnswConfig, DHnswClient
+from repro.core.merge import TopKMerger
 from repro.datasets import exact_knn
 from repro.datasets.synthetic import make_clustered
+from repro.errors import StaleReadError
 from repro.layout.group_layout import cluster_read_extent
 from repro.metrics import recall_at_k
 
@@ -187,6 +189,61 @@ class TestColdServing:
         reader = self.all_cold_client(deployment, "cold-deleter")
         result = reader.search_batch(probe[None, :], k=1)
         assert result.results[0].ids[0] != 9_000_002
+
+    def cutover_world(self, corpus):
+        """A cold reader pinned to the current epoch, and a peer whose six
+        inserts overflow a 4-slot area: the fifth leads a rebuild, and its
+        cutover seals the old tail at ``OVERFLOW_SEALED + 4``."""
+        deployment = Deployment(
+            corpus, base_config(cold_tier="pq").replace(
+                overflow_capacity_records=4),
+            num_compute_instances=2, simulate_link_contention=False)
+        reader = self.all_cold_client(deployment, "pre-cutover-reader")
+        probe = corpus[5] + np.float32(1e-4)
+        reader.search_batch(probe[None, :], k=1)
+        writer = deployment.client(0)
+        late = [(probe + np.float32(i * 1e-5), 9_100_000 + i)
+                for i in range(6)]
+
+        def peer_writes():
+            for vector, global_id in late:
+                writer.insert(vector, global_id)
+
+        return reader, peer_writes, late[-1]
+
+    def test_cold_probe_of_sealed_group_is_a_stale_read(self, tiered_world):
+        """The sealed bit on the cold path: a reader on the pre-cutover
+        metadata must not take the sealed word for a full live area and
+        serve the retired records."""
+        corpus, _, _, _ = tiered_world
+        reader, peer_writes, (last_vector, _) = self.cutover_world(corpus)
+        peer_writes()
+        assert reader.metadata.version < reader.layout.metadata.version
+        cid = reader.meta.classify(last_vector)
+        with pytest.raises(StaleReadError):
+            reader.tier_store.execute_cold(
+                {cid: [0]}, last_vector[None, :], TopKMerger(1, 1), 1)
+
+    def test_cutover_during_cold_batch_answers_from_new_epoch(
+            self, tiered_world):
+        corpus, _, _, _ = tiered_world
+        reader, peer_writes, (last_vector, last_id) = self.cutover_world(
+            corpus)
+        read_batch = reader.transport.read_batch
+
+        def cutover_then_read(descriptors, doorbell=True):
+            # One-shot: the peer's cutover lands between this batch's
+            # metadata refresh and its first cold READ.
+            reader.transport.read_batch = read_batch
+            peer_writes()
+            return read_batch(descriptors, doorbell=doorbell)
+
+        reader.transport.read_batch = cutover_then_read
+        result = reader.search_batch(last_vector[None, :], k=1)
+        assert reader.transport.read_batch is read_batch
+        assert reader.metadata.version == reader.layout.metadata.version
+        # Written after the cutover, so only the new epoch holds it.
+        assert result.results[0].ids[0] == last_id
 
     def test_promotion_moves_cluster_to_hot_path(self, tiered_world):
         _, queries, _, deployment = tiered_world
