@@ -6,8 +6,9 @@ process-pool cluster builds — against a *seed-equivalent* baseline that
 flips every optimization off (reference insert loops, struct-packing
 serializer, in-process builds).  Three sections:
 
-* ``insert_construction`` — single sub-HNSW insert throughput,
-  vectorized occlusion columns + distance tables vs the reference loops;
+* ``insert_construction`` — single sub-HNSW insert throughput: occlusion
+  columns read from the batch's pair table, einsum occlusion columns
+  (row-by-row inserts) and the reference loops;
 * ``serialization``       — cluster blob MB/s, zero-copy buffer views vs
   the reference struct packer;
 * ``end_to_end_build``    — full ``Deployment`` construction over the
@@ -15,10 +16,11 @@ serializer, in-process builds).  Three sections:
   baseline, new sequential (``build_workers=0``) and process-pool
   (``build_workers=4``) builds.
 
-Every section asserts the equivalence contract: the vectorized insert
-produces bit-identical graphs and evaluation counts, the zero-copy
-serializer produces byte-identical blobs, and all three end-to-end builds
-leave *byte-identical remote regions* (SHA-256 over the whole layout).
+Every section asserts the equivalence contract: the three construction
+paths serialize byte-identical blobs with equal evaluation counts, the
+zero-copy serializer produces byte-identical blobs, and all three
+end-to-end builds leave *byte-identical remote regions* (SHA-256 over the
+whole layout).
 Any drift exits non-zero, so CI runs double as a regression gate.
 
 Usage::
@@ -85,32 +87,49 @@ def region_digest(deployment: Deployment) -> str:
 
 
 def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
-    """Sub-HNSW construction throughput, vectorized vs reference loops."""
+    """Sub-HNSW construction throughput: the batch's pair table, einsum
+    occlusion columns (row-by-row ``add_one``) and the reference loops."""
     params = HnswParams(m=16, ef_construction=100, seed=42)
 
-    def build():
+    def batch():
         index = HnswIndex(vectors.shape[1], params)
         index.add(vectors)
         return index
 
-    new_time, new_index = best_of(reps, build)
+    def row_by_row():
+        index = HnswIndex(vectors.shape[1], params)
+        for vector in vectors:
+            index.add_one(vector)
+        return index
+
+    table_time, table_index = best_of(reps, batch)
+    einsum_time, einsum_index = best_of(reps, row_by_row)
     build_module.VECTORIZED_CONSTRUCTION = False
     try:
-        ref_time, ref_index = best_of(max(1, reps - 2), build)
+        ref_time, ref_index = best_of(max(1, reps - 2), batch)
     finally:
         build_module.VECTORIZED_CONSTRUCTION = True
 
-    check(new_index.graph.adjacency == ref_index.graph.adjacency,
-          "vectorized construction changed the graph")
-    check(new_index.kernel.num_evaluations
-          == ref_index.kernel.num_evaluations,
-          "vectorized construction changed the evaluation count")
+    table, einsum, reference = (
+        (serialize_cluster(index, 0), index.kernel.num_evaluations)
+        for index in (table_index, einsum_index, ref_index))
+    check(table[0] == einsum[0] == reference[0],
+          "construction paths serialized different graphs")
+    check(table[1] == einsum[1] == reference[1],
+          "construction paths counted different evaluations")
+    nodes = vectors.shape[0]
     return {
-        "nodes": int(vectors.shape[0]),
+        "nodes": int(nodes),
         "dim": int(vectors.shape[1]),
-        "reference_inserts_per_s": round(vectors.shape[0] / ref_time, 1),
-        "vectorized_inserts_per_s": round(vectors.shape[0] / new_time, 1),
-        "speedup": round(ref_time / new_time, 2),
+        "pair_table_bytes": 4 * min(nodes,
+                                    build_module.TABLE_NODES_MAX) ** 2,
+        "distance_evaluations": table[1],
+        "reference_inserts_per_s": round(nodes / ref_time, 1),
+        "einsum_column_inserts_per_s": round(nodes / einsum_time, 1),
+        "pair_table_inserts_per_s": round(nodes / table_time, 1),
+        "speedup": round(ref_time / table_time, 2),
+        "speedup_vs_einsum_columns": round(einsum_time / table_time, 2),
+        "blobs_and_counts_identical": True,
     }
 
 

@@ -5,8 +5,9 @@ batch.  If the required sub-HNSWs are already in the compute instance, they
 do not need to be loaded again, further reducing data transfer overhead."
 
 Capacity is a cluster count (the paper configures 10 % of all clusters).
-Entries carry the metadata version and the overflow tail observed at load
-time so staleness is detectable after inserts and rebuilds.
+Entries carry the epoch of the extent they were decoded from and the
+overflow tail observed at load time so staleness is detectable after
+inserts and rebuilds.
 
 The cache is thread-safe: the serving engine's thread-pool executor looks
 entries up from worker threads while the scheduler inserts fetched clusters,
@@ -21,6 +22,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.hnsw.index import HnswIndex
@@ -37,7 +40,11 @@ class CachedCluster:
     index: HnswIndex
     overflow: list[OverflowRecord]
     overflow_tail: int
-    metadata_version: int
+    #: What identifies the bytes ``index`` was decoded from: ``(group
+    #: version, blob offset, blob length)``.  Moves only when the
+    #: cluster's own group is rebuilt — not with the overflow tail, not
+    #: with another group's cutover.
+    extent_epoch: tuple[int, int, int]
     nbytes: int
     #: In-flight compute references.  The zero-copy decode path leaves
     #: ``index`` holding read-only views over remote region memory; a
@@ -46,6 +53,14 @@ class CachedCluster:
     #: :meth:`materialize` it before the backing extent can be rewritten.
     #: Mutated only under the owning cache's lock.
     pins: int = 0
+    #: ``index.labels`` (node id -> global id) as an int64 array.  The
+    #: decoder converts once per decoded base and hands the same array to
+    #: every entry over it; the index is frozen after deserialization.
+    labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.labels is None:
+            self.labels = np.asarray(self.index.labels, dtype=np.int64)
 
     def materialize(self) -> bool:
         """Copy any region-aliasing vector views to private memory."""

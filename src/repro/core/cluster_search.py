@@ -22,6 +22,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.cache import CachedCluster
+from repro.hnsw.distance import Metric
 from repro.layout.serializer import OverflowRecord
 
 __all__ = ["ClusterSearchResult", "replay_overflow", "search_cluster_entry"]
@@ -60,27 +61,40 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
                          k: int, ef: int) -> ClusterSearchResult:
     """Search one cluster (graph + overflow) for a block of queries.
 
-    The overflow replay, live-record matrix, and (on the compiled engine)
-    the CSR compilation are computed once for the whole block.  Distance
-    evaluations are read off the entry's kernel counter, so they match the
-    serial engine exactly; with one task per cluster no two concurrent
-    tasks share a kernel.
+    The overflow replay, the dead-node mask, the live records' distances
+    to every query, and (on the compiled engine) the CSR compilation are
+    computed once for the whole block.  Distance evaluations are read off
+    the entry's kernel counter, so they match the serial engine exactly;
+    with one task per cluster no two concurrent tasks share a kernel.
     """
     kernel = entry.index.kernel
     evals_before = kernel.num_evaluations
     state = replay_overflow(entry.overflow)
     live = [record for record in state.values() if record is not None]
-    matrix = np.stack([record.vector for record in live]) if live else None
-    live_gids = (np.array([record.global_id for record in live],
-                          dtype=np.int64) if live else None)
-    dead_gids = (np.fromiter(state.keys(), dtype=np.int64, count=len(state))
-                 if state else None)
-    labels = np.asarray(entry.index.labels, dtype=np.int64)
+    labels = entry.labels
+    # Graph nodes whose id the overflow tombstoned or superseded.
+    alive = (~np.isin(labels, np.fromiter(state.keys(), dtype=np.int64,
+                                          count=len(state)))
+             if state else None)
     num_queries = queries.shape[0]
     if len(entry.index) > 0:
         candidate_lists = entry.index.search_candidates_batch(queries, k, ef)
     else:
         candidate_lists = [[] for _ in range(num_queries)]
+    if live:
+        matrix = np.stack([record.vector for record in live])
+        live_gids = np.array([record.global_id for record in live],
+                             dtype=np.int64)
+        if kernel.metric is Metric.L2:
+            # One table for the block; its rows are bit-identical to a
+            # per-query ``kernel.many`` (row-independent einsum), so only
+            # the count is left to credit.
+            overflow_dists = kernel.l2_table(queries, matrix)
+            kernel.num_evaluations += num_queries * len(live)
+        else:
+            overflow_dists = np.stack([kernel.many(query, matrix)
+                                       for query in queries])
+        overflow_dists = overflow_dists.astype(np.float64)
 
     out_gids: list[np.ndarray] = []
     out_dists: list[np.ndarray] = []
@@ -90,18 +104,16 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
                                 dtype=np.float64, count=len(candidates))
             nodes = np.fromiter((node for _, node in candidates),
                                 dtype=np.int64, count=len(candidates))
+            if alive is not None:
+                keep = alive[nodes]
+                nodes, dists = nodes[keep], dists[keep]
             gids = labels[nodes]
-            if dead_gids is not None:
-                keep = ~np.isin(gids, dead_gids)
-                gids, dists = gids[keep], dists[keep]
         else:
             gids = np.empty(0, dtype=np.int64)
             dists = np.empty(0, dtype=np.float64)
-        if matrix is not None:
-            overflow_dists = np.asarray(kernel.many(queries[row], matrix),
-                                        dtype=np.float64)
+        if live:
             gids = np.concatenate([gids, live_gids])
-            dists = np.concatenate([dists, overflow_dists])
+            dists = np.concatenate([dists, overflow_dists[row]])
         out_gids.append(gids)
         out_dists.append(dists)
     return ClusterSearchResult(evals=kernel.num_evaluations - evals_before,

@@ -54,10 +54,11 @@ class MetaHnsw:
             raise ConfigError("meta-HNSW must be three-layered (max_level=2)")
         self.params = params
         self.index = HnswIndex(representatives.shape[1], params)
-        levels = self._layer_assignment(representatives.shape[0], params.m)
-        for row, vector in enumerate(representatives):
-            # Partition id == insertion order == L0 node id.
-            self.index.add_one(vector, label=row, forced_level=levels[row])
+        # Partition id == insertion order == L0 node id.
+        self.index.add(
+            representatives,
+            forced_levels=self._layer_assignment(representatives.shape[0],
+                                                 params.m))
 
     @classmethod
     def from_index(cls, index: HnswIndex,

@@ -5,7 +5,7 @@ parts of the beam search, so the serving engine's
 ``search_executor="process"`` mode shards per-cluster tasks over *N
 single-worker process pools*: cluster ``cid`` always lands on worker
 ``cid % N``, and each worker memoizes deserialized entries in a
-module-level cache keyed by ``(pool token, cluster, metadata version,
+module-level cache keyed by ``(pool token, cluster, extent epoch,
 overflow tail)``.  A task therefore ships the (potentially large) entry
 bytes only on the first touch of a given entry state; subsequent waves send
 just the queries.  Workers answer ``None`` for a cache miss (e.g. after the
@@ -77,7 +77,7 @@ class SearchPool:
         """Run ``(cluster_id, state_key, entry, queries, k, ef)`` tasks.
 
         Results come back in task order.  ``state_key`` must change
-        whenever the entry's contents change (metadata version, overflow
+        whenever the entry's contents change (extent epoch, overflow
         tail) so workers never serve stale graphs.
         """
         submitted = []

@@ -13,19 +13,28 @@ Two implementations of the hot loops coexist:
 * the **vectorized** path (default, ``VECTORIZED_CONSTRUCTION``) — the
   same arithmetic restructured around whole-array NumPy calls: inserts
   run on a precomputed distance table (:func:`search_layer_table`), and
-  the selector batches candidate-vs-selected distances into einsum
-  columns over one gathered candidate matrix instead of one
+  the selector ORs one column of candidate-vs-selected distances per
+  *accepted* neighbour into an occlusion mask instead of one
   ``kernel.many`` call per examined candidate.
 
-Both paths produce bit-identical graphs and identical evaluation counts:
-the einsum column ``|c - s|²`` equals the reference row ``|s - c|²``
-exactly (float negation is exact), and the lazy heap pops candidates in
-the same unique ``(distance, node)`` order the full sort would.
+Where the column comes from is the only fork inside the vectorized path.
+A batch of inserts (:meth:`HnswIndex.add`) keeps the rows ``insert``
+computes anyway in a :class:`PairTable`, and the column is a gather from
+it — a pair's distance is evaluated once per build, not once per accepted
+neighbour per insert.  Without a table (a lone ``add_one``, a graph past
+``TABLE_NODES_MAX``) the column is an einsum over the gathered candidate
+matrix.
+
+All of them produce bit-identical graphs and identical evaluation
+counts: the column ``|c - s|²`` equals the reference row ``|s - c|²``
+exactly whichever operand the subtraction started from (float negation
+is exact, and both are the same float32 last-axis einsum), candidates are
+examined in the reference's sorted ``(distance, node)`` order, and the
+counter is credited for every comparison the reference would evaluate.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 
@@ -45,6 +54,62 @@ __all__ = ["sample_level", "select_neighbors_heuristic", "insert"]
 VECTORIZED_CONSTRUCTION = True
 
 
+class PairTable:
+    """Squared-L2 distances from each node a batch of inserts adds to
+    every node of the graph — the selector's and the pruner's ``D[s, c]``.
+
+    :func:`insert` already evaluates the new node against every existing
+    node (``kernel.l2_table``); that row *is* the pair distance the
+    selector would re-derive per accepted neighbour (``Σ(v_c − v_s)²`` in
+    the same float32 last-axis einsum), and mirrored into the earlier new
+    nodes' rows it completes them (float negation is exact).  So a row
+    costs nothing to keep and covers every node inserted so far.  Nodes
+    that predate the batch — a deserialized graph being appended to — get
+    no row: evaluating one costs more than the einsum column it replaces
+    unless many later selects reuse it, which appends do not.  Reads are
+    uncounted like ``l2_table``; callers credit ``kernel.num_evaluations``
+    as the reference would.
+
+    Owned by the batch (:meth:`HnswIndex.add`), never by the index: at
+    most ``TABLE_NODES_MAX² × 4 B`` = 16 MiB, gone when the batch returns.
+    """
+
+    def __init__(self, first: int, capacity: int) -> None:
+        #: Rows are kept for node ids ``first <= id < capacity``.
+        self._first = first
+        self.capacity = capacity
+        self._rows = np.zeros((capacity - first, capacity),
+                              dtype=np.float32)
+
+    @classmethod
+    def for_batch(cls, graph: LayeredGraph, kernel: DistanceKernel,
+                  batch: int) -> "PairTable | None":
+        """A table for ``batch`` inserts into ``graph``, capped at
+        ``TABLE_NODES_MAX`` nodes; None where :func:`insert` runs without
+        distance tables (non-L2 metrics, the reference loops, a graph
+        already at the cap)."""
+        if not VECTORIZED_CONSTRUCTION or kernel.metric is not Metric.L2:
+            return None
+        capacity = min(len(graph) + batch, TABLE_NODES_MAX)
+        if capacity <= len(graph):
+            return None
+        return cls(len(graph), capacity)
+
+    def append(self, node: int, row: np.ndarray) -> None:
+        """Record new node ``node``'s distances to nodes ``0..node-1``."""
+        own = node - self._first
+        self._rows[own, :node] = row
+        self._rows[:own, node] = row[self._first:]
+
+    def column(self, node: int,
+               others: "np.ndarray | list[int]") -> np.ndarray | None:
+        """``node``'s distance to each node id in ``others``, or None for
+        a node that predates the batch."""
+        if node < self._first:
+            return None
+        return self._rows[node - self._first, others]
+
+
 def sample_level(rng: random.Random, params: HnswParams) -> int:
     """Draw a node level from the exponential distribution.
 
@@ -62,7 +127,8 @@ def sample_level(rng: random.Random, params: HnswParams) -> int:
 def select_neighbors_heuristic(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None = None) -> list[int]:
+        params: HnswParams, query: np.ndarray | None = None,
+        pairs: PairTable | None = None) -> list[int]:
     """Algorithm 4: pick up to ``m`` diverse neighbours from candidates.
 
     ``candidates`` are ``(distance_to_query, node)`` pairs.  A candidate is
@@ -74,6 +140,7 @@ def select_neighbors_heuristic(
     ``extend_candidates`` scores discovered extensions against it, as
     Algorithm 4 specifies.  When ``None`` (legacy callers), extensions
     fall back to the closest candidate's vector as an approximation.
+    ``pairs`` is the in-progress build's distance table, when it has one.
     """
     if m <= 0:
         return []
@@ -81,7 +148,7 @@ def select_neighbors_heuristic(
         return []
     if VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2:
         return _select_vectorized(graph, kernel, candidates, m, level,
-                                  params, query)
+                                  params, query, pairs)
     return _select_reference(graph, kernel, candidates, m, level, params,
                              query)
 
@@ -155,16 +222,17 @@ def _select_reference(
 def _select_vectorized(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None) -> list[int]:
+        params: HnswParams, query: np.ndarray | None,
+        pairs: PairTable | None) -> list[int]:
     """Batched Algorithm 4 — bit-identical to :func:`_select_reference`.
 
-    One gather builds the candidate matrix; each *accepted* neighbour
-    contributes a single einsum column of distances to every candidate,
-    OR-ed into an occlusion mask.  By the time a candidate is examined
-    the mask answers "closer to any already-selected neighbour?" — the
-    reference's per-candidate ``kernel.many`` row — without per-candidate
-    NumPy dispatch.  The examination order comes from a lazy heap: pops
-    of unique ``(distance, node)`` tuples reproduce the full sort.
+    Each *accepted* neighbour contributes one column of distances to
+    every candidate — a gather from ``pairs`` when the build keeps a
+    table, else an einsum over the gathered candidate matrix — OR-ed into
+    an occlusion mask.  The mask answers "closer to any already-selected
+    neighbour?", the reference's per-candidate ``kernel.many`` row, for
+    every candidate at once, so the loop steps from accepted neighbour to
+    accepted neighbour instead of examining candidates one by one.
     """
     entries = list(candidates)
     if params.extend_candidates:
@@ -174,62 +242,83 @@ def _select_vectorized(
             dists = kernel.many(base, graph.vectors[extensions])
             entries.extend(zip(dists.tolist(), extensions))
 
+    # Ascending unique ``(distance, node)`` tuples: the reference's
+    # examination order.  Everything below works in that order.
+    entries.sort()
     nodes = [node for _, node in entries]
-    cand_vectors = graph.vectors[nodes]
+    node_index = np.array(nodes, dtype=np.intp)
+    cand_vectors = None
     # float64 so the mask comparisons upcast exactly like the reference's
     # ``float32 row < Python float`` comparisons do.
     cand_dists = np.array([dist for dist, _ in entries], dtype=np.float64)
-    position = {node: i for i, node in enumerate(nodes)}
     occluded = np.zeros(len(entries), dtype=bool)
 
-    heap = entries
-    heapq.heapify(heap)
     selected: list[int] = []
-    pruned: list[tuple[float, int]] = []
-    while heap and len(selected) < m:
-        dist, node = heapq.heappop(heap)
-        if selected:
-            # The reference evaluates this candidate against every
-            # selected neighbour; the columns below already did the
-            # arithmetic, so only the count is credited here.
-            kernel.num_evaluations += len(selected)
-            if occluded[position[node]]:
-                pruned.append((dist, node))
-                continue
-        selected.append(node)
-        diff = cand_vectors - cand_vectors[position[node]]
-        column = np.einsum("ij,ij->i", diff, diff)
+    evaluations = 0
+    cursor = 0
+    while cursor < len(nodes) and len(selected) < m:
+        # Jump to the next candidate no selected neighbour occludes (the
+        # first False; argmin lands on ``cursor`` itself when none is
+        # left).  The reference evaluates every candidate it passes, and
+        # the one it lands on, against all selected neighbours; the
+        # columns already did the arithmetic, so only the count is
+        # credited.
+        free = cursor + int(occluded[cursor:].argmin())
+        if occluded[free]:
+            evaluations += (len(nodes) - cursor) * len(selected)
+            break
+        evaluations += (free - cursor + 1) * len(selected)
+        cursor = free + 1
+        selected.append(nodes[free])
+        column = (pairs.column(nodes[free], node_index)
+                  if pairs is not None else None)
+        if column is None:
+            if cand_vectors is None:
+                cand_vectors = graph.vectors[node_index]
+            diff = cand_vectors - cand_vectors[free]
+            column = np.einsum("ij,ij->i", diff, diff)
         occluded |= column < cand_dists
-    if params.keep_pruned_connections:
-        for _, node in pruned:
-            if len(selected) >= m:
-                break
-            selected.append(node)
+    kernel.num_evaluations += evaluations
+    if params.keep_pruned_connections and len(selected) < m:
+        # Only reachable with every candidate examined: backfill with the
+        # pruned ones, closest first.
+        chosen = set(selected)
+        selected.extend([node for node in nodes if node not in chosen]
+                        [:m - len(selected)])
     return selected
 
 
 def _prune_node(graph: LayeredGraph, kernel: DistanceKernel, node: int,
-                level: int, params: HnswParams) -> None:
+                level: int, params: HnswParams,
+                pairs: PairTable | None) -> None:
     """Shrink ``node``'s neighbour list at ``level`` back to its bound."""
     bound = params.max_degree(level)
     neighbor_ids = graph.neighbors(node, level)
     if len(neighbor_ids) <= bound:
         return
     node_vector = graph.vector(node)
-    dists = kernel.many(node_vector, graph.vectors[neighbor_ids])
+    dists = pairs.column(node, neighbor_ids) if pairs is not None else None
+    if dists is None:
+        dists = kernel.many(node_vector, graph.vectors[neighbor_ids])
+    else:
+        kernel.num_evaluations += len(neighbor_ids)
     candidates = list(zip(dists.tolist(), neighbor_ids))
     kept = select_neighbors_heuristic(
-        graph, kernel, candidates, bound, level, params, query=node_vector)
+        graph, kernel, candidates, bound, level, params, query=node_vector,
+        pairs=pairs)
     graph.set_neighbors(node, level, kept)
 
 
 def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
            params: HnswParams, rng: random.Random,
-           forced_level: int | None = None) -> int:
+           forced_level: int | None = None,
+           pairs: PairTable | None = None) -> int:
     """Algorithm 1: insert ``vector`` into ``graph`` and return its id.
 
     ``forced_level`` overrides level sampling; d-HNSW's meta index uses it
-    to build an exact three-layer hierarchy.
+    to build an exact three-layer hierarchy.  ``pairs`` is the distance
+    table of the batch this insert belongs to (:meth:`PairTable.for_batch`);
+    the new node's row is recorded in it.
     """
     level = (forced_level if forced_level is not None
              else sample_level(rng, params))
@@ -246,9 +335,11 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
     # (the new node is added after, so it never appears as its own
     # neighbour), and the traversal credits evaluations as it visits.
     table: list[float] | None = None
+    row: np.ndarray | None = None
     if (VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2
             and len(graph) <= TABLE_NODES_MAX):
-        table = kernel.l2_table(query, graph.vectors).tolist()
+        row = kernel.l2_table(query, graph.vectors)
+        table = row.tolist()
 
     # Phase 1: zoom in through layers above the new node's level.
     if top_level > level:
@@ -260,6 +351,9 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
                 graph, kernel, query, entry, entry_dist, top_level, level)
 
     node = graph.add_node(query, level)
+    if pairs is not None:
+        # ``for_batch`` hands out a table only where the branch above ran.
+        pairs.append(node, row)
 
     # Phase 2: beam-search each layer from min(level, old top) down to 0,
     # wiring bidirectional edges as we go.
@@ -275,10 +369,11 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
                 current_level)
         neighbors = select_neighbors_heuristic(
             graph, kernel, candidates, params.m, current_level, params,
-            query=query)
+            query=query, pairs=pairs)
         graph.set_neighbors(node, current_level, neighbors)
         for neighbor in neighbors:
             graph.add_edge(neighbor, node, current_level)
-            _prune_node(graph, kernel, neighbor, current_level, params)
+            _prune_node(graph, kernel, neighbor, current_level, params,
+                        pairs)
         seeds = candidates
     return node

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError, EmptyIndexError
 from repro.hnsw import csr
-from repro.hnsw.build import insert
+from repro.hnsw.build import PairTable, insert
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
@@ -70,23 +70,48 @@ class HnswIndex:
     def add_one(self, vector: np.ndarray, label: int | None = None,
                 forced_level: int | None = None) -> int:
         """Insert one vector; returns its internal node id."""
+        return self._insert(vector, label, forced_level, None)
+
+    def _insert(self, vector: np.ndarray, label: int | None,
+                forced_level: int | None, pairs: PairTable | None) -> int:
         node = insert(self.graph, self.kernel, vector, self.params,
-                      self._rng, forced_level=forced_level)
+                      self._rng, forced_level=forced_level, pairs=pairs)
         self.labels.append(label if label is not None else node)
         self._compiled = None
         return node
 
     def add(self, vectors: np.ndarray,
-            labels: Sequence[int] | None = None) -> list[int]:
-        """Insert a batch of vectors (rows); returns internal node ids."""
+            labels: Sequence[int] | None = None,
+            forced_levels: Sequence[int] | None = None) -> list[int]:
+        """Insert a batch of vectors (rows); returns internal node ids.
+
+        ``forced_levels[i]`` overrides level sampling for row ``i``.  The
+        batch shares one :class:`~repro.hnsw.build.PairTable`, sized here
+        because only the batch knows how far the graph will grow; it is
+        dropped once the graph outgrows it and when the batch ends, so a
+        batch builds the same graph as :meth:`add_one` row by row, faster.
+        """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if labels is not None and len(labels) != vectors.shape[0]:
             raise ValueError(
                 f"got {vectors.shape[0]} vectors but {len(labels)} labels")
+        if (forced_levels is not None
+                and len(forced_levels) != vectors.shape[0]):
+            raise ValueError(
+                f"got {vectors.shape[0]} vectors but {len(forced_levels)} "
+                f"forced levels")
+        pairs = PairTable.for_batch(self.graph, self.kernel,
+                                    vectors.shape[0])
         ids = []
         for row_index, vector in enumerate(vectors):
-            label = labels[row_index] if labels is not None else None
-            ids.append(self.add_one(vector, label=label))
+            if pairs is not None and len(self.graph) == pairs.capacity:
+                pairs = None
+            ids.append(self._insert(
+                vector,
+                labels[row_index] if labels is not None else None,
+                forced_levels[row_index] if forced_levels is not None
+                else None,
+                pairs))
         return ids
 
     # ------------------------------------------------------------------

@@ -84,17 +84,18 @@ def rebuild_cluster_blob(task: ClusterRebuildTask) -> bytes:
     latest: dict[int, OverflowRecord | None] = {}
     for record in task.records:
         latest[record.global_id] = None if record.tombstone else record
+    live = [record for record in latest.values() if record is not None]
+    vectors = [record.vector for record in live]
+    labels = [record.global_id for record in live]
     overridden = set(latest).intersection(index.labels)
     if overridden:
-        params = task.params.replace(
-            seed=task.params.seed + task.cluster_id)
-        fresh = HnswIndex(task.dim, params)
-        for node in range(len(index)):
-            label = index.label_of(node)
-            if label not in overridden:
-                fresh.add_one(index.graph.vector(node), label=label)
-        index = fresh
-    for record in latest.values():
-        if record is not None:
-            index.add_one(record.vector, label=record.global_id)
+        kept = [node for node, label in enumerate(index.labels)
+                if label not in overridden]
+        vectors = [*index.graph.vectors[kept], *vectors]
+        labels = [*(index.labels[node] for node in kept), *labels]
+        index = HnswIndex(task.dim, task.params.replace(
+            seed=task.params.seed + task.cluster_id))
+    if labels:
+        # One batch, so every insert shares its pair table.
+        index.add(np.stack(vectors), labels=labels)
     return serialize_cluster(index, task.cluster_id)

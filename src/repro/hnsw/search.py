@@ -15,7 +15,10 @@ compiled table engine in :mod:`repro.hnsw.csr`.  The twins credit
 evaluations to the kernel exactly as the traversal visits nodes, so
 counters match the reference hop-by-hop arithmetic, and the einsum
 table rows are bit-identical to the per-hop row subsets (the last-axis
-reduction is row-independent), so results match too.
+reduction is row-independent), so results match too.  The table an insert
+searches on is also the new node's row of the build's pair table
+(:class:`repro.hnsw.build.PairTable`): the same numbers serve the beam
+search here and the neighbour selector there.
 """
 
 from __future__ import annotations

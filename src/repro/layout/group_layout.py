@@ -106,10 +106,13 @@ def overflow_slot_offset(overflow_offset: int, dim: int, slot: int) -> int:
             + slot * overflow_record_size(dim))
 
 
-def unpack_overflow_area(area: "bytes | memoryview", dim: int,
-                         count: int) -> list[OverflowRecord]:
-    """The first ``count`` records of an area buffer (tail word first)."""
-    return unpack_overflow_records(area[OVERFLOW_TAIL_BYTES:], dim, count)
+def unpack_overflow_area(area: "bytes | memoryview", dim: int, count: int,
+                         cluster_id: int | None = None
+                         ) -> list[OverflowRecord]:
+    """The first ``count`` records of an area buffer (tail word first);
+    with ``cluster_id``, only that member's."""
+    return unpack_overflow_records(area[OVERFLOW_TAIL_BYTES:], dim, count,
+                                   cluster_id)
 
 
 def overflow_area_size(dim: int, capacity_records: int) -> int:

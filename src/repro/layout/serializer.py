@@ -70,6 +70,8 @@ _OVERFLOW_HEAD = struct.Struct("<qI")  # global_id, cluster_id
 
 #: Top bit of the on-wire cluster_id field marks a tombstone record.
 _TOMBSTONE_BIT = 0x8000_0000
+_TOMBSTONE_MASK = np.uint32(_TOMBSTONE_BIT)
+_CLUSTER_ID_MASK = np.uint32(_TOMBSTONE_BIT - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,9 +116,15 @@ def pack_overflow_records(records: "list[OverflowRecord]") -> bytes:
     return b"".join(pack_overflow_record(record) for record in records)
 
 
-def unpack_overflow_records(blob: bytes, dim: int,
-                            count: int) -> list[OverflowRecord]:
-    """Deserialize the first ``count`` records from an overflow area."""
+def unpack_overflow_records(blob: bytes, dim: int, count: int,
+                            cluster_id: int | None = None
+                            ) -> list[OverflowRecord]:
+    """Deserialize the first ``count`` records from an overflow area.
+
+    With ``cluster_id``, only that cluster's records, in slot order — a
+    group's area interleaves both members', and a reader serving one of
+    them skips the other's before any record object is built.
+    """
     record_size = overflow_record_size(dim)
     if len(blob) < count * record_size:
         raise SerializationError(
@@ -130,16 +138,14 @@ def unpack_overflow_records(blob: bytes, dim: int,
                      ("vector", "<f4", (dim,))])
     assert wire.itemsize == record_size
     rows = np.frombuffer(blob, dtype=wire, count=count)
-    global_ids = rows["global_id"].tolist()
     wire_cids = rows["cluster_id"]
+    if cluster_id is not None:
+        rows = rows[(wire_cids & _CLUSTER_ID_MASK) == cluster_id]
+        wire_cids = rows["cluster_id"]
     vectors = np.array(rows["vector"], dtype=np.float32)
-    cluster_ids = (wire_cids & np.uint32(~_TOMBSTONE_BIT
-                                         & 0xFFFF_FFFF)).tolist()
-    tombstones = ((wire_cids & np.uint32(_TOMBSTONE_BIT)) != 0).tolist()
-    return [OverflowRecord(global_id, cluster_id, vectors[row],
-                           tombstone=tombstone)
-            for row, (global_id, cluster_id, tombstone)
-            in enumerate(zip(global_ids, cluster_ids, tombstones))]
+    return list(map(OverflowRecord, rows["global_id"].tolist(),
+                    (wire_cids & _CLUSTER_ID_MASK).tolist(), vectors,
+                    ((wire_cids & _TOMBSTONE_MASK) != 0).tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,11 @@
 
 Splits a cluster's contiguous read extent into the serialized sub-HNSW
 blob and the group's overflow area and deserializes both.  Owns the
-simulation-only decode memoization; the simulated CPU cost of a decode is
-posted by the wave loop, which knows when a READ is in flight.
+simulation-only retention of decoded bases; the simulated CPU cost of a
+decode is posted by the wave loop, which knows when a READ is in flight.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.core.cache import CachedCluster
 from repro.errors import LayoutError
@@ -22,37 +20,46 @@ __all__ = ["Decoder"]
 
 
 class Decoder:
-    """Deserializes fetched extents, memoizing by content identity."""
+    """Deserializes fetched extents, retaining each cluster's decoded base."""
 
     def __init__(self, host) -> None:
         self.host = host
-        # Simulation-only memoization of blob decoding, keyed by
-        # (cluster, metadata version, overflow tail).  The *simulated*
-        # deserialization cost is charged on every fetch regardless; this
-        # just keeps the simulator's wall-clock time proportional to
-        # unique blobs rather than total fetches.
-        self._decode_cache: dict[tuple[int, int, int], CachedCluster] = {}
+        # Simulation-only retention: per cluster, the entry (empty
+        # overflow) decoded from its current base extent.  A write changes
+        # the tail, a rebuild changes one group's extents — neither changes
+        # another cluster's blob bytes, so its deserialized graph and
+        # compiled CSR are kept.  The *simulated* deserialization cost is
+        # charged on every fetch regardless; this just keeps the
+        # simulator's wall-clock time proportional to unique blobs rather
+        # than total fetches.
+        self._bases: dict[int, CachedCluster] = {}
 
     def drop_memo(self) -> None:
-        """Forget memoized decodes (no simulated-cost effect).
+        """Forget retained bases (no simulated-cost effect).
 
-        Memoized entries hold zero-copy views over remote region memory;
+        Retained entries hold zero-copy views over remote region memory;
         drop them when that memory is damaged or rewritten in place
         (chaos harness, replica repair) so stale bytes cannot resurface
         through the memo.
         """
-        self._decode_cache.clear()
+        self._bases.clear()
 
     def decode_extent(self, cluster_id: int, extent_offset: int,
                       payload: "bytes | memoryview") -> CachedCluster:
         """Split a fetched extent into blob + overflow and deserialize.
 
-        Memoized on (cluster, version, overflow tail) purely to keep
-        simulator wall-clock bounded; the caller charges the simulated
-        cost on every call, since a real compute instance re-parses every
-        fetch.  A cutover that sealed the extent between the metadata
-        refresh and the READ surfaces as a retryable ``StaleReadError``
-        rather than a decode against retired offsets.
+        The blob is deserialized once per *extent epoch* — ``(group
+        version, blob offset, blob length)``, which names the bytes: an
+        extent is written once, before the cutover that publishes it, and
+        can be recycled only after a later cutover of the same group has
+        bumped the stamp and every reader has observed it.  A cluster's
+        slot is replaced when its epoch moves, so at most one base per
+        cluster is held and none is served past its extent's retirement.
+        The overflow tail is parsed on every call.  The caller charges
+        the simulated cost on every call either way, since a real compute
+        instance re-parses every fetch.  A cutover that sealed the extent
+        between the metadata refresh and the READ surfaces as a retryable
+        ``StaleReadError`` before anything retained is consulted.
 
         Zero-copy: a ``memoryview`` payload is sliced, never materialized
         — the decoded index's vector store is a frozen NumPy view over
@@ -65,9 +72,9 @@ class Decoder:
         count = live_overflow_count(payload, group.capacity_records,
                                     f"extent of cluster {cluster_id}",
                                     offset=area_start)
-        key = (cluster_id, host.metadata.version, count)
-        memoized = self._decode_cache.get(key)
-        if memoized is None:
+        epoch = (group.version, cluster.blob_offset, cluster.blob_length)
+        base = self._bases.get(cluster_id)
+        if base is None or base.extent_epoch != epoch:
             blob_start = cluster.blob_offset - extent_offset
             index, parsed_cid = deserialize_cluster(
                 payload[blob_start:blob_start + cluster.blob_length],
@@ -79,17 +86,15 @@ class Decoder:
                 raise LayoutError(
                     f"extent for cluster {cluster_id} contained blob of "
                     f"cluster {parsed_cid} — stale offsets?")
-            own = [record for record in unpack_overflow_area(
-                       payload[area_start:], host.metadata.dim, count)
-                   if record.cluster_id == cluster_id]
-            memoized = CachedCluster(
-                cluster_id=cluster_id, index=index, overflow=own,
-                overflow_tail=count, metadata_version=host.metadata.version,
-                nbytes=len(payload))
-            if len(self._decode_cache) > 2 * max(
-                    64, host.metadata.num_clusters):
-                self._decode_cache.clear()
-            self._decode_cache[key] = memoized
-        # Hand out a private copy of the mutable parts so cache-side
-        # overflow refreshes never alias the memoized entry.
-        return dataclasses.replace(memoized, overflow=list(memoized.overflow))
+            base = self._bases[cluster_id] = CachedCluster(
+                cluster_id=cluster_id, index=index, overflow=[],
+                overflow_tail=0, extent_epoch=epoch, nbytes=len(payload))
+        # Every entry gets its own overflow list: cache-side tail
+        # refreshes extend it in place.
+        return CachedCluster(
+            cluster_id=cluster_id, index=base.index,
+            overflow=unpack_overflow_area(payload[area_start:],
+                                          host.metadata.dim, count,
+                                          cluster_id),
+            overflow_tail=count, extent_epoch=epoch, nbytes=len(payload),
+            labels=base.labels)

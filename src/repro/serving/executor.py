@@ -175,7 +175,7 @@ class WaveExecutor:
                     if host.config.search_executor == "process":
                         outputs = self._get_search_pool().run_wave(
                             [(cid,
-                              (entry.metadata_version, entry.overflow_tail),
+                              (entry.extent_epoch, entry.overflow_tail),
                               entry, queries[query_indices], k, ef)
                              for cid, entry, query_indices in tasks])
                     else:

@@ -193,8 +193,6 @@ class Fetcher:
                             group.overflow_offset, dim,
                             entry.overflow_tail)),
                         delta * overflow_record_size(dim))
-                fresh = unpack_overflow_records(blob, dim, delta)
                 entry.overflow.extend(
-                    record for record in fresh
-                    if record.cluster_id == cid)
+                    unpack_overflow_records(blob, dim, delta, cid))
                 entry.overflow_tail = tail

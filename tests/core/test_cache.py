@@ -13,8 +13,8 @@ from repro.hnsw import HnswIndex, HnswParams
 def make_entry(cluster_id: int, nbytes: int = 100) -> CachedCluster:
     return CachedCluster(cluster_id=cluster_id,
                          index=HnswIndex(4, HnswParams(m=4)),
-                         overflow=[], overflow_tail=0, metadata_version=1,
-                         nbytes=nbytes)
+                         overflow=[], overflow_tail=0,
+                         extent_epoch=(1, 0, 0), nbytes=nbytes)
 
 
 class TestLruSemantics:

@@ -27,7 +27,8 @@ def make_entry(cluster_id: int, nbytes: int = 100,
     if adopted:
         index.graph._vectors.setflags(write=False)
     return CachedCluster(cluster_id=cluster_id, index=index, overflow=[],
-                         overflow_tail=0, metadata_version=1, nbytes=nbytes)
+                         overflow_tail=0, extent_epoch=(1, 0, 0),
+                         nbytes=nbytes)
 
 
 class TestPinnedEviction:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core import DHnswClient, Scheme
-from repro.core.cluster_search import replay_overflow
+from repro.core.cache import CachedCluster
+from repro.core.cluster_search import replay_overflow, search_cluster_entry
+from repro.errors import StaleReadError
+from repro.hnsw import HnswIndex, HnswParams
 from repro.layout.serializer import OverflowRecord
+from repro.mutation.rebuild import ShadowRebuild
 from repro.serving import PlanExecution
 from tests.serving.reference_loop import overlap_saved
 
@@ -40,6 +44,51 @@ class TestReplayOverflow:
 
     def test_empty(self):
         assert replay_overflow([]) == {}
+
+
+class TestClusterSearchBlock:
+    """The overflow work is done once per block of queries; each row must
+    come out as if it had been searched alone."""
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_block_equals_row_by_row(self, metric):
+        rng = np.random.default_rng(3)
+        index = HnswIndex(12, HnswParams(m=6, ef_construction=32, seed=2,
+                                         metric=metric))
+        index.add(rng.standard_normal((60, 12)).astype(np.float32),
+                  labels=list(range(100, 160)))
+
+        def vector():
+            return rng.standard_normal(12).astype(np.float32)
+
+        moved = vector()
+        overflow = [
+            OverflowRecord(500, 0, vector()),
+            OverflowRecord(105, 0, vector(), tombstone=True),  # base id
+            OverflowRecord(110, 0, moved),             # supersedes base id
+            OverflowRecord(501, 0, vector()),
+            OverflowRecord(501, 0, vector(), tombstone=True),
+        ]
+        entry = CachedCluster(cluster_id=0, index=index, overflow=overflow,
+                              overflow_tail=5, extent_epoch=(1, 0, 0),
+                              nbytes=1)
+        block = rng.standard_normal((5, 12)).astype(np.float32)
+        whole = search_cluster_entry(entry, block, 60, 60)
+        alone = [search_cluster_entry(entry, block[row:row + 1], 60, 60)
+                 for row in range(len(block))]
+        assert whole.evals == sum(result.evals for result in alone)
+        live = np.stack([overflow[0].vector, moved])
+        for row, result in enumerate(alone):
+            assert np.array_equal(whole.gids[row], result.gids[0])
+            assert np.array_equal(whole.dists[row], result.dists[0])
+            gids = whole.gids[row].tolist()
+            # ef covers the graph: every live base id, then the overflow.
+            assert gids[-2:] == [500, 110]
+            assert sorted(gids[:-2]) == sorted(
+                set(range(100, 160)) - {105, 110})
+            assert np.array_equal(
+                whole.dists[row][-2:],
+                index.kernel.many(block[row], live).astype(np.float64))
 
 
 class TestOverlapSaved:
@@ -130,3 +179,124 @@ class TestDecodeCacheHygiene:
         second = fetch()
         assert all(record.global_id != 123456
                    for record in second.overflow)
+
+
+class TestDecodeRetention:
+    """The decoder keeps each cluster's decoded base for as long as the
+    bytes it came from are the cluster's base: across tail growth and
+    across other groups' rebuilds, never across its own group's."""
+
+    @pytest.fixture()
+    def clients(self, mutable_deployment, small_config):
+        reader, writer = (
+            DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
+                        small_config, cost_model=mutable_deployment.cost_model,
+                        name=name)
+            for name in ("reader", "writer"))
+        yield reader, writer
+        reader.close()
+        writer.close()
+
+    @staticmethod
+    def fetch(client, cid):
+        fetcher = client.engine.fetcher
+        return fetcher.admit(*fetcher.read([cid], doorbell=False),
+                             PlanExecution())[cid]
+
+    @staticmethod
+    def rebuild_group_of(writer, probe, base_gid=700_000):
+        """Fill the probe's group through ``writer`` and cut it over;
+        returns the group id and its member cluster ids."""
+        for i in range(writer.config.overflow_capacity_records):
+            writer.insert(probe + i * 1e-4, base_gid + i)
+        gid = writer.metadata.clusters[writer.meta.classify(probe)].group_id
+        assert ShadowRebuild(writer, gid).run()
+        return gid, [cid for cid, cluster
+                     in enumerate(writer.metadata.clusters)
+                     if cluster.group_id == gid]
+
+    def test_a_peers_cutover_replaces_only_its_groups_bases(
+            self, clients, small_dataset):
+        reader, writer = clients
+        probe = small_dataset.queries[0]
+        inside = reader.meta.classify(probe)
+        group = reader.metadata.clusters[inside].group_id
+        outside = next(cid for cid, cluster
+                       in enumerate(reader.metadata.clusters)
+                       if cluster.group_id != group)
+        before = {cid: self.fetch(reader, cid) for cid in (inside, outside)}
+        compiled = {cid: entry.index.compiled()
+                    for cid, entry in before.items()}
+
+        assert inside in self.rebuild_group_of(writer, probe)[1]
+        assert reader.refresh_metadata()
+
+        kept = self.fetch(reader, outside)
+        assert kept.index is before[outside].index
+        assert kept.index.compiled() is compiled[outside]
+        assert kept.extent_epoch == before[outside].extent_epoch
+        moved = self.fetch(reader, inside)
+        assert moved.index is not before[inside].index
+        assert moved.extent_epoch != before[inside].extent_epoch
+        # The rebuild folded the records into the new base.
+        assert {700_000, 700_001} <= set(moved.index.labels)
+        assert moved.overflow == []
+
+    def test_tail_growth_keeps_the_base_and_shows_the_records(
+            self, clients, small_dataset):
+        reader, writer = clients
+        probe = small_dataset.queries[0]
+        cid = reader.meta.classify(probe)
+        first = self.fetch(reader, cid)
+        writer.insert(probe + 1e-4, 710_000)
+        writer.delete(probe + 1e-4, 710_000)
+        writer.insert(probe + 2e-4, 710_001)
+        second = self.fetch(reader, cid)
+        assert second.index is first.index
+        assert second.labels is first.labels
+        assert second.extent_epoch == first.extent_epoch
+        assert second.overflow_tail == first.overflow_tail + 3
+        assert ([(record.global_id, record.tombstone)
+                 for record in second.overflow[len(first.overflow):]]
+                == [(710_000, False), (710_000, True), (710_001, False)])
+
+    def test_stale_reader_fails_before_anything_retained_is_consulted(
+            self, clients, small_dataset):
+        reader, writer = clients
+        probe = small_dataset.queries[0]
+        cid = reader.meta.classify(probe)
+        self.fetch(reader, cid)
+        self.rebuild_group_of(writer, probe)
+
+        class Untouchable(dict):
+            def get(self, *args):
+                raise AssertionError("memo consulted on a sealed extent")
+
+        decoder = reader.engine.decoder
+        decoder._bases = Untouchable(decoder._bases)
+        # Still on pre-cutover metadata: the old extent's tail is sealed.
+        with pytest.raises(StaleReadError):
+            self.fetch(reader, cid)
+
+    def test_one_slot_per_cluster_whatever_the_rebuild_count(
+            self, clients, small_dataset):
+        reader, writer = clients
+        queries = small_dataset.queries
+        groups = [reader.metadata.clusters[reader.meta.classify(query)]
+                  .group_id for query in queries]
+        probes = [queries[0], next(query for query, group
+                                   in zip(queries, groups)
+                                   if group != groups[0])]
+        for round_index in range(10):
+            gid, _ = self.rebuild_group_of(writer, probes[round_index % 2],
+                                           720_000 + 100 * round_index)
+            reader.search_batch(probes[round_index % 2][None, :], 10)
+            # The probe's own cluster was just searched: its slot holds
+            # the epoch this cutover published, nothing older.
+            cid = reader.meta.classify(probes[round_index % 2])
+            base = reader.engine.decoder._bases[cid]
+            assert base.extent_epoch[0] == 2 + round_index // 2
+            assert (base.extent_epoch[0]
+                    == reader.metadata.groups[gid].version)
+            assert (len(reader.engine.decoder._bases)
+                    <= reader.metadata.num_clusters)

@@ -3,6 +3,7 @@ rebuild-under-parallel and streaming memory behaviour."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import tracemalloc
 
@@ -15,8 +16,12 @@ from repro.core import DHnswConfig
 from repro.core.build_pool import BuildPool
 from repro.core.engine import _ClusterBlobSource
 from repro.core.meta_index import MetaHnsw, sample_representatives
-from repro.core.partitions import assign_partitions
+from repro.core.partitions import assign_partitions, build_sub_hnsws
 from repro.errors import ConfigError
+import repro.hnsw.build as build_module
+from repro.hnsw.build import PairTable
+from repro.hnsw.distance import DistanceKernel
+from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
 from repro.layout.group_layout import plan_groups
 
@@ -172,3 +177,68 @@ class TestStreamingBlobConsumption:
         # for the whole layout on top of that.
         assert retained_peak >= total
         assert streaming_peak < retained_peak - 0.5 * total
+
+
+class TestPairTableLifetime:
+    """The pair table is one batch's working memory, never an index's: a
+    table left on each built index is 16 MiB x clusters at 2048-node
+    clusters."""
+
+    def _traced(self, build) -> tuple[object, int, int]:
+        """``build()``'s result, the bytes it retains and its peak."""
+        build()  # one-off allocations (import-time caches) happen here
+        gc.collect()
+        tracemalloc.start()
+        result = build()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return result, retained, peak
+
+    def _no_tables(self, monkeypatch) -> None:
+        monkeypatch.setattr(PairTable, "for_batch",
+                            classmethod(lambda cls, *args: None))
+
+    def test_built_indexes_retain_no_table(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        vectors = rng.standard_normal((800, 8)).astype(np.float32)
+        config = DHnswConfig(num_representatives=40, seed=5)
+        reps = sample_representatives(800, 40,
+                                      np.random.default_rng(config.seed))
+        partitioning = assign_partitions(
+            vectors, MetaHnsw(vectors[reps], config.meta_params))
+
+        def build():
+            return build_sub_hnsws(vectors, partitioning, config.sub_params)
+
+        indexes, retained, _ = self._traced(build)
+        assert len(indexes) == 40
+        assert not any(isinstance(obj, PairTable)
+                       for obj in gc.get_objects())
+        self._no_tables(monkeypatch)
+        _, baseline, _ = self._traced(build)
+        assert abs(retained - baseline) <= 0.01 * baseline
+
+    def test_peak_is_the_table_and_the_table_is_bounded(self, monkeypatch):
+        params = HnswParams(m=4, ef_construction=12, seed=1)
+        # At the real bound the table is 16 MiB whatever the batch asks.
+        biggest = PairTable.for_batch(HnswIndex(32, params).graph,
+                                      DistanceKernel(32), 10 ** 6)
+        assert biggest._rows.nbytes == 16 << 20
+        del biggest
+        # Traced at a quarter of the bound: tracing the two million row
+        # floats of a 2048-node build takes ten seconds.
+        monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 512)
+        rng = np.random.default_rng(29)
+        vectors = rng.standard_normal((512, 32)).astype(np.float32)
+
+        def build():
+            index = HnswIndex(32, params)
+            index.add(vectors)
+            return index
+
+        _, _, peak = self._traced(build)
+        self._no_tables(monkeypatch)
+        _, _, baseline = self._traced(build)
+        table = 512 * 512 * 4
+        assert table // 2 < peak - baseline <= table + vectors.nbytes

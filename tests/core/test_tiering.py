@@ -86,8 +86,9 @@ class TestEwmaFrequency:
         cache = ClusterCache(1)
         index = HnswIndex(4, HnswParams(m=4))
         cache.record_access(1, 0.0)
-        cache.put(CachedCluster(1, index, [], 0, 1, nbytes=10))
-        cache.put(CachedCluster(2, index, [], 0, 1, nbytes=10))  # evicts 1
+        cache.put(CachedCluster(1, index, [], 0, (1, 0, 0), nbytes=10))
+        # Evicts 1.
+        cache.put(CachedCluster(2, index, [], 0, (1, 0, 0), nbytes=10))
         assert 1 not in cache
         assert cache.frequency(1, 0.0) == 1.0
 
@@ -197,7 +198,7 @@ class TestPromotionHysteresis:
         tier.rebalance()
         # Simulate a resident entry mid-search: pinned in the cache.
         entry = CachedCluster(a, HnswIndex(24, HnswParams(m=4)), [], 0,
-                              client.metadata.version, nbytes=64)
+                              (1, 0, 0), nbytes=64)
         client.node.reserve_dram(entry.nbytes, force=True)
         client.cache.put(entry)
         client.cache.pin(entry)

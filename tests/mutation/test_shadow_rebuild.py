@@ -302,3 +302,43 @@ class TestEpochConsistency:
         assert reader.metadata.version == writer.metadata.version
         report = fsck(mutable_deployment.layout)
         assert report.clean, report.summary()
+
+
+class TestReaderRetentionAcrossCutovers:
+    def test_a_long_lived_reader_answers_like_a_fresh_client(
+            self, mutable_deployment, small_config, small_dataset):
+        """A reader keeps decoded bases across peers' cutovers (all but
+        the rebuilt group's) and across reclaim of the retired extents;
+        what it serves must be what a client that has never decoded
+        anything serves, evaluation for evaluation."""
+        writer = fresh_client(mutable_deployment, small_config)
+        reader = fresh_client(mutable_deployment, small_config)
+        queries = small_dataset.queries[:16]
+        reader.search_batch(queries, 10, ef_search=48)
+        decoded = dict(reader.engine.decoder._bases)
+        groups = set()
+        for round_index, probe in enumerate(small_dataset.queries[16:22]):
+            gid = fill_group(writer, probe,
+                             small_config.overflow_capacity_records,
+                             base_gid=800_000 + 100 * round_index)
+            assert ShadowRebuild(writer, gid).run()
+            groups.add(gid)
+            got = reader.search_batch(queries, 10, ef_search=48)
+            fresh = fresh_client(mutable_deployment, small_config)
+            want = fresh.search_batch(queries, 10, ef_search=48)
+            fresh.close()
+            assert got.ids_list() == want.ids_list()
+            assert all(np.array_equal(one.distances, other.distances)
+                       for one, other in zip(got.results, want.results))
+            assert got.sub_evals == want.sub_evals
+        # Retention did happen: clusters of groups no cutover touched are
+        # still served from the index decoded before the first one.
+        metadata = reader.metadata
+        untouched = [cid for cid in decoded
+                     if metadata.clusters[cid].group_id not in groups]
+        assert untouched
+        assert all(reader.engine.decoder._bases[cid].index
+                   is decoded[cid].index for cid in untouched)
+        assert mutable_deployment.layout.retired.pending_bytes == 0
+        report = fsck(mutable_deployment.layout)
+        assert report.clean, report.summary()

@@ -293,7 +293,7 @@ def _run_wave_compute(host, wave: Wave, entries: dict[int, CachedCluster],
     if workers > 1 and len(tasks) > 1:
         if host.config.search_executor == "process":
             outputs = executor._get_search_pool().run_wave(
-                [(cid, (entry.metadata_version, entry.overflow_tail),
+                [(cid, (entry.extent_epoch, entry.overflow_tail),
                   entry, queries[query_indices], k, ef)
                  for cid, entry, query_indices in tasks])
         else:

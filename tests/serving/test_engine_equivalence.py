@@ -166,3 +166,47 @@ def test_reference_covers_naive_path(built_deployment, small_dataset):
                                 k=5)
     assert result.waves == 6 * built_deployment.config.nprobe
     assert result.cache_hits == 0
+
+
+def test_process_pool_across_a_peers_rebuild(mutable_deployment,
+                                             small_dataset):
+    """A second client rebuilds one group between two batches.  Worker
+    processes key their entries on the extent epoch, so only the rebuilt
+    group's clusters are shipped again — and the answers and ledgers
+    still match the monolith's, batch for batch."""
+    staged, oracle = make_pair(mutable_deployment, search_executor="process",
+                               search_workers=4)
+    writer = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
+                         mutable_deployment.config,
+                         cost_model=mutable_deployment.effective_cost_model,
+                         name="writer")
+    queries = small_dataset.queries[:12]
+
+    def shipped():
+        pool = staged.engine.executor._search_pool
+        return {(cid, state) for shard in pool._shipped
+                for _, cid, state in shard}
+
+    try:
+        assert_batches_identical(staged.search_batch(queries, k=10),
+                                 oracle.search_batch(queries, k=10))
+        before = shipped()
+        probe = queries[0]
+        group = writer.metadata.clusters[writer.meta.classify(probe)].group_id
+        for i in range(mutable_deployment.config.overflow_capacity_records
+                       + 1):
+            writer.insert(probe + i * 1e-4, 900_000 + i)
+        assert writer.mutation.stats.rebuilds_led == 1
+        assert_batches_identical(staged.search_batch(queries, k=10),
+                                 oracle.search_batch(queries, k=10))
+        assert_ledgers_identical(staged, oracle)
+        # Shipped before and again since, under a new state key.
+        again = ({cid for cid, _ in shipped() - before}
+                 & {cid for cid, _ in before})
+        assert again
+        assert {staged.metadata.clusters[cid].group_id
+                for cid in again} == {group}
+    finally:
+        writer.close()
+        staged.close()
+        oracle.close()
