@@ -6,7 +6,10 @@ version-stamped cutover, and epoch-consistent reads with grace-period
 reclamation.  This harness drives the whole story and gates it:
 
 * **mixed read/write phases** — ``k`` concurrent writers interleaved
-  with a closed-loop reader at 95/5 and 50/50 read/write mixes.
+  with a closed-loop reader at 95/5 and 50/50 read/write mixes; every
+  fifth write is a delete, alternating the oldest live insert and a base
+  vector of the cluster the inserts are landing in, so the rebuilds the
+  gates see unlink base nodes as well as append.
   Gates: **zero wrong or torn answers** — every read's results are
   bit-identical to a serialized oracle run that replays the same global
   op order through a *single* writer on a fresh build (op-granularity
@@ -42,12 +45,14 @@ import time
 
 import numpy as np
 
+import repro.mutation.rebuild as rebuild_module
 from repro.cluster import Deployment
 from repro.core import DHnswConfig
 from repro.core.client import DHnswClient
 from repro.core.fsck import fsck
 from repro.datasets import exact_knn
 from repro.datasets.synthetic import make_clustered
+from repro.layout.serializer import deserialize_cluster
 from repro.mutation.rebuild import ShadowRebuild
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_churn.json"
@@ -62,6 +67,9 @@ MUTATION_STAGES = {"classify", "reserve", "snapshot", "build", "publish"}
 
 #: Read/write mixes to gate (fraction of ops that are writes).
 MIXES = {"95/5": 0.05, "50/50": 0.50}
+
+#: Every ``DELETE_EVERY``-th write of a mix is a delete.
+DELETE_EVERY = 5
 
 SCALES = {
     "full": dict(num_vectors=40_000, dim=48, gen_clusters=80,
@@ -127,6 +135,69 @@ def build_schedule(write_fraction: float, total_ops: int,
     return schedule, writes, reads
 
 
+def plan_writes(corpus: np.ndarray, insert_vectors: np.ndarray):
+    """The mix's writes in order: ``(verb, vector, global_id)``.
+
+    Fixed before either run, so the churn run and the oracle replay
+    issue the same deletes.  Deletes alternate between the oldest insert
+    still live (by then usually folded into a base graph) and the live
+    base vector nearest the latest insert, which routes to the cluster
+    the inserts are filling — the groups that rebuild are the ones that
+    hold tombstones of base nodes.
+    """
+    writes = []
+    live_inserts: list[int] = []
+    base_live = np.ones(len(corpus), dtype=bool)
+    deletes = 0
+    for index, vector in enumerate(insert_vectors):
+        if index % DELETE_EVERY != DELETE_EVERY - 1 or not live_inserts:
+            writes.append(("insert", vector, 1_000_000 + index))
+            live_inserts.append(index)
+            continue
+        if deletes % 2 == 0:
+            victim = live_inserts.pop(0)
+            writes.append(("delete", insert_vectors[victim],
+                           1_000_000 + victim))
+        else:
+            gaps = corpus - insert_vectors[live_inserts[-1]]
+            distances = np.einsum("ij,ij->i", gaps, gaps)
+            distances[~base_live] = np.inf
+            victim = int(distances.argmin())
+            base_live[victim] = False
+            writes.append(("delete", corpus[victim], victim))
+        deletes += 1
+    return writes
+
+
+class RebuildTap:
+    """Wall time of the member rebuild tasks and how many of them
+    unlinked base nodes, while installed (in-process builds only)."""
+
+    def __init__(self) -> None:
+        self.wall_s = 0.0
+        self.member_rebuilds = 0
+        self.member_rebuilds_removing_nodes = 0
+        self._task = rebuild_module.rebuild_cluster_blob
+
+    def __enter__(self) -> "RebuildTap":
+        rebuild_module.rebuild_cluster_blob = self._timed
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        rebuild_module.rebuild_cluster_blob = self._task
+
+    def _timed(self, task):
+        start = time.perf_counter()
+        blob = self._task(task)
+        self.wall_s += time.perf_counter() - start
+        self.member_rebuilds += 1
+        base_labels = deserialize_cluster(task.blob)[0].labels
+        self.member_rebuilds_removing_nodes += not {
+            record.global_id for record in task.records
+        }.isdisjoint(base_labels)
+        return blob
+
+
 def recall_at_10(results, truth: np.ndarray) -> float:
     hits = 0
     for result, want in zip(results, truth):
@@ -135,7 +206,7 @@ def recall_at_10(results, truth: np.ndarray) -> float:
 
 
 def run_schedule(deployment, config, schedule, read_batches,
-                 insert_vectors, num_writers: int):
+                 writes, num_writers: int):
     """Execute one mix's global op order; returns answers + metrics.
 
     ``num_writers == 1`` is the serialized oracle: the identical op
@@ -152,8 +223,9 @@ def run_schedule(deployment, config, schedule, read_batches,
     for op in schedule:
         if op[0] == "write":
             _, writer_index, write_index = op
-            writers[writer_index % num_writers].insert(
-                insert_vectors[write_index], 1_000_000 + write_index)
+            verb, vector, global_id = writes[write_index]
+            getattr(writers[writer_index % num_writers], verb)(
+                vector, global_id)
         else:
             _, read_index = op
             queries, truth = read_batches[read_index % len(read_batches)]
@@ -196,14 +268,16 @@ def run_mix(mix_name: str, write_fraction: float, corpus, queries, truth,
         writes, scale["dim"], num_clusters=scale["gen_clusters"],
         cluster_std=0.08, rng=np.random.default_rng(7 + writes))
         + INSERT_SHIFT).astype(np.float32)
+    planned = plan_writes(corpus, insert_vectors)
     read_batches = [(batch, truth_for(batch, queries, truth))
                     for batch in batch_slices(queries,
                                               scale["batch_size"], 6)]
 
     churn = Deployment(corpus, config, simulate_link_contention=False)
-    answers, latencies, recalls, stats = run_schedule(
-        churn, config, schedule, read_batches, insert_vectors,
-        scale["writers"])
+    with RebuildTap() as tap:
+        answers, latencies, recalls, stats = run_schedule(
+            churn, config, schedule, read_batches, planned,
+            scale["writers"])
     report = fsck(churn.layout)
     check(report.clean,
           f"[{mix_name}] layout not fsck-clean after churn:\n"
@@ -211,8 +285,7 @@ def run_mix(mix_name: str, write_fraction: float, corpus, queries, truth,
 
     oracle = Deployment(corpus, config, simulate_link_contention=False)
     oracle_answers, _, _, _ = run_schedule(
-        oracle, config, schedule, read_batches, insert_vectors,
-        num_writers=1)
+        oracle, config, schedule, read_batches, planned, num_writers=1)
 
     torn = sum(1 for got, want in zip(answers, oracle_answers)
                if got != want)
@@ -227,12 +300,21 @@ def run_mix(mix_name: str, write_fraction: float, corpus, queries, truth,
     return {
         "write_fraction": write_fraction,
         "writers": scale["writers"],
-        "ops": {"writes": writes, "read_batches": reads},
+        "ops": {"writes": writes,
+                "deletes": sum(verb == "delete" for verb, _, _ in planned),
+                "read_batches": reads},
         "recall_at_10": round(churn_recall, 4),
         "recall_vs_baseline": round(churn_recall / baseline_recall, 4),
         "search_p99_us_per_query": round(p99(latencies), 3),
         "search_mean_us_per_query": round(float(np.mean(latencies)), 3),
         "writer_contention": stats,
+        # Recorded, not gated: wall clocks are the machine's.
+        "rebuild_wall_s_per_rebuild": round(
+            tap.wall_s / stats["rebuilds_led"], 4)
+        if stats["rebuilds_led"] else None,
+        "member_rebuilds": tap.member_rebuilds,
+        "member_rebuilds_removing_nodes":
+            tap.member_rebuilds_removing_nodes,
         "oracle_batches_compared": len(answers),
         "torn_or_wrong_answers": torn,
     }

@@ -11,7 +11,10 @@ overflow area — and validates the invariants the query path relies on:
 * every overflow tail counter is within its capacity (a tail beyond
   capacity indicates a torn rebuild);
 * overflow records reference cluster ids belonging to their group;
-* no global id is owned (as a base vector) by two clusters.
+* no global id is owned (as a base vector) by two clusters;
+* every node of a sub-HNSW can be reached from its entry point at layer 0
+  (a warning: HNSW does not guarantee it, but a search meets a stranded
+  node only if an upper layer happens to lead to it).
 
 The checker never mutates remote memory and reports *all* findings
 rather than stopping at the first, so an operator sees the full damage
@@ -236,6 +239,15 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
         except AssertionError as error:
             report.findings.append(Finding(
                 "error", location, f"graph invariant violated: {error}"))
+        else:
+            # Not an invariant: the selector may prune a node's last
+            # in-edge.
+            stranded = index.graph.unreachable()
+            if stranded:
+                report.findings.append(Finding(
+                    "warning", location,
+                    f"{len(stranded)} of {len(index)} nodes unreachable "
+                    f"from the entry point at layer 0: {stranded[:8]}"))
         report.base_vectors += len(index)
         for label in index.labels:
             previous = owners.setdefault(label, cid)

@@ -1,10 +1,16 @@
-"""HNSW construction: level sampling, neighbour selection, insertion.
+"""HNSW construction: level sampling, neighbour selection, insertion,
+removal.
 
 Implements Algorithms 1, 3 and 4 of Malkov & Yashunin.  The heuristic
 neighbour selector (Algorithm 4) is what gives HNSW graphs their navigable
 small-world property: a candidate is kept only if it is closer to the query
 than to every already-selected neighbour, which spreads edges across
 directions instead of clustering them.
+
+Removal (:func:`remove_nodes`) is the inverse edit and reuses that
+selector: the lists that named a removed node are re-chosen from what is
+left around the hole, everything else stays where it was, so a delete
+costs what it removes rather than a rebuild of the graph.
 
 Two implementations of the hot loops coexist:
 
@@ -47,7 +53,8 @@ from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (greedy_descent, greedy_descent_table,
                                search_layer, search_layer_table)
 
-__all__ = ["sample_level", "select_neighbors_heuristic", "insert"]
+__all__ = ["sample_level", "select_neighbors_heuristic", "insert",
+           "remove_nodes"]
 
 #: Module switch for the vectorized construction path.  Flipped off by
 #: equivalence tests and benchmarks to run the reference loops instead.
@@ -128,7 +135,8 @@ def select_neighbors_heuristic(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
         params: HnswParams, query: np.ndarray | None = None,
-        pairs: PairTable | None = None) -> list[int]:
+        pairs: PairTable | None = None,
+        owner: int | None = None) -> list[int]:
     """Algorithm 4: pick up to ``m`` diverse neighbours from candidates.
 
     ``candidates`` are ``(distance_to_query, node)`` pairs.  A candidate is
@@ -141,6 +149,9 @@ def select_neighbors_heuristic(
     Algorithm 4 specifies.  When ``None`` (legacy callers), extensions
     fall back to the closest candidate's vector as an approximation.
     ``pairs`` is the in-progress build's distance table, when it has one.
+    ``owner`` is the node whose list is being chosen, when it is already
+    wired into the graph: it is its own neighbours' neighbour, and
+    ``extend_candidates`` must not hand it back as a candidate for itself.
     """
     if m <= 0:
         return []
@@ -148,21 +159,23 @@ def select_neighbors_heuristic(
         return []
     if VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2:
         return _select_vectorized(graph, kernel, candidates, m, level,
-                                  params, query, pairs)
+                                  params, query, pairs, owner)
     return _select_reference(graph, kernel, candidates, m, level, params,
-                             query)
+                             query, owner)
 
 
 def _extension_candidates(graph: LayeredGraph,
                           candidates: list[tuple[float, int]],
-                          level: int) -> list[int]:
-    """Neighbours-of-candidates not already candidates, in discovery order.
+                          level: int, owner: int | None) -> list[int]:
+    """Neighbours-of-candidates that are neither candidates nor ``owner``,
+    in discovery order.
 
     The resulting *set* is independent of the order ``candidates`` is
     walked in, and downstream consumers re-sort by distance, so callers
     may pass candidates in any order.
     """
-    seen = {node for _, node in candidates}
+    seen = {owner}
+    seen.update(node for _, node in candidates)
     extensions: list[int] = []
     for _, node in candidates:
         for neighbor in graph.neighbors(node, level):
@@ -186,11 +199,12 @@ def _extension_base(graph: LayeredGraph,
 def _select_reference(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None) -> list[int]:
+        params: HnswParams, query: np.ndarray | None,
+        owner: int | None) -> list[int]:
     """Per-candidate loop implementation — the equivalence oracle."""
     ordered = sorted(candidates)
     if params.extend_candidates:
-        extensions = _extension_candidates(graph, ordered, level)
+        extensions = _extension_candidates(graph, ordered, level, owner)
         if extensions:
             base = _extension_base(graph, ordered, query)
             dists = kernel.many(base, graph.vectors[extensions])
@@ -223,7 +237,7 @@ def _select_vectorized(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
         params: HnswParams, query: np.ndarray | None,
-        pairs: PairTable | None) -> list[int]:
+        pairs: PairTable | None, owner: int | None) -> list[int]:
     """Batched Algorithm 4 — bit-identical to :func:`_select_reference`.
 
     Each *accepted* neighbour contributes one column of distances to
@@ -236,7 +250,7 @@ def _select_vectorized(
     """
     entries = list(candidates)
     if params.extend_candidates:
-        extensions = _extension_candidates(graph, entries, level)
+        extensions = _extension_candidates(graph, entries, level, owner)
         if extensions:
             base = _extension_base(graph, entries, query)
             dists = kernel.many(base, graph.vectors[extensions])
@@ -305,7 +319,7 @@ def _prune_node(graph: LayeredGraph, kernel: DistanceKernel, node: int,
     candidates = list(zip(dists.tolist(), neighbor_ids))
     kept = select_neighbors_heuristic(
         graph, kernel, candidates, bound, level, params, query=node_vector,
-        pairs=pairs)
+        pairs=pairs, owner=node)
     graph.set_neighbors(node, level, kept)
 
 
@@ -377,3 +391,104 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
                         pairs)
         seeds = candidates
     return node
+
+
+def _bridge_candidates(graph: LayeredGraph, node: int, level: int,
+                       dead: set[int]) -> tuple[list[int], list[int]]:
+    """``node``'s surviving neighbours at ``level``, and the survivors its
+    dead neighbours lead to (list order, first seen, ``node`` excluded).
+
+    A dead neighbour that names nobody alive is walked through to its own
+    neighbours, so whatever the size of the hole the survivors on its far
+    side are found.  One that does name survivors is not walked through:
+    it already spans the hole, and once ``len(dead) * degree`` exceeds
+    the graph's size the dead form one connected mass that would hand
+    every repaired list most of the graph as candidates.
+    """
+    neighbors = graph.neighbors(node, level)
+    seen = {node, *neighbors}
+    kept = [neighbor for neighbor in neighbors if neighbor not in dead]
+    hole = [neighbor for neighbor in neighbors if neighbor in dead]
+    bridged: list[int] = []
+    for gone in hole:  # grows while walked
+        beyond = graph.neighbors(gone, level)
+        alive = [other for other in beyond
+                 if other not in dead and other != node]
+        for other in alive or beyond:
+            if other not in seen:
+                seen.add(other)
+                (bridged if alive else hole).append(other)
+    return kept, bridged
+
+
+def remove_nodes(graph: LayeredGraph, kernel: DistanceKernel,
+                 dead: set[int], params: HnswParams) -> list[int]:
+    """Unlink ``dead`` from ``graph`` in place and repair around the holes.
+
+    Delete consolidation (FreshDiskANN Alg. 4, hnswlib's
+    ``repairConnectionsForUpdate``): every surviving list that names a
+    dead node is re-chosen by :func:`select_neighbors_heuristic` from its
+    surviving neighbours plus the survivors its dead neighbours led to;
+    a list without a dead neighbour is not touched.  The cost follows the
+    holes, not the size of the graph.
+
+    Candidates are gathered against the pre-removal adjacency and every
+    list is re-chosen before any is written back, so the outcome does not
+    depend on the order lists are visited in, and no random number is
+    drawn: the repaired graph is a pure function of ``(graph, dead)``.
+    Like an insert's pruning, a re-chosen list may drop some node's last
+    in-edge (:meth:`LayeredGraph.unreachable`); measured at ``m >= 8``
+    that strands fewer than 1 survivor per 1000 removed nodes.
+
+    Survivors keep their relative order under one id remap; the return
+    value lists their old ids (new id = position).  The entry point stays
+    if it survives and is otherwise the lowest-id survivor of the highest
+    remaining layer.  Removing every node leaves a valid empty graph.
+    """
+    if not dead:
+        return list(range(len(graph)))
+    strays = sorted(node for node in dead if not 0 <= node < len(graph))
+    if strays:
+        raise IndexError(
+            f"nodes to remove out of range [0, {len(graph)}): {strays}")
+    holes: list[tuple[int, int, list[int]]] = []
+    for node, layers in enumerate(graph.adjacency):
+        if node in dead:
+            continue
+        for level, neighbors in enumerate(layers):
+            if dead.isdisjoint(neighbors):
+                continue
+            kept, bridged = _bridge_candidates(graph, node, level, dead)
+            # The dead are dropped from the list right away — only dead
+            # nodes' lists are walked above, so no later bridge reads it —
+            # and ``extend_candidates`` below never meets a dead node.
+            layers[level] = kept
+            holes.append((node, level, kept + bridged))
+
+    repaired: list[list[int]] = []
+    for node, level, candidates in holes:
+        vector = graph.vector(node)
+        dists = kernel.many(vector, graph.vectors[candidates])
+        repaired.append(select_neighbors_heuristic(
+            graph, kernel, list(zip(dists.tolist(), candidates)),
+            params.max_degree(level), level, params, query=vector,
+            owner=node))
+    for (node, level, _), neighbors in zip(holes, repaired):
+        graph.adjacency[node][level] = neighbors
+
+    keep = [node for node in range(len(graph)) if node not in dead]
+    new_id = {old: new for new, old in enumerate(keep)}
+    adjacency = [[[new_id[neighbor] for neighbor in neighbors]
+                  for neighbors in graph.adjacency[node]] for node in keep]
+    entry = graph.entry_point
+    # One gather into fresh writable storage (the deserializer's store is
+    # a frozen view over the blob).
+    graph.bulk_load(graph.vectors[keep], adjacency, copy=False)
+    graph.max_level = max(map(len, adjacency), default=0) - 1
+    if entry in dead:
+        entry = next((node for node, layers in enumerate(adjacency)
+                      if len(layers) > graph.max_level), None)
+    else:
+        entry = new_id[entry]
+    graph.entry_point = entry
+    return keep

@@ -192,6 +192,28 @@ class LayeredGraph:
                         f"absent from layer")
                     seen.add(neighbor)
 
+    def unreachable(self, level: int = 0) -> list[int]:
+        """Nodes of ``level`` a walk from the entry point never meets.
+
+        HNSW does not guarantee an empty answer (re-choosing a list may
+        drop a node's last in-edge, on insert as on removal), so this is
+        a quality signal, not part of :meth:`check_invariants`: ``fsck``
+        reports it as a warning, and the removal tests bound how often
+        :meth:`HnswIndex.remove <repro.hnsw.index.HnswIndex.remove>`
+        strands a node that was reachable before.
+        """
+        if self.entry_point is None or level > self.max_level:
+            return []
+        met = {self.entry_point}
+        frontier = [self.entry_point]
+        for node in frontier:  # grows while walked
+            for neighbor in self.adjacency[node][level]:
+                if neighbor not in met:
+                    met.add(neighbor)
+                    frontier.append(neighbor)
+        return [node for node in self.nodes_at_level(level)
+                if node not in met]
+
     def memory_bytes(self) -> int:
         """Approximate in-memory footprint (vectors + adjacency ids)."""
         vector_bytes = self._count * self.dim * 4

@@ -8,13 +8,13 @@ of it) and a usable ANN index in its own right.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import DimensionMismatchError, EmptyIndexError
 from repro.hnsw import csr
-from repro.hnsw.build import PairTable, insert
+from repro.hnsw.build import PairTable, insert, remove_nodes
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
@@ -113,6 +113,20 @@ class HnswIndex:
                 else None,
                 pairs))
         return ids
+
+    def remove(self, nodes: Iterable[int]) -> None:
+        """Remove internal node ids in place, repairing the lists that
+        named them (:func:`~repro.hnsw.build.remove_nodes`).
+
+        Survivors are renumbered densely in their old order and labels
+        follow; the cost follows what is removed, not ``len(self)``.
+        Draws nothing from the level sampler, so a later :meth:`add`
+        continues the same random stream.
+        """
+        keep = remove_nodes(self.graph, self.kernel, set(nodes),
+                            self.params)
+        self.labels = [self.labels[node] for node in keep]
+        self._compiled = None
 
     # ------------------------------------------------------------------
     def search(self, query: np.ndarray, k: int,

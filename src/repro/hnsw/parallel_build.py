@@ -7,10 +7,12 @@ and the task functions are pure, so executing them in a
 :class:`~repro.core.build_pool.BuildPool` at any worker count yields
 byte-identical blobs.
 
-Seeding: callers derive each task's parameters as
+Seeding: callers derive each build task's parameters as
 ``params.replace(seed=root_seed + cluster_id)`` (the same rule
 :func:`repro.core.partitions.build_sub_hnsws` uses), which decouples a
-cluster's insertion randomness from whichever process builds it.
+cluster's insertion randomness from whichever process builds it.  A
+rebuild task needs no derivation: unlinking draws no random number, and
+the appended nodes' levels come from the deployment's base seed.
 
 This module lives in the hnsw layer on purpose: it depends only on the
 index and the serializer, so both the offline builder
@@ -52,13 +54,11 @@ class ClusterBuildTask:
 class ClusterRebuildTask:
     """Fold a cluster's overflow records back into its serialized blob.
 
-    ``params`` is the deployment's base sub-index parameters; the
-    cluster-specific seed is derived inside the task (mirroring the
-    in-process rebuild) so the task tuple stays self-contained.
+    ``params`` is the deployment's base sub-index parameters, the same
+    for every cluster.
     """
 
     cluster_id: int
-    dim: int
     blob: bytes
     records: list[OverflowRecord]
     params: HnswParams
@@ -76,26 +76,22 @@ def rebuild_cluster_blob(task: ClusterRebuildTask) -> bytes:
     """Merge overflow records into a cluster and reserialize it.
 
     Replays the records to their latest state per global id (a tombstone
-    erases earlier inserts), rebuilds the cluster from scratch when any
-    record overrides a label already present in the blob, then appends
-    the remaining live records.
+    erases earlier inserts), unlinks the base nodes whose id has a record
+    — deleted or superseded — and repairs around them in place
+    (:meth:`HnswIndex.remove`), then appends the live records as one
+    batch.  What a rebuild costs follows what the records change, never
+    the size of the cluster; with no records the blob comes back byte for
+    byte.
     """
     index, _ = deserialize_cluster(task.blob, task.params)
     latest: dict[int, OverflowRecord | None] = {}
     for record in task.records:
         latest[record.global_id] = None if record.tombstone else record
+    index.remove(node for node, label in enumerate(index.labels)
+                 if label in latest)
     live = [record for record in latest.values() if record is not None]
-    vectors = [record.vector for record in live]
-    labels = [record.global_id for record in live]
-    overridden = set(latest).intersection(index.labels)
-    if overridden:
-        kept = [node for node, label in enumerate(index.labels)
-                if label not in overridden]
-        vectors = [*index.graph.vectors[kept], *vectors]
-        labels = [*(index.labels[node] for node in kept), *labels]
-        index = HnswIndex(task.dim, task.params.replace(
-            seed=task.params.seed + task.cluster_id))
-    if labels:
+    if live:
         # One batch, so every insert shares its pair table.
-        index.add(np.stack(vectors), labels=labels)
+        index.add(np.stack([record.vector for record in live]),
+                  labels=[record.global_id for record in live])
     return serialize_cluster(index, task.cluster_id)

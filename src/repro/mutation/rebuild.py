@@ -230,8 +230,7 @@ class ShadowRebuild:
         tasks = []
         for cid in snap.member_ids:
             tasks.append(ClusterRebuildTask(
-                cluster_id=cid, dim=host.metadata.dim,
-                blob=snap.blobs[cid],
+                cluster_id=cid, blob=snap.blobs[cid],
                 records=[record for record in snap.records
                          if record.cluster_id == cid],
                 params=host.config.sub_params))

@@ -9,6 +9,7 @@ import pytest
 from repro.core import fsck
 from repro.core.fsck import Finding
 from repro.layout.group_layout import OVERFLOW_TAIL_BYTES
+from repro.layout.serializer import deserialize_cluster, serialize_cluster
 
 
 def corrupt(layout, offset: int, data: bytes) -> None:
@@ -77,6 +78,31 @@ class TestCorruptionDetection:
         corrupt(layout, target.blob_offset, blob)
         report = fsck(layout)
         assert not report.clean
+
+    def test_stranded_node_is_a_warning(self, mutable_deployment):
+        """A node no layer-0 walk from the entry point meets is legal
+        HNSW — reported, never an error."""
+        layout = mutable_deployment.layout
+        entry = layout.metadata.clusters[4]
+        index, cluster_id = deserialize_cluster(layout.memory_node.read(
+            layout.rkey, layout.addr(entry.blob_offset), entry.blob_length))
+        graph = index.graph
+        stranded = next(node for node in range(len(graph))
+                        if graph.level_of(node) == 0)
+        # Point every in-edge somewhere else: same blob length.
+        for node, layers in enumerate(graph.adjacency):
+            if stranded in layers[0]:
+                layers[0][layers[0].index(stranded)] = next(
+                    spare for spare in range(len(graph))
+                    if spare not in (node, stranded, *layers[0]))
+        corrupt(layout, entry.blob_offset,
+                serialize_cluster(index, cluster_id))
+        report = fsck(layout)
+        assert report.clean
+        assert [(finding.severity, finding.location)
+                for finding in report.findings] == [("warning", "cluster 4")]
+        assert (f"1 of {len(index)} nodes unreachable"
+                in report.findings[0].message)
 
     def test_torn_tail_counter_flagged(self, mutable_deployment):
         layout = mutable_deployment.layout

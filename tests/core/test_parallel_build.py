@@ -22,8 +22,12 @@ import repro.hnsw.build as build_module
 from repro.hnsw.build import PairTable
 from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.index import HnswIndex
+import repro.hnsw.parallel_build as parallel_build
+from repro.hnsw.parallel_build import ClusterRebuildTask, rebuild_cluster_blob
 from repro.hnsw.params import HnswParams
 from repro.layout.group_layout import plan_groups
+from repro.layout.serializer import (OverflowRecord, deserialize_cluster,
+                                     serialize_cluster)
 
 
 def square_task(value: int) -> int:
@@ -128,6 +132,122 @@ class TestRebuildUnderParallel:
                                  result.distances.tolist(),
                                  client.metadata.version)
         assert outcomes[0] == outcomes[2]
+
+
+class TestRebuildTask:
+    """``rebuild_cluster_blob`` edits the deserialized graph: base nodes
+    with a later record are unlinked, live records appended, and nothing
+    is ever re-inserted from scratch."""
+
+    CLUSTER = 5
+    PARAMS = HnswParams(m=6, ef_construction=32, seed=9)
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """60 base vectors labelled 100..159 and their blob."""
+        rng = np.random.default_rng(41)
+        vectors = rng.standard_normal((60, 12)).astype(np.float32)
+        index = HnswIndex(12, self.PARAMS)
+        index.add(vectors, labels=range(100, 160))
+        return vectors, serialize_cluster(index, self.CLUSTER)
+
+    def task(self, blob, *records) -> ClusterRebuildTask:
+        return ClusterRebuildTask(
+            cluster_id=self.CLUSTER, blob=blob, params=self.PARAMS,
+            records=[OverflowRecord(global_id, self.CLUSTER,
+                                    np.asarray(vector, dtype=np.float32),
+                                    tombstone)
+                     for global_id, vector, tombstone in records])
+
+    def rebuilt(self, blob, *records) -> HnswIndex:
+        index, cluster_id = deserialize_cluster(
+            rebuild_cluster_blob(self.task(blob, *records)), self.PARAMS)
+        assert cluster_id == self.CLUSTER
+        index.graph.check_invariants()
+        return index
+
+    def test_no_records_returns_the_blob(self, base):
+        _, blob = base
+        assert rebuild_cluster_blob(self.task(blob)) == blob
+
+    def test_tombstone_of_a_base_id(self, base):
+        vectors, blob = base
+        index = self.rebuilt(blob, (117, vectors[17], True))
+        # Everyone else keeps their place.
+        assert index.labels == [label for label in range(100, 160)
+                                if label != 117]
+        assert np.array_equal(index.graph.vectors,
+                              np.delete(vectors, 17, axis=0))
+
+    def test_supersede_carries_the_new_vector(self, base):
+        vectors, blob = base
+        moved = vectors[17] + 0.25
+        index = self.rebuilt(blob, (117, moved, False))
+        assert len(index) == 60 and index.labels.count(117) == 1
+        assert index.labels[-1] == 117  # unlinked, then appended
+        assert np.array_equal(index.graph.vectors[-1], moved)
+        labels, distances = index.search(moved, 1)
+        assert (labels[0], distances[0]) == (117, 0.0)
+
+    def test_tombstone_then_reinsert_in_one_overflow_area(self, base):
+        vectors, blob = base
+        moved = vectors[17] - 0.5
+        index = self.rebuilt(blob, (117, vectors[17], True),
+                             (117, moved, False))
+        assert len(index) == 60 and index.labels.count(117) == 1
+        assert np.array_equal(index.graph.vectors[index.labels.index(117)],
+                              moved)
+        # The other way round the id is gone, and the record with it.
+        index = self.rebuilt(blob, (500, moved, False), (500, moved, True),
+                             (117, moved, False), (117, moved, True))
+        assert index.labels == [label for label in range(100, 160)
+                                if label != 117]
+
+    def test_every_base_id_tombstoned(self, base):
+        vectors, blob = base
+        gone = [(100 + row, vectors[row], True) for row in range(60)]
+        assert len(self.rebuilt(blob, *gone)) == 0
+        index = self.rebuilt(blob, *gone, (900, vectors[3], False),
+                             (901, vectors[4], False))
+        assert index.labels == [900, 901]
+        assert index.search(vectors[4], 1)[0][0] == 901
+
+    def delete_carrying_tasks(self, base) -> list[ClusterRebuildTask]:
+        vectors, blob = base
+        return [self.task(blob, (117, vectors[17], True),
+                          (700, vectors[17] + 0.1, False)),
+                self.task(blob, (131, vectors[31] * 2, False),
+                          (102, vectors[2], True), (140, vectors[40], True)),
+                self.task(blob, *((100 + row, vectors[row], True)
+                                  for row in range(0, 60, 2)))]
+
+    def test_worker_counts_and_runs_agree_byte_for_byte(self, base):
+        tasks = self.delete_carrying_tasks(base)
+        with BuildPool(0) as pool:
+            inline = list(pool.map(rebuild_cluster_blob, tasks))
+        with BuildPool(2) as pool:
+            pooled = list(pool.map(rebuild_cluster_blob, tasks))
+        assert inline == pooled
+        assert inline == [rebuild_cluster_blob(task) for task in tasks]
+        assert len(set(inline)) == len(tasks)
+
+    def test_no_index_is_built_from_scratch(self, base, monkeypatch):
+        """The one ``HnswIndex`` of a rebuild is the deserializer's."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("rebuild constructed a fresh HnswIndex")
+
+        constructed = []
+        construct = HnswIndex.__init__
+        monkeypatch.setattr(parallel_build, "HnswIndex", refuse)
+        monkeypatch.setattr(
+            HnswIndex, "__init__",
+            lambda self, *args, **kwargs: (constructed.append(self),
+                                           construct(self, *args,
+                                                     **kwargs))[1])
+        for task in self.delete_carrying_tasks(base):
+            constructed.clear()
+            rebuild_cluster_blob(task)
+            assert len(constructed) == 1
 
 
 class TestStreamingBlobConsumption:

@@ -133,6 +133,38 @@ class TestExtendCandidatesBase:
             graph, kernel, candidates, m=1, level=0, params=params) == [ext]
 
 
+class TestExtendCandidatesOwner:
+    """A node is its own neighbours' neighbour: pruning its list under
+    ``extend_candidates`` used to offer it to itself (self-loop)."""
+
+    def _select_for_owner(self) -> tuple[list[int], int]:
+        graph = LayeredGraph(2)
+        kernel = DistanceKernel(2)
+        owner = graph.add_node([0.0, 0.0], 0)
+        peer = graph.add_node([1.0, 0.0], 0)
+        graph.add_edge(peer, owner, 0)
+        selected = select_neighbors_heuristic(
+            graph, kernel, [(1.0, peer)], m=4, level=0,
+            params=HnswParams(m=4, extend_candidates=True),
+            query=graph.vector(owner), owner=owner)
+        return selected, peer
+
+    def test_owner_is_never_its_own_extension(self):
+        selected, peer = self._select_for_owner()
+        assert selected == [peer]
+
+    def test_reference_path_agrees(self, reference_construction):
+        selected, peer = self._select_for_owner()
+        assert selected == [peer]
+
+    def test_build_under_the_flag_keeps_invariants(self):
+        rng = np.random.default_rng(0)
+        index = HnswIndex(16, HnswParams(m=8, ef_construction=40, seed=0,
+                                         extend_candidates=True))
+        index.add(rng.random((300, 16)))
+        index.graph.check_invariants()
+
+
 class TestVectorizedEquivalence:
     """The vectorized construction path is bit-identical to the loops."""
 

@@ -61,6 +61,7 @@ def grow(index: HnswIndex, rows: np.ndarray, path: str,
             index.add(rows, forced_levels=forced_levels)
         finally:
             build_module.VECTORIZED_CONSTRUCTION = True
+    index.graph.check_invariants()
     return serialize_cluster(index, 0), index.kernel.num_evaluations
 
 

@@ -127,6 +127,26 @@ def test_invariants_catch_layer_violation():
         graph.check_invariants()
 
 
+def test_unreachable_walks_one_layer_from_the_entry_point():
+    graph = LayeredGraph(2)
+    assert graph.unreachable() == []  # nothing to reach
+    graph.add_node([0, 0], level=1)   # entry point
+    for position in range(1, 5):
+        graph.add_node([position, 0], level=0)
+    graph.add_node([5, 0], level=1)
+    graph.add_edge(0, 1, level=0)
+    graph.add_edge(1, 2, level=0)
+    graph.add_edge(3, 2, level=0)     # 3 and 4 point in, nobody points
+    graph.add_edge(4, 3, level=0)     # at them; 5 is on its own
+    assert graph.unreachable() == [3, 4, 5]
+    assert graph.unreachable(level=1) == [5]
+    graph.add_edge(2, 4, level=0)
+    graph.add_edge(0, 5, level=1)
+    assert graph.unreachable() == [5]
+    assert graph.unreachable(level=1) == graph.unreachable(level=2) == []
+    graph.check_invariants()          # reachability is not an invariant
+
+
 def test_memory_bytes_counts_vectors_and_edges():
     graph = LayeredGraph(4)
     graph.add_node([0, 0, 0, 0], level=0)
