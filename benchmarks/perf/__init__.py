@@ -1,2 +1,2 @@
-"""Wall-clock performance harness (not part of the simulated-latency
-benchmarks — see ``benchmarks/perf/bench_search.py``)."""
+"""Wall-clock performance harnesses (not part of the simulated-latency
+benchmarks); the measurement spine is ``benchmarks/spine``."""

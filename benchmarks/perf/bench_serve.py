@@ -8,9 +8,8 @@ configurations:
 
 * ``serial``             — pipeline off, 1 worker (the pre-PR-4 engine),
 * ``pipelined``          — pipeline on, 1 worker,
-* ``workers4_thread``    — pipeline off, 4 thread workers,
-* ``workers4_process``   — pipeline off, 4 process workers,
-* ``pipelined_workers4`` — pipeline on, 4 thread workers,
+* ``workers4``           — pipeline off, 4 worker processes,
+* ``pipelined_workers4`` — pipeline on, 4 worker processes,
 
 and asserts the PR's acceptance criteria:
 
@@ -64,9 +63,7 @@ SCALES = {
 CONFIGS = [
     ("serial", {}),
     ("pipelined", {"pipeline_waves": True}),
-    ("workers4_thread", {"search_workers": 4}),
-    ("workers4_process", {"search_workers": 4,
-                          "search_executor": "process"}),
+    ("workers4", {"search_workers": 4}),
     ("pipelined_workers4", {"pipeline_waves": True, "search_workers": 4}),
 ]
 
@@ -101,7 +98,6 @@ def run_config(deployment, queries, overrides, reps):
         section = {
             "pipeline_waves": bool(config.pipeline_waves),
             "search_workers": config.search_workers,
-            "search_executor": config.search_executor,
             "wall_seconds": round(wall, 4),
             "compute_wall_seconds": round(compute_wall, 4),
             "wall_qps": round(len(queries) / wall, 1),
@@ -150,7 +146,7 @@ def assert_acceptance(sections, batches) -> dict:
     check(piped.breakdown.network_us < reference.breakdown.network_us,
           "pipelining did not shrink the exposed network bucket")
 
-    workers = sections["workers4_process"]["compute_wall_seconds"]
+    workers = sections["workers4"]["compute_wall_seconds"]
     single = sections["serial"]["compute_wall_seconds"]
     speedup = single / workers if workers > 0 else float("inf")
     return {

@@ -10,7 +10,6 @@ own simulated clock), so the cluster-level wall time of a batch is the
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,25 +93,10 @@ class LoadBalancer:
         breakdown = LatencyBreakdown()
         rdma = RdmaStats()
         wall_time = 0.0
-        jobs = [(client, indices)
-                for client, indices in zip(self.deployment.clients, shards)
-                if len(indices) > 0]
-        workers = min(len(jobs), max(
-            (client.config.search_workers for client, _ in jobs),
-            default=1))
-        if workers > 1:
-            # Instances are independent (private clock, cache, QP), so
-            # their dispatches can run on real threads; gathering in
-            # submission order keeps the merge deterministic.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(client.search_batch,
-                                       queries[indices], k, ef_search)
-                           for client, indices in jobs]
-                batches = [future.result() for future in futures]
-        else:
-            batches = [client.search_batch(queries[indices], k, ef_search)
-                       for client, indices in jobs]
-        for (client, indices), batch in zip(jobs, batches):
+        for client, indices in zip(self.deployment.clients, shards):
+            if len(indices) == 0:
+                continue
+            batch = client.search_batch(queries[indices], k, ef_search)
             per_instance.append(batch)
             for local, query_index in enumerate(indices):
                 merged[query_index] = batch.results[local]

@@ -17,8 +17,6 @@ Dynamic ids are routed to shard ``gid % num_shards``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.cluster.deployment import Deployment
@@ -82,26 +80,15 @@ class ShardedDeployment:
                      ef_search: int | None = None) -> BatchResult:
         """Fan a batch out to every shard and merge per-query top-k.
 
-        Shards run in parallel on independent memory nodes, so the
-        merged latency per bucket is the *maximum* across shards (the
-        fan-out completes when the slowest shard answers) while traffic
-        counters aggregate.
+        Shards are modelled as running in parallel on independent memory
+        nodes (the simulation walks them in turn), so the merged latency
+        per bucket is the *maximum* across shards (the fan-out completes
+        when the slowest shard answers) while traffic counters aggregate.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        workers = min(self.config.search_workers, len(self.deployments))
-        if workers > 1:
-            # Shards are fully independent deployments (own memory node,
-            # own clocks), so the fan-out can use real threads; gathering
-            # in shard order keeps the merge deterministic.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(deployment.client(0).search_batch,
-                                       queries, k, ef_search)
-                           for deployment in self.deployments]
-                shard_batches = [future.result() for future in futures]
-        else:
-            shard_batches = [deployment.client(0).search_batch(queries, k,
-                                                               ef_search)
-                             for deployment in self.deployments]
+        shard_batches = [deployment.client(0).search_batch(queries, k,
+                                                           ef_search)
+                         for deployment in self.deployments]
 
         results = []
         for row in range(queries.shape[0]):

@@ -9,12 +9,13 @@ Entries carry the epoch of the extent they were decoded from and the
 overflow tail observed at load time so staleness is detectable after
 inserts and rebuilds.
 
-The cache is thread-safe: the serving engine's thread-pool executor looks
-entries up from worker threads while the scheduler inserts fetched clusters,
-so every operation (including the byte/counter bookkeeping) runs under one
-re-entrant lock.  Accounting lives *inside* the cache: ``get`` counts hits
-and misses, ``put`` counts the miss that caused the fetch (an insert of an
-absent key) and any evictions — callers never poke the counters.
+The cache is thread-safe: every operation (including the byte/counter
+bookkeeping) runs under one re-entrant lock, although the serving engine
+itself reaches it from one thread only (search workers are processes and
+hold their own copies).  Accounting lives *inside* the cache: ``get``
+counts hits and misses, ``put`` counts the miss that caused the fetch (an
+insert of an absent key) and any evictions — callers never poke the
+counters.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ class ClusterCache:
 
         Must be called under the lock.  Returns None when every resident
         entry is pinned — the caller defers eviction (a transient
-        capacity/budget overshoot) rather than spilling memory a worker
-        thread is searching right now.
+        capacity/budget overshoot) rather than spilling memory a search
+        is reading right now.
         """
         for cluster_id, entry in self._entries.items():
             if entry.pins == 0:

@@ -73,7 +73,6 @@ class DHnswClient:
                  scheme: Scheme = Scheme.DHNSW,
                  cost_model: CostModel | None = None,
                  name: str = "compute0",
-                 compiled_engine: bool = True,
                  transport_factory:
                  "Callable[[Transport], Transport] | None" = None,
                  retry_policy: RetryPolicy | None = None,
@@ -86,21 +85,9 @@ class DHnswClient:
         self.policy: SchemePolicy = policy_for(scheme)
         self.cost_model = (cost_model if cost_model is not None
                            else CostModel())
-        # ``compiled_engine`` selects the wall-clock traversal engine
-        # (bit-identical results either way): the compiled CSR flat graph
-        # with per-cluster query batching, or the reference adjacency-list
-        # path.  The flag exists so ``benchmarks/perf`` can measure both
-        # in one run; production use keeps the default.
-        self.compiled_engine = compiled_engine
         # Each instance caches its own copy of the lightweight meta-HNSW
         # (§3.1: "we cache the lightweight meta-HNSW in the compute pool").
-        # The meta-HNSW is consulted on every query and never mutated, so
-        # compile it to the flat-graph engine once at startup.
         self.meta = copy.deepcopy(meta)
-        if compiled_engine:
-            self.meta.compile()
-        else:
-            self.meta.index.prefer_compiled = False
 
         capacity = self.config.cache_capacity_clusters(
             layout.metadata.num_clusters)

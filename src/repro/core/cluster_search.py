@@ -4,10 +4,10 @@
 and a block of query vectors: it runs the sub-HNSW beam search plus the
 overflow-record scan and returns private per-query candidate arrays, never
 touching shared state.  That purity is what lets the pipelined executor run
-one task per (cluster, query-group) concurrently — inline, on a
-``ThreadPoolExecutor``, or in a worker process — with bit-identical results
-at every worker count: the task's output depends only on its inputs, and
-the caller merges outputs in deterministic cluster order.
+one task per (cluster, query-group) inline or in a worker process
+(:mod:`repro.core.search_pool`) with bit-identical results at every worker
+count: the task's output depends only on its inputs, and the caller merges
+outputs in deterministic cluster order.
 
 Semantics mirror the pre-PR-4 ``DHnswClient._search_cluster_batch``
 exactly, including the distance-evaluation accounting the latency model
@@ -62,10 +62,11 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
     """Search one cluster (graph + overflow) for a block of queries.
 
     The overflow replay, the dead-node mask, the live records' distances
-    to every query, and (on the compiled engine) the CSR compilation are
-    computed once for the whole block.  Distance evaluations are read off
-    the entry's kernel counter, so they match the serial engine exactly;
-    with one task per cluster no two concurrent tasks share a kernel.
+    to every query and the graph's distance tables are computed once for
+    the whole block.  Distance evaluations are read off the entry's kernel
+    counter, so they match the serial engine exactly; with one task per
+    cluster no two concurrent tasks share a kernel or a graph's visited
+    tags.
     """
     kernel = entry.index.kernel
     evals_before = kernel.num_evaluations

@@ -78,17 +78,13 @@ class DHnswConfig:
         ``BatchResult.overlap_saved_us`` reports the measured overlap —
         instead of the pre-PR-4 after-the-fact estimate.
     search_workers:
-        Worker threads/processes for per-cluster searches inside a wave
-        (and for shard fan-out in ``LoadBalancer``).  ``1`` (default)
-        runs inline — bit-identical legacy behaviour; ``> 1`` fans
-        cluster groups over an executor, with results merged
-        deterministically in cluster order so answers are bit-identical
-        at every worker count.
-    search_executor:
-        ``"thread"`` (default) uses a ``ThreadPoolExecutor`` — NumPy
-        kernels release the GIL; ``"process"`` shards clusters over
-        single-worker process pools with cluster→worker affinity and a
-        worker-side entry cache, scaling the pure-Python traversal too.
+        Worker processes for per-cluster searches inside a wave.  ``1``
+        (default) runs inline; ``> 1`` shards a wave's clusters over that
+        many single-worker process pools with cluster→worker affinity and
+        a worker-side entry cache (``core.search_pool.SearchPool``) — the
+        beam loops are pure Python, so only processes can scale them with
+        cores.  Results are merged deterministically in cluster order, so
+        answers are bit-identical at every worker count.
     region_headroom:
         Registered-region capacity as a multiple of the initial layout
         size; the slack absorbs groups relocated by overflow rebuilds.
@@ -157,7 +153,6 @@ class DHnswConfig:
     adaptive_alpha: float = 1.35
     pipeline_waves: bool = False
     search_workers: int = 1
-    search_executor: str = "thread"
     region_headroom: float = 3.0
     build_workers: int = 0
     replication_factor: int = 1
@@ -216,10 +211,6 @@ class DHnswConfig:
         if self.search_workers < 1:
             raise ConfigError(
                 f"search_workers must be >= 1, got {self.search_workers}")
-        if self.search_executor not in ("thread", "process"):
-            raise ConfigError(
-                f"search_executor must be 'thread' or 'process', got "
-                f"{self.search_executor!r}")
         if self.cold_tier not in ("off", "pq", "vamana"):
             raise ConfigError(
                 f"cold_tier must be 'off', 'pq' or 'vamana', got "

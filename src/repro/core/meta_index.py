@@ -99,15 +99,6 @@ class MetaHnsw:
         return levels
 
     # ------------------------------------------------------------------
-    def compile(self) -> None:
-        """Compile the flat-graph engine up front (client startup).
-
-        The meta-HNSW is consulted on every query and never mutated after
-        construction, so eagerly building its CSR compilation moves the
-        one-time cost out of the first query's latency.
-        """
-        self.index.compiled()
-
     @property
     def num_partitions(self) -> int:
         """One partition per representative."""
@@ -137,8 +128,8 @@ class MetaHnsw:
 
         Routing decisions, distance-evaluation totals, and therefore the
         simulated meta-HNSW latency are identical to per-query
-        :meth:`route` calls; on the compiled engine the whole batch
-        shares one distance-table computation
+        :meth:`route` calls; the whole batch shares one distance-table
+        computation
         (:meth:`~repro.hnsw.index.HnswIndex.search_candidates_batch`).
         """
         if nprobe < 1:

@@ -1,16 +1,22 @@
-"""Process-based search executor with cluster→worker affinity.
+"""The search worker pool: processes with cluster→worker affinity.
 
-Python's GIL caps what a ``ThreadPoolExecutor`` can win on the pure-Python
-parts of the beam search, so the serving engine's
-``search_executor="process"`` mode shards per-cluster tasks over *N
-single-worker process pools*: cluster ``cid`` always lands on worker
-``cid % N``, and each worker memoizes deserialized entries in a
-module-level cache keyed by ``(pool token, cluster, extent epoch,
-overflow tail)``.  A task therefore ships the (potentially large) entry
-bytes only on the first touch of a given entry state; subsequent waves send
-just the queries.  Workers answer ``None`` for a cache miss (e.g. after the
-worker-side cache was trimmed) and the client transparently resends the
-task with the entry attached.
+The beam search is pure Python, which the interpreter lock serializes
+across threads, so ``search_workers > 1`` means processes: per-cluster
+tasks are sharded over *N single-worker process pools*, cluster ``cid``
+always lands on worker ``cid % N``, and each worker memoizes deserialized
+entries in a module-level cache keyed by ``(pool token, cluster, extent
+epoch, overflow tail)``.  A task therefore ships the (potentially large)
+entry bytes only on the first touch of a given entry state; subsequent
+waves send just the queries.  Workers answer ``None`` for a cache miss
+(e.g. after the worker-side cache was trimmed) and the client
+transparently resends the task with the entry attached.  A shipped entry
+carries its graph but none of the graph's traversal scratch
+(``LayeredGraph.__getstate__``).
+
+Workers are created with the platform's default start method — ``fork`` on
+Linux.  The serving process starts no thread of its own (this pool is the
+one executor it owns), so the only threads a fork can happen beside are
+the stdlib's per-executor manager threads of the shards started earlier.
 
 Determinism: tasks are pure (:func:`search_cluster_entry`), affinity is a
 pure function of the cluster id, and the caller gathers results in task

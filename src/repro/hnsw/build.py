@@ -46,12 +46,12 @@ import random
 
 import numpy as np
 
-from repro.hnsw.csr import TABLE_NODES_MAX
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
-from repro.hnsw.search import (greedy_descent, greedy_descent_table,
-                               search_layer, search_layer_table)
+from repro.hnsw.search import (TABLE_NODES_MAX, greedy_descent,
+                               greedy_descent_table, search_layer,
+                               search_layer_table)
 
 __all__ = ["sample_level", "select_neighbors_heuristic", "insert",
            "remove_nodes"]

@@ -129,7 +129,7 @@ class DistanceKernel:
 
         Same arithmetic and counting; both operands must already be
         float32 vectors of the kernel's dimensionality.  Used by the
-        compiled engine's batch loop, which validates the query matrix
+        index's batch search loop, which validates the query matrix
         once instead of twice per query.
         """
         self.num_evaluations += 1
@@ -157,7 +157,7 @@ class DistanceKernel:
                         corpus: np.ndarray) -> np.ndarray:
         """:meth:`many` minus input validation, for pre-validated arrays.
 
-        The compiled flat-graph engine (:mod:`repro.hnsw.csr`) calls this
+        The per-hop traversal (:mod:`repro.hnsw.search`) calls this
         once per hop with arrays it gathered itself; ``query`` must be a
         float32 vector and ``corpus`` a float32 matrix of matching width.
         Arithmetic and counting are exactly :meth:`many`'s, so results
@@ -180,7 +180,7 @@ class DistanceKernel:
                  corpus: np.ndarray) -> np.ndarray:
         """**Uncounted** L2 distances from each query to every corpus row.
 
-        The compiled table engine (:mod:`repro.hnsw.csr`) evaluates a
+        The table traversal (:mod:`repro.hnsw.search`) evaluates a
         whole small graph up front and credits ``num_evaluations`` only
         for the rows the traversal actually visits, so this method does
         not touch the counter — every other kernel entry point counts.

@@ -26,6 +26,10 @@ class LayeredGraph:
     Node ids are dense ints assigned in insertion order.  ``adjacency[node]``
     is a list with one neighbour list per layer the node participates in
     (index 0 = layer 0), so ``len(adjacency[node]) - 1`` is the node's level.
+
+    The graph also owns the scratch its traversals mark visited nodes in
+    (:meth:`acquire_visited`), so the structure that is built, decoded and
+    cached is searched as it is — nothing is derived from it first.
     """
 
     def __init__(self, dim: int) -> None:
@@ -37,6 +41,13 @@ class LayeredGraph:
         self.adjacency: list[list[list[int]]] = []
         self.entry_point: int | None = None
         self.max_level: int = -1
+        self._visited: list[int] = []
+        self._visited_epoch = 0
+
+    def __getstate__(self) -> dict:
+        # Traversal scratch is not part of the graph: a pickled, copied or
+        # worker-shipped graph carries none, whatever was searched before.
+        return {**self.__dict__, "_visited": [], "_visited_epoch": 0}
 
     # ------------------------------------------------------------------
     # Node management
@@ -138,6 +149,26 @@ class LayeredGraph:
             return False
         self._vectors = np.array(self._vectors, dtype=np.float32, order="C")
         return True
+
+    # ------------------------------------------------------------------
+    # Traversal scratch
+    # ------------------------------------------------------------------
+    def acquire_visited(self) -> tuple[list[int], int]:
+        """Start a traversal: returns ``(tags, epoch)``.
+
+        hnswlib's VisitedListPool pattern: a node is visited iff
+        ``tags[node] == epoch``, and every call hands out a fresh epoch,
+        so marking is a list store and clearing is free — no per-query
+        ``set``, no O(n) reset.  Tags are a plain Python list (the loops
+        touch one node at a time), grown here to ``len(self)``.  One
+        traversal per graph at a time: the next call retires the previous
+        epoch.
+        """
+        tags = self._visited
+        if len(tags) < self._count:
+            tags.extend([0] * (self._count - len(tags)))
+        self._visited_epoch += 1
+        return tags, self._visited_epoch
 
     # ------------------------------------------------------------------
     # Edge management

@@ -13,12 +13,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import DimensionMismatchError, EmptyIndexError
-from repro.hnsw import csr
 from repro.hnsw.build import PairTable, insert, remove_nodes
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
-from repro.hnsw.search import greedy_descent, knn_from_candidates, search_layer
+from repro.hnsw.search import (TABLE_NODES_MAX, greedy_descent,
+                               greedy_descent_table, knn_from_candidates,
+                               search_layer, search_layer_table)
 
 __all__ = ["HnswIndex"]
 
@@ -46,7 +47,6 @@ class HnswIndex:
         self.graph = LayeredGraph(dim)
         self.labels: list[int] = []
         self._rng = random.Random(self.params.seed)
-        self._compiled: csr.CsrGraph | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -77,7 +77,6 @@ class HnswIndex:
         node = insert(self.graph, self.kernel, vector, self.params,
                       self._rng, forced_level=forced_level, pairs=pairs)
         self.labels.append(label if label is not None else node)
-        self._compiled = None
         return node
 
     def add(self, vectors: np.ndarray,
@@ -126,7 +125,6 @@ class HnswIndex:
         keep = remove_nodes(self.graph, self.kernel, set(nodes),
                             self.params)
         self.labels = [self.labels[node] for node in keep]
-        self._compiled = None
 
     # ------------------------------------------------------------------
     def search(self, query: np.ndarray, k: int,
@@ -144,150 +142,71 @@ class HnswIndex:
         return labels, dists
 
     def search_candidates(self, query: np.ndarray, k: int,
-                          ef: int | None = None,
-                          use_compiled: bool | None = None
+                          ef: int | None = None
                           ) -> list[tuple[float, int]]:
         """Raw beam-search candidates as ``(distance, internal id)``.
 
         d-HNSW merges candidates across several sub-HNSWs before taking
         the global top-k, so the unclipped list is part of the API.
-
-        ``use_compiled`` selects the traversal engine: the compiled CSR
-        flat graph (default, see :meth:`compiled`) or the reference
-        adjacency-list beam search.  Both return bit-identical results
-        and evaluation counts; the reference path is kept as the oracle
-        for equivalence tests and for one-off searches on still-mutating
-        indexes where compiling would not pay off.
         """
-        if len(self.graph) == 0:
-            raise EmptyIndexError("search on empty index")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if use_compiled is None:
-            use_compiled = self.prefer_compiled
-        effective_ef = max(ef if ef is not None else 2 * k, k)
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        entry = self.graph.entry_point
-        assert entry is not None
-        entry_dist = self.kernel.one(query, self.graph.vector(entry))
-        if use_compiled:
-            flat = self.compiled()
-            if flat.table_mode(self.kernel):
-                table = self.kernel.l2_table(query, flat.vectors).tolist()
-                if flat.max_level > 0:
-                    entry, entry_dist = csr.greedy_descent_table(
-                        flat, self.kernel, table, entry, entry_dist,
-                        flat.max_level, 0)
-                return csr.search_layer_table(
-                    flat, self.kernel, table, [(entry_dist, entry)],
-                    effective_ef, 0)
-            if flat.max_level > 0:
-                entry, entry_dist = csr.greedy_descent(
-                    flat, self.kernel, query, entry, entry_dist,
-                    flat.max_level, 0)
-            return csr.search_layer(flat, self.kernel, query,
-                                    [(entry_dist, entry)], effective_ef, 0)
-        if self.graph.max_level > 0:
-            entry, entry_dist = greedy_descent(
-                self.graph, self.kernel, query, entry, entry_dist,
-                self.graph.max_level, 0)
-        return search_layer(self.graph, self.kernel, query,
-                            [(entry_dist, entry)], effective_ef, 0)
+        query = np.asarray(query, dtype=np.float32).reshape(1, -1)
+        return self.search_candidates_batch(query, k, ef)[0]
 
     def search_candidates_batch(self, queries: np.ndarray, k: int,
-                                ef: int | None = None,
-                                use_compiled: bool | None = None
+                                ef: int | None = None
                                 ) -> list[list[tuple[float, int]]]:
         """:meth:`search_candidates` for a whole batch of queries.
 
-        On the compiled engine, small L2 graphs (every d-HNSW sub-cluster
-        and the meta-HNSW) run on the distance-table engine with the
-        whole batch's tables computed by one chunked einsum
-        (:meth:`DistanceKernel.l2_table`); per-query results and total
-        evaluation counts are identical to the sequential path.
+        Small L2 graphs (every d-HNSW sub-cluster and the meta-HNSW) are
+        searched on distance tables, the whole batch's computed by one
+        chunked einsum (:meth:`DistanceKernel.l2_table`); other metrics
+        and graphs past ``TABLE_NODES_MAX`` evaluate hop by hop.  Results
+        and evaluation counts do not depend on which (see
+        :mod:`repro.hnsw.search`) nor on how queries are batched.
         """
-        if len(self.graph) == 0:
+        graph, kernel = self.graph, self.kernel
+        if len(graph) == 0:
             raise EmptyIndexError("search on empty index")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if use_compiled is None:
-            use_compiled = self.prefer_compiled
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        if queries.shape[1] != self.kernel.dim:
-            raise DimensionMismatchError(self.kernel.dim, queries.shape[1])
-        if not use_compiled:
-            return [self.search_candidates(query, k, ef,
-                                           use_compiled=False)
-                    for query in queries]
-        flat = self.compiled()
-        if not flat.table_mode(self.kernel):
-            return [self.search_candidates(query, k, ef, use_compiled=True)
-                    for query in queries]
+        if queries.shape[1] != kernel.dim:
+            raise DimensionMismatchError(kernel.dim, queries.shape[1])
         effective_ef = max(ef if ef is not None else 2 * k, k)
-        entry_point = self.graph.entry_point
+        entry_point = graph.entry_point
         assert entry_point is not None
-        entry_vector = self.graph.vector(entry_point)
-        tables = self.kernel.l2_table(queries, flat.vectors)
+        entry_vector = graph.vector(entry_point)
+        top_level = graph.max_level
+        # ``probes``: what each query's walk reads distances from — its
+        # table (Python floats, converted one row at a time) or itself.
+        if kernel.metric is Metric.L2 and len(graph) <= TABLE_NODES_MAX:
+            descend, beam = greedy_descent_table, search_layer_table
+            probes = map(np.ndarray.tolist,
+                         kernel.l2_table(queries, graph.vectors))
+        else:
+            descend, beam = greedy_descent, search_layer
+            probes = queries
         outputs = []
         # The matrix was validated above, so per-query seeding can use
         # the check-free kernel entry point (same arithmetic + counting).
-        seed_one = self.kernel.one_prechecked
-        for query, table_row in zip(queries, tables):
-            table = table_row.tolist()
+        seed_one = kernel.one_prechecked
+        for query, probe in zip(queries, probes):
             entry = entry_point
             entry_dist = seed_one(query, entry_vector)
-            if flat.max_level > 0:
-                entry, entry_dist = csr.greedy_descent_table(
-                    flat, self.kernel, table, entry, entry_dist,
-                    flat.max_level, 0)
-            outputs.append(csr.search_layer_table(
-                flat, self.kernel, table, [(entry_dist, entry)],
-                effective_ef, 0))
+            if top_level > 0:
+                entry, entry_dist = descend(graph, kernel, probe, entry,
+                                            entry_dist, top_level, 0)
+            outputs.append(beam(graph, kernel, probe,
+                                [(entry_dist, entry)], effective_ef, 0))
         return outputs
 
-    # ------------------------------------------------------------------
-    #: Class-wide default engine for :meth:`search_candidates`.  Flipped
-    #: off in benchmarks to measure the pre-compilation path.
-    prefer_compiled: bool = True
-
-    def compiled(self) -> "csr.CsrGraph":
-        """The CSR compilation of the current graph, built lazily.
-
-        Cached until the next :meth:`add_one` invalidates it; callers
-        mutating ``self.graph`` directly must call
-        :meth:`invalidate_compiled` themselves.
-        """
-        if self._compiled is None:
-            self._compiled = csr.CsrGraph.from_layered(self.graph)
-        return self._compiled
-
-    def invalidate_compiled(self) -> None:
-        """Drop the cached CSR compilation (after direct graph mutation)."""
-        self._compiled = None
-
     def materialize(self) -> bool:
-        """Privatize any vector storage aliasing remote region memory.
-
-        Copies both the layered store and the compiled CSR's shared
-        read-only view (the CSR adopts the decode buffer when the source
-        was read-only), so a materialized index survives the backing
-        extent being rewritten.  Idempotent; returns True if anything
-        was copied.
+        """Privatize vector storage aliasing remote region memory
+        (:meth:`LayeredGraph.materialize`), so the index survives the
+        backing extent being rewritten.  Idempotent; returns True if a
+        copy was made.
         """
-        copied = self.graph.materialize()
-        compiled = self._compiled
-        if compiled is not None and not compiled.vectors.flags.writeable:
-            compiled.vectors = np.array(compiled.vectors, dtype=np.float32,
-                                        order="C")
-            copied = True
-        return copied
-
-    def __getstate__(self) -> dict:
-        # The compiled graph is a derived cache: dropping it keeps pickled
-        # snapshots slim and independent of the CsrGraph layout.
-        state = self.__dict__.copy()
-        state["_compiled"] = None
-        return state
+        return self.graph.materialize()
 
     # ------------------------------------------------------------------
     def layer_sizes(self) -> list[int]:

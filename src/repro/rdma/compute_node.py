@@ -61,8 +61,8 @@ class ComputeNode:
 
         ``force=True`` reserves past the budget — the cache uses it to
         defer eviction of pinned entries rather than free memory that a
-        worker thread is still searching (``dram_used_bytes`` then
-        honestly reports the overshoot).
+        search is still reading (``dram_used_bytes`` then honestly
+        reports the overshoot).
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")

@@ -27,11 +27,10 @@ class Decoder:
         # Simulation-only retention: per cluster, the entry (empty
         # overflow) decoded from its current base extent.  A write changes
         # the tail, a rebuild changes one group's extents — neither changes
-        # another cluster's blob bytes, so its deserialized graph and
-        # compiled CSR are kept.  The *simulated* deserialization cost is
-        # charged on every fetch regardless; this just keeps the
-        # simulator's wall-clock time proportional to unique blobs rather
-        # than total fetches.
+        # another cluster's blob bytes, so its deserialized graph is kept.
+        # The *simulated* deserialization cost is charged on every fetch
+        # regardless; this just keeps the simulator's wall-clock time
+        # proportional to unique blobs rather than total fetches.
         self._bases: dict[int, CachedCluster] = {}
 
     def drop_memo(self) -> None:
@@ -79,9 +78,6 @@ class Decoder:
             index, parsed_cid = deserialize_cluster(
                 payload[blob_start:blob_start + cluster.blob_length],
                 host.config.sub_params)
-            # Sub-HNSWs are frozen after deserialization; bind them to this
-            # client's engine choice so benchmarks can compare both paths.
-            index.prefer_compiled = host.compiled_engine
             if parsed_cid != cluster_id:
                 raise LayoutError(
                     f"extent for cluster {cluster_id} contained blob of "

@@ -1,14 +1,13 @@
 """Executor stage: one loop runs every wave schedule — the deduplicated
 plan serially (paper Tables 1-2), the same plan with wave ``i+1``'s READ
 hidden behind wave ``i``'s search, and the naive one-pair-per-wave plan.
-Waves are searched inline or on the worker pools this stage owns.
+Waves are searched inline or on the worker processes this stage owns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,31 +39,21 @@ class PlanExecution:
 
 
 class WaveExecutor:
-    """Searches planned waves on the configured worker pool."""
+    """Searches planned waves inline or on ``config.search_workers``
+    worker processes."""
 
     def __init__(self, host, fetcher: Fetcher) -> None:
         self.host = host
         self.fetcher = fetcher
-        # Search executors, created lazily on the first multi-worker wave.
-        self._thread_pool: ThreadPoolExecutor | None = None
+        # Created lazily on the first multi-worker wave.
         self._search_pool: SearchPool | None = None
 
     # -- pool lifecycle --------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pools (idempotent)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
-            self._thread_pool = None
+        """Shut down the worker pool (idempotent)."""
         if self._search_pool is not None:
             self._search_pool.close()
             self._search_pool = None
-
-    def _get_thread_pool(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.host.config.search_workers,
-                thread_name_prefix=f"{self.host.node.name}-search")
-        return self._thread_pool
 
     def _get_search_pool(self) -> SearchPool:
         if self._search_pool is None:
@@ -147,11 +136,12 @@ class WaveExecutor:
     def run_wave_compute(self, wave: Wave, entries: dict[int, CachedCluster],
                          queries: np.ndarray, merger: TopKMerger, k: int,
                          ef: int, trace: TraceContext | None = None) -> int:
-        """Search a wave's per-cluster query groups on the configured
-        executor, merge in deterministic cluster order, return the evals.
+        """Search a wave's per-cluster query groups, inline or on the
+        worker pool, merge in deterministic cluster order, return the evals.
 
         Tasks are the pure :func:`search_cluster_entry`: nothing shared is
-        mutated off the main thread, so every worker count is bit-identical.
+        mutated outside this process, so every worker count is
+        bit-identical.
         """
         host = self.host
         with span(trace, "compute"):
@@ -172,18 +162,10 @@ class WaveExecutor:
             try:
                 started = time.perf_counter()
                 if host.config.search_workers > 1 and len(tasks) > 1:
-                    if host.config.search_executor == "process":
-                        outputs = self._get_search_pool().run_wave(
-                            [(cid,
-                              (entry.extent_epoch, entry.overflow_tail),
-                              entry, queries[query_indices], k, ef)
-                             for cid, entry, query_indices in tasks])
-                    else:
-                        pool = self._get_thread_pool()
-                        futures = [pool.submit(search_cluster_entry, entry,
-                                               queries[query_indices], k, ef)
-                                   for _, entry, query_indices in tasks]
-                        outputs = [future.result() for future in futures]
+                    outputs = self._get_search_pool().run_wave(
+                        [(cid, (entry.extent_epoch, entry.overflow_tail),
+                          entry, queries[query_indices], k, ef)
+                         for cid, entry, query_indices in tasks])
                 else:
                     outputs = [search_cluster_entry(entry,
                                                     queries[query_indices],

@@ -89,8 +89,8 @@ class Fetcher:
             if victim is None:
                 if len(host.cache):
                     # Every resident entry is pinned by in-flight compute:
-                    # spilling one would free DRAM a worker thread is
-                    # searching right now.  Over-commit the budget
+                    # spilling one would free DRAM a search is reading
+                    # right now.  Over-commit the budget
                     # transiently instead; pressure resolves once the
                     # pins drop and a later put evicts.
                     host.node.reserve_dram(entry.nbytes, force=True)

@@ -91,7 +91,6 @@ class ClientTelemetry:
     #: Measured wall-clock seconds of the sub-HNSW compute phase.
     wall_compute_s: float = 0.0
     search_workers: int = 1
-    search_executor: str = "thread"
     #: Verb re-issues a retrying transport performed after faults.
     retries: int = 0
     #: Simulated µs spent backing off between retry attempts.
@@ -198,7 +197,6 @@ class ClientTelemetry:
             overlapped_time_us=stats.overlapped_time_us,
             wall_compute_s=client.node.wall_compute_s,
             search_workers=client.config.search_workers,
-            search_executor=client.config.search_executor,
             retries=stats.retries,
             backoff_time_us=stats.backoff_time_us,
             faults_injected=stats.faults_injected,

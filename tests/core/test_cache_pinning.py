@@ -10,6 +10,8 @@ actually breaks the memory sharing without changing search results.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,13 +117,25 @@ class TestMaterializeOnInvalidate:
         assert cache.materialize_all() == 1
         assert cache.materialize_all() == 0  # idempotent
 
-    def test_materialize_covers_the_compiled_graph_too(self):
-        entry = make_entry(0, adopted=True)
-        compiled = entry.index.compiled()
-        compiled.vectors.setflags(write=False)
-        assert entry.materialize()
-        assert entry.index.graph.vectors.flags.writeable
-        assert entry.index.compiled().vectors.flags.writeable
+    def test_materialize_allocates_one_vector_store(self):
+        """A searched index holds its vectors once, so privatizing them is
+        one copy (the parent copied a second, compiled holder too)."""
+        rng = np.random.default_rng(0)
+        index = HnswIndex(dim=64, params=HnswParams(m=4, seed=1))
+        index.add(rng.standard_normal((400, 64)).astype(np.float32))
+        store_bytes = index.graph.vectors.nbytes
+        index.graph._vectors = index.graph.vectors.copy()
+        index.graph._vectors.setflags(write=False)
+        index.search_candidates_batch(index.graph.vectors[:8], 5)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert index.materialize()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.graph.vectors.flags.writeable
+        assert store_bytes <= after - before < 1.5 * store_bytes
 
 
 class TestDramOvercommit:

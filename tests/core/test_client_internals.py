@@ -3,6 +3,9 @@ scheduling, filtered search, decode-cache hygiene."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,37 @@ class TestDecodeCacheHygiene:
                    for record in second.overflow)
 
 
+class TestSearchingDerivesNothing:
+    def test_searching_every_cluster_retains_only_visited_tags(
+            self, built_deployment, small_dataset):
+        """A decoded cluster is searched as decoded.  The parent compiled
+        a second adjacency copy per searched cluster (~0.5 KB a node:
+        +612 KiB here, +2.5 MiB on the spine's 40 clusters); what a search
+        leaves behind now is each graph's visited tags, 8 B a node."""
+        config = built_deployment.config.replace(
+            cache_fraction=1.0, nprobe=built_deployment.meta.num_partitions)
+        with DHnswClient(built_deployment.layout, built_deployment.meta,
+                         config, name="retention",
+                         cost_model=built_deployment.cost_model) as client:
+            every = range(client.metadata.num_clusters)
+            fetcher = client.engine.fetcher
+            fetcher.admit(*fetcher.read(every, doorbell=True),
+                          PlanExecution())
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                batch = client.search_batch(small_dataset.queries, 10)
+                assert batch.cache_hits == len(every)
+                assert batch.clusters_fetched == 0
+                del batch
+                gc.collect()
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert after - before < 128 * 1024
+
+
 class TestDecodeRetention:
     """The decoder keeps each cluster's decoded base for as long as the
     bytes it came from are the cluster's base: across tail growth and
@@ -225,15 +259,12 @@ class TestDecodeRetention:
                        in enumerate(reader.metadata.clusters)
                        if cluster.group_id != group)
         before = {cid: self.fetch(reader, cid) for cid in (inside, outside)}
-        compiled = {cid: entry.index.compiled()
-                    for cid, entry in before.items()}
 
         assert inside in self.rebuild_group_of(writer, probe)[1]
         assert reader.refresh_metadata()
 
         kept = self.fetch(reader, outside)
         assert kept.index is before[outside].index
-        assert kept.index.compiled() is compiled[outside]
         assert kept.extent_epoch == before[outside].extent_epoch
         moved = self.fetch(reader, inside)
         assert moved.index is not before[inside].index

@@ -7,9 +7,9 @@ and tuning suites don't reach:
 * the hit-wave refetch path (an entry evicted between planning and
   execution) must re-insert the refetched entry and count exactly one
   cache miss — the pre-PR-4 engine did neither;
-* ``search_workers > 1`` (thread or process executor) must be
-  bit-identical to the serial path in results *and* in simulated
-  accounting;
+* ``search_workers > 1`` (worker processes; the test names predate the
+  removal of the thread pool) must be bit-identical to the serial path
+  in results *and* in simulated accounting;
 * :class:`ClusterCache` must survive concurrent hammering with its
   bookkeeping intact.
 """
@@ -156,8 +156,8 @@ class TestPrefetchAbandonedOnError:
 
 
 class TestWorkerIdentity:
-    """Satellite 4: worker count and executor kind never change results
-    or simulated accounting — only wall-clock."""
+    """Satellite 4: the worker count never changes results or simulated
+    accounting — only wall-clock."""
 
     @pytest.fixture(scope="class")
     def reference(self, built_deployment, small_config, small_dataset):
@@ -186,8 +186,7 @@ class TestWorkerIdentity:
                                            small_config, small_dataset,
                                            reference):
         with make_client(built_deployment, small_config.replace(
-                search_workers=2,
-                search_executor="process")) as client:
+                search_workers=2)) as client:
             batch = client.search_batch(small_dataset.queries, 10,
                                         ef_search=32)
         self.assert_identical(batch, reference)

@@ -1,25 +1,29 @@
-"""Equivalence oracle for the compiled flat-graph engine.
+"""Equivalence of the traversal engine with the textbook beam search.
 
-The compiled engines (:mod:`repro.hnsw.csr`) promise *bit-identical*
-results and *exactly equal* distance-evaluation counts versus the
-reference beam search — the counters drive every simulated latency in
-``benchmarks/results/``, so even an off-by-one would silently change the
-paper's reproduced numbers.  These tests fuzz randomized graphs across
-metrics, beam widths, and graph mutations (including disconnected nodes)
-and assert exact equality, never approximate closeness.
+:mod:`repro.hnsw.search` promises *bit-identical* results and *exactly
+equal* distance-evaluation counts versus Algorithm 2 as written
+(``tests/hnsw/reference_search.py``) — the counters drive every simulated
+latency in ``benchmarks/results/``, so even an off-by-one would silently
+change the paper's reproduced numbers.  These tests fuzz randomized
+graphs across metrics, beam widths, and graph mutations (including
+disconnected nodes) on both forms of the engine — distance tables and
+hop-by-hop — and assert exact equality, never approximate closeness.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hnsw import csr
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw import index as index_module
+from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
+from tests.hnsw import reference_search
 
 METRICS = ["l2", "ip", "cosine"]
 EF_VALUES = [1, 2, 7, 33]
@@ -45,19 +49,18 @@ def disconnect(index: HnswIndex, node: int) -> None:
         for level, neighbors in enumerate(graph.adjacency[other]):
             graph.adjacency[other][level] = [
                 n for n in neighbors if n != node]
-    index.invalidate_compiled()
 
 
 def reference_run(index: HnswIndex, queries: np.ndarray, k: int,
                   ef: int) -> tuple[list, int]:
     index.kernel.reset_counter()
-    results = [index.search_candidates(query, k, ef, use_compiled=False)
+    results = [reference_search.search_candidates(index, query, k, ef)
                for query in queries]
     return results, index.kernel.reset_counter()
 
 
 class TestEngineEquivalence:
-    """Compiled single-query and batch engines versus the oracle."""
+    """Single-query and batch searches versus the oracle."""
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("ef", EF_VALUES)
@@ -67,28 +70,26 @@ class TestEngineEquivalence:
         queries = (rng.standard_normal((12, 6)) * 4).astype(np.float32)
         expected, expected_evals = reference_run(index, queries, 3, ef)
 
-        single = [index.search_candidates(query, 3, ef, use_compiled=True)
+        single = [index.search_candidates(query, 3, ef)
                   for query in queries]
         single_evals = index.kernel.reset_counter()
         assert single == expected
         assert single_evals == expected_evals
 
-        batch = index.search_candidates_batch(queries, 3, ef,
-                                              use_compiled=True)
+        batch = index.search_candidates_batch(queries, 3, ef)
         batch_evals = index.kernel.reset_counter()
         assert batch == expected
         assert batch_evals == expected_evals
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_on_demand_engine_matches(self, metric, monkeypatch):
-        """Force the per-hop engine (as used above TABLE_NODES_MAX)."""
-        monkeypatch.setattr(csr, "TABLE_NODES_MAX", 0)
+        """Force the per-hop form (as used above TABLE_NODES_MAX)."""
+        monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 0)
         index = build_index(metric, count=70)
         rng = np.random.default_rng(5)
         queries = (rng.standard_normal((8, 6)) * 4).astype(np.float32)
         expected, expected_evals = reference_run(index, queries, 2, 17)
-        got = index.search_candidates_batch(queries, 2, 17,
-                                            use_compiled=True)
+        got = index.search_candidates_batch(queries, 2, 17)
         got_evals = index.kernel.reset_counter()
         assert got == expected
         assert got_evals == expected_evals
@@ -101,8 +102,7 @@ class TestEngineEquivalence:
         queries = (rng.standard_normal((10, 6)) * 4).astype(np.float32)
         for ef in EF_VALUES:
             expected, expected_evals = reference_run(index, queries, 2, ef)
-            got = index.search_candidates_batch(queries, 2, ef,
-                                                use_compiled=True)
+            got = index.search_candidates_batch(queries, 2, ef)
             got_evals = index.kernel.reset_counter()
             assert got == expected
             assert got_evals == expected_evals
@@ -111,7 +111,7 @@ class TestEngineEquivalence:
         index = build_index("l2", count=1)
         query = np.ones(6, dtype=np.float32)
         expected, expected_evals = reference_run(index, query[None], 1, 4)
-        got = [index.search_candidates(query, 1, 4, use_compiled=True)]
+        got = [index.search_candidates(query, 1, 4)]
         assert got == expected
         assert index.kernel.reset_counter() == expected_evals
 
@@ -131,11 +131,10 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(seed + 1)
         queries = (rng.standard_normal((5, 6)) * 4).astype(np.float32)
         expected, expected_evals = reference_run(index, queries, k, ef)
-        single = [index.search_candidates(query, k, ef, use_compiled=True)
+        single = [index.search_candidates(query, k, ef)
                   for query in queries]
         single_evals = index.kernel.reset_counter()
-        batch = index.search_candidates_batch(queries, k, ef,
-                                              use_compiled=True)
+        batch = index.search_candidates_batch(queries, k, ef)
         batch_evals = index.kernel.reset_counter()
         assert single == expected
         assert batch == expected
@@ -143,79 +142,122 @@ class TestEngineEquivalence:
         assert batch_evals == expected_evals
 
 
-class TestCsrGraphStructure:
-    def test_compilation_mirrors_adjacency(self):
-        index = build_index("l2", count=40)
-        flat = index.compiled()
-        graph = index.graph
-        assert flat.num_nodes == len(graph)
-        assert flat.max_level == graph.max_level
-        assert flat.entry_point == graph.entry_point
-        np.testing.assert_array_equal(flat.vectors, graph.vectors)
-        for node in range(len(graph)):
-            for level in range(graph.level_of(node) + 1):
-                assert flat.neighbors(node, level).tolist() == \
-                    graph.neighbors(node, level)
-                assert flat.adjacency_py[level][node] == \
-                    graph.neighbors(node, level)
+def engine_calls(monkeypatch) -> list[str]:
+    """Record which form of the beam search ``HnswIndex`` reaches."""
+    calls: list[str] = []
+    for name in ("search_layer", "search_layer_table"):
+        inner = getattr(index_module, name)
 
-    def test_vectors_are_private_copy(self):
-        index = build_index("l2", count=10)
-        flat = index.compiled()
-        original = flat.vectors.copy()
-        index.graph.vectors[0, 0] += 1.0
-        np.testing.assert_array_equal(flat.vectors, original)
+        def spy(*args, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(index_module, name, spy)
+    return calls
+
+
+class TestCsrGraphStructure:
+    """What is left of the compiled graph's contract now that the
+    layered graph is searched directly (class name kept for its ids)."""
 
     def test_mutation_invalidates_compilation(self):
+        """Nothing is derived from the graph, so nothing goes stale: a
+        node added after a search is found by the next one."""
         index = build_index("l2", count=10)
-        first = index.compiled()
-        index.add_one(np.zeros(6, dtype=np.float32))
-        second = index.compiled()
-        assert second is not first
-        assert second.num_nodes == 11
+        far = np.full(6, 50.0, dtype=np.float32)
+        assert index.search(far, 1)[0][0] != 10
+        index.add_one(far)
+        labels, dists = index.search(far, 1)
+        assert (labels[0], dists[0]) == (10, 0.0)
 
-    def test_nbytes_counts_all_arrays(self):
-        flat = build_index("l2", count=25).compiled()
-        expected = flat.vectors.nbytes + sum(
-            offsets.nbytes + ids.nbytes
-            for offsets, ids in zip(flat.indptr, flat.indices))
-        assert flat.nbytes() == expected
+    @pytest.mark.parametrize("edit", ["set_neighbors", "add_edge"])
+    def test_direct_graph_edits_need_no_invalidation(self, edit):
+        """The parent's foot-gun: editing ``index.graph`` behind a
+        searched index left a stale compiled copy unless the caller
+        remembered ``invalidate_compiled()``."""
+        index = build_index("l2", count=60)
+        disconnect(index, 13)
+        target = index.graph.vector(13).copy()
+        assert 13 not in {node for _, node
+                          in index.search_candidates(target, 5, 60)}
+        entry = index.graph.entry_point
+        if edit == "set_neighbors":
+            index.graph.set_neighbors(
+                entry, 0, index.graph.neighbors(entry, 0) + [13])
+        else:
+            index.graph.add_edge(entry, 13, 0)
+        assert index.search_candidates(target, 5, 60)[0] == (0.0, 13)
 
-    def test_table_mode_gating(self):
-        flat = build_index("l2", count=10).compiled()
-        assert flat.table_mode(DistanceKernel(6, Metric.L2))
-        assert not flat.table_mode(DistanceKernel(6, Metric.COSINE))
-        assert not flat.table_mode(
-            DistanceKernel(6, Metric.INNER_PRODUCT))
-        big = build_index("l2", count=10).compiled()
-        big.num_nodes = csr.TABLE_NODES_MAX + 1
-        assert not big.table_mode(DistanceKernel(6, Metric.L2))
-
-    def test_pickle_drops_compilation(self):
-        import pickle
-
+    def test_table_mode_gating(self, monkeypatch):
+        """Distance tables serve L2 graphs up to ``TABLE_NODES_MAX``
+        nodes; other metrics and larger graphs evaluate hop by hop."""
+        calls = engine_calls(monkeypatch)
+        query = np.ones(6, dtype=np.float32)
+        for metric, expected in (("l2", "search_layer_table"),
+                                 ("cosine", "search_layer"),
+                                 ("ip", "search_layer")):
+            build_index(metric, count=10).search_candidates(query, 1, 4)
+            assert calls.pop() == expected and not calls
         index = build_index("l2", count=10)
-        index.compiled()
-        restored = pickle.loads(pickle.dumps(index))
-        assert restored._compiled is None
+        monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 10)
+        index.search_candidates_batch(query[None], 1, 4)
+        monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 9)
+        index.search_candidates_batch(query[None], 1, 4)
+        assert calls == ["search_layer_table", "search_layer"]
+
+    def test_searches_leave_no_trace_in_the_pickle(self):
+        """Traversal state is neither pickled nor shipped: the bytes a
+        search worker would receive do not depend on what was searched."""
+        index = build_index("l2", count=40)
+        before = pickle.dumps(index)
+        evaluations = index.kernel.num_evaluations
+        rng = np.random.default_rng(1)
+        for query in rng.standard_normal((100, 6)).astype(np.float32):
+            index.search_candidates(query, 3, 12)
+        index.kernel.num_evaluations = evaluations  # counted, not scratch
+        assert pickle.dumps(index) == before
+        restored = pickle.loads(before)
+        assert restored.graph.acquire_visited()[1] == 1
         query = np.ones(6, dtype=np.float32)
         assert restored.search_candidates(query, 1, 4) == \
             index.search_candidates(query, 1, 4)
 
 
 class TestVisitedPool:
+    """The graph's epoch-tagged visited list (class name kept for its
+    ids: the pool is part of ``LayeredGraph`` now)."""
+
     def test_epochs_isolate_traversals(self):
-        pool = csr.VisitedPool(4)
-        tags, epoch = pool.acquire()
+        graph = build_index("l2", count=4).graph
+        tags, epoch = graph.acquire_visited()
+        assert len(tags) == 4
         tags[2] = epoch
-        assert tags[2] == epoch
-        fresh_tags, fresh_epoch = pool.acquire()
+        fresh_tags, fresh_epoch = graph.acquire_visited()
         assert fresh_tags is tags
         assert fresh_epoch != epoch
         assert all(tag != fresh_epoch for tag in tags)
 
     def test_empty_graph_pool(self):
-        pool = csr.VisitedPool(0)
-        tags, epoch = pool.acquire()
-        assert len(tags) == 1
-        assert epoch == 1
+        graph = LayeredGraph(6)
+        tags, epoch = graph.acquire_visited()
+        assert (tags, epoch) == ([], 1)
+        graph.add_node(np.zeros(6, dtype=np.float32), 0)
+        grown, _ = graph.acquire_visited()
+        assert grown is tags and len(grown) == 1
+
+    def test_tags_outlive_renumbering(self):
+        """Tags written before a ``remove`` renumbers the survivors, or
+        beyond a graph that shrank, belong to retired epochs: searches of
+        the shrunk and regrown graph still match the oracle."""
+        index = build_index("l2", count=60)
+        rng = np.random.default_rng(9)
+        queries = (rng.standard_normal((6, 6)) * 4).astype(np.float32)
+        index.search_candidates_batch(queries, 3, 33)
+        index.remove(range(0, 60, 3))
+        for grow in (0, 45):
+            if grow:
+                index.add((rng.standard_normal((grow, 6)) * 4)
+                          .astype(np.float32))
+            expected, expected_evals = reference_run(index, queries, 3, 33)
+            assert index.search_candidates_batch(queries, 3, 33) == expected
+            assert index.kernel.reset_counter() == expected_evals

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
 from repro.layout.serializer import deserialize_cluster, serialize_cluster
+from tests.hnsw import reference_search
 
 DIM = 8
 
@@ -91,10 +92,9 @@ class TestRemoveProperties:
 
         if survivors:
             for query in vectors(3, seed + 1):
-                assert (index.search_candidates(query, 5, ef=16,
-                                                use_compiled=True)
-                        == index.search_candidates(query, 5, ef=16,
-                                                   use_compiled=False))
+                assert (index.search_candidates(query, 5, ef=16)
+                        == reference_search.search_candidates(
+                            index, query, 5, ef=16))
 
         # A pure function of (graph, dead): equal inputs, equal bytes.
         again, _ = deserialize_cluster(blob, params)
@@ -191,11 +191,18 @@ class TestRemoveCases:
         assert (labels[0], distances[0]) == (11, 0.0)
 
     def test_the_compiled_graph_is_dropped(self):
+        """A search after ``remove`` returns survivors only — there is no
+        derived copy of the graph left to go stale (hence the name)."""
         index = built(80, self.PARAMS)
-        stale = index.compiled()
+        removed = index.graph.vectors[[0, 5]].copy()
+        for query in removed:  # searched before: found at distance 0
+            assert index.search(query, 1)[1][0] == 0.0
         index.remove([0, 5])
-        assert index.compiled() is not stale
-        assert index.compiled().vectors.shape[0] == 78
+        survivors = set(range(1000, 1080)) - {1000, 1005}
+        for query in removed:
+            labels, distances = index.search(query, 78, ef=78)
+            assert set(labels.tolist()) <= survivors
+            assert distances[0] > 0.0
 
     def test_no_random_number_is_drawn(self):
         """A rebuild's appended nodes draw the levels they would have

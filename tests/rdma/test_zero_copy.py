@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.hnsw import HnswIndex, HnswParams
-from repro.hnsw.csr import CsrGraph
 from repro.layout.serializer import deserialize_cluster, serialize_cluster
 from repro.rdma import CostModel, MemoryNode, QueuePair, ReadDescriptor, SimClock
 from repro.transport.sim import SimRdmaTransport
@@ -156,7 +155,8 @@ class TestSnapshotGuards:
 class TestDecodeSharesRegionMemory:
     def test_region_to_decoded_arrays(self, node):
         """The tentpole invariant: region -> READ payload -> decoded
-        vector store -> compiled CSR matrix, one buffer throughout."""
+        vector store, one buffer throughout — and searching the decoded
+        index derives nothing that would copy it."""
         index = build_index(150, 16, seed=4)
         blob = serialize_cluster(index, cluster_id=3)
         region = node.register(len(blob) + 64)
@@ -172,14 +172,11 @@ class TestDecodeSharesRegionMemory:
         assert not vectors.flags.writeable
         np.testing.assert_array_equal(vectors, index.graph.vectors)
 
-        csr = CsrGraph.from_layered(restored.graph)
-        assert np.shares_memory(csr.vectors, backing)
-
-    def test_writable_graph_still_copied_into_csr(self):
-        """A growable (writable) store must keep getting decoupled."""
-        index = build_index(50, 8, seed=5)
-        csr = CsrGraph.from_layered(index.graph)
-        assert not np.shares_memory(csr.vectors, index.graph._vectors)
+        queries = index.graph.vectors[:20]
+        assert (restored.search_candidates_batch(queries, 5, 20)
+                == index.search_candidates_batch(queries, 5, 20))
+        assert np.shares_memory(restored.graph.vectors, backing)
+        assert not restored.graph.vectors.flags.writeable
 
     def test_insert_after_adoption_migrates_storage(self, node):
         """add_node on an adopted read-only store must copy out first."""

@@ -291,17 +291,10 @@ def _run_wave_compute(host, wave: Wave, entries: dict[int, CachedCluster],
     executor = host.engine.executor
     started = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
-        if host.config.search_executor == "process":
-            outputs = executor._get_search_pool().run_wave(
-                [(cid, (entry.extent_epoch, entry.overflow_tail),
-                  entry, queries[query_indices], k, ef)
-                 for cid, entry, query_indices in tasks])
-        else:
-            pool = executor._get_thread_pool()
-            futures = [pool.submit(search_cluster_entry, entry,
-                                   queries[query_indices], k, ef)
-                       for _, entry, query_indices in tasks]
-            outputs = [future.result() for future in futures]
+        outputs = executor._get_search_pool().run_wave(
+            [(cid, (entry.extent_epoch, entry.overflow_tail),
+              entry, queries[query_indices], k, ef)
+             for cid, entry, query_indices in tasks])
     else:
         outputs = [search_cluster_entry(entry, queries[query_indices], k, ef)
                    for _, entry, query_indices in tasks]

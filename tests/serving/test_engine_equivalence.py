@@ -21,6 +21,11 @@ from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
 from tests.serving import reference_loop
 
+# Row ids predate the single worker pool and are kept so the suite's ids
+# stay comparable.  ``process`` rows run both clients on ``workers``
+# search processes; ``thread`` rows (once the thread pool) hold the
+# oracle inline, so a pooled staged client is compared with a serial
+# replay: ``search_workers=4`` answers as ``search_workers=1`` does.
 MATRIX = [
     ("thread", 1),
     ("thread", 4),
@@ -31,14 +36,19 @@ SCHEDULES = pytest.mark.parametrize("pipeline", [False, True],
                                     ids=["serial", "pipelined"])
 
 
-def make_pair(deployment, scheme=Scheme.DHNSW, **overrides):
-    """A staged client and one running the reference loop, same config."""
+def make_pair(deployment, scheme=Scheme.DHNSW, oracle_workers=None,
+              **overrides):
+    """A staged client and one running the reference loop, same config
+    (but for the oracle's worker count, where given)."""
     config = deployment.config.replace(**overrides)
+    oracle_config = (config if oracle_workers is None
+                     else config.replace(search_workers=oracle_workers))
     staged, oracle = (
-        DHnswClient(deployment.layout, deployment.meta, config,
+        DHnswClient(deployment.layout, deployment.meta, client_config,
                     scheme=scheme,
                     cost_model=deployment.effective_cost_model, name=name)
-        for name in ("staged", "oracle"))
+        for name, client_config in (("staged", config),
+                                    ("oracle", oracle_config)))
     reference_loop.install(oracle)
     return staged, oracle
 
@@ -89,9 +99,9 @@ def run_cold_then_warm(staged, oracle, queries, k=10):
                          MATRIX, ids=[f"{e}{w}" for e, w in MATRIX])
 def test_staged_matches_reference(built_deployment, small_dataset,
                                   pipeline, executor, workers):
-    staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
-                               search_executor=executor,
-                               search_workers=workers)
+    staged, oracle = make_pair(
+        built_deployment, pipeline_waves=pipeline, search_workers=workers,
+        oracle_workers=1 if executor == "thread" else None)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
     assert result.waves >= 2 and result.pipeline_executed == pipeline
     # Only the staged path populates per-stage traces.
@@ -174,8 +184,7 @@ def test_process_pool_across_a_peers_rebuild(mutable_deployment,
     processes key their entries on the extent epoch, so only the rebuilt
     group's clusters are shipped again — and the answers and ledgers
     still match the monolith's, batch for batch."""
-    staged, oracle = make_pair(mutable_deployment, search_executor="process",
-                               search_workers=4)
+    staged, oracle = make_pair(mutable_deployment, search_workers=4)
     writer = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
                          mutable_deployment.config,
                          cost_model=mutable_deployment.effective_cost_model,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from multiprocessing.connection import wait
+
 import pytest
 
 from repro.core.client import DHnswClient
@@ -20,9 +22,9 @@ class TestTeardown:
     def test_close_is_idempotent(self, built_deployment, small_dataset):
         client = make_client(built_deployment, "td1", search_workers=4)
         client.search_batch(small_dataset.queries[:4], k=5)
-        assert client.engine.executor._thread_pool is not None
+        assert client.engine.executor._search_pool is not None
         client.close()
-        assert client.engine.executor._thread_pool is None
+        assert client.engine.executor._search_pool is None
         client.close()  # second close must be a no-op, not an error
         client.close()
 
@@ -36,18 +38,25 @@ class TestTeardown:
             with make_client(built_deployment, "td3",
                              search_workers=4) as client:
                 client.search_batch(small_dataset.queries[:4], k=5)
-                assert client.engine.executor._thread_pool is not None
+                assert client.engine.executor._search_pool is not None
                 raise RuntimeError("boom")
-        # __exit__ ran despite the raise: no worker threads leaked.
-        assert client.engine.executor._thread_pool is None
+        # __exit__ ran despite the raise: no worker processes leaked.
+        assert client.engine.executor._search_pool is None
 
     def test_process_pool_teardown(self, built_deployment, small_dataset):
-        client = make_client(built_deployment, "td4", search_workers=2,
-                             search_executor="process")
+        client = make_client(built_deployment, "td4", search_workers=2)
         client.search_batch(small_dataset.queries[:6], k=5)
-        assert client.engine.executor._search_pool is not None
+        pool = client.engine.executor._search_pool
+        workers = [process for executor in pool._executors
+                   for process in executor._processes.values()]
+        assert len(workers) == 2
         client.close()
         assert client.engine.executor._search_pool is None
+        # The workers exit on their own.  Watch the exit sentinels: the
+        # executor's manager thread reaps its worker, and ``join`` +
+        # ``is_alive`` from a second thread race that ``waitpid``.
+        for process in workers:
+            assert wait([process.sentinel], timeout=10)
         client.close()
 
 

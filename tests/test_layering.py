@@ -116,6 +116,34 @@ def test_mutation_never_imports_its_host():
         + "\n  ".join(violations))
 
 
+def test_one_traversal_engine_and_one_worker_pool():
+    """``repro.hnsw.search`` is the only traversal engine and
+    ``core.search_pool`` (processes) the only search executor: no module
+    brings back a compiled-graph generation or a thread pool — the Python
+    beam loops cannot run in parallel under the interpreter lock, and
+    ``SearchPool`` forks, which is safe only from a thread-free parent."""
+    violations = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                named = [f"{node.module}.{alias.name}"
+                         for alias in node.names] + [node.module]
+            elif isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                named = [node.attr]
+            else:
+                continue
+            for name in named:
+                if (name == "repro.hnsw.csr"
+                        or name.endswith("ThreadPoolExecutor")):
+                    violations.append(
+                        f"{path.relative_to(SRC_ROOT.parent)}:"
+                        f"{node.lineno} names {name}")
+    assert not violations, "\n".join(violations)
+
+
 def test_contract_scope_is_nonempty():
     """Guard the walker itself: the contract must actually scan files."""
     scanned = [path for package in CONSTRAINED
