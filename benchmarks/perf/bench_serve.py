@@ -18,7 +18,11 @@ and asserts the PR's acceptance criteria:
 * with pipelining on, the simulated end-to-end batch latency improves
   over the serial schedule by at least the wire time the transport
   measured as hidden (that the measurement equals the closed-form
-  schedule is pinned test-side, ``tests/core/test_tuning_and_pipeline.py``).
+  schedule is pinned test-side, ``tests/core/test_tuning_and_pipeline.py``);
+* a fetch moves what is live, not what is reserved: on this never-written
+  layout every cluster's READ is exactly its blob, the tail word and the
+  fetcher's slack slots (``fetch_audit``) — the whole-area READ must not
+  come back silently.
 
 Any violated criterion exits non-zero, so the CI smoke job doubles as a
 regression gate.  The compute-phase wall-clock ratio of 4 process workers
@@ -48,6 +52,9 @@ import numpy as np
 from repro.cluster import Deployment
 from repro.core import DHnswClient, DHnswConfig
 from repro.datasets import sift_like
+from repro.layout.group_layout import OVERFLOW_TAIL_BYTES, cluster_read_extent
+from repro.layout.serializer import overflow_record_size
+from repro.serving.fetcher import TAIL_SLACK_SLOTS
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_serve.json"
 
@@ -110,12 +117,47 @@ def run_config(deployment, queries, overrides, reps):
                 "overlap_saved_us": round(batch.overlap_saved_us, 3),
                 "waves": batch.waves,
             },
+            "bytes_per_fetched_cluster": round(
+                batch.rdma.bytes_read / max(batch.clusters_fetched, 1)),
             "sub_evals": batch.sub_evals,
             "cache_misses": batch.cache_misses,
             "cache_evictions": batch.cache_evictions,
             "pipeline_executed": batch.pipeline_executed,
         }
         return section, batch
+    finally:
+        client.close()
+
+
+def fetch_audit(deployment) -> dict:
+    """READ every cluster once from a cold client and hold each fetch to
+    blob + tail word + slack slots (a first member's range also crosses
+    the word's alignment pad, < 8 B)."""
+    client = DHnswClient(deployment.layout, deployment.meta,
+                         deployment.config, cost_model=deployment.cost_model)
+    try:
+        metadata = client.metadata
+        live = (OVERFLOW_TAIL_BYTES
+                + TAIL_SLACK_SLOTS * overflow_record_size(metadata.dim))
+        fetched = whole = 0
+        for cid, cluster in enumerate(metadata.clusters):
+            before = client.node.stats.bytes_read
+            client.engine.fetcher.read([cid], doorbell=True)
+            nbytes = client.node.stats.bytes_read - before
+            check(nbytes < cluster.blob_length + 8 + live,
+                  f"fetch of never-written cluster {cid} moved {nbytes} B: "
+                  f"more than its blob ({cluster.blob_length} B) + tail "
+                  f"word + {TAIL_SLACK_SLOTS} slack slots ({live} B)")
+            fetched += nbytes
+            whole += cluster_read_extent(metadata, cid)[1]
+        return {
+            "clusters": metadata.num_clusters,
+            "slack_slots": TAIL_SLACK_SLOTS,
+            "bytes_per_fetched_cluster": round(fetched
+                                               / metadata.num_clusters),
+            "whole_extent_bytes_per_cluster": round(
+                whole / metadata.num_clusters),
+        }
     finally:
         client.close()
 
@@ -188,6 +230,7 @@ def main() -> None:
             deployment, queries, overrides, scale["reps"])
 
     acceptance = assert_acceptance(sections, batches)
+    acceptance["fetch_audit"] = fetch_audit(deployment)
     report = {
         "benchmark": "pipelined serving engine vs serial",
         "mode": mode,

@@ -6,11 +6,15 @@ back requires one round trip per fragment, whereas the group layout
 serves cluster + overflow in a single contiguous READ.
 
 The ablation inserts records into one group and compares reading the
-cluster back both ways, using the same cost model:
+cluster back three ways, using the same cost model:
 
-* d-HNSW layout: one READ of the contiguous extent;
+* d-HNSW layout: one READ of the contiguous extent, every slot of the
+  shared area included;
 * fragmented layout: one READ for the blob plus one READ per record
-  (what a global append area degenerates to).
+  (what a global append area degenerates to);
+* d-HNSW layout as served: the fetcher's tail-bounded ranges
+  (``cluster_read_ranges``) once its hint is warm — still one round trip,
+  without the empty slots.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from repro.core import Scheme
 from repro.layout.group_layout import cluster_read_extent
 from repro.layout.serializer import overflow_record_size
 from repro.rdma import QueuePair, SimClock
+from repro.serving.executor import PlanExecution
 
 from .conftest import BenchWorld, emit_table
 
@@ -61,6 +66,17 @@ def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
             layout.addr(group.overflow_offset + 8 + slot * record), record)
     fragmented = fragmented_qp.stats
 
+    # As served: a reader that has seen the group's tail once reads the
+    # live prefix only.
+    reader = world.client(Scheme.DHNSW, contended=False)
+    fetcher = reader.engine.fetcher
+    fetcher.admit(*fetcher.read([cluster_id], True), PlanExecution())
+    before = reader.node.stats.snapshot()
+    entry = fetcher.admit(*fetcher.read([cluster_id], True),
+                          PlanExecution())[cluster_id]
+    live = reader.node.stats.delta(before)
+    assert entry.overflow_tail == NUM_INSERTS
+
     header = (f"{'layout':<22} {'round_trips':>12} {'bytes_read':>11} "
               f"{'network_us':>11}")
     rows = [
@@ -68,12 +84,16 @@ def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
         f"{contiguous.bytes_read:>11} {contiguous.network_time_us:>11.2f}",
         f"{'fragmented-append':<22} {fragmented.round_trips:>12} "
         f"{fragmented.bytes_read:>11} {fragmented.network_time_us:>11.2f}",
+        f"{'live-prefix, warm hint':<22} {live.round_trips:>12} "
+        f"{live.bytes_read:>11} {live.network_time_us:>11.2f}",
     ]
     emit_table("ablation_layout", header, rows)
 
     assert contiguous.round_trips == 1
     assert fragmented.round_trips == 1 + NUM_INSERTS
     assert contiguous.network_time_us < fragmented.network_time_us
+    assert live.round_trips == 1
+    assert live.bytes_read < contiguous.bytes_read
 
     benchmark.pedantic(
         lambda: contiguous_qp.post_read(layout.rkey, layout.addr(offset),

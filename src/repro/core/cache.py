@@ -46,6 +46,8 @@ class CachedCluster:
     #: cluster's own group is rebuilt — not with the overflow tail, not
     #: with another group's cutover.
     extent_epoch: tuple[int, int, int]
+    #: Bytes the entry holds: what its fetch read (blob, tail word, record
+    #: slots) plus every delta grafted since (:meth:`ClusterCache.grow`).
     nbytes: int
     #: In-flight compute references.  The zero-copy decode path leaves
     #: ``index`` holding read-only views over remote region memory; a
@@ -248,6 +250,16 @@ class ClusterCache:
             self._entries[entry.cluster_id] = entry
             self._cached_bytes += entry.nbytes
             return evicted
+
+    def grow(self, entry: CachedCluster, nbytes: int) -> bool:
+        """Add ``nbytes`` to ``entry``'s size (records grafted onto it);
+        True if it is resident, so the caller owes the DRAM."""
+        with self._lock:
+            entry.nbytes += nbytes
+            resident = self._entries.get(entry.cluster_id) is entry
+            if resident:
+                self._cached_bytes += nbytes
+            return resident
 
     def pop_lru(self) -> CachedCluster | None:
         """Evict and return the least recently used unpinned entry.

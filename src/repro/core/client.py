@@ -94,6 +94,8 @@ class DHnswClient:
         self.cache = ClusterCache(
             capacity, freq_halflife_us=self.config.tier_ewma_halflife_us)
         meta_bytes = self.meta.serialized_size_bytes()
+        # Sized from the whole extent — the worst case, every overflow
+        # slot live; an entry reserves only what it read (``nbytes``).
         max_extent = max(
             (cluster_read_extent(layout.metadata, cid)[1]
              for cid in range(layout.metadata.num_clusters)), default=0)

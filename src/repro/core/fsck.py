@@ -11,6 +11,10 @@ overflow area — and validates the invariants the query path relies on:
 * every overflow tail counter is within its capacity (a tail beyond
   capacity indicates a torn rebuild);
 * overflow records reference cluster ids belonging to their group;
+* a fetch of every cluster at its live tail
+  (:func:`~repro.layout.group_layout.cluster_read_ranges`) covers the
+  blob, the tail word and every live record, in at most two ranges that
+  stay inside the member's own extent;
 * no global id is owned (as a base vector) by two clusters;
 * every node of a sub-HNSW can be reached from its entry point at layer 0
   (a warning: HNSW does not guarantee it, but a search meets a stranded
@@ -38,6 +42,8 @@ from repro.core.engine import RemoteLayout
 from repro.errors import LayoutError, SerializationError
 from repro.layout.cold import deserialize_codebook, deserialize_cold_cluster
 from repro.layout.group_layout import (
+    cluster_read_extent,
+    cluster_read_ranges,
     decode_overflow_tail,
     overflow_area_size,
     overflow_slot_offset,
@@ -103,6 +109,46 @@ class FsckReport:
 
 def _read(node, layout: RemoteLayout, offset: int, length: int) -> bytes:
     return node.read(layout.rkey, layout.addr(offset), length)
+
+
+def _check_read_ranges(metadata: GlobalMetadata, cid: int, tail: int,
+                       location: str) -> list[Finding]:
+    """The read invariant of ``layout.group_layout`` for one cluster at
+    its live ``tail``: the ranges a fetch posts cover what it must serve
+    and touch no byte that is not the member's own."""
+    cluster = metadata.clusters[cid]
+    group = metadata.groups[cluster.group_id]
+    start, length = cluster_read_extent(metadata, cid)
+    own = (cluster.blob_length
+           + overflow_area_size(metadata.dim, group.capacity_records))
+    findings = []
+    if length - own >= 8:
+        # More than the tail word's alignment pad lies between the two.
+        findings.append(Finding(
+            "error", location,
+            f"blob and overflow area are not contiguous: extent of "
+            f"{length} B holds {length - own} B of neither"))
+    ranges = cluster_read_ranges(metadata, cid, tail)
+    if len(ranges) > 2 or any(
+            offset < start or offset + nbytes > start + length
+            for offset, nbytes in ranges):
+        findings.append(Finding(
+            "error", location,
+            f"read ranges {list(ranges)} leave the extent "
+            f"[{start}, {start + length})"))
+    live_end = overflow_slot_offset(group.overflow_offset, metadata.dim, tail)
+    for first, end, what in (
+            (cluster.blob_offset, cluster.blob_offset + cluster.blob_length,
+             "the blob"),
+            (group.overflow_offset, live_end,
+             f"the tail word and {tail} live records")):
+        if not any(offset <= first and end <= offset + nbytes
+                   for offset, nbytes in ranges):
+            findings.append(Finding(
+                "error", location,
+                f"read ranges {list(ranges)} do not cover {what} "
+                f"[{first}, {end})"))
+    return findings
 
 
 def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
@@ -220,6 +266,9 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                 "error", location, "blob exceeds region"))
             continue
         extents.append((cluster.blob_offset, end, location))
+        if cluster.group_id in tails:
+            report.findings.extend(_check_read_ranges(
+                metadata, cid, tails[cluster.group_id], location))
         try:
             index, parsed_cid = deserialize_cluster(
                 _read(node, layout, cluster.blob_offset, cluster.blob_length))

@@ -9,8 +9,25 @@ inserted vectors for both sub-HNSW clusters."
 
 Because overflow sits *between* the pair, either cluster plus every
 overflow record relevant to it is one contiguous byte range — the property
-that lets a query fetch a cluster and its fresh insertions with a single
-``RDMA_READ``.
+that lets a query fetch a cluster and its fresh insertions in a single
+round trip.  Two invariants follow, stated here once; the fetcher,
+``fsck`` and the tests all take them from the functions below:
+
+*layout* (:func:`cluster_read_extent`)
+    A member's blob and its group's overflow area are contiguous:
+    ``[blob | area)`` for the first member of a group, ``[area | blob)``
+    for the second.  Rebuild snapshots, tier sizing and the client's DRAM
+    plan size from this worst case.
+
+*read* (:func:`cluster_read_ranges`)
+    A cluster fetch is one doorbell ring of at most two WQEs whose ranges
+    lie inside the member's extent and cover the blob, the tail word and
+    every record slot below ``slots``.  The tail word *in the payload* is
+    the only authority on how many records are live: records in
+    ``[slots, tail)`` arrive by one delta ring
+    (:func:`overflow_delta_ranges`) before the entry is admitted, so the
+    empty slots past the tail never cross the wire and a stale ``slots``
+    costs time, never correctness.
 
 This module is pure layout arithmetic; writing bytes through a queue pair
 is the engine's job.
@@ -31,6 +48,7 @@ from repro.layout.serializer import (
 )
 
 __all__ = ["GroupPlan", "plan_groups", "cluster_read_extent",
+           "cluster_read_ranges", "overflow_delta_ranges",
            "overflow_area_size", "decode_overflow_tail",
            "unpack_overflow_tail", "pack_overflow_tail",
            "live_overflow_count", "overflow_tail_extent",
@@ -239,12 +257,13 @@ def plan_groups(sizes: Iterable[tuple[int, int]], dim: int,
 
 def cluster_read_extent(metadata: GlobalMetadata,
                         cluster_id: int) -> tuple[int, int]:
-    """The contiguous byte range covering a cluster *and* its overflow.
+    """The contiguous byte range covering a cluster *and* its whole
+    overflow area (the *layout* invariant of the module docstring).
 
     For the first cluster of a group the range is
     ``[blob_offset, overflow_end)``; for the second it is
-    ``[overflow_offset, blob_end)``.  Either way: one ``RDMA_READ``.
-    Returns ``(offset, length)``.
+    ``[overflow_offset, blob_end)``.  Returns ``(offset, length)``.
+    What a fetch actually posts is :func:`cluster_read_ranges`.
     """
     if not 0 <= cluster_id < metadata.num_clusters:
         raise LayoutError(f"cluster id {cluster_id} out of range")
@@ -259,3 +278,58 @@ def cluster_read_extent(metadata: GlobalMetadata,
         start = group.overflow_offset
         end = cluster.blob_offset + cluster.blob_length
     return start, end - start
+
+
+def cluster_read_ranges(metadata: GlobalMetadata, cluster_id: int,
+                        slots: int, merge_hole_bytes: float = 0
+                        ) -> tuple[tuple[int, int], ...]:
+    """The ``(offset, length)`` ranges one fetch of a cluster posts: its
+    blob, the group's tail word and the first ``slots`` record slots
+    (the *read* invariant of the module docstring).
+
+    ``[blob | word | slots)`` is a contiguous prefix of a first (or
+    unpaired) member's extent: one range.  A second member's
+    ``[word | slots)`` and ``[blob]`` are separated by the slots not
+    read: two ranges, posted as two WQEs of the same ring — unless that
+    hole is no wider than ``merge_hole_bytes``, the width below which
+    moving the hole is cheaper than the extra WQE under the caller's
+    cost model; then the whole extent goes as one range.  ``slots`` past
+    the capacity reads the whole area.
+    """
+    if slots < 0:
+        raise ValueError(f"slots must be >= 0, got {slots}")
+    start, length = cluster_read_extent(metadata, cluster_id)
+    cluster = metadata.clusters[cluster_id]
+    group = metadata.groups[cluster.group_id]
+    live_end = overflow_slot_offset(group.overflow_offset, metadata.dim,
+                                    min(slots, group.capacity_records))
+    if cluster.blob_offset < group.overflow_offset:
+        return ((start, live_end - start),)
+    if cluster.blob_offset - live_end <= merge_hole_bytes:
+        return ((start, length),)
+    return ((start, live_end - start),
+            (cluster.blob_offset, cluster.blob_length))
+
+
+def overflow_delta_ranges(group: GroupEntry, dim: int, start: int,
+                          tail: int, merge_hole_bytes: float = 0
+                          ) -> tuple[tuple[int, int], ...]:
+    """The ranges of one group's delta read: its tail word, then record
+    slots ``[start, tail)``.
+
+    The word rides along so that a cutover which sealed the area since
+    the caller learned ``tail`` is seen before anything is grafted.  Two
+    ranges, or one contiguous ``[word, tail)`` when the ``start`` slots
+    between them are no wider than ``merge_hole_bytes``; either way the
+    word is the first eight bytes of the first payload and the records
+    are the last ``tail - start`` records of the last.
+    """
+    if not 0 <= start < tail <= group.capacity_records:
+        raise ValueError(
+            f"delta [{start}, {tail}) outside a {group.capacity_records}-"
+            f"slot area")
+    first = overflow_slot_offset(group.overflow_offset, dim, start)
+    end = overflow_slot_offset(group.overflow_offset, dim, tail)
+    if first - (group.overflow_offset + OVERFLOW_TAIL_BYTES) <= merge_hole_bytes:
+        return ((group.overflow_offset, end - group.overflow_offset),)
+    return (overflow_tail_extent(group), (first, end - first))

@@ -313,6 +313,9 @@ class MutationEngine:
             if claimed < count:
                 host.transport.faa(host.layout.rkey, tail_addr,
                                    -(count - claimed))
+        # The FAA's answer is a tail word like any other: this client's
+        # next fetch of the group reads as far as its own records.
+        host.engine.decoder.note_tail(group_id, slot0 + claimed)
         return slot0, claimed
 
     # -- shared helpers ----------------------------------------------------
@@ -330,6 +333,8 @@ class MutationEngine:
                 if cid == record.cluster_id:
                     entry.overflow.append(record)
                 entry.overflow_tail = slot + 1
+                self.host.engine.fetcher.grow(
+                    entry, overflow_record_size(self.host.metadata.dim))
 
     # -- rebuild ----------------------------------------------------------
     def rebuild_group(self, group_id: int,

@@ -1,26 +1,43 @@
-"""Decoder stage: fetched extents to :class:`CachedCluster` entries.
+"""Decoder stage: fetched ranges to :class:`CachedCluster` entries.
 
-Splits a cluster's contiguous read extent into the serialized sub-HNSW
-blob and the group's overflow area and deserializes both.  Owns the
-simulation-only retention of decoded bases; the simulated CPU cost of a
-decode is posted by the wave loop, which knows when a READ is in flight.
+Finds the serialized sub-HNSW blob, the group's tail word and the record
+slots in the ranges a fetch brought in
+(:func:`~repro.layout.group_layout.cluster_read_ranges`) and deserializes
+them.  Owns what this client remembers of remote bytes it has decoded:
+the simulation-only retention of decoded bases, and the live tail last
+seen per group, from which the fetcher sizes its next read.  The
+simulated CPU cost of a decode is posted by the wave loop, which knows
+when a READ is in flight.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.cache import CachedCluster
 from repro.errors import LayoutError
 from repro.layout.group_layout import (
+    OVERFLOW_TAIL_BYTES,
     live_overflow_count,
     unpack_overflow_area,
 )
-from repro.layout.serializer import deserialize_cluster
+from repro.layout.serializer import deserialize_cluster, overflow_record_size
 
 __all__ = ["Decoder"]
 
 
+def _locate(ranges: Sequence[tuple[int, int]], payloads: Sequence,
+            offset: int, what: str) -> tuple["bytes | memoryview", int, int]:
+    """The payload holding region ``offset``: ``(payload, offset within
+    it, region offset of its end)``."""
+    for (start, length), payload in zip(ranges, payloads):
+        if start <= offset < start + length:
+            return payload, offset - start, start + length
+    raise LayoutError(f"fetched ranges {list(ranges)} miss {what} at {offset}")
+
+
 class Decoder:
-    """Deserializes fetched extents, retaining each cluster's decoded base."""
+    """Deserializes fetched ranges, retaining each cluster's decoded base."""
 
     def __init__(self, host) -> None:
         self.host = host
@@ -32,6 +49,10 @@ class Decoder:
         # regardless; this just keeps the simulator's wall-clock time
         # proportional to unique blobs rather than total fetches.
         self._bases: dict[int, CachedCluster] = {}
+        # Per group: (group version, live tail) of the last tail word this
+        # client decoded.  A hint only — it sizes the next read, and the
+        # word inside that read's payload overrules it.
+        self._tails: dict[int, tuple[int, int]] = {}
 
     def drop_memo(self) -> None:
         """Forget retained bases (no simulated-cost effect).
@@ -43,9 +64,35 @@ class Decoder:
         """
         self._bases.clear()
 
-    def decode_extent(self, cluster_id: int, extent_offset: int,
-                      payload: "bytes | memoryview") -> CachedCluster:
-        """Split a fetched extent into blob + overflow and deserialize.
+    # -- live-tail memory -------------------------------------------------
+    def note_tail(self, group_id: int, tail: int) -> None:
+        """Remember ``tail`` as the live record count last seen for the
+        group at its current version."""
+        self._tails[group_id] = (
+            self.host.metadata.groups[group_id].version, tail)
+
+    def tail_seen(self, group_id: int) -> int:
+        """The live tail last seen for the group's *current* version; 0
+        for a group never read or rebuilt since (its area restarts)."""
+        version, tail = self._tails.get(group_id, (None, 0))
+        if version != self.host.metadata.groups[group_id].version:
+            return 0
+        return tail
+
+    def decode_extent(self, cluster_id: int,
+                      ranges: Sequence[tuple[int, int]],
+                      payloads: Sequence["bytes | memoryview"]
+                      ) -> CachedCluster:
+        """Deserialize one fetched cluster from the ``ranges`` read for it.
+
+        The tail word in the payload decides how many records are live; a
+        sealed word — a cutover retired the extent between the metadata
+        refresh and the READ — surfaces as a retryable ``StaleReadError``
+        before anything retained is consulted.  The entry holds the live
+        records the payload carries: ``overflow_tail`` is the live count,
+        or the number of slots read when that is smaller (slots past the
+        live count are never parsed; the fetcher tops a short entry up
+        from :meth:`tail_seen` before admitting it).
 
         The blob is deserialized once per *extent epoch* — ``(group
         version, blob offset, blob length)``, which names the bytes: an
@@ -54,11 +101,8 @@ class Decoder:
         bumped the stamp and every reader has observed it.  A cluster's
         slot is replaced when its epoch moves, so at most one base per
         cluster is held and none is served past its extent's retirement.
-        The overflow tail is parsed on every call.  The caller charges
-        the simulated cost on every call either way, since a real compute
-        instance re-parses every fetch.  A cutover that sealed the extent
-        between the metadata refresh and the READ surfaces as a retryable
-        ``StaleReadError`` before anything retained is consulted.
+        The caller charges the simulated cost on every call either way,
+        since a real compute instance re-parses every fetch.
 
         Zero-copy: a ``memoryview`` payload is sliced, never materialized
         — the decoded index's vector store is a frozen NumPy view over
@@ -67,16 +111,22 @@ class Decoder:
         host = self.host
         cluster = host.metadata.clusters[cluster_id]
         group = host.metadata.groups[cluster.group_id]
-        area_start = group.overflow_offset - extent_offset
-        count = live_overflow_count(payload, group.capacity_records,
+        area, area_start, area_end = _locate(
+            ranges, payloads, group.overflow_offset, "the tail word")
+        count = live_overflow_count(area, group.capacity_records,
                                     f"extent of cluster {cluster_id}",
                                     offset=area_start)
+        self.note_tail(cluster.group_id, count)
+        carried = ((area_end - group.overflow_offset - OVERFLOW_TAIL_BYTES)
+                   // overflow_record_size(host.metadata.dim))
+        parsed = min(count, carried)
         epoch = (group.version, cluster.blob_offset, cluster.blob_length)
         base = self._bases.get(cluster_id)
         if base is None or base.extent_epoch != epoch:
-            blob_start = cluster.blob_offset - extent_offset
+            blob, blob_start, _ = _locate(ranges, payloads,
+                                          cluster.blob_offset, "the blob")
             index, parsed_cid = deserialize_cluster(
-                payload[blob_start:blob_start + cluster.blob_length],
+                blob[blob_start:blob_start + cluster.blob_length],
                 host.config.sub_params)
             if parsed_cid != cluster_id:
                 raise LayoutError(
@@ -84,13 +134,14 @@ class Decoder:
                     f"cluster {parsed_cid} — stale offsets?")
             base = self._bases[cluster_id] = CachedCluster(
                 cluster_id=cluster_id, index=index, overflow=[],
-                overflow_tail=0, extent_epoch=epoch, nbytes=len(payload))
-        # Every entry gets its own overflow list: cache-side tail
-        # refreshes extend it in place.
+                overflow_tail=0, extent_epoch=epoch, nbytes=0)
+        # Every entry gets its own overflow list: tail top-ups extend it
+        # in place.
         return CachedCluster(
             cluster_id=cluster_id, index=base.index,
-            overflow=unpack_overflow_area(payload[area_start:],
-                                          host.metadata.dim, count,
+            overflow=unpack_overflow_area(area[area_start:],
+                                          host.metadata.dim, parsed,
                                           cluster_id),
-            overflow_tail=count, extent_epoch=epoch, nbytes=len(payload),
+            overflow_tail=parsed, extent_epoch=epoch,
+            nbytes=sum(len(payload) for payload in payloads),
             labels=base.labels)

@@ -2,22 +2,26 @@
 
 All remote bytes the serving path touches flow through this stage, and it
 speaks only :class:`repro.transport.base.Transport` verbs — never the raw
-queue pair.  The fetcher also owns cache admission (LRU + DRAM spill) and
-the overflow-tail freshness check for cache hits, because both are
-decisions about what was just fetched.
+queue pair.  A fetch reads what is live, not what is reserved: the blob,
+the tail word and as many record slots as the group's last seen tail plus
+:data:`TAIL_SLACK_SLOTS` (``layout.group_layout.cluster_read_ranges``);
+the word in the payload then says whether that was enough, and
+:meth:`Fetcher.top_up` brings in what was not.  The fetcher also owns
+cache admission (LRU + DRAM spill) and the overflow-tail freshness check
+for cache hits, because both are decisions about what was just fetched.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.cache import CachedCluster
 from repro.core.query_planner import Wave
 from repro.errors import LayoutError
 from repro.layout.group_layout import (
-    cluster_read_extent,
+    cluster_read_ranges,
     live_overflow_count,
-    overflow_slot_offset,
+    overflow_delta_ranges,
     overflow_tail_extent,
 )
 from repro.layout.serializer import (
@@ -28,7 +32,20 @@ from repro.serving.decoder import Decoder
 from repro.serving.trace import TraceContext, span
 from repro.transport import PendingRead, ReadDescriptor
 
-__all__ = ["Fetcher"]
+__all__ = ["Fetcher", "TAIL_SLACK_SLOTS"]
+
+#: Record slots a fetch reads past the group's last seen tail.  Priced
+#: from the cost model's defaults: a spare 128-d slot is 524 B, ~0.09 µs
+#: of wire + deserialize on every fetch; a record that landed beyond the
+#: slots read costs a delta ring, >= 2.3 µs on the wave's critical path.
+#: Four slots make the ring rare under a write-heavy mix (``churn_mixed``:
+#: ~0.3 writes land in a group between two reads of it; the sweep is in
+#: CHANGES.md, PR 17) for ~0.4 µs per fetch.
+TAIL_SLACK_SLOTS = 4
+
+#: One fetched cluster: ``(cluster id, ranges read for it)``; a READ's
+#: payloads line up with the ranges of all its extents, flattened.
+Extent = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class Fetcher:
@@ -39,34 +56,52 @@ class Fetcher:
         self.decoder = decoder
 
     # -- descriptor construction ----------------------------------------
-    def extent_descriptors(self, cluster_ids: Sequence[int]
-                           ) -> tuple[list[ReadDescriptor],
-                                      list[tuple[int, int, int]]]:
-        """READ descriptors + ``(cid, offset, length)`` extents for a set
-        of clusters (shared by the sync and async fetch paths)."""
+    def merge_hole_bytes(self) -> float:
+        """Widest hole worth reading through rather than posting one more
+        WQE: what that WQE costs under the client's scheme (a PCIe fetch
+        in a doorbell ring, a whole round trip without) over what a byte
+        costs to move and deserialize."""
         host = self.host
-        descriptors = []
+        cost = host.cost_model
+        wqe_us = cost.pcie_us_per_wqe
+        if not host.policy.doorbell_batching:
+            wqe_us += cost.base_rtt_us
+        return wqe_us / (cost.transfer_us(1) + cost.deserialize_us(1))
+
+    def _descriptors(self, ranges: Iterable[tuple[int, int]]
+                     ) -> list[ReadDescriptor]:
+        layout = self.host.layout
+        return [ReadDescriptor(layout.rkey, layout.addr(offset), length)
+                for offset, length in ranges]
+
+    def extent_descriptors(self, cluster_ids: Sequence[int]
+                           ) -> tuple[list[ReadDescriptor], list[Extent]]:
+        """READ descriptors + extents for a set of clusters (shared by the
+        sync and async fetch paths)."""
+        metadata = self.host.metadata
+        merge = self.merge_hole_bytes()
         extents = []
         for cid in cluster_ids:
-            offset, length = cluster_read_extent(host.metadata, cid)
-            descriptors.append(ReadDescriptor(
-                host.layout.rkey, host.layout.addr(offset), length))
-            extents.append((cid, offset, length))
-        return descriptors, extents
+            group_id = metadata.clusters[cid].group_id
+            extents.append((cid, cluster_read_ranges(
+                metadata, cid,
+                self.decoder.tail_seen(group_id) + TAIL_SLACK_SLOTS, merge)))
+        return self._descriptors(
+            piece for _, ranges in extents for piece in ranges), extents
 
     # -- synchronous / asynchronous fetch --------------------------------
     def read(self, cluster_ids: Sequence[int], doorbell: bool,
              trace: TraceContext | None = None
-             ) -> tuple[list[tuple[int, int, int]], list[bytes]]:
-        """Blocking READ of each cluster's contiguous extent (blob +
-        overflow); returns ``(extents, payloads)``."""
+             ) -> tuple[list[Extent], list[bytes]]:
+        """Blocking READ of each cluster's live ranges (blob + tail word +
+        record slots); returns ``(extents, payloads)``."""
         descriptors, extents = self.extent_descriptors(cluster_ids)
         with span(trace, "fetch"):
             return extents, self.host.transport.read_batch(
                 descriptors, doorbell=doorbell)
 
     def issue_async(self, cluster_ids: Sequence[int], doorbell: bool
-                    ) -> tuple[PendingRead, list[tuple[int, int, int]]]:
+                    ) -> tuple[PendingRead, list[Extent]]:
         """Issue a non-blocking doorbell fetch; pair with :meth:`poll`."""
         descriptors, extents = self.extent_descriptors(cluster_ids)
         token = self.host.transport.read_batch_async(descriptors,
@@ -80,11 +115,11 @@ class Fetcher:
             return self.host.transport.poll(token)
 
     # -- cache admission --------------------------------------------------
-    def cache_put(self, entry: CachedCluster,
-                  count_miss: bool = True) -> None:
-        """Insert into the cache, spilling LRU entries if DRAM is tight."""
+    def _reserve_dram(self, nbytes: int, cluster_id: int) -> None:
+        """Reserve ``nbytes`` for cluster ``cluster_id``, spilling LRU
+        entries if DRAM is tight."""
         host = self.host
-        while not host.node.reserve_dram(entry.nbytes):
+        while not host.node.reserve_dram(nbytes):
             victim = host.cache.pop_lru()
             if victim is None:
                 if len(host.cache):
@@ -93,30 +128,51 @@ class Fetcher:
                     # right now.  Over-commit the budget
                     # transiently instead; pressure resolves once the
                     # pins drop and a later put evicts.
-                    host.node.reserve_dram(entry.nbytes, force=True)
+                    host.node.reserve_dram(nbytes, force=True)
                     break
                 raise LayoutError(
-                    f"cluster {entry.cluster_id} ({entry.nbytes} B) cannot "
+                    f"cluster {cluster_id} ({nbytes} B) cannot "
                     f"fit in compute DRAM even with an empty cache")
             host.node.release_dram(victim.nbytes)
+
+    def cache_put(self, entry: CachedCluster,
+                  count_miss: bool = True) -> None:
+        """Insert into the cache, spilling LRU entries if DRAM is tight."""
+        host = self.host
+        self._reserve_dram(entry.nbytes, entry.cluster_id)
         for victim in host.cache.put(entry, count_miss=count_miss):
             host.node.release_dram(victim.nbytes)
 
+    def grow(self, entry: CachedCluster, nbytes: int) -> None:
+        """Account ``nbytes`` more held by ``entry`` (grafted records); a
+        resident entry reserves them now, a fresh one at admission."""
+        host = self.host
+        if host.cache.grow(entry, nbytes):
+            # Pinned so the spill cannot pick the entry it makes room for.
+            host.cache.pin(entry)
+            try:
+                self._reserve_dram(nbytes, entry.cluster_id)
+            finally:
+                host.cache.unpin(entry)
+
     # -- wave loading -----------------------------------------------------
-    def admit(self, extents: list[tuple[int, int, int]],
-              payloads: list[bytes], execution,
-              trace: TraceContext | None = None,
+    def admit(self, extents: list[Extent], payloads: list[bytes],
+              execution, trace: TraceContext | None = None,
               count_miss: bool = True) -> dict[int, CachedCluster]:
-        """Decode fetched extents, count them and their decode cost on
-        ``execution`` (the wave loop charges it), and cache them."""
+        """Decode fetched extents, top up the ones that ran short, count
+        them and their decode cost on ``execution`` (the wave loop charges
+        it), and cache them."""
         host = self.host
         loaded: dict[int, CachedCluster] = {}
         with span(trace, "decode"):
-            for (cid, offset, _), payload in zip(extents, payloads):
-                execution.decode_backlog_us += (
-                    host.cost_model.deserialize_us(len(payload)))
-                loaded[cid] = self.decoder.decode_extent(cid, offset,
-                                                         payload)
+            parts = iter(payloads)
+            for cid, ranges in extents:
+                pieces = [next(parts) for _ in ranges]
+                execution.decode_backlog_us += host.cost_model.deserialize_us(
+                    sum(len(piece) for piece in pieces))
+                loaded[cid] = self.decoder.decode_extent(cid, ranges, pieces)
+        execution.decode_backlog_us += host.cost_model.deserialize_us(
+            self.top_up(loaded.values(), trace))
         execution.fetched += len(loaded)
         if host.policy.use_cluster_cache:
             for entry in loaded.values():
@@ -154,45 +210,82 @@ class Fetcher:
 
         Tail counters are 8-byte READs, doorbell-batched under the full
         scheme, so observing concurrent inserts costs a fraction of a
-        round trip per batch.
+        round trip per batch; the deltas of every stale group then share
+        one more ring (:meth:`top_up`).
         """
         host = self.host
-        by_group: dict[int, list[int]] = {}
-        for cid in cluster_ids:
-            if host.cache.peek(cid) is not None:
-                by_group.setdefault(
-                    host.metadata.clusters[cid].group_id, []).append(cid)
-        if not by_group:
+        metadata = host.metadata
+        cached = [entry for entry in map(host.cache.peek, cluster_ids)
+                  if entry is not None]
+        group_ids = sorted({metadata.clusters[entry.cluster_id].group_id
+                            for entry in cached})
+        if not group_ids:
             return
-        group_ids = sorted(by_group)
-        descriptors = []
-        for gid in group_ids:
-            offset, length = overflow_tail_extent(host.metadata.groups[gid])
-            descriptors.append(ReadDescriptor(
-                host.layout.rkey, host.layout.addr(offset), length))
+        descriptors = self._descriptors(
+            overflow_tail_extent(metadata.groups[gid]) for gid in group_ids)
         with span(trace, "fetch"):
             payloads = host.transport.read_batch(
                 descriptors, doorbell=host.policy.doorbell_batching)
-        dim = host.metadata.dim
         for gid, payload in zip(group_ids, payloads):
-            group = host.metadata.groups[gid]
             # A sealed tail means the group was relocated by a cutover
             # after this plan's metadata refresh; never graft records
             # from a retired epoch onto cached entries.
-            tail = live_overflow_count(payload, group.capacity_records,
-                                       f"overflow tail of group {gid}")
-            for cid in by_group[gid]:
-                entry = host.cache.peek(cid)
-                if entry is None or entry.overflow_tail >= tail:
-                    continue
-                delta = tail - entry.overflow_tail
-                with span(trace, "fetch"):
-                    blob = host.transport.read(
-                        host.layout.rkey,
-                        host.layout.addr(overflow_slot_offset(
-                            group.overflow_offset, dim,
-                            entry.overflow_tail)),
-                        delta * overflow_record_size(dim))
-                entry.overflow.extend(
-                    unpack_overflow_records(blob, dim, delta, cid))
-                entry.overflow_tail = tail
+            self.decoder.note_tail(gid, live_overflow_count(
+                payload, metadata.groups[gid].capacity_records,
+                f"overflow tail of group {gid}"))
+        self.top_up(cached, trace)
+
+    def top_up(self, entries: Iterable[CachedCluster],
+               trace: TraceContext | None = None) -> int:
+        """Graft onto ``entries`` the records between their own tail and
+        the live tail last seen for their group; returns the bytes read.
+
+        One ring for all of them, one delta per group however many of its
+        members lag (:func:`~repro.layout.group_layout.overflow_delta_ranges`).
+        Shared by fetched extents whose slots ran short and by cached
+        entries a peer's insert left behind.  Each delta re-reads its
+        group's tail word: a cutover since the tail was learned is a
+        retryable ``StaleReadError``, never a graft from the retired area.
+        """
+        host = self.host
+        metadata = host.metadata
+        lagging: list[tuple[int, CachedCluster]] = []
+        starts: dict[int, int] = {}
+        for entry in entries:
+            gid = metadata.clusters[entry.cluster_id].group_id
+            if entry.overflow_tail < self.decoder.tail_seen(gid):
+                lagging.append((gid, entry))
+                starts[gid] = min(starts.get(gid, entry.overflow_tail),
+                                  entry.overflow_tail)
+        if not lagging:
+            return 0
+        dim = metadata.dim
+        merge = self.merge_hole_bytes()
+        deltas = [(gid, start, self.decoder.tail_seen(gid),
+                   overflow_delta_ranges(metadata.groups[gid], dim, start,
+                                         self.decoder.tail_seen(gid), merge))
+                  for gid, start in sorted(starts.items())]
+        with span(trace, "fetch"):
+            payloads = host.transport.read_batch(
+                self._descriptors(piece for *_, ranges in deltas
+                                  for piece in ranges),
+                doorbell=host.policy.doorbell_batching)
+        record_size = overflow_record_size(dim)
+        records: dict[int, tuple[int, int, "bytes | memoryview"]] = {}
+        parts = iter(payloads)
+        for gid, start, tail, ranges in deltas:
+            pieces = [next(parts) for _ in ranges]
+            live_overflow_count(pieces[0],
+                                metadata.groups[gid].capacity_records,
+                                f"overflow tail of group {gid}")
+            records[gid] = (start, tail,
+                            pieces[-1][-(tail - start) * record_size:])
+        for gid, entry in lagging:
+            start, tail, blob = records[gid]
+            missing = tail - entry.overflow_tail
+            entry.overflow.extend(unpack_overflow_records(
+                blob[(entry.overflow_tail - start) * record_size:], dim,
+                missing, entry.cluster_id))
+            entry.overflow_tail = tail
+            self.grow(entry, missing * record_size)
+        return sum(len(payload) for payload in payloads)

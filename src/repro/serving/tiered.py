@@ -128,7 +128,10 @@ class TieredClusterStore:
         return hot, max(0, tiered - hot), promoting
 
     def hot_tier_bytes(self) -> int:
-        """Full-precision bytes the current hot set pins in DRAM."""
+        """Full-precision bytes the current hot set can pin in DRAM:
+        whole extents, the worst case of every overflow slot live (an
+        entry's own ``nbytes`` is what it read), so a promotion decided
+        here never has to be revisited as a group fills."""
         metadata = self.host.metadata
         return sum(cluster_read_extent(metadata, cid)[1]
                    for cid in self.hot_ids)

@@ -88,7 +88,7 @@ class TestBookkeeping:
         rng = np.random.default_rng(7)
         cache = ClusterCache(5)
         for step in range(300):
-            op = rng.integers(0, 5)
+            op = rng.integers(0, 6)
             cid = int(rng.integers(0, 12))
             if op <= 1:
                 cache.put(make_entry(cid, int(rng.integers(1, 500))))
@@ -96,6 +96,8 @@ class TestBookkeeping:
                 cache.pop_lru()
             elif op == 3:
                 cache.invalidate(cid)
+            elif op == 4 and cache.peek(cid) is not None:
+                cache.grow(cache.peek(cid), int(rng.integers(1, 50)))
             else:
                 cache.get(cid)
             if step % 50 == 49:
@@ -103,6 +105,18 @@ class TestBookkeeping:
             brute_force = sum(entry.nbytes
                               for entry in cache._entries.values())
             assert cache.cached_bytes == brute_force
+
+    def test_grow_counts_resident_entries_only(self):
+        cache = ClusterCache(2)
+        resident, fresh = make_entry(1, 10), make_entry(2, 10)
+        cache.put(resident)
+        assert cache.grow(resident, 5) and resident.nbytes == 15
+        assert not cache.grow(fresh, 7) and fresh.nbytes == 17
+        assert cache.cached_bytes == 15
+        # A replaced entry is no longer the resident one.
+        cache.put(make_entry(1, 40))
+        assert not cache.grow(resident, 1)
+        assert cache.cached_bytes == 40
 
     def test_invalidate(self):
         cache = ClusterCache(2)

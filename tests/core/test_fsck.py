@@ -133,6 +133,34 @@ class TestCorruptionDetection:
                    for finding in report.findings)
 
 
+    def test_blob_detached_from_its_overflow_area_flagged(
+            self, mutable_deployment):
+        """The layout invariant: a member whose blob no longer touches its
+        group's area has an extent full of other clusters' bytes."""
+        import dataclasses
+
+        from repro.layout.metadata import GlobalMetadata
+        layout = mutable_deployment.layout
+        metadata = layout.metadata
+        entry = metadata.clusters[1]
+        blob = bytes(layout.memory_node.read(
+            layout.rkey, layout.addr(entry.blob_offset), entry.blob_length))
+        moved = layout.allocator.allocate(entry.blob_length)
+        corrupt(layout, moved, blob)
+        clusters = list(metadata.clusters)
+        clusters[1] = dataclasses.replace(entry, blob_offset=moved)
+        corrupt(layout, 0, GlobalMetadata(
+            version=metadata.version, dim=metadata.dim,
+            overflow_capacity_records=metadata.overflow_capacity_records,
+            clusters=clusters, groups=metadata.groups,
+            cold=metadata.cold).pack())
+        report = fsck(layout)
+        assert not report.clean
+        assert any(finding.location == "cluster 1"
+                   and "not contiguous" in finding.message
+                   for finding in report.findings)
+
+
 class TestFindingFormat:
     def test_str_includes_severity_and_location(self):
         finding = Finding("error", "cluster 2", "boom")

@@ -1,4 +1,5 @@
-"""Group planning geometry and contiguous read extents."""
+"""Group planning geometry, contiguous extents and the ranges a fetch
+posts of them."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ from repro.errors import LayoutError
 from repro.layout.group_layout import (
     OVERFLOW_TAIL_BYTES,
     cluster_read_extent,
+    cluster_read_ranges,
     overflow_area_size,
+    overflow_delta_ranges,
+    overflow_slot_offset,
     plan_groups,
 )
 from repro.layout.metadata import GlobalMetadata
@@ -143,3 +147,108 @@ class TestReadExtent:
             assert entry.blob_offset + entry.blob_length <= offset + length
             assert offset <= group.overflow_offset
             assert group.overflow_offset + area <= offset + length
+
+
+def covered(ranges, first, end):
+    return any(offset <= first and end <= offset + length
+               for offset, length in ranges)
+
+
+class TestReadRanges:
+    """The *read* invariant: at most two ranges inside the member's
+    extent, covering the blob, the word and every slot below ``slots``."""
+
+    def test_first_member_reads_a_prefix_of_its_extent(self):
+        plans, metadata = plan_and_metadata([100, 200])
+        (offset, length), = cluster_read_ranges(metadata, 0, 3)
+        assert offset == plans[0].first_offset
+        assert offset + length == overflow_slot_offset(
+            plans[0].overflow_offset, 4, 3)
+
+    def test_second_member_reads_prefix_and_blob_as_two_ranges(self):
+        plans, metadata = plan_and_metadata([100, 200])
+        prefix, blob = cluster_read_ranges(metadata, 1, 3)
+        assert prefix == (plans[0].overflow_offset,
+                          OVERFLOW_TAIL_BYTES + 3 * overflow_record_size(4))
+        assert blob == (plans[0].second_offset, 200)
+
+    def test_unpaired_member_reads_a_prefix(self):
+        plans, metadata = plan_and_metadata([100, 200, 300])
+        (offset, length), = cluster_read_ranges(metadata, 2, 0)
+        assert offset == plans[1].first_offset
+        assert offset + length == (plans[1].overflow_offset
+                                   + OVERFLOW_TAIL_BYTES)
+
+    def test_narrow_hole_is_read_through(self):
+        _, metadata = plan_and_metadata([100, 200])
+        record = overflow_record_size(4)
+        # Five empty slots lie between the prefix and the second blob.
+        assert len(cluster_read_ranges(metadata, 1, 3, 5 * record - 1)) == 2
+        assert cluster_read_ranges(metadata, 1, 3, 5 * record) == (
+            cluster_read_extent(metadata, 1),)
+
+    @pytest.mark.parametrize("cid", [0, 1, 2])
+    def test_slots_at_or_past_capacity_read_the_whole_extent(self, cid):
+        _, metadata = plan_and_metadata([100, 200, 300])
+        for slots in (8, 9, 1000):
+            assert cluster_read_ranges(metadata, cid, slots) == (
+                cluster_read_extent(metadata, cid),)
+
+    def test_bad_arguments_rejected(self):
+        _, metadata = plan_and_metadata([100])
+        with pytest.raises(ValueError, match="slots"):
+            cluster_read_ranges(metadata, 0, -1)
+        with pytest.raises(LayoutError, match="out of range"):
+            cluster_read_ranges(metadata, 5, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=2000),
+                          min_size=1, max_size=7),
+           capacity=st.integers(min_value=0, max_value=12),
+           slots=st.integers(min_value=0, max_value=16),
+           merge=st.integers(min_value=0, max_value=400))
+    def test_invariant(self, sizes, capacity, slots, merge):
+        _, metadata = plan_and_metadata(sizes, capacity=capacity)
+        for cid, entry in enumerate(metadata.clusters):
+            ranges = cluster_read_ranges(metadata, cid, slots, merge)
+            start, length = cluster_read_extent(metadata, cid)
+            group = metadata.groups[entry.group_id]
+            assert 1 <= len(ranges) <= 2
+            assert all(start <= offset and offset + nbytes <= start + length
+                       for offset, nbytes in ranges)
+            assert covered(ranges, entry.blob_offset,
+                           entry.blob_offset + entry.blob_length)
+            assert covered(ranges, group.overflow_offset, overflow_slot_offset(
+                group.overflow_offset, 4, min(slots, capacity)))
+            # Never more than the slots asked for, but for a merged hole.
+            if sum(nbytes for _, nbytes in ranges) > (
+                    entry.blob_length + 7 + OVERFLOW_TAIL_BYTES
+                    + min(slots, capacity) * overflow_record_size(4)):
+                assert len(ranges) == 1 and merge > 0
+
+
+class TestDeltaRanges:
+    def test_word_then_records(self):
+        plans, metadata = plan_and_metadata([100, 200])
+        group = metadata.groups[0]
+        record = overflow_record_size(4)
+        word, records = overflow_delta_ranges(group, 4, 3, 5)
+        assert word == (group.overflow_offset, OVERFLOW_TAIL_BYTES)
+        assert records == (overflow_slot_offset(group.overflow_offset, 4, 3),
+                           2 * record)
+
+    def test_records_next_to_the_word_share_its_range(self):
+        _, metadata = plan_and_metadata([100, 200])
+        group = metadata.groups[0]
+        record = overflow_record_size(4)
+        assert overflow_delta_ranges(group, 4, 0, 2) == (
+            (group.overflow_offset, OVERFLOW_TAIL_BYTES + 2 * record),)
+        # ... as do records behind a hole cheaper than one more WQE.
+        assert overflow_delta_ranges(group, 4, 3, 5, 3 * record) == (
+            (group.overflow_offset, OVERFLOW_TAIL_BYTES + 5 * record),)
+
+    @pytest.mark.parametrize("start,tail", [(-1, 2), (2, 2), (3, 2), (0, 9)])
+    def test_empty_or_out_of_area_delta_rejected(self, start, tail):
+        _, metadata = plan_and_metadata([100, 200])
+        with pytest.raises(ValueError, match="delta"):
+            overflow_delta_ranges(metadata.groups[0], 4, start, tail)

@@ -71,19 +71,24 @@ def overlap_saved(profiles: list[tuple[float, float]]) -> float:
 
 class _DeserializeLedger:
     """The monolith's decoder side channel: every ``decode_extent`` adds
-    the payload's simulated deserialize cost; the schedules drain it."""
+    the simulated deserialize cost of the payloads it was handed (and
+    ``_decode`` that of a short read's delta ring); the schedules drain
+    it."""
 
     def __init__(self, decoder) -> None:
         self.pending_us = 0.0
         decode_extent = decoder.decode_extent
-        cost_model = decoder.host.cost_model
+        self.cost_model = decoder.host.cost_model
 
-        def counted(cluster_id, extent_offset, payload):
-            self.pending_us += cost_model.deserialize_us(len(payload))
-            return decode_extent(cluster_id, extent_offset, payload)
+        def counted(cluster_id, ranges, payloads):
+            self.add(sum(len(payload) for payload in payloads))
+            return decode_extent(cluster_id, ranges, payloads)
 
         decoder.decode_extent = counted
-        decoder.drain_deserialize_us = self.drain
+        decoder.deserialize_ledger = self
+
+    def add(self, nbytes: int) -> None:
+        self.pending_us += self.cost_model.deserialize_us(nbytes)
 
     def drain(self) -> float:
         pending, self.pending_us = self.pending_us, 0.0
@@ -180,9 +185,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             if (index + 1 < len(waves)
                     and waves[index + 1].fetch_cluster_ids):
                 pending, pending_index = issue(index + 1), index + 1
-            loaded = {cid: decoder.decode_extent(cid, offset, payload)
-                      for (cid, offset, _), payload
-                      in zip(extents, payloads)}
+            loaded = _decode(host, extents, payloads)
             execution.fetched += len(loaded)
             for entry in loaded.values():
                 if host.policy.use_cluster_cache:
@@ -195,7 +198,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             if (index + 1 < len(waves)
                     and waves[index + 1].fetch_cluster_ids):
                 pending, pending_index = issue(index + 1), index + 1
-        deserialize_us = decoder.drain_deserialize_us()
+        deserialize_us = decoder.deserialize_ledger.drain()
         charged = host.node.charge_time(deserialize_us)
         wave_evals = _run_wave_compute(host, wave, entries, queries,
                                        merger, k, ef)
@@ -229,13 +232,25 @@ def _extent_descriptors(host, cluster_ids: list[int]):
     return host.engine.fetcher.extent_descriptors(cluster_ids)
 
 
+def _decode(host, extents, payloads) -> dict[int, CachedCluster]:
+    """Decode one READ's extents; entries whose slots ran short of the
+    tail word are topped up by the fetcher's delta ring (substrate, like
+    the descriptors), its bytes deserialized like any others."""
+    decoder = host.engine.decoder
+    parts = iter(payloads)
+    loaded = {cid: decoder.decode_extent(cid, ranges,
+                                         [next(parts) for _ in ranges])
+              for cid, ranges in extents}
+    decoder.deserialize_ledger.add(
+        host.engine.fetcher.top_up(loaded.values()))
+    return loaded
+
+
 def _fetch_clusters(host, cluster_ids: list[int],
                     doorbell: bool) -> dict[int, CachedCluster]:
     descriptors, extents = _extent_descriptors(host, cluster_ids)
     payloads = host.transport.read_batch(descriptors, doorbell=doorbell)
-    decoder = host.engine.decoder
-    return {cid: decoder.decode_extent(cid, offset, payload)
-            for (cid, offset, _), payload in zip(extents, payloads)}
+    return _decode(host, extents, payloads)
 
 
 def _cache_put(host, entry: CachedCluster, count_miss: bool = True) -> None:
