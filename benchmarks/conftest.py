@@ -10,6 +10,11 @@ All latency numbers are simulated microseconds from
 :class:`repro.rdma.network.CostModel`; wall-clock timings reported by
 pytest-benchmark measure only how fast the *simulator* runs.
 
+The paper-table worlds state ``pipeline_waves=False``: the HotStorage
+loader is serial, so Tables 1-2 and Fig. 6 keep its schedule whatever the
+library serves by default (``test_ablation_pipeline.py`` sweeps the
+look-ahead on top).
+
 Result tables are printed and also written under ``benchmarks/results/``.
 """
 
@@ -72,7 +77,7 @@ def sift_world() -> BenchWorld:
                         num_clusters=100, gt_k=10, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
                          batch_size=400, overflow_capacity_records=64,
-                         seed=42)
+                         pipeline_waves=False, seed=42)
     return BenchWorld(dataset, config)
 
 
@@ -83,7 +88,7 @@ def gist_world() -> BenchWorld:
                         num_clusters=50, gt_k=10, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
                          batch_size=200, overflow_capacity_records=64,
-                         seed=42)
+                         pipeline_waves=False, seed=42)
     return BenchWorld(dataset, config)
 
 

@@ -169,7 +169,7 @@ def main() -> None:
 
     queries = dataset.queries[:scale["batch_size"]]
     serial_section, serial_ids, serial_dists, serial_client = run_queries(
-        deployment, queries, {}, scale["reps"])
+        deployment, queries, {"pipeline_waves": False}, scale["reps"])
     serial_client.close()
     piped_section, piped_ids, piped_dists, piped_client = run_queries(
         deployment, queries, {"pipeline_waves": True}, scale["reps"])

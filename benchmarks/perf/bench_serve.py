@@ -68,9 +68,9 @@ SCALES = {
 
 #: (label, config overrides) for every serving configuration measured.
 CONFIGS = [
-    ("serial", {}),
+    ("serial", {"pipeline_waves": False}),
     ("pipelined", {"pipeline_waves": True}),
-    ("workers4", {"search_workers": 4}),
+    ("workers4", {"pipeline_waves": False, "search_workers": 4}),
     ("pipelined_workers4", {"pipeline_waves": True, "search_workers": 4}),
 ]
 

@@ -67,15 +67,17 @@ class WaveExecutor:
         """Take wave ``i``'s bytes, put wave ``i+1``'s READ on the wire,
         then decode, admit and search wave ``i``.
 
-        The look-ahead needs ``config.pipeline_waves`` and two waves; the
-        schedule is then ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and
+        The look-ahead needs ``config.pipeline_waves``, a deduplicated
+        plan (naive's one blocking READ per pair *is* that baseline) and
+        two waves; the schedule is then ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and
         search being charged per wave so the poll observes them as elapsed
         time (hidden wire time lands in ``RdmaStats.overlapped_time_us``).
         Without it they are charged once, after the last wave.
         """
         host, fetcher, waves = self.host, self.fetcher, plan.waves
         doorbell = host.policy.doorbell_batching
-        look_ahead = host.config.pipeline_waves and len(waves) >= 2
+        look_ahead = (host.config.pipeline_waves
+                      and host.policy.deduplicate_batch and len(waves) >= 2)
         execution = PlanExecution(pipeline_executed=look_ahead)
         # Wave i+1's (token, extents) between its issue and its poll.
         pending: tuple | None = None

@@ -65,11 +65,17 @@ class TestTuneEfSearch:
 class TestWavePipelining:
     def test_disabled_by_default(self, built_deployment, small_config,
                                  small_dataset):
+        """The name predates the served default: the look-ahead is on
+        unless a config states the paper's serial loader, as this one
+        does."""
+        assert small_config.pipeline_waves
         client = DHnswClient(built_deployment.layout,
-                             built_deployment.meta, small_config,
+                             built_deployment.meta,
+                             small_config.replace(pipeline_waves=False),
                              cost_model=built_deployment.cost_model)
         batch = client.search_batch(small_dataset.queries, 10,
                                     ef_search=32)
+        assert batch.waves >= 2
         assert batch.overlap_saved_us == 0.0
         assert not batch.pipeline_executed
         # Nothing overlapped, so the serial reconstruction is the total.
@@ -137,7 +143,7 @@ class TestWavePipelining:
         time is charged to ``rdma.overlapped_time_us``), instead of a
         side-channel estimate next to an unchanged serial total."""
         serial = DHnswClient(built_deployment.layout, built_deployment.meta,
-                             small_config,
+                             small_config.replace(pipeline_waves=False),
                              cost_model=built_deployment.cost_model)
         piped = DHnswClient(built_deployment.layout, built_deployment.meta,
                             small_config.replace(pipeline_waves=True),
@@ -154,7 +160,7 @@ class TestWavePipelining:
                                                small_config,
                                                small_dataset):
         plain = DHnswClient(built_deployment.layout, built_deployment.meta,
-                            small_config,
+                            small_config.replace(pipeline_waves=False),
                             cost_model=built_deployment.cost_model)
         piped = DHnswClient(built_deployment.layout, built_deployment.meta,
                             small_config.replace(pipeline_waves=True),

@@ -251,13 +251,21 @@ class CutoverDuringFetch:
         self.triggered = 0
         self.read_calls = 0
 
-    def read_batch(self, descriptors, *args, **kwargs):
+    def _cut_over_once(self) -> None:
         self.read_calls += 1
         if not self.triggered and not self._rebuild.done:
             while not self._rebuild.done:
                 self._rebuild.step()
             self.triggered += 1
+
+    def read_batch(self, descriptors, *args, **kwargs):
+        self._cut_over_once()
         return self._inner.read_batch(descriptors, *args, **kwargs)
+
+    def read_batch_async(self, descriptors, *args, **kwargs):
+        # The served default: a multi-wave plan's READs are issued ahead.
+        self._cut_over_once()
+        return self._inner.read_batch_async(descriptors, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
