@@ -3,13 +3,21 @@
 All schemes share the meta-HNSW and the remote layout; they differ only in
 how sub-HNSW clusters travel from the memory pool to the compute pool:
 
-* **Naive d-HNSW** — one ``RDMA_READ`` round trip per (query, cluster)
-  pair: no cache, no batch-level deduplication, no doorbell batching.
+* **Naive d-HNSW** — one blocking fetch per (query, cluster) pair: no
+  cache, no batch-level deduplication, no doorbell batching, no
+  look-ahead.
 * **d-HNSW w/o doorbell** — meta-HNSW caching and query-aware loading
   (dedup + cluster cache), but discontinuous clusters are read in one
   round trip *each*.
 * **d-HNSW** — everything above plus doorbell batching: discontinuous
   clusters fetched in a single network round trip per doorbell ring.
+
+Without doorbell batching every WQE is a round trip of its own, so a
+fetch of a group's second member (tail word + live slots, then the blob:
+``layout.group_layout.cluster_read_ranges``) costs the first two schemes
+two round trips whenever the slots it skips would take longer to move
+than a round trip does — the cheaper choice under their own cost, which
+is why naive's round trips per query sit above ``nprobe``.
 """
 
 from __future__ import annotations

@@ -47,6 +47,9 @@ class DHnswConfig:
     overflow_capacity_records:
         Slots in each group's shared overflow area.  The paper sizes the
         area at 0.75 MB for SIFT1M; slots are the scale-free equivalent.
+        Capacity costs region bytes and sets how often a group rebuilds;
+        it does not tax reads — a fetch moves the live slots plus a small
+        slack, not the area (``layout.group_layout.cluster_read_ranges``).
     mutation_retry_limit:
         Bounded retries of the mutation path's reserve/rebuild loop when
         another writer wins a race (rebuild leadership lost, or a slot
@@ -77,7 +80,7 @@ class DHnswConfig:
         honestly — ``breakdown.network_us`` holds only the exposed wait
         and ``BatchResult.overlap_saved_us`` reports the measured overlap.
         Applies to deduplicated plans of two or more waves; the naive
-        scheme's one blocking READ per pair never overlaps.  ``False`` is
+        scheme's one blocking fetch per pair never overlaps.  ``False`` is
         the paper's serial loader (Tables 1-2, Fig. 6).
     search_workers:
         Worker processes for per-cluster searches inside a wave.  ``1``

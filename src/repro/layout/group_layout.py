@@ -294,21 +294,23 @@ def cluster_read_ranges(metadata: GlobalMetadata, cluster_id: int,
     hole is no wider than ``merge_hole_bytes``, the width below which
     moving the hole is cheaper than the extra WQE under the caller's
     cost model; then the whole extent goes as one range.  ``slots`` past
-    the capacity reads the whole area.
+    the capacity reads the whole area.  Whatever the shape, the tail word
+    lies in the first range and the blob in the last.
     """
     if slots < 0:
         raise ValueError(f"slots must be >= 0, got {slots}")
-    start, length = cluster_read_extent(metadata, cluster_id)
+    if not 0 <= cluster_id < metadata.num_clusters:
+        raise LayoutError(f"cluster id {cluster_id} out of range")
     cluster = metadata.clusters[cluster_id]
     group = metadata.groups[cluster.group_id]
-    live_end = overflow_slot_offset(group.overflow_offset, metadata.dim,
+    blob, word = cluster.blob_offset, group.overflow_offset
+    live_end = overflow_slot_offset(word, metadata.dim,
                                     min(slots, group.capacity_records))
-    if cluster.blob_offset < group.overflow_offset:
-        return ((start, live_end - start),)
-    if cluster.blob_offset - live_end <= merge_hole_bytes:
-        return ((start, length),)
-    return ((start, live_end - start),
-            (cluster.blob_offset, cluster.blob_length))
+    if blob < word:
+        return ((blob, live_end - blob),)
+    if blob - live_end <= merge_hole_bytes:
+        return ((word, blob + cluster.blob_length - word),)
+    return ((word, live_end - word), (blob, cluster.blob_length))
 
 
 def overflow_delta_ranges(group: GroupEntry, dim: int, start: int,
@@ -328,8 +330,9 @@ def overflow_delta_ranges(group: GroupEntry, dim: int, start: int,
         raise ValueError(
             f"delta [{start}, {tail}) outside a {group.capacity_records}-"
             f"slot area")
-    first = overflow_slot_offset(group.overflow_offset, dim, start)
-    end = overflow_slot_offset(group.overflow_offset, dim, tail)
-    if first - (group.overflow_offset + OVERFLOW_TAIL_BYTES) <= merge_hole_bytes:
-        return ((group.overflow_offset, end - group.overflow_offset),)
-    return (overflow_tail_extent(group), (first, end - first))
+    word, word_bytes = overflow_tail_extent(group)
+    first = overflow_slot_offset(word, dim, start)
+    end = overflow_slot_offset(word, dim, tail)
+    if first - (word + word_bytes) <= merge_hole_bytes:
+        return ((word, end - word),)
+    return ((word, word_bytes), (first, end - first))

@@ -26,16 +26,6 @@ from repro.layout.serializer import deserialize_cluster, overflow_record_size
 __all__ = ["Decoder"]
 
 
-def _locate(ranges: Sequence[tuple[int, int]], payloads: Sequence,
-            offset: int, what: str) -> tuple["bytes | memoryview", int, int]:
-    """The payload holding region ``offset``: ``(payload, offset within
-    it, region offset of its end)``."""
-    for (start, length), payload in zip(ranges, payloads):
-        if start <= offset < start + length:
-            return payload, offset - start, start + length
-    raise LayoutError(f"fetched ranges {list(ranges)} miss {what} at {offset}")
-
-
 class Decoder:
     """Deserializes fetched ranges, retaining each cluster's decoded base."""
 
@@ -111,22 +101,29 @@ class Decoder:
         host = self.host
         cluster = host.metadata.clusters[cluster_id]
         group = host.metadata.groups[cluster.group_id]
-        area, area_start, area_end = _locate(
-            ranges, payloads, group.overflow_offset, "the tail word")
+        # ``cluster_read_ranges`` puts the tail word in the first range
+        # and the blob in the last.
+        area = payloads[0]
+        area_start = group.overflow_offset - ranges[0][0]
+        blob_start = cluster.blob_offset - ranges[-1][0]
+        if (area_start < 0 or blob_start < 0
+                or area_start + OVERFLOW_TAIL_BYTES > len(area)
+                or blob_start + cluster.blob_length > len(payloads[-1])):
+            raise LayoutError(
+                f"ranges {list(ranges)} fetched for cluster {cluster_id} "
+                f"miss its tail word or its blob — stale offsets?")
         count = live_overflow_count(area, group.capacity_records,
                                     f"extent of cluster {cluster_id}",
                                     offset=area_start)
         self.note_tail(cluster.group_id, count)
-        carried = ((area_end - group.overflow_offset - OVERFLOW_TAIL_BYTES)
+        carried = ((len(area) - area_start - OVERFLOW_TAIL_BYTES)
                    // overflow_record_size(host.metadata.dim))
         parsed = min(count, carried)
         epoch = (group.version, cluster.blob_offset, cluster.blob_length)
         base = self._bases.get(cluster_id)
         if base is None or base.extent_epoch != epoch:
-            blob, blob_start, _ = _locate(ranges, payloads,
-                                          cluster.blob_offset, "the blob")
             index, parsed_cid = deserialize_cluster(
-                blob[blob_start:blob_start + cluster.blob_length],
+                payloads[-1][blob_start:blob_start + cluster.blob_length],
                 host.config.sub_params)
             if parsed_cid != cluster_id:
                 raise LayoutError(
@@ -143,5 +140,5 @@ class Decoder:
                                           host.metadata.dim, parsed,
                                           cluster_id),
             overflow_tail=parsed, extent_epoch=epoch,
-            nbytes=sum(len(payload) for payload in payloads),
+            nbytes=sum(map(len, payloads)),
             labels=base.labels)

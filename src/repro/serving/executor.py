@@ -68,10 +68,11 @@ class WaveExecutor:
         then decode, admit and search wave ``i``.
 
         The look-ahead needs ``config.pipeline_waves``, a deduplicated
-        plan (naive's one blocking READ per pair *is* that baseline) and
-        two waves; the schedule is then ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and
-        search being charged per wave so the poll observes them as elapsed
-        time (hidden wire time lands in ``RdmaStats.overlapped_time_us``).
+        plan (naive's one blocking fetch per pair *is* that baseline)
+        and two waves; the schedule is then
+        ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and search being
+        charged per wave so the poll observes them as elapsed time
+        (hidden wire time lands in ``RdmaStats.overlapped_time_us``).
         Without it they are charged once, after the last wave.
         """
         host, fetcher, waves = self.host, self.fetcher, plan.waves

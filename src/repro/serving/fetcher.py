@@ -48,6 +48,15 @@ TAIL_SLACK_SLOTS = 4
 Extent = tuple[int, tuple[tuple[int, int], ...]]
 
 
+def _pieces(payloads: list, shapes: Iterable[Sequence]) -> Iterable[list]:
+    """Split one READ's flat ``payloads`` back into runs as long as each
+    of ``shapes`` (the ranges posted per cluster, or per group)."""
+    taken = 0
+    for ranges in shapes:
+        yield payloads[taken:taken + len(ranges)]
+        taken += len(ranges)
+
+
 class Fetcher:
     """Loads cluster extents through the transport and admits them."""
 
@@ -71,7 +80,8 @@ class Fetcher:
     def _descriptors(self, ranges: Iterable[tuple[int, int]]
                      ) -> list[ReadDescriptor]:
         layout = self.host.layout
-        return [ReadDescriptor(layout.rkey, layout.addr(offset), length)
+        rkey, base = layout.rkey, layout.addr(0)
+        return [ReadDescriptor(rkey, base + offset, length)
                 for offset, length in ranges]
 
     def extent_descriptors(self, cluster_ids: Sequence[int]
@@ -79,13 +89,12 @@ class Fetcher:
         """READ descriptors + extents for a set of clusters (shared by the
         sync and async fetch paths)."""
         metadata = self.host.metadata
+        tail_seen = self.decoder.tail_seen
         merge = self.merge_hole_bytes()
-        extents = []
-        for cid in cluster_ids:
-            group_id = metadata.clusters[cid].group_id
-            extents.append((cid, cluster_read_ranges(
-                metadata, cid,
-                self.decoder.tail_seen(group_id) + TAIL_SLACK_SLOTS, merge)))
+        extents = [(cid, cluster_read_ranges(
+            metadata, cid,
+            tail_seen(metadata.clusters[cid].group_id) + TAIL_SLACK_SLOTS,
+            merge)) for cid in cluster_ids]
         return self._descriptors(
             piece for _, ranges in extents for piece in ranges), extents
 
@@ -165,12 +174,13 @@ class Fetcher:
         host = self.host
         loaded: dict[int, CachedCluster] = {}
         with span(trace, "decode"):
-            parts = iter(payloads)
-            for cid, ranges in extents:
-                pieces = [next(parts) for _ in ranges]
-                execution.decode_backlog_us += host.cost_model.deserialize_us(
-                    sum(len(piece) for piece in pieces))
-                loaded[cid] = self.decoder.decode_extent(cid, ranges, pieces)
+            for (cid, ranges), pieces in zip(extents, _pieces(
+                    payloads, (ranges for _, ranges in extents))):
+                entry = loaded[cid] = self.decoder.decode_extent(
+                    cid, ranges, pieces)
+                # Fresh from the decoder, ``nbytes`` is the bytes fetched.
+                execution.decode_backlog_us += (
+                    host.cost_model.deserialize_us(entry.nbytes))
         execution.decode_backlog_us += host.cost_model.deserialize_us(
             self.top_up(loaded.values(), trace))
         execution.fetched += len(loaded)
@@ -249,11 +259,12 @@ class Fetcher:
         """
         host = self.host
         metadata = host.metadata
+        tail_seen = self.decoder.tail_seen
         lagging: list[tuple[int, CachedCluster]] = []
         starts: dict[int, int] = {}
         for entry in entries:
             gid = metadata.clusters[entry.cluster_id].group_id
-            if entry.overflow_tail < self.decoder.tail_seen(gid):
+            if entry.overflow_tail < tail_seen(gid):
                 lagging.append((gid, entry))
                 starts[gid] = min(starts.get(gid, entry.overflow_tail),
                                   entry.overflow_tail)
@@ -261,31 +272,30 @@ class Fetcher:
             return 0
         dim = metadata.dim
         merge = self.merge_hole_bytes()
-        deltas = [(gid, start, self.decoder.tail_seen(gid),
-                   overflow_delta_ranges(metadata.groups[gid], dim, start,
-                                         self.decoder.tail_seen(gid), merge))
-                  for gid, start in sorted(starts.items())]
+        # Per stale group, in group order: (start, live tail, ranges).
+        deltas = {gid: (start, tail_seen(gid), overflow_delta_ranges(
+            metadata.groups[gid], dim, start, tail_seen(gid), merge))
+                  for gid, start in sorted(starts.items())}
+        shapes = [ranges for *_, ranges in deltas.values()]
         with span(trace, "fetch"):
             payloads = host.transport.read_batch(
-                self._descriptors(piece for *_, ranges in deltas
+                self._descriptors(piece for ranges in shapes
                                   for piece in ranges),
                 doorbell=host.policy.doorbell_batching)
         record_size = overflow_record_size(dim)
-        records: dict[int, tuple[int, int, "bytes | memoryview"]] = {}
-        parts = iter(payloads)
-        for gid, start, tail, ranges in deltas:
-            pieces = [next(parts) for _ in ranges]
+        records: dict[int, "bytes | memoryview"] = {}
+        for (gid, (start, tail, _)), pieces in zip(deltas.items(),
+                                                   _pieces(payloads, shapes)):
             live_overflow_count(pieces[0],
                                 metadata.groups[gid].capacity_records,
                                 f"overflow tail of group {gid}")
-            records[gid] = (start, tail,
-                            pieces[-1][-(tail - start) * record_size:])
+            records[gid] = pieces[-1][-(tail - start) * record_size:]
         for gid, entry in lagging:
-            start, tail, blob = records[gid]
+            start, tail, _ = deltas[gid]
             missing = tail - entry.overflow_tail
             entry.overflow.extend(unpack_overflow_records(
-                blob[(entry.overflow_tail - start) * record_size:], dim,
-                missing, entry.cluster_id))
+                records[gid][(entry.overflow_tail - start) * record_size:],
+                dim, missing, entry.cluster_id))
             entry.overflow_tail = tail
             self.grow(entry, missing * record_size)
-        return sum(len(payload) for payload in payloads)
+        return sum(map(len, payloads))

@@ -219,3 +219,41 @@ def test_process_pool_across_a_peers_rebuild(mutable_deployment,
         writer.close()
         staged.close()
         oracle.close()
+
+
+@SCHEDULES
+def test_peer_inserts_between_batches(mutable_deployment, small_dataset,
+                                      pipeline):
+    """A second client lands more records in one group than the fetcher's
+    slack covers, without filling it.  The next batch meets them both
+    ways — cached members through the tails ring and one delta ring,
+    refetched ones through a short read topped up before admission — and
+    the oracle, which takes its descriptors and its deltas from the same
+    fetcher, must post the same verbs and charges."""
+    staged, oracle = make_pair(mutable_deployment, pipeline_waves=pipeline)
+    writer = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
+                         mutable_deployment.config,
+                         cost_model=mutable_deployment.effective_cost_model,
+                         name="writer")
+    queries = small_dataset.queries[:12]
+    capacity = mutable_deployment.config.overflow_capacity_records
+    try:
+        assert_batches_identical(staged.search_batch(queries, k=10),
+                                 oracle.search_batch(queries, k=10))
+        for i in range(capacity - 2):
+            writer.insert(queries[0] + i * 1e-4, 910_000 + i)
+        assert writer.mutation.stats.rebuilds_led == 0
+        before = staged.node.stats.snapshot()
+        result = staged.search_batch(queries, k=10)
+        assert_batches_identical(result, oracle.search_batch(queries, k=10))
+        assert_ledgers_identical(staged, oracle)
+        assert result.results[0].ids[0] == 910_000
+        # The version peek, one ring per wave (the hit wave's is its tails
+        # ring) — and the delta rings this test is about.
+        assert result.cache_hits > 0
+        rings = staged.node.stats.delta(before).round_trips
+        assert rings - 1 - result.waves >= 1
+    finally:
+        writer.close()
+        staged.close()
+        oracle.close()

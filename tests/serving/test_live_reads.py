@@ -159,9 +159,9 @@ def test_entry_equals_whole_extent_oracle(case):
     group = metadata.groups[gid]
     members = [c for c, entry in enumerate(metadata.clusters)
                if entry.group_id == gid]
+    peer = members[-1 - members.index(cid)]   # itself when unpaired
     vector = np.arange(DIM, dtype=np.float32)
-    records = [OverflowRecord(1000 + slot,
-                              cid if mine else members[-1 - members.index(cid)],
+    records = [OverflowRecord(1000 + slot, cid if mine else peer,
                               vector + slot, tombstone)
                for slot, (mine, tombstone) in enumerate(
                    zip(case["owners"], case["tombstones"]))]
