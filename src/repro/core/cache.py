@@ -15,7 +15,11 @@ itself reaches it from one thread only (search workers are processes and
 hold their own copies).  Accounting lives *inside* the cache: ``get``
 counts hits and misses, ``put`` counts the miss that caused the fetch (an
 insert of an absent key) and any evictions — callers never poke the
-counters.
+counters.  So does giving bytes back: every way an entry leaves (evicted,
+spilled, replaced, invalidated) goes through one ``_drop``, which hands
+the entry's ``nbytes`` to the ``release`` callable the owner supplied (the
+client's DRAM ledger) — whoever admits an entry reserves for it, nobody
+but the cache releases.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +79,8 @@ class ClusterCache:
     """Lock-guarded LRU cache of deserialized sub-HNSW clusters."""
 
     def __init__(self, capacity_clusters: int,
-                 freq_halflife_us: float = 50_000.0) -> None:
+                 freq_halflife_us: float = 50_000.0,
+                 release: "Callable[[int], None] | None" = None) -> None:
         if capacity_clusters < 1:
             raise ConfigError(
                 f"cache capacity must be >= 1, got {capacity_clusters}")
@@ -83,6 +89,8 @@ class ClusterCache:
                 f"freq halflife must be > 0, got {freq_halflife_us}")
         self.capacity_clusters = int(capacity_clusters)
         self.freq_halflife_us = float(freq_halflife_us)
+        #: Called with the ``nbytes`` of every entry that leaves the cache.
+        self._release = release
         self._entries: collections.OrderedDict[int, CachedCluster] = (
             collections.OrderedDict())
         self._lock = threading.RLock()
@@ -207,6 +215,14 @@ class ClusterCache:
                     f"pinned")
             entry.pins -= 1
 
+    def _drop(self, entry: CachedCluster) -> None:
+        """The one exit: ``entry`` is leaving ``_entries``; take its bytes
+        off the running total and hand them back to the owner.  Must be
+        called under the lock."""
+        self._cached_bytes -= entry.nbytes
+        if self._release is not None:
+            self._release(entry.nbytes)
+
     def _pop_victim(self) -> CachedCluster | None:
         """Remove and return the least recently used *unpinned* entry.
 
@@ -219,7 +235,7 @@ class ClusterCache:
             if entry.pins == 0:
                 del self._entries[cluster_id]
                 self._evictions += 1
-                self._cached_bytes -= entry.nbytes
+                self._drop(entry)
                 return entry
         return None
 
@@ -239,7 +255,7 @@ class ClusterCache:
             evicted = []
             previous = self._entries.pop(entry.cluster_id, None)
             if previous is not None:
-                self._cached_bytes -= previous.nbytes
+                self._drop(previous)
             elif count_miss:
                 self._misses += 1
             while len(self._entries) >= self.capacity_clusters:
@@ -283,7 +299,7 @@ class ClusterCache:
             if victim is not None:
                 if victim.pins > 0:
                     victim.materialize()
-                self._cached_bytes -= victim.nbytes
+                self._drop(victim)
                 self._invalidations += 1
                 return True
             return False
@@ -294,9 +310,9 @@ class ClusterCache:
             for victim in self._entries.values():
                 if victim.pins > 0:
                     victim.materialize()
+                self._drop(victim)
             self._invalidations += len(self._entries)
             self._entries.clear()
-            self._cached_bytes = 0
 
     def materialize_all(self) -> int:
         """Privatize every resident entry's region-aliasing views.

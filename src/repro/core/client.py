@@ -91,8 +91,6 @@ class DHnswClient:
 
         capacity = self.config.cache_capacity_clusters(
             layout.metadata.num_clusters)
-        self.cache = ClusterCache(
-            capacity, freq_halflife_us=self.config.tier_ewma_halflife_us)
         meta_bytes = self.meta.serialized_size_bytes()
         # Sized from the whole extent — the worst case, every overflow
         # slot live; an entry reserves only what it read (``nbytes``).
@@ -106,6 +104,11 @@ class DHnswClient:
                                 dram_budget_bytes=budget, name=name)
         if not self.node.reserve_dram(meta_bytes):
             raise LayoutError("DRAM budget cannot hold the meta-HNSW")
+        # Admission reserves an entry's bytes (``Fetcher.cache_put``); the
+        # cache gives them back however the entry leaves.
+        self.cache = ClusterCache(
+            capacity, freq_halflife_us=self.config.tier_ewma_halflife_us,
+            release=self.node.release_dram)
 
         # The transport seam: every remote byte this client moves goes
         # through here.  ``transport_factory`` lets callers stack

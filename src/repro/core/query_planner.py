@@ -74,14 +74,22 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
         Maximum clusters resident at once; each wave fetches at most this
         many.
 
-    Demand-first ordering: clusters wanted by the most queries are fetched
-    in the earliest waves, so partial results accumulate fastest and the
-    retained cache at batch end holds the hottest clusters.
+    Earliest-row-first ordering: rows are in priority order by contract
+    (the front door hands them over earliest deadline first; a plain
+    batch caller's order is as good as any), so miss clusters are fetched
+    in the order the rows first need them — row index, then that row's
+    probe rank.  Row ``r`` is therefore complete no later than the wave
+    holding the last distinct miss cluster rows ``0..r`` need, and the
+    executor can release it there instead of at the batch end.  What a
+    wave *contains* is untouched: every cluster still crosses once, in
+    chunks of ``cache_capacity``.
     """
     if cache_capacity < 1:
         raise ConfigError(
             f"cache_capacity must be >= 1, got {cache_capacity}")
 
+    # Insertion order is the fetch order: first row to need a cluster,
+    # then that row's probe rank.
     demand: dict[int, list[int]] = {}
     total_requests = 0
     for query_index, cluster_ids in enumerate(required):
@@ -93,8 +101,6 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
 
     hits = [cid for cid in demand if cache.peek(cid) is not None]
     misses = [cid for cid in demand if cache.peek(cid) is None]
-    # Highest demand first; ties broken by id for determinism.
-    misses.sort(key=lambda cid: (-len(demand[cid]), cid))
 
     waves: list[Wave] = []
     if hits:

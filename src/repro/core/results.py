@@ -71,6 +71,13 @@ class BatchResult:
     #: decode / compute / merge), populated by the serving engine.  None
     #: for results produced outside the staged path (e.g. shard merges).
     trace: "TraceContext | None" = None
+    #: Per row, the client clock (µs) at which the row's answer was final:
+    #: the end of the last wave that serviced it under the look-ahead
+    #: schedule, else the end of the batch (serial schedules, single-wave
+    #: plans, rows the cold tier answered).  Non-decreasing in wave index;
+    #: its max is the batch end.  None for results produced outside the
+    #: staged path (e.g. shard merges): every row completes with the call.
+    complete_us: np.ndarray | None = None
 
     @property
     def batch_size(self) -> int:

@@ -12,7 +12,11 @@ and the instant the pending wave becomes due (oldest wait hits
 ``search_batch`` once per ``(k, ef)`` group, which advances the clock by
 the wave's service time; arrivals that land "during" service simply queue
 with their original timestamps, so backlog and queue delay emerge from
-the simulation rather than being modelled.
+the simulation rather than being modelled.  A request completes when *its*
+answer is final — ``BatchResult.complete_us``: the engine serves rows in
+the EDF order the door hands them over and stamps each after the last
+inner wave that searched one of its clusters — not when its wave ends, so
+the request that waited longest for the wave to form leaves it first.
 
 Determinism contract: admission is charged at *arrival* timestamps (not
 dispatch), DRR order is a function of the arrival sequence, and the
@@ -51,6 +55,14 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[min(rank, len(sorted_values)) - 1])
 
 
+def _percentiles(values) -> dict[str, float]:
+    """p50/p99/p999 of ``values`` (any order)."""
+    ordered = sorted(values)
+    return {"p50": _percentile(ordered, 0.50),
+            "p99": _percentile(ordered, 0.99),
+            "p999": _percentile(ordered, 0.999)}
+
+
 @dataclasses.dataclass(frozen=True)
 class WaveRecord:
     """One wave as it actually executed — the unit of schedule replay."""
@@ -83,6 +95,10 @@ class TenantReport:
     degraded: int
     p50_queue_delay_us: float
     p99_queue_delay_us: float
+    #: End-to-end (arrival → own completion) over the tenant's answered
+    #: requests.
+    p50_latency_us: float
+    p99_latency_us: float
     #: Fraction of all dispatched wave slots this tenant received.
     dispatch_share: float
 
@@ -135,19 +151,20 @@ class LoadReport:
     # -- latency --------------------------------------------------------
     def queue_delay_percentiles(self) -> dict[str, float]:
         """p50/p99/p999 of queue delay across answered requests."""
-        delays = sorted(o.queue_delay_us for o in self.outcomes
-                        if o.status.answered)
-        return {"p50": _percentile(delays, 0.50),
-                "p99": _percentile(delays, 0.99),
-                "p999": _percentile(delays, 0.999)}
+        return _percentiles(o.queue_delay_us for o in self.outcomes
+                            if o.status.answered)
+
+    def in_wave_percentiles(self) -> dict[str, float]:
+        """p50/p99/p999 of dispatch → completion across answered requests:
+        with :meth:`queue_delay_percentiles`, whether latency went to the
+        batching budget or to the wave."""
+        return _percentiles(o.in_wave_us for o in self.outcomes
+                            if o.status.answered)
 
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p99/p999 of end-to-end latency across answered requests."""
-        latencies = sorted(o.latency_us for o in self.outcomes
-                           if o.status.answered)
-        return {"p50": _percentile(latencies, 0.50),
-                "p99": _percentile(latencies, 0.99),
-                "p999": _percentile(latencies, 0.999)}
+        return _percentiles(o.latency_us for o in self.outcomes
+                            if o.status.answered)
 
     def latency_histogram(self, bin_us: float = 500.0,
                           num_bins: int = 64) -> tuple[int, ...]:
@@ -196,6 +213,8 @@ class LoadReport:
             outcomes = grouped[tenant]
             delays = sorted(o.queue_delay_us for o in outcomes
                             if o.status.answered)
+            latencies = sorted(o.latency_us for o in outcomes
+                               if o.status.answered)
             served = len(delays)
             reports.append(TenantReport(
                 tenant=tenant,
@@ -211,6 +230,8 @@ class LoadReport:
                              if o.status is RequestStatus.DEGRADED),
                 p50_queue_delay_us=_percentile(delays, 0.50),
                 p99_queue_delay_us=_percentile(delays, 0.99),
+                p50_latency_us=_percentile(latencies, 0.50),
+                p99_latency_us=_percentile(latencies, 0.99),
                 dispatch_share=(served / total_dispatched
                                 if total_dispatched else 0.0),
             ))
@@ -300,10 +321,14 @@ class FrontDoor:
             queries = np.stack([r.query for r in group.requests])
             batch = self.client.search_batch(queries, group.k,
                                              ef_search=group.ef)
-            complete = self.clock.now_us
+            # Rows went in EDF order and the engine serves them in the
+            # order given, stamping each when its answer is final.
+            completes = batch.complete_us.tolist()
             fetched += batch.clusters_fetched
-            self._attribute_queue_stage(batch, wave, group.requests)
-            for request, result in zip(group.requests, batch.results):
+            self._attribute_wait_stages(batch, wave, group.requests,
+                                        completes)
+            for request, result, complete in zip(group.requests,
+                                                 batch.results, completes):
                 outcome = RequestOutcome(
                     request=request, status=status,
                     dispatch_us=wave.formed_us, complete_us=complete,
@@ -324,23 +349,30 @@ class FrontDoor:
             clusters_fetched=fetched))
         return produced
 
-    def _attribute_queue_stage(self, batch, wave: FormedWave,
-                               members: tuple[Request, ...]) -> None:
-        """Record the wave's queueing as a first-class trace stage.
+    def _attribute_wait_stages(self, batch, wave: FormedWave,
+                               members: tuple[Request, ...],
+                               completes: Sequence[float]) -> None:
+        """Record the members' waits as first-class trace stages.
 
         The engine's trace covers route→plan→fetch→decode→compute→merge;
-        the front door prepends the time its members spent waiting for
-        the wave to form, so ``telemetry.render_trace`` shows the full
-        request path with queueing first.  Observation only — the clock
-        already advanced past these waits.
+        the front door prepends ``queue`` (the time its members spent
+        waiting for the wave to form) and ``in_wave`` (dispatch → each
+        member's own completion, summed over members), so
+        ``telemetry.render_trace`` shows the full request path with the
+        two waits first.  Observation only — the clock already advanced
+        past them.
         """
         trace = getattr(batch, "trace", None)
         if trace is None:
             return
-        report = trace.ensure_stage_first("queue")
-        report.calls += len(members)
-        report.sim_us += sum(wave.formed_us - r.arrival_us
-                             for r in members)
+        in_wave = trace.ensure_stage_first("in_wave")
+        in_wave.calls += len(members)
+        in_wave.sim_us += sum(complete - wave.formed_us
+                              for complete in completes)
+        queue = trace.ensure_stage_first("queue")
+        queue.calls += len(members)
+        queue.sim_us += sum(wave.formed_us - r.arrival_us
+                            for r in members)
 
     # -- open loop --------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> LoadReport:

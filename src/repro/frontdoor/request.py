@@ -76,7 +76,9 @@ class RequestOutcome:
     #: When the request's wave formed (entered the engine); NaN for
     #: requests shed at admission (they never queued).
     dispatch_us: float
-    #: When the answer (or the shed decision) materialized.
+    #: When this request's answer was final (or the shed decision made):
+    #: the end of the last engine wave that searched one of its clusters —
+    #: for all but the wave's last-served members, before the wave ends.
     complete_us: float
     #: Wave that carried (or shed) the request; -1 for admission sheds.
     wave_id: int
@@ -91,6 +93,14 @@ class RequestOutcome:
         if math.isnan(self.dispatch_us):
             return 0.0
         return self.dispatch_us - self.request.arrival_us
+
+    @property
+    def in_wave_us(self) -> float:
+        """Simulated time from dispatch to this request's own completion
+        (0 for admission sheds): ``latency_us - queue_delay_us``."""
+        if math.isnan(self.dispatch_us):
+            return 0.0
+        return self.complete_us - self.dispatch_us
 
     @property
     def latency_us(self) -> float:

@@ -125,6 +125,15 @@ class ServingEngine:
         # --- finalize ---------------------------------------------------
         results = self.merger.finalize(merger, len(queries), k, filter_fn,
                                        trace)
+        # A row is final after the last wave that serviced it; rows the
+        # cold tier answered, and every row of a schedule that charged
+        # nothing wave by wave, are final when the batch is.
+        batch_end_us = host.node.clock.now_us
+        complete_us = execution.complete_us
+        if complete_us is None:
+            complete_us = np.full(len(queries), batch_end_us)
+        for query_indices in cold_required.values():
+            complete_us[query_indices] = batch_end_us
         rdma_delta = host.node.stats.delta(before)
         breakdown.network_us += rdma_delta.network_time_us
         # Fault-path attribution: which request paid for retries and
@@ -150,4 +159,4 @@ class ServingEngine:
                            cold_clusters_served=cold.clusters,
                            tier_promotions=promotions,
                            tier_demotions=demotions,
-                           trace=trace)
+                           trace=trace, complete_us=complete_us)

@@ -36,6 +36,11 @@ class PlanExecution:
     decode_backlog_us: float = 0.0
     #: True when wave ``i+1``'s READ was in flight behind wave ``i``.
     pipeline_executed: bool = False
+    #: Per row, the client clock after the wave that serviced the row's
+    #: last ``(query, cluster)`` pair; None when the schedule charged
+    #: nothing wave by wave (every row then completes with the batch).
+    complete_us: np.ndarray | None = dataclasses.field(default=None,
+                                                       compare=False)
 
 
 class WaveExecutor:
@@ -72,7 +77,9 @@ class WaveExecutor:
         and two waves; the schedule is then
         ``f_0 + Σ max(p_i, f_{i+1}) + p_last``, decode and search being
         charged per wave so the poll observes them as elapsed time
-        (hidden wire time lands in ``RdmaStats.overlapped_time_us``).
+        (hidden wire time lands in ``RdmaStats.overlapped_time_us``) —
+        and so a row's answer is final, and stamped, at the end of the
+        last wave that services it (``PlanExecution.complete_us``).
         Without it they are charged once, after the last wave.
         """
         host, fetcher, waves = self.host, self.fetcher, plan.waves
@@ -83,6 +90,7 @@ class WaveExecutor:
         # Wave i+1's (token, extents) between its issue and its poll.
         pending: tuple | None = None
         upcoming = [wave.fetch_cluster_ids for wave in waves[1:]] + [()]
+        wave_end_us: list[float] = []
         try:
             for wave, next_ids in zip(waves, upcoming):
                 fetch_ids = wave.fetch_cluster_ids
@@ -108,12 +116,20 @@ class WaveExecutor:
                     decode_us = self.charge_decode(execution, trace)
                     execution.sub_hnsw_us += decode_us + self.charge_search(
                         wave_evals, trace)
+                    wave_end_us.append(host.node.clock.now_us)
         finally:
             if pending is not None:
                 # An error escaped with the prefetch in flight: retire it
                 # uncharged, or its copy-on-write guard outlives the request.
                 host.transport.abandon(pending[0])
-        if not look_ahead:
+        if look_ahead:
+            # A row in no wave (all its clusters cold) ends with the last.
+            last_wave = [len(waves) - 1] * len(queries)
+            for index, wave in enumerate(waves):
+                for row, _ in wave.serviced:
+                    last_wave[row] = index
+            execution.complete_us = np.asarray(wave_end_us)[last_wave]
+        else:
             # Nothing in flight had to observe time wave by wave: one search
             # charge, then the decodes.  Per-wave charges would move the last
             # float64 digit of the recorded tables: Σ(evals_w·c) ≠ (Σ evals_w)·c.

@@ -126,11 +126,10 @@ class Fetcher:
     # -- cache admission --------------------------------------------------
     def _reserve_dram(self, nbytes: int, cluster_id: int) -> None:
         """Reserve ``nbytes`` for cluster ``cluster_id``, spilling LRU
-        entries if DRAM is tight."""
+        entries if DRAM is tight (the cache gives back what it drops)."""
         host = self.host
         while not host.node.reserve_dram(nbytes):
-            victim = host.cache.pop_lru()
-            if victim is None:
+            if host.cache.pop_lru() is None:
                 if len(host.cache):
                     # Every resident entry is pinned by in-flight compute:
                     # spilling one would free DRAM a search is reading
@@ -142,15 +141,12 @@ class Fetcher:
                 raise LayoutError(
                     f"cluster {cluster_id} ({nbytes} B) cannot "
                     f"fit in compute DRAM even with an empty cache")
-            host.node.release_dram(victim.nbytes)
 
     def cache_put(self, entry: CachedCluster,
                   count_miss: bool = True) -> None:
         """Insert into the cache, spilling LRU entries if DRAM is tight."""
-        host = self.host
         self._reserve_dram(entry.nbytes, entry.cluster_id)
-        for victim in host.cache.put(entry, count_miss=count_miss):
-            host.node.release_dram(victim.nbytes)
+        self.host.cache.put(entry, count_miss=count_miss)
 
     def grow(self, entry: CachedCluster, nbytes: int) -> None:
         """Account ``nbytes`` more held by ``entry`` (grafted records); a

@@ -584,9 +584,7 @@ class TieredClusterStore:
                 if entry is not None and entry.pins > 0:
                     continue  # searched right now; never demote mid-wave
                 self.hot_ids.discard(victim)
-                if entry is not None:
-                    cache.invalidate(victim)
-                    host.node.release_dram(entry.nbytes)
+                cache.invalidate(victim)
                 freed += cluster_read_extent(metadata, victim)[1]
                 demoted += 1
                 progressed = True

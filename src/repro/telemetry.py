@@ -275,8 +275,9 @@ def render_report(telemetry: DeploymentTelemetry,
 
     ``frontdoor`` optionally takes a
     :class:`repro.frontdoor.LoadReport`; when given, the report grows a
-    front-door section — waves, batch occupancy, queue-delay
-    percentiles, and per-tenant served / shed / degraded accounting —
+    front-door section — waves, batch occupancy, queue-delay and in-wave
+    percentiles side by side ("was it the batching budget or the
+    wave?"), and per-tenant served / shed / degraded / latency accounting —
     next to the pool and fault sections, so one page shows the whole
     serving story.  Duck-typed, so ``repro.telemetry`` stays importable
     without the front door.
@@ -379,6 +380,7 @@ def render_report(telemetry: DeploymentTelemetry,
                     f"{row['failovers']:>10}")
     if frontdoor is not None:
         queue = frontdoor.queue_delay_percentiles()
+        in_wave = frontdoor.in_wave_percentiles()
         latency = frontdoor.latency_percentiles()
         lines += [
             "",
@@ -392,11 +394,15 @@ def render_report(telemetry: DeploymentTelemetry,
             f"{frontdoor.shed_deadline} shed@deadline",
             f"queue delay      : p50 {queue['p50']:.1f} / "
             f"p99 {queue['p99']:.1f} / p999 {queue['p999']:.1f} us",
+            f"in wave          : p50 {in_wave['p50']:.1f} / "
+            f"p99 {in_wave['p99']:.1f} / p999 {in_wave['p999']:.1f} us "
+            f"(dispatch -> own completion)",
             f"e2e latency      : p50 {latency['p50']:.1f} / "
             f"p99 {latency['p99']:.1f} / p999 {latency['p999']:.1f} us "
             f"({frontdoor.throughput_qps:.0f} qps)",
             f"{'tenant':<12} {'offered':>8} {'served':>7} {'shed':>6} "
-            f"{'degraded':>9} {'q_p50us':>9} {'q_p99us':>9} {'share':>7}",
+            f"{'degraded':>9} {'q_p50us':>9} {'q_p99us':>9} "
+            f"{'l_p50us':>9} {'l_p99us':>9} {'share':>7}",
         ]
         for tenant in frontdoor.tenants():
             shed = tenant.shed_admission + tenant.shed_deadline
@@ -405,6 +411,8 @@ def render_report(telemetry: DeploymentTelemetry,
                 f"{tenant.served:>7} {shed:>6} {tenant.degraded:>9} "
                 f"{tenant.p50_queue_delay_us:>9.1f} "
                 f"{tenant.p99_queue_delay_us:>9.1f} "
+                f"{tenant.p50_latency_us:>9.1f} "
+                f"{tenant.p99_latency_us:>9.1f} "
                 f"{tenant.dispatch_share:>7.2%}")
     return "\n".join(lines)
 

@@ -113,6 +113,9 @@ class TestSearch:
         batch = sharded.search_batch(small_dataset.queries[:5], 5,
                                      ef_search=16)
         assert batch.rdma.round_trips >= 3  # at least one per shard
+        # Shards run on separate clocks: a merged row completes with the
+        # call, so there is no per-row stamp (and no trace) to hand back.
+        assert batch.complete_us is None and batch.trace is None
 
 
 class TestDynamicData:

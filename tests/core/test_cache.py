@@ -133,6 +133,31 @@ class TestBookkeeping:
         assert len(cache) == 0
         assert cache.invalidations == 2
 
+    def test_every_exit_hands_the_bytes_back(self):
+        """Evicted, replaced, spilled, invalidated one by one or all at
+        once: each entry's ``nbytes`` reaches ``release`` exactly once, so
+        what went in is what is held plus what came back."""
+        released: list[int] = []
+        cache = ClusterCache(2, release=released.append)
+        cache.put(make_entry(1, 10))
+        cache.put(make_entry(2, 20))
+        cache.put(make_entry(3, 30))          # evicts 1
+        assert released == [10]
+        grown = make_entry(2, 21)
+        cache.put(grown)                       # replaces 2
+        assert released == [10, 20]
+        cache.grow(grown, 4)
+        assert cache.pop_lru().cluster_id == 3  # spilled
+        assert released == [10, 20, 30]
+        assert cache.invalidate(2)             # with what it grew by
+        assert released == [10, 20, 30, 25]
+        cache.put(make_entry(4, 40))
+        cache.put(make_entry(5, 50))
+        cache.invalidate_all()
+        assert released == [10, 20, 30, 25, 40, 50]
+        assert cache.cached_bytes == 0 and not cache.invalidate(4)
+        assert released == [10, 20, 30, 25, 40, 50]
+
     def test_put_of_absent_key_counts_the_fetch_as_miss(self):
         cache = ClusterCache(2)
         cache.put(make_entry(1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ClusterCache
-from repro.core.query_planner import plan_batch
+from repro.core.query_planner import plan_batch, plan_naive
 from repro.errors import ConfigError
 from tests.core.test_cache import make_entry
 
@@ -51,13 +51,15 @@ class TestWaves:
         assert all(len(w.fetch_cluster_ids) <= 3 for w in plan.waves)
         assert len(plan.waves) == 4
 
-    def test_demand_first_ordering(self):
-        # Cluster 9 wanted by 3 queries must be fetched before cluster 1
-        # wanted by one.
-        required = [[9], [9], [9, 1], [2]]
+    def test_earliest_row_first_ordering(self):
+        # Cluster 9 is wanted by three rows, but row 0 wants 1 and 2:
+        # rows are in priority order, so its clusters are fetched first,
+        # in its probe order, whatever the demand.
+        required = [[1, 2], [9], [9], [9, 1]]
         plan = plan_batch(required, empty_cache(), cache_capacity=1)
-        first_fetch = plan.waves[0].fetch_cluster_ids
-        assert first_fetch == (9,)
+        assert [w.fetch_cluster_ids for w in plan.waves] == [(1,), (2,),
+                                                             (9,)]
+        assert plan.waves[0].serviced == ((0, 1), (3, 1))
 
     def test_serviced_pairs_stay_within_wave_clusters(self):
         required = [[i % 5] for i in range(20)]
@@ -112,19 +114,65 @@ class TestValidation:
         assert plan.unique_clusters == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(required=st.lists(
+BATCHES = st.lists(
     st.lists(st.integers(min_value=0, max_value=20), min_size=0,
              max_size=4),
-    min_size=0, max_size=25),
-    capacity=st.integers(min_value=1, max_value=6))
-def test_plan_properties(required, capacity):
-    """Invariants for arbitrary batches: single fetch per cluster, wave
-    bound, complete servicing."""
-    plan = plan_batch(required, ClusterCache(4), capacity)
+    min_size=0, max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(required=BATCHES,
+       capacity=st.integers(min_value=1, max_value=6),
+       cached=st.sets(st.integers(min_value=0, max_value=20), max_size=4))
+def test_plan_properties(required, capacity, cached):
+    """Invariants for arbitrary batches and cache contents: single fetch
+    per cluster, wave bound, hits first, every pair serviced exactly once
+    — and the earliest-row-first guarantee."""
+    cache = ClusterCache(4)
+    for cid in cached:
+        cache.put(make_entry(cid))
+    plan = plan_batch(required, cache, capacity)
     fetched = [cid for wave in plan.waves for cid in wave.fetch_cluster_ids]
     assert len(fetched) == len(set(fetched))
+    assert not set(fetched) & cached
     assert all(len(w.fetch_cluster_ids) <= capacity for w in plan.waves)
     serviced = [pair for wave in plan.waves for pair in wave.serviced]
     expected = {(q, c) for q, cids in enumerate(required) for c in set(cids)}
     assert set(serviced) == expected
+    assert len(serviced) == len(expected)
+    # Hits are one wave, and it runs before any fetch.
+    for index, wave in enumerate(plan.waves):
+        hit_wave = not wave.fetch_cluster_ids
+        assert hit_wave == (index == 0 and bool(plan.cache_hit_cluster_ids))
+        assert {cid for _, cid in wave.serviced} <= (
+            set(plan.cache_hit_cluster_ids) if hit_wave
+            else set(wave.fetch_cluster_ids))
+    # Row r is complete no later than the wave holding the last distinct
+    # miss cluster rows 0..r need: the first ceil(n / capacity) miss waves,
+    # n being how many distinct miss clusters those rows want.
+    first_miss_wave = 1 if plan.cache_hit_cluster_ids else 0
+    completed_in = {}
+    for index, wave in enumerate(plan.waves):
+        for row, _ in wave.serviced:
+            completed_in[row] = index
+    wanted: set[int] = set()
+    for row, cluster_ids in enumerate(required):
+        wanted |= set(cluster_ids) - cached
+        if row in completed_in:
+            miss_waves = -(-len(wanted) // capacity)
+            assert completed_in[row] <= (
+                first_miss_wave + miss_waves - 1 if miss_waves else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(required=BATCHES)
+def test_plan_naive_is_one_pair_per_wave_in_row_order(required):
+    """The naive baseline's schedule: nothing reordered, nothing
+    deduplicated — not even a row probing one cluster twice."""
+    plan = plan_naive(required)
+    pairs = [(q, c) for q, cids in enumerate(required) for c in cids]
+    assert [w.serviced for w in plan.waves] == [(pair,) for pair in pairs]
+    assert [w.fetch_cluster_ids for w in plan.waves] == [(c,)
+                                                         for _, c in pairs]
+    assert plan.duplicate_requests_pruned == 0
+    assert plan.cache_hit_cluster_ids == ()

@@ -193,6 +193,7 @@ class TestPromotionHysteresis:
         budget = max(cluster_size(client, a), cluster_size(client, b))
         client = make_tiered_client(tiered_world, budget)
         tier = client.tier_store
+        fixed_bytes = client.node.dram_used_bytes  # meta-HNSW + codebook
 
         touch(client, a)
         tier.rebalance()
@@ -220,6 +221,9 @@ class TestPromotionHysteresis:
         assert (promotions, demotions) == (1, 1)
         assert tier.hot_ids == {b}
         assert a not in client.cache
+        # The demotion's bytes went back through the cache's one exit.
+        assert client.cache.cached_bytes == 0
+        assert client.node.dram_used_bytes == fixed_bytes
 
 
 class TestTierInventory:

@@ -16,6 +16,19 @@ from repro.telemetry import (DeploymentTelemetry, render_report,
                              render_trace)
 
 
+def capture_batches(door) -> list:
+    """Every ``BatchResult`` the door's client hands back, in order."""
+    captured = []
+    original = door.client.search_batch
+
+    def capture(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    door.client.search_batch = capture
+    return captured
+
+
 def load(small_dataset, count: int = 60, rate_qps: float = 3000.0,
          seed: int = 9, slo_us: float = 50_000.0, ef_search: int | None = 32,
          tenants=("a", "b"), **make_kwargs):
@@ -66,6 +79,8 @@ class TestOpenLoop:
         assert first.latency_histogram() == second.latency_histogram()
         assert (first.queue_delay_percentiles()
                 == second.queue_delay_percentiles())
+        assert ([o.complete_us for o in first.outcomes]
+                == [o.complete_us for o in second.outcomes])
 
     def test_unsorted_arrivals_rejected(self, make_door, small_dataset):
         requests = load(small_dataset)
@@ -80,6 +95,61 @@ class TestOpenLoop:
         report = door.run(requests)
         assert len(report.waves) == 12
         assert report.max_occupancy == 1
+
+
+class TestPerRequestCompletion:
+    CONFIG = FrontDoorConfig(max_wait_us=1500.0, max_batch=8)
+
+    def run(self, make_door, small_dataset, **load_kwargs):
+        door = make_door(self.CONFIG)
+        batches = capture_batches(door)
+        report = door.run(load(small_dataset, **load_kwargs))
+        # One (k, ef) group per wave here: batch i is wave i's engine call.
+        assert len(batches) == len(report.waves)
+        return door, batches, report
+
+    def test_completion_lies_inside_the_wave_and_closes_it(
+            self, make_door, small_dataset):
+        _, batches, report = self.run(make_door, small_dataset)
+        by_id = {o.request.request_id: o for o in report.outcomes}
+        for wave, batch in zip(report.waves, batches):
+            members = [by_id[rid] for rid in wave.request_ids]
+            wave_end = wave.formed_us + wave.service_us
+            for outcome, stamp in zip(members, batch.complete_us):
+                assert outcome.complete_us == stamp
+                assert outcome.dispatch_us == wave.formed_us
+                assert outcome.dispatch_us < outcome.complete_us
+                assert outcome.complete_us <= wave_end + 1e-9
+                assert outcome.in_wave_us == pytest.approx(
+                    outcome.latency_us - outcome.queue_delay_us)
+            assert max(o.complete_us for o in members) == pytest.approx(
+                wave_end, abs=1e-9)
+
+    def test_the_oldest_request_leaves_before_the_wave_ends(
+            self, make_door, small_dataset):
+        """Rows go to the engine earliest deadline first and it fetches
+        in row order, so the request that waited out the whole batching
+        budget is final as soon as its own clusters are searched: after
+        the hit wave and ``ceil(nprobe / capacity)`` fetch waves at most —
+        strictly before the end of any wave that runs more."""
+        door, batches, report = self.run(make_door, small_dataset,
+                                         count=120, rate_qps=6000.0)
+        config, cache = door.client.config, door.client.cache
+        own_waves = 1 + -(-config.nprobe // cache.capacity_clusters)
+        by_id = {o.request.request_id: o for o in report.outcomes}
+        longer = 0
+        for wave, batch in zip(report.waves, batches):
+            members = [by_id[rid] for rid in wave.request_ids]
+            assert members == sorted(
+                members, key=lambda o: (o.request.deadline_us,
+                                        o.request.request_id))
+            if batch.waves > own_waves:
+                longer += 1
+                assert batch.pipeline_executed
+                assert members[0].complete_us < max(
+                    o.complete_us for o in members)
+                assert members[0].in_wave_us < wave.service_us
+        assert longer >= 3
 
 
 class TestAdmissionPath:
@@ -161,6 +231,48 @@ class TestClosedLoop:
         first = make_door(config).run_closed_loop(sessions)
         second = make_door(config).run_closed_loop(sessions)
         assert first.schedule_signature() == second.schedule_signature()
+        assert first.latency_histogram() == second.latency_histogram()
+        assert ([o.complete_us for o in first.outcomes]
+                == [o.complete_us for o in second.outcomes])
+
+    def test_sessions_think_from_their_own_completion(self, make_door,
+                                                      small_dataset):
+        """A session's next query issues ``think_us`` after *its* answer,
+        not after its wave: with a short think that lands while the wave
+        is still running, and the request simply queues with that
+        timestamp until the next wave forms."""
+        rng = np.random.default_rng(5)
+        sessions = [
+            ClosedLoopSession(
+                tenant=f"t{i % 2}",
+                queries=small_dataset.queries[i * 5:(i + 1) * 5],
+                think_us=rng.uniform(1.0, 5.0, 5), k=10, ef_search=32)
+            for i in range(8)]
+        door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
+        report = door.run_closed_loop(sessions)
+        assert report.served == report.offered == 40
+        wave_end = {w.wave_id: w.formed_us + w.service_us
+                    for w in report.waves}
+        # Outcomes are in issue order, sessions interleaved; regroup
+        # them per session through the query each one carried.
+        owner = {query.tobytes(): index
+                 for index, session in enumerate(sessions)
+                 for query in session.queries}
+        inside = 0
+        for index, session in enumerate(sessions):
+            outcomes = [o for o in report.outcomes
+                        if owner[o.request.query.tobytes()] == index]
+            assert len(outcomes) == 5
+            for (previous, following), think in zip(
+                    zip(outcomes, outcomes[1:]), session.think_us):
+                assert following.request.arrival_us == (
+                    previous.complete_us + float(think))
+                if following.request.arrival_us < wave_end[previous.wave_id]:
+                    inside += 1
+                    assert following.dispatch_us >= (
+                        wave_end[previous.wave_id] - 1e-9)
+                    assert following.wave_id > previous.wave_id
+        assert inside > 0
 
     def test_rate_limited_session_keeps_pacing(self, make_door,
                                                small_dataset):
@@ -195,28 +307,48 @@ class TestFairness:
 
 
 class TestObservability:
-    def test_queue_is_the_first_trace_stage(self, built_deployment,
-                                            make_door, small_dataset):
+    def test_queue_is_the_first_trace_stage(
+            self, built_deployment, make_door, small_dataset):
         door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
-        captured = []
-        original = door.client.search_batch
-
-        def capture(*args, **kwargs):
-            batch = original(*args, **kwargs)
-            captured.append(batch)
-            return batch
-
-        door.client.search_batch = capture
-        door.run(load(small_dataset, count=20))
+        captured = capture_batches(door)
+        report = door.run(load(small_dataset, count=20))
         assert captured
-        for batch in captured:
+        by_wave: dict[int, list] = {}
+        for outcome in report.outcomes:
+            by_wave.setdefault(outcome.wave_id, []).append(outcome)
+        for wave_id, batch in enumerate(captured):
             stages = [s.name for s in batch.trace.report()]
-            assert stages[0] == "queue"
+            assert stages[:2] == ["queue", "in_wave"]
             queue = batch.trace.stages["queue"]
             assert queue.calls == len(batch.results)
             assert queue.sim_us >= 0.0
+            in_wave = batch.trace.stages["in_wave"]
+            assert in_wave.calls == len(batch.results)
+            assert in_wave.sim_us == pytest.approx(
+                sum(o.in_wave_us for o in by_wave[wave_id]))
             rendered = render_trace(batch.trace)
             assert rendered.splitlines()[2].startswith("queue")
+            assert rendered.splitlines()[3].startswith("in_wave")
+
+    def test_in_wave_and_tenant_latency_percentiles(self, make_door,
+                                                    small_dataset):
+        door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
+        report = door.run(load(small_dataset, count=40))
+        in_wave = sorted(o.in_wave_us for o in report.outcomes)
+        percentiles = report.in_wave_percentiles()
+        assert percentiles["p50"] == in_wave[len(in_wave) // 2 - 1]
+        assert percentiles["p99"] == percentiles["p999"] == in_wave[-1]
+        assert 0.0 < percentiles["p50"] <= percentiles["p99"]
+        # Queue + in-wave is the whole latency, request by request.
+        for outcome in report.outcomes:
+            assert outcome.latency_us == pytest.approx(
+                outcome.queue_delay_us + outcome.in_wave_us)
+        for tenant in report.tenants():
+            latencies = sorted(o.latency_us for o in report.outcomes
+                               if o.request.tenant == tenant.tenant)
+            assert tenant.p99_latency_us == latencies[-1]
+            assert (tenant.p50_queue_delay_us < tenant.p50_latency_us
+                    <= tenant.p99_latency_us)
 
     def test_render_report_grows_a_front_door_section(
             self, built_deployment, make_door, small_dataset):
@@ -226,9 +358,17 @@ class TestObservability:
             DeploymentTelemetry.from_deployment(built_deployment),
             frontdoor=report)
         assert "=== front door ===" in text
-        assert "queue delay" in text
+        lines = text.splitlines()
+        queue_line = next(i for i, line in enumerate(lines)
+                          if line.startswith("queue delay"))
+        # Budget or wave?  The two waits print one under the other.
+        assert lines[queue_line + 1].startswith("in wave")
+        assert f"p99 {report.in_wave_percentiles()['p99']:.1f}" in (
+            lines[queue_line + 1])
+        assert "l_p50us" in text and "l_p99us" in text
         for tenant in report.tenants():
             assert tenant.tenant in text
+            assert f"{tenant.p99_latency_us:.1f}" in text
 
     def test_render_report_without_front_door_is_unchanged(
             self, built_deployment):

@@ -57,6 +57,14 @@ def test_any_interleaving_replays_and_matches_direct_search(
     # 1. Same arrivals + same seed => the identical schedule.
     assert first.schedule_signature() == second.schedule_signature()
     assert first.latency_histogram() == second.latency_histogram()
+    # ... down to each request's own completion instant, which lies
+    # inside its wave.
+    assert ([o.complete_us for o in first.outcomes]
+            == [o.complete_us for o in second.outcomes])
+    wave_end = {w.wave_id: w.formed_us + w.service_us for w in first.waves}
+    for outcome in first.outcomes:
+        assert (outcome.dispatch_us < outcome.complete_us
+                <= wave_end[outcome.wave_id] + 1e-9)
 
     # 2. Coalescing never changes a single answer bit.
     assert first.served == len(requests)

@@ -9,6 +9,7 @@ from repro.core import DHnswClient, Scheme, fsck
 from repro.errors import GroupSealedError
 from repro.layout.group_layout import OVERFLOW_SEALED, decode_overflow_tail
 from repro.mutation.rebuild import ShadowRebuild, writer_token
+from repro.serving.executor import PlanExecution
 
 MUTATION_STAGES = {"classify", "reserve", "snapshot", "build", "publish"}
 
@@ -350,3 +351,60 @@ class TestReaderRetentionAcrossCutovers:
         assert mutable_deployment.layout.retired.pending_bytes == 0
         report = fsck(mutable_deployment.layout)
         assert report.clean, report.summary()
+
+
+class TestDramLedgerUnderChurn:
+    def test_the_ledger_holds_exactly_what_the_cache_holds(
+            self, mutable_deployment, small_config, small_dataset):
+        """Whatever drops a cached entry — LRU eviction, a peer's cutover
+        seen at ``refresh_metadata``, the client's own cutover, a ``put``
+        over a resident entry, ``invalidate_all`` — its bytes go back to
+        the DRAM ledger: beyond the meta-HNSW the node holds exactly
+        ``cache.cached_bytes``, at every step.  (The parent released only
+        evicted victims, so each cutover leaked two extents.)"""
+        writer = fresh_client(mutable_deployment, small_config)
+        # Six resident clusters: a probe's three stay cached to be dropped.
+        reader = fresh_client(mutable_deployment,
+                              small_config.replace(cache_fraction=0.5))
+        meta_bytes = reader.node.dram_used_bytes
+        queries = small_dataset.queries[:12]
+        capacity = small_config.overflow_capacity_records
+
+        def check(step):
+            held = reader.node.dram_used_bytes - meta_bytes
+            assert held == reader.cache.cached_bytes, step
+            return held
+
+        check("fresh")
+        for round_index, probe in enumerate(small_dataset.queries[12:16]):
+            reader.search_batch(queries, 10)
+            assert check("batch") > 0
+            # The probe's cluster resident, then a peer overflows its
+            # group: the reader's next refresh invalidates both members.
+            reader.search_batch(probe[None, :], 10)
+            check("probe")
+            fill_group(writer, probe, capacity + 1,
+                       base_gid=600_000 + 100 * round_index)
+            invalidations = reader.cache.invalidations
+            reader.search_batch(probe[None, :], 10)
+            assert reader.cache.invalidations > invalidations
+            check("peer cutover")
+            # The reader's own rebuild invalidates at its own cutover.
+            fill_group(reader, probe, capacity + 1,
+                       base_gid=700_000 + 100 * round_index)
+            check("own cutover")
+            # A fetch of a resident cluster replaces its entry.
+            cid = reader.meta.classify(probe)
+            reader.search_batch(probe[None, :], 10)
+            assert cid in reader.cache
+            fetcher = reader.engine.fetcher
+            previous = reader.cache.peek(cid)
+            fetcher.admit(*fetcher.read([cid], True), PlanExecution())
+            assert reader.cache.peek(cid) is not previous
+            check("replaced")
+        assert writer.mutation.stats.rebuilds_led >= 4
+        assert reader.mutation.stats.rebuilds_led >= 1
+        reader.cache.invalidate_all()
+        assert check("invalidate_all") == 0
+        writer.close()
+        reader.close()

@@ -18,10 +18,16 @@ it: its ``PlanExecution`` report, the decoder's deserialize side channel
 (``_DeserializeLedger``), the engine's lump charges (in ``install``) and
 the ``overlap_saved`` closed form.  It takes no pins and records no trace
 spans, so an installed client is single-request only.
+
+Per-row completion stamps are derived here the oracle's own way — a
+countdown of each row's unserviced ``(query, cluster)`` pairs against the
+clock read at every wave's end — where ``src/`` indexes a per-wave clock
+array by each row's last wave.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import time
 
@@ -51,6 +57,9 @@ class PlanExecution:
     #: Simulated µs already charged to the sub-HNSW bucket in-loop.
     charged_compute_us: float = 0.0
     pipeline_executed: bool = False
+    #: Per row: the clock when its last pair was serviced (pipelined
+    #: schedule only; the serial and naive ones release with the batch).
+    complete_us: np.ndarray | None = None
 
 
 def overlap_saved(profiles: list[tuple[float, float]]) -> float:
@@ -110,6 +119,10 @@ def install(client) -> list[PlanExecution]:
     executions: list[PlanExecution] = []
 
     def run(plan, queries, merger, k, ef, trace=None):
+        # A torn attempt (``StaleReadError``) leaves decodes it never
+        # charged; the retry must not inherit them (src fixed this in the
+        # staged loop, where the backlog lives on the attempt's execution).
+        ledger.drain()
         if client.policy.deduplicate_batch:
             execution = execute_plan(client, plan, queries, merger, k, ef)
         else:
@@ -130,7 +143,8 @@ def install(client) -> list[PlanExecution]:
         return staged.PlanExecution(
             sub_evals=execution.sub_evals, fetched=execution.fetched,
             hit_count=execution.hit_count, sub_hnsw_us=sub_hnsw_us,
-            pipeline_executed=execution.pipeline_executed)
+            pipeline_executed=execution.pipeline_executed,
+            complete_us=execution.complete_us)
 
     client.engine.executor.execute_plan = run
     return executions
@@ -166,6 +180,9 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
     pending: tuple | None = None
     pending_index = -1
     decoder = host.engine.decoder
+    unserviced = collections.Counter(
+        row for wave in waves for row, _ in wave.serviced)
+    complete_us = np.full(len(queries), np.nan)
 
     def issue(index: int) -> tuple:
         descriptors, extents = _extent_descriptors(
@@ -206,6 +223,13 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
         execution.sub_evals += wave_evals
         execution.charged_compute_us += charged
         profiles.append((wave_fetch_us, charged))
+        for row, _ in wave.serviced:
+            unserviced[row] -= 1
+            if not unserviced[row]:
+                complete_us[row] = host.node.clock.now_us
+    # A row no wave serviced is released with the last one.
+    complete_us[np.isnan(complete_us)] = host.node.clock.now_us
+    execution.complete_us = complete_us
     execution.overlap_oracle_us = overlap_saved(profiles)
     return execution
 

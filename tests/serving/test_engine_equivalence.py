@@ -15,11 +15,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cluster import Deployment
 from repro.core.baselines import Scheme
 from repro.core.client import DHnswClient
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
+from repro.mutation.rebuild import ShadowRebuild
+from repro.rdma import CostModel
+from tests.mutation.test_shadow_rebuild import CutoverDuringFetch, fill_group
 from tests.serving import reference_loop
+from tests.serving.test_tiered_equivalence import base_config, make_world
 
 # Row ids predate the single worker pool and are kept so the suite's ids
 # stay comparable.  ``process`` rows run both clients on ``workers``
@@ -77,17 +82,59 @@ def assert_batches_identical(staged, oracle):
             == oracle.duplicate_requests_pruned)
     assert staged.pipeline_executed == oracle.pipeline_executed
     assert staged.overlap_saved_us == oracle.overlap_saved_us
+    # Per-row completion: the oracle counts pairs down, ``src/`` indexes
+    # a per-wave clock — same stamps, to the bit.
+    assert staged.complete_us.dtype == np.float64
+    np.testing.assert_array_equal(staged.complete_us, oracle.complete_us)
+
+
+def record_plans(client) -> list[BatchPlan]:
+    """Every plan ``client`` executes from now on, in order (one per
+    attempt, so a retried batch leaves two)."""
+    plans: list[BatchPlan] = []
+    plan = client.engine.planner.plan
+
+    def recording(required, trace):
+        plans.append(plan(required, trace))
+        return plans[-1]
+
+    client.engine.planner.plan = recording
+    return plans
+
+
+def assert_stamps_follow_the_plan(result, plan, batch_end_us):
+    """``complete_us`` against the plan that produced it: a row's stamp
+    is its last wave's, stamps never decrease from wave to wave, the last
+    one is the batch end — and a schedule that charged nothing wave by
+    wave releases every row there."""
+    stamps = result.complete_us
+    assert stamps.shape == (result.batch_size,)
+    assert stamps.max() == batch_end_us
+    if not result.pipeline_executed:
+        assert (stamps == batch_end_us).all()
+        return
+    last_wave = {row: index for index, wave in enumerate(plan.waves)
+                 for row, _ in wave.serviced}
+    by_wave: dict[int, set[float]] = {}
+    for row, index in last_wave.items():
+        by_wave.setdefault(index, set()).add(stamps[row])
+    assert all(len(values) == 1 for values in by_wave.values())
+    ends = [by_wave[index].pop() for index in sorted(by_wave)]
+    assert ends == sorted(set(ends))  # strictly later, wave after wave
 
 
 def run_cold_then_warm(staged, oracle, queries, k=10):
     """A cold batch (all misses), then a warm one (cache hits plus the
     overflow-tail validation path) — both must match exactly."""
+    plans = record_plans(staged)
     try:
         for _ in range(2):
             staged_result = staged.search_batch(queries, k=k)
             oracle_result = oracle.search_batch(queries, k=k)
             assert_batches_identical(staged_result, oracle_result)
             assert_ledgers_identical(staged, oracle)
+            assert_stamps_follow_the_plan(staged_result, plans[-1],
+                                          staged.node.clock.now_us)
     finally:
         staged.close()
         oracle.close()
@@ -104,6 +151,8 @@ def test_staged_matches_reference(built_deployment, small_dataset,
         oracle_workers=1 if executor == "thread" else None)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
     assert result.waves >= 2 and result.pipeline_executed == pipeline
+    # Under the look-ahead some row is final before the batch is.
+    assert (result.complete_us.min() < result.complete_us.max()) == pipeline
     # Only the staged path populates per-stage traces.
     assert result.trace is not None
     assert result.trace.total_sim_us > 0.0
@@ -143,6 +192,15 @@ def test_hit_evicted_between_planning_and_execution(
         assert executions[0].fetched == 3 and executions[0].hit_count == 0
         assert executions[0].pipeline_executed == pipeline
         assert_ledgers_identical(staged, oracle)
+        stamps = executions[0].complete_us
+        if pipeline:
+            # Row 0 is final after wave 1 (the refetch inside the hit
+            # wave is on its bill), row 1 after wave 2 = the end.
+            np.testing.assert_array_equal(stamps,
+                                          executions[1].complete_us)
+            assert stamps[0] < stamps[1] == staged.node.clock.now_us
+        else:
+            assert stamps is None and executions[1].complete_us is None
     finally:
         staged.close()
         oracle.close()
@@ -257,3 +315,122 @@ def test_peer_inserts_between_batches(mutable_deployment, small_dataset,
         writer.close()
         staged.close()
         oracle.close()
+
+
+def test_stamps_come_from_the_attempt_that_returned(small_dataset,
+                                                    small_config):
+    """A cutover tears the first attempt (``StaleReadError``); the retry
+    re-plans on the new epoch and its stamps are the ones handed back —
+    none earlier than the retry's start, the last one the batch end.
+    Each client gets its own (identically built) deployment: a cutover
+    fires once."""
+    probe = small_dataset.queries[0]
+    capacity = small_config.overflow_capacity_records
+    vectors = np.stack([probe + i * 1e-4 for i in range(capacity)]
+                       + list(small_dataset.queries[1:9]))
+    results, starts, clients = [], [], []
+    for install in (False, True):
+        deployment = Deployment(small_dataset.vectors, small_config,
+                                cost_model=CostModel())
+        writer, reader = (
+            DHnswClient(deployment.layout, deployment.meta, small_config,
+                        cost_model=deployment.cost_model, name=name)
+            for name in ("writer", "reader"))
+        clients += [writer, reader]
+        if install:
+            reference_loop.install(reader)
+        rebuild = ShadowRebuild(writer, fill_group(writer, probe, capacity))
+        while rebuild.state != "cutover":
+            rebuild.step()
+        reader.transport = CutoverDuringFetch(reader.transport, rebuild)
+        attempt_starts: list[float] = []
+        once = reader.engine._search_batch_once
+
+        def counting(*args, _once=once, _starts=attempt_starts,
+                     _reader=reader, **kwargs):
+            _starts.append(_reader.node.clock.now_us)
+            return _once(*args, **kwargs)
+
+        reader.engine._search_batch_once = counting
+        plans = record_plans(reader)
+        result = reader.search_batch(vectors, 1, ef_search=64)
+        assert reader.transport.triggered == 1 and len(attempt_starts) == 2
+        assert result.pipeline_executed
+        assert result.complete_us.min() > attempt_starts[1]
+        assert_stamps_follow_the_plan(result, plans[-1],
+                                      reader.node.clock.now_us)
+        results.append(result)
+        starts.append(attempt_starts)
+    for client in clients:
+        client.close()
+    assert starts[0] == starts[1]
+    assert_batches_identical(*results)
+
+
+def test_cold_tier_rows_complete_with_the_batch():
+    """Row 0's farthest probe cold, the rest hot: a row the cold tier
+    answers is final only when the batch is (cold serving runs after the
+    waves); a row whose clusters are all hot keeps its wave's stamp, and
+    that is earlier."""
+    corpus, queries, _ = make_world()
+    deployment = Deployment(corpus, base_config(cold_tier="pq"),
+                            simulate_link_contention=False)
+    config = deployment.config.replace(pipeline_waves=True)
+    staged, oracle = (
+        DHnswClient(deployment.layout, deployment.meta, config,
+                    cost_model=deployment.effective_cost_model, name=name)
+        for name in ("staged", "oracle"))
+    reference_loop.install(oracle)
+    splits = []
+    cold_ids = {staged.meta.route_batch(queries[:1], config.nprobe,
+                                        config.ef_meta)[0][-1]}
+    for client in (staged, oracle):
+        client.tier_store.hot_ids = set(range(12)) - cold_ids
+    split = staged.tier_store.split
+
+    def recording(required):
+        splits.append(split(required))
+        return splits[-1]
+
+    staged.tier_store.split = recording
+    plans = record_plans(staged)
+    try:
+        result = staged.search_batch(queries[:16], k=10)
+        assert_batches_identical(result, oracle.search_batch(queries[:16],
+                                                             k=10))
+        batch_end_us = staged.node.clock.now_us
+    finally:
+        staged.close()
+        oracle.close()
+    assert result.pipeline_executed and result.cold_clusters_served > 0
+    _, cold_required = splits[-1]
+    cold_rows = sorted({row for rows in cold_required.values()
+                        for row in rows})
+    hot_rows = sorted(set(range(16)) - set(cold_rows))
+    assert cold_rows and hot_rows
+    assert (result.complete_us[cold_rows] == batch_end_us).all()
+    assert (result.complete_us[hot_rows] < batch_end_us).all()
+    last_wave = {row: index for index, wave in enumerate(plans[-1].waves)
+                 for row, _ in wave.serviced}
+    for one, other in zip(hot_rows, hot_rows[1:]):
+        if last_wave[one] < last_wave[other]:
+            assert result.complete_us[one] < result.complete_us[other]
+
+
+def test_worker_processes_stamp_as_inline_does(built_deployment,
+                                               small_dataset):
+    """Stamps are simulated time: ``search_workers=4`` hands back the
+    float64s the inline search does."""
+    clients = [DHnswClient(built_deployment.layout, built_deployment.meta,
+                           built_deployment.config.replace(
+                               search_workers=workers),
+                           cost_model=built_deployment.effective_cost_model,
+                           name=f"w{workers}") for workers in (1, 4)]
+    try:
+        inline, pooled = (client.search_batch(small_dataset.queries[:12],
+                                              k=10) for client in clients)
+    finally:
+        for client in clients:
+            client.close()
+    assert inline.pipeline_executed
+    np.testing.assert_array_equal(inline.complete_us, pooled.complete_us)

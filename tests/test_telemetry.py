@@ -107,10 +107,11 @@ class TestRenderReportFrontDoorSection:
         report = render_report(snapshot, frontdoor=frontdoor_report)
         assert "=== front door ===" in report
         assert "queue delay" in report
+        assert "in wave" in report
         assert "e2e latency" in report
         assert "shed@admission" in report
         for column in ("tenant", "offered", "served", "degraded",
-                       "q_p99us", "share"):
+                       "q_p99us", "l_p50us", "l_p99us", "share"):
             assert column in report
 
     def test_counts_match_the_load_report(self, snapshot, frontdoor_report):
