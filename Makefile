@@ -1,6 +1,6 @@
 # Convenience targets for the d-HNSW reproduction.
 
-.PHONY: install test bench bench-smoke examples outputs clean
+.PHONY: install test bench bench-smoke examples loc outputs clean
 
 install:
 	pip install -e .
@@ -20,6 +20,12 @@ examples:
 	python examples/streaming_ingest.py
 	python examples/scheme_comparison.py
 	python examples/sharded_scaleout.py
+	python examples/frontdoor_slo.py
+	python examples/slo_tuning.py
+
+# The src/ line count ROADMAP item 5 tracks.
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 # The artefacts DESIGN.md step 6 asks for.
 outputs:

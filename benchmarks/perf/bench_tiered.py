@@ -1,9 +1,8 @@
 """Hot/cold tiered-memory benchmark: DRAM footprint vs quality.
 
 PR 9 put a PQ cold tier underneath the full-precision cluster cache:
-every cluster also has a compact cold extent (short codes, optionally a
-Vamana adjacency) served with one RDMA READ + ADC + a narrow exact
-rerank, and a background rebalancer promotes only the EWMA-hottest
+every cluster also has a compact cold extent (labels + short codes)
+served with one RDMA READ + ADC + a narrow exact rerank, and a background rebalancer promotes only the EWMA-hottest
 clusters into a bounded full-precision hot tier.  This harness stands up
 the CI scenario (200k x 128d, 400 clusters, batch 256) under a Zipfian
 cluster-popularity workload and gates the memory-frontier claim:

@@ -35,7 +35,12 @@ from repro.errors import ConfigError
 from repro.hnsw.index import HnswIndex
 from repro.layout.serializer import OverflowRecord
 
-__all__ = ["CachedCluster", "ClusterCache"]
+__all__ = ["CachedCluster", "ClusterCache", "FREQ_HALFLIFE_US"]
+
+#: Half-life of the EWMA access frequency, in simulated microseconds:
+#: short enough to follow a workload shift, long enough to damp
+#: promotion churn.
+FREQ_HALFLIFE_US = 50_000.0
 
 
 @dataclasses.dataclass
@@ -79,16 +84,11 @@ class ClusterCache:
     """Lock-guarded LRU cache of deserialized sub-HNSW clusters."""
 
     def __init__(self, capacity_clusters: int,
-                 freq_halflife_us: float = 50_000.0,
                  release: "Callable[[int], None] | None" = None) -> None:
         if capacity_clusters < 1:
             raise ConfigError(
                 f"cache capacity must be >= 1, got {capacity_clusters}")
-        if freq_halflife_us <= 0:
-            raise ConfigError(
-                f"freq halflife must be > 0, got {freq_halflife_us}")
         self.capacity_clusters = int(capacity_clusters)
-        self.freq_halflife_us = float(freq_halflife_us)
         #: Called with the ``nbytes`` of every entry that leaves the cache.
         self._release = release
         self._entries: collections.OrderedDict[int, CachedCluster] = (
@@ -180,7 +180,7 @@ class ClusterCache:
         with self._lock:
             score, last = self._freq.get(cluster_id, (0.0, now_us))
             if now_us > last:
-                score *= 2.0 ** (-(now_us - last) / self.freq_halflife_us)
+                score *= 2.0 ** (-(now_us - last) / FREQ_HALFLIFE_US)
             score += weight
             self._freq[cluster_id] = (score, max(now_us, last))
             return score
@@ -193,7 +193,7 @@ class ClusterCache:
                 return 0.0
             score, last = record
             if now_us > last:
-                score *= 2.0 ** (-(now_us - last) / self.freq_halflife_us)
+                score *= 2.0 ** (-(now_us - last) / FREQ_HALFLIFE_US)
             return score
 
     # ------------------------------------------------------------------

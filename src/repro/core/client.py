@@ -106,9 +106,7 @@ class DHnswClient:
             raise LayoutError("DRAM budget cannot hold the meta-HNSW")
         # Admission reserves an entry's bytes (``Fetcher.cache_put``); the
         # cache gives them back however the entry leaves.
-        self.cache = ClusterCache(
-            capacity, freq_halflife_us=self.config.tier_ewma_halflife_us,
-            release=self.node.release_dram)
+        self.cache = ClusterCache(capacity, release=self.node.release_dram)
 
         # The transport seam: every remote byte this client moves goes
         # through here.  ``transport_factory`` lets callers stack

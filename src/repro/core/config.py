@@ -50,12 +50,6 @@ class DHnswConfig:
         Capacity costs region bytes and sets how often a group rebuilds;
         it does not tax reads — a fetch moves the live slots plus a small
         slack, not the area (``layout.group_layout.cluster_read_ranges``).
-    mutation_retry_limit:
-        Bounded retries of the mutation path's reserve/rebuild loop when
-        another writer wins a race (rebuild leadership lost, or a slot
-        reservation landed on a just-sealed overflow area).  Each retry
-        refreshes metadata first; exhausting the budget raises
-        ``OverflowFullError`` instead of spinning.
     reclaim_eager:
         When True (default), every metadata refresh and cutover also
         attempts grace-period reclamation of retired extents (an extent
@@ -116,9 +110,6 @@ class DHnswConfig:
         cluster; clusters outside the hot tier are served from one RDMA
         read of the short codes (ADC scan + exact rerank of
         ``rerank_depth`` candidates fetched in a second narrow read).
-        ``"vamana"`` stores a bounded-degree Vamana graph next to the
-        codes and replaces the ADC full scan with a greedy ADC beam
-        search from the medoid.
     hot_tier_budget_bytes:
         Compute-side DRAM the hot tier may occupy with full-precision
         cluster extents.  ``None`` (default) is unbounded: every
@@ -128,21 +119,10 @@ class DHnswConfig:
     rerank_depth:
         Cold-serve candidates re-ranked with exact distances against
         full vectors fetched in the narrow second read.
-    pq_subspaces / pq_bits:
-        Product-quantization shape of the cold codes (``pq_subspaces``
-        bytes per vector at 8 bits).  ``pq_subspaces`` must divide the
-        corpus dimensionality when the cold tier is enabled.
-    tier_ewma_halflife_us:
-        Half-life of the cluster cache's exponentially-weighted access
-        frequency, in simulated microseconds.  Shorter reacts faster to
-        workload shifts; longer damps promotion churn.
-    tier_hysteresis:
-        A cold cluster displaces a hot one only when its EWMA score
-        exceeds ``tier_hysteresis`` times the victim's — the guard that
-        prevents tier ping-pong under alternating access patterns.
-    vamana_degree:
-        Out-degree bound of the cold Vamana graphs
-        (``cold_tier="vamana"`` only).
+    pq_subspaces:
+        Sub-quantizers of the cold codes — one byte per subspace per
+        vector (8-bit codes).  Must divide the corpus dimensionality
+        when the cold tier is enabled.
     """
 
     num_representatives: int | None = None
@@ -152,7 +132,6 @@ class DHnswConfig:
     cache_fraction: float = 0.10
     batch_size: int = 2000
     overflow_capacity_records: int = 128
-    mutation_retry_limit: int = 8
     reclaim_eager: bool = True
     adaptive_nprobe: bool = False
     adaptive_alpha: float = 1.35
@@ -165,10 +144,6 @@ class DHnswConfig:
     hot_tier_budget_bytes: int | None = None
     rerank_depth: int = 48
     pq_subspaces: int = 8
-    pq_bits: int = 8
-    tier_ewma_halflife_us: float = 50_000.0
-    tier_hysteresis: float = 2.0
-    vamana_degree: int = 16
     seed: int = 0
     meta_params: HnswParams = dataclasses.field(
         default_factory=lambda: HnswParams(
@@ -199,10 +174,6 @@ class DHnswConfig:
             raise ConfigError(
                 f"overflow_capacity_records must be >= 0, got "
                 f"{self.overflow_capacity_records}")
-        if self.mutation_retry_limit < 1:
-            raise ConfigError(
-                f"mutation_retry_limit must be >= 1, got "
-                f"{self.mutation_retry_limit}")
         if self.region_headroom < 1.0:
             raise ConfigError(
                 f"region_headroom must be >= 1.0, got {self.region_headroom}")
@@ -216,10 +187,9 @@ class DHnswConfig:
         if self.search_workers < 1:
             raise ConfigError(
                 f"search_workers must be >= 1, got {self.search_workers}")
-        if self.cold_tier not in ("off", "pq", "vamana"):
+        if self.cold_tier not in ("off", "pq"):
             raise ConfigError(
-                f"cold_tier must be 'off', 'pq' or 'vamana', got "
-                f"{self.cold_tier!r}")
+                f"cold_tier must be 'off' or 'pq', got {self.cold_tier!r}")
         if (self.hot_tier_budget_bytes is not None
                 and self.hot_tier_budget_bytes < 0):
             raise ConfigError(
@@ -231,20 +201,6 @@ class DHnswConfig:
         if self.pq_subspaces < 1:
             raise ConfigError(
                 f"pq_subspaces must be >= 1, got {self.pq_subspaces}")
-        if not 1 <= self.pq_bits <= 8:
-            raise ConfigError(
-                f"pq_bits must be in [1, 8], got {self.pq_bits}")
-        if self.tier_ewma_halflife_us <= 0.0:
-            raise ConfigError(
-                f"tier_ewma_halflife_us must be > 0, got "
-                f"{self.tier_ewma_halflife_us}")
-        if self.tier_hysteresis < 1.0:
-            raise ConfigError(
-                f"tier_hysteresis must be >= 1.0, got "
-                f"{self.tier_hysteresis}")
-        if self.vamana_degree < 1:
-            raise ConfigError(
-                f"vamana_degree must be >= 1, got {self.vamana_degree}")
         if self.adaptive_alpha < 1.0:
             raise ConfigError(
                 f"adaptive_alpha must be >= 1.0, got {self.adaptive_alpha}")
@@ -309,7 +265,7 @@ class FrontDoorConfig:
     into waves before they reach the serving engine, so one doorbell-
     batched fetch (and the planner's cross-query cluster dedup) serves
     many tenants.  Every decision it makes is a pure function of the
-    arrival sequence and ``seed``, so schedules replay deterministically.
+    arrival sequence, so schedules replay deterministically.
 
     Attributes
     ----------
@@ -351,10 +307,6 @@ class FrontDoorConfig:
     degrade_backlog_waves:
         Backlog threshold (in units of ``max_batch``) beyond which the
         scheduler switches to ``degraded_ef``.
-    seed:
-        Seed for the front door's only randomness-adjacent choice (tenant
-        ring tie-breaks); kept so replays are reproducible by
-        construction.
     """
 
     max_wait_us: float = 2000.0
@@ -367,7 +319,6 @@ class FrontDoorConfig:
     shed_late: bool = True
     degraded_ef: int | None = None
     degrade_backlog_waves: float = 2.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_wait_us < 0.0:

@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.baselines.vamana import VamanaIndex
 from repro.core.build_pool import BuildPool
 from repro.core.config import DHnswConfig
 from repro.core.meta_index import MetaHnsw, sample_representatives
@@ -34,8 +33,8 @@ from repro.core.partitions import (Partitioning, assign_partitions,
 from repro.errors import LayoutError
 from repro.hnsw.parallel_build import build_cluster_blob
 from repro.layout.allocator import RegionAllocator
-from repro.layout.cold import (NO_NEIGHBOR, codebook_blob_size,
-                               serialize_codebook, serialize_cold_cluster)
+from repro.layout.cold import (codebook_blob_size, serialize_codebook,
+                               serialize_cold_cluster)
 from repro.layout.group_layout import plan_groups
 from repro.layout.metadata import (ColdDirectory, ColdExtentEntry,
                                    GlobalMetadata, rebuild_lock_offset)
@@ -187,7 +186,7 @@ class DHnswBuilder:
         across rebuilds at any ``build_workers`` count.
         """
         codebook = PqCodebook(vectors.shape[1], self.config.pq_subspaces,
-                              self.config.pq_bits, seed=self.config.seed)
+                              seed=self.config.seed)
         limit = 65536
         step = max(1, vectors.shape[0] // limit)
         codebook.train(vectors[::step][:limit], seed=self.config.seed)
@@ -213,7 +212,7 @@ class DHnswBuilder:
         capacity = int(layout_end * self.config.region_headroom) + reserve
         if codebook is not None:
             # Room for the cold extents and codebook blob past the hot
-            # layout: codes + adjacency are a small fraction of the
+            # layout: the codes are a small fraction of the
             # full-precision bytes, bounded here by a quarter.
             capacity += (codebook_blob_size(codebook) + layout_end // 4
                          + _METADATA_ALIGN)
@@ -326,24 +325,8 @@ class DHnswBuilder:
         codes = (codebook.encode(vectors) if num_nodes else
                  np.empty((0, codebook.num_subspaces), dtype=np.uint8))
         vectors_offset = blob_offset + len(blob) - 4 * num_nodes * dim
-        medoid = -1
-        adjacency = None
-        if self.config.cold_tier == "vamana":
-            degree = max(2, self.config.vamana_degree)
-            adjacency = np.full((num_nodes, degree), NO_NEIGHBOR,
-                                dtype=np.uint32)
-            if num_nodes:
-                index = VamanaIndex(dim, r=degree,
-                                    seed=self.config.seed + cluster_id)
-                index.build(vectors)
-                for node in range(num_nodes):
-                    neighbors = index.graph.neighbors(node, 0)[:degree]
-                    adjacency[node, :len(neighbors)] = neighbors
-                medoid = (index.medoid if index.medoid is not None
-                          else -1)
         return serialize_cold_cluster(cluster_id, labels, codes,
-                                      vectors_offset, medoid=medoid,
-                                      adjacency=adjacency)
+                                      vectors_offset)
 
     @staticmethod
     def _next_blob(blobs: Iterator[tuple[int, bytes]], cluster_id: int,

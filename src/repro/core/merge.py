@@ -8,9 +8,9 @@ everything until finalize.  The pre-PR-4 engine merged through per-query
 module replaces that with bounded NumPy buffers compacted via
 ``np.argpartition``, with tie-breaking deterministically equal to the dict
 path: candidates are ordered by ``(distance, gid)`` ascending, duplicate
-gids keep their minimum distance.  ``merge_reference`` retains the dict
-implementation verbatim as the oracle the Hypothesis equivalence test (and
-anyone debugging a merge discrepancy) compares against.
+gids keep their minimum distance.  The dict implementation lives on as the
+oracle of the Hypothesis equivalence test
+(``tests/core/reference_merge.py``).
 
 Distances are buffered as float64 — the dict path compared Python floats —
 and cast to float32 only in the returned arrays, exactly as before.
@@ -18,12 +18,11 @@ and cast to float32 only in the returned arrays, exactly as before.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["TopKMerger", "merge_reference", "select_topk"]
+__all__ = ["TopKMerger", "select_topk"]
 
 
 def select_topk(gids: np.ndarray, dists: np.ndarray,
@@ -141,33 +140,3 @@ class TopKMerger:
         if gids.size:
             gids, dists = select_topk(gids, dists, k)
         return gids.astype(np.int64), dists.astype(np.float32)
-
-
-def merge_reference(num_queries: int,
-                    chunks: Iterable[tuple[int, Iterable[int],
-                                           Iterable[float]]],
-                    k: int,
-                    filter_fn: Callable[[int], bool] | None = None,
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pre-PR-4 dict-accumulator merge, kept as a test oracle.
-
-    ``chunks`` is a flat iterable of ``(query_index, gids, dists)``; the
-    return value matches :meth:`TopKMerger.top` for every query.
-    """
-    merged: list[dict[int, float]] = [{} for _ in range(num_queries)]
-    for query_index, gids, dists in chunks:
-        accumulator = merged[query_index]
-        for gid, dist in zip(gids, dists):
-            gid, dist = int(gid), float(dist)
-            previous = accumulator.get(gid)
-            if previous is None or dist < previous:
-                accumulator[gid] = dist
-    results = []
-    for accumulator in merged:
-        candidates = [(dist, gid) for gid, dist in accumulator.items()
-                      if filter_fn is None or filter_fn(gid)]
-        best = heapq.nsmallest(k, candidates)
-        ids = np.array([gid for _, gid in best], dtype=np.int64)
-        distances = np.array([dist for dist, _ in best], dtype=np.float32)
-        results.append((ids, distances))
-    return results

@@ -61,7 +61,7 @@ class BatchResult:
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False
-    #: Clusters served from the cold (PQ/Vamana) tier this batch, and the
+    #: Clusters served from the cold (PQ) tier this batch, and the
     #: tier transitions the post-batch rebalance made.  All zero when
     #: ``cold_tier="off"``.
     cold_clusters_served: int = 0

@@ -152,15 +152,3 @@ class GroupSealedError(LayoutError):
             f"overflow area of group {group_id} is sealed (group "
             f"relocated by a concurrent rebuild); refresh and retry")
         self.group_id = group_id
-
-
-class StaleMetadataError(LayoutError):
-    """A compute instance used cached cluster offsets whose version no
-    longer matches the authoritative metadata block in remote memory."""
-
-    def __init__(self, cached_version: int, remote_version: int) -> None:
-        super().__init__(
-            f"cached metadata version {cached_version} != remote "
-            f"version {remote_version}")
-        self.cached_version = cached_version
-        self.remote_version = remote_version

@@ -154,10 +154,6 @@ class DeficitRoundRobin:
         """Requests waiting across all tenants."""
         return self._pending
 
-    def pending_for(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0
-
     def oldest_arrival_us(self) -> float | None:
         """Arrival time of the longest-waiting request, if any."""
         oldest = None

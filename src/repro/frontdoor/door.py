@@ -29,6 +29,7 @@ changes *when* clusters are fetched, never what a query answers), which
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import heapq
 import math
@@ -284,20 +285,20 @@ class FrontDoor:
             return policy.slo_us
         return self.config.slo_us
 
-    def _admit(self, request: Request,
-               outcomes: dict[int, RequestOutcome]) -> None:
-        """Admission-check one arrival; queue it or shed it on the spot."""
+    def _admit(self, request: Request) -> RequestOutcome | None:
+        """Admission-check one arrival: queue it (``None``), or shed it on
+        the spot and return that outcome."""
         if self.admission.admit(request):
             self.former.offer(request)
-        else:
-            outcomes[request.request_id] = RequestOutcome(
-                request=request, status=RequestStatus.SHED_ADMISSION,
-                dispatch_us=float("nan"), complete_us=request.arrival_us,
-                wave_id=-1, ef_used=0)
+            return None
+        return RequestOutcome(
+            request=request, status=RequestStatus.SHED_ADMISSION,
+            dispatch_us=float("nan"), complete_us=request.arrival_us,
+            wave_id=-1, ef_used=0)
 
     # -- wave dispatch ----------------------------------------------------
-    def _dispatch_wave(self, outcomes: dict[int, RequestOutcome],
-                       waves: list[WaveRecord]) -> list[RequestOutcome]:
+    def _dispatch_wave(self, waves: list[WaveRecord]
+                       ) -> list[RequestOutcome]:
         """Form and execute one wave; returns the wave's outcomes."""
         now = self.clock.now_us
         wave = self.former.form(now, self._wave_counter)
@@ -306,12 +307,10 @@ class FrontDoor:
 
         produced: list[RequestOutcome] = []
         for request in plan.shed:
-            outcome = RequestOutcome(
+            produced.append(RequestOutcome(
                 request=request, status=RequestStatus.SHED_DEADLINE,
                 dispatch_us=wave.formed_us, complete_us=now,
-                wave_id=wave.wave_id, ef_used=0)
-            outcomes[request.request_id] = outcome
-            produced.append(outcome)
+                wave_id=wave.wave_id, ef_used=0))
 
         service_start = now
         fetched = 0
@@ -329,13 +328,11 @@ class FrontDoor:
                                         completes)
             for request, result, complete in zip(group.requests,
                                                  batch.results, completes):
-                outcome = RequestOutcome(
+                produced.append(RequestOutcome(
                     request=request, status=status,
                     dispatch_us=wave.formed_us, complete_us=complete,
                     wave_id=wave.wave_id, ef_used=group.ef,
-                    ids=result.ids, distances=result.distances)
-                outcomes[request.request_id] = outcome
-                produced.append(outcome)
+                    ids=result.ids, distances=result.distances))
 
         waves.append(WaveRecord(
             wave_id=wave.wave_id, formed_us=wave.formed_us,
@@ -374,7 +371,45 @@ class FrontDoor:
         queue.sim_us += sum(wave.formed_us - r.arrival_us
                             for r in members)
 
-    # -- open loop --------------------------------------------------------
+    # -- the event loop ---------------------------------------------------
+    def _serve(self, peek, pop, completed,
+               issued: Sequence[Request]) -> LoadReport:
+        """Admit what has arrived, dispatch a ready wave, else advance the
+        clock to the next arrival or due time — until both run dry.
+
+        The arrival source: ``peek()`` is the next arrival's time (``None``
+        when there is none), ``pop()`` its request, ``completed(outcome)``
+        hears every outcome as it lands (a closed-loop session schedules
+        its next query from it); ``issued`` is every request popped.
+        """
+        outcomes: dict[int, RequestOutcome] = {}
+        waves: list[WaveRecord] = []
+
+        def land(outcome: RequestOutcome) -> None:
+            outcomes[outcome.request.request_id] = outcome
+            completed(outcome)
+
+        while True:
+            now = self.clock.now_us
+            upcoming = peek()
+            while upcoming is not None and upcoming <= now:
+                shed = self._admit(pop())
+                if shed is not None:   # completes on the spot
+                    land(shed)
+                upcoming = peek()
+            if self.former.ready(now):
+                for outcome in self._dispatch_wave(waves):
+                    land(outcome)
+                continue
+            targets = [t for t in (upcoming, self.former.due_us())
+                       if t is not None]
+            if not targets:
+                break
+            self.clock.advance_to(min(targets))
+            # Loop back: the drain admits a reached arrival, and a
+            # waited-out batch budget makes ``ready`` true.
+        return self._report(outcomes, waves, issued)
+
     def run(self, requests: Sequence[Request]) -> LoadReport:
         """Serve a pre-generated (open-loop) arrival sequence to completion.
 
@@ -387,30 +422,12 @@ class FrontDoor:
             if later.arrival_us < earlier.arrival_us:
                 raise ValueError(
                     "open-loop requests must be sorted by arrival_us")
-        outcomes: dict[int, RequestOutcome] = {}
-        waves: list[WaveRecord] = []
-        index = 0
-        total = len(requests)
-        while index < total or self.former.pending:
-            now = self.clock.now_us
-            while index < total and requests[index].arrival_us <= now:
-                self._admit(requests[index], outcomes)
-                index += 1
-            if self.former.ready(self.clock.now_us):
-                self._dispatch_wave(outcomes, waves)
-                continue
-            next_arrival = (requests[index].arrival_us
-                            if index < total else None)
-            due = self.former.due_us()
-            targets = [t for t in (next_arrival, due) if t is not None]
-            if not targets:
-                break
-            self.clock.advance_to(min(targets))
-            # Loop back: the drain admits a reached arrival, and a
-            # waited-out batch budget makes ``ready`` true.
-        return self._report(outcomes, waves, requests)
+        waiting = collections.deque(requests)
+        return self._serve(
+            peek=lambda: waiting[0].arrival_us if waiting else None,
+            pop=waiting.popleft, completed=lambda outcome: None,
+            issued=requests)
 
-    # -- closed loop ------------------------------------------------------
     def run_closed_loop(self, sessions: Sequence[ClosedLoopSession],
                         first_request_id: int = 0) -> LoadReport:
         """Serve closed-loop sessions: each issues, waits, thinks, repeats.
@@ -429,58 +446,36 @@ class FrontDoor:
             for index, session in enumerate(sessions)
             if len(session.queries)]
         heapq.heapify(pending)
-        outcomes: dict[int, RequestOutcome] = {}
-        waves: list[WaveRecord] = []
         by_request: dict[int, tuple[int, int]] = {}
-        next_id = first_request_id
-        all_requests: list[Request] = []
+        issued: list[Request] = []
 
-        def issue(issue_us: float, session_index: int,
-                  query_index: int) -> None:
-            nonlocal next_id
+        def pop() -> Request:
+            issue_us, session_index, query_index = heapq.heappop(pending)
             session = sessions[session_index]
             request = Request(
-                request_id=next_id, tenant=session.tenant,
+                request_id=first_request_id + len(issued),
+                tenant=session.tenant,
                 query=session.queries[query_index], k=session.k,
                 arrival_us=max(issue_us, 0.0),
                 slo_us=(session.slo_us if session.slo_us is not None
                         else self.tenant_slo_us(session.tenant)),
                 ef_search=session.ef_search)
-            next_id += 1
             by_request[request.request_id] = (session_index, query_index)
-            all_requests.append(request)
-            self._admit(request, outcomes)
-            # An admission shed completes instantly: schedule the think.
-            outcome = outcomes.get(request.request_id)
-            if outcome is not None:
-                schedule_next(outcome)
+            issued.append(request)
+            return request
 
-        def schedule_next(outcome: RequestOutcome) -> None:
+        def completed(outcome: RequestOutcome) -> None:
             session_index, query_index = by_request[outcome.request.request_id]
             session = sessions[session_index]
             following = query_index + 1
-            if following >= len(session.queries):
-                return
-            think = float(session.think_us[query_index])
-            heapq.heappush(pending, (outcome.complete_us + think,
-                                     session_index, following))
+            if following < len(session.queries):
+                think = float(session.think_us[query_index])
+                heapq.heappush(pending, (outcome.complete_us + think,
+                                         session_index, following))
 
-        while pending or self.former.pending:
-            now = self.clock.now_us
-            while pending and pending[0][0] <= now:
-                issue_us, session_index, query_index = heapq.heappop(pending)
-                issue(issue_us, session_index, query_index)
-            if self.former.ready(self.clock.now_us):
-                for outcome in self._dispatch_wave(outcomes, waves):
-                    schedule_next(outcome)
-                continue
-            next_issue = pending[0][0] if pending else None
-            due = self.former.due_us()
-            targets = [t for t in (next_issue, due) if t is not None]
-            if not targets:
-                break
-            self.clock.advance_to(min(targets))
-        return self._report(outcomes, waves, all_requests)
+        return self._serve(
+            peek=lambda: pending[0][0] if pending else None,
+            pop=pop, completed=completed, issued=issued)
 
     # -- reporting --------------------------------------------------------
     def _report(self, outcomes: dict[int, RequestOutcome],

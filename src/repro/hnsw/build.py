@@ -134,7 +134,7 @@ def sample_level(rng: random.Random, params: HnswParams) -> int:
 def select_neighbors_heuristic(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None = None,
+        params: HnswParams, query: np.ndarray,
         pairs: PairTable | None = None,
         owner: int | None = None) -> list[int]:
     """Algorithm 4: pick up to ``m`` diverse neighbours from candidates.
@@ -146,8 +146,7 @@ def select_neighbors_heuristic(
 
     ``query`` is the vector the candidate distances were measured against;
     ``extend_candidates`` scores discovered extensions against it, as
-    Algorithm 4 specifies.  When ``None`` (legacy callers), extensions
-    fall back to the closest candidate's vector as an approximation.
+    Algorithm 4 specifies.
     ``pairs`` is the in-progress build's distance table, when it has one.
     ``owner`` is the node whose list is being chosen, when it is already
     wired into the graph: it is its own neighbours' neighbour, and
@@ -185,29 +184,17 @@ def _extension_candidates(graph: LayeredGraph,
     return extensions
 
 
-def _extension_base(graph: LayeredGraph,
-                    candidates: list[tuple[float, int]],
-                    query: np.ndarray | None) -> np.ndarray:
-    """The vector extension distances are measured against."""
-    if query is not None:
-        return query
-    # Legacy fallback: distance to the closest candidate's vector,
-    # matching hnswlib's practical variant.
-    return graph.vector(min(candidates)[1])
-
-
 def _select_reference(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None,
+        params: HnswParams, query: np.ndarray,
         owner: int | None) -> list[int]:
     """Per-candidate loop implementation — the equivalence oracle."""
     ordered = sorted(candidates)
     if params.extend_candidates:
         extensions = _extension_candidates(graph, ordered, level, owner)
         if extensions:
-            base = _extension_base(graph, ordered, query)
-            dists = kernel.many(base, graph.vectors[extensions])
+            dists = kernel.many(query, graph.vectors[extensions])
             ordered = sorted(
                 ordered + list(zip(dists.tolist(), extensions)))
 
@@ -236,7 +223,7 @@ def _select_reference(
 def _select_vectorized(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray | None,
+        params: HnswParams, query: np.ndarray,
         pairs: PairTable | None, owner: int | None) -> list[int]:
     """Batched Algorithm 4 — bit-identical to :func:`_select_reference`.
 
@@ -252,8 +239,7 @@ def _select_vectorized(
     if params.extend_candidates:
         extensions = _extension_candidates(graph, entries, level, owner)
         if extensions:
-            base = _extension_base(graph, entries, query)
-            dists = kernel.many(base, graph.vectors[extensions])
+            dists = kernel.many(query, graph.vectors[extensions])
             entries.extend(zip(dists.tolist(), extensions))
 
     # Ascending unique ``(distance, node)`` tuples: the reference's

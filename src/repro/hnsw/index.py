@@ -62,10 +62,6 @@ class HnswIndex:
     def __len__(self) -> int:
         return len(self.graph)
 
-    def label_of(self, node: int) -> int:
-        """External label of an internal node id."""
-        return self.labels[node]
-
     # ------------------------------------------------------------------
     def add_one(self, vector: np.ndarray, label: int | None = None,
                 forced_level: int | None = None) -> int:

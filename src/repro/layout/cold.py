@@ -2,11 +2,10 @@
 
 The tiered store keeps two on-region forms of every cluster: the
 full-precision ``DHN1`` blob (hot tier, beam-searched in DRAM) and a
-compact *cold extent* holding just the PQ codes plus, optionally, a
-flat Vamana adjacency.  A cold serve is one RDMA READ of this extent,
-an ADC scan (or ADC-guided graph walk) over the short codes, and a
-second narrow READ of exactly the rerank candidates' full vectors out
-of the paired hot blob's vector section.
+compact *cold extent* holding just the PQ codes.  A cold serve is one
+RDMA READ of this extent, an ADC scan over the short codes, and a second
+narrow READ of exactly the rerank candidates' full vectors out of the
+paired hot blob's vector section.
 
 Codebook blob (one per deployment, referenced from the metadata cold
 directory):
@@ -26,21 +25,20 @@ section               contents
 ====================  =======================================================
 header                magic ``b"DHC1"``, version u16, pad u16,
                       cluster_id u32, num_nodes u32, num_subspaces u32,
-                      vectors_offset u64, medoid i32, degree i32
+                      vectors_offset u64, reserved i32 (-1),
+                      reserved i32 (0)
 labels                num_nodes x i64 (global dataset ids)
 codes                 num_nodes x num_subspaces x u8, zero-padded to a
                       multiple of 8 bytes
-adjacency             (only when degree > 0) num_nodes x degree x u32,
-                      rows padded with ``0xFFFFFFFF``
 ====================  =======================================================
 
 ``vectors_offset`` is the region-relative byte offset of the paired
 full-precision blob's vector section (same offset space as the metadata
 block's ``blob_offset``) — node ``i``'s full vector lives at
 ``vectors_offset + 4 * dim * i`` — so the rerank READ needs no parsing
-of the hot blob at all.  ``degree == 0`` means PQ flat scan
-(``cold_tier="pq"``); ``degree > 0`` carries a Vamana adjacency for an
-ADC-guided greedy walk from ``medoid`` (``cold_tier="vamana"``).
+of the hot blob at all.  The two reserved words are fixed at ``-1`` /
+``0`` so extents stay byte-identical to those saved deployments already
+hold; the decoder rejects any other value.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.pq.codebook import PqCodebook
 __all__ = [
     "CODEBOOK_MAGIC",
     "COLD_MAGIC",
-    "NO_NEIGHBOR",
     "ColdCluster",
     "serialize_codebook",
     "deserialize_codebook",
@@ -71,23 +68,18 @@ COLD_MAGIC = b"DHC1"
 _FORMAT_VERSION = 1
 _CODEBOOK_HEADER = struct.Struct("<4sHHIII")  # magic, ver, pad, dim, m, bits
 _COLD_HEADER = struct.Struct(
-    "<4sHHIIIQii")  # magic, ver, pad, cid, n, m, vec_off, medoid, degree
-
-#: Adjacency row padding for nodes with fewer than ``degree`` neighbours.
-NO_NEIGHBOR = 0xFFFF_FFFF
+    "<4sHHIIIQii")  # magic, ver, pad, cid, n, m, vec_off, reserved x 2
+_RESERVED = (-1, 0)
 
 
 @dataclasses.dataclass(frozen=True)
 class ColdCluster:
-    """Decoded cold extent: short codes + optional flat adjacency."""
+    """Decoded cold extent: labels + short codes."""
 
     cluster_id: int
     labels: np.ndarray          # (n,) i64
     codes: np.ndarray           # (n, num_subspaces) u8
     vectors_offset: int         # region-relative offset of full vectors
-    medoid: int                 # entry node for the graph walk, -1 if none
-    degree: int                 # 0 = flat PQ scan, >0 = Vamana adjacency
-    adjacency: np.ndarray | None = None   # (n, degree) u32, NO_NEIGHBOR-padded
 
     @property
     def num_nodes(self) -> int:
@@ -140,20 +132,15 @@ def codebook_blob_size(book: PqCodebook) -> int:
 
 
 # ----------------------------------------------------------------------
-def cold_extent_size(num_nodes: int, num_subspaces: int,
-                     degree: int = 0) -> int:
+def cold_extent_size(num_nodes: int, num_subspaces: int) -> int:
     """Exact byte size of a cold extent with the given geometry."""
     codes_bytes = num_nodes * num_subspaces
     padded_codes = (codes_bytes + 7) & ~7
-    adjacency_bytes = 4 * num_nodes * degree if degree > 0 else 0
-    return (_COLD_HEADER.size + 8 * num_nodes + padded_codes
-            + adjacency_bytes)
+    return _COLD_HEADER.size + 8 * num_nodes + padded_codes
 
 
 def serialize_cold_cluster(cluster_id: int, labels: np.ndarray,
-                           codes: np.ndarray, vectors_offset: int,
-                           medoid: int = -1,
-                           adjacency: np.ndarray | None = None) -> bytes:
+                           codes: np.ndarray, vectors_offset: int) -> bytes:
     """Serialize one cluster's cold form into a ``DHC1`` extent."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
@@ -161,28 +148,15 @@ def serialize_cold_cluster(cluster_id: int, labels: np.ndarray,
     if labels.shape[0] != num_nodes:
         raise SerializationError(
             f"{num_nodes} code rows but {labels.shape[0]} labels")
-    degree = 0
-    if adjacency is not None:
-        adjacency = np.atleast_2d(np.asarray(adjacency, dtype=np.uint32))
-        if adjacency.shape[0] != num_nodes:
-            raise SerializationError(
-                f"{num_nodes} nodes but adjacency has "
-                f"{adjacency.shape[0]} rows")
-        degree = int(adjacency.shape[1])
-        if degree == 0:
-            adjacency = None
-    buffer = bytearray(cold_extent_size(num_nodes, num_subspaces, degree))
+    buffer = bytearray(cold_extent_size(num_nodes, num_subspaces))
     _COLD_HEADER.pack_into(buffer, 0, COLD_MAGIC, _FORMAT_VERSION, 0,
                            cluster_id, num_nodes, num_subspaces,
-                           vectors_offset, medoid, degree)
+                           vectors_offset, *_RESERVED)
     offset = _COLD_HEADER.size
     buffer[offset:offset + 8 * num_nodes] = labels.tobytes()
     offset += 8 * num_nodes
     codes_bytes = codes.tobytes()
     buffer[offset:offset + len(codes_bytes)] = codes_bytes
-    offset += (len(codes_bytes) + 7) & ~7
-    if adjacency is not None:
-        buffer[offset:offset + adjacency.nbytes] = adjacency.tobytes()
     return bytes(buffer)
 
 
@@ -199,11 +173,15 @@ def deserialize_cold_cluster(blob: "bytes | memoryview") -> ColdCluster:
     if version != _FORMAT_VERSION:
         raise SerializationError(
             f"unsupported cold-extent version {version}")
-    if num_subspaces < 1 or degree < 0:
+    if num_subspaces < 1:
         raise SerializationError(
-            f"implausible cold geometry subspaces={num_subspaces} "
-            f"degree={degree}")
-    expected = cold_extent_size(num_nodes, num_subspaces, degree)
+            f"implausible cold geometry subspaces={num_subspaces}")
+    if (medoid, degree) != _RESERVED:
+        raise SerializationError(
+            f"cluster {cluster_id}: reserved header words are "
+            f"({medoid}, {degree}), expected {_RESERVED} — a graph-walk "
+            f"extent (medoid, degree) is not supported")
+    expected = cold_extent_size(num_nodes, num_subspaces)
     if len(blob) < expected:
         raise SerializationError(
             f"truncated cold extent: geometry needs {expected} B, "
@@ -215,20 +193,5 @@ def deserialize_cold_cluster(blob: "bytes | memoryview") -> ColdCluster:
     codes = np.frombuffer(blob, dtype=np.uint8,
                           count=num_nodes * num_subspaces,
                           offset=offset).reshape(num_nodes, num_subspaces)
-    offset += (num_nodes * num_subspaces + 7) & ~7
-    adjacency = None
-    if degree > 0:
-        adjacency = np.frombuffer(
-            blob, dtype=np.uint32, count=num_nodes * degree,
-            offset=offset).reshape(num_nodes, degree)
-        live = adjacency[adjacency != NO_NEIGHBOR]
-        if live.size and int(live.max()) >= num_nodes:
-            raise SerializationError(
-                f"cluster {cluster_id}: cold adjacency id out of range")
-        if num_nodes and not -1 <= medoid < num_nodes:
-            raise SerializationError(
-                f"cluster {cluster_id}: medoid {medoid} out of range")
     return ColdCluster(cluster_id=cluster_id, labels=labels, codes=codes,
-                       vectors_offset=int(vectors_offset),
-                       medoid=int(medoid), degree=int(degree),
-                       adjacency=adjacency)
+                       vectors_offset=int(vectors_offset))

@@ -104,7 +104,7 @@ class GroupEntry:
 
 @dataclasses.dataclass(frozen=True)
 class ColdExtentEntry:
-    """Location of one cluster's cold (PQ/Vamana) extent.
+    """Location of one cluster's cold (PQ) extent.
 
     ``length == 0`` means the cluster has no cold form and is always
     served from the full-precision hot tier.

@@ -14,7 +14,7 @@ for *concurrent* writers:
   (:class:`repro.errors.GroupSealedError`) means a cutover relocated
   the group mid-flight; the writer rolls back, refreshes, and retries
   against the new location.  Both loops are bounded by
-  ``DHnswConfig.mutation_retry_limit``.
+  ``_RETRY_LIMIT``.
 * ``insert_batch`` reserves slot *runs* (one FAA per group per chunk)
   and may claim a run partially: a batch larger than the overflow
   capacity splits across multiple reservations with rebuilds in
@@ -49,6 +49,11 @@ from repro.serving.trace import TraceContext, span
 from repro.transport import WriteDescriptor
 
 __all__ = ["InsertReport", "MutationEngine", "MutationStats"]
+
+#: Retries of the reserve/rebuild loop when another writer wins a race
+#: (rebuild leadership lost, or a reservation landed on a just-sealed
+#: area); past it the write raises ``OverflowFullError``, never spins.
+_RETRY_LIMIT = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +138,7 @@ class MutationEngine:
         group_id = host.metadata.clusters[cluster_id].group_id
         rebuilt = False
         slot: int | None = None
-        for _ in range(host.config.mutation_retry_limit):
+        for _ in range(_RETRY_LIMIT):
             try:
                 slot = self._reserve_and_write(cluster_id, vector,
                                                global_id, tombstone, trace)
@@ -230,7 +235,7 @@ class MutationEngine:
                     else:
                         host.refresh_metadata()
                     stalls += 1
-                    if stalls > host.config.mutation_retry_limit:
+                    if stalls > _RETRY_LIMIT:
                         group = host.metadata.groups[group_id]
                         raise OverflowFullError(
                             group_id, group.capacity_records,

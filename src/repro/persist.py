@@ -57,8 +57,20 @@ def _config_to_dict(config: DHnswConfig) -> dict:
     return data
 
 
+#: Config keys older manifests carry for fields that are constants now;
+#: each only ever had one value in use, so dropping them loses nothing.
+_RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
+                        "tier_ewma_halflife_us", "tier_hysteresis"}
+
+
 def _config_from_dict(data: dict) -> DHnswConfig:
-    data = dict(data)
+    data = {key: value for key, value in data.items()
+            if key not in _RETIRED_CONFIG_KEYS}
+    unknown = set(data) - {f.name for f in dataclasses.fields(DHnswConfig)}
+    if unknown:
+        raise SerializationError(
+            f"manifest config has unknown key(s) {sorted(unknown)} — "
+            f"written by a different version of this library?")
     data["meta_params"] = _params_from_dict(data["meta_params"])
     data["sub_params"] = _params_from_dict(data["sub_params"])
     return DHnswConfig(**data)

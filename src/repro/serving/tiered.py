@@ -3,27 +3,24 @@
 The d-HNSW hot path caches entire sub-HNSW clusters full-precision in
 compute DRAM, so footprint scales with the *working* set.  This stage
 breaks that: every cluster also has a compact cold extent on the memory
-node (PQ codes, optionally with a Vamana adjacency — see
-:mod:`repro.layout.cold`), and the store decides per batch which
+node (PQ codes — see :mod:`repro.layout.cold`), and the store decides
+per batch which
 required clusters are served **hot** (fetched/cached full-precision and
 beam-searched, exactly as before) and which are served **cold**:
 
 1. one doorbell-batched READ pulls the cold extents plus the involved
    groups' 8-byte overflow tails (a second narrow READ pulls any
    overflow records);
-2. ADC candidate generation over the short codes — a full asymmetric
-   scan in ``pq`` mode, an ADC-guided greedy walk from the medoid in
-   ``vamana`` mode;
+2. ADC candidate generation: an asymmetric scan over the short codes;
 3. the best ``rerank_depth`` candidates' *full* vectors are fetched in
    a second doorbell READ straight out of the hot blob's vector section
    (``vectors_offset`` + 4·dim·node) and reranked exactly.
 
 Between batches :meth:`TieredClusterStore.rebalance` promotes/demotes
 clusters against ``DHnswConfig.hot_tier_budget_bytes`` using the
-cache's EWMA access frequencies, with hysteresis
-(``tier_hysteresis``) so alternating access patterns do not ping-pong a
-cluster between tiers.  Demotion never touches an entry pinned by
-in-flight compute.
+cache's EWMA access frequencies, with hysteresis (``_HYSTERESIS``) so
+alternating access patterns do not ping-pong a cluster between tiers.
+Demotion never touches an entry pinned by in-flight compute.
 
 Everything here is charged to the simulated clock through the same
 transport and compute-cost paths the hot tier uses, and shows up on the
@@ -34,15 +31,13 @@ request trace under the ``cold-fetch`` / ``cold-compute`` /
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 import numpy as np
 
 from repro.core.cluster_search import replay_overflow
 from repro.errors import LayoutError, SerializationError
 from repro.hnsw.distance import DistanceKernel, Metric
-from repro.layout.cold import (NO_NEIGHBOR, ColdCluster,
-                               deserialize_cold_cluster)
+from repro.layout.cold import deserialize_cold_cluster
 from repro.layout.group_layout import (cluster_read_extent,
                                        live_overflow_count,
                                        overflow_slot_offset,
@@ -64,6 +59,11 @@ __all__ = ["ColdExecution", "TieredClusterStore"]
 _COARSE_FRACTION = 2       # scan with num_subspaces // 2 subspaces
 _MIN_COARSE_SUBSPACES = 8
 _REFINE_FACTOR = 2         # refine 2 x rerank_depth candidates
+
+#: A cold cluster displaces a hot one only when its EWMA score exceeds
+#: this multiple of the victim's — the guard against tier ping-pong under
+#: alternating access patterns.
+_HYSTERESIS = 2.0
 
 
 @dataclasses.dataclass
@@ -94,25 +94,22 @@ class TieredClusterStore:
         self.hot_serves = 0
         self.cold_serves = 0
         self._accessed_cold: set[int] = set()
-        # Per-batch scratch: cid -> region-relative offset of its full
-        # vector section, captured while decoding cold extents.
-        self._vectors_offsets: dict[int, int] = {}
-        # Two-phase scan split: a strided quarter of the subspaces for
+        # Two-phase scan split: a strided half of the subspaces for
         # the coarse pass (striding samples components across the whole
-        # vector), the rest for refinement.  Disabled for codebooks too
-        # small to split.
+        # vector), the rest for refinement.  A codebook too small to
+        # split is scanned whole and never refined.
         num_subspaces = codebook.num_subspaces
         num_coarse = max(_MIN_COARSE_SUBSPACES,
                          num_subspaces // _COARSE_FRACTION)
         if num_coarse < num_subspaces:
-            self._coarse_columns = np.linspace(
+            self._scan_columns = np.linspace(
                 0, num_subspaces, num_coarse,
                 endpoint=False).astype(np.int64)
             rest = np.ones(num_subspaces, dtype=bool)
-            rest[self._coarse_columns] = False
+            rest[self._scan_columns] = False
             self._rest_columns = np.flatnonzero(rest)
         else:
-            self._coarse_columns = None
+            self._scan_columns = np.arange(num_subspaces)
             self._rest_columns = None
 
     # ------------------------------------------------------------------
@@ -252,6 +249,10 @@ class TieredClusterStore:
         pools: dict[int, list] = {}
         # cid -> code matrix, kept while coarse scan sums await refinement.
         codes_by_cid: dict[int, np.ndarray] = {}
+        # cid -> region-relative offset of its full vector section.
+        vectors_offsets: dict[int, int] = {}
+        scan = self._scan_columns
+        rest = self._rest_columns
         for cid, payload in zip(cids, cold_payloads):
             cold = deserialize_cold_cluster(payload)
             if cold.cluster_id != cid:
@@ -274,13 +275,9 @@ class TieredClusterStore:
             keep_nodes = np.arange(cold.num_nodes)
             if dead_gids is not None and cold.num_nodes:
                 keep_nodes = keep_nodes[~np.isin(cold.labels, dead_gids)]
-            is_scan = (cold.degree == 0 or cold.adjacency is None
-                       or cold.medoid < 0)
-            two_phase = is_scan and self._coarse_columns is not None
-            if two_phase:
+            if rest is not None:
                 codes_by_cid[cid] = cold.codes
-            scan_cost = (len(self._coarse_columns) if two_phase
-                         else self.codebook.num_subspaces)
+            scan_codes = cold.codes[keep_nodes][:, scan]
             for query_index in cold_required[cid]:
                 query = queries[query_index]
                 with span(trace, "cold-compute"):
@@ -293,18 +290,14 @@ class TieredClusterStore:
                         execution.compute_us += host.node.charge_compute(
                             self.codebook.num_centroids, metadata.dim)
                     # A scan costs one lookup-add per scored candidate
-                    # per scanned subspace — the coarse quarter in
-                    # two-phase mode, all of them for a walk.
-                    nodes, approx = self._adc_candidates(
-                        cold, tables, keep_nodes,
-                        max(rerank_depth, k),
-                        columns=(self._coarse_columns if two_phase
-                                 else None))
+                    # per scanned subspace (the coarse half in
+                    # two-phase mode).
+                    approx = tables[scan[None, :], scan_codes].sum(axis=1)
                     execution.compute_us += host.node.charge_compute(
-                        len(nodes), scan_cost)
-                    execution.evals += len(nodes)
+                        len(keep_nodes), len(scan))
+                    execution.evals += len(keep_nodes)
                 pools.setdefault(query_index, []).append(
-                    (cid, nodes, approx, cold.labels))
+                    (cid, keep_nodes, approx, cold.labels))
                 if live_matrix is not None:
                     with span(trace, "cold-compute"):
                         overflow_dists = self.kernel.many(query,
@@ -315,7 +308,7 @@ class TieredClusterStore:
                     merger.add(query_index, live_gids,
                                np.asarray(overflow_dists,
                                           dtype=np.float64))
-            self._vectors_offsets[cid] = cold.vectors_offset
+            vectors_offsets[cid] = cold.vectors_offset
 
         # Global per-query shortlist: merge candidate pools across the
         # query's cold clusters, refine the coarse scan sums with the
@@ -338,23 +331,18 @@ class TieredClusterStore:
                 [labels[nodes] for _, nodes, _, labels in chunks])
             order = np.lexsort(
                 (pool_labels, pool_approx))[:_REFINE_FACTOR * rerank_depth]
-            if codes_by_cid and len(order) > rerank_depth:
-                rest = self._rest_columns
+            if rest is not None and len(order) > rerank_depth:
                 tables = tables_cache[query_index]
                 refined = pool_approx[order].copy()
-                refinable = 0
                 for cid in np.unique(pool_cids[order]):
-                    if cid not in codes_by_cid:
-                        continue  # walk pools already carry full sums
                     mask = pool_cids[order] == cid
                     codes = codes_by_cid[cid][pool_nodes[order][mask]]
                     refined[mask] += tables[rest[None, :],
                                             codes[:, rest]].sum(axis=1)
-                    refinable += int(mask.sum())
                 with span(trace, "cold-compute"):
                     execution.compute_us += host.node.charge_compute(
-                        refinable, len(rest))
-                    execution.evals += refinable
+                        len(order), len(rest))
+                    execution.evals += len(order)
                 keep = np.lexsort(
                     (pool_labels[order], refined))[:rerank_depth]
                 order = order[keep]
@@ -403,7 +391,7 @@ class TieredClusterStore:
             runs.append((cid, first, members))
         rerank_reads = [ReadDescriptor(
             host.layout.rkey,
-            host.layout.addr(self._vectors_offsets[cid]
+            host.layout.addr(vectors_offsets[cid]
                              + first * vector_bytes),
             (members[-1] - first + 1) * vector_bytes)
             for cid, first, members in runs]
@@ -439,66 +427,6 @@ class TieredClusterStore:
                        np.asarray(exact, dtype=np.float64))
         return execution
 
-    def _adc_candidates(self, cold: ColdCluster, tables: np.ndarray,
-                        keep_nodes: np.ndarray, beam: int,
-                        columns: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate node indices + ADC distances for one query.
-
-        ``pq`` extents (degree 0) get an asymmetric scan — over
-        ``columns`` when the two-phase split is active, else over every
-        subspace; ``vamana`` extents get a greedy best-first walk over
-        the flat adjacency, scoring only visited nodes (always with the
-        full tables: the walk's pruning depends on score quality).
-        """
-        if cold.num_nodes == 0 or len(keep_nodes) == 0:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float32))
-        if cold.degree == 0 or cold.adjacency is None or cold.medoid < 0:
-            if columns is None:
-                columns = np.arange(self.codebook.num_subspaces)
-            approx = tables[columns[None, :],
-                            cold.codes[keep_nodes][:, columns]].sum(axis=1)
-            return keep_nodes, approx
-        columns = np.arange(self.codebook.num_subspaces)
-        # Greedy ADC walk: classic best-first beam over the flat graph.
-        scores: dict[int, float] = {}
-
-        def score(node: int) -> float:
-            cached = scores.get(node)
-            if cached is None:
-                cached = float(tables[columns, cold.codes[node]].sum())
-                scores[node] = cached
-            return cached
-
-        start = int(cold.medoid)
-        frontier = [(score(start), start)]
-        visited = {start}
-        best: list[tuple[float, int]] = []  # max-heap via negated dist
-        heapq.heappush(best, (-frontier[0][0], start))
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if len(best) >= beam and dist > -best[0][0]:
-                break
-            for neighbor in cold.adjacency[node].tolist():
-                if neighbor == NO_NEIGHBOR or neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                neighbor_dist = score(neighbor)
-                if len(best) < beam or neighbor_dist < -best[0][0]:
-                    heapq.heappush(frontier, (neighbor_dist, neighbor))
-                    heapq.heappush(best, (-neighbor_dist, neighbor))
-                    if len(best) > beam:
-                        heapq.heappop(best)
-        nodes = np.fromiter((node for _, node in best), dtype=np.int64,
-                            count=len(best))
-        if len(keep_nodes) != cold.num_nodes:
-            mask = np.isin(nodes, keep_nodes)
-            nodes = nodes[mask]
-        approx = np.fromiter((scores[int(node)] for node in nodes),
-                             dtype=np.float32, count=len(nodes))
-        return nodes, approx
-
     # ------------------------------------------------------------------
     # Background promotion / demotion
     # ------------------------------------------------------------------
@@ -508,7 +436,7 @@ class TieredClusterStore:
 
         Promotes the hottest recently-cold clusters; to make room it
         demotes the coldest hot clusters, but only when the candidate's
-        EWMA score beats the victim's by ``tier_hysteresis`` — the
+        EWMA score beats the victim's by ``_HYSTERESIS`` — the
         hysteresis band is what stops an alternating access pattern from
         ping-ponging a pair of clusters between tiers.  Pinned cache
         entries are never demoted mid-wave.  Returns
@@ -518,11 +446,9 @@ class TieredClusterStore:
         cache = host.cache
         now_us = host.node.clock.now_us
         budget = host.config.hot_tier_budget_bytes
-        hysteresis = host.config.tier_hysteresis
         metadata = host.metadata
         candidates = sorted(self._accessed_cold)
         self._accessed_cold.clear()
-        self._vectors_offsets.clear()
         promotions = 0
         demotions = 0
         with span(trace, "tier-rebalance"):
@@ -542,8 +468,7 @@ class TieredClusterStore:
                     if size > budget:
                         continue
                     freed, evicted = self._make_room(
-                        hot_bytes + size - budget, score, hysteresis,
-                        now_us)
+                        hot_bytes + size - budget, score, now_us)
                     hot_bytes -= freed
                     demotions += evicted
                     if hot_bytes + size > budget:
@@ -559,11 +484,11 @@ class TieredClusterStore:
         return promotions, demotions
 
     def _make_room(self, need_bytes: int, candidate_score: float,
-                   hysteresis: float, now_us: float) -> tuple[int, int]:
+                   now_us: float) -> tuple[int, int]:
         """Demote weakest hot clusters until ``need_bytes`` is freed.
 
         Stops at the hysteresis band (victim score within
-        ``candidate_score / hysteresis``) or when only pinned entries
+        ``candidate_score / _HYSTERESIS``) or when only pinned entries
         remain.  Returns ``(bytes freed, clusters demoted)``.
         """
         host = self.host
@@ -578,7 +503,7 @@ class TieredClusterStore:
                 key=lambda pair: (pair[0], pair[1]))
             progressed = False
             for victim_score, victim in victims:
-                if candidate_score <= hysteresis * victim_score:
+                if candidate_score <= _HYSTERESIS * victim_score:
                     return freed, demoted
                 entry = cache.peek(victim)
                 if entry is not None and entry.pins > 0:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import TopKMerger, merge_reference, select_topk
+from repro.core.merge import TopKMerger, select_topk
+from tests.core.reference_merge import merge_reference
 
 
 def run_both(num_queries, chunks, k, filter_fn=None, threshold=None):

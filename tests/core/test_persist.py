@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import DHnswClient, Scheme
-from repro.errors import SerializationError
+from repro.errors import ConfigError, SerializationError
 from repro.persist import load_deployment, save_deployment
 
 
@@ -95,6 +95,36 @@ class TestErrors:
         manifest["format_version"] = 99
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SerializationError, match="unsupported"):
+            load_deployment(path)
+
+    #: The config keys a manifest written before the knobs were retired
+    #: carries on top of today's, at the only values ever in use.
+    RETIRED = {"mutation_retry_limit": 8, "pq_bits": 8,
+               "tier_ewma_halflife_us": 50_000.0, "tier_hysteresis": 2.0,
+               "vamana_degree": 16}
+
+    def rewrite_config(self, path, **changes):
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"].update(changes)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_older_manifest_loads_without_its_retired_keys(
+            self, saved, small_config):
+        path, _ = saved
+        self.rewrite_config(path, cold_tier="pq", **self.RETIRED)
+        _, _, config = load_deployment(path)
+        assert config == small_config.replace(cold_tier="pq")
+
+    def test_older_vamana_manifest_is_a_config_error(self, saved):
+        path, _ = saved
+        self.rewrite_config(path, cold_tier="vamana", **self.RETIRED)
+        with pytest.raises(ConfigError, match="cold_tier"):
+            load_deployment(path)
+
+    def test_unknown_config_key_is_named(self, saved):
+        path, _ = saved
+        self.rewrite_config(path, prefetch_depth=3)
+        with pytest.raises(SerializationError, match="prefetch_depth"):
             load_deployment(path)
 
     def test_truncated_region_image(self, saved):

@@ -17,9 +17,9 @@ import pytest
 
 from repro.cluster import Deployment
 from repro.core import DHnswConfig, DHnswClient
-from repro.core.cache import CachedCluster, ClusterCache
+from repro.core.cache import (FREQ_HALFLIFE_US, CachedCluster,
+                              ClusterCache)
 from repro.datasets.synthetic import make_clustered
-from repro.errors import ConfigError
 from repro.hnsw import HnswIndex, HnswParams
 from repro.layout.group_layout import cluster_read_extent
 
@@ -40,31 +40,28 @@ class TestEwmaFrequency:
         assert cache.frequency(1, 500.0) == 10.0
 
     def test_halflife_decay(self):
-        cache = ClusterCache(4, freq_halflife_us=1000.0)
+        cache = ClusterCache(4)
         cache.record_access(1, 0.0)
         # One halflife later the old score is worth exactly half.
-        assert cache.frequency(1, 1000.0) == pytest.approx(0.5)
-        assert cache.record_access(1, 1000.0) == pytest.approx(1.5)
+        assert cache.frequency(1, FREQ_HALFLIFE_US) == pytest.approx(0.5)
+        assert (cache.record_access(1, FREQ_HALFLIFE_US)
+                == pytest.approx(1.5))
 
     def test_frequency_read_does_not_mutate(self):
-        cache = ClusterCache(4, freq_halflife_us=1000.0)
+        cache = ClusterCache(4)
         cache.record_access(1, 0.0)
-        cache.frequency(1, 3000.0)
+        cache.frequency(1, 3 * FREQ_HALFLIFE_US)
         # The stored (score, last) pair is untouched by reads: a second
         # read at the same horizon gives the same answer.
-        assert cache.frequency(1, 3000.0) == pytest.approx(0.125)
+        assert cache.frequency(1, 3 * FREQ_HALFLIFE_US) == pytest.approx(0.125)
 
     def test_stale_timestamp_never_inflates(self):
         # Out-of-order timestamps (pipelined waves) must not decay
         # backwards or move last-access earlier.
-        cache = ClusterCache(4, freq_halflife_us=1000.0)
+        cache = ClusterCache(4)
         cache.record_access(1, 2000.0)
         cache.record_access(1, 1000.0)   # late arrival
         assert cache.frequency(1, 2000.0) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError, match="halflife"):
-            ClusterCache(4, freq_halflife_us=0.0)
 
     def test_counters_exact_under_contention(self):
         # Many threads bumping the same cluster at one instant: the score
@@ -100,7 +97,7 @@ def tiered_world():
     corpus = make_clustered(2500, 24, num_clusters=10, cluster_std=0.05,
                             rng=rng)
     config = DHnswConfig(num_representatives=10, nprobe=3, seed=4,
-                         cold_tier="pq", tier_hysteresis=2.0)
+                         cold_tier="pq")
     deployment = Deployment(corpus, config, num_compute_instances=1,
                             simulate_link_contention=False)
     return corpus, config, deployment

@@ -287,6 +287,38 @@ class TestClosedLoop:
         assert report.shed_admission > 0
 
 
+class TestOneEventLoop:
+    """``run`` and ``run_closed_loop`` are one admit → dispatch → advance
+    loop over two arrival sources: sessions of one query each, started at
+    the open-loop arrival times, must replay the open-loop schedule."""
+
+    @pytest.mark.parametrize("rate_qps,policies", [
+        (3000.0, None),                       # waves close on the budget
+        (200_000.0, None),                    # waves close on max_batch
+        (3000.0, {"a": TenantPolicy(rate_qps=300.0, burst=1)}),  # sheds
+    ])
+    def test_single_query_sessions_replay_the_open_loop_schedule(
+            self, make_door, small_dataset, rate_qps, policies):
+        requests = load(small_dataset, count=48, rate_qps=rate_qps)
+        sessions = [
+            ClosedLoopSession(
+                tenant=r.tenant, queries=r.query[None, :],
+                think_us=np.zeros(1), k=r.k, slo_us=r.slo_us,
+                ef_search=r.ef_search, start_us=r.arrival_us)
+            for r in requests]
+        config = FrontDoorConfig(max_wait_us=800.0, max_batch=8)
+        opened = make_door(config, tenants=policies).run(requests)
+        closed = make_door(config, tenants=policies).run_closed_loop(sessions)
+        assert opened.waves
+        assert closed.schedule_signature() == opened.schedule_signature()
+        assert ([(o.request.request_id, o.status, o.complete_us)
+                 for o in closed.outcomes]
+                == [(o.request.request_id, o.status, o.complete_us)
+                    for o in opened.outcomes])
+        if policies:
+            assert opened.shed_admission > 0
+
+
 class TestFairness:
     def test_weighted_share_under_saturation(self, make_door,
                                              small_dataset):

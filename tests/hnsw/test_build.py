@@ -52,6 +52,7 @@ class TestNeighborHeuristic:
         self.graph = LayeredGraph(2)
         self.kernel = DistanceKernel(2)
         self.params = HnswParams(m=4, keep_pruned_connections=False)
+        self.origin = np.zeros(2, dtype=np.float32)
 
     def _add(self, x, y, level=0):
         return self.graph.add_node([x, y], level)
@@ -61,7 +62,7 @@ class TestNeighborHeuristic:
         candidates = [(float(i * i), node) for i, node in enumerate(nodes)]
         selected = select_neighbors_heuristic(
             self.graph, self.kernel, candidates, m=3, level=0,
-            params=self.params)
+            params=self.params, query=self.origin)
         assert len(selected) <= 3
 
     def test_prefers_diverse_directions(self):
@@ -72,7 +73,7 @@ class TestNeighborHeuristic:
         candidates = [(1.0, east1), (1.21, east2), (1.44, north)]
         selected = select_neighbors_heuristic(
             self.graph, self.kernel, candidates, m=2, level=0,
-            params=self.params)
+            params=self.params, query=self.origin)
         # east2 is closer to east1 than to the query -> pruned in favour
         # of the northern direction.
         assert selected == [east1, north]
@@ -84,14 +85,14 @@ class TestNeighborHeuristic:
         keeping = self.params.replace(keep_pruned_connections=True)
         selected = select_neighbors_heuristic(
             self.graph, self.kernel, candidates, m=2, level=0,
-            params=keeping)
+            params=keeping, query=self.origin)
         assert selected == [east1, east2]
 
     def test_m_zero_returns_empty(self):
         node = self._add(0.0, 0.0)
         assert select_neighbors_heuristic(
             self.graph, self.kernel, [(0.0, node)], m=0, level=0,
-            params=self.params) == []
+            params=self.params, query=self.origin) == []
 
 
 class TestExtendCandidatesBase:
@@ -112,25 +113,19 @@ class TestExtendCandidatesBase:
 
     def test_query_base_changes_selection(self):
         graph, kernel, query, candidates, params, near, ext = self._make_case()
-        # Correct base: the extension is 25 from the query, farther than
-        # the 16 of the nearest candidate, so the nearest candidate wins.
-        with_query = select_neighbors_heuristic(
+        # The extension is 25 from the query, farther than the 16 of the
+        # nearest candidate, so the nearest candidate wins.  (Scored
+        # against the closest candidate's own vector instead, it would
+        # sit at 1 and shadow the candidate.)
+        assert select_neighbors_heuristic(
             graph, kernel, candidates, m=1, level=0, params=params,
-            query=query)
-        assert with_query == [near]
-        # Legacy base (closest candidate's own vector): the extension
-        # scores 1 against it and incorrectly shadows the candidate.
-        without_query = select_neighbors_heuristic(
-            graph, kernel, candidates, m=1, level=0, params=params)
-        assert without_query == [ext]
+            query=query) == [near]
 
     def test_reference_path_agrees(self, reference_construction):
         graph, kernel, query, candidates, params, near, ext = self._make_case()
         assert select_neighbors_heuristic(
             graph, kernel, candidates, m=1, level=0, params=params,
             query=query) == [near]
-        assert select_neighbors_heuristic(
-            graph, kernel, candidates, m=1, level=0, params=params) == [ext]
 
 
 class TestExtendCandidatesOwner:

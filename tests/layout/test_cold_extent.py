@@ -4,11 +4,13 @@ byte-identity guarantee for layouts built with the tier off."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.errors import SerializationError
-from repro.layout.cold import (CODEBOOK_MAGIC, COLD_MAGIC, NO_NEIGHBOR,
+from repro.layout.cold import (CODEBOOK_MAGIC, COLD_MAGIC,
                                codebook_blob_size, cold_extent_size,
                                deserialize_codebook,
                                deserialize_cold_cluster,
@@ -59,47 +61,46 @@ class TestCodebookBlob:
 
 
 class TestColdClusterExtent:
-    def make(self, n=11, m=4, degree=0, seed=0):
+    #: Byte offsets of the header's two reserved i32 words (once the
+    #: medoid and degree of a per-cluster graph section).
+    MEDOID_WORD, DEGREE_WORD = 28, 32
+
+    def make(self, n=11, m=4, seed=0):
         rng = np.random.default_rng(seed)
         labels = rng.permutation(1000)[:n].astype(np.int64)
         codes = rng.integers(0, 32, size=(n, m), dtype=np.uint8)
-        adjacency = None
-        if degree:
-            adjacency = rng.integers(0, n, size=(n, degree),
-                                     dtype=np.uint32)
-            adjacency[0, -1] = NO_NEIGHBOR   # a padded row
-        return labels, codes, adjacency
+        return labels, codes
 
     def test_pq_roundtrip(self):
-        labels, codes, _ = self.make()
+        labels, codes = self.make()
         blob = serialize_cold_cluster(7, labels, codes,
                                       vectors_offset=4096)
         assert blob[:4] == COLD_MAGIC
-        assert len(blob) == cold_extent_size(11, 4, 0)
+        assert len(blob) == cold_extent_size(11, 4)
+        # The reserved words keep the values every earlier pq build wrote.
+        assert struct.unpack_from("<ii", blob, self.MEDOID_WORD) == (-1, 0)
         cold = deserialize_cold_cluster(blob)
         assert cold.cluster_id == 7
         assert cold.num_nodes == 11
         assert cold.vectors_offset == 4096
-        assert cold.degree == 0 and cold.adjacency is None
-        assert cold.medoid == -1
         assert np.array_equal(cold.labels, labels)
         assert np.array_equal(cold.codes, codes)
 
-    def test_vamana_roundtrip(self):
-        labels, codes, adjacency = self.make(degree=3)
-        blob = serialize_cold_cluster(2, labels, codes, 512, medoid=5,
-                                      adjacency=adjacency)
-        assert len(blob) == cold_extent_size(11, 4, 3)
-        cold = deserialize_cold_cluster(blob)
-        assert cold.degree == 3
-        assert cold.medoid == 5
-        assert np.array_equal(cold.adjacency, adjacency)
+    def test_graph_section_rejected(self):
+        """Bytes from outside stay checked: an extent whose header says it
+        carries an adjacency (``degree > 0``) is refused, not scanned."""
+        labels, codes = self.make()
+        blob = bytearray(serialize_cold_cluster(2, labels, codes, 512))
+        struct.pack_into("<i", blob, self.DEGREE_WORD, 3)
+        blob += bytes(4 * 11 * 3)   # the adjacency such an extent carried
+        with pytest.raises(SerializationError, match="reserved"):
+            deserialize_cold_cluster(bytes(blob))
 
     def test_codes_padded_to_eight_bytes(self):
         # 3 nodes x 3 subspaces = 9 code bytes -> padded to 16.
-        labels, codes, _ = self.make(n=3, m=3)
+        labels, codes = self.make(n=3, m=3)
         blob = serialize_cold_cluster(0, labels, codes, 0)
-        assert len(blob) == cold_extent_size(3, 3, 0)
+        assert len(blob) == cold_extent_size(3, 3)
         # 9 code bytes occupy a 16-byte slot; 3 would occupy 8.
         one_subspace = serialize_cold_cluster(0, labels, codes[:, :1], 0)
         assert len(blob) - len(one_subspace) == 8
@@ -107,27 +108,22 @@ class TestColdClusterExtent:
         assert np.array_equal(cold.codes, codes)
 
     def test_label_count_mismatch(self):
-        labels, codes, _ = self.make()
+        labels, codes = self.make()
         with pytest.raises(SerializationError, match="labels"):
             serialize_cold_cluster(0, labels[:-1], codes, 0)
 
-    def test_adjacency_out_of_range(self):
-        labels, codes, adjacency = self.make(degree=3)
-        adjacency[2, 0] = 99   # node id beyond num_nodes, not NO_NEIGHBOR
-        blob = serialize_cold_cluster(0, labels, codes, 0, medoid=0,
-                                      adjacency=adjacency)
-        with pytest.raises(SerializationError, match="out of range"):
-            deserialize_cold_cluster(blob)
-
     def test_medoid_out_of_range(self):
-        labels, codes, adjacency = self.make(degree=3)
-        blob = serialize_cold_cluster(0, labels, codes, 0, medoid=50,
-                                      adjacency=adjacency)
-        with pytest.raises(SerializationError, match="medoid"):
-            deserialize_cold_cluster(blob)
+        # -1 is the only medoid a pq extent carries; 0 would be in range
+        # for a graph walk and is refused just the same.
+        labels, codes = self.make()
+        for medoid in (0, 50):
+            blob = bytearray(serialize_cold_cluster(0, labels, codes, 0))
+            struct.pack_into("<i", blob, self.MEDOID_WORD, medoid)
+            with pytest.raises(SerializationError, match="medoid"):
+                deserialize_cold_cluster(bytes(blob))
 
     def test_truncated(self):
-        labels, codes, _ = self.make()
+        labels, codes = self.make()
         blob = serialize_cold_cluster(0, labels, codes, 0)
         with pytest.raises(SerializationError, match="truncated"):
             deserialize_cold_cluster(blob[:-8])

@@ -94,14 +94,13 @@ class TestOffModeIdentity:
 
 
 class TestColdBuildDeterminism:
-    @pytest.mark.parametrize("mode", ["pq", "vamana"])
-    def test_rebuilt_cold_sections_byte_identical(self, world, mode):
-        """Seeded k-means + per-cluster Vamana seeds: two builds of the
-        same corpus produce byte-identical codebooks and cold extents."""
+    def test_rebuilt_cold_sections_byte_identical(self, world):
+        """Seeded k-means on a strided sample: two builds of the same
+        corpus produce byte-identical codebooks and cold extents."""
         corpus, _, _ = world
-        first = Deployment(corpus, base_config(cold_tier=mode),
+        first = Deployment(corpus, base_config(cold_tier="pq"),
                            simulate_link_contention=False)
-        second = Deployment(corpus, base_config(cold_tier=mode),
+        second = Deployment(corpus, base_config(cold_tier="pq"),
                             simulate_link_contention=False)
         assert read_cold_sections(first) == read_cold_sections(second)
 
