@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.core.cache import CachedCluster
 from repro.hnsw.distance import Metric
-from repro.layout.serializer import OverflowRecord
+from repro.layout.serializer import replay_overflow
 
-__all__ = ["ClusterSearchResult", "replay_overflow", "search_cluster_entry"]
+__all__ = ["ClusterSearchResult", "search_cluster_entry"]
 
 
 @dataclasses.dataclass
@@ -41,20 +41,6 @@ class ClusterSearchResult:
     evals: int
     gids: list[np.ndarray]
     dists: list[np.ndarray]
-
-
-def replay_overflow(records: list[OverflowRecord]
-                    ) -> dict[int, OverflowRecord | None]:
-    """Fold overflow records (slot order) into per-id final state.
-
-    ``state[gid] is None`` means the id is tombstoned; a live record
-    supersedes any earlier record *and* any base-graph vector with the
-    same id.
-    """
-    state: dict[int, OverflowRecord | None] = {}
-    for record in records:
-        state[record.global_id] = None if record.tombstone else record
-    return state
 
 
 def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,

@@ -182,9 +182,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
     area_size = overflow_area_size(metadata.dim,
                                    metadata.overflow_capacity_records)
     record_size = overflow_record_size(metadata.dim)
-    members_by_group: dict[int, list[int]] = {}
-    for cid, cluster in enumerate(metadata.clusters):
-        members_by_group.setdefault(cluster.group_id, []).append(cid)
 
     tails: dict[int, int] = {}
     for gid, group in enumerate(metadata.groups):
@@ -243,7 +240,7 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                                           metadata.dim, 0),
                      tails[gid] * record_size)
         records = unpack_overflow_records(blob, metadata.dim, tails[gid])
-        valid_members = set(members_by_group.get(gid, []))
+        valid_members = metadata.group_members(gid)
         for slot, record in enumerate(records):
             if record.tombstone:
                 report.tombstones += 1

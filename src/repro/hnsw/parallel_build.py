@@ -30,7 +30,7 @@ import numpy as np
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
 from repro.layout.serializer import (OverflowRecord, deserialize_cluster,
-                                     serialize_cluster)
+                                     replay_overflow, serialize_cluster)
 
 __all__ = ["ClusterBuildTask", "ClusterRebuildTask", "build_cluster_blob",
            "rebuild_cluster_blob"]
@@ -84,9 +84,7 @@ def rebuild_cluster_blob(task: ClusterRebuildTask) -> bytes:
     byte.
     """
     index, _ = deserialize_cluster(task.blob, task.params)
-    latest: dict[int, OverflowRecord | None] = {}
-    for record in task.records:
-        latest[record.global_id] = None if record.tombstone else record
+    latest = replay_overflow(task.records)
     index.remove(node for node, label in enumerate(index.labels)
                  if label in latest)
     live = [record for record in latest.values() if record is not None]

@@ -16,8 +16,10 @@ round trip.  Two invariants follow, stated here once; the fetcher,
 *layout* (:func:`cluster_read_extent`)
     A member's blob and its group's overflow area are contiguous:
     ``[blob | area)`` for the first member of a group, ``[area | blob)``
-    for the second.  Rebuild snapshots, tier sizing and the client's DRAM
-    plan size from this worst case.
+    for the second.  Tier sizing and the client's DRAM plan size from
+    this worst case; the two extents together are the group's span
+    (:func:`group_extent`), which a rebuild snapshots and retires, and
+    :func:`place_group` is the one rule that puts the three parts there.
 
 *read* (:func:`cluster_read_ranges`)
     A cluster fetch is one doorbell ring of at most two WQEs whose ranges
@@ -47,8 +49,9 @@ from repro.layout.serializer import (
     unpack_overflow_records,
 )
 
-__all__ = ["GroupPlan", "plan_groups", "cluster_read_extent",
-           "cluster_read_ranges", "overflow_delta_ranges",
+__all__ = ["GroupPlan", "place_group", "plan_groups",
+           "cluster_read_extent", "group_extent", "cluster_read_ranges",
+           "overflow_delta_ranges",
            "overflow_area_size", "decode_overflow_tail",
            "unpack_overflow_tail", "pack_overflow_tail",
            "live_overflow_count", "overflow_tail_extent",
@@ -177,6 +180,31 @@ class GroupPlan:
         return self.second_offset + self.second_nbytes
 
 
+def place_group(group_id: int, base_offset: int, first: tuple[int, int],
+                second: tuple[int, int] | None, dim: int,
+                capacity_records: int) -> GroupPlan:
+    """The placement rule, shared by the offline build and a rebuild's
+    relocation: ``[first blob | pad | overflow area | second blob]`` from
+    ``base_offset``, with ``first`` / ``second`` as ``(cluster_id, blob
+    bytes)``.  The area leads with a u64 tail counter that remote FAA/CAS
+    target and RDMA atomics require natural alignment: the pad is the
+    ``< 8`` bytes that 8-align it.
+    """
+    overflow_offset = base_offset + first[1]
+    overflow_offset += (-overflow_offset) % 8
+    return GroupPlan(
+        group_id=group_id,
+        base_offset=base_offset,
+        first_cluster_id=first[0],
+        first_nbytes=first[1],
+        second_cluster_id=second[0] if second else None,
+        second_nbytes=second[1] if second else None,
+        overflow_offset=overflow_offset,
+        capacity_records=capacity_records,
+        overflow_area_bytes=overflow_area_size(dim, capacity_records),
+    )
+
+
 def plan_groups(sizes: Iterable[tuple[int, int]], dim: int,
                 capacity_records: int,
                 start_offset: int) -> tuple[list[GroupPlan],
@@ -199,7 +227,6 @@ def plan_groups(sizes: Iterable[tuple[int, int]], dim: int,
     ``(plans, cluster_entries, group_entries)`` where the entry lists are
     indexed by cluster id / group id respectively.
     """
-    area = overflow_area_size(dim, capacity_records)
     plans: list[GroupPlan] = []
     cluster_entries: list[ClusterEntry] = []
     group_entries: list[GroupEntry] = []
@@ -209,34 +236,20 @@ def plan_groups(sizes: Iterable[tuple[int, int]], dim: int,
     def close_group(first: tuple[int, int],
                     second: tuple[int, int] | None) -> None:
         nonlocal cursor
-        group_id = len(plans)
-        # The overflow area leads with a u64 tail counter that remote
-        # FAA/CAS target; RDMA atomics require natural (8-byte) alignment.
-        overflow_offset = cursor + first[1]
-        overflow_offset += (-overflow_offset) % 8
-        plan = GroupPlan(
-            group_id=group_id,
-            base_offset=cursor,
-            first_cluster_id=first[0],
-            first_nbytes=first[1],
-            second_cluster_id=second[0] if second else None,
-            second_nbytes=second[1] if second else None,
-            overflow_offset=overflow_offset,
-            capacity_records=capacity_records,
-            overflow_area_bytes=area,
-        )
+        plan = place_group(len(plans), cursor, first, second, dim,
+                           capacity_records)
         plans.append(plan)
         cluster_entries.append(ClusterEntry(
             blob_offset=plan.first_offset,
             blob_length=first[1],
-            group_id=group_id))
+            group_id=plan.group_id))
         if second is not None:
             cluster_entries.append(ClusterEntry(
                 blob_offset=plan.second_offset,
                 blob_length=second[1],
-                group_id=group_id))
+                group_id=plan.group_id))
         group_entries.append(GroupEntry(
-            overflow_offset=overflow_offset,
+            overflow_offset=plan.overflow_offset,
             capacity_records=capacity_records))
         cursor = plan.end_offset
 
@@ -278,6 +291,16 @@ def cluster_read_extent(metadata: GlobalMetadata,
         start = group.overflow_offset
         end = cluster.blob_offset + cluster.blob_length
     return start, end - start
+
+
+def group_extent(metadata: GlobalMetadata, group_id: int) -> tuple[int, int]:
+    """The ``(offset, length)`` span of a whole group — the union of its
+    members' extents, ``[blob | area | blob]`` — which a rebuild reads as
+    its snapshot and retires once the relocated copy is published."""
+    extents = [cluster_read_extent(metadata, cid)
+               for cid in metadata.group_members(group_id)]
+    start = min(offset for offset, _ in extents)
+    return start, max(offset + length for offset, length in extents) - start
 
 
 def cluster_read_ranges(metadata: GlobalMetadata, cluster_id: int,

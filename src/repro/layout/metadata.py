@@ -148,6 +148,13 @@ class GlobalMetadata:
         """Number of cluster-pair groups."""
         return len(self.groups)
 
+    def group_members(self, group_id: int) -> list[int]:
+        """Cluster ids of ``group_id``'s members, first member (the blob
+        before the overflow area) first.  Fixed at build time: a rebuild
+        moves a group, it never re-pairs clusters."""
+        return [cid for cid, cluster in enumerate(self.clusters)
+                if cluster.group_id == group_id]
+
     # ------------------------------------------------------------------
     @staticmethod
     def packed_size(num_clusters: int, num_groups: int,

@@ -50,6 +50,7 @@ from repro.hnsw.params import HnswParams
 __all__ = [
     "MAGIC",
     "OverflowRecord",
+    "replay_overflow",
     "overflow_record_size",
     "pack_overflow_record",
     "pack_overflow_records",
@@ -87,6 +88,21 @@ class OverflowRecord:
     cluster_id: int
     vector: np.ndarray
     tombstone: bool = False
+
+
+def replay_overflow(records: "list[OverflowRecord]"
+                    ) -> "dict[int, OverflowRecord | None]":
+    """Fold overflow records (slot order) into per-id final state.
+
+    The latest record of an id wins: ``state[gid] is None`` means the id
+    is tombstoned, a live record supersedes any earlier record *and* any
+    base-graph vector with the same id.  Searches, the cold tier and
+    rebuilds all read an overflow area through this one rule.
+    """
+    state: dict[int, OverflowRecord | None] = {}
+    for record in records:
+        state[record.global_id] = None if record.tombstone else record
+    return state
 
 
 def overflow_record_size(dim: int) -> int:

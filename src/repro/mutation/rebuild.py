@@ -14,7 +14,9 @@ keep serving the old extents for the entire build — in five steps:
     rebuilt group instead of duplicating the work.
 
 ``snapshot``
-    One READ covering the whole group (both blobs + overflow).  Records
+    One READ covering the whole group — its span is
+    :func:`repro.layout.group_layout.group_extent`, its members
+    :meth:`GlobalMetadata.group_members`.  Records
     ``T0``, the overflow tail at snapshot time.  Writers may keep
     appending past ``T0`` while the build runs — slots are write-once,
     so the snapshot prefix can never be torn.
@@ -25,8 +27,10 @@ keep serving the old extents for the entire build — in five steps:
     charged to the *rebuilder's* clock only — no reader waits on it.
 
 ``write``
-    Allocate ``[blob A][fresh overflow][blob B]`` at the region tail
-    and write the new blobs plus a zeroed tail counter.  The live
+    Allocate space for ``[blob A][fresh overflow][blob B]``, place the
+    three parts with :func:`repro.layout.group_layout.place_group` (the
+    rule the offline build lays groups out with) and write the new
+    blobs plus a zeroed tail counter.  The live
     metadata still points at the old extents; readers are unaffected.
 
 ``cutover``
@@ -69,10 +73,13 @@ from repro.errors import LayoutError
 from repro.hnsw.parallel_build import ClusterRebuildTask, rebuild_cluster_blob
 from repro.layout.group_layout import (
     OVERFLOW_SEALED,
+    GroupPlan,
     decode_overflow_tail,
+    group_extent,
     overflow_area_size,
     overflow_slot_offset,
     pack_overflow_tail,
+    place_group,
     unpack_overflow_area,
     unpack_overflow_tail,
 )
@@ -110,8 +117,8 @@ class _Snapshot:
     blobs: dict[int, bytes]
     records: list[OverflowRecord]
     t0: int
-    old_start: int
-    old_end: int
+    #: ``(offset, length)`` of the group as it stood; retired at cutover.
+    old_extent: tuple[int, int]
     old_overflow_offset: int
     capacity_records: int
 
@@ -131,10 +138,7 @@ class ShadowRebuild:
         self.migrated_records = 0
         self._snapshot: _Snapshot | None = None
         self._new_blobs: list[bytes] = []
-        self._new_offsets: list[int] = []
-        self._new_overflow_offset = 0
-        self._new_base = 0
-        self._new_total = 0
+        self._new_plan: GroupPlan | None = None
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -182,19 +186,11 @@ class ShadowRebuild:
         host = self.host
         metadata = host.metadata
         group = metadata.groups[self.group_id]
-        member_ids = [cid for cid, entry in enumerate(metadata.clusters)
-                      if entry.group_id == self.group_id]
-        area = overflow_area_size(metadata.dim, group.capacity_records)
-        start = min(min(metadata.clusters[cid].blob_offset
-                        for cid in member_ids), group.overflow_offset)
-        end = max(max(metadata.clusters[cid].blob_offset
-                      + metadata.clusters[cid].blob_length
-                      for cid in member_ids),
-                  group.overflow_offset + area)
+        member_ids = metadata.group_members(self.group_id)
+        start, length = group_extent(metadata, self.group_id)
         with span(self.trace, "snapshot"):
             payload = host.transport.read(host.layout.rkey,
-                                          host.layout.addr(start),
-                                          end - start)
+                                          host.layout.addr(start), length)
             host.node.charge_time(
                 host.cost_model.deserialize_us(len(payload)))
         overflow_off = group.overflow_offset - start
@@ -218,7 +214,7 @@ class ShadowRebuild:
                                        + cluster.blob_length])
         self._snapshot = _Snapshot(
             member_ids=member_ids, blobs=blobs, records=records, t0=t0,
-            old_start=start, old_end=end,
+            old_extent=(start, length),
             old_overflow_offset=group.overflow_offset,
             capacity_records=group.capacity_records)
         self.state = "build"
@@ -246,36 +242,33 @@ class ShadowRebuild:
         host = self.host
         snap = self._snapshot
         assert snap is not None
-        area = overflow_area_size(host.metadata.dim, snap.capacity_records)
-        # [blob A][fresh overflow][blob B] at the region tail (+8 slack
-        # for the alignment pad below).
-        total = sum(len(blob) for blob in self._new_blobs) + area + 8
-        base = host.layout.allocator.allocate(total)
-        overflow_offset = base + len(self._new_blobs[0])
-        # Keep the tail counter 8-byte aligned for remote atomics.
-        overflow_offset += (-overflow_offset) % 8
-        offsets = [base]
-        if len(self._new_blobs) > 1:
-            offsets.append(overflow_offset + area)
+        sizes = [(cid, len(blob))
+                 for cid, blob in zip(snap.member_ids, self._new_blobs)]
+        # Placed by the rule the offline build uses; the extent is sized
+        # before its base (hence the pad) is known, so allow a full 8 B.
+        base = host.layout.allocator.allocate(
+            sum(nbytes for _, nbytes in sizes) + 8
+            + overflow_area_size(host.metadata.dim, snap.capacity_records))
+        plan = place_group(self.group_id, base, sizes[0],
+                           sizes[1] if len(sizes) > 1 else None,
+                           host.metadata.dim, snap.capacity_records)
         with span(self.trace, "write"):
-            for blob, offset in zip(self._new_blobs, offsets):
+            for blob, offset in zip(self._new_blobs,
+                                    (plan.first_offset, plan.second_offset)):
                 host.transport.write(host.layout.rkey,
                                      host.layout.addr(offset), blob)
             # Fresh tail = 0; written explicitly so relocation onto
             # recycled space never inherits a stale (sealed) counter.
             host.transport.write(host.layout.rkey,
-                                 host.layout.addr(overflow_offset),
+                                 host.layout.addr(plan.overflow_offset),
                                  pack_overflow_tail(0))
-        self._new_base = base
-        self._new_total = total
-        self._new_offsets = offsets
-        self._new_overflow_offset = overflow_offset
+        self._new_plan = plan
         self.state = "cutover"
 
     def _step_cutover(self) -> None:
         host = self.host
-        snap = self._snapshot
-        assert snap is not None
+        snap, plan = self._snapshot, self._new_plan
+        assert snap is not None and plan is not None
         dim = host.metadata.dim
         with span(self.trace, "publish"):
             # 1. Seal the old tail.  The FAA's return value is the exact
@@ -299,11 +292,11 @@ class ShadowRebuild:
                 host.transport.write(
                     host.layout.rkey,
                     host.layout.addr(overflow_slot_offset(
-                        self._new_overflow_offset, dim, 0)),
+                        plan.overflow_offset, dim, 0)),
                     pack_overflow_records(migrated))
             host.transport.write(
                 host.layout.rkey,
-                host.layout.addr(self._new_overflow_offset),
+                host.layout.addr(plan.overflow_offset),
                 pack_overflow_tail(len(migrated)))
             self.migrated_records = len(migrated)
             # 3. Publish against the *authoritative* block: another
@@ -315,15 +308,16 @@ class ShadowRebuild:
                 host.layout.rkey, host.layout.addr(0),
                 host.layout.metadata_nbytes))
             clusters = list(remote.clusters)
-            for cid, offset, blob in zip(snap.member_ids, self._new_offsets,
-                                         self._new_blobs):
+            for cid, offset, blob in zip(
+                    snap.member_ids, (plan.first_offset, plan.second_offset),
+                    self._new_blobs):
                 clusters[cid] = dataclasses.replace(
                     clusters[cid], blob_offset=offset,
                     blob_length=len(blob))
             groups = list(remote.groups)
             groups[self.group_id] = dataclasses.replace(
                 groups[self.group_id],
-                overflow_offset=self._new_overflow_offset,
+                overflow_offset=plan.overflow_offset,
                 version=groups[self.group_id].version + 1)
             # A rebuilt member's cold extent is stale twice over: its
             # codes predate the merged overflow and its vectors_offset
@@ -351,8 +345,7 @@ class ShadowRebuild:
             # 4. Retire the old extents behind the grace period: readers
             #    pinned to the previous epoch may still be decoding them.
             retired = host.layout.retired
-            retired.retire(snap.old_start, snap.old_end - snap.old_start,
-                           fresh.version)
+            retired.retire(*snap.old_extent, fresh.version)
             for stale in stale_cold:
                 retired.retire(stale.offset, stale.length, fresh.version)
             # 5. Adopt the new epoch locally and release the lock.

@@ -1,26 +1,28 @@
 """The per-client mutation front end: insert, delete, batched insert.
 
 :class:`MutationEngine` is the write-side sibling of
-:class:`repro.serving.engine.ServingEngine`.  Every mutation follows the
-paper's §3.2 protocol — route via the cached meta-HNSW, reserve an
-overflow slot with one remote FAA, WRITE the packed record — extended
-for *concurrent* writers:
+:class:`repro.serving.engine.ServingEngine`.  The paper's §3.2 write is
+one protocol — route via the cached meta-HNSW, reserve overflow slots
+with one remote FAA, WRITE the packed records — and
+:meth:`MutationEngine._write` states it once, over rows of ``(vector,
+global_id)`` plus the tombstone flag: ``insert`` and ``delete`` are that
+loop over one row, ``insert_batch`` over many.  What it adds for
+*concurrent* writers:
 
-* A reservation landing past capacity rolls back and triggers a
-  :class:`~repro.mutation.rebuild.ShadowRebuild`; losing the rebuild's
-  CAS leadership race means another writer is already rebuilding, so
-  this one refreshes metadata and retries instead of duplicating work.
-* A reservation landing on a *sealed* tail
-  (:class:`repro.errors.GroupSealedError`) means a cutover relocated
-  the group mid-flight; the writer rolls back, refreshes, and retries
-  against the new location.  Both loops are bounded by
-  ``_RETRY_LIMIT``.
-* ``insert_batch`` reserves slot *runs* (one FAA per group per chunk)
-  and may claim a run partially: a batch larger than the overflow
-  capacity splits across multiple reservations with rebuilds in
-  between, instead of failing outright.  Record WRITEs stay deferred
-  and doorbell-batched; they are flushed before any rebuild so the
-  snapshot observes every reserved record.
+* A group's rows reserve a slot *run* with one FAA and may claim it
+  partially, so a batch larger than the overflow capacity splits across
+  reservations with rebuilds in between.
+* A run that claims nothing met a full area — the writer leads a
+  :class:`~repro.mutation.rebuild.ShadowRebuild`, or lost its leadership
+  CAS and adopts the winner's epoch — or a *sealed* tail
+  (:class:`repro.errors.GroupSealedError`: a cutover relocated the group
+  mid-flight; roll back, refresh, retry at the new location).
+  ``_RETRY_LIMIT`` such stalls in a row raise ``OverflowFullError``.
+* Record WRITEs are deferred and doorbell-batched, and flushed before
+  any rebuild so its snapshot observes every reserved record.  A flush
+  of exactly one record is a plain ``transport.write`` (a doorbell ring
+  is for more than one WQE): one write costs one FAA and one WRITE
+  whichever entry issued it.
 
 Each mutation carries a :class:`~repro.serving.trace.TraceContext`
 (``last_mutation_trace`` on the client) with stages ``classify``,
@@ -50,9 +52,9 @@ from repro.transport import WriteDescriptor
 
 __all__ = ["InsertReport", "MutationEngine", "MutationStats"]
 
-#: Retries of the reserve/rebuild loop when another writer wins a race
-#: (rebuild leadership lost, or a reservation landed on a just-sealed
-#: area); past it the write raises ``OverflowFullError``, never spins.
+#: Consecutive reservations of one group that may claim nothing (area
+#: full, or sealed by a racing cutover) before the write raises
+#: ``OverflowFullError`` instead of spinning.
 _RETRY_LIMIT = 8
 
 
@@ -105,63 +107,16 @@ class MutationEngine:
         self.last_trace = trace
         return trace
 
-    # -- routing ---------------------------------------------------------
-    def _classify(self, vector: np.ndarray,
-                  trace: TraceContext) -> int:
-        host = self.host
-        with span(trace, "classify"):
-            host.refresh_metadata()
-            host.meta.reset_compute_counter()
-            cluster_id = host.meta.classify(vector, ef=host.config.ef_meta)
-            host.node.charge_compute(host.meta.reset_compute_counter(),
-                                     host.meta.dim)
-        return cluster_id
-
     # -- public mutations -------------------------------------------------
     def insert(self, vector: np.ndarray, global_id: int) -> InsertReport:
         """Insert one vector (FAA slot reservation + one WRITE)."""
-        return self._mutate(vector, global_id, tombstone=False)
+        return self._write(np.reshape(vector, (1, -1)), [global_id],
+                           tombstone=False)[0]
 
     def delete(self, vector: np.ndarray, global_id: int) -> InsertReport:
         """Logically delete ``global_id`` with a tombstone record."""
-        return self._mutate(vector, global_id, tombstone=True)
-
-    def _mutate(self, vector: np.ndarray, global_id: int,
-                tombstone: bool) -> InsertReport:
-        host = self.host
-        vector = np.asarray(vector, dtype=np.float32).reshape(-1)
-        trace = self._new_trace()
-        cluster_id = self._classify(vector, trace)
-        # Cluster->group membership is fixed at build time; only the
-        # group's *location* moves, so re-reading the entry per attempt
-        # suffices.
-        group_id = host.metadata.clusters[cluster_id].group_id
-        rebuilt = False
-        slot: int | None = None
-        for _ in range(_RETRY_LIMIT):
-            try:
-                slot = self._reserve_and_write(cluster_id, vector,
-                                               global_id, tombstone, trace)
-                break
-            except GroupSealedError:
-                self.stats.sealed_retries += 1
-                host.refresh_metadata()
-            except OverflowFullError:
-                if self.rebuild_group(group_id, trace):
-                    rebuilt = True
-                else:
-                    # Another writer leads the rebuild; adopt its result.
-                    host.refresh_metadata()
-        if slot is None:
-            group = host.metadata.groups[group_id]
-            raise OverflowFullError(group_id, group.capacity_records,
-                                    overflow_record_size(host.metadata.dim))
-        if tombstone:
-            self.stats.deletes += 1
-        else:
-            self.stats.inserts += 1
-        return InsertReport(global_id=global_id, cluster_id=cluster_id,
-                            overflow_slot=slot, triggered_rebuild=rebuilt)
+        return self._write(np.reshape(vector, (1, -1)), [global_id],
+                           tombstone=True)[0]
 
     def insert_batch(self, vectors: np.ndarray,
                      global_ids: list[int]) -> list[InsertReport]:
@@ -174,6 +129,12 @@ class MutationEngine:
         partially and the remainder re-reserved after a rebuild, so any
         batch size succeeds as long as single inserts would.
         """
+        return self._write(vectors, global_ids, tombstone=False)
+
+    # -- the write protocol -------------------------------------------------
+    def _write(self, vectors: np.ndarray, global_ids: list[int],
+               tombstone: bool) -> list[InsertReport]:
+        """Route, reserve, WRITE: one record per row of ``vectors``."""
         host = self.host
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if vectors.shape[0] != len(global_ids):
@@ -189,27 +150,43 @@ class MutationEngine:
             host.node.charge_compute(host.meta.reset_compute_counter(),
                                      host.meta.dim)
 
+        # Cluster->group membership is fixed at build time; only a
+        # group's *location* moves, so this grouping outlives every retry
+        # and the entry is re-read per reservation.
         by_group: dict[int, list[int]] = {}
         for row, cid in enumerate(cluster_ids):
             by_group.setdefault(
                 host.metadata.clusters[cid].group_id, []).append(row)
 
         record_size = overflow_record_size(host.metadata.dim)
-        reports: list[InsertReport | None] = [None] * len(global_ids)
-        descriptors: list[WriteDescriptor] = []
+        reports: list[InsertReport] = [None] * len(global_ids)
+        #: Reserved but not yet written: (group, slot, address, record).
+        deferred: list[tuple[int, int, int, OverflowRecord]] = []
 
         def flush() -> None:
-            if descriptors:
-                with span(trace, "write"):
+            if not deferred:
+                return
+            writes = [WriteDescriptor(host.layout.rkey, addr,
+                                      pack_overflow_record(record))
+                      for _, _, addr, record in deferred]
+            with span(trace, "write"):
+                if len(writes) == 1:
+                    # A doorbell ring is for more than one WQE.
+                    host.transport.write(writes[0].rkey, writes[0].addr,
+                                         writes[0].data)
+                else:
                     host.transport.write_batch(
-                        descriptors, doorbell=host.policy.doorbell_batching)
-                descriptors.clear()
+                        writes, doorbell=host.policy.doorbell_batching)
+            # Keep this instance's own cached entries coherent.
+            for group_id, slot, _, record in deferred:
+                self._patch_cached_entries(group_id, slot, record)
+            deferred.clear()
 
         for group_id in sorted(by_group):
             rows = by_group[group_id]
             cursor = 0
             chunks = 0
-            flag_rebuild = False
+            led_rebuild = False
             stalls = 0
             while cursor < len(rows):
                 pending = rows[cursor:]
@@ -225,17 +202,16 @@ class MutationEngine:
                     # Flush deferred WRITEs first: a rebuild's snapshot
                     # must observe every record already reserved.
                     flush()
-                    if sealed:
-                        # The group moved under us; adopt the new epoch.
+                    if sealed or not self.rebuild_group(group_id, trace):
+                        # The group moved under us, or another writer
+                        # leads its rebuild: adopt the new epoch.
                         host.refresh_metadata()
-                    elif self.rebuild_group(group_id, trace):
-                        # Overflow genuinely full -> lead a rebuild, then
-                        # keep claiming the remainder of the run.
-                        flag_rebuild = True
                     else:
-                        host.refresh_metadata()
+                        # Overflow genuinely full and rebuilt by this
+                        # writer; keep claiming the remainder of the run.
+                        led_rebuild = True
                     stalls += 1
-                    if stalls > _RETRY_LIMIT:
+                    if stalls >= _RETRY_LIMIT:
                         group = host.metadata.groups[group_id]
                         raise OverflowFullError(
                             group_id, group.capacity_records,
@@ -244,55 +220,29 @@ class MutationEngine:
                 stalls = 0
                 chunks += 1
                 group = host.metadata.groups[group_id]
-                for index, row in enumerate(pending[:claimed]):
-                    slot = slot0 + index
-                    cid = cluster_ids[row]
-                    record = OverflowRecord(global_id=global_ids[row],
-                                            cluster_id=cid,
-                                            vector=vectors[row])
+                for slot, row in enumerate(pending[:claimed], slot0):
+                    record = OverflowRecord(
+                        global_id=global_ids[row],
+                        cluster_id=cluster_ids[row], vector=vectors[row],
+                        tombstone=tombstone)
                     record_addr = host.layout.addr(overflow_slot_offset(
                         group.overflow_offset, host.metadata.dim, slot))
-                    descriptors.append(WriteDescriptor(
-                        host.layout.rkey, record_addr,
-                        pack_overflow_record(record)))
-                    self._patch_cached_entries(group_id, slot, record)
+                    deferred.append((group_id, slot, record_addr, record))
                     reports[row] = InsertReport(
-                        global_id=global_ids[row], cluster_id=cid,
-                        overflow_slot=slot,
-                        triggered_rebuild=flag_rebuild and index == 0)
-                flag_rebuild = False
+                        global_id=global_ids[row],
+                        cluster_id=cluster_ids[row], overflow_slot=slot,
+                        triggered_rebuild=led_rebuild and slot == slot0)
+                led_rebuild = False
                 cursor += claimed
-            if chunks > 1:
-                self.stats.batch_chunks += chunks - 1
+            self.stats.batch_chunks += max(chunks - 1, 0)
         flush()
-        self.stats.inserts += sum(1 for report in reports
-                                  if report is not None)
-        return [report for report in reports if report is not None]
+        if tombstone:
+            self.stats.deletes += len(reports)
+        else:
+            self.stats.inserts += len(reports)
+        return reports
 
     # -- reservation protocol ---------------------------------------------
-    def _reserve_and_write(self, cluster_id: int, vector: np.ndarray,
-                           global_id: int, tombstone: bool = False,
-                           trace: TraceContext | None = None) -> int:
-        """Reserve one slot with FAA and WRITE the record into it."""
-        host = self.host
-        group_id = host.metadata.clusters[cluster_id].group_id
-        group = host.metadata.groups[group_id]
-        slot, claimed = self._reserve_run(group_id, 1, trace)
-        if not claimed:
-            raise OverflowFullError(
-                group_id, group.capacity_records,
-                overflow_record_size(host.metadata.dim))
-        record = OverflowRecord(global_id=global_id, cluster_id=cluster_id,
-                                vector=vector, tombstone=tombstone)
-        record_addr = host.layout.addr(overflow_slot_offset(
-            group.overflow_offset, host.metadata.dim, slot))
-        with span(trace, "write"):
-            host.transport.write(host.layout.rkey, record_addr,
-                                 pack_overflow_record(record))
-        # Keep this instance's own cached entries of the group coherent.
-        self._patch_cached_entries(group_id, slot, record)
-        return slot
-
     def _reserve_run(self, group_id: int, count: int,
                      trace: TraceContext | None = None) -> tuple[int, int]:
         """Reserve up to ``count`` consecutive slots with one FAA.
@@ -323,16 +273,11 @@ class MutationEngine:
         host.engine.decoder.note_tail(group_id, slot0 + claimed)
         return slot0, claimed
 
-    # -- shared helpers ----------------------------------------------------
-    def _group_members(self, group_id: int) -> list[int]:
-        return [cid for cid, entry in enumerate(self.host.metadata.clusters)
-                if entry.group_id == group_id]
-
     def _patch_cached_entries(self, group_id: int, slot: int,
                               record: OverflowRecord) -> None:
         """Keep this instance's cached entries of a group coherent with a
         record just written at ``slot``."""
-        for cid in self._group_members(group_id):
+        for cid in self.host.metadata.group_members(group_id):
             entry = self.host.cache.peek(cid)
             if entry is not None and entry.overflow_tail == slot:
                 if cid == record.cluster_id:

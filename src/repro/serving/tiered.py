@@ -34,7 +34,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.cluster_search import replay_overflow
 from repro.errors import LayoutError, SerializationError
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.layout.cold import deserialize_cold_cluster
@@ -43,6 +42,7 @@ from repro.layout.group_layout import (cluster_read_extent,
                                        overflow_slot_offset,
                                        overflow_tail_extent)
 from repro.layout.serializer import (overflow_record_size,
+                                     replay_overflow,
                                      unpack_overflow_records)
 from repro.pq.codebook import PqCodebook
 from repro.serving.trace import TraceContext, span

@@ -11,10 +11,10 @@ import pytest
 
 from repro.core import DHnswClient, Scheme
 from repro.core.cache import CachedCluster
-from repro.core.cluster_search import replay_overflow, search_cluster_entry
+from repro.core.cluster_search import search_cluster_entry
 from repro.errors import StaleReadError
 from repro.hnsw import HnswIndex, HnswParams
-from repro.layout.serializer import OverflowRecord
+from repro.layout.serializer import OverflowRecord, replay_overflow
 from repro.mutation.rebuild import ShadowRebuild
 from repro.serving import PlanExecution
 from tests.serving.reference_loop import overlap_saved

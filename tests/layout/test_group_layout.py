@@ -12,9 +12,11 @@ from repro.layout.group_layout import (
     OVERFLOW_TAIL_BYTES,
     cluster_read_extent,
     cluster_read_ranges,
+    group_extent,
     overflow_area_size,
     overflow_delta_ranges,
     overflow_slot_offset,
+    place_group,
     plan_groups,
 )
 from repro.layout.metadata import GlobalMetadata
@@ -147,6 +149,33 @@ class TestReadExtent:
             assert entry.blob_offset + entry.blob_length <= offset + length
             assert offset <= group.overflow_offset
             assert group.overflow_offset + area <= offset + length
+
+
+class TestGroupSpanAndPlacement:
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=2000),
+                          min_size=1, max_size=9),
+           start=st.integers(min_value=4096, max_value=4111))
+    def test_span_membership_and_placement_agree_with_the_plan(self, sizes,
+                                                               start):
+        """What a rebuild asks of the layout — who is in the group, where
+        it spans, where a relocated copy's parts go — is what the offline
+        plan says, at any (unaligned) base."""
+        plans, metadata = plan_and_metadata(sizes, start=start)
+        for plan in plans:
+            members = metadata.group_members(plan.group_id)
+            assert members == [cid for cid in (plan.first_cluster_id,
+                                               plan.second_cluster_id)
+                               if cid is not None]
+            assert group_extent(metadata, plan.group_id) == (
+                plan.base_offset, plan.end_offset - plan.base_offset)
+            blobs = [(cid, metadata.clusters[cid].blob_length)
+                     for cid in members]
+            assert place_group(plan.group_id, plan.base_offset, blobs[0],
+                               blobs[1] if len(blobs) > 1 else None,
+                               metadata.dim, plan.capacity_records) == plan
+            assert 0 <= plan.overflow_offset - (plan.first_offset
+                                                + plan.first_nbytes) < 8
 
 
 def covered(ranges, first, end):

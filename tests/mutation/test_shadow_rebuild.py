@@ -128,9 +128,8 @@ class TestSealedTail:
         stale.refresh_metadata()  # pin the pre-cutover epoch
         ShadowRebuild(writer, gid).run()
         old_offset = stale.metadata.groups[gid].overflow_offset
-        cid = stale.meta.classify(probe)
         with pytest.raises(GroupSealedError):
-            stale.mutation._reserve_and_write(cid, probe, 600_000)
+            stale.mutation._reserve_run(gid, 1)
         node = mutable_deployment.layout.memory_node
         raw = int.from_bytes(
             node.read(mutable_deployment.layout.rkey,
