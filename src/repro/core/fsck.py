@@ -397,9 +397,7 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
     # the allocator's free list, or awaiting grace-period reclaim in the
     # retired ledger.  Gaps are orphans — space lost to a crashed rebuild
     # that allocated its shadow copy but never published or retired it.
-    # Small gaps (< 16 B) are alignment slack, not leaks: overflow areas
-    # are 8-aligned inside their allocation and rebuilds carry 8 bytes of
-    # padding slack.
+    # A gap under 8 B is the pad that 8-aligns a group's tail word.
     allocator = layout.allocator
     covered = [(start, end) for start, end, _ in extents]
     covered.extend((offset, offset + length)
@@ -410,7 +408,7 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
     cursor = allocator.metadata_reserve
     covered.append((allocator.tail, allocator.tail))
     for start, end in covered:
-        if start - cursor >= 16:
+        if start - cursor >= 8:
             report.findings.append(Finding(
                 "warning", f"region [{cursor}, {start})",
                 f"{start - cursor} B allocated but referenced by neither "

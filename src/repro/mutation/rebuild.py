@@ -244,14 +244,19 @@ class ShadowRebuild:
         assert snap is not None
         sizes = [(cid, len(blob))
                  for cid, blob in zip(snap.member_ids, self._new_blobs)]
-        # Placed by the rule the offline build uses; the extent is sized
-        # before its base (hence the pad) is known, so allow a full 8 B.
-        base = host.layout.allocator.allocate(
-            sum(nbytes for _, nbytes in sizes) + 8
-            + overflow_area_size(host.metadata.dim, snap.capacity_records))
+        # Placed by the rule the offline build uses.  The extent is sized
+        # before its base (hence the pad) is known, so it allows a full
+        # 8 B; what the placement did not use goes straight back, or the
+        # sliver would keep the retired neighbours from ever coalescing.
+        allocator = host.layout.allocator
+        total = (sum(nbytes for _, nbytes in sizes) + 8
+                 + overflow_area_size(host.metadata.dim,
+                                      snap.capacity_records))
+        base = allocator.allocate(total)
         plan = place_group(self.group_id, base, sizes[0],
                            sizes[1] if len(sizes) > 1 else None,
                            host.metadata.dim, snap.capacity_records)
+        allocator.retire(plan.end_offset, base + total - plan.end_offset)
         with span(self.trace, "write"):
             for blob, offset in zip(self._new_blobs,
                                     (plan.first_offset, plan.second_offset)):

@@ -85,3 +85,31 @@ def test_metadata_version_reflects_rebuild_count(churned):
     deployment, client, _ = churned
     assert client.metadata.version == deployment.layout.metadata.version
     assert client.metadata.version > 1
+
+
+def test_growth_at_default_headroom_leaves_no_slivers(small_dataset):
+    """A relocation sizes its extent before the base (hence the tail
+    word's pad) is known and used to orphan the 1-8 B it did not need.
+    Nothing could name those bytes, so they sat between retired groups,
+    kept the free list from coalescing, and a stream that grows the
+    corpus by half ran out of region at a quarter of the way."""
+    config = DHnswConfig(num_representatives=24, nprobe=3,
+                         overflow_capacity_records=8, seed=7)
+    assert config.region_headroom == 3.0
+    deployment = Deployment(small_dataset.vectors, config)
+    client = deployment.client(0)
+    allocator = deployment.layout.allocator
+    rng = np.random.default_rng(57)
+    peak_tail = 0
+    for i, base in enumerate(small_dataset.vectors[:600]):
+        client.insert(
+            base + rng.normal(0, 1e-3, base.shape).astype(np.float32),
+            9000 + i)
+        peak_tail = max(peak_tail, allocator.tail)
+    assert client.mutation.stats.rebuilds_led >= 50
+    free = allocator.free_extents()
+    assert all(later - (offset + length) >= 16
+               for (offset, length), (later, _) in zip(free, free[1:]))
+    assert peak_tail < 0.9 * allocator.capacity_bytes
+    report = fsck(deployment.layout)
+    assert report.clean and not report.findings, report.summary()

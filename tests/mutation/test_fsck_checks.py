@@ -124,3 +124,10 @@ class TestOrphanExtents:
         orphans = findings_matching(report, "orphan extent")
         assert orphans
         assert all(finding.severity == "warning" for finding in orphans)
+
+    def test_eight_unnamed_bytes_are_an_orphan(self, mutable_deployment):
+        """No alignment pad is 8 B wide, so 8 B nothing names is a leak
+        (the sliver every rebuild used to leave behind), not slack."""
+        mutable_deployment.layout.allocator.allocate(8)
+        assert findings_matching(fsck(mutable_deployment.layout),
+                                 "orphan extent")
