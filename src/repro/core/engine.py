@@ -101,12 +101,11 @@ class RemoteLayout:
 
     @property
     def metadata_nbytes(self) -> int:
-        """Serialized size of the metadata block.
-
-        Computed from the actual packed form so the optional cold-tier
-        directory is included when present.
-        """
-        return len(self.metadata.pack())
+        """Serialized size of the metadata block (the optional cold-tier
+        directory included when present); constant for a deployment."""
+        return GlobalMetadata.packed_size(
+            self.metadata.num_clusters, self.metadata.num_groups,
+            with_cold=self.metadata.cold is not None)
 
 
 @dataclasses.dataclass(frozen=True)

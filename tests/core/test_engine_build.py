@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import Deployment
 from repro.core import DHnswBuilder, DHnswConfig
 from repro.errors import LayoutError
 from repro.layout.group_layout import cluster_read_extent
@@ -44,6 +45,16 @@ class TestRemoteState:
         assert metadata.version == 1
         assert metadata.num_clusters == 12
         assert metadata.clusters == layout.metadata.clusters
+
+    @pytest.mark.parametrize("cold_tier", ["off", "pq"])
+    def test_metadata_nbytes_is_the_packed_size(self, small_dataset,
+                                                small_config, cold_tier):
+        """Computed from the entry counts, never by re-serializing the
+        block — with and without the trailing cold directory."""
+        layout = Deployment(small_dataset.vectors[:400], small_config.replace(
+            num_representatives=4, cold_tier=cold_tier)).layout
+        assert (layout.metadata.cold is not None) == (cold_tier == "pq")
+        assert layout.metadata_nbytes == len(layout.metadata.pack())
 
     def test_every_cluster_blob_deserializable(self, built_deployment):
         layout = built_deployment.layout
