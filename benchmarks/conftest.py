@@ -76,7 +76,7 @@ def sift_world() -> BenchWorld:
     dataset = sift_like(num_vectors=sift_n, num_queries=400,
                         num_clusters=100, gt_k=10, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
-                         batch_size=400, overflow_capacity_records=64,
+                         overflow_capacity_records=64,
                          pipeline_waves=False, seed=42)
     return BenchWorld(dataset, config)
 
@@ -87,7 +87,7 @@ def gist_world() -> BenchWorld:
     dataset = gist_like(num_vectors=gist_n, num_queries=200,
                         num_clusters=50, gt_k=10, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
-                         batch_size=200, overflow_capacity_records=64,
+                         overflow_capacity_records=64,
                          pipeline_waves=False, seed=42)
     return BenchWorld(dataset, config)
 

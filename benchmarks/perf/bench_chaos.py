@@ -138,7 +138,6 @@ def main() -> None:
 
     config = DHnswConfig(num_representatives=scale["num_representatives"],
                          nprobe=3, ef_meta=24, cache_fraction=0.15,
-                         batch_size=scale["batch_size"],
                          overflow_capacity_records=16, seed=42,
                          replication_factor=3)
     build_start = time.perf_counter()

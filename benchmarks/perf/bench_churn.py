@@ -422,7 +422,6 @@ def main() -> None:
 
     config = DHnswConfig(num_representatives=scale["num_representatives"],
                          nprobe=3, ef_meta=24, cache_fraction=0.15,
-                         batch_size=scale["batch_size"],
                          overflow_capacity_records=scale["capacity"],
                          seed=42)
 

@@ -174,7 +174,7 @@ def main() -> None:
                         num_clusters=scale["num_clusters"],
                         gt_k=K, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
-                         batch_size=64, overflow_capacity_records=64,
+                         overflow_capacity_records=64,
                          seed=42)
     deployment = Deployment(dataset.vectors, config,
                             simulate_link_contention=False)

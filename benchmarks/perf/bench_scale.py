@@ -157,7 +157,6 @@ def main() -> None:
     gen_seconds = time.perf_counter() - gen_start
 
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
-                         batch_size=scale["batch_size"],
                          overflow_capacity_records=64, seed=42)
     build_start = time.perf_counter()
     deployment = Deployment(dataset.vectors, config,

@@ -216,7 +216,6 @@ def main() -> None:
                         num_clusters=scale["num_clusters"],
                         gt_k=10, seed=42)
     config = DHnswConfig(nprobe=4, ef_meta=32, cache_fraction=0.10,
-                         batch_size=scale["batch_size"],
                          overflow_capacity_records=64, seed=42)
     deployment = Deployment(dataset.vectors, config,
                             simulate_link_contention=False)

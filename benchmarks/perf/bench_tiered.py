@@ -173,7 +173,6 @@ def main() -> None:
     # finer quantization costs only memory-node bytes.
     base = DHnswConfig(num_representatives=scale["num_clusters"],
                        nprobe=4, ef_meta=32, cache_fraction=1.0,
-                       batch_size=scale["batch_size"],
                        overflow_capacity_records=64, seed=42,
                        pq_subspaces=64, rerank_depth=96)
 

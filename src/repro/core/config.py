@@ -42,8 +42,6 @@ class DHnswConfig:
     cache_fraction:
         Compute-instance cluster-cache capacity as a fraction of the total
         cluster count (§4 fixes 10 %).
-    batch_size:
-        Query batch size (§4 uses 2000).
     overflow_capacity_records:
         Slots in each group's shared overflow area.  The paper sizes the
         area at 0.75 MB for SIFT1M; slots are the scale-free equivalent.
@@ -130,7 +128,6 @@ class DHnswConfig:
     ef_meta: int = 32
     ef_search_default: int | None = None
     cache_fraction: float = 0.10
-    batch_size: int = 2000
     overflow_capacity_records: int = 128
     reclaim_eager: bool = True
     adaptive_nprobe: bool = False
@@ -167,9 +164,6 @@ class DHnswConfig:
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError(
                 f"cache_fraction must be in (0, 1], got {self.cache_fraction}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size}")
         if self.overflow_capacity_records < 0:
             raise ConfigError(
                 f"overflow_capacity_records must be >= 0, got "

@@ -57,10 +57,12 @@ def _config_to_dict(config: DHnswConfig) -> dict:
     return data
 
 
-#: Config keys older manifests carry for fields that are constants now;
-#: each only ever had one value in use, so dropping them loses nothing.
+#: Config keys older manifests carry for fields that are constants now
+#: (each only ever had one value in use) or that nothing ever read
+#: (``batch_size``), so dropping them loses nothing.
 _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
-                        "tier_ewma_halflife_us", "tier_hysteresis"}
+                        "tier_ewma_halflife_us", "tier_hysteresis",
+                        "batch_size"}
 
 
 def _config_from_dict(data: dict) -> DHnswConfig:

@@ -39,7 +39,7 @@ def small_dataset() -> Dataset:
 def small_config() -> DHnswConfig:
     """Config sized for the tiny corpus: 12 partitions, cache of 2."""
     return DHnswConfig(num_representatives=12, nprobe=3, ef_meta=16,
-                       cache_fraction=0.2, batch_size=64,
+                       cache_fraction=0.2,
                        overflow_capacity_records=8, seed=7)
 
 

@@ -16,7 +16,6 @@ class TestValidation:
         ("ef_meta", 0),
         ("cache_fraction", 0.0),
         ("cache_fraction", 1.5),
-        ("batch_size", 0),
         ("overflow_capacity_records", -1),
         ("region_headroom", 0.5),
     ])

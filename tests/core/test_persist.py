@@ -101,7 +101,7 @@ class TestErrors:
     #: carries on top of today's, at the only values ever in use.
     RETIRED = {"mutation_retry_limit": 8, "pq_bits": 8,
                "tier_ewma_halflife_us": 50_000.0, "tier_hysteresis": 2.0,
-               "vamana_degree": 16}
+               "vamana_degree": 16, "batch_size": 64}
 
     def rewrite_config(self, path, **changes):
         manifest = json.loads((path / "manifest.json").read_text())

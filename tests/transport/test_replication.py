@@ -192,7 +192,7 @@ def replicated_deployment() -> Deployment:
     corpus = make_clustered(600, 16, num_clusters=6, cluster_std=0.08,
                             rng=generator)
     config = DHnswConfig(num_representatives=6, nprobe=2, ef_meta=12,
-                         cache_fraction=0.34, batch_size=32,
+                         cache_fraction=0.34,
                          overflow_capacity_records=8, seed=7,
                          replication_factor=3)
     return Deployment(corpus, config, cost_model=CostModel())
