@@ -9,10 +9,9 @@ one task per (cluster, query-group) inline or in a worker process
 count: the task's output depends only on its inputs, and the caller merges
 outputs in deterministic cluster order.
 
-Semantics mirror the pre-PR-4 ``DHnswClient._search_cluster_batch``
-exactly, including the distance-evaluation accounting the latency model
-charges: tombstoned/superseded ids are masked out of graph candidates and
-live overflow records are scored against every query.
+Tombstoned/superseded ids are masked out of graph candidates and live
+overflow records are scored against every query; both count towards the
+distance evaluations the latency model charges.
 """
 
 from __future__ import annotations

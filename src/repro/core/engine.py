@@ -268,23 +268,14 @@ class DHnswBuilder:
                                             seed=self.config.seed)
         blobs = source.blobs()
         cold_blobs: list[bytes | None] = [None] * num_clusters
-        for plan in plans:
-            blob = self._next_blob(blobs, plan.first_cluster_id,
-                                   plan.first_nbytes)
-            transport.write(region.rkey, layout.addr(plan.first_offset),
+        for cid, entry in enumerate(cluster_entries):
+            blob = self._next_blob(blobs, cid, entry.blob_length)
+            transport.write(region.rkey, layout.addr(entry.blob_offset),
                             blob)
             if codebook is not None:
-                cold_blobs[plan.first_cluster_id] = self._cold_blob(
-                    blob, plan.first_offset, codebook)
-            if plan.second_cluster_id is not None:
-                blob = self._next_blob(blobs, plan.second_cluster_id,
-                                       plan.second_nbytes)
-                transport.write(region.rkey,
-                                layout.addr(plan.second_offset), blob)
-                if codebook is not None:
-                    cold_blobs[plan.second_cluster_id] = self._cold_blob(
-                        blob, plan.second_offset, codebook)
-            # Overflow areas start zeroed; fresh registrations already are.
+                cold_blobs[cid] = self._cold_blob(blob, entry.blob_offset,
+                                                  codebook)
+        # Overflow areas start zeroed; fresh registrations already are.
         if codebook is not None:
             # Cold extents and the codebook blob land past the hot layout
             # in cluster-id order, so off/pq builds share identical hot
@@ -329,7 +320,7 @@ class DHnswBuilder:
 
     @staticmethod
     def _next_blob(blobs: Iterator[tuple[int, bytes]], cluster_id: int,
-                   nbytes: int | None) -> bytes:
+                   nbytes: int) -> bytes:
         """Pull the next streamed blob, guarding serializer/planner drift."""
         actual_id, blob = next(blobs)
         if actual_id != cluster_id or len(blob) != nbytes:

@@ -176,7 +176,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             f"dim {metadata.dim} != layout dim {layout.dim}"))
 
     region_length = layout.region.length
-    extents: list[tuple[int, int, str]] = []
 
     # --- groups / overflow areas ----------------------------------------
     area_size = overflow_area_size(metadata.dim,
@@ -216,8 +215,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             report.findings.append(Finding(
                 "error", location, "overflow area exceeds region"))
             continue
-        extents.append((group.overflow_offset,
-                        group.overflow_offset + area_size, location))
         raw_tail = unpack_overflow_tail(
             _read(node, layout, *overflow_tail_extent(group)))
         count, sealed = decode_overflow_tail(raw_tail,
@@ -262,7 +259,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             report.findings.append(Finding(
                 "error", location, "blob exceeds region"))
             continue
-        extents.append((cluster.blob_offset, end, location))
         if cluster.group_id in tails:
             report.findings.extend(_check_read_ranges(
                 metadata, cid, tails[cluster.group_id], location))
@@ -312,7 +308,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             report.findings.append(Finding(
                 "error", location, "codebook blob exceeds region"))
         else:
-            extents.append((cold_dir.codebook_offset, book_end, location))
             try:
                 book = deserialize_codebook(_read(
                     node, layout, cold_dir.codebook_offset,
@@ -334,7 +329,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                 report.findings.append(Finding(
                     "error", location, "cold extent exceeds region"))
                 continue
-            extents.append((extent.offset, end, location))
             try:
                 cold = deserialize_cold_cluster(_read(
                     node, layout, extent.offset, extent.length))
@@ -358,7 +352,11 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                     f"paired hot blob"))
 
     # --- overlap check ----------------------------------------------------
-    extents.sort()
+    # Everything in-bounds the metadata names, the block itself included.
+    extents = sorted(
+        (offset, offset + length, location)
+        for offset, length, location in _layout_extents(layout, metadata)
+        if length and offset + length <= region_length)
     for (_, end, left), (start, _, right) in zip(extents, extents[1:]):
         if end > start:
             report.findings.append(Finding(

@@ -99,19 +99,10 @@ class MutationEngine:
         self.last_trace: TraceContext | None = None
         self._request_counter = 0
 
-    # -- tracing ---------------------------------------------------------
-    def _new_trace(self) -> TraceContext:
-        trace = TraceContext(self._request_counter, self.host.node.clock,
-                             self.host.node.stats)
-        self._request_counter += 1
-        self.last_trace = trace
-        return trace
-
     # -- public mutations -------------------------------------------------
     def insert(self, vector: np.ndarray, global_id: int) -> InsertReport:
         """Insert one vector (FAA slot reservation + one WRITE)."""
-        return self._write(np.reshape(vector, (1, -1)), [global_id],
-                           tombstone=False)[0]
+        return self._write(np.reshape(vector, (1, -1)), [global_id])[0]
 
     def delete(self, vector: np.ndarray, global_id: int) -> InsertReport:
         """Logically delete ``global_id`` with a tombstone record."""
@@ -129,18 +120,20 @@ class MutationEngine:
         partially and the remainder re-reserved after a rebuild, so any
         batch size succeeds as long as single inserts would.
         """
-        return self._write(vectors, global_ids, tombstone=False)
+        return self._write(vectors, global_ids)
 
     # -- the write protocol -------------------------------------------------
     def _write(self, vectors: np.ndarray, global_ids: list[int],
-               tombstone: bool) -> list[InsertReport]:
+               tombstone: bool = False) -> list[InsertReport]:
         """Route, reserve, WRITE: one record per row of ``vectors``."""
         host = self.host
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if vectors.shape[0] != len(global_ids):
             raise ValueError(
                 f"{vectors.shape[0]} vectors but {len(global_ids)} ids")
-        trace = self._new_trace()
+        trace = self.last_trace = TraceContext(
+            self._request_counter, host.node.clock, host.node.stats)
+        self._request_counter += 1
         with span(trace, "classify"):
             host.refresh_metadata()
             host.meta.reset_compute_counter()
@@ -150,9 +143,8 @@ class MutationEngine:
             host.node.charge_compute(host.meta.reset_compute_counter(),
                                      host.meta.dim)
 
-        # Cluster->group membership is fixed at build time; only a
-        # group's *location* moves, so this grouping outlives every retry
-        # and the entry is re-read per reservation.
+        # Cluster->group membership is fixed at build time; only a group's
+        # *location* moves, so its entry is re-read per reservation.
         by_group: dict[int, list[int]] = {}
         for row, cid in enumerate(cluster_ids):
             by_group.setdefault(
