@@ -19,7 +19,7 @@ deployment and drives it through a full failure lifecycle:
 * **recovered phase** — latency returns to the healthy envelope and the
   repaired replica serves reads again.
 
-Any violated gate exits non-zero, so the CI chaos-smoke job doubles as a
+Any violated gate exits non-zero, so the CI perf-smoke job doubles as a
 regression gate.
 
 Usage::

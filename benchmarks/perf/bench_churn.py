@@ -22,7 +22,7 @@ reclamation.  This harness drives the whole story and gates it:
   trace** — the build's wall-clock lives on the rebuilder, never in a
   reader's critical path.
 
-Any violated gate exits non-zero, so the CI churn-smoke job doubles as
+Any violated gate exits non-zero, so the CI perf-smoke job doubles as
 a regression gate.
 
 Usage::

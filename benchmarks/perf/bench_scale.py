@@ -19,7 +19,7 @@ scenario up end-to-end and gates:
   equivalence tests), plus a zero-copy proof: a served cluster's vector
   store must share memory with the registered region.
 
-Any violated gate exits non-zero, so the CI scale-smoke job doubles as a
+Any violated gate exits non-zero, so the CI perf-smoke job doubles as a
 regression gate.
 
 Usage::

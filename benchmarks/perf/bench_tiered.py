@@ -18,7 +18,7 @@ cluster-popularity workload and gates the memory-frontier claim:
   a pq build (staged-vs-reference-loop identity of the off path is
   ``tests/serving/test_engine_equivalence.py``'s job).
 
-Any violated gate exits non-zero, so the CI tiered-smoke job doubles as
+Any violated gate exits non-zero, so the CI perf-smoke job doubles as
 a regression gate.
 
 Usage::
