@@ -96,8 +96,7 @@ def replay_overflow(records: "list[OverflowRecord]"
 
     The latest record of an id wins: ``state[gid] is None`` means the id
     is tombstoned, a live record supersedes any earlier record *and* any
-    base-graph vector with the same id.  Searches, the cold tier and
-    rebuilds all read an overflow area through this one rule.
+    base-graph vector with the same id (search, cold tier, rebuild alike).
     """
     state: dict[int, OverflowRecord | None] = {}
     for record in records:

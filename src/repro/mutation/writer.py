@@ -158,17 +158,18 @@ class MutationEngine:
         def flush() -> None:
             if not deferred:
                 return
-            writes = [WriteDescriptor(host.layout.rkey, addr,
-                                      pack_overflow_record(record))
-                      for _, _, addr, record in deferred]
             with span(trace, "write"):
-                if len(writes) == 1:
+                if len(deferred) == 1:
                     # A doorbell ring is for more than one WQE.
-                    host.transport.write(writes[0].rkey, writes[0].addr,
-                                         writes[0].data)
+                    _, _, addr, record = deferred[0]
+                    host.transport.write(host.layout.rkey, addr,
+                                         pack_overflow_record(record))
                 else:
                     host.transport.write_batch(
-                        writes, doorbell=host.policy.doorbell_batching)
+                        [WriteDescriptor(host.layout.rkey, addr,
+                                         pack_overflow_record(record))
+                         for _, _, addr, record in deferred],
+                        doorbell=host.policy.doorbell_batching)
             # Keep this instance's own cached entries coherent.
             for group_id, slot, _, record in deferred:
                 self._patch_cached_entries(group_id, slot, record)
@@ -204,9 +205,9 @@ class MutationEngine:
                         led_rebuild = True
                     stalls += 1
                     if stalls >= _RETRY_LIMIT:
-                        group = host.metadata.groups[group_id]
                         raise OverflowFullError(
-                            group_id, group.capacity_records,
+                            group_id,
+                            host.metadata.groups[group_id].capacity_records,
                             len(pending) * record_size)
                     continue
                 stalls = 0
@@ -226,7 +227,7 @@ class MutationEngine:
                         triggered_rebuild=led_rebuild and slot == slot0)
                 led_rebuild = False
                 cursor += claimed
-            self.stats.batch_chunks += max(chunks - 1, 0)
+            self.stats.batch_chunks += chunks - 1
         flush()
         if tombstone:
             self.stats.deletes += len(reports)
