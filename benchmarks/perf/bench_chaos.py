@@ -52,7 +52,6 @@ from repro.transport import (
     FaultKind,
     FaultPlan,
     ReplicaHealth,
-    RetryPolicy,
 )
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_chaos.json"
@@ -152,7 +151,7 @@ def main() -> None:
     client = DHnswClient(
         layout, deployment.meta, config, cost_model=deployment.cost_model,
         name="chaos",
-        retry_policy=RetryPolicy(max_retries=MAX_RETRIES),
+        max_retries=MAX_RETRIES,
         replica_transport_factory=lambda base, i:
             FaultInjectingTransport(base, plans[i], timeout_us=TIMEOUT_US))
     replicated = client._replicated_transport()

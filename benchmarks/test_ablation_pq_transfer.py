@@ -38,7 +38,7 @@ def test_ablation_pq_transfer(sift_world, benchmark):
     recalls = {}
     for subspaces in SUBSPACES:
         codebook = PqCodebook(data.shape[1], num_subspaces=subspaces,
-                              bits=8, seed=1)
+                              seed=1)
         codebook.train(data)
         index = PqRerankIndex(codebook)
         index.add(data)
@@ -74,7 +74,7 @@ def test_ablation_pq_transfer(sift_world, benchmark):
     # And the headline: an order of magnitude less transfer.
     assert full_bytes / (data.shape[0] * SUBSPACES[-1]) >= 16
 
-    codebook = PqCodebook(data.shape[1], num_subspaces=8, bits=8, seed=1)
+    codebook = PqCodebook(data.shape[1], num_subspaces=8, seed=1)
     codebook.train(data)
     index = PqRerankIndex(codebook)
     index.add(data)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.baselines import PushdownServer
 from repro.core import Scheme
+from repro.core.config import SUB_PARAMS
 from repro.metrics import recall_at_k
 
 from .conftest import NUM_COMPUTE_INSTANCES, emit_table
@@ -29,7 +30,7 @@ def test_monolith_vs_disaggregation(sift_world, benchmark):
     truth = world.dataset.ground_truth
 
     server = PushdownServer(world.dataset.vectors,
-                            params=world.config.sub_params,
+                            params=SUB_PARAMS,
                             cost_model=world.cost_model,
                             cpu_slowdown=4.0)
     contenders = {

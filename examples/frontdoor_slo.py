@@ -58,12 +58,10 @@ def main() -> None:
     print(f"degraded efSearch  : {degraded_ef} (recall floor 0.85 "
           f"under overload)")
 
-    config = FrontDoorConfig(max_wait_us=2000.0, max_batch=32,
-                             slo_us=50_000.0, degraded_ef=degraded_ef,
-                             degrade_backlog_waves=2.0)
+    config = FrontDoorConfig(max_batch=32, degraded_ef=degraded_ef)
     tenants = {
         "gold": TenantPolicy(weight=4.0),
-        "free": TenantPolicy(weight=1.0, rate_qps=2000.0, burst=32),
+        "free": TenantPolicy(rate_qps=2000.0),
     }
 
     print("\n== 2. steady traffic: 1500 qps across two tenants ==")

@@ -14,8 +14,6 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import Deployment, DHnswConfig, Scheme, recall_at_k
 from repro.datasets import sift_like
 

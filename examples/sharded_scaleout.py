@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import tempfile
 
-import numpy as np
-
 from repro import DHnswConfig, recall_at_k
 from repro.cluster import Deployment, ShardedDeployment
 from repro.datasets import sift_like

@@ -40,7 +40,7 @@ def main() -> None:
     print("\n== 1. tuning efSearch for recall@10 >= 0.90 ==")
     result = tune_ef_search(client, validation, validation_truth, k=10,
                             target_recall=0.90, ef_max=128)
-    print(f"probes tried       : "
+    print("probes tried       : "
           + ", ".join(f"ef={ef}->{recall:.3f}"
                       for ef, recall in result.evaluations))
     print(f"chosen efSearch    : {result.ef_search} "
@@ -52,7 +52,7 @@ def main() -> None:
           f"{batch.latency_per_query_us:.1f} us/query (simulated)")
 
     print("\n== 2. PQ-compressed transfers ==")
-    book = PqCodebook(dataset.dim, num_subspaces=8, bits=8, seed=11)
+    book = PqCodebook(dataset.dim, num_subspaces=8, seed=11)
     book.train(dataset.vectors)
     pq_index = PqRerankIndex(book)
     pq_index.add(dataset.vectors)

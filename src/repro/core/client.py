@@ -10,8 +10,9 @@ The client is a *façade* over three lower layers:
 
 * :mod:`repro.transport` — every remote byte moves through
   :attr:`DHnswClient.transport` (one-sided READ / WRITE / CAS / FAA plus
-  doorbell-batched and async READs).  Pass ``transport_factory`` to wrap
-  the simulated-RDMA transport in decorators (fault injection, retries).
+  doorbell-batched and async READs).  Assign ``client.transport`` to
+  wrap the simulated-RDMA transport in decorators (fault injection,
+  retries); every stage reads it per call.
 * :mod:`repro.serving` — the batched query path is the staged pipeline
   Planner → Fetcher → Decoder → Executor → Merger composed by
   :attr:`DHnswClient.engine`.
@@ -56,11 +57,11 @@ from repro.serving.tiered import TieredClusterStore
 from repro.transport import (
     ReplicatedTransport,
     RetryingTransport,
-    RetryPolicy,
     SimRdmaTransport,
     Transport,
     connect,
 )
+from repro.transport.retry import MAX_RETRIES
 
 __all__ = ["DHnswClient", "InsertReport"]
 
@@ -73,9 +74,7 @@ class DHnswClient:
                  scheme: Scheme = Scheme.DHNSW,
                  cost_model: CostModel | None = None,
                  name: str = "compute0",
-                 transport_factory:
-                 "Callable[[Transport], Transport] | None" = None,
-                 retry_policy: RetryPolicy | None = None,
+                 max_retries: int | None = None,
                  replica_transport_factory:
                  "Callable[[Transport, int], Transport] | None" = None
                  ) -> None:
@@ -109,15 +108,15 @@ class DHnswClient:
         self.cache = ClusterCache(capacity, release=self.node.release_dram)
 
         # The transport seam: every remote byte this client moves goes
-        # through here.  ``transport_factory`` lets callers stack
-        # decorators (fault injection, retry) over the simulated verbs.
+        # through here; ``max_retries`` puts a retrying layer over it.
         #
         # With a replicated layout, each replica gets its own stack —
         # ``replica_transport_factory(base, index)`` decorates a single
         # replica (e.g. per-node fault injection), then a retrying layer
-        # absorbs transient errors, and the ReplicatedTransport on top
-        # fails reads over / fans writes out.  All per-replica transports
-        # share this client's clock, stats, and NIC channel.
+        # (``MAX_RETRIES`` re-attempts unless ``max_retries`` says
+        # otherwise) absorbs transient errors, and the ReplicatedTransport
+        # on top fails reads over / fans writes out.  All per-replica
+        # transports share this client's clock, stats, and NIC channel.
         self.transport: Transport = SimRdmaTransport(self.node.qp)
         if layout.replicas:
             stack: list[Transport] = []
@@ -128,13 +127,13 @@ class DHnswClient:
                                  self.cost_model, self.node.stats))
                 if replica_transport_factory is not None:
                     base = replica_transport_factory(base, index)
-                stack.append(RetryingTransport(base, retry_policy))
+                stack.append(RetryingTransport(
+                    base, MAX_RETRIES if max_retries is None
+                    else max_retries))
             self.transport = ReplicatedTransport(stack,
                                                  seed=self.config.seed)
-        elif retry_policy is not None:
-            self.transport = RetryingTransport(self.transport, retry_policy)
-        if transport_factory is not None:
-            self.transport = transport_factory(self.transport)
+        elif max_retries is not None:
+            self.transport = RetryingTransport(self.transport, max_retries)
 
         # The staged serving pipeline (Planner → Fetcher → Decoder →
         # Executor → Merger); reads client state late, so decorating
@@ -203,9 +202,7 @@ class DHnswClient:
         # may have been reading become reclaimable.
         token = getattr(self, "_observer_token", None)
         if token is not None:
-            log = getattr(self.layout, "retired", None)
-            if log is not None:
-                log.deregister(token)
+            self.layout.retired.deregister(token)
             self._observer_token = None
 
     def __enter__(self) -> "DHnswClient":
@@ -256,21 +253,17 @@ class DHnswClient:
     def observe_version(self, version: int) -> None:
         """Report an observed metadata version to the grace-period ledger.
 
-        Registers this client lazily on first call; with
-        ``config.reclaim_eager`` (the default) any extent whose grace
+        Registers this client lazily on first call; any extent whose grace
         period just elapsed is returned to the allocator immediately.
         """
-        log = getattr(self.layout, "retired", None)
-        if log is None:
-            return
+        log = self.layout.retired
         if self._observer_token is None:
             self._observer_token = log.register(version)
         else:
             log.observe(self._observer_token, version)
-        if self.config.reclaim_eager:
-            freed = log.reclaim(self.layout.allocator)
-            if freed:
-                self.mutation.stats.reclaimed_bytes += freed
+        freed = log.reclaim(self.layout.allocator)
+        if freed:
+            self.mutation.stats.reclaimed_bytes += freed
 
     # ------------------------------------------------------------------
     # Replica repair (fsck-driven, scheduled by the transport on failover)
@@ -331,8 +324,7 @@ class DHnswClient:
         """Answer a batch of queries with full latency/traffic accounting.
 
         ``ef_search`` is the sub-HNSW beam width the paper sweeps (1..48);
-        it defaults to ``config.ef_search_default`` when set, else
-        ``max(2 * k, k)``.
+        it defaults to ``2 * k``, and the beam is never below ``k``.
 
         ``filter_fn`` optionally restricts results to global ids it
         accepts (metadata filtering, the standard vector-database

@@ -13,10 +13,14 @@ import dataclasses
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
 
-__all__ = ["DHnswConfig", "FrontDoorConfig"]
+__all__ = ["DHnswConfig", "FrontDoorConfig", "META_PARAMS", "SUB_PARAMS"]
 
-#: Meta-HNSW is fixed at three layers (L0, L1, L2) per §3.1.
-META_MAX_LEVEL = 2
+#: The meta-HNSW's parameters: three layers (L0, L1, L2) per §3.1.
+META_PARAMS = HnswParams(m=8, ef_construction=64, max_level=2)
+#: Every sub-HNSW's parameters; cluster ``i`` inserts with seed
+#: ``SUB_PARAMS.seed + i`` so the layout is byte-identical at any
+#: ``build_workers`` count.
+SUB_PARAMS = HnswParams(m=16, ef_construction=100)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,10 +39,6 @@ class DHnswConfig:
         paper's ``b``).
     ef_meta:
         Beam width for meta-HNSW routing.
-    ef_search_default:
-        Sub-HNSW beam width used when ``search_batch`` is called without
-        an explicit ``ef_search``.  ``None`` (default) keeps the paper's
-        ``max(2k, k)`` rule; the effective beam is never below ``k``.
     cache_fraction:
         Compute-instance cluster-cache capacity as a fraction of the total
         cluster count (§4 fixes 10 %).
@@ -48,13 +48,6 @@ class DHnswConfig:
         Capacity costs region bytes and sets how often a group rebuilds;
         it does not tax reads — a fetch moves the live slots plus a small
         slack, not the area (``layout.group_layout.cluster_read_ranges``).
-    reclaim_eager:
-        When True (default), every metadata refresh and cutover also
-        attempts grace-period reclamation of retired extents (an extent
-        is recycled once every registered reader has observed a metadata
-        version at or past its retirement).  False defers reclamation
-        entirely to explicit ``RetiredExtentLog.reclaim`` calls —
-        operational tooling and leak-check tests use this.
     adaptive_nprobe:
         Extension beyond the paper: when True, each query probes only
         the partitions whose representative distance is within
@@ -89,7 +82,7 @@ class DHnswConfig:
         Worker processes for sub-HNSW construction and overflow
         rebuilds.  ``0`` (default) builds in-process; ``>= 1`` fans
         clusters over a process pool.  Deterministic either way: each
-        cluster's insertion seed is ``sub_params.seed + cluster_id``,
+        cluster's insertion seed is ``SUB_PARAMS.seed + cluster_id``,
         so the resulting layout is byte-identical at every worker
         count.
     replication_factor:
@@ -126,10 +119,8 @@ class DHnswConfig:
     num_representatives: int | None = None
     nprobe: int = 4
     ef_meta: int = 32
-    ef_search_default: int | None = None
     cache_fraction: float = 0.10
     overflow_capacity_records: int = 128
-    reclaim_eager: bool = True
     adaptive_nprobe: bool = False
     adaptive_alpha: float = 1.35
     pipeline_waves: bool = True
@@ -142,11 +133,6 @@ class DHnswConfig:
     rerank_depth: int = 48
     pq_subspaces: int = 8
     seed: int = 0
-    meta_params: HnswParams = dataclasses.field(
-        default_factory=lambda: HnswParams(
-            m=8, ef_construction=64, max_level=META_MAX_LEVEL, seed=0))
-    sub_params: HnswParams = dataclasses.field(
-        default_factory=lambda: HnswParams(m=16, ef_construction=100, seed=0))
 
     def __post_init__(self) -> None:
         if self.num_representatives is not None and self.num_representatives < 1:
@@ -157,10 +143,6 @@ class DHnswConfig:
             raise ConfigError(f"nprobe must be >= 1, got {self.nprobe}")
         if self.ef_meta < 1:
             raise ConfigError(f"ef_meta must be >= 1, got {self.ef_meta}")
-        if self.ef_search_default is not None and self.ef_search_default < 1:
-            raise ConfigError(
-                f"ef_search_default must be >= 1 (or None for the 2k "
-                f"rule), got {self.ef_search_default}")
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError(
                 f"cache_fraction must be in (0, 1], got {self.cache_fraction}")
@@ -198,10 +180,6 @@ class DHnswConfig:
         if self.adaptive_alpha < 1.0:
             raise ConfigError(
                 f"adaptive_alpha must be >= 1.0, got {self.adaptive_alpha}")
-        if self.meta_params.max_level != META_MAX_LEVEL:
-            raise ConfigError(
-                "meta_params.max_level must be 2: the meta-HNSW is a "
-                "three-layer index (paper §3.1)")
 
     # ------------------------------------------------------------------
     def derived_num_representatives(self, corpus_size: int) -> int:
@@ -274,45 +252,25 @@ class FrontDoorConfig:
         Default end-to-end deadline budget stamped onto requests whose
         tenant policy does not override it; the scheduler sheds requests
         already past their deadline at dispatch time (``shed_late``).
-    drr_quantum:
-        Requests a weight-1.0 tenant may dispatch per deficit-round-robin
-        round.  Larger quanta favour burst locality (consecutive slots to
-        one tenant), smaller quanta interleave more finely; fairness over
-        a backlogged window is weight-proportional either way.
-    default_weight:
-        DRR weight for tenants without an explicit policy.
-    default_rate_qps:
-        Token-bucket admission rate for tenants without an explicit
-        policy.  ``None`` (default) admits everything.
-    default_burst:
-        Token-bucket capacity for tenants without an explicit policy.
     shed_late:
         When True (default), requests whose deadline has already passed
         when their wave forms are shed (counted, never answered) instead
         of wasting engine work that cannot meet the SLO.
     degraded_ef:
-        Overload escape valve: when the post-wave backlog exceeds
-        ``degrade_backlog_waves`` full waves, dispatch with this (lower)
-        ``ef_search`` instead of the requested beam — trading recall for
-        drain rate, with the downgrade recorded honestly on every
-        affected request.  ``None`` (default) never degrades.  Calibrate
-        against a relaxed recall target with
+        Overload escape valve: when the post-wave backlog exceeds two
+        full waves (``scheduler.DEGRADE_BACKLOG_WAVES``), dispatch with
+        this (lower) ``ef_search`` instead of the requested beam —
+        trading recall for drain rate, with the downgrade recorded
+        honestly on every affected request.  ``None`` (default) never
+        degrades.  Calibrate against a relaxed recall target with
         :func:`repro.frontdoor.scheduler.calibrate_degraded_ef`.
-    degrade_backlog_waves:
-        Backlog threshold (in units of ``max_batch``) beyond which the
-        scheduler switches to ``degraded_ef``.
     """
 
     max_wait_us: float = 2000.0
     max_batch: int = 64
     slo_us: float = 50_000.0
-    drr_quantum: int = 4
-    default_weight: float = 1.0
-    default_rate_qps: float | None = None
-    default_burst: int = 32
     shed_late: bool = True
     degraded_ef: int | None = None
-    degrade_backlog_waves: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_wait_us < 0.0:
@@ -323,27 +281,10 @@ class FrontDoorConfig:
                 f"max_batch must be >= 1, got {self.max_batch}")
         if self.slo_us <= 0.0:
             raise ConfigError(f"slo_us must be > 0, got {self.slo_us}")
-        if self.drr_quantum < 1:
-            raise ConfigError(
-                f"drr_quantum must be >= 1, got {self.drr_quantum}")
-        if self.default_weight <= 0.0:
-            raise ConfigError(
-                f"default_weight must be > 0, got {self.default_weight}")
-        if self.default_rate_qps is not None and self.default_rate_qps <= 0.0:
-            raise ConfigError(
-                f"default_rate_qps must be > 0 (or None for unlimited), "
-                f"got {self.default_rate_qps}")
-        if self.default_burst < 1:
-            raise ConfigError(
-                f"default_burst must be >= 1, got {self.default_burst}")
         if self.degraded_ef is not None and self.degraded_ef < 1:
             raise ConfigError(
                 f"degraded_ef must be >= 1 (or None to disable), got "
                 f"{self.degraded_ef}")
-        if self.degrade_backlog_waves <= 0.0:
-            raise ConfigError(
-                f"degrade_backlog_waves must be > 0, got "
-                f"{self.degrade_backlog_waves}")
 
     def replace(self, **changes: object) -> "FrontDoorConfig":
         """Return a copy with the given fields replaced."""

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.build_pool import BuildPool
-from repro.core.config import DHnswConfig
+from repro.core.config import META_PARAMS, SUB_PARAMS, DHnswConfig
 from repro.core.meta_index import MetaHnsw, sample_representatives
 from repro.core.partitions import (Partitioning, assign_partitions,
                                    build_sub_hnsws, cluster_build_tasks)
@@ -149,8 +149,7 @@ class DHnswBuilder:
         codebook = None
         if self.config.cold_tier != "off":
             codebook = self._train_codebook(vectors)
-        source = _ClusterBlobSource(vectors, partitioning,
-                                    self.config.sub_params, labels,
+        source = _ClusterBlobSource(vectors, partitioning, labels,
                                     self.config.build_workers)
         layout, build_stats = self._write_layout(
             source, vectors.shape[1], partitioning.num_partitions,
@@ -173,7 +172,7 @@ class DHnswBuilder:
         rng = np.random.default_rng(self.config.seed)
         num_reps = self.config.derived_num_representatives(vectors.shape[0])
         rep_rows = sample_representatives(vectors.shape[0], num_reps, rng)
-        meta = MetaHnsw(vectors[rep_rows], self.config.meta_params)
+        meta = MetaHnsw(vectors[rep_rows], META_PARAMS)
         partitioning = assign_partitions(vectors, meta)
         return meta, partitioning
 
@@ -348,18 +347,18 @@ class _ClusterBlobSource:
     """
 
     def __init__(self, vectors: np.ndarray, partitioning: Partitioning,
-                 params, labels: np.ndarray | None, workers: int) -> None:
+                 labels: np.ndarray | None, workers: int) -> None:
         self.total_blob_bytes = 0
         self._blobs: list[bytes | None] | None = None
         self._indexes: list | None = None
         if workers > 0:
-            tasks = cluster_build_tasks(vectors, partitioning, params,
+            tasks = cluster_build_tasks(vectors, partitioning, SUB_PARAMS,
                                         labels=labels)
             with BuildPool(workers) as pool:
                 self._blobs = list(pool.map(build_cluster_blob, tasks))
         else:
-            self._indexes = build_sub_hnsws(vectors, partitioning, params,
-                                            labels=labels)
+            self._indexes = build_sub_hnsws(vectors, partitioning,
+                                            SUB_PARAMS, labels=labels)
 
     def sizes(self) -> Iterator[tuple[int, int]]:
         """Yield ``(cluster_id, blob size)`` while summing the total."""

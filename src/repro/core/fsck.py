@@ -370,7 +370,7 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
     # a cutover retired bytes readers can still reach), and once every
     # registered observer has moved past its retiring version it should
     # have been reclaimed — a lingering reclaimable entry is a leak.
-    floor = layout.retired.min_observed()
+    reclaimable = layout.retired.reclaimable()
     for entry in layout.retired.entries:
         location = f"retired extent @{entry.offset}"
         if entry.offset < 0 or entry.offset + entry.length > region_length:
@@ -383,7 +383,7 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                     "error", f"{location}/{live}",
                     f"retired extent [{entry.offset}, "
                     f"{entry.offset + entry.length}) overlaps live {live}"))
-        if floor is None or entry.retired_version <= floor:
+        if entry in reclaimable:
             report.findings.append(Finding(
                 "warning", location,
                 f"retired at version {entry.retired_version} and every "

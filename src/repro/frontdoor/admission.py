@@ -2,11 +2,13 @@
 
 Two mechanisms keep one tenant from starving the rest:
 
-* :class:`TokenBucket` — rate-limits each tenant at the door.  Requests
-  beyond the bucket are shed *before* queueing, so an abusive tenant
-  cannot even inflate queue depth.  Refill is computed lazily from the
-  arrival timestamps, making admission a pure function of the arrival
-  sequence — independent of engine service times, hence replayable.
+* :class:`TokenBucket` — rate-limits each tenant whose policy sets a
+  rate, at the door.  Requests beyond the bucket are shed *before*
+  queueing, so an abusive tenant cannot even inflate queue depth.
+  Refill is computed lazily from the arrival timestamps, making
+  admission a pure function of the arrival sequence — independent of
+  engine service times, hence replayable.  A tenant with no rate has no
+  bucket and is always admitted.
 * :class:`DeficitRoundRobin` — weighted fair selection over per-tenant
   FIFO queues when waves form.  While several tenants are backlogged,
   each receives wave slots in proportion to its weight (the classic DRR
@@ -25,17 +27,23 @@ from repro.frontdoor.request import Request
 __all__ = ["AdmissionController", "DeficitRoundRobin", "TenantPolicy",
            "TokenBucket"]
 
+#: Token-bucket capacity: the burst a rate-limited tenant may send at once.
+BURST = 32
+#: Requests a weight-1.0 tenant dispatches per deficit-round-robin round.
+DRR_QUANTUM = 4
+#: DRR weight of a tenant without a policy.
+DEFAULT_WEIGHT = 1.0
+
 
 @dataclasses.dataclass(frozen=True)
 class TenantPolicy:
     """Per-tenant overrides of the front door's defaults."""
 
     #: DRR weight: share of wave slots under contention.
-    weight: float = 1.0
-    #: Sustained admission rate; ``None`` admits everything.
+    weight: float = DEFAULT_WEIGHT
+    #: Sustained admission rate (a bucket of ``BURST`` tokens); ``None``
+    #: admits everything.
     rate_qps: float | None = None
-    #: Token-bucket capacity (burst the tenant may send instantly).
-    burst: int = 32
     #: Per-tenant deadline budget; ``None`` uses the config default.
     slo_us: float | None = None
 
@@ -46,8 +54,6 @@ class TenantPolicy:
             raise ConfigError(
                 f"rate_qps must be > 0 (or None for unlimited), got "
                 f"{self.rate_qps}")
-        if self.burst < 1:
-            raise ConfigError(f"burst must be >= 1, got {self.burst}")
         if self.slo_us is not None and self.slo_us <= 0.0:
             raise ConfigError(
                 f"slo_us must be > 0 (or None for the default), got "
@@ -58,23 +64,18 @@ class TokenBucket:
     """A lazily refilled token bucket on the simulated clock.
 
     ``admit`` timestamps must be non-decreasing (arrivals are processed
-    in order); the bucket never consults wall time.
+    in order); the bucket never consults wall time.  ``rate_qps`` is a
+    :class:`TenantPolicy`'s, validated there.
     """
 
-    def __init__(self, rate_qps: float | None, burst: int) -> None:
-        if rate_qps is not None and rate_qps <= 0.0:
-            raise ConfigError(f"rate_qps must be > 0, got {rate_qps}")
-        if burst < 1:
-            raise ConfigError(f"burst must be >= 1, got {burst}")
+    def __init__(self, rate_qps: float) -> None:
         self.rate_qps = rate_qps
-        self.capacity = float(burst)
-        self.tokens = float(burst)
+        self.capacity = float(BURST)
+        self.tokens = float(BURST)
         self._last_us = 0.0
 
     def admit(self, now_us: float) -> bool:
         """Spend one token at ``now_us``; False when the bucket is dry."""
-        if self.rate_qps is None:
-            return True
         if now_us > self._last_us:
             self.tokens = min(
                 self.capacity,
@@ -87,34 +88,20 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """One token bucket per tenant, created on first sight."""
+    """One token bucket per tenant whose policy sets a rate."""
 
-    def __init__(self, policies: Mapping[str, TenantPolicy],
-                 default_rate_qps: float | None,
-                 default_burst: int) -> None:
-        self._policies = dict(policies)
-        self._default_rate_qps = default_rate_qps
-        self._default_burst = default_burst
-        self._buckets: dict[str, TokenBucket] = {}
+    def __init__(self, policies: Mapping[str, TenantPolicy]) -> None:
+        self._buckets = {tenant: TokenBucket(policy.rate_qps)
+                         for tenant, policy in policies.items()
+                         if policy.rate_qps is not None}
         #: Cumulative (admitted, shed) per tenant, for telemetry.
         self.admitted: dict[str, int] = {}
         self.shed: dict[str, int] = {}
 
-    def _bucket(self, tenant: str) -> TokenBucket:
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            policy = self._policies.get(tenant)
-            if policy is not None:
-                bucket = TokenBucket(policy.rate_qps, policy.burst)
-            else:
-                bucket = TokenBucket(self._default_rate_qps,
-                                     self._default_burst)
-            self._buckets[tenant] = bucket
-        return bucket
-
     def admit(self, request: Request) -> bool:
         """Charge the request against its tenant's bucket at arrival time."""
-        ok = self._bucket(request.tenant).admit(request.arrival_us)
+        bucket = self._buckets.get(request.tenant)
+        ok = bucket is None or bucket.admit(request.arrival_us)
         ledger = self.admitted if ok else self.shed
         ledger[request.tenant] = ledger.get(request.tenant, 0) + 1
         return ok
@@ -130,14 +117,8 @@ class DeficitRoundRobin:
     accumulate while backlogged).
     """
 
-    def __init__(self, quantum: int,
-                 policies: Mapping[str, TenantPolicy],
-                 default_weight: float) -> None:
-        if quantum < 1:
-            raise ConfigError(f"quantum must be >= 1, got {quantum}")
-        self._quantum = quantum
+    def __init__(self, policies: Mapping[str, TenantPolicy]) -> None:
         self._policies = dict(policies)
-        self._default_weight = default_weight
         self._queues: dict[str, deque[Request]] = {}
         self._deficit: dict[str, float] = {}
         self._ring: list[str] = []
@@ -146,7 +127,7 @@ class DeficitRoundRobin:
 
     def _weight(self, tenant: str) -> float:
         policy = self._policies.get(tenant)
-        return policy.weight if policy is not None else self._default_weight
+        return policy.weight if policy is not None else DEFAULT_WEIGHT
 
     # -- queue state ----------------------------------------------------
     @property
@@ -191,7 +172,7 @@ class DeficitRoundRobin:
                     break
                 continue
             idle_sweeps = 0
-            self._deficit[tenant] += self._quantum * self._weight(tenant)
+            self._deficit[tenant] += DRR_QUANTUM * self._weight(tenant)
             while queue and self._deficit[tenant] >= 1.0 and len(out) < max_n:
                 self._deficit[tenant] -= 1.0
                 out.append(queue.popleft())

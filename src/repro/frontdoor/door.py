@@ -266,13 +266,9 @@ class FrontDoor:
         self.config = config if config is not None else FrontDoorConfig()
         self.tenants = dict(tenants) if tenants is not None else {}
         self.clock = client.node.clock
-        self.admission = AdmissionController(
-            self.tenants, self.config.default_rate_qps,
-            self.config.default_burst)
-        self.former = BatchFormer(
-            self.config,
-            DeficitRoundRobin(self.config.drr_quantum, self.tenants,
-                              self.config.default_weight))
+        self.admission = AdmissionController(self.tenants)
+        self.former = BatchFormer(self.config,
+                                  DeficitRoundRobin(self.tenants))
         self.scheduler = SloScheduler(self.config,
                                       client.engine.resolve_ef)
         self._wave_counter = 0
@@ -359,7 +355,7 @@ class FrontDoor:
         two waits first.  Observation only — the clock already advanced
         past them.
         """
-        trace = getattr(batch, "trace", None)
+        trace = batch.trace
         if trace is None:
             return
         in_wave = trace.ensure_stage_first("in_wave")

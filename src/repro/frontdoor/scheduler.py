@@ -5,7 +5,7 @@ The scheduler turns a formed wave into dispatch instructions:
 * requests whose deadline already passed when the wave formed are shed
   (``shed_late``) — answering them cannot meet the SLO, and the engine
   time is better spent on requests that still can;
-* under overload (post-wave backlog beyond ``degrade_backlog_waves``
+* under overload (post-wave backlog beyond ``DEGRADE_BACKLOG_WAVES``
   full waves) the whole wave dispatches with the calibrated
   ``degraded_ef`` beam width instead of each request's own — recall is
   traded for drain rate, and every affected request is marked
@@ -15,8 +15,8 @@ The scheduler turns a formed wave into dispatch instructions:
   earliest-deadline order — so a heterogeneous wave still amortizes the
   doorbell.
 
-``resolve_ef`` is the serving engine's own resolution rule (explicit →
-config default → the paper's ``2k``), reused so the front door and a
+``resolve_ef`` is the serving engine's own resolution rule (explicit,
+else the paper's ``2k``), reused so the front door and a
 direct ``search_batch`` call agree on beam widths — the bit-identity
 contract depends on it.
 """
@@ -35,6 +35,10 @@ from repro.frontdoor.request import Request
 
 __all__ = ["DispatchGroup", "DispatchPlan", "SloScheduler",
            "calibrate_degraded_ef"]
+
+#: Backlog, in full waves (units of ``max_batch``), beyond which a wave
+#: dispatches with ``FrontDoorConfig.degraded_ef``.
+DEGRADE_BACKLOG_WAVES = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,7 +75,7 @@ class SloScheduler:
         """Is the queue deep enough to justify degrading recall?"""
         if self.config.degraded_ef is None:
             return False
-        threshold = self.config.degrade_backlog_waves * self.config.max_batch
+        threshold = DEGRADE_BACKLOG_WAVES * self.config.max_batch
         return backlog > threshold
 
     def plan(self, wave: FormedWave, backlog: int) -> DispatchPlan:

@@ -125,7 +125,7 @@ def sample_level(rng: random.Random, params: HnswParams) -> int:
     """
     uniform = rng.random()
     # rng.random() is in [0, 1); shift away from 0 to avoid log(0).
-    level = int(-math.log(1.0 - uniform) * params.effective_level_mult)
+    level = int(-math.log(1.0 - uniform) * params.level_mult)
     if params.max_level is not None:
         level = min(level, params.max_level)
     return level
@@ -133,71 +133,30 @@ def sample_level(rng: random.Random, params: HnswParams) -> int:
 
 def select_neighbors_heuristic(
         graph: LayeredGraph, kernel: DistanceKernel,
-        candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray,
-        pairs: PairTable | None = None,
-        owner: int | None = None) -> list[int]:
+        candidates: list[tuple[float, int]], m: int,
+        pairs: PairTable | None = None) -> list[int]:
     """Algorithm 4: pick up to ``m`` diverse neighbours from candidates.
 
     ``candidates`` are ``(distance_to_query, node)`` pairs.  A candidate is
     accepted when it is closer to the query than to any already-accepted
-    neighbour; optionally, pruned candidates backfill remaining slots
-    (``keep_pruned_connections``).
-
-    ``query`` is the vector the candidate distances were measured against;
-    ``extend_candidates`` scores discovered extensions against it, as
-    Algorithm 4 specifies.
+    neighbour; pruned candidates then backfill the remaining slots,
+    closest first (hnswlib's ``keepPrunedConnections``).
     ``pairs`` is the in-progress build's distance table, when it has one.
-    ``owner`` is the node whose list is being chosen, when it is already
-    wired into the graph: it is its own neighbours' neighbour, and
-    ``extend_candidates`` must not hand it back as a candidate for itself.
     """
     if m <= 0:
         return []
     if not candidates:
         return []
     if VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2:
-        return _select_vectorized(graph, kernel, candidates, m, level,
-                                  params, query, pairs, owner)
-    return _select_reference(graph, kernel, candidates, m, level, params,
-                             query, owner)
-
-
-def _extension_candidates(graph: LayeredGraph,
-                          candidates: list[tuple[float, int]],
-                          level: int, owner: int | None) -> list[int]:
-    """Neighbours-of-candidates that are neither candidates nor ``owner``,
-    in discovery order.
-
-    The resulting *set* is independent of the order ``candidates`` is
-    walked in, and downstream consumers re-sort by distance, so callers
-    may pass candidates in any order.
-    """
-    seen = {owner}
-    seen.update(node for _, node in candidates)
-    extensions: list[int] = []
-    for _, node in candidates:
-        for neighbor in graph.neighbors(node, level):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                extensions.append(neighbor)
-    return extensions
+        return _select_vectorized(graph, kernel, candidates, m, pairs)
+    return _select_reference(graph, kernel, candidates, m)
 
 
 def _select_reference(
         graph: LayeredGraph, kernel: DistanceKernel,
-        candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray,
-        owner: int | None) -> list[int]:
+        candidates: list[tuple[float, int]], m: int) -> list[int]:
     """Per-candidate loop implementation — the equivalence oracle."""
     ordered = sorted(candidates)
-    if params.extend_candidates:
-        extensions = _extension_candidates(graph, ordered, level, owner)
-        if extensions:
-            dists = kernel.many(query, graph.vectors[extensions])
-            ordered = sorted(
-                ordered + list(zip(dists.tolist(), extensions)))
-
     selected: list[int] = []
     pruned: list[tuple[float, int]] = []
     for dist, node in ordered:
@@ -212,19 +171,17 @@ def _select_reference(
             pruned.append((dist, node))
         else:
             selected.append(node)
-    if params.keep_pruned_connections:
-        for _, node in pruned:
-            if len(selected) >= m:
-                break
-            selected.append(node)
+    for _, node in pruned:
+        if len(selected) >= m:
+            break
+        selected.append(node)
     return selected
 
 
 def _select_vectorized(
         graph: LayeredGraph, kernel: DistanceKernel,
-        candidates: list[tuple[float, int]], m: int, level: int,
-        params: HnswParams, query: np.ndarray,
-        pairs: PairTable | None, owner: int | None) -> list[int]:
+        candidates: list[tuple[float, int]], m: int,
+        pairs: PairTable | None) -> list[int]:
     """Batched Algorithm 4 — bit-identical to :func:`_select_reference`.
 
     Each *accepted* neighbour contributes one column of distances to
@@ -235,16 +192,9 @@ def _select_vectorized(
     every candidate at once, so the loop steps from accepted neighbour to
     accepted neighbour instead of examining candidates one by one.
     """
-    entries = list(candidates)
-    if params.extend_candidates:
-        extensions = _extension_candidates(graph, entries, level, owner)
-        if extensions:
-            dists = kernel.many(query, graph.vectors[extensions])
-            entries.extend(zip(dists.tolist(), extensions))
-
     # Ascending unique ``(distance, node)`` tuples: the reference's
     # examination order.  Everything below works in that order.
-    entries.sort()
+    entries = sorted(candidates)
     nodes = [node for _, node in entries]
     node_index = np.array(nodes, dtype=np.intp)
     cand_vectors = None
@@ -279,7 +229,7 @@ def _select_vectorized(
             column = np.einsum("ij,ij->i", diff, diff)
         occluded |= column < cand_dists
     kernel.num_evaluations += evaluations
-    if params.keep_pruned_connections and len(selected) < m:
+    if len(selected) < m:
         # Only reachable with every candidate examined: backfill with the
         # pruned ones, closest first.
         chosen = set(selected)
@@ -303,9 +253,7 @@ def _prune_node(graph: LayeredGraph, kernel: DistanceKernel, node: int,
     else:
         kernel.num_evaluations += len(neighbor_ids)
     candidates = list(zip(dists.tolist(), neighbor_ids))
-    kept = select_neighbors_heuristic(
-        graph, kernel, candidates, bound, level, params, query=node_vector,
-        pairs=pairs, owner=node)
+    kept = select_neighbors_heuristic(graph, kernel, candidates, bound, pairs)
     graph.set_neighbors(node, level, kept)
 
 
@@ -368,8 +316,7 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
                 graph, kernel, query, seeds, params.ef_construction,
                 current_level)
         neighbors = select_neighbors_heuristic(
-            graph, kernel, candidates, params.m, current_level, params,
-            query=query, pairs=pairs)
+            graph, kernel, candidates, params.m, pairs)
         graph.set_neighbors(node, current_level, neighbors)
         for neighbor in neighbors:
             graph.add_edge(neighbor, node, current_level)
@@ -446,8 +393,7 @@ def remove_nodes(graph: LayeredGraph, kernel: DistanceKernel,
                 continue
             kept, bridged = _bridge_candidates(graph, node, level, dead)
             # The dead are dropped from the list right away — only dead
-            # nodes' lists are walked above, so no later bridge reads it —
-            # and ``extend_candidates`` below never meets a dead node.
+            # nodes' lists are walked above, so no later bridge reads it.
             layers[level] = kept
             holes.append((node, level, kept + bridged))
 
@@ -457,8 +403,7 @@ def remove_nodes(graph: LayeredGraph, kernel: DistanceKernel,
         dists = kernel.many(vector, graph.vectors[candidates])
         repaired.append(select_neighbors_heuristic(
             graph, kernel, list(zip(dists.tolist(), candidates)),
-            params.max_degree(level), level, params, query=vector,
-            owner=node))
+            params.max_degree(level)))
     for (node, level, _), neighbors in zip(holes, repaired):
         graph.adjacency[node][level] = neighbors
 

@@ -3,8 +3,8 @@
 Names follow Malkov & Yashunin (TPAMI 2018) and the hnswlib conventions the
 paper's prototype inherits:
 
-* ``m`` — max out-degree per node on layers >= 1 (the paper's "M").
-* ``m0`` — max out-degree on layer 0, conventionally ``2 * m``.
+* ``m`` — max out-degree per node on layers >= 1 (the paper's "M"); layer
+  0 allows ``2 * m``.
 * ``ef_construction`` — beam width while inserting.
 * ``ef_search`` — beam width while querying (the paper sweeps 1..48).
 """
@@ -24,21 +24,17 @@ __all__ = ["HnswParams"]
 class HnswParams:
     """Immutable HNSW hyper-parameters.
 
-    ``level_mult`` defaults to ``1 / ln(m)`` as in the original paper, which
-    makes layer populations shrink geometrically by a factor of ``m``.
-    ``max_level`` caps the hierarchy height; the meta-HNSW of d-HNSW sets it
-    to 2 (three layers: L0, L1, L2).
+    Levels are drawn with multiplier ``1 / ln(m)`` as in the original
+    paper, which makes layer populations shrink geometrically by a factor
+    of ``m``.  ``max_level`` caps the hierarchy height; the meta-HNSW of
+    d-HNSW sets it to 2 (three layers: L0, L1, L2).
     """
 
     m: int = 16
-    m0: int | None = None
     ef_construction: int = 200
     metric: Metric = Metric.L2
-    level_mult: float | None = None
     max_level: int | None = None
     seed: int = 0
-    extend_candidates: bool = False
-    keep_pruned_connections: bool = True
 
     def __post_init__(self) -> None:
         if self.m < 2:
@@ -46,31 +42,18 @@ class HnswParams:
         if self.ef_construction < 1:
             raise ConfigError(
                 f"ef_construction must be >= 1, got {self.ef_construction}")
-        if self.m0 is not None and self.m0 < self.m:
-            raise ConfigError(
-                f"m0 ({self.m0}) must be >= m ({self.m})")
         if self.max_level is not None and self.max_level < 0:
             raise ConfigError(
                 f"max_level must be >= 0, got {self.max_level}")
-        if self.level_mult is not None and self.level_mult <= 0:
-            raise ConfigError(
-                f"level_mult must be positive, got {self.level_mult}")
 
     @property
-    def effective_m0(self) -> int:
-        """Layer-0 degree bound (defaults to ``2 * m``)."""
-        return self.m0 if self.m0 is not None else 2 * self.m
-
-    @property
-    def effective_level_mult(self) -> float:
-        """Level-sampling multiplier (defaults to ``1 / ln(m)``)."""
-        if self.level_mult is not None:
-            return self.level_mult
+    def level_mult(self) -> float:
+        """Level-sampling multiplier, ``1 / ln(m)``."""
         return 1.0 / math.log(self.m)
 
     def max_degree(self, level: int) -> int:
-        """Degree bound for a given layer."""
-        return self.effective_m0 if level == 0 else self.m
+        """Degree bound for a given layer: ``2 * m`` on layer 0, else ``m``."""
+        return 2 * self.m if level == 0 else self.m
 
     def replace(self, **changes: object) -> "HnswParams":
         """Return a copy with the given fields replaced."""

@@ -14,8 +14,8 @@ directory):
 section               contents
 ====================  =======================================================
 header                magic ``b"DHQ1"``, version u16, pad u16, dim u32,
-                      num_subspaces u32, bits u32
-centroids             num_subspaces x num_centroids x subspace_dim x f32
+                      num_subspaces u32, bits u32 (always 8)
+centroids             num_subspaces x 256 x subspace_dim x f32
 ====================  =======================================================
 
 Cold cluster extent:
@@ -49,7 +49,7 @@ import struct
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.pq.codebook import PqCodebook
+from repro.pq.codebook import BITS, PqCodebook
 
 __all__ = [
     "CODEBOOK_MAGIC",
@@ -91,7 +91,7 @@ def serialize_codebook(book: PqCodebook) -> bytes:
     """Serialize a trained codebook into one ``DHQ1`` blob."""
     centroids = book.centroids  # raises ConfigError if untrained
     header = _CODEBOOK_HEADER.pack(CODEBOOK_MAGIC, _FORMAT_VERSION, 0,
-                                   book.dim, book.num_subspaces, book.bits)
+                                   book.dim, book.num_subspaces, BITS)
     return header + centroids.astype(np.float32, copy=False).tobytes()
 
 
@@ -107,11 +107,12 @@ def deserialize_codebook(blob: "bytes | memoryview") -> PqCodebook:
         raise SerializationError(f"bad codebook magic {magic!r}")
     if version != _FORMAT_VERSION:
         raise SerializationError(f"unsupported codebook version {version}")
-    if not 1 <= bits <= 8 or num_subspaces < 1 or dim < 1:
+    if bits != BITS or num_subspaces < 1 or dim < 1:
         raise SerializationError(
             f"implausible codebook geometry dim={dim} "
-            f"subspaces={num_subspaces} bits={bits}")
-    book = PqCodebook(dim, num_subspaces, bits)
+            f"subspaces={num_subspaces} bits={bits} (codes are "
+            f"{BITS}-bit)")
+    book = PqCodebook(dim, num_subspaces)
     count = num_subspaces * book.num_centroids * book.subspace_dim
     if len(blob) < _CODEBOOK_HEADER.size + 4 * count:
         raise SerializationError(

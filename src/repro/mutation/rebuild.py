@@ -69,6 +69,7 @@ import struct
 import zlib
 
 from repro.core.build_pool import BuildPool
+from repro.core.config import SUB_PARAMS
 from repro.errors import LayoutError
 from repro.hnsw.parallel_build import ClusterRebuildTask, rebuild_cluster_blob
 from repro.layout.group_layout import (
@@ -229,7 +230,7 @@ class ShadowRebuild:
                 cluster_id=cid, blob=snap.blobs[cid],
                 records=[record for record in snap.records
                          if record.cluster_id == cid],
-                params=host.config.sub_params))
+                params=SUB_PARAMS))
         # Members rebuild independently; tasks are pure, so any worker
         # count produces the same blobs.
         with span(self.trace, "build"):

@@ -104,17 +104,16 @@ class RetiredExtentLog:
         return sum(entry.length for entry in self._entries)
 
     def reclaimable(self) -> list[RetiredExtent]:
-        """Entries whose grace period has elapsed.
+        """Entries whose grace period has elapsed (oldest first) — the
+        grace-period rule, stated once for :meth:`reclaim` and ``fsck``.
 
         An entry is reclaimable once every registered observer has
         observed a version ``>= retired_version``.  With no observers at
         all, nothing can be pinned, so everything is reclaimable.
         """
         floor = self.min_observed()
-        if floor is None:
-            return list(self._entries)
         return [entry for entry in self._entries
-                if entry.retired_version <= floor]
+                if floor is None or entry.retired_version <= floor]
 
     def reclaim(self, allocator) -> int:
         """Return reclaimable extents to ``allocator``; returns bytes freed.
@@ -122,14 +121,9 @@ class RetiredExtentLog:
         Reclaimed entries leave the log, so each extent is retired into
         the allocator exactly once.
         """
-        floor = self.min_observed()
-        freed = 0
-        keep: list[RetiredExtent] = []
-        for entry in self._entries:
-            if floor is None or entry.retired_version <= floor:
-                allocator.retire(entry.offset, entry.length)
-                freed += entry.length
-            else:
-                keep.append(entry)
-        self._entries = keep
-        return freed
+        ready = self.reclaimable()
+        for entry in ready:
+            allocator.retire(entry.offset, entry.length)
+        self._entries = [entry for entry in self._entries
+                         if entry not in ready]
+        return sum(entry.length for entry in ready)

@@ -21,11 +21,10 @@ import json
 import os
 import pathlib
 
-from repro.core.config import DHnswConfig
+from repro.core.config import META_PARAMS, SUB_PARAMS, DHnswConfig
 from repro.core.engine import RemoteLayout
 from repro.core.meta_index import MetaHnsw
 from repro.errors import LayoutError, SerializationError
-from repro.hnsw.distance import Metric
 from repro.hnsw.params import HnswParams
 from repro.layout.allocator import RegionAllocator
 from repro.layout.metadata import GlobalMetadata
@@ -38,25 +37,6 @@ __all__ = ["save_deployment", "load_deployment"]
 _FORMAT_VERSION = 1
 
 
-def _params_to_dict(params: HnswParams) -> dict:
-    data = dataclasses.asdict(params)
-    data["metric"] = params.metric.value
-    return data
-
-
-def _params_from_dict(data: dict) -> HnswParams:
-    data = dict(data)
-    data["metric"] = Metric.from_name(data["metric"])
-    return HnswParams(**data)
-
-
-def _config_to_dict(config: DHnswConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["meta_params"] = _params_to_dict(config.meta_params)
-    data["sub_params"] = _params_to_dict(config.sub_params)
-    return data
-
-
 #: Config keys older manifests carry for fields that are constants now
 #: (each only ever had one value in use) or that nothing ever read
 #: (``batch_size``), so dropping them loses nothing.
@@ -65,16 +45,32 @@ _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
                         "batch_size"}
 
 
+def _legacy_params(params: HnswParams) -> dict:
+    """``params`` as older manifests spelled it, retired fields at the
+    only values they ever had."""
+    return {**dataclasses.asdict(params), "metric": params.metric.value,
+            "m0": None, "level_mult": None, "extend_candidates": False,
+            "keep_pruned_connections": True}
+
+
 def _config_from_dict(data: dict) -> DHnswConfig:
     data = {key: value for key, value in data.items()
             if key not in _RETIRED_CONFIG_KEYS}
+    # Older manifests also carry the HNSW parameters, which are constants
+    # now: a deployment built with any other values cannot be served.
+    for key, params in (("meta_params", META_PARAMS),
+                        ("sub_params", SUB_PARAMS)):
+        saved = data.pop(key, None)
+        if saved is not None and saved != _legacy_params(params):
+            raise SerializationError(
+                f"manifest {key} {saved} differs from the library's "
+                f"{params} — the deployment was built with other HNSW "
+                f"parameters")
     unknown = set(data) - {f.name for f in dataclasses.fields(DHnswConfig)}
     if unknown:
         raise SerializationError(
             f"manifest config has unknown key(s) {sorted(unknown)} — "
             f"written by a different version of this library?")
-    data["meta_params"] = _params_from_dict(data["meta_params"])
-    data["sub_params"] = _params_from_dict(data["sub_params"])
     return DHnswConfig(**data)
 
 
@@ -89,14 +85,18 @@ def save_deployment(path: "str | os.PathLike[str]", layout: RemoteLayout,
     (directory / "region.bin").write_bytes(region_image)
     (directory / "meta.bin").write_bytes(serialize_cluster(meta.index, 0))
 
+    # No reader survives a restart, so the extents still inside their
+    # grace period are free in the restored deployment.
+    free = layout.allocator.free_extents() + [
+        (entry.offset, entry.length) for entry in layout.retired.entries]
     manifest = {
         "format_version": _FORMAT_VERSION,
         "dim": layout.dim,
         "region_capacity": layout.region.length,
         "metadata_reserve": layout.allocator.metadata_reserve,
         "allocator_tail": layout.allocator.tail,
-        "allocator_free_extents": layout.allocator.free_extents(),
-        "config": _config_to_dict(config),
+        "allocator_free_extents": free,
+        "config": dataclasses.asdict(config),
     }
     (directory / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
@@ -150,6 +150,6 @@ def load_deployment(path: "str | os.PathLike[str]",
                           dim=manifest["dim"], daemon=daemon)
 
     meta_index, _ = deserialize_cluster(
-        (directory / "meta.bin").read_bytes(), config.meta_params)
-    meta = MetaHnsw.from_index(meta_index, config.meta_params)
+        (directory / "meta.bin").read_bytes(), META_PARAMS)
+    meta = MetaHnsw.from_index(meta_index, META_PARAMS)
     return meta, layout, config

@@ -3,8 +3,8 @@
 PQ (the compression technique behind the paper's reference [14], FAISS)
 splits a vector into ``num_subspaces`` contiguous chunks and replaces
 each chunk with the id of its nearest centroid from a per-subspace
-codebook of ``2**bits`` entries — compressing a ``dim x f32`` vector to
-``num_subspaces`` bytes (for 8-bit codes).
+codebook of 256 entries — compressing a ``dim x f32`` vector to
+``num_subspaces`` bytes (8-bit codes).
 
 In a disaggregated setting PQ is a *bandwidth* lever: shipping codes
 instead of floats shrinks cluster transfers by
@@ -21,23 +21,23 @@ from repro.errors import ConfigError
 
 __all__ = ["PqCodebook"]
 
+#: Code width: one byte per subspace.
+BITS = 8
+
 
 class PqCodebook:
     """Per-subspace centroid tables trained with k-means."""
 
     def __init__(self, dim: int, num_subspaces: int = 8,
-                 bits: int = 8, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         if num_subspaces < 1 or dim % num_subspaces != 0:
             raise ConfigError(
                 f"num_subspaces ({num_subspaces}) must divide dim ({dim})")
-        if not 1 <= bits <= 8:
-            raise ConfigError(f"bits must be in [1, 8], got {bits}")
         self.dim = dim
         self.num_subspaces = num_subspaces
-        self.bits = bits
-        self.num_centroids = 1 << bits
+        self.num_centroids = 1 << BITS
         self.subspace_dim = dim // num_subspaces
         self.seed = seed
         # (num_subspaces, num_centroids, subspace_dim) after training.
@@ -80,7 +80,7 @@ class PqCodebook:
         if centroids_needed < self.num_centroids:
             raise ConfigError(
                 f"need >= {self.num_centroids} training vectors for "
-                f"{self.bits}-bit codes, got {vectors.shape[0]}")
+                f"{BITS}-bit codes, got {vectors.shape[0]}")
         root = self.seed if seed is None else int(seed)
         tables = np.empty((self.num_subspaces, self.num_centroids,
                            self.subspace_dim), dtype=np.float32)

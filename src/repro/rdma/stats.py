@@ -139,37 +139,12 @@ class RdmaStats:
 
     def delta(self, earlier: "RdmaStats") -> "RdmaStats":
         """Counters accumulated since ``earlier`` was snapshotted."""
-        return RdmaStats(
-            round_trips=self.round_trips - earlier.round_trips,
-            read_ops=self.read_ops - earlier.read_ops,
-            write_ops=self.write_ops - earlier.write_ops,
-            atomic_ops=self.atomic_ops - earlier.atomic_ops,
-            doorbell_batches=self.doorbell_batches - earlier.doorbell_batches,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            network_time_us=self.network_time_us - earlier.network_time_us,
-            overlapped_time_us=(self.overlapped_time_us
-                                - earlier.overlapped_time_us),
-            retries=self.retries - earlier.retries,
-            backoff_time_us=self.backoff_time_us - earlier.backoff_time_us,
-            faults_injected=self.faults_injected - earlier.faults_injected,
-            failovers=self.failovers - earlier.failovers,
-            cas_failures=self.cas_failures - earlier.cas_failures,
-        )
+        names = [field.name for field in dataclasses.fields(self)]
+        return RdmaStats(**{name: getattr(self, name) - getattr(earlier, name)
+                            for name in names})
 
     def merge(self, other: "RdmaStats") -> None:
         """Add ``other``'s counters into this one (cluster aggregation)."""
-        self.round_trips += other.round_trips
-        self.read_ops += other.read_ops
-        self.write_ops += other.write_ops
-        self.atomic_ops += other.atomic_ops
-        self.doorbell_batches += other.doorbell_batches
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.network_time_us += other.network_time_us
-        self.overlapped_time_us += other.overlapped_time_us
-        self.retries += other.retries
-        self.backoff_time_us += other.backoff_time_us
-        self.faults_injected += other.faults_injected
-        self.failovers += other.failovers
-        self.cas_failures += other.cas_failures
+        for field in dataclasses.fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.cache import CachedCluster
+from repro.core.config import SUB_PARAMS
 from repro.errors import LayoutError
 from repro.layout.group_layout import (
     OVERFLOW_TAIL_BYTES,
@@ -124,7 +125,7 @@ class Decoder:
         if base is None or base.extent_epoch != epoch:
             index, parsed_cid = deserialize_cluster(
                 payloads[-1][blob_start:blob_start + cluster.blob_length],
-                host.config.sub_params)
+                SUB_PARAMS)
             if parsed_cid != cluster_id:
                 raise LayoutError(
                     f"extent for cluster {cluster_id} contained blob of "

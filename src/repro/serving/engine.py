@@ -49,11 +49,10 @@ class ServingEngine:
         self.executor.close()
 
     # -- request entry ----------------------------------------------------
-    def resolve_ef(self, k: int, ef_search: int | None) -> int:
-        """Beam width for the batch: explicit arg, configured default,
-        else the paper's ``2k`` rule — never below ``k``."""
-        if ef_search is None:
-            ef_search = self.host.config.ef_search_default
+    @staticmethod
+    def resolve_ef(k: int, ef_search: int | None) -> int:
+        """Beam width for the batch: the explicit arg, else the paper's
+        ``2k`` rule — never below ``k``."""
         return max(ef_search if ef_search is not None else 2 * k, k)
 
     def search_batch(self, queries: np.ndarray, k: int,
@@ -102,8 +101,7 @@ class ServingEngine:
         # Tiering applies only under the full scheme (deduplicated
         # batches); with cold_tier="off" there is no tier store and the
         # path below is bit-identical to the untiered engine.
-        tier = (getattr(host, "tier_store", None)
-                if host.policy.deduplicate_batch else None)
+        tier = host.tier_store if host.policy.deduplicate_batch else None
         cold = ColdExecution()
         promotions = demotions = 0
         cold_required: dict[int, list[int]] = {}

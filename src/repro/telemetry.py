@@ -140,7 +140,7 @@ class ClientTelemetry:
         replicated = client._replicated_transport()
         replicas = (tuple(replicated.selector.status())
                     if replicated is not None else ())
-        tier = getattr(client, "tier_store", None)
+        tier = client.tier_store
         if tier is not None:
             tier_hot, tier_cold, tier_promoting = tier.tier_counts()
             tier_fields = dict(
@@ -153,19 +153,7 @@ class ClientTelemetry:
                 tier_hot_bytes=tier.hot_tier_bytes())
         else:
             tier_fields = {}
-        mutation = getattr(client, "mutation", None)
-        if mutation is not None:
-            mstats = mutation.stats
-            mutation_fields = dict(
-                inserts=mstats.inserts, deletes=mstats.deletes,
-                rebuilds_led=mstats.rebuilds_led,
-                rebuilds_yielded=mstats.rebuilds_yielded,
-                records_migrated=mstats.records_migrated,
-                sealed_retries=mstats.sealed_retries,
-                batch_chunks=mstats.batch_chunks,
-                reclaimed_bytes=mstats.reclaimed_bytes)
-        else:
-            mutation_fields = {}
+        mstats = client.mutation.stats
         return cls(
             name=client.node.name,
             scheme=client.scheme.value,
@@ -202,9 +190,15 @@ class ClientTelemetry:
             faults_injected=stats.faults_injected,
             failovers=stats.failovers,
             cas_failures=stats.cas_failures,
+            inserts=mstats.inserts, deletes=mstats.deletes,
+            rebuilds_led=mstats.rebuilds_led,
+            rebuilds_yielded=mstats.rebuilds_yielded,
+            records_migrated=mstats.records_migrated,
+            sealed_retries=mstats.sealed_retries,
+            batch_chunks=mstats.batch_chunks,
+            reclaimed_bytes=mstats.reclaimed_bytes,
             replicas=replicas,
             **tier_fields,
-            **mutation_fields,
         )
 
 

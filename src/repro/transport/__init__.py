@@ -6,8 +6,7 @@ substrate in ``repro.rdma`` sits behind :class:`SimRdmaTransport`.
 Decorators compose fault tolerance::
 
     transport = RetryingTransport(
-        FaultInjectingTransport(SimRdmaTransport(qp), plan),
-        RetryPolicy(max_retries=3))
+        FaultInjectingTransport(SimRdmaTransport(qp), plan), max_retries=3)
 
 See ``docs/architecture.md`` for the layer contract and
 ``tests/test_layering.py`` for its enforcement.
@@ -29,7 +28,7 @@ from repro.transport.replica import (
     ReplicaSelector,
     ReplicatedTransport,
 )
-from repro.transport.retry import RetryingTransport, RetryPolicy
+from repro.transport.retry import RetryingTransport
 from repro.transport.sim import SimRdmaTransport, connect
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "ReplicaHealth",
     "ReplicaSelector",
     "ReplicatedTransport",
-    "RetryPolicy",
     "RetryingTransport",
     "SimRdmaTransport",
     "Transport",

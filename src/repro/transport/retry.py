@@ -8,6 +8,8 @@ accounted in ``RdmaStats.retries`` / ``backoff_time_us``, so a request that
 survived a fault is visibly slower than a clean one while returning
 bit-identical payloads.  When the budget runs out the last failure is
 re-raised wrapped in :class:`~repro.errors.RetryExhaustedError`.
+Backoff before re-attempt ``n`` (1-based) is
+``min(BASE_BACKOFF_US * 2**(n-1), MAX_BACKOFF_US)``.
 
 Async READs retry at :meth:`poll` time: the failed completion is replaced
 by a *synchronous* re-issue of the recorded descriptors, because by poll
@@ -15,8 +17,6 @@ time the caller has already burned its overlap window.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.errors import ConfigError, RetryExhaustedError, TransportError
 from repro.transport.base import (
@@ -26,51 +26,29 @@ from repro.transport.base import (
     WriteDescriptor,
 )
 
-__all__ = ["RetryPolicy", "RetryingTransport"]
+__all__ = ["RetryingTransport", "backoff_us"]
+
+#: Re-attempts a :class:`RetryingTransport` makes unless told otherwise.
+MAX_RETRIES = 3
+BASE_BACKOFF_US = 50.0
+MAX_BACKOFF_US = 5_000.0
 
 
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to re-attempt a failed verb, and how patiently.
-
-    Backoff before re-attempt ``n`` (1-based) is
-    ``min(base_backoff_us * backoff_multiplier**(n-1), max_backoff_us)``.
-    """
-
-    max_retries: int = 3
-    base_backoff_us: float = 50.0
-    backoff_multiplier: float = 2.0
-    max_backoff_us: float = 5_000.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_backoff_us < 0.0:
-            raise ConfigError(
-                f"base_backoff_us must be >= 0, got {self.base_backoff_us}")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError(
-                "backoff_multiplier must be >= 1, got "
-                f"{self.backoff_multiplier}")
-        if self.max_backoff_us < self.base_backoff_us:
-            raise ConfigError(
-                f"max_backoff_us ({self.max_backoff_us}) must be >= "
-                f"base_backoff_us ({self.base_backoff_us})")
-
-    def backoff_us(self, attempt: int) -> float:
-        """Backoff charged before re-attempt ``attempt`` (1-based)."""
-        raw = self.base_backoff_us * self.backoff_multiplier ** (attempt - 1)
-        return min(raw, self.max_backoff_us)
+def backoff_us(attempt: int) -> float:
+    """Backoff charged before re-attempt ``attempt`` (1-based)."""
+    return min(BASE_BACKOFF_US * 2.0 ** (attempt - 1), MAX_BACKOFF_US)
 
 
 class RetryingTransport:
-    """A transport decorator that retries failed READs within a policy."""
+    """A transport decorator that re-attempts a failed verb up to
+    ``max_retries`` times."""
 
     def __init__(self, inner: Transport,
-                 policy: RetryPolicy | None = None) -> None:
+                 max_retries: int = MAX_RETRIES) -> None:
+        if max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         self.inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
+        self.max_retries = max_retries
         # Descriptors of in-flight async batches, so a failed poll can be
         # replayed synchronously.  Keyed by token identity; PendingRead is
         # a plain dataclass and not hashable.
@@ -95,11 +73,11 @@ class RetryingTransport:
                 raise  # a nested retry layer already gave up; don't stack
             except TransportError as exc:
                 attempt += 1
-                if attempt > self.policy.max_retries:
+                if attempt > self.max_retries:
                     raise RetryExhaustedError(
                         f"{op} failed after {attempt} attempt(s): {exc}",
                         last_error=exc, attempts=attempt, op=op) from exc
-                backoff = self.policy.backoff_us(attempt)
+                backoff = backoff_us(attempt)
                 self.clock.advance(backoff)
                 self.stats.record_retry(backoff)
 
@@ -151,12 +129,12 @@ class RetryingTransport:
             last = exc
         while True:
             attempt += 1
-            if attempt > self.policy.max_retries:
+            if attempt > self.max_retries:
                 raise RetryExhaustedError(
                     f"ASYNC_READ failed after {attempt} attempt(s): {last}",
                     last_error=last, attempts=attempt,
                     op="ASYNC_READ") from last
-            backoff = self.policy.backoff_us(attempt)
+            backoff = backoff_us(attempt)
             self.clock.advance(backoff)
             self.stats.record_retry(backoff)
             try:

@@ -20,7 +20,7 @@ from repro.pq import PqCodebook, PqRerankIndex
 def world(small_dataset, small_config):
     sharded = ShardedDeployment(small_dataset.vectors, small_config,
                                 num_shards=2)
-    book = PqCodebook(small_dataset.dim, num_subspaces=4, bits=6, seed=9)
+    book = PqCodebook(small_dataset.dim, num_subspaces=4, seed=9)
     book.train(small_dataset.vectors)
     pq = PqRerankIndex(book)
     pq.add(small_dataset.vectors)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DHnswConfig
+from repro.core.config import META_PARAMS, DHnswConfig
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
+from repro.serving.engine import ServingEngine
 
 
 class TestValidation:
@@ -24,12 +25,14 @@ class TestValidation:
             DHnswConfig(**{field: value})
 
     def test_meta_params_must_be_three_layered(self):
-        with pytest.raises(ConfigError, match="three-layer"):
+        """The meta-HNSW's parameters are a constant with three layers
+        (L0-L2, paper §3.1); a config cannot carry others."""
+        assert META_PARAMS.max_level == 2
+        with pytest.raises(TypeError, match="meta_params"):
             DHnswConfig(meta_params=HnswParams(m=8, max_level=4))
 
     def test_defaults_valid(self):
-        config = DHnswConfig()
-        assert config.meta_params.max_level == 2
+        DHnswConfig()
 
 
 class TestDerivedRepresentatives:
@@ -81,15 +84,19 @@ def test_replace_round_trips():
 
 
 class TestEfSearchDefault:
+    """The config carries no beam default: a search without
+    ``ef_search`` uses the paper's ``2k`` rule."""
+
     def test_none_keeps_two_k_rule(self):
-        assert DHnswConfig().ef_search_default is None
+        assert ServingEngine.resolve_ef(10, None) == 20
 
     def test_valid_value_accepted(self):
-        assert DHnswConfig(ef_search_default=64).ef_search_default == 64
+        assert ServingEngine.resolve_ef(10, 64) == 64
+        assert ServingEngine.resolve_ef(100, 5) == 100  # never below k
 
     @pytest.mark.parametrize("bad", [0, -5])
     def test_invalid_value_rejected(self, bad):
-        with pytest.raises(ConfigError, match="ef_search_default"):
+        with pytest.raises(TypeError, match="ef_search_default"):
             DHnswConfig(ef_search_default=bad)
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import Deployment
 from repro.cluster.sharding import ShardedDeployment
 from repro.core import DHnswConfig
+from repro.core.config import META_PARAMS, SUB_PARAMS
 from repro.core.build_pool import BuildPool
 from repro.core.engine import _ClusterBlobSource
 from repro.core.meta_index import MetaHnsw, sample_representatives
@@ -259,7 +260,7 @@ class TestStreamingBlobConsumption:
         config = DHnswConfig(num_representatives=12, seed=5)
         reps = sample_representatives(count, 12,
                                       np.random.default_rng(config.seed))
-        meta = MetaHnsw(vectors[reps], config.meta_params)
+        meta = MetaHnsw(vectors[reps], META_PARAMS)
         partitioning = assign_partitions(vectors, meta)
         return vectors, partitioning, config
 
@@ -281,14 +282,12 @@ class TestStreamingBlobConsumption:
     def test_peak_below_materializing_all_blobs(self):
         vectors, partitioning, config = self._source_parts()
         dim = vectors.shape[1]
-        streaming = _ClusterBlobSource(vectors, partitioning,
-                                       config.sub_params, None, 0)
+        streaming = _ClusterBlobSource(vectors, partitioning, None, 0)
         streaming_peak = self._consume(streaming, dim, config, retain=False)
         total = streaming.total_blob_bytes
         assert total > 0
 
-        materialized = _ClusterBlobSource(vectors, partitioning,
-                                          config.sub_params, None, 0)
+        materialized = _ClusterBlobSource(vectors, partitioning, None, 0)
         retained_peak = self._consume(materialized, dim, config, retain=True)
 
         # Streaming holds at most a couple of in-flight blobs (the
@@ -326,10 +325,10 @@ class TestPairTableLifetime:
         reps = sample_representatives(800, 40,
                                       np.random.default_rng(config.seed))
         partitioning = assign_partitions(
-            vectors, MetaHnsw(vectors[reps], config.meta_params))
+            vectors, MetaHnsw(vectors[reps], META_PARAMS))
 
         def build():
-            return build_sub_hnsws(vectors, partitioning, config.sub_params)
+            return build_sub_hnsws(vectors, partitioning, SUB_PARAMS)
 
         indexes, retained, _ = self._traced(build)
         assert len(indexes) == 40

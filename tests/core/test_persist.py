@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import DHnswClient, Scheme
+from repro.core import DHnswClient, Scheme, fsck
+from repro.core.config import SUB_PARAMS
 from repro.errors import ConfigError, SerializationError
 from repro.persist import load_deployment, save_deployment
 
@@ -56,6 +57,34 @@ class TestRoundtrip:
         assert layout.allocator.tail == original.layout.allocator.tail
         assert (layout.allocator.dead_bytes
                 == original.layout.allocator.dead_bytes)
+
+
+class TestGracePeriodAcrossRestart:
+    def test_pending_extents_come_back_free(self, tmp_path,
+                                            mutable_deployment,
+                                            small_config, small_dataset):
+        """Extents a reader still pinned when the deployment was saved
+        are free after the restore (no reader survives it), not orphans
+        that nothing names."""
+        layout = mutable_deployment.layout
+        reader = DHnswClient(layout, mutable_deployment.meta, small_config,
+                             cost_model=mutable_deployment.cost_model)
+        probe = small_dataset.queries[0]
+        reader.search(probe, 1, ef_search=16)  # pins version 1
+        writer = mutable_deployment.client(0)
+        for i in range(small_config.overflow_capacity_records + 1):
+            writer.insert(probe + i * 1e-4, 750_000 + i)
+        pending = layout.retired.pending_bytes
+        assert pending > 0
+        assert not [f for f in fsck(layout).findings
+                    if "orphan" in f.message]
+        free = layout.allocator.dead_bytes
+        save_deployment(tmp_path / "dep", layout, mutable_deployment.meta,
+                        small_config)
+        _, restored, _ = load_deployment(tmp_path / "dep")
+        assert not [f for f in fsck(restored).findings
+                    if "orphan" in f.message]
+        assert restored.allocator.dead_bytes == free + pending
 
 
 class TestMutationAfterRestore:
@@ -119,6 +148,28 @@ class TestErrors:
         path, _ = saved
         self.rewrite_config(path, cold_tier="vamana", **self.RETIRED)
         with pytest.raises(ConfigError, match="cold_tier"):
+            load_deployment(path)
+
+    def test_manifest_holds_no_hnsw_parameters(self, saved):
+        path, _ = saved
+        config = json.loads((path / "manifest.json").read_text())["config"]
+        assert not {"meta_params", "sub_params"} & set(config)
+
+    def test_older_manifest_params_must_be_the_constants(self, saved,
+                                                         small_config):
+        """Older manifests spelled out both parameter sets: at the
+        constants' values they load, any other value is refused."""
+        path, _ = saved
+        legacy = {"m": SUB_PARAMS.m, "m0": None,
+                  "ef_construction": SUB_PARAMS.ef_construction,
+                  "metric": "l2", "level_mult": None, "max_level": None,
+                  "seed": 0, "extend_candidates": False,
+                  "keep_pruned_connections": True}
+        self.rewrite_config(path, sub_params=legacy)
+        _, _, config = load_deployment(path)
+        assert config == small_config
+        self.rewrite_config(path, sub_params={**legacy, "m": 32})
+        with pytest.raises(SerializationError, match="sub_params"):
             load_deployment(path)
 
     def test_unknown_config_key_is_named(self, saved):

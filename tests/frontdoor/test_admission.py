@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.frontdoor import (AdmissionController, DeficitRoundRobin,
                              Request, TenantPolicy, TokenBucket)
+from repro.frontdoor.admission import BURST, DRR_QUANTUM
 
 
 def make_request(request_id: int, tenant: str, arrival_us: float,
@@ -17,44 +18,51 @@ def make_request(request_id: int, tenant: str, arrival_us: float,
                    arrival_us=arrival_us, slo_us=slo_us)
 
 
+def drain(bucket: TokenBucket, now_us: float) -> None:
+    """Spend the whole burst at ``now_us``."""
+    assert all(bucket.admit(now_us) for _ in range(BURST))
+
+
 class TestTokenBucket:
     def test_unlimited_rate_admits_everything(self):
-        bucket = TokenBucket(rate_qps=None, burst=1)
-        assert all(bucket.admit(t) for t in (0.0, 0.0, 1.0, 1.0))
+        """A tenant whose policy sets no rate gets no bucket at all."""
+        controller = AdmissionController({"free": TenantPolicy()})
+        assert all(controller.admit(make_request(i, "free", 0.0))
+                   for i in range(4 * BURST))
+        assert controller.shed == {}
 
     def test_burst_then_dry(self):
-        bucket = TokenBucket(rate_qps=1000.0, burst=3)
-        assert [bucket.admit(0.0) for _ in range(4)] == [
-            True, True, True, False]
+        bucket = TokenBucket(rate_qps=1000.0)
+        drain(bucket, 0.0)
+        assert not bucket.admit(0.0)
 
     def test_lazy_refill_at_rate(self):
         # 1000 qps = one token per 1000 us.
-        bucket = TokenBucket(rate_qps=1000.0, burst=1)
-        assert bucket.admit(0.0)
+        bucket = TokenBucket(rate_qps=1000.0)
+        drain(bucket, 0.0)
         assert not bucket.admit(100.0)
         assert bucket.admit(1100.0)
 
     def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate_qps=1000.0, burst=2)
-        bucket.admit(0.0)
-        bucket.admit(0.0)
+        bucket = TokenBucket(rate_qps=1000.0)
+        drain(bucket, 0.0)
         # A long idle gap refills to the cap, not beyond it.
-        assert bucket.admit(1e9)
-        assert bucket.admit(1e9)
+        drain(bucket, 1e9)
         assert not bucket.admit(1e9)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            TokenBucket(rate_qps=0.0, burst=1)
-        with pytest.raises(ConfigError):
-            TokenBucket(rate_qps=100.0, burst=0)
+        """A bucket's rate is validated once, by the policy it comes
+        from; the bucket itself holds ``BURST`` tokens."""
+        with pytest.raises(ConfigError, match="rate_qps"):
+            TenantPolicy(rate_qps=0.0)
+        assert TokenBucket(rate_qps=100.0).capacity == BURST
 
 
 class TestTenantPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"weight": 0.0},
         {"rate_qps": -1.0},
-        {"burst": 0},
+        {"rate_qps": 0.0},
         {"slo_us": 0.0},
     ])
     def test_validation(self, kwargs):
@@ -65,29 +73,30 @@ class TestTenantPolicy:
 class TestAdmissionController:
     def test_per_tenant_buckets_and_ledgers(self):
         controller = AdmissionController(
-            {"limited": TenantPolicy(rate_qps=1000.0, burst=1)},
-            default_rate_qps=None, default_burst=32)
-        assert controller.admit(make_request(0, "limited", 0.0))
-        assert not controller.admit(make_request(1, "limited", 0.0))
-        # The unlisted tenant gets the (unlimited) default bucket.
-        assert controller.admit(make_request(2, "other", 0.0))
-        assert controller.admitted == {"limited": 1, "other": 1}
+            {"limited": TenantPolicy(rate_qps=1000.0)})
+        for i in range(BURST):
+            assert controller.admit(make_request(i, "limited", 0.0))
+        assert not controller.admit(make_request(BURST, "limited", 0.0))
+        # The unlisted tenant has no bucket: it is never limited.
+        assert controller.admit(make_request(BURST + 1, "other", 0.0))
+        assert controller.admitted == {"limited": BURST, "other": 1}
         assert controller.shed == {"limited": 1}
 
     def test_admission_is_a_function_of_arrivals_only(self):
         def run() -> list[bool]:
             controller = AdmissionController(
-                {}, default_rate_qps=2000.0, default_burst=2)
-            return [controller.admit(make_request(i, "t", i * 300.0))
-                    for i in range(10)]
+                {"t": TenantPolicy(rate_qps=2000.0)})
+            return [controller.admit(make_request(i, "t", i * 10.0))
+                    for i in range(3 * BURST)]
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert not all(first)
 
 
 class TestDeficitRoundRobin:
-    def drr(self, quantum: int = 4, policies=None,
-            default_weight: float = 1.0) -> DeficitRoundRobin:
-        return DeficitRoundRobin(quantum, policies or {}, default_weight)
+    def drr(self, policies=None) -> DeficitRoundRobin:
+        return DeficitRoundRobin(policies or {})
 
     def fill(self, drr: DeficitRoundRobin, tenant: str, count: int,
              first_id: int = 0) -> None:
@@ -102,34 +111,32 @@ class TestDeficitRoundRobin:
         assert drr.pending == 0
 
     def test_weighted_shares_under_backlog(self):
-        drr = self.drr(quantum=2,
-                       policies={"heavy": TenantPolicy(weight=3.0)})
+        drr = self.drr(policies={"heavy": TenantPolicy(weight=3.0)})
         self.fill(drr, "heavy", 60, first_id=0)
         self.fill(drr, "light", 60, first_id=100)
-        taken = drr.take(40)
+        taken = drr.take(48)
         heavy = sum(1 for r in taken if r.tenant == "heavy")
-        # quantum x weight = 6 vs 2 per round: a 3:1 split.
-        assert heavy == 30
-        assert len(taken) == 40
+        # quantum x weight = 12 vs 4 per round: a 3:1 split.
+        assert heavy == 36
+        assert len(taken) == 48
 
     def test_idle_tenant_forfeits_share(self):
-        drr = self.drr(quantum=1)
+        drr = self.drr()
         self.fill(drr, "busy", 10)
         # No other tenant queued: busy gets every slot.
         assert len(drr.take(10)) == 10
 
     def test_cursor_persists_across_takes(self):
-        drr = self.drr(quantum=1)
-        self.fill(drr, "a", 4, first_id=0)
-        self.fill(drr, "b", 4, first_id=10)
-        first = [r.tenant for r in drr.take(2)]
-        second = [r.tenant for r in drr.take(2)]
-        # The ring resumes after a, b rather than restarting at a.
-        assert first == ["a", "b"]
-        assert second == ["a", "b"]
+        drr = self.drr()
+        self.fill(drr, "a", 2 * DRR_QUANTUM, first_id=0)
+        self.fill(drr, "b", DRR_QUANTUM, first_id=100)
+        first = {r.tenant for r in drr.take(DRR_QUANTUM)}
+        second = {r.tenant for r in drr.take(DRR_QUANTUM)}
+        # The ring resumes at b rather than restarting at a.
+        assert (first, second) == ({"a"}, {"b"})
 
     def test_drained_queue_resets_deficit(self):
-        drr = self.drr(quantum=8)
+        drr = self.drr()
         self.fill(drr, "a", 1)
         drr.take(8)
         # A fresh backlog must not inherit the unused deficit.
@@ -142,8 +149,7 @@ class TestDeficitRoundRobin:
         assert drr.take(64) == []
 
     def test_fractional_weight_still_progresses(self):
-        drr = self.drr(quantum=1,
-                       policies={"slow": TenantPolicy(weight=0.1)})
+        drr = self.drr(policies={"slow": TenantPolicy(weight=0.1)})
         self.fill(drr, "slow", 3)
         # 0.1 deficit per visit: needs sweeps, but must terminate.
         assert len(drr.take(3)) == 3
@@ -164,5 +170,10 @@ class TestDeficitRoundRobin:
         assert drr.pending == 0
 
     def test_quantum_validation(self):
-        with pytest.raises(ConfigError):
-            self.drr(quantum=0)
+        """One round hands a weight-1.0 tenant exactly ``DRR_QUANTUM``
+        slots before the ring moves on."""
+        drr = self.drr()
+        self.fill(drr, "a", 3 * DRR_QUANTUM, first_id=0)
+        self.fill(drr, "b", 3 * DRR_QUANTUM, first_id=100)
+        tenants = [r.tenant for r in drr.take(2 * DRR_QUANTUM)]
+        assert tenants == ["a"] * DRR_QUANTUM + ["b"] * DRR_QUANTUM

@@ -19,7 +19,7 @@ def make_request(request_id: int, arrival_us: float, tenant: str = "t",
 def make_former(max_wait_us: float = 2000.0,
                 max_batch: int = 4) -> BatchFormer:
     config = FrontDoorConfig(max_wait_us=max_wait_us, max_batch=max_batch)
-    return BatchFormer(config, DeficitRoundRobin(4, {}, 1.0))
+    return BatchFormer(config, DeficitRoundRobin({}))
 
 
 class TestTriggers:

@@ -155,11 +155,13 @@ class TestPerRequestCompletion:
 class TestAdmissionPath:
     def test_rate_limited_tenant_sheds_with_honest_outcome(
             self, make_door, small_dataset):
-        requests = load(small_dataset, count=40, rate_qps=10_000.0,
+        # Past the bucket's 32-request burst, 500 qps refills one token
+        # per 20 arrivals at 10,000 qps.
+        requests = load(small_dataset, count=60, rate_qps=10_000.0,
                         tenants=("limited",))
         door = make_door(
             FrontDoorConfig(max_wait_us=1500.0, max_batch=8),
-            tenants={"limited": TenantPolicy(rate_qps=500.0, burst=4)})
+            tenants={"limited": TenantPolicy(rate_qps=500.0)})
         report = door.run(requests)
         assert report.shed_admission > 0
         assert report.served + report.shed_admission == report.offered
@@ -189,8 +191,7 @@ class TestSloPath:
         requests = load(small_dataset, count=120, rate_qps=100_000.0,
                         ef_search=64)
         door = make_door(FrontDoorConfig(
-            max_wait_us=500.0, max_batch=4, degraded_ef=12,
-            degrade_backlog_waves=1.0))
+            max_wait_us=500.0, max_batch=4, degraded_ef=12))
         report = door.run(requests)
         degraded = [o for o in report.outcomes
                     if o.status is RequestStatus.DEGRADED]
@@ -276,10 +277,15 @@ class TestClosedLoop:
 
     def test_rate_limited_session_keeps_pacing(self, make_door,
                                                small_dataset):
-        sessions = self.sessions(small_dataset, count=2)
+        # One session asks more than the bucket's 32-request burst, faster
+        # than 300 qps refills it.
+        queries = np.resize(small_dataset.queries, (48, small_dataset.dim))
+        sessions = [ClosedLoopSession(
+            tenant="t0", queries=queries, think_us=np.full(48, 100.0),
+            k=10, ef_search=32)]
         door = make_door(
             FrontDoorConfig(max_wait_us=800.0, max_batch=8),
-            tenants={"t0": TenantPolicy(rate_qps=300.0, burst=1)})
+            tenants={"t0": TenantPolicy(rate_qps=300.0)})
         report = door.run_closed_loop(sessions)
         # Sheds complete instantly, so the session still issues all its
         # queries instead of deadlocking on an answer that never comes.
@@ -295,11 +301,13 @@ class TestOneEventLoop:
     @pytest.mark.parametrize("rate_qps,policies", [
         (3000.0, None),                       # waves close on the budget
         (200_000.0, None),                    # waves close on max_batch
-        (3000.0, {"a": TenantPolicy(rate_qps=300.0, burst=1)}),  # sheds
+        (3000.0, {"a": TenantPolicy(rate_qps=30.0)}),  # sheds
     ])
     def test_single_query_sessions_replay_the_open_loop_schedule(
             self, make_door, small_dataset, rate_qps, policies):
-        requests = load(small_dataset, count=48, rate_qps=rate_qps)
+        # Enough arrivals that tenant "a" outruns its 32-request burst.
+        requests = load(small_dataset, count=96 if policies else 48,
+                        rate_qps=rate_qps)
         sessions = [
             ClosedLoopSession(
                 tenant=r.tenant, queries=r.query[None, :],
@@ -325,8 +333,7 @@ class TestFairness:
         requests = load(small_dataset, count=160, rate_qps=200_000.0,
                         tenants=("heavy", "light"), slo_us=10_000_000.0)
         door = make_door(
-            FrontDoorConfig(max_wait_us=1000.0, max_batch=8,
-                            drr_quantum=2),
+            FrontDoorConfig(max_wait_us=1000.0, max_batch=8),
             tenants={"heavy": TenantPolicy(weight=3.0),
                      "light": TenantPolicy(weight=1.0)})
         report = door.run(requests)
@@ -410,6 +417,10 @@ class TestObservability:
 
 
 class TestConfig:
+    #: Knobs that are constants where they are read now: refused outright.
+    RETIRED = {"drr_quantum", "default_weight", "default_rate_qps",
+               "default_burst", "degrade_backlog_waves"}
+
     @pytest.mark.parametrize("kwargs", [
         {"max_wait_us": -1.0},
         {"max_batch": 0},
@@ -422,7 +433,9 @@ class TestConfig:
         {"degrade_backlog_waves": 0.0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+        (name,) = kwargs
+        error = TypeError if name in self.RETIRED else ConfigError
+        with pytest.raises(error, match=name):
             FrontDoorConfig(**kwargs)
 
     def test_replace(self):

@@ -78,37 +78,32 @@ class TestDegradation:
         assert not sched.overloaded(backlog=10_000)
 
     def test_threshold_in_waves(self):
-        sched = scheduler(max_batch=4, degraded_ef=8,
-                          degrade_backlog_waves=2.0)
+        sched = scheduler(max_batch=4, degraded_ef=8)
         assert not sched.overloaded(backlog=8)
         assert sched.overloaded(backlog=9)
 
     def test_degraded_wave_clamps_ef(self):
-        sched = scheduler(max_batch=2, degraded_ef=8,
-                          degrade_backlog_waves=1.0)
+        sched = scheduler(max_batch=2, degraded_ef=8)
         wave = make_wave([make_request(0, ef_search=64)], formed_us=0.0)
         plan = sched.plan(wave, backlog=100)
         assert plan.degraded
         assert plan.groups[0].ef == 8
 
     def test_degradation_never_raises_a_beam(self):
-        sched = scheduler(max_batch=2, degraded_ef=48,
-                          degrade_backlog_waves=1.0)
+        sched = scheduler(max_batch=2, degraded_ef=48)
         wave = make_wave([make_request(0, ef_search=16)], formed_us=0.0)
         plan = sched.plan(wave, backlog=100)
         assert plan.groups[0].ef == 16
 
     def test_degradation_never_goes_below_k(self):
-        sched = scheduler(max_batch=2, degraded_ef=2,
-                          degrade_backlog_waves=1.0)
+        sched = scheduler(max_batch=2, degraded_ef=2)
         wave = make_wave([make_request(0, k=5, ef_search=64)],
                          formed_us=0.0)
         plan = sched.plan(wave, backlog=100)
         assert plan.groups[0].ef == 5
 
     def test_quiet_backlog_stays_undegraded(self):
-        sched = scheduler(max_batch=4, degraded_ef=8,
-                          degrade_backlog_waves=2.0)
+        sched = scheduler(max_batch=4, degraded_ef=8)
         wave = make_wave([make_request(0, ef_search=64)], formed_us=0.0)
         plan = sched.plan(wave, backlog=0)
         assert not plan.degraded

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hnsw.build as build_module
-from repro.hnsw.build import insert, sample_level, select_neighbors_heuristic
+from repro.hnsw.build import (insert, remove_nodes, sample_level,
+                              select_neighbors_heuristic)
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.index import HnswIndex
@@ -51,8 +52,6 @@ class TestNeighborHeuristic:
     def setup_method(self):
         self.graph = LayeredGraph(2)
         self.kernel = DistanceKernel(2)
-        self.params = HnswParams(m=4, keep_pruned_connections=False)
-        self.origin = np.zeros(2, dtype=np.float32)
 
     def _add(self, x, y, level=0):
         return self.graph.add_node([x, y], level)
@@ -61,8 +60,7 @@ class TestNeighborHeuristic:
         nodes = [self._add(i, 0) for i in range(10)]
         candidates = [(float(i * i), node) for i, node in enumerate(nodes)]
         selected = select_neighbors_heuristic(
-            self.graph, self.kernel, candidates, m=3, level=0,
-            params=self.params, query=self.origin)
+            self.graph, self.kernel, candidates, m=3)
         assert len(selected) <= 3
 
     def test_prefers_diverse_directions(self):
@@ -72,8 +70,7 @@ class TestNeighborHeuristic:
         north = self._add(0.0, 1.2)
         candidates = [(1.0, east1), (1.21, east2), (1.44, north)]
         selected = select_neighbors_heuristic(
-            self.graph, self.kernel, candidates, m=2, level=0,
-            params=self.params, query=self.origin)
+            self.graph, self.kernel, candidates, m=2)
         # east2 is closer to east1 than to the query -> pruned in favour
         # of the northern direction.
         assert selected == [east1, north]
@@ -82,98 +79,62 @@ class TestNeighborHeuristic:
         east1 = self._add(1.0, 0.0)
         east2 = self._add(1.1, 0.0)
         candidates = [(1.0, east1), (1.21, east2)]
-        keeping = self.params.replace(keep_pruned_connections=True)
         selected = select_neighbors_heuristic(
-            self.graph, self.kernel, candidates, m=2, level=0,
-            params=keeping, query=self.origin)
+            self.graph, self.kernel, candidates, m=2)
         assert selected == [east1, east2]
 
     def test_m_zero_returns_empty(self):
         node = self._add(0.0, 0.0)
         assert select_neighbors_heuristic(
-            self.graph, self.kernel, [(0.0, node)], m=0, level=0,
-            params=self.params, query=self.origin) == []
-
-
-class TestExtendCandidatesBase:
-    """Algorithm 4 must score extensions against the *query* vector."""
-
-    def _make_case(self):
-        graph = LayeredGraph(2)
-        kernel = DistanceKernel(2)
-        near = graph.add_node([0.0, 0.0], 0)     # closest candidate
-        far = graph.add_node([10.0, 0.0], 0)     # candidate linking out
-        ext = graph.add_node([-1.0, 0.0], 0)     # discovered extension
-        graph.add_edge(far, ext, 0)
-        query = np.array([4.0, 0.0], dtype=np.float32)
-        candidates = [(16.0, near), (36.0, far)]
-        params = HnswParams(m=4, extend_candidates=True,
-                            keep_pruned_connections=False)
-        return graph, kernel, query, candidates, params, near, ext
-
-    def test_query_base_changes_selection(self):
-        graph, kernel, query, candidates, params, near, ext = self._make_case()
-        # The extension is 25 from the query, farther than the 16 of the
-        # nearest candidate, so the nearest candidate wins.  (Scored
-        # against the closest candidate's own vector instead, it would
-        # sit at 1 and shadow the candidate.)
-        assert select_neighbors_heuristic(
-            graph, kernel, candidates, m=1, level=0, params=params,
-            query=query) == [near]
-
-    def test_reference_path_agrees(self, reference_construction):
-        graph, kernel, query, candidates, params, near, ext = self._make_case()
-        assert select_neighbors_heuristic(
-            graph, kernel, candidates, m=1, level=0, params=params,
-            query=query) == [near]
+            self.graph, self.kernel, [(0.0, node)], m=0) == []
 
 
 class TestExtendCandidatesOwner:
-    """A node is its own neighbours' neighbour: pruning its list under
-    ``extend_candidates`` used to offer it to itself (self-loop)."""
+    """A node is its own neighbours' neighbour: the list a removal
+    repairs is re-chosen from the survivors its dead neighbours lead to,
+    and the node itself must never be one of them (self-loop)."""
 
-    def _select_for_owner(self) -> tuple[list[int], int]:
+    def _repair_owner(self) -> list[int]:
         graph = LayeredGraph(2)
         kernel = DistanceKernel(2)
         owner = graph.add_node([0.0, 0.0], 0)
-        peer = graph.add_node([1.0, 0.0], 0)
-        graph.add_edge(peer, owner, 0)
-        selected = select_neighbors_heuristic(
-            graph, kernel, [(1.0, peer)], m=4, level=0,
-            params=HnswParams(m=4, extend_candidates=True),
-            query=graph.vector(owner), owner=owner)
-        return selected, peer
+        dead = graph.add_node([1.0, 0.0], 0)
+        peer = graph.add_node([2.0, 0.0], 0)
+        for a, b in ((owner, dead), (dead, peer)):
+            graph.add_edge(a, b, 0)
+            graph.add_edge(b, a, 0)
+        graph.entry_point, graph.max_level = owner, 0
+        assert remove_nodes(graph, kernel, {dead},
+                            HnswParams(m=4)) == [owner, peer]
+        graph.check_invariants()
+        return graph.neighbors(0, 0)
 
     def test_owner_is_never_its_own_extension(self):
-        selected, peer = self._select_for_owner()
-        assert selected == [peer]
+        assert self._repair_owner() == [1]  # the peer, renumbered
 
     def test_reference_path_agrees(self, reference_construction):
-        selected, peer = self._select_for_owner()
-        assert selected == [peer]
-
-    def test_build_under_the_flag_keeps_invariants(self):
-        rng = np.random.default_rng(0)
-        index = HnswIndex(16, HnswParams(m=8, ef_construction=40, seed=0,
-                                         extend_candidates=True))
-        index.add(rng.random((300, 16)))
-        index.graph.check_invariants()
+        assert self._repair_owner() == [1]
 
 
 class TestVectorizedEquivalence:
-    """The vectorized construction path is bit-identical to the loops."""
+    """The vectorized construction path is bit-identical to the loops,
+    whether a batch's selector reads the pair table or the einsum column
+    of one-at-a-time inserts."""
 
-    @pytest.mark.parametrize("extend", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE])
-    def test_graphs_and_counts_match(self, metric, extend):
+    def test_graphs_and_counts_match(self, metric, batched):
         generator = np.random.default_rng(11)
         data = generator.standard_normal((180, 12)).astype(np.float32)
-        params = HnswParams(m=6, ef_construction=40, seed=5, metric=metric,
-                            extend_candidates=extend)
+        params = HnswParams(m=6, ef_construction=40, seed=5, metric=metric)
 
         def run():
             index = HnswIndex(12, params)
-            index.add(data)
+            if batched:
+                index.add(data)
+            else:
+                for vector in data:
+                    index.add_one(vector)
             return index
 
         fast = run()

@@ -79,11 +79,11 @@ def assert_paths_agree(make_index, rows, table_reads,
 
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("overrides", [
-        {}, {"extend_candidates": True}, {"keep_pruned_connections": False},
-        {"extend_candidates": True, "keep_pruned_connections": False},
-    ], ids=["default", "extend", "no-backfill", "extend-no-backfill"])
+        {}, {"m": 4, "ef_construction": 16},   # narrow: more pruned backfill
+    ], ids=["default", "narrow"])
     def test_fresh_build(self, table_reads, overrides):
-        params = HnswParams(m=8, ef_construction=48, seed=3, **overrides)
+        params = HnswParams(m=8, ef_construction=48, seed=3).replace(
+            **overrides)
         assert_paths_agree(lambda: HnswIndex(DIM, params),
                            vectors(300, 1), table_reads)
 

@@ -20,7 +20,9 @@ class TestValidation:
             HnswParams(ef_construction=0)
 
     def test_m0_must_cover_m(self):
-        with pytest.raises(ConfigError, match="m0"):
+        """Layer 0 allows ``2 * m``; no other bound can be set."""
+        assert HnswParams(m=16).max_degree(0) == 32
+        with pytest.raises(TypeError, match="m0"):
             HnswParams(m=16, m0=8)
 
     def test_negative_max_level(self):
@@ -28,21 +30,20 @@ class TestValidation:
             HnswParams(max_level=-1)
 
     def test_nonpositive_level_mult(self):
-        with pytest.raises(ConfigError, match="level_mult"):
+        """The multiplier is ``1 / ln(m)``, positive for every valid
+        ``m``; no other can be set."""
+        assert HnswParams(m=2).level_mult > 0
+        with pytest.raises(TypeError, match="level_mult"):
             HnswParams(level_mult=0.0)
 
 
 class TestDerivedValues:
     def test_default_m0_doubles_m(self):
-        assert HnswParams(m=12).effective_m0 == 24
-
-    def test_explicit_m0_wins(self):
-        assert HnswParams(m=12, m0=40).effective_m0 == 40
+        assert HnswParams(m=12).max_degree(0) == 24
 
     def test_default_level_mult(self):
         params = HnswParams(m=16)
-        assert params.effective_level_mult == pytest.approx(
-            1.0 / math.log(16))
+        assert params.level_mult == pytest.approx(1.0 / math.log(16))
 
     def test_max_degree_per_level(self):
         params = HnswParams(m=8)

@@ -212,15 +212,6 @@ class TestRemoveCases:
         index.remove(range(0, 150, 7))
         assert index._rng.getstate() == state
 
-    def test_under_extend_candidates(self):
-        """The selector reads adjacency under this flag: it must meet
-        neither a dead node nor the repaired node itself."""
-        params = HnswParams(m=6, ef_construction=32, seed=5,
-                            extend_candidates=True)
-        index = built(150, params)
-        index.remove(range(0, 150, 4))
-        index.graph.check_invariants()
-
 
 class TestReachability:
     @pytest.mark.parametrize("share", [0.05, 0.3, 0.6])

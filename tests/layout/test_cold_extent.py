@@ -24,7 +24,7 @@ from repro.pq import PqCodebook
 @pytest.fixture(scope="module")
 def book():
     rng = np.random.default_rng(3)
-    trained = PqCodebook(16, num_subspaces=4, bits=5, seed=8)
+    trained = PqCodebook(16, num_subspaces=4, seed=8)
     trained.train(rng.standard_normal((400, 16)).astype(np.float32))
     return trained
 
@@ -37,7 +37,7 @@ class TestCodebookBlob:
         restored = deserialize_codebook(blob)
         assert restored.dim == book.dim
         assert restored.num_subspaces == book.num_subspaces
-        assert restored.bits == book.bits
+        assert restored.num_centroids == book.num_centroids == 256
         assert restored.centroids.tobytes() == book.centroids.tobytes()
 
     def test_roundtrip_preserves_encodings(self, book):
@@ -45,6 +45,15 @@ class TestCodebookBlob:
         rows = rng.standard_normal((32, 16)).astype(np.float32)
         restored = deserialize_codebook(serialize_codebook(book))
         assert np.array_equal(restored.encode(rows), book.encode(rows))
+
+    def test_bits_word_is_eight(self, book):
+        """The header keeps its ``bits`` word — always 8, as every saved
+        codebook holds — and the decoder refuses any other width."""
+        blob = bytearray(serialize_codebook(book))
+        assert struct.unpack_from("<I", blob, 16) == (8,)
+        struct.pack_into("<I", blob, 16, 6)
+        with pytest.raises(SerializationError, match="bits=6"):
+            deserialize_codebook(bytes(blob))
 
     def test_bad_magic(self, book):
         blob = bytearray(serialize_codebook(book))

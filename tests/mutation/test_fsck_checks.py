@@ -62,19 +62,22 @@ class TestVersionChain:
 
 class TestRetiredLedger:
     def test_unreclaimed_past_grace_period_is_a_leak_warning(
-            self, small_dataset, small_config):
+            self, mutable_deployment, small_config, small_dataset):
         """The leak check: an extent retired by a cutover whose grace
-        period has elapsed, but which nobody ever reclaimed."""
-        from repro.cluster import Deployment
-        config = small_config.replace(reclaim_eager=False)
-        deployment = Deployment(small_dataset.vectors, config)
-        client = fresh_client(deployment, config)
+        period has elapsed, but which nobody ever reclaimed — a reader
+        pins it, the writer rebuilds, the reader closes and no client
+        observes a version afterwards."""
+        writer = fresh_client(mutable_deployment, small_config)
+        reader = fresh_client(mutable_deployment, small_config)
         probe = small_dataset.queries[0]
-        for i in range(config.overflow_capacity_records + 1):
-            client.insert(probe + i * 1e-4, 910_000 + i)
-        log = deployment.layout.retired
-        assert log.pending_bytes > 0  # nothing reclaimed eagerly
-        report = fsck(deployment.layout)
+        reader.search(probe, 1, ef_search=16)  # registers at old epoch
+        for i in range(small_config.overflow_capacity_records + 1):
+            writer.insert(probe + i * 1e-4, 910_000 + i)
+        log = mutable_deployment.layout.retired
+        assert log.pending_bytes > 0 and not log.reclaimable()
+        reader.close()
+        assert log.reclaimable() == list(log.entries)
+        report = fsck(mutable_deployment.layout)
         assert report.clean  # a leak loses space, not correctness
         leaks = findings_matching(report, "never reclaimed")
         assert leaks

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.rdma.stats import RdmaStats
@@ -73,3 +75,19 @@ def test_merge_accumulates():
     assert left.bytes_read == 13
     assert left.bytes_written == 20
     assert left.network_time_us == pytest.approx(3.5)
+
+
+def test_every_counter_round_trips_snapshot_delta_and_merge():
+    """A counter added to ``RdmaStats`` is carried by ``snapshot``,
+    ``delta`` and ``merge`` without anyone listing it there."""
+    names = [field.name for field in dataclasses.fields(RdmaStats)]
+    earlier = RdmaStats(**{name: index + 1
+                           for index, name in enumerate(names)})
+    later = RdmaStats(**{name: 100 * (index + 1)
+                         for index, name in enumerate(names)})
+    assert later.snapshot() == later
+    delta = later.delta(earlier)
+    assert [getattr(delta, name) for name in names] == [
+        99 * (index + 1) for index in range(len(names))]
+    delta.merge(earlier)
+    assert delta == later

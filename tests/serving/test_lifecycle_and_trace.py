@@ -128,28 +128,28 @@ class TestTraceContext:
 
 
 class TestEfSearchDefault:
+    """Without ``ef_search`` a search uses the paper's ``2k`` beam."""
+
     def test_config_default_matches_explicit_argument(self, built_deployment,
                                                       small_dataset):
         import numpy as np
 
         queries = small_dataset.queries[:6]
-        configured = make_client(built_deployment, "ef1",
-                                 ef_search_default=48)
+        defaulted = make_client(built_deployment, "ef1")
         explicit = make_client(built_deployment, "ef2")
         try:
-            from_config = configured.search_batch(queries, k=10)
-            from_arg = explicit.search_batch(queries, k=10, ef_search=48)
-            for one, other in zip(from_config.results, from_arg.results):
+            from_default = defaulted.search_batch(queries, k=10)
+            from_arg = explicit.search_batch(queries, k=10, ef_search=20)
+            for one, other in zip(from_default.results, from_arg.results):
                 np.testing.assert_array_equal(one.ids, other.ids)
-            assert from_config.sub_evals == from_arg.sub_evals
+            assert from_default.sub_evals == from_arg.sub_evals
         finally:
-            configured.close()
+            defaulted.close()
             explicit.close()
 
     def test_explicit_argument_overrides_config(self, built_deployment):
-        client = make_client(built_deployment, "ef3", ef_search_default=48)
+        client = make_client(built_deployment, "ef3")
         try:
-            assert client.engine.resolve_ef(10, None) == 48
             assert client.engine.resolve_ef(10, 64) == 64
             # Never below k, whatever the source.
             assert client.engine.resolve_ef(100, 5) == 100

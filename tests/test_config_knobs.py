@@ -1,29 +1,48 @@
-"""Every config field is a knob something reads.
+"""Every knob is one something reads, and one something sets.
 
-A field of ``DHnswConfig`` / ``FrontDoorConfig`` that no code under
-``src/repro/`` reads is a configuration the tests would have to cover for
-nothing (``FrontDoorConfig.seed`` was one: validated, documented, read
-nowhere).  Parsed from source with ``ast`` like ``tests/test_layering.py``:
-a read is ``config.<field>`` / ``<anything>.config.<field>`` outside
-``core/config.py``, or ``self.<field>`` inside a config method — other
-than ``__post_init__``, whose checks keep no knob alive — that code
-outside ``core/config.py`` calls.
+Two censuses, parsed from source with ``ast`` like
+``tests/test_layering.py``.
+
+*Read.*  A field of ``DHnswConfig`` / ``FrontDoorConfig`` that no code
+under ``src/repro/`` reads is a configuration the tests would have to
+cover for nothing (``FrontDoorConfig.seed`` was one: validated,
+documented, read nowhere).  A read is ``config.<field>`` /
+``<anything>.config.<field>`` outside ``core/config.py``, or
+``self.<field>`` inside a config method — other than ``__post_init__``,
+whose checks keep no knob alive — that code outside ``core/config.py``
+calls.
+
+*Set.*  A field or keyword of a settable surface (``SURFACES``) that
+only unit tests ever change is a code path no deployment, benchmark or
+example runs (``HnswParams.extend_candidates`` was one, with the whole
+Algorithm 4 extension branch behind it).  Every one must get a
+non-default value somewhere under ``src/``, ``benchmarks/`` or
+``examples/``: a call keyword of that name, a positional argument of a
+call to the surface, or a string dict key (the spine's workload tables
+are dicts).  A literal equal to the surface's default does not count.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 import pytest
 
 import repro
+from repro.core.client import DHnswClient
 from repro.core.config import DHnswConfig, FrontDoorConfig
 from repro.errors import ConfigError
+from repro.frontdoor.admission import TenantPolicy
+from repro.hnsw.params import HnswParams
+from repro.pq.codebook import PqCodebook
+from repro.transport.retry import RetryingTransport
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 CONFIG_FILE = SRC_ROOT / "core" / "config.py"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Only the front door is handed a ``FrontDoorConfig``; everything else
 #: that says ``config`` means the deployment's ``DHnswConfig``.
@@ -76,6 +95,101 @@ def test_every_field_is_read_outside_the_config_module(cls, paths, unread):
     assert names - fields_read(cls, paths) == unread
 
 
+#: The surfaces whose keywords are knobs: the configs, the HNSW
+#: parameters, and the constructors callers tune.
+SURFACES = (DHnswConfig, FrontDoorConfig, TenantPolicy, HnswParams,
+            DHnswClient, RetryingTransport, PqCodebook)
+
+#: Knobs allowed to stay test-only.  ``HnswParams.metric``: only tests
+#: ask for cosine or inner product (the census cannot tell — other
+#: functions take a ``metric`` keyword), but both are part of the
+#: library's inventory, and retiring them is what lets the reference
+#: selector go: its own change.
+UNSET = {"HnswParams.metric"}
+
+
+def knob_defaults(cls) -> dict[str, object]:
+    """``cls``'s keyword parameters and their defaults."""
+    return {name: parameter.default
+            for name, parameter in inspect.signature(cls).parameters.items()
+            if parameter.default is not parameter.empty}
+
+
+def settings(roots) -> tuple[list[tuple[str, ast.expr]],
+                             list[tuple[str, int, ast.expr]]]:
+    """Every ``(keyword, value)`` a call or string dict key under
+    ``roots`` sets, and every ``(callee, position, value)`` of a call's
+    positional arguments."""
+    named, positional = [], []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if isinstance(node, ast.Call):
+                    named.extend((keyword.arg, keyword.value)
+                                 for keyword in node.keywords
+                                 if keyword.arg is not None)
+                    callee = getattr(node.func, "id",
+                                     getattr(node.func, "attr", None))
+                    positional.extend(
+                        (callee, index, value)
+                        for index, value in enumerate(node.args)
+                        if not isinstance(value, ast.Starred))
+                elif isinstance(node, ast.Dict):
+                    named.extend((key.value, value)
+                                 for key, value in zip(node.keys, node.values)
+                                 if isinstance(key, ast.Constant)
+                                 and isinstance(key.value, str))
+    return named, positional
+
+
+def sets_other_than(value: ast.expr, default: object) -> bool:
+    """Does ``value`` set something other than ``default``?  Only a
+    literal can be seen to equal it."""
+    try:
+        return ast.literal_eval(value) != default
+    except (ValueError, TypeError):
+        return True
+
+
+def unset_knobs(roots, surfaces) -> set[str]:
+    """``Surface.knob`` names nothing under ``roots`` sets to a
+    non-default value."""
+    named, positional = settings(roots)
+    unset = set()
+    for cls in surfaces:
+        order = list(inspect.signature(cls).parameters)
+        for name, default in knob_defaults(cls).items():
+            values = [value for keyword, value in named if keyword == name]
+            # By position, a variable of the knob's own name is handed
+            # on, not chosen (a decoder rebuilding the object from bytes).
+            values += [value for callee, index, value in positional
+                       if callee == cls.__name__ and index < len(order)
+                       and order[index] == name
+                       and getattr(value, "id", None) != name]
+            if not any(sets_other_than(value, default) for value in values):
+                unset.add(f"{cls.__name__}.{name}")
+    return unset
+
+
+def test_every_knob_is_set_outside_the_tests():
+    roots = [REPO_ROOT / "src", REPO_ROOT / "benchmarks",
+             REPO_ROOT / "examples"]
+    assert all(root.is_dir() for root in roots)
+    assert unset_knobs(roots, SURFACES) - UNSET == set()
+
+
+def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
+    """Guard the walker itself on a caller it can be checked against."""
+    (tmp_path / "caller.py").write_text(
+        "HnswParams(m=4, ef_construction=200)\n"  # 200 is the default
+        "PqCodebook(8, 2)\n"
+        "overrides = {'seed': 3}\n")
+    assert unset_knobs([tmp_path], [HnswParams, PqCodebook]) == {
+        "HnswParams.ef_construction", "HnswParams.metric",
+        "HnswParams.max_level"}
+
+
 @pytest.mark.parametrize("cls,keyword", [
     (DHnswConfig, "mutation_retry_limit"),
     (DHnswConfig, "pq_bits"),
@@ -83,7 +197,13 @@ def test_every_field_is_read_outside_the_config_module(cls, paths, unread):
     (DHnswConfig, "tier_hysteresis"),
     (DHnswConfig, "vamana_degree"),
     (DHnswConfig, "batch_size"),
+    (DHnswConfig, "reclaim_eager"),
+    (DHnswConfig, "sub_params"),
     (FrontDoorConfig, "seed"),
+    (TenantPolicy, "burst"),
+    (HnswParams, "extend_candidates"),
+    (HnswParams, "keep_pruned_connections"),
+    (PqCodebook, "bits"),
 ])
 def test_retired_keywords_are_refused(cls, keyword):
     with pytest.raises(TypeError, match=keyword):

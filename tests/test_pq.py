@@ -21,7 +21,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def codebook(corpus):
     data, _, _ = corpus
-    book = PqCodebook(16, num_subspaces=4, bits=6, seed=1)
+    book = PqCodebook(16, num_subspaces=4, seed=1)
     book.train(data)
     return book
 
@@ -30,16 +30,16 @@ class TestCodebook:
     def test_construction_validation(self):
         with pytest.raises(ConfigError, match="divide"):
             PqCodebook(10, num_subspaces=3)
-        with pytest.raises(ConfigError, match="bits"):
-            PqCodebook(8, num_subspaces=2, bits=9)
+        with pytest.raises(ConfigError, match="dim"):
+            PqCodebook(0, num_subspaces=1)
 
     def test_untrained_rejects_encode(self):
-        book = PqCodebook(8, num_subspaces=2, bits=4)
+        book = PqCodebook(8, num_subspaces=2)
         with pytest.raises(ConfigError, match="not trained"):
             book.encode(np.zeros((1, 8), dtype=np.float32))
 
     def test_training_sample_too_small(self):
-        book = PqCodebook(8, num_subspaces=2, bits=8)
+        book = PqCodebook(8, num_subspaces=2)
         with pytest.raises(ConfigError, match="training"):
             book.train(np.zeros((10, 8), dtype=np.float32))
 
@@ -61,8 +61,8 @@ class TestCodebook:
 
     def test_more_subspaces_less_error(self, corpus):
         data, _, _ = corpus
-        coarse = PqCodebook(16, num_subspaces=2, bits=6, seed=2)
-        fine = PqCodebook(16, num_subspaces=8, bits=6, seed=2)
+        coarse = PqCodebook(16, num_subspaces=2, seed=2)
+        fine = PqCodebook(16, num_subspaces=8, seed=2)
         coarse.train(data)
         fine.train(data)
         assert (fine.quantization_error(data[:200])
@@ -105,7 +105,7 @@ class TestPqRerankIndex:
 
     def test_requires_trained_codebook(self):
         with pytest.raises(ConfigError):
-            PqRerankIndex(PqCodebook(8, num_subspaces=2, bits=4))
+            PqRerankIndex(PqCodebook(8, num_subspaces=2))
 
     def test_reranked_recall_beats_pure_adc(self, index, corpus):
         _, queries, truth = corpus
@@ -164,7 +164,7 @@ class TestTieBreaking:
         labels = rng.permutation(len(data)).astype(np.int64)
         queries = base[:8] + rng.normal(
             0, 1e-3, size=(8, 16)).astype(np.float32)
-        book = PqCodebook(16, num_subspaces=4, bits=6, seed=2)
+        book = PqCodebook(16, num_subspaces=4, seed=2)
         book.train(data)
         index = PqRerankIndex(book)
         index.add(data, labels=labels.tolist())
@@ -203,24 +203,24 @@ class TestTrainingDeterminism:
         data, _, _ = corpus
         books = []
         for _ in range(2):
-            book = PqCodebook(16, num_subspaces=4, bits=6, seed=9)
+            book = PqCodebook(16, num_subspaces=4, seed=9)
             book.train(data)
             books.append(book)
         assert books[0].centroids.tobytes() == books[1].centroids.tobytes()
 
     def test_explicit_seed_overrides_constructor(self, corpus):
         data, _, _ = corpus
-        a = PqCodebook(16, num_subspaces=4, bits=6, seed=1)
+        a = PqCodebook(16, num_subspaces=4, seed=1)
         a.train(data, seed=42)
-        b = PqCodebook(16, num_subspaces=4, bits=6, seed=2)
+        b = PqCodebook(16, num_subspaces=4, seed=2)
         b.train(data, seed=42)
         assert a.centroids.tobytes() == b.centroids.tobytes()
 
     def test_different_seeds_differ(self, corpus):
         data, _, _ = corpus
-        a = PqCodebook(16, num_subspaces=4, bits=6, seed=1)
+        a = PqCodebook(16, num_subspaces=4, seed=1)
         a.train(data)
-        b = PqCodebook(16, num_subspaces=4, bits=6, seed=2)
+        b = PqCodebook(16, num_subspaces=4, seed=2)
         b.train(data)
         assert a.centroids.tobytes() != b.centroids.tobytes()
 
@@ -230,8 +230,8 @@ class TestTrainingDeterminism:
         # 4-way book depends only on (seed, 0), not on how many other
         # subspaces trained after it.
         data, _, _ = corpus
-        wide = PqCodebook(16, num_subspaces=4, bits=6, seed=7)
+        wide = PqCodebook(16, num_subspaces=4, seed=7)
         wide.train(data)
-        again = PqCodebook(16, num_subspaces=4, bits=6, seed=7)
+        again = PqCodebook(16, num_subspaces=4, seed=7)
         again.train(data[:, :])
         assert wide.centroids.tobytes() == again.centroids.tobytes()

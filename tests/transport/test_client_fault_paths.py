@@ -22,13 +22,12 @@ from repro.transport import (
     FaultInjectingTransport,
     FaultKind,
     FaultPlan,
-    RetryPolicy,
     RetryingTransport,
 )
 
 
 def wrap_faulty(client: DHnswClient, plan: FaultPlan,
-                policy: RetryPolicy | None = None,
+                max_retries: int = 3,
                 timeout_us: float = 500.0) -> DHnswClient:
     """Install the canonical retry-around-faults stack on ``client``.
 
@@ -39,7 +38,7 @@ def wrap_faulty(client: DHnswClient, plan: FaultPlan,
     client.transport = RetryingTransport(
         FaultInjectingTransport(client.transport, plan,
                                 timeout_us=timeout_us),
-        policy if policy is not None else RetryPolicy())
+        max_retries)
     return client
 
 
@@ -106,7 +105,7 @@ class TestRetriedSearch:
         faulted = wrap_faulty(
             built_deployment.make_client(Scheme.DHNSW, "doomed"),
             FaultPlan(fault_rate=1.0, kinds=(FaultKind.TIMEOUT,)),
-            RetryPolicy(max_retries=1))
+            max_retries=1)
         try:
             with pytest.raises(RetryExhaustedError) as exc:
                 faulted.search_batch(small_dataset.queries[:4], k=10)

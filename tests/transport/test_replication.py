@@ -29,7 +29,6 @@ from repro.transport import (
     ReplicaHealth,
     ReplicaSelector,
     ReplicatedTransport,
-    RetryPolicy,
     RetryingTransport,
     connect,
 )
@@ -54,7 +53,7 @@ def make_pool(k: int = 3, seed: int = 0, plans: list[FaultPlan] | None = None):
         base = connect(node, clock, cost, stats)
         if plans is not None:
             base = FaultInjectingTransport(base, plans[i], timeout_us=500.0)
-        stack.append(RetryingTransport(base, RetryPolicy(max_retries=2)))
+        stack.append(RetryingTransport(base, max_retries=2))
         nodes.append((node, region))
     return ReplicatedTransport(stack, seed=seed), nodes
 
@@ -226,7 +225,7 @@ class TestReplicatedDeployment:
         client = DHnswClient(
             deployment.layout, deployment.meta, deployment.config,
             cost_model=CostModel(), name="chaos",
-            retry_policy=RetryPolicy(max_retries=2),
+            max_retries=2,
             replica_transport_factory=lambda base, i:
                 FaultInjectingTransport(base, plans[i], timeout_us=500.0))
         baseline = deployment.make_client(deployment.scheme, name="calm")

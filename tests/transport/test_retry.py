@@ -18,11 +18,11 @@ from repro.transport import (
     FaultInjectingTransport,
     FaultKind,
     FaultPlan,
-    RetryPolicy,
     RetryingTransport,
     Transport,
     connect,
 )
+from repro.transport.retry import backoff_us
 
 PAYLOAD = bytes(range(96))
 
@@ -36,29 +36,23 @@ def wired():
     return transport, region.rkey, region.base_addr
 
 
-def stack(inner, plan, policy=None, timeout_us=1000.0):
+def stack(inner, plan, max_retries=3, timeout_us=1000.0):
     """The canonical decorator order: retry around fault around sim."""
     return RetryingTransport(
         FaultInjectingTransport(inner, plan, timeout_us=timeout_us),
-        policy if policy is not None else RetryPolicy())
+        max_retries)
 
 
 class TestRetryPolicy:
     def test_backoff_sequence_is_exponential_and_capped(self):
-        policy = RetryPolicy(max_retries=6, base_backoff_us=50.0,
-                             backoff_multiplier=2.0, max_backoff_us=300.0)
-        assert [policy.backoff_us(n) for n in range(1, 6)] == [
-            50.0, 100.0, 200.0, 300.0, 300.0]
+        assert [backoff_us(n) for n in range(1, 10)] == [
+            50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 5000.0,
+            5000.0]
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_backoff_us=-1.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_backoff_us=100.0, max_backoff_us=10.0)
+    def test_validation(self, wired):
+        inner, _, _ = wired
+        with pytest.raises(ConfigError, match="max_retries"):
+            RetryingTransport(inner, max_retries=-1)
 
 
 class TestRetriedReads:
@@ -78,12 +72,10 @@ class TestRetriedReads:
         transport = stack(
             inner,
             FaultPlan(schedule={0: FaultKind.TIMEOUT,
-                                1: FaultKind.TIMEOUT}),
-            RetryPolicy(max_retries=3, base_backoff_us=100.0,
-                        backoff_multiplier=3.0))
+                                1: FaultKind.TIMEOUT}))
         assert transport.read(rkey, addr, len(PAYLOAD)) == PAYLOAD
         assert transport.stats.retries == 2
-        assert transport.stats.backoff_time_us == pytest.approx(100.0 + 300.0)
+        assert transport.stats.backoff_time_us == pytest.approx(50.0 + 100.0)
 
     def test_backoff_and_timeout_charged_to_clock(self, wired):
         inner, rkey, addr = wired
@@ -99,19 +91,19 @@ class TestRetriedReads:
 
         transport = stack(
             inner, FaultPlan(schedule={0: FaultKind.TIMEOUT}),
-            RetryPolicy(base_backoff_us=70.0), timeout_us=400.0)
+            timeout_us=400.0)
         before = transport.clock.now_us
         transport.read(rkey, addr, len(PAYLOAD))
         elapsed = transport.clock.now_us - before
         # Faulted attempt: armed timeout; then backoff; then the real READ.
-        assert elapsed == pytest.approx(400.0 + 70.0 + clean_elapsed)
+        assert elapsed == pytest.approx(400.0 + 50.0 + clean_elapsed)
 
     def test_exhaustion_raises_typed_error_with_history(self, wired):
         inner, rkey, addr = wired
         transport = stack(
             inner,
             FaultPlan(fault_rate=1.0, kinds=(FaultKind.TIMEOUT,)),
-            RetryPolicy(max_retries=2))
+            max_retries=2)
         with pytest.raises(RetryExhaustedError) as exc:
             transport.read(rkey, addr, len(PAYLOAD))
         assert isinstance(exc.value, TransportError)
@@ -125,7 +117,7 @@ class TestRetriedReads:
         inner, rkey, addr = wired
         transport = stack(
             inner, FaultPlan(schedule={0: FaultKind.CORRUPT_EXTENT}),
-            RetryPolicy(max_retries=0))
+            max_retries=0)
         with pytest.raises(RetryExhaustedError):
             transport.read(rkey, addr, len(PAYLOAD))
         assert transport.stats.retries == 0
@@ -143,7 +135,7 @@ class TestRetriedReads:
         inner, rkey, addr = wired
         transport = stack(
             inner, FaultPlan(fault_rate=1.0, kinds=(FaultKind.TIMEOUT,)),
-            RetryPolicy(max_retries=1))
+            max_retries=1)
         pending = transport.read_batch_async(
             [ReadDescriptor(rkey, addr, len(PAYLOAD))])
         with pytest.raises(RetryExhaustedError) as exc:

@@ -24,7 +24,6 @@ from repro.transport import (
     FaultInjectingTransport,
     FaultKind,
     FaultPlan,
-    RetryPolicy,
     RetryingTransport,
     connect,
 )
@@ -41,7 +40,7 @@ def wired_stack(schedule: dict[int, FaultKind]):
         FaultInjectingTransport(
             connect(node, clock, CostModel(), RdmaStats()),
             FaultPlan(schedule=dict(schedule)), timeout_us=TIMEOUT_US),
-        RetryPolicy(max_retries=3, base_backoff_us=50.0))
+        max_retries=3)
     transport.write(region.rkey, region.base_addr, PAYLOAD)
     return transport, node, region, clock
 
