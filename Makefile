@@ -1,6 +1,6 @@
 # Convenience targets for the d-HNSW reproduction.
 
-.PHONY: install test bench bench-smoke examples loc outputs clean
+.PHONY: install test bench bench-smoke examples loc knobs outputs clean
 
 install:
 	pip install -e .
@@ -26,6 +26,13 @@ examples:
 # The src/ line count ROADMAP item 5 tracks.
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
+
+# Settable values per config surface (tests/test_config_knobs.py keeps
+# each one set somewhere outside the tests).
+knobs:
+	@PYTHONPATH=src python -c "from tests.test_config_knobs import \
+	SURFACES, knob_defaults; [print(f'{cls.__name__:<18} \
+	{len(knob_defaults(cls)):>3}') for cls in SURFACES]"
 
 # The artefacts DESIGN.md step 6 asks for.
 outputs:
