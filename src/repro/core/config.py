@@ -2,7 +2,7 @@
 
 Defaults mirror the paper's evaluation setup (§4) scaled to laptop-sized
 corpora: the compute-side cache holds 10 % of all sub-HNSW clusters, each
-query probes its ``nprobe`` closest partitions, and queries arrive in large
+query probes at most ``nprobe`` close partitions, and queries arrive in large
 batches that the query-aware loader deduplicates.
 """
 
@@ -35,8 +35,10 @@ class DHnswConfig:
         from the corpus size, preserving the paper's cluster-count-to-data
         ratio at smaller scale.  Each representative defines one partition.
     nprobe:
-        Number of closest sub-HNSW clusters searched per query (the
-        paper's ``b``).
+        Most sub-HNSW clusters searched per query (the paper's ``b``,
+        which it always probes).  Routing keeps only the candidates near
+        the closest representative
+        (:data:`repro.core.meta_index.ROUTE_ALPHA`).
     ef_meta:
         Beam width for meta-HNSW routing.
     cache_fraction:
@@ -48,15 +50,6 @@ class DHnswConfig:
         Capacity costs region bytes and sets how often a group rebuilds;
         it does not tax reads — a fetch moves the live slots plus a small
         slack, not the area (``layout.group_layout.cluster_read_ranges``).
-    adaptive_nprobe:
-        Extension beyond the paper: when True, each query probes only
-        the partitions whose representative distance is within
-        ``adaptive_alpha`` x its closest representative's (capped at
-        ``nprobe``), trading a little recall on boundary queries for
-        less cluster traffic.
-    adaptive_alpha:
-        Distance-ratio threshold for adaptive routing (>= 1.0; larger
-        keeps more partitions).
     pipeline_waves:
         Extension, on by default: *execute* a double-buffered loader that
         issues wave ``i+1``'s fetch asynchronously while wave ``i`` is
@@ -121,8 +114,6 @@ class DHnswConfig:
     ef_meta: int = 32
     cache_fraction: float = 0.10
     overflow_capacity_records: int = 128
-    adaptive_nprobe: bool = False
-    adaptive_alpha: float = 1.35
     pipeline_waves: bool = True
     search_workers: int = 1
     region_headroom: float = 3.0
@@ -177,9 +168,6 @@ class DHnswConfig:
         if self.pq_subspaces < 1:
             raise ConfigError(
                 f"pq_subspaces must be >= 1, got {self.pq_subspaces}")
-        if self.adaptive_alpha < 1.0:
-            raise ConfigError(
-                f"adaptive_alpha must be >= 1.0, got {self.adaptive_alpha}")
 
     # ------------------------------------------------------------------
     def derived_num_representatives(self, corpus_size: int) -> int:

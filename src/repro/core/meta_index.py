@@ -7,7 +7,8 @@ entire dataset."
 
 Every vector in the meta-HNSW's bottom layer L0 defines one partition of
 the corpus; routing a query = searching the meta-HNSW for the ``nprobe``
-closest representatives.  The whole structure is small (the paper measures
+closest representatives and keeping those near the closest one (the paper
+probes all ``b`` of them).  The whole structure is small (the paper measures
 0.373 MB for SIFT1M) and is cached on every compute instance.
 """
 
@@ -21,7 +22,14 @@ from repro.hnsw.params import HnswParams
 from repro.hnsw.search import knn_from_candidates
 from repro.layout.serializer import serialize_cluster
 
-__all__ = ["MetaHnsw", "sample_representatives"]
+__all__ = ["MetaHnsw", "ROUTE_ALPHA", "sample_representatives"]
+
+#: A routed query keeps each of its ``nprobe`` candidate partitions whose
+#: representative distance is <= ``ROUTE_ALPHA`` x the closest one's.  The
+#: ratio applies to the kernel's *squared* L2, so it is ~1.58x in plain
+#: distance.  Read at call time: patch it to ``math.inf`` for the paper's
+#: fixed ``nprobe`` width.
+ROUTE_ALPHA = 2.5
 
 
 def sample_representatives(num_vectors: int, num_representatives: int,
@@ -109,28 +117,19 @@ class MetaHnsw:
         """Vector dimensionality."""
         return self.index.dim
 
-    def route(self, query: np.ndarray, nprobe: int,
-              ef: int) -> list[int]:
-        """Partition ids of the ``nprobe`` closest representatives.
-
-        This is greedy routing from the fixed L2 entry point down to L0,
-        exactly the paper's coarse-grained classification step.
-        """
-        if nprobe < 1:
-            raise ConfigError(f"nprobe must be >= 1, got {nprobe}")
-        nprobe = min(nprobe, self.num_partitions)
-        labels, _ = self.index.search(query, nprobe, ef=max(ef, nprobe))
-        return [int(x) for x in labels]
-
     def route_batch(self, queries: np.ndarray, nprobe: int,
                     ef: int) -> list[list[int]]:
-        """:meth:`route` for every row of ``queries``.
+        """Partition ids each row of ``queries`` probes, closest first.
 
-        Routing decisions, distance-evaluation totals, and therefore the
-        simulated meta-HNSW latency are identical to per-query
-        :meth:`route` calls; the whole batch shares one distance-table
-        computation
-        (:meth:`~repro.hnsw.index.HnswIndex.search_candidates_batch`).
+        Greedy routing from the fixed L2 entry point down to L0 finds the
+        ``nprobe`` closest representatives (the paper's ``b``); of those,
+        a row keeps the ones within :data:`ROUTE_ALPHA` of its closest
+        (always at least one), so ``nprobe`` is a cap.  A query deep
+        inside one partition fetches and searches that sub-HNSW alone;
+        one on a boundary keeps the full width.  The whole batch shares
+        one distance-table computation
+        (:meth:`~repro.hnsw.index.HnswIndex.search_candidates_batch`), and
+        decisions and evaluation counts equal per-row calls.
         """
         if nprobe < 1:
             raise ConfigError(f"nprobe must be >= 1, got {nprobe}")
@@ -139,54 +138,24 @@ class MetaHnsw:
         candidate_lists = self.index.search_candidates_batch(
             queries, nprobe, ef=max(ef, nprobe))
         labels = self.index.labels
-        return [[int(labels[node])
-                 for _, node in knn_from_candidates(candidates, nprobe)]
-                for candidates in candidate_lists]
-
-    def route_with_distances(self, query: np.ndarray, nprobe: int,
-                             ef: int) -> tuple[list[int], list[float]]:
-        """Like :meth:`route`, also returning representative distances."""
-        if nprobe < 1:
-            raise ConfigError(f"nprobe must be >= 1, got {nprobe}")
-        nprobe = min(nprobe, self.num_partitions)
-        labels, dists = self.index.search(query, nprobe,
-                                          ef=max(ef, nprobe))
-        return [int(x) for x in labels], [float(d) for d in dists]
-
-    def route_adaptive(self, query: np.ndarray, max_probe: int, ef: int,
-                       alpha: float, min_probe: int = 1) -> list[int]:
-        """Distance-gap adaptive routing (an extension beyond the paper).
-
-        Probes only partitions whose representative distance is within
-        ``alpha`` times the closest representative's, between
-        ``min_probe`` and ``max_probe`` partitions.  Easy queries — deep
-        inside one cluster — then touch a single sub-HNSW, saving
-        bandwidth without hurting recall; boundary queries keep the full
-        probe width.  (In the spirit of the learned-termination work the
-        paper cites as related, reference [12].)
-        """
-        if alpha < 1.0:
-            raise ConfigError(f"alpha must be >= 1.0, got {alpha}")
-        if not 1 <= min_probe <= max_probe:
-            raise ConfigError(
-                f"need 1 <= min_probe <= max_probe, got "
-                f"{min_probe}..{max_probe}")
-        ids, dists = self.route_with_distances(query, max_probe, ef)
-        threshold = alpha * dists[0]
-        kept = [pid for pid, dist in zip(ids, dists) if dist <= threshold]
-        if len(kept) < min_probe:
-            kept = ids[:min_probe]
-        return kept
+        routed = []
+        for candidates in candidate_lists:
+            top = knn_from_candidates(candidates, nprobe)
+            nearest = top[0][0]
+            # Dividing keeps the closest, and stays defined for an
+            # infinite ratio over a zero distance.
+            routed.append([int(labels[node]) for dist, node in top
+                           if dist / ROUTE_ALPHA <= nearest])
+        return routed
 
     def classify(self, vector: np.ndarray, ef: int = 32) -> int:
         """The single partition a (new) vector belongs to."""
-        return self.route(vector, 1, ef)[0]
+        return int(self.classify_batch(vector, ef)[0])
 
     def classify_batch(self, vectors: np.ndarray,
                        ef: int = 32) -> np.ndarray:
         """Partition assignment for each row of ``vectors``."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        return np.array([self.classify(vector, ef) for vector in vectors],
+        return np.array([ids[0] for ids in self.route_batch(vectors, 1, ef)],
                         dtype=np.int64)
 
     # ------------------------------------------------------------------

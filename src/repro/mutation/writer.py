@@ -137,9 +137,8 @@ class MutationEngine:
         with span(trace, "classify"):
             host.refresh_metadata()
             host.meta.reset_compute_counter()
-            cluster_ids = [host.meta.classify(vector,
-                                              ef=host.config.ef_meta)
-                           for vector in vectors]
+            cluster_ids = host.meta.classify_batch(
+                vectors, ef=host.config.ef_meta).tolist()
             host.node.charge_compute(host.meta.reset_compute_counter(),
                                      host.meta.dim)
 

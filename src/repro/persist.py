@@ -38,11 +38,12 @@ _FORMAT_VERSION = 1
 
 
 #: Config keys older manifests carry for fields that are constants now
-#: (each only ever had one value in use) or that nothing ever read
-#: (``batch_size``), so dropping them loses nothing.
+#: (each only ever had one value in use), that nothing ever read
+#: (``batch_size``), or that chose a router (``adaptive_*``): a restored
+#: deployment routes by the one distance-gap rule whatever they said.
 _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
                         "tier_ewma_halflife_us", "tier_hysteresis",
-                        "batch_size"}
+                        "batch_size", "adaptive_nprobe", "adaptive_alpha"}
 
 
 def _legacy_params(params: HnswParams) -> dict:

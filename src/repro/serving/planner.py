@@ -30,13 +30,8 @@ class Planner:
         host = self.host
         with trace.stage("route"):
             host.meta.reset_compute_counter()
-            if host.config.adaptive_nprobe:
-                required = [host.meta.route_adaptive(
-                    query, host.config.nprobe, host.config.ef_meta,
-                    host.config.adaptive_alpha) for query in queries]
-            else:
-                required = host.meta.route_batch(
-                    queries, host.config.nprobe, host.config.ef_meta)
+            required = host.meta.route_batch(
+                queries, host.config.nprobe, host.config.ef_meta)
             meta_evals = host.meta.reset_compute_counter()
             breakdown.meta_hnsw_us += host.node.charge_compute(
                 meta_evals, host.meta.dim)

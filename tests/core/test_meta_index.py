@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import meta_index
 from repro.core.meta_index import MetaHnsw, sample_representatives
 from repro.errors import ConfigError
 from repro.hnsw.distance import pairwise_l2
@@ -58,18 +61,24 @@ class TestStructure:
     def test_single_representative_allowed(self):
         single = MetaHnsw(np.zeros((1, 4), dtype=np.float32), META_PARAMS)
         assert single.num_partitions == 1
-        assert single.route(np.ones(4), 1, 4) == [0]
+        assert single.route_batch(np.ones(4), 1, 4) == [[0]]
+
+
+@pytest.fixture()
+def fixed_width(monkeypatch):
+    """The paper's router: every one of the ``nprobe`` closest."""
+    monkeypatch.setattr(meta_index, "ROUTE_ALPHA", math.inf)
 
 
 class TestRouting:
-    def test_route_returns_nprobe_partitions(self, meta):
+    def test_route_returns_nprobe_partitions(self, meta, fixed_width):
         query = np.full(16, 0.5, dtype=np.float32)
-        routed = meta.route(query, 5, ef=16)
+        [routed] = meta.route_batch(query, 5, ef=16)
         assert len(routed) == 5
         assert len(set(routed)) == 5
 
-    def test_route_clips_to_partition_count(self, meta):
-        routed = meta.route(np.zeros(16), 1000, ef=128)
+    def test_route_clips_to_partition_count(self, meta, fixed_width):
+        [routed] = meta.route_batch(np.zeros(16), 1000, ef=128)
         assert len(routed) == 100
 
     def test_routing_approximates_exact_nearest(self, meta,
@@ -77,24 +86,30 @@ class TestRouting:
         queries = np.random.default_rng(5).uniform(
             0, 1, size=(30, 16)).astype(np.float32)
         exact = np.argmin(pairwise_l2(queries, representatives), axis=1)
-        agree = sum(meta.route(query, 1, ef=32)[0] == exact[row]
-                    for row, query in enumerate(queries))
+        routed = meta.route_batch(queries, 1, ef=32)
+        agree = sum(ids[0] == exact[row] for row, ids in enumerate(routed))
         assert agree >= 27  # >= 90 % top-1 agreement
 
     def test_classify_matches_route_top1(self, meta):
         query = np.random.default_rng(6).uniform(0, 1, 16).astype(np.float32)
-        assert meta.classify(query, ef=32) == meta.route(query, 1, 32)[0]
+        assert (meta.classify(query, ef=32)
+                == meta.route_batch(query, 1, 32)[0][0])
 
     def test_classify_batch(self, meta):
+        """One routing call for the batch: same partitions and the same
+        distance evaluations as classifying row by row."""
         queries = np.random.default_rng(7).uniform(
             0, 1, size=(5, 16)).astype(np.float32)
+        meta.reset_compute_counter()
         batch = meta.classify_batch(queries, ef=32)
+        batch_evals = meta.reset_compute_counter()
         singles = [meta.classify(query, ef=32) for query in queries]
+        assert meta.reset_compute_counter() == batch_evals > 0
         np.testing.assert_array_equal(batch, singles)
 
     def test_invalid_nprobe(self, meta):
         with pytest.raises(ConfigError):
-            meta.route(np.zeros(16), 0, 8)
+            meta.route_batch(np.zeros(16), 0, 8)
 
 
 class TestFootprint:
@@ -106,7 +121,7 @@ class TestFootprint:
 
     def test_compute_counter_roundtrip(self, meta):
         meta.reset_compute_counter()
-        meta.route(np.zeros(16), 3, 16)
+        meta.route_batch(np.zeros(16), 3, 16)
         assert meta.compute_count > 0
         meta.reset_compute_counter()
         assert meta.compute_count == 0

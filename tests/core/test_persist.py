@@ -144,6 +144,17 @@ class TestErrors:
         _, _, config = load_deployment(path)
         assert config == small_config.replace(cold_tier="pq")
 
+    @pytest.mark.parametrize("adaptive_nprobe", [False, True])
+    def test_manifest_naming_a_router_loads(self, saved, small_config,
+                                            adaptive_nprobe):
+        """Manifests from when a switch picked the router carry both keys;
+        whichever router they name, the deployment routes by the one rule."""
+        path, _ = saved
+        self.rewrite_config(path, adaptive_nprobe=adaptive_nprobe,
+                            adaptive_alpha=1.35)
+        _, _, config = load_deployment(path)
+        assert config == small_config
+
     def test_older_vamana_manifest_is_a_config_error(self, saved):
         path, _ = saved
         self.rewrite_config(path, cold_tier="vamana", **self.RETIRED)
