@@ -1,27 +1,23 @@
 """Wall-clock microbenchmark of the parallel index-construction pipeline.
 
-Measures how fast the offline §3.1–§3.2 build pipeline runs after the
+Measures how fast the offline §3.1–§3.2 build pipeline runs: the
 vectorized construction loops, the zero-copy cluster serializer and the
-process-pool cluster builds — against a *seed-equivalent* baseline that
-flips every optimization off (reference insert loops, struct-packing
-serializer, in-process builds).  Three sections:
+process-pool cluster builds.  Three sections:
 
 * ``insert_construction`` — single sub-HNSW insert throughput: occlusion
-  columns read from the batch's pair table, einsum occlusion columns
-  (row-by-row inserts) and the reference loops;
-* ``serialization``       — cluster blob MB/s, zero-copy buffer views vs
-  the reference struct packer;
+  columns read from the batch's pair table vs einsum occlusion columns
+  (row-by-row inserts);
+* ``serialization``       — cluster blob MB/s through the zero-copy
+  buffer views;
 * ``end_to_end_build``    — full ``Deployment`` construction over the
-  acceptance scenario (20k vectors, 100 clusters): seed-equivalent
-  baseline, new sequential (``build_workers=0``) and process-pool
-  (``build_workers=4``) builds.
+  acceptance scenario (20k vectors, 100 clusters): sequential
+  (``build_workers=0``) and process-pool (``build_workers=4``) builds.
 
-Every section asserts the equivalence contract: the three construction
-paths serialize byte-identical blobs with equal evaluation counts, the
-zero-copy serializer produces byte-identical blobs, and all three
-end-to-end builds leave *byte-identical remote regions* (SHA-256 over the
-whole layout).
-Any drift exits non-zero, so CI runs double as a regression gate.
+The construction and build sections assert the equivalence contract:
+the two construction paths serialize byte-identical blobs with equal
+evaluation counts, and both end-to-end builds leave *byte-identical
+remote regions* (SHA-256 over the whole layout).  Any drift exits
+non-zero, so CI runs double as a regression gate.
 
 Usage::
 
@@ -42,14 +38,12 @@ import time
 
 import numpy as np
 
-import repro.core.engine as engine_module
 import repro.hnsw.build as build_module
 from repro.cluster import Deployment
 from repro.core import DHnswConfig
 from repro.datasets import sift_like
 from repro.hnsw import HnswIndex, HnswParams
-from repro.layout.serializer import (serialize_cluster,
-                                     serialize_cluster_reference)
+from repro.layout.serializer import serialize_cluster
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_build.json"
 
@@ -87,8 +81,8 @@ def region_digest(deployment: Deployment) -> str:
 
 
 def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
-    """Sub-HNSW construction throughput: the batch's pair table, einsum
-    occlusion columns (row-by-row ``add_one``) and the reference loops."""
+    """Sub-HNSW construction throughput: the batch's pair table vs einsum
+    occlusion columns (row-by-row ``add_one``)."""
     params = HnswParams(m=16, ef_construction=100, seed=42)
 
     def batch():
@@ -104,18 +98,13 @@ def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
 
     table_time, table_index = best_of(reps, batch)
     einsum_time, einsum_index = best_of(reps, row_by_row)
-    build_module.VECTORIZED_CONSTRUCTION = False
-    try:
-        ref_time, ref_index = best_of(max(1, reps - 2), batch)
-    finally:
-        build_module.VECTORIZED_CONSTRUCTION = True
 
-    table, einsum, reference = (
+    table, einsum = (
         (serialize_cluster(index, 0), index.kernel.num_evaluations)
-        for index in (table_index, einsum_index, ref_index))
-    check(table[0] == einsum[0] == reference[0],
+        for index in (table_index, einsum_index))
+    check(table[0] == einsum[0],
           "construction paths serialized different graphs")
-    check(table[1] == einsum[1] == reference[1],
+    check(table[1] == einsum[1],
           "construction paths counted different evaluations")
     nodes = vectors.shape[0]
     return {
@@ -124,43 +113,28 @@ def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
         "pair_table_bytes": 4 * min(nodes,
                                     build_module.TABLE_NODES_MAX) ** 2,
         "distance_evaluations": table[1],
-        "reference_inserts_per_s": round(nodes / ref_time, 1),
         "einsum_column_inserts_per_s": round(nodes / einsum_time, 1),
         "pair_table_inserts_per_s": round(nodes / table_time, 1),
-        "speedup": round(ref_time / table_time, 2),
         "speedup_vs_einsum_columns": round(einsum_time / table_time, 2),
         "blobs_and_counts_identical": True,
     }
 
 
 def bench_serialization(vectors: np.ndarray, reps: int) -> dict:
-    """Cluster blob serialization MB/s, zero-copy vs struct packer."""
+    """Cluster blob serialization MB/s through the zero-copy writer."""
     index = HnswIndex(vectors.shape[1],
                       HnswParams(m=16, ef_construction=100, seed=42))
     index.add(vectors)
 
-    new_time, new_blob = best_of(reps * 3,
-                                 lambda: serialize_cluster(index, 0))
-    ref_time, ref_blob = best_of(reps * 3,
-                                 lambda: serialize_cluster_reference(index, 0))
-    check(new_blob == ref_blob, "zero-copy serializer changed the bytes")
-    nbytes = len(new_blob)
+    seconds, blob = best_of(reps * 3, lambda: serialize_cluster(index, 0))
     return {
-        "blob_bytes": nbytes,
-        "reference_mb_per_s": round(nbytes / ref_time / 1e6, 1),
-        "zero_copy_mb_per_s": round(nbytes / new_time / 1e6, 1),
-        "speedup": round(ref_time / new_time, 2),
+        "blob_bytes": len(blob),
+        "zero_copy_mb_per_s": round(len(blob) / seconds / 1e6, 1),
     }
 
 
 def bench_end_to_end(dataset, config: DHnswConfig, workers: int) -> dict:
-    """Three full builds: seed-equivalent baseline, sequential, parallel.
-
-    The baseline flips the construction loops back to the reference
-    implementation and the serializer back to the struct packer — the
-    seed's sequential build, minus its blobs-all-in-memory planning
-    (streamed here too, which only flatters the baseline).
-    """
+    """Two full builds: sequential and on a process pool."""
 
     def build(build_workers: int) -> tuple[float, Deployment]:
         start = time.perf_counter()
@@ -169,31 +143,20 @@ def bench_end_to_end(dataset, config: DHnswConfig, workers: int) -> dict:
             simulate_link_contention=False)
         return time.perf_counter() - start, deployment
 
-    build_module.VECTORIZED_CONSTRUCTION = False
-    engine_module.serialize_cluster = serialize_cluster_reference
-    try:
-        baseline_seconds, baseline = build(0)
-    finally:
-        build_module.VECTORIZED_CONSTRUCTION = True
-        engine_module.serialize_cluster = serialize_cluster
     sequential_seconds, sequential = build(0)
     parallel_seconds, parallel = build(workers)
 
     digests = {name: region_digest(deployment) for name, deployment in
-               [("baseline", baseline), ("sequential", sequential),
-                ("parallel", parallel)]}
+               [("sequential", sequential), ("parallel", parallel)]}
     check(len(set(digests.values())) == 1,
           f"remote layouts diverged across build modes: {digests}")
-    speedup = baseline_seconds / parallel_seconds
     return {
         "num_vectors": int(dataset.vectors.shape[0]),
         "dim": int(dataset.vectors.shape[1]),
         "build_workers": workers,
-        "baseline_seconds": round(baseline_seconds, 2),
         "sequential_seconds": round(sequential_seconds, 2),
         "parallel_seconds": round(parallel_seconds, 2),
-        "speedup_vs_baseline": round(speedup, 2),
-        "meets_3x_target": speedup >= 3.0,
+        "parallel_speedup": round(sequential_seconds / parallel_seconds, 2),
         "region_sha256": digests["parallel"],
         "layouts_byte_identical": True,
     }
@@ -217,7 +180,7 @@ def main() -> None:
     micro_vectors = dataset.vectors[:scale["insert_nodes"]]
 
     report = {
-        "benchmark": "parallel index construction vs seed sequential build",
+        "benchmark": "index construction: sequential vs process-pool build",
         "mode": mode,
         "platform": {
             "python": platform.python_version(),

@@ -53,7 +53,7 @@ from repro.frontdoor import (
     LoadReport,
     TenantPolicy,
 )
-from repro.hnsw import DistanceKernel, HnswIndex, HnswParams, Metric
+from repro.hnsw import DistanceKernel, HnswIndex, HnswParams
 from repro.metrics import LatencyBreakdown, recall_at_k
 from repro.persist import load_deployment, save_deployment
 from repro.rdma import CostModel, MemoryNode, SimClock
@@ -81,7 +81,6 @@ __all__ = [
     "LoadReport",
     "MemoryNode",
     "MetaHnsw",
-    "Metric",
     "QueryResult",
     "RemoteLayout",
     "Scheme",

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.baselines.kmeans import kmeans
 from repro.errors import ConfigError, EmptyIndexError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 
 __all__ = ["IvfFlatIndex"]
 
@@ -27,16 +27,14 @@ __all__ = ["IvfFlatIndex"]
 class IvfFlatIndex:
     """Inverted-file index with exhaustive in-list scans."""
 
-    def __init__(self, dim: int, num_lists: int,
-                 metric: "str | Metric" = Metric.L2,
-                 seed: int = 0) -> None:
+    def __init__(self, dim: int, num_lists: int, seed: int = 0) -> None:
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         if num_lists < 1:
             raise ConfigError(f"num_lists must be >= 1, got {num_lists}")
         self.dim = dim
         self.num_lists = num_lists
-        self.kernel = DistanceKernel(dim, metric)
+        self.kernel = DistanceKernel(dim)
         self.seed = seed
         self._centroids: np.ndarray | None = None
         self._list_vectors: list[np.ndarray] = []
@@ -67,7 +65,7 @@ class IvfFlatIndex:
                     f"{vectors.shape[0]} vectors but {len(labels)} labels")
         rng = np.random.default_rng(self.seed)
         lists = min(self.num_lists, vectors.shape[0])
-        result = kmeans(vectors, lists, rng, metric=self.kernel.metric)
+        result = kmeans(vectors, lists, rng)
         self._centroids = result.centroids
         self._list_vectors = []
         self._list_labels = []

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError, EmptyIndexError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 
 __all__ = ["KdTreeIndex"]
 
@@ -51,7 +51,7 @@ class KdTreeIndex:
             raise ConfigError(f"leaf_size must be >= 1, got {leaf_size}")
         self.dim = dim
         self.leaf_size = leaf_size
-        self.kernel = DistanceKernel(dim, Metric.L2)
+        self.kernel = DistanceKernel(dim)
         self._vectors = np.empty((0, dim), dtype=np.float32)
         self._labels: list[int] = []
         self._nodes: list[_Node] = []

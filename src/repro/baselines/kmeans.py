@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 
 __all__ = ["KMeansResult", "kmeans", "kmeans_plus_plus_init"]
 
@@ -54,8 +54,8 @@ def kmeans_plus_plus_init(vectors: np.ndarray, k: int,
 
 
 def kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator,
-           max_iterations: int = 25, tolerance: float = 1e-4,
-           metric: "str | Metric" = Metric.L2) -> KMeansResult:
+           max_iterations: int = 25,
+           tolerance: float = 1e-4) -> KMeansResult:
     """Cluster ``vectors`` into ``k`` groups with Lloyd's algorithm.
 
     Empty clusters are reseeded from the point farthest from its
@@ -72,7 +72,7 @@ def kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator,
         raise ConfigError(
             f"max_iterations must be >= 1, got {max_iterations}")
 
-    kernel = DistanceKernel(vectors.shape[1], metric)
+    kernel = DistanceKernel(vectors.shape[1])
     centroids = kmeans_plus_plus_init(vectors, k, rng, kernel)
     assignments = np.zeros(vectors.shape[0], dtype=np.int64)
     previous_inertia = np.inf

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError, EmptyIndexError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 
 __all__ = ["LshIndex"]
 
@@ -47,7 +47,7 @@ class LshIndex:
             dict() for _ in range(num_tables)]
         self._vectors: list[np.ndarray] = []
         self._labels: list[int] = []
-        self.kernel = DistanceKernel(dim, Metric.L2)
+        self.kernel = DistanceKernel(dim)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

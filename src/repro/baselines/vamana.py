@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError, EmptyIndexError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.search import knn_from_candidates, search_layer
 
@@ -45,7 +45,7 @@ class VamanaIndex:
         self.alpha = alpha
         self.ef_construction = ef_construction
         self.seed = seed
-        self.kernel = DistanceKernel(dim, Metric.L2)
+        self.kernel = DistanceKernel(dim)
         self.graph = LayeredGraph(dim)
         self.labels: list[int] = []
         self._medoid: int | None = None

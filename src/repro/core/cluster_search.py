@@ -21,7 +21,6 @@ import dataclasses
 import numpy as np
 
 from repro.core.cache import CachedCluster
-from repro.hnsw.distance import Metric
 from repro.layout.serializer import replay_overflow
 
 __all__ = ["ClusterSearchResult", "search_cluster_entry"]
@@ -71,16 +70,11 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
         matrix = np.stack([record.vector for record in live])
         live_gids = np.array([record.global_id for record in live],
                              dtype=np.int64)
-        if kernel.metric is Metric.L2:
-            # One table for the block; its rows are bit-identical to a
-            # per-query ``kernel.many`` (row-independent einsum), so only
-            # the count is left to credit.
-            overflow_dists = kernel.l2_table(queries, matrix)
-            kernel.num_evaluations += num_queries * len(live)
-        else:
-            overflow_dists = np.stack([kernel.many(query, matrix)
-                                       for query in queries])
-        overflow_dists = overflow_dists.astype(np.float64)
+        # One table for the block; its rows are bit-identical to a
+        # per-query ``kernel.many`` (row-independent einsum), so only the
+        # count is left to credit.
+        overflow_dists = kernel.l2_table(queries, matrix).astype(np.float64)
+        kernel.num_evaluations += num_queries * len(live)
 
     out_gids: list[np.ndarray] = []
     out_dists: list[np.ndarray] = []

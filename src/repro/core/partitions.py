@@ -52,7 +52,7 @@ def assign_partitions(vectors: np.ndarray, meta: MetaHnsw,
                       chunk_size: int = 1024) -> Partitioning:
     """Assign every corpus vector to its exact nearest representative."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-    kernel = DistanceKernel(meta.dim, meta.params.metric)
+    kernel = DistanceKernel(meta.dim)
     representatives = meta.index.graph.vectors
     assignments = np.empty(vectors.shape[0], dtype=np.int64)
     for start in range(0, vectors.shape[0], chunk_size):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 
 __all__ = ["exact_knn"]
 
 
 def exact_knn(corpus: np.ndarray, queries: np.ndarray, k: int,
-              metric: "str | Metric" = Metric.L2,
               chunk_size: int = 256,
               corpus_block: int = 131_072) -> np.ndarray:
     """Exact top-``k`` corpus indices for each query row.
@@ -40,7 +39,7 @@ def exact_knn(corpus: np.ndarray, queries: np.ndarray, k: int,
     if corpus_block < 1:
         raise ValueError(f"corpus_block must be >= 1, got {corpus_block}")
     k = min(k, corpus.shape[0])
-    kernel = DistanceKernel(corpus.shape[1], metric)
+    kernel = DistanceKernel(corpus.shape[1])
     out = np.empty((queries.shape[0], k), dtype=np.int64)
     for start in range(0, queries.shape[0], chunk_size):
         block = queries[start:start + chunk_size]

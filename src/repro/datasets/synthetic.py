@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.loaders import read_fvecs, read_ivecs
-from repro.hnsw.distance import Metric
 
 __all__ = ["Dataset", "make_clustered", "sift_like", "gist_like",
            "sift1m_like"]
@@ -34,7 +33,6 @@ class Dataset:
     vectors: np.ndarray
     queries: np.ndarray
     ground_truth: np.ndarray
-    metric: Metric = Metric.L2
 
     @property
     def num_vectors(self) -> int:

@@ -4,11 +4,11 @@ Public surface:
 
 * :class:`~repro.hnsw.index.HnswIndex` — a complete standalone HNSW index.
 * :class:`~repro.hnsw.params.HnswParams` — construction parameters.
-* :class:`~repro.hnsw.distance.DistanceKernel` / :class:`Metric` — counted
+* :class:`~repro.hnsw.distance.DistanceKernel` — counted squared-L2
   distance kernels.
 """
 
-from repro.hnsw.distance import DistanceKernel, Metric, pairwise_l2
+from repro.hnsw.distance import DistanceKernel, pairwise_l2
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.io import load_index, save_index
@@ -19,7 +19,6 @@ __all__ = [
     "HnswIndex",
     "HnswParams",
     "LayeredGraph",
-    "Metric",
     "load_index",
     "pairwise_l2",
     "save_index",

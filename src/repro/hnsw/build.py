@@ -12,31 +12,28 @@ selector: the lists that named a removed node are re-chosen from what is
 left around the hole, everything else stays where it was, so a delete
 costs what it removes rather than a rebuild of the graph.
 
-Two implementations of the hot loops coexist:
+The hot loops are restructured around whole-array NumPy calls: inserts
+run on a precomputed distance table (:func:`search_layer_table`), and
+the selector ORs one column of candidate-vs-selected distances per
+*accepted* neighbour into an occlusion mask instead of one
+``kernel.many`` call per examined candidate.
 
-* the **reference** path — the straightforward per-candidate loops, kept
-  as the equivalence oracle and as the fallback for non-L2 metrics;
-* the **vectorized** path (default, ``VECTORIZED_CONSTRUCTION``) — the
-  same arithmetic restructured around whole-array NumPy calls: inserts
-  run on a precomputed distance table (:func:`search_layer_table`), and
-  the selector ORs one column of candidate-vs-selected distances per
-  *accepted* neighbour into an occlusion mask instead of one
-  ``kernel.many`` call per examined candidate.
-
-Where the column comes from is the only fork inside the vectorized path.
-A batch of inserts (:meth:`HnswIndex.add`) keeps the rows ``insert``
-computes anyway in a :class:`PairTable`, and the column is a gather from
-it — a pair's distance is evaluated once per build, not once per accepted
-neighbour per insert.  Without a table (a lone ``add_one``, a graph past
+Where the column comes from is the only fork.  A batch of inserts
+(:meth:`HnswIndex.add`) keeps the rows ``insert`` computes anyway in a
+:class:`PairTable`, and the column is a gather from it — a pair's
+distance is evaluated once per build, not once per accepted neighbour
+per insert.  Without a table (a lone ``add_one``, a graph past
 ``TABLE_NODES_MAX``) the column is an einsum over the gathered candidate
 matrix.
 
-All of them produce bit-identical graphs and identical evaluation
-counts: the column ``|c - s|²`` equals the reference row ``|s - c|²``
-exactly whichever operand the subtraction started from (float negation
-is exact, and both are the same float32 last-axis einsum), candidates are
-examined in the reference's sorted ``(distance, node)`` order, and the
-counter is credited for every comparison the reference would evaluate.
+Both produce the graphs and evaluation counts of the textbook
+per-candidate loops (kept test-side as the oracle,
+``tests/hnsw/reference_build.py``): the column ``|c - s|²`` equals the
+textbook row ``|s - c|²`` exactly whichever operand the subtraction
+started from (float negation is exact, and both are the same float32
+last-axis einsum), candidates are examined in the textbook's sorted
+``(distance, node)`` order, and the counter is credited for every
+comparison the textbook loop would evaluate.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import random
 
 import numpy as np
 
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (TABLE_NODES_MAX, greedy_descent,
@@ -55,10 +52,6 @@ from repro.hnsw.search import (TABLE_NODES_MAX, greedy_descent,
 
 __all__ = ["sample_level", "select_neighbors_heuristic", "insert",
            "remove_nodes"]
-
-#: Module switch for the vectorized construction path.  Flipped off by
-#: equivalence tests and benchmarks to run the reference loops instead.
-VECTORIZED_CONSTRUCTION = True
 
 
 class PairTable:
@@ -75,7 +68,7 @@ class PairTable:
     no row: evaluating one costs more than the einsum column it replaces
     unless many later selects reuse it, which appends do not.  Reads are
     uncounted like ``l2_table``; callers credit ``kernel.num_evaluations``
-    as the reference would.
+    as the textbook loop would.
 
     Owned by the batch (:meth:`HnswIndex.add`), never by the index: at
     most ``TABLE_NODES_MAX² × 4 B`` = 16 MiB, gone when the batch returns.
@@ -89,14 +82,10 @@ class PairTable:
                               dtype=np.float32)
 
     @classmethod
-    def for_batch(cls, graph: LayeredGraph, kernel: DistanceKernel,
+    def for_batch(cls, graph: LayeredGraph,
                   batch: int) -> "PairTable | None":
         """A table for ``batch`` inserts into ``graph``, capped at
-        ``TABLE_NODES_MAX`` nodes; None where :func:`insert` runs without
-        distance tables (non-L2 metrics, the reference loops, a graph
-        already at the cap)."""
-        if not VECTORIZED_CONSTRUCTION or kernel.metric is not Metric.L2:
-            return None
+        ``TABLE_NODES_MAX`` nodes; None for a graph already at the cap."""
         capacity = min(len(graph) + batch, TABLE_NODES_MAX)
         if capacity <= len(graph):
             return None
@@ -147,58 +136,31 @@ def select_neighbors_heuristic(
         return []
     if not candidates:
         return []
-    if VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2:
-        return _select_vectorized(graph, kernel, candidates, m, pairs)
-    return _select_reference(graph, kernel, candidates, m)
-
-
-def _select_reference(
-        graph: LayeredGraph, kernel: DistanceKernel,
-        candidates: list[tuple[float, int]], m: int) -> list[int]:
-    """Per-candidate loop implementation — the equivalence oracle."""
-    ordered = sorted(candidates)
-    selected: list[int] = []
-    pruned: list[tuple[float, int]] = []
-    for dist, node in ordered:
-        if len(selected) >= m:
-            break
-        closer_to_selected = False
-        if selected:
-            to_selected = kernel.many(
-                graph.vector(node), graph.vectors[selected])
-            closer_to_selected = bool(np.any(to_selected < dist))
-        if closer_to_selected:
-            pruned.append((dist, node))
-        else:
-            selected.append(node)
-    for _, node in pruned:
-        if len(selected) >= m:
-            break
-        selected.append(node)
-    return selected
+    return _select_vectorized(graph, kernel, candidates, m, pairs)
 
 
 def _select_vectorized(
         graph: LayeredGraph, kernel: DistanceKernel,
         candidates: list[tuple[float, int]], m: int,
         pairs: PairTable | None) -> list[int]:
-    """Batched Algorithm 4 — bit-identical to :func:`_select_reference`.
+    """Batched Algorithm 4 — bit-identical to the per-candidate loop.
 
     Each *accepted* neighbour contributes one column of distances to
     every candidate — a gather from ``pairs`` when the build keeps a
     table, else an einsum over the gathered candidate matrix — OR-ed into
     an occlusion mask.  The mask answers "closer to any already-selected
-    neighbour?", the reference's per-candidate ``kernel.many`` row, for
-    every candidate at once, so the loop steps from accepted neighbour to
-    accepted neighbour instead of examining candidates one by one.
+    neighbour?", the textbook loop's per-candidate ``kernel.many`` row,
+    for every candidate at once, so the loop steps from accepted
+    neighbour to accepted neighbour instead of examining candidates one
+    by one.
     """
-    # Ascending unique ``(distance, node)`` tuples: the reference's
-    # examination order.  Everything below works in that order.
+    # Ascending unique ``(distance, node)`` tuples: the textbook
+    # loop's examination order.  Everything below works in that order.
     entries = sorted(candidates)
     nodes = [node for _, node in entries]
     node_index = np.array(nodes, dtype=np.intp)
     cand_vectors = None
-    # float64 so the mask comparisons upcast exactly like the reference's
+    # float64 so the mask comparisons upcast exactly like the textbook's
     # ``float32 row < Python float`` comparisons do.
     cand_dists = np.array([dist for dist, _ in entries], dtype=np.float64)
     occluded = np.zeros(len(entries), dtype=bool)
@@ -209,8 +171,8 @@ def _select_vectorized(
     while cursor < len(nodes) and len(selected) < m:
         # Jump to the next candidate no selected neighbour occludes (the
         # first False; argmin lands on ``cursor`` itself when none is
-        # left).  The reference evaluates every candidate it passes, and
-        # the one it lands on, against all selected neighbours; the
+        # left).  The textbook loop evaluates every candidate it passes,
+        # and the one it lands on, against all selected neighbours; the
         # columns already did the arithmetic, so only the count is
         # credited.
         free = cursor + int(occluded[cursor:].argmin())
@@ -278,14 +240,13 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
     top_level = graph.max_level
     entry_dist = kernel.one(query, graph.vector(entry))
 
-    # Small L2 graphs take the distance-table fast path: one uncounted
+    # Small graphs take the distance-table fast path: one uncounted
     # einsum evaluates the query against every existing node up front
     # (the new node is added after, so it never appears as its own
     # neighbour), and the traversal credits evaluations as it visits.
     table: list[float] | None = None
     row: np.ndarray | None = None
-    if (VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2
-            and len(graph) <= TABLE_NODES_MAX):
+    if len(graph) <= TABLE_NODES_MAX:
         row = kernel.l2_table(query, graph.vectors)
         table = row.tolist()
 

@@ -6,48 +6,18 @@ The simulator charges compute time per distance evaluation (see
 basis of the meta-HNSW / sub-HNSW compute breakdown in Tables 1 and 2 of the
 paper.
 
-All kernels return values where *smaller is closer*, so inner product and
-cosine similarity are negated.  L2 is the squared Euclidean distance (the
-square root is monotone and therefore irrelevant for ranking).
+Every kernel is squared Euclidean distance (the square root is monotone
+and therefore irrelevant for ranking): the paper evaluates SIFT1M and
+GIST1M, both L2 benchmarks, so L2 is the library's only distance.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
 from repro.errors import DimensionMismatchError
 
-__all__ = ["Metric", "DistanceKernel", "pairwise_l2"]
-
-
-class Metric(enum.Enum):
-    """Supported dissimilarity measures (smaller means closer)."""
-
-    L2 = "l2"
-    INNER_PRODUCT = "ip"
-    COSINE = "cosine"
-
-    @classmethod
-    def from_name(cls, name: "str | Metric") -> "Metric":
-        """Resolve a metric from its enum value or common aliases."""
-        if isinstance(name, Metric):
-            return name
-        normalized = name.strip().lower()
-        aliases = {
-            "l2": cls.L2,
-            "euclidean": cls.L2,
-            "ip": cls.INNER_PRODUCT,
-            "dot": cls.INNER_PRODUCT,
-            "inner_product": cls.INNER_PRODUCT,
-            "cosine": cls.COSINE,
-            "angular": cls.COSINE,
-        }
-        try:
-            return aliases[normalized]
-        except KeyError:
-            raise ValueError(f"unknown metric {name!r}") from None
+__all__ = ["DistanceKernel", "pairwise_l2"]
 
 
 def pairwise_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
@@ -66,35 +36,19 @@ def pairwise_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guarded_cosine_sims(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Cosine similarities with a zero-norm guard, float32 in -> float32 out.
-
-    A zero vector has no direction; its similarity to anything is defined
-    as 0 (distance 1), matching :meth:`DistanceKernel.one`.  The guard
-    substitutes the denominator exactly once — ``many`` and ``cross``
-    historically each had their own guard (and ``cross`` silently promoted
-    to float64); this is now the single shared implementation.
-    """
-    safe = np.where(denom == 0.0, np.float32(1.0), denom)
-    return np.where(denom > 0.0, dots / safe, np.float32(0.0))
-
-
 class DistanceKernel:
-    """A metric bound to a dimensionality, with an evaluation counter.
+    """Squared L2 bound to a dimensionality, with an evaluation counter.
 
     Parameters
     ----------
     dim:
         Expected vector dimensionality; every call validates against it.
-    metric:
-        A :class:`Metric` or any alias accepted by :meth:`Metric.from_name`.
     """
 
-    def __init__(self, dim: int, metric: "str | Metric" = Metric.L2) -> None:
+    def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = int(dim)
-        self.metric = Metric.from_name(metric)
         self.num_evaluations = 0
 
     def reset_counter(self) -> int:
@@ -111,18 +65,7 @@ class DistanceKernel:
 
     def one(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two single vectors."""
-        a = self._check(a)
-        b = self._check(b)
-        self.num_evaluations += 1
-        if self.metric is Metric.L2:
-            diff = a - b
-            return float(diff @ diff)
-        if self.metric is Metric.INNER_PRODUCT:
-            return float(-(a @ b))
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if denom == 0.0:
-            return 1.0
-        return float(1.0 - (a @ b) / denom)
+        return self.one_prechecked(self._check(a), self._check(b))
 
     def one_prechecked(self, a: np.ndarray, b: np.ndarray) -> float:
         """:meth:`one` minus input validation, for pre-validated arrays.
@@ -133,15 +76,8 @@ class DistanceKernel:
         once instead of twice per query.
         """
         self.num_evaluations += 1
-        if self.metric is Metric.L2:
-            diff = a - b
-            return float(diff @ diff)
-        if self.metric is Metric.INNER_PRODUCT:
-            return float(-(a @ b))
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if denom == 0.0:
-            return 1.0
-        return float(1.0 - (a @ b) / denom)
+        diff = a - b
+        return float(diff @ diff)
 
     def many(self, query: np.ndarray, corpus: np.ndarray) -> np.ndarray:
         """Distances from one query vector to every row of ``corpus``.
@@ -164,13 +100,8 @@ class DistanceKernel:
         stay bit-identical between the two entry points.
         """
         self.num_evaluations += corpus.shape[0]
-        if self.metric is Metric.L2:
-            diff = corpus - query
-            return np.einsum("ij,ij->i", diff, diff)
-        if self.metric is Metric.INNER_PRODUCT:
-            return -(corpus @ query)
-        denom = np.linalg.norm(corpus, axis=1) * float(np.linalg.norm(query))
-        return 1.0 - _guarded_cosine_sims(corpus @ query, denom)
+        diff = corpus - query
+        return np.einsum("ij,ij->i", diff, diff)
 
     #: Ceiling on the ``(chunk, nodes, dim)`` float32 broadcast temporary
     #: of a batched :meth:`l2_table` call, in scalar elements (~16 MB).
@@ -185,20 +116,15 @@ class DistanceKernel:
         for the rows the traversal actually visits, so this method does
         not touch the counter — every other kernel entry point counts.
 
-        The arithmetic is row-for-row :meth:`many`'s L2 branch (subtract,
-        then a last-axis einsum reduction, which NumPy computes per row
+        The arithmetic is row-for-row :meth:`many`'s (subtract, then a
+        last-axis einsum reduction, which NumPy computes per row
         independent of the corpus shape), so any row subset of the result
-        is bit-identical to evaluating that subset directly.  L2 only:
-        the dot-product metrics run through BLAS products whose blocking
-        varies with the operand shapes.
+        is bit-identical to evaluating that subset directly.
 
         A 1-D ``queries`` yields a ``(nodes,)`` table; a 2-D batch yields
         ``(num_queries, nodes)``, computed in query chunks to bound the
         broadcast temporary.
         """
-        if self.metric is not Metric.L2:
-            raise NotImplementedError(
-                "distance tables are only bit-reproducible for L2")
         if queries.ndim == 1:
             diff = corpus - queries
             return np.einsum("ij,ij->i", diff, diff)
@@ -217,10 +143,4 @@ class DistanceKernel:
         queries = self._check(np.atleast_2d(queries))
         corpus = self._check(np.atleast_2d(corpus))
         self.num_evaluations += queries.shape[0] * corpus.shape[0]
-        if self.metric is Metric.L2:
-            return pairwise_l2(queries, corpus)
-        if self.metric is Metric.INNER_PRODUCT:
-            return -(queries @ corpus.T)
-        denom = (np.linalg.norm(queries, axis=1)[:, None]
-                 * np.linalg.norm(corpus, axis=1)[None, :])
-        return 1.0 - _guarded_cosine_sims(queries @ corpus.T, denom)
+        return pairwise_l2(queries, corpus)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError, EmptyIndexError
 from repro.hnsw.build import PairTable, insert, remove_nodes
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (TABLE_NODES_MAX, greedy_descent,
@@ -43,7 +43,7 @@ class HnswIndex:
     def __init__(self, dim: int,
                  params: HnswParams | None = None) -> None:
         self.params = params if params is not None else HnswParams()
-        self.kernel = DistanceKernel(dim, self.params.metric)
+        self.kernel = DistanceKernel(dim)
         self.graph = LayeredGraph(dim)
         self.labels: list[int] = []
         self._rng = random.Random(self.params.seed)
@@ -53,11 +53,6 @@ class HnswIndex:
     def dim(self) -> int:
         """Vector dimensionality."""
         return self.graph.dim
-
-    @property
-    def metric(self) -> Metric:
-        """Distance metric in use."""
-        return self.params.metric
 
     def __len__(self) -> int:
         return len(self.graph)
@@ -95,8 +90,7 @@ class HnswIndex:
             raise ValueError(
                 f"got {vectors.shape[0]} vectors but {len(forced_levels)} "
                 f"forced levels")
-        pairs = PairTable.for_batch(self.graph, self.kernel,
-                                    vectors.shape[0])
+        pairs = PairTable.for_batch(self.graph, vectors.shape[0])
         ids = []
         for row_index, vector in enumerate(vectors):
             if pairs is not None and len(self.graph) == pairs.capacity:
@@ -128,7 +122,7 @@ class HnswIndex:
         """Top-``k`` approximate nearest neighbours of ``query``.
 
         Returns ``(labels, distances)`` arrays, ascending by distance.
-        ``ef`` defaults to ``max(k, 2 * k)`` capped below by ``k``.
+        ``ef`` defaults to ``2k`` and is never below ``k``.
         """
         candidates = self.search_candidates(query, k, ef)
         top = knn_from_candidates(candidates, k)
@@ -153,10 +147,10 @@ class HnswIndex:
                                 ) -> list[list[tuple[float, int]]]:
         """:meth:`search_candidates` for a whole batch of queries.
 
-        Small L2 graphs (every d-HNSW sub-cluster and the meta-HNSW) are
+        Small graphs (every d-HNSW sub-cluster and the meta-HNSW) are
         searched on distance tables, the whole batch's computed by one
-        chunked einsum (:meth:`DistanceKernel.l2_table`); other metrics
-        and graphs past ``TABLE_NODES_MAX`` evaluate hop by hop.  Results
+        chunked einsum (:meth:`DistanceKernel.l2_table`); graphs past
+        ``TABLE_NODES_MAX`` evaluate hop by hop.  Results
         and evaluation counts do not depend on which (see
         :mod:`repro.hnsw.search`) nor on how queries are batched.
         """
@@ -175,7 +169,7 @@ class HnswIndex:
         top_level = graph.max_level
         # ``probes``: what each query's walk reads distances from — its
         # table (Python floats, converted one row at a time) or itself.
-        if kernel.metric is Metric.L2 and len(graph) <= TABLE_NODES_MAX:
+        if len(graph) <= TABLE_NODES_MAX:
             descend, beam = greedy_descent_table, search_layer_table
             probes = map(np.ndarray.tolist,
                          kernel.l2_table(queries, graph.vectors))

@@ -15,7 +15,6 @@ import dataclasses
 import math
 
 from repro.errors import ConfigError
-from repro.hnsw.distance import Metric
 
 __all__ = ["HnswParams"]
 
@@ -32,7 +31,6 @@ class HnswParams:
 
     m: int = 16
     ef_construction: int = 200
-    metric: Metric = Metric.L2
     max_level: int | None = None
     seed: int = 0
 

@@ -8,8 +8,7 @@ and the decoder fills is the structure that is searched:
   the closest neighbour until no improvement (``ef = 1``).
 * :func:`search_layer` — the beam search (Algorithm 2): maintain ``ef``
   best candidates, expand the closest unexpanded one, one vectorized
-  distance call per hop over the unvisited neighbours.  Any metric, any
-  graph size.
+  distance call per hop over the unvisited neighbours.  Any graph size.
 * :func:`greedy_descent_table` / :func:`search_layer_table` — the same
   walks off a precomputed distance table (:meth:`DistanceKernel.l2_table`):
   one *uncounted* einsum evaluates the query against the whole graph up
@@ -29,9 +28,7 @@ exactly the evaluations the textbook loop performs, so counters — and
 every simulated latency derived from them — do not depend on the form.
 Bitwise safety of the table: NumPy's last-axis einsum reduction is
 row-independent, so a full-graph table row equals the per-hop row-subset
-evaluation bit for bit.  The dot-product metrics go through BLAS products
-whose result is not guaranteed stable across operand shapes, so they
-always take the per-hop form with the textbook call shapes.
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from repro.hnsw.graph import LayeredGraph
 __all__ = ["greedy_descent", "search_layer", "greedy_descent_table",
            "search_layer_table", "knn_from_candidates", "TABLE_NODES_MAX"]
 
-#: Largest L2 graph searched (and built) on a distance table.  A table
+#: Largest graph searched (and built) on a distance table.  A table
 #: costs one ``O(num_nodes * dim)`` einsum plus a ``tolist`` regardless of
 #: how much of the graph the beam actually visits; beyond a couple
 #: thousand nodes a beam with typical ``ef`` visits a small fraction of

@@ -31,9 +31,9 @@ The codec is zero-copy on both sides: :func:`serialize_cluster` fills one
 preallocated buffer through ``np.frombuffer`` views (no per-node
 ``struct.pack``, no ``bytes`` concatenation), and
 :func:`deserialize_cluster` reads whole sections as array views, bulk-
-loading the graph instead of re-adding nodes one at a time.  The original
-node-by-node writer survives as :func:`serialize_cluster_reference` — the
-equivalence oracle; both emit byte-identical ``DHN1`` blobs.
+loading the graph instead of re-adding nodes one at a time.  A
+node-by-node ``struct`` writer kept test-side
+(``tests/hnsw/reference_build.py``) pins the bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "pack_overflow_records",
     "unpack_overflow_records",
     "serialize_cluster",
-    "serialize_cluster_reference",
     "serialized_cluster_size",
     "deserialize_cluster",
     "peek_cluster_geometry",
@@ -212,7 +211,7 @@ def serialize_cluster(index: HnswIndex, cluster_id: int) -> bytes:
 
     Zero-copy: the exact output size is computed up front and every
     section is written through an array view over one preallocated
-    buffer.  Byte-identical to :func:`serialize_cluster_reference`.
+    buffer.
     """
     graph = index.graph
     num_nodes = len(graph)
@@ -259,29 +258,6 @@ def serialize_cluster(index: HnswIndex, cluster_id: int) -> bytes:
                                  count=num_nodes * graph.dim, offset=offset)
     vectors_view[:] = graph.vectors.reshape(-1)
     return bytes(buffer)
-
-
-def serialize_cluster_reference(index: HnswIndex, cluster_id: int) -> bytes:
-    """Node-by-node ``struct``-based writer — the codec oracle.
-
-    Kept for equivalence tests and benchmark baselines;
-    :func:`serialize_cluster` must produce exactly these bytes.
-    """
-    graph = index.graph
-    num_nodes = len(graph)
-    entry = graph.entry_point if graph.entry_point is not None else -1
-    parts = [_HEADER.pack(MAGIC, _FORMAT_VERSION, 0, cluster_id, num_nodes,
-                          graph.dim, graph.max_level, entry)]
-    parts.append(np.asarray(index.labels, dtype=np.int64).tobytes())
-    levels = np.array([graph.level_of(node) for node in range(num_nodes)],
-                      dtype=np.int32)
-    parts.append(levels.tobytes())
-    for node in range(num_nodes):
-        for layer in graph.adjacency[node]:
-            parts.append(_COUNT.pack(len(layer)))
-            parts.append(np.asarray(layer, dtype=np.uint32).tobytes())
-    parts.append(graph.vectors.astype(np.float32, copy=False).tobytes())
-    return b"".join(parts)
 
 
 def deserialize_cluster(blob: "bytes | memoryview",

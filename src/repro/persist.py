@@ -48,8 +48,8 @@ _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
 
 def _legacy_params(params: HnswParams) -> dict:
     """``params`` as older manifests spelled it, retired fields at the
-    only values they ever had."""
-    return {**dataclasses.asdict(params), "metric": params.metric.value,
+    only values they ever had (L2 is the only distance)."""
+    return {**dataclasses.asdict(params), "metric": "l2",
             "m0": None, "level_mult": None, "extend_candidates": False,
             "keep_pruned_connections": True}
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError, EmptyIndexError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 from repro.pq.codebook import PqCodebook
 
 __all__ = ["PqRerankIndex"]
@@ -30,7 +30,7 @@ class PqRerankIndex:
         if not codebook.is_trained:
             raise ConfigError("codebook must be trained first")
         self.codebook = codebook
-        self.kernel = DistanceKernel(codebook.dim, Metric.L2)
+        self.kernel = DistanceKernel(codebook.dim)
         self._codes = np.empty((0, codebook.num_subspaces), dtype=np.uint8)
         self._vectors = np.empty((0, codebook.dim), dtype=np.float32)
         self._labels: list[int] = []

@@ -35,7 +35,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import LayoutError, SerializationError
-from repro.hnsw.distance import DistanceKernel, Metric
+from repro.hnsw.distance import DistanceKernel
 from repro.layout.cold import deserialize_cold_cluster
 from repro.layout.group_layout import (cluster_read_extent,
                                        live_overflow_count,
@@ -84,7 +84,7 @@ class TieredClusterStore:
         if host.metadata.cold is None:
             raise LayoutError(
                 "tiered store requires a layout with a cold directory")
-        self.kernel = DistanceKernel(host.metadata.dim, Metric.L2)
+        self.kernel = DistanceKernel(host.metadata.dim)
         #: Clusters currently assigned to the hot tier.  A hot cluster is
         #: fetched full-precision (and cached) on its next serve — until
         #: that fetch lands it is "promoting".

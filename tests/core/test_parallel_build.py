@@ -21,7 +21,6 @@ from repro.core.partitions import assign_partitions, build_sub_hnsws
 from repro.errors import ConfigError
 import repro.hnsw.build as build_module
 from repro.hnsw.build import PairTable
-from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.index import HnswIndex
 import repro.hnsw.parallel_build as parallel_build
 from repro.hnsw.parallel_build import ClusterRebuildTask, rebuild_cluster_blob
@@ -341,8 +340,7 @@ class TestPairTableLifetime:
     def test_peak_is_the_table_and_the_table_is_bounded(self, monkeypatch):
         params = HnswParams(m=4, ef_construction=12, seed=1)
         # At the real bound the table is 16 MiB whatever the batch asks.
-        biggest = PairTable.for_batch(HnswIndex(32, params).graph,
-                                      DistanceKernel(32), 10 ** 6)
+        biggest = PairTable.for_batch(HnswIndex(32, params).graph, 10 ** 6)
         assert biggest._rows.nbytes == 16 << 20
         del biggest
         # Traced at a quarter of the bound: tracing the two million row

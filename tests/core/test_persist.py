@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import DHnswClient, Scheme, fsck
-from repro.core.config import SUB_PARAMS
+from repro.core import DHnswClient, fsck
+from repro.core.config import META_PARAMS, SUB_PARAMS
 from repro.errors import ConfigError, SerializationError
 from repro.persist import load_deployment, save_deployment
 
@@ -169,19 +169,30 @@ class TestErrors:
     def test_older_manifest_params_must_be_the_constants(self, saved,
                                                          small_config):
         """Older manifests spelled out both parameter sets: at the
-        constants' values they load, any other value is refused."""
+        constants' values they load, any other value is refused — a
+        metric other than L2 included, and the error names the key."""
         path, _ = saved
-        legacy = {"m": SUB_PARAMS.m, "m0": None,
-                  "ef_construction": SUB_PARAMS.ef_construction,
-                  "metric": "l2", "level_mult": None, "max_level": None,
-                  "seed": 0, "extend_candidates": False,
-                  "keep_pruned_connections": True}
-        self.rewrite_config(path, sub_params=legacy)
+        legacy = {
+            "sub_params": {"m": SUB_PARAMS.m, "m0": None,
+                           "ef_construction": SUB_PARAMS.ef_construction,
+                           "metric": "l2", "level_mult": None,
+                           "max_level": None, "seed": 0,
+                           "extend_candidates": False,
+                           "keep_pruned_connections": True}}
+        legacy["meta_params"] = {
+            **legacy["sub_params"], "m": META_PARAMS.m,
+            "ef_construction": META_PARAMS.ef_construction, "max_level": 2}
+        self.rewrite_config(path, **legacy)
         _, _, config = load_deployment(path)
         assert config == small_config
-        self.rewrite_config(path, sub_params={**legacy, "m": 32})
-        with pytest.raises(SerializationError, match="sub_params"):
-            load_deployment(path)
+        for key, params in legacy.items():
+            for name, value in (("m", 32), ("metric", "ip"),
+                                ("metric", "cosine")):
+                self.rewrite_config(path, **{key: {**params, name: value}})
+                with pytest.raises(SerializationError,
+                                   match=rf"{key} .*'{name}': {value!r}"):
+                    load_deployment(path)
+            self.rewrite_config(path, **legacy)
 
     def test_unknown_config_key_is_named(self, saved):
         path, _ = saved

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.ground_truth import exact_knn
-from repro.hnsw.distance import Metric, pairwise_l2
+from repro.hnsw.distance import pairwise_l2
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +77,6 @@ def test_columns_sorted_by_distance(data):
     for row in range(queries.shape[0]):
         row_dists = dists[row, result[row]]
         assert np.all(np.diff(row_dists) >= -1e-5)
-
-
-def test_inner_product_metric():
-    corpus = np.array([[1, 0], [0, 1], [2, 2]], dtype=np.float32)
-    queries = np.array([[1, 1]], dtype=np.float32)
-    result = exact_knn(corpus, queries, 1, metric=Metric.INNER_PRODUCT)
-    assert result[0, 0] == 2  # highest dot product wins
 
 
 def test_validation():

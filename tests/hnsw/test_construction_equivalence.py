@@ -2,8 +2,8 @@
 
 A batch (:meth:`HnswIndex.add`) reads the selector's occlusion columns
 from the batch's :class:`~repro.hnsw.build.PairTable`; row-by-row
-``add_one`` re-derives them with an einsum; ``VECTORIZED_CONSTRUCTION =
-False`` runs the per-candidate reference loops.  Simulated build cost is
+``add_one`` re-derives them with an einsum; the textbook per-candidate
+loops (``tests/hnsw/reference_build.py``) are the oracle both must match.  Simulated build cost is
 charged per distance evaluation and deployments are compared by SHA-256,
 so the three must agree on the serialized bytes and on the evaluation
 counter exactly — every assertion here is ``==``.
@@ -23,6 +23,7 @@ from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
 from repro.layout.serializer import deserialize_cluster, serialize_cluster
+from tests.hnsw.reference_build import use_reference_construction
 
 PATHS = ("table", "einsum", "reference")
 DIM = 10
@@ -55,12 +56,12 @@ def grow(index: HnswIndex, rows: np.ndarray, path: str,
         for row, vector in enumerate(rows):
             index.add_one(vector, forced_level=(
                 forced_levels[row] if forced_levels is not None else None))
+    elif path == "table":
+        index.add(rows, forced_levels=forced_levels)
     else:
-        build_module.VECTORIZED_CONSTRUCTION = path == "table"
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            use_reference_construction(patch)
             index.add(rows, forced_levels=forced_levels)
-        finally:
-            build_module.VECTORIZED_CONSTRUCTION = True
     index.graph.check_invariants()
     return serialize_cluster(index, 0), index.kernel.num_evaluations
 
@@ -153,7 +154,7 @@ class TestPairTable:
         kernel = DistanceKernel(DIM)
         for vector in rows[:15]:
             graph.add_node(vector, 0)
-        pairs = PairTable.for_batch(graph, kernel, 25)
+        pairs = PairTable.for_batch(graph, 25)
         assert pairs.capacity == 40
         for vector in rows[15:]:
             row = kernel.l2_table(vector, graph.vectors)
@@ -169,16 +170,14 @@ class TestPairTable:
 
     def test_not_built_without_distance_tables(self, monkeypatch):
         graph = HnswIndex(DIM, HnswParams(m=4)).graph
-        assert PairTable.for_batch(graph, DistanceKernel(DIM, "ip"),
-                                   8) is None
-        monkeypatch.setattr(build_module, "VECTORIZED_CONSTRUCTION", False)
-        assert PairTable.for_batch(graph, DistanceKernel(DIM), 8) is None
+        assert PairTable.for_batch(graph, 8).capacity == 8
+        monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 0)
+        assert PairTable.for_batch(graph, 8) is None
 
     def test_bounded_by_table_nodes_max(self, monkeypatch):
         monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 32)
         graph = HnswIndex(DIM, HnswParams(m=4)).graph
-        kernel = DistanceKernel(DIM)
-        assert PairTable.for_batch(graph, kernel, 500).capacity == 32
+        assert PairTable.for_batch(graph, 500).capacity == 32
         for vector in vectors(32, 8):
             graph.add_node(vector, 0)
-        assert PairTable.for_batch(graph, kernel, 500) is None
+        assert PairTable.for_batch(graph, 500) is None

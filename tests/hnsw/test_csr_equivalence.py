@@ -5,7 +5,7 @@ equal* distance-evaluation counts versus Algorithm 2 as written
 (``tests/hnsw/reference_search.py``) — the counters drive every simulated
 latency in ``benchmarks/results/``, so even an off-by-one would silently
 change the paper's reproduced numbers.  These tests fuzz randomized
-graphs across metrics, beam widths, and graph mutations (including
+graphs across beam widths and graph mutations (including
 disconnected nodes) on both forms of the engine — distance tables and
 hop-by-hop — and assert exact equality, never approximate closeness.
 """
@@ -25,15 +25,15 @@ from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
 from tests.hnsw import reference_search
 
-METRICS = ["l2", "ip", "cosine"]
+#: L2 is the only distance; the parameter keeps the tests' ids.
+METRICS = ["l2"]
 EF_VALUES = [1, 2, 7, 33]
 
 
-def build_index(metric: str, count: int, dim: int = 6, m: int = 4,
+def build_index(count: int, dim: int = 6, m: int = 4,
                 seed: int = 11) -> HnswIndex:
     rng = np.random.default_rng(seed)
-    index = HnswIndex(dim, HnswParams(m=m, ef_construction=24,
-                                      metric=metric, seed=seed))
+    index = HnswIndex(dim, HnswParams(m=m, ef_construction=24, seed=seed))
     index.add((rng.standard_normal((count, dim)) * 4).astype(np.float32))
     return index
 
@@ -65,7 +65,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("ef", EF_VALUES)
     def test_results_and_counts_match(self, metric, ef):
-        index = build_index(metric, count=90)
+        index = build_index(count=90)
         rng = np.random.default_rng(23)
         queries = (rng.standard_normal((12, 6)) * 4).astype(np.float32)
         expected, expected_evals = reference_run(index, queries, 3, ef)
@@ -85,7 +85,7 @@ class TestEngineEquivalence:
     def test_on_demand_engine_matches(self, metric, monkeypatch):
         """Force the per-hop form (as used above TABLE_NODES_MAX)."""
         monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 0)
-        index = build_index(metric, count=70)
+        index = build_index(count=70)
         rng = np.random.default_rng(5)
         queries = (rng.standard_normal((8, 6)) * 4).astype(np.float32)
         expected, expected_evals = reference_run(index, queries, 2, 17)
@@ -95,7 +95,7 @@ class TestEngineEquivalence:
         assert got_evals == expected_evals
 
     def test_disconnected_nodes(self):
-        index = build_index("l2", count=60)
+        index = build_index(count=60)
         disconnect(index, 13)
         disconnect(index, 47)
         rng = np.random.default_rng(3)
@@ -108,7 +108,7 @@ class TestEngineEquivalence:
             assert got_evals == expected_evals
 
     def test_single_node_graph(self):
-        index = build_index("l2", count=1)
+        index = build_index(count=1)
         query = np.ones(6, dtype=np.float32)
         expected, expected_evals = reference_run(index, query[None], 1, 4)
         got = [index.search_candidates(query, 1, 4)]
@@ -118,13 +118,12 @@ class TestEngineEquivalence:
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
     def test_fuzz_equivalence(self, data):
-        metric = data.draw(st.sampled_from(METRICS))
         count = data.draw(st.integers(min_value=1, max_value=80))
         m = data.draw(st.integers(min_value=2, max_value=8))
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 16))
         ef = data.draw(st.sampled_from(EF_VALUES))
         k = data.draw(st.integers(min_value=1, max_value=5))
-        index = build_index(metric, count=count, m=m, seed=seed)
+        index = build_index(count=count, m=m, seed=seed)
         if count > 4 and data.draw(st.booleans()):
             disconnect(index, data.draw(
                 st.integers(min_value=0, max_value=count - 1)))
@@ -163,7 +162,7 @@ class TestCsrGraphStructure:
     def test_mutation_invalidates_compilation(self):
         """Nothing is derived from the graph, so nothing goes stale: a
         node added after a search is found by the next one."""
-        index = build_index("l2", count=10)
+        index = build_index(count=10)
         far = np.full(6, 50.0, dtype=np.float32)
         assert index.search(far, 1)[0][0] != 10
         index.add_one(far)
@@ -175,7 +174,7 @@ class TestCsrGraphStructure:
         """The parent's foot-gun: editing ``index.graph`` behind a
         searched index left a stale compiled copy unless the caller
         remembered ``invalidate_compiled()``."""
-        index = build_index("l2", count=60)
+        index = build_index(count=60)
         disconnect(index, 13)
         target = index.graph.vector(13).copy()
         assert 13 not in {node for _, node
@@ -189,16 +188,11 @@ class TestCsrGraphStructure:
         assert index.search_candidates(target, 5, 60)[0] == (0.0, 13)
 
     def test_table_mode_gating(self, monkeypatch):
-        """Distance tables serve L2 graphs up to ``TABLE_NODES_MAX``
-        nodes; other metrics and larger graphs evaluate hop by hop."""
+        """Distance tables serve graphs up to ``TABLE_NODES_MAX`` nodes;
+        larger graphs evaluate hop by hop."""
         calls = engine_calls(monkeypatch)
         query = np.ones(6, dtype=np.float32)
-        for metric, expected in (("l2", "search_layer_table"),
-                                 ("cosine", "search_layer"),
-                                 ("ip", "search_layer")):
-            build_index(metric, count=10).search_candidates(query, 1, 4)
-            assert calls.pop() == expected and not calls
-        index = build_index("l2", count=10)
+        index = build_index(count=10)
         monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 10)
         index.search_candidates_batch(query[None], 1, 4)
         monkeypatch.setattr(index_module, "TABLE_NODES_MAX", 9)
@@ -208,7 +202,7 @@ class TestCsrGraphStructure:
     def test_searches_leave_no_trace_in_the_pickle(self):
         """Traversal state is neither pickled nor shipped: the bytes a
         search worker would receive do not depend on what was searched."""
-        index = build_index("l2", count=40)
+        index = build_index(count=40)
         before = pickle.dumps(index)
         evaluations = index.kernel.num_evaluations
         rng = np.random.default_rng(1)
@@ -228,7 +222,7 @@ class TestVisitedPool:
     ids: the pool is part of ``LayeredGraph`` now)."""
 
     def test_epochs_isolate_traversals(self):
-        graph = build_index("l2", count=4).graph
+        graph = build_index(count=4).graph
         tags, epoch = graph.acquire_visited()
         assert len(tags) == 4
         tags[2] = epoch
@@ -249,7 +243,7 @@ class TestVisitedPool:
         """Tags written before a ``remove`` renumbers the survivors, or
         beyond a graph that shrank, belong to retired epochs: searches of
         the shrunk and regrown graph still match the oracle."""
-        index = build_index("l2", count=60)
+        index = build_index(count=60)
         rng = np.random.default_rng(9)
         queries = (rng.standard_normal((6, 6)) * 4).astype(np.float32)
         index.search_candidates_batch(queries, 3, 33)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets.ground_truth import exact_knn
 from repro.errors import EmptyIndexError
-from repro.hnsw import HnswIndex, HnswParams, Metric
+from repro.hnsw import HnswIndex, HnswParams
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +82,6 @@ class TestApiContract:
         assert len(index) == 0
         index.add_one(np.zeros(3))
         assert len(index) == 1
-
-    def test_metric_exposed(self):
-        index = HnswIndex(3, HnswParams(metric=Metric.COSINE))
-        assert index.metric is Metric.COSINE
 
 
 class TestDeterminism:

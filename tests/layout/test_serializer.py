@@ -15,10 +15,10 @@ from repro.layout.serializer import (
     overflow_record_size,
     pack_overflow_record,
     serialize_cluster,
-    serialize_cluster_reference,
     serialized_cluster_size,
     unpack_overflow_records,
 )
+from tests.hnsw.reference_build import serialize_cluster_reference
 
 
 def build_index(count: int, dim: int, seed: int = 0,

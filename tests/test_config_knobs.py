@@ -100,12 +100,9 @@ def test_every_field_is_read_outside_the_config_module(cls, paths, unread):
 SURFACES = (DHnswConfig, FrontDoorConfig, TenantPolicy, HnswParams,
             DHnswClient, RetryingTransport, PqCodebook)
 
-#: Knobs allowed to stay test-only.  ``HnswParams.metric``: only tests
-#: ask for cosine or inner product (the census cannot tell — other
-#: functions take a ``metric`` keyword), but both are part of the
-#: library's inventory, and retiring them is what lets the reference
-#: selector go: its own change.
-UNSET = {"HnswParams.metric"}
+#: Knobs allowed to stay test-only.  None: ``HnswParams.metric``, the
+#: last one (only tests asked for cosine or inner product), is retired.
+UNSET: set[str] = set()
 
 
 def knob_defaults(cls) -> dict[str, object]:
@@ -186,8 +183,7 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
         "PqCodebook(8, 2)\n"
         "overrides = {'seed': 3}\n")
     assert unset_knobs([tmp_path], [HnswParams, PqCodebook]) == {
-        "HnswParams.ef_construction", "HnswParams.metric",
-        "HnswParams.max_level"}
+        "HnswParams.ef_construction", "HnswParams.max_level"}
 
 
 @pytest.mark.parametrize("cls,keyword", [
@@ -203,6 +199,7 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
     (TenantPolicy, "burst"),
     (HnswParams, "extend_candidates"),
     (HnswParams, "keep_pruned_connections"),
+    (HnswParams, "metric"),
     (PqCodebook, "bits"),
 ])
 def test_retired_keywords_are_refused(cls, keyword):
