@@ -1,10 +1,16 @@
 """Traffic skew and the cluster cache (workload-generator bench).
 
-The paper evaluates uniform query batches; production traffic is skewed
-— and skew is where a 10 % cluster cache shines, because the hot
-partitions stay resident across batches.  This bench drives the same
-deployment with uniform and zipfian streams and compares steady-state
-traffic.
+The paper evaluates uniform query batches; production traffic is skewed,
+and skew is what the cache's frequency x bytes retention is for: a
+partition most batches probe stays resident while one-shot fetches stream
+past it.  This bench drives the same deployment with uniform and zipfian
+streams and compares steady-state traffic and cache hit rate.
+
+Skew cuts network time per query, but the hit rate barely moves:
+uniform 9.09 %, zipfian rows 8.06 %, zipfian clusters 10.59 % (9.41 %
+under plain LRU).  Four batches are too few for access frequencies to
+tell the head of the distribution from its tail, so only the traffic
+claim is asserted.
 """
 
 from __future__ import annotations

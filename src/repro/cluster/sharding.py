@@ -130,6 +130,8 @@ class ShardedDeployment:
                              for batch in shard_batches),
             cache_evictions=sum(batch.cache_evictions
                                 for batch in shard_batches),
+            cache_streamed=sum(batch.cache_streamed
+                               for batch in shard_batches),
             pipeline_executed=any(batch.pipeline_executed
                                   for batch in shard_batches))
 

@@ -9,17 +9,32 @@ Entries carry the epoch of the extent they were decoded from and the
 overflow tail observed at load time so staleness is detectable after
 inserts and rebuilds.
 
+What is retained is ranked by what it would cost to fetch again, not by
+recency alone.  Under wave-by-wave loading every admission is an eviction,
+so "the most recently loaded" would mean "this batch's last wave" and a
+cluster that nearly every batch probes would be refetched every batch.  An
+entry's *value* is its demand-weighted EWMA access frequency
+(:meth:`ClusterCache.record_access`, bumped once per batch by the serving
+engine) times its ``nbytes`` — what a miss re-reads and re-decodes, both
+linear in it.  A fetched entry is admitted when the cache has room or when
+its value is at least the weakest unpinned resident's, which it then
+evicts; otherwise it is *streamed*: searched in its wave and dropped.
+Equal values fall back to LRU order, so where every entry is worth the
+same (nothing recorded, or uniform demand over equal sizes) the cache is
+the paper's LRU.
+
 The cache is thread-safe: every operation (including the byte/counter
 bookkeeping) runs under one re-entrant lock, although the serving engine
 itself reaches it from one thread only (search workers are processes and
 hold their own copies).  Accounting lives *inside* the cache: ``get``
 counts hits and misses, ``put`` counts the miss that caused the fetch (an
-insert of an absent key) and any evictions — callers never poke the
-counters.  So does giving bytes back: every way an entry leaves (evicted,
-spilled, replaced, invalidated) goes through one ``_drop``, which hands
-the entry's ``nbytes`` to the ``release`` callable the owner supplied (the
-client's DRAM ledger) — whoever admits an entry reserves for it, nobody
-but the cache releases.
+insert of an absent key), any evictions and any streamed entry — callers
+never poke the counters.  So does giving bytes back: every way an entry
+leaves (evicted, spilled, replaced, invalidated) goes through one
+``_drop``, which hands the entry's ``nbytes`` to the ``release`` callable
+the owner supplied (the client's DRAM ledger), and a streamed entry hands
+its bytes back when its wave's last pin drops — whoever admits or streams
+an entry reserves for it, nobody but the cache releases.
 """
 
 from __future__ import annotations
@@ -70,6 +85,10 @@ class CachedCluster:
     #: decoder converts once per decoded base and hands the same array to
     #: every entry over it; the index is frozen after deserialization.
     labels: np.ndarray | None = None
+    #: Fetched but not admitted: the entry is searched in its wave only.
+    #: Its ``nbytes`` are reserved for that wave and handed back by the
+    #: cache when its last pin drops (:meth:`ClusterCache.unpin`).
+    streamed: bool = False
 
     def __post_init__(self) -> None:
         if self.labels is None:
@@ -81,7 +100,8 @@ class CachedCluster:
 
 
 class ClusterCache:
-    """Lock-guarded LRU cache of deserialized sub-HNSW clusters."""
+    """Lock-guarded cache of deserialized sub-HNSW clusters that keeps
+    what costs most to refetch (frequency x bytes, LRU among equals)."""
 
     def __init__(self, capacity_clusters: int,
                  release: "Callable[[int], None] | None" = None) -> None:
@@ -98,10 +118,12 @@ class ClusterCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._streamed = 0
         self._cached_bytes = 0
         # EWMA access frequencies, keyed by cluster id.  Deliberately
-        # covers non-resident clusters too: the tier store scores *cold*
-        # clusters for promotion, so the signal must survive eviction.
+        # covers non-resident clusters too: admission scores a cluster
+        # before it is resident, and the tier store scores *cold* clusters
+        # for promotion, so the signal must survive eviction.
         # Each value is (score, last_access_us); the score decays by
         # 2 ** (-elapsed / halflife) before each bump or read.
         self._freq: dict[int, tuple[float, float]] = {}
@@ -125,6 +147,13 @@ class ClusterCache:
     def evictions(self) -> int:
         """Entries displaced by capacity pressure."""
         return self._evictions
+
+    @property
+    def streamed(self) -> int:
+        """Fetched entries worth less than every evictable resident:
+        searched in their wave and dropped, never admitted (each also
+        counted one miss, and none an eviction)."""
+        return self._streamed
 
     @property
     def invalidations(self) -> int:
@@ -162,18 +191,18 @@ class ClusterCache:
             return self._entries.get(cluster_id)
 
     # ------------------------------------------------------------------
-    # EWMA access-frequency tracking (tier promotion/demotion signal)
+    # EWMA access frequency (admission, eviction and tier signal)
     # ------------------------------------------------------------------
     def record_access(self, cluster_id: int, now_us: float,
                       weight: float = 1.0) -> float:
         """Bump ``cluster_id``'s EWMA access score at time ``now_us``.
 
-        Separate from :meth:`get` recency/hit accounting: the tier store
-        records *every* required cluster — resident or not — while
-        ``get`` only sees hot lookups.  ``weight`` is how many queries
-        of the batch demanded the cluster, so popularity (not mere
-        presence in a batch) drives promotion.  Returns the updated
-        score.
+        Separate from :meth:`get` recency/hit accounting: the serving
+        engine records *every* routed cluster — resident, fetched or
+        served cold — once per batch, while ``get`` only sees hot
+        lookups.  ``weight`` is how many queries of the batch probe the
+        cluster, so popularity (not mere presence in a batch) drives
+        retention and promotion.  Returns the updated score.
         """
         if weight <= 0:
             raise ConfigError(f"weight must be > 0, got {weight}")
@@ -207,13 +236,18 @@ class ClusterCache:
             entry.pins += 1
 
     def unpin(self, entry: CachedCluster) -> None:
-        """Release one compute reference taken by :meth:`pin`."""
+        """Release one compute reference taken by :meth:`pin`; the last
+        one off a streamed entry hands its bytes back."""
         with self._lock:
             if entry.pins <= 0:
                 raise ValueError(
                     f"cluster {entry.cluster_id} unpinned more times than "
                     f"pinned")
             entry.pins -= 1
+            if entry.streamed and not entry.pins:
+                entry.streamed = False
+                if self._release is not None:
+                    self._release(entry.nbytes)
 
     def _drop(self, entry: CachedCluster) -> None:
         """The one exit: ``entry`` is leaving ``_entries``; take its bytes
@@ -223,25 +257,45 @@ class ClusterCache:
         if self._release is not None:
             self._release(entry.nbytes)
 
-    def _pop_victim(self) -> CachedCluster | None:
-        """Remove and return the least recently used *unpinned* entry.
+    def value(self, entry: CachedCluster, now_us: float) -> float:
+        """What keeping ``entry`` saves: its access frequency at
+        ``now_us`` times the bytes a miss would re-read and re-decode."""
+        return self.frequency(entry.cluster_id, now_us) * entry.nbytes
 
-        Must be called under the lock.  Returns None when every resident
-        entry is pinned — the caller defers eviction (a transient
-        capacity/budget overshoot) rather than spilling memory a search
-        is reading right now.
-        """
-        for cluster_id, entry in self._entries.items():
+    def _weakest(self, now_us: float
+                 ) -> tuple[float, CachedCluster] | None:
+        """``(value, entry)`` of the unpinned resident worth least, the
+        least recently used among equals; None when every resident is
+        pinned — the caller defers eviction (a transient capacity/budget
+        overshoot) rather than spill memory a search is reading right
+        now.  Must be called under the lock."""
+        weakest = None
+        for entry in self._entries.values():  # least recently used first
             if entry.pins == 0:
-                del self._entries[cluster_id]
-                self._evictions += 1
-                self._drop(entry)
-                return entry
-        return None
+                value = self.value(entry, now_us)
+                if weakest is None or value < weakest[0]:
+                    weakest = value, entry
+        return weakest
 
-    def put(self, entry: CachedCluster,
-            count_miss: bool = True) -> list[CachedCluster]:
-        """Insert (or replace) an entry; returns any evicted entries.
+    def _evict(self, entry: CachedCluster) -> None:
+        """Displace resident ``entry``.  Must be called under the lock."""
+        del self._entries[entry.cluster_id]
+        self._evictions += 1
+        self._drop(entry)
+
+    def put(self, entry: CachedCluster, count_miss: bool = True,
+            now_us: float = 0.0) -> list[CachedCluster] | None:
+        """Offer an entry; returns the entries it evicted, or None when it
+        was streamed rather than admitted.
+
+        ``entry`` is admitted when the cache has room, or when its
+        :meth:`value` at ``now_us`` is at least the weakest unpinned
+        resident's, which it evicts.  Otherwise it is streamed: left out
+        of the cache, counted in :attr:`streamed` (not in
+        :attr:`evictions`), and flagged so that :meth:`unpin` hands its
+        ``nbytes`` back when its wave is done with it — the owner reserves
+        for it as for an admitted entry.  Values are read at ``now_us``;
+        with no access recorded every value is 0 and the rule is LRU.
 
         Inserting a key that was absent counts one miss — the fetch that
         produced ``entry`` went to remote memory.  Pass
@@ -259,9 +313,15 @@ class ClusterCache:
             elif count_miss:
                 self._misses += 1
             while len(self._entries) >= self.capacity_clusters:
-                victim = self._pop_victim()
-                if victim is None:
+                weakest = self._weakest(now_us)
+                if weakest is None:
                     break
+                value, victim = weakest
+                if not evicted and self.value(entry, now_us) < value:
+                    entry.streamed = True
+                    self._streamed += 1
+                    return None
+                self._evict(victim)
                 evicted.append(victim)
             self._entries[entry.cluster_id] = entry
             self._cached_bytes += entry.nbytes
@@ -277,14 +337,19 @@ class ClusterCache:
                 self._cached_bytes += nbytes
             return resident
 
-    def pop_lru(self) -> CachedCluster | None:
-        """Evict and return the least recently used unpinned entry.
+    def pop_weakest(self, now_us: float) -> CachedCluster | None:
+        """Evict and return the unpinned entry worth least at ``now_us``
+        — the victim :meth:`put` would pick (the DRAM spill).
 
         Returns None when the cache is empty *or* every entry is pinned
         by in-flight compute (callers distinguish via ``len(cache)``).
         """
         with self._lock:
-            return self._pop_victim()
+            weakest = self._weakest(now_us)
+            if weakest is None:
+                return None
+            self._evict(weakest[1])
+            return weakest[1]
 
     def invalidate(self, cluster_id: int) -> bool:
         """Drop one entry (stale after a rebuild); True if it was cached.

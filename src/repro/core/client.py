@@ -2,7 +2,8 @@
 
 A :class:`DHnswClient` is one compute instance of the paper's architecture
 (Fig. 2): it caches the meta-HNSW and the remote layout's cluster offsets
-locally, keeps an LRU cache of recently loaded sub-HNSW clusters, and
+locally, keeps a cache of the loaded sub-HNSW clusters that would cost
+most to fetch again (access frequency x bytes, LRU among equals), and
 serves batched top-k queries and dynamic insertions against the
 disaggregated memory pool.
 
@@ -103,7 +104,7 @@ class DHnswClient:
                                 dram_budget_bytes=budget, name=name)
         if not self.node.reserve_dram(meta_bytes):
             raise LayoutError("DRAM budget cannot hold the meta-HNSW")
-        # Admission reserves an entry's bytes (``Fetcher.cache_put``); the
+        # Admission reserves an entry's bytes (``Fetcher.offer``); the
         # cache gives them back however the entry leaves.
         self.cache = ClusterCache(capacity, release=self.node.release_dram)
 

@@ -55,9 +55,11 @@ class BatchResult:
     #: Sub-HNSW distance evaluations performed for the batch.
     sub_evals: int = 0
     #: ClusterCache misses / evictions attributed to this batch (counted
-    #: inside the cache; hits are ``cache_hits`` above).
+    #: inside the cache; hits are ``cache_hits`` above), and the fetched
+    #: clusters it streamed: searched in their wave, never admitted.
     cache_misses: int = 0
     cache_evictions: int = 0
+    cache_streamed: int = 0
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False

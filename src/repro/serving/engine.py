@@ -13,6 +13,7 @@ construction (fault injection, retries) affects every stage immediately.
 
 from __future__ import annotations
 
+import collections
 from typing import Callable
 
 import numpy as np
@@ -73,12 +74,14 @@ class ServingEngine:
             return self._search_batch_once(queries, k, ef_search, filter_fn)
         except StaleReadError:
             self.host.refresh_metadata()
-            return self._search_batch_once(queries, k, ef_search, filter_fn)
+            # The first attempt already recorded the batch's accesses.
+            return self._search_batch_once(queries, k, ef_search, filter_fn,
+                                           record_access=False)
 
     def _search_batch_once(self, queries: np.ndarray, k: int,
                            ef_search: int | None = None,
-                           filter_fn: "Callable[[int], bool] | None" = None
-                           ) -> BatchResult:
+                           filter_fn: "Callable[[int], bool] | None" = None,
+                           record_access: bool = True) -> BatchResult:
         host = self.host
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         if k < 1:
@@ -94,10 +97,23 @@ class ServingEngine:
 
         # --- meta-HNSW routing (local, cached) -------------------------
         required = self.planner.route(queries, breakdown, trace)
+        if record_access:
+            # Once per batch, before anything reads it: every routed
+            # cluster's frequency, weighted by the queries probing it —
+            # with large batches nearly every cluster appears in every
+            # batch, and presence alone cannot tell a Zipf head cluster
+            # from the tail.  Cache admission and eviction rank by it,
+            # and so does the tier rebalance.
+            now_us = host.node.clock.now_us
+            probes = collections.Counter(cid for row in required
+                                         for cid in row)
+            for cid, weight in probes.items():
+                host.cache.record_access(cid, now_us, weight=weight)
 
         # --- cluster loading + sub-HNSW search -------------------------
         merger = self.merger.create(len(queries), k, filter_fn)
         cache_counters_before = host.cache.counters()
+        streamed_before = host.cache.streamed
         # Tiering applies only under the full scheme (deduplicated
         # batches); with cold_tier="off" there is no tier store and the
         # path below is bit-identical to the untiered engine.
@@ -153,6 +169,7 @@ class ServingEngine:
                            sub_evals=execution.sub_evals + cold.evals,
                            cache_misses=misses_after - misses_before,
                            cache_evictions=evictions_after - evictions_before,
+                           cache_streamed=host.cache.streamed - streamed_before,
                            pipeline_executed=execution.pipeline_executed,
                            cold_clusters_served=cold.clusters,
                            tier_promotions=promotions,

@@ -7,8 +7,9 @@ the tail word and as many record slots as the group's last seen tail plus
 :data:`TAIL_SLACK_SLOTS` (``layout.group_layout.cluster_read_ranges``);
 the word in the payload then says whether that was enough, and
 :meth:`Fetcher.top_up` brings in what was not.  The fetcher also owns
-cache admission (LRU + DRAM spill) and the overflow-tail freshness check
-for cache hits, because both are decisions about what was just fetched.
+cache admission (admit or stream by frequency x bytes, DRAM spill of the
+weakest) and the overflow-tail freshness check for cache hits, because
+both are decisions about what was just fetched.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable, Sequence
 
 from repro.core.cache import CachedCluster
 from repro.core.query_planner import Wave
-from repro.errors import LayoutError
 from repro.layout.group_layout import (
     cluster_read_ranges,
     live_overflow_count,
@@ -124,41 +124,58 @@ class Fetcher:
             return self.host.transport.poll(token)
 
     # -- cache admission --------------------------------------------------
-    def _reserve_dram(self, nbytes: int, cluster_id: int) -> None:
-        """Reserve ``nbytes`` for cluster ``cluster_id``, spilling LRU
-        entries if DRAM is tight (the cache gives back what it drops)."""
+    def _reserve_dram(self, entry: CachedCluster, nbytes: int) -> None:
+        """Reserve ``nbytes`` for resident ``entry``, spilling the weakest
+        other residents while DRAM is tight (the cache gives back what it
+        drops).  ``entry`` is pinned meanwhile so the spill cannot pick
+        the entry it makes room for."""
         host = self.host
-        while not host.node.reserve_dram(nbytes):
-            if host.cache.pop_lru() is None:
-                if len(host.cache):
-                    # Every resident entry is pinned by in-flight compute:
-                    # spilling one would free DRAM a search is reading
-                    # right now.  Over-commit the budget
+        cache = host.cache
+        now_us = host.node.clock.now_us
+        cache.pin(entry)
+        try:
+            while not host.node.reserve_dram(nbytes):
+                if cache.pop_weakest(now_us) is None:
+                    # Every other resident is pinned by in-flight
+                    # compute: spilling one would free DRAM a search is
+                    # reading right now.  Over-commit the budget
                     # transiently instead; pressure resolves once the
                     # pins drop and a later put evicts.
                     host.node.reserve_dram(nbytes, force=True)
                     break
-                raise LayoutError(
-                    f"cluster {cluster_id} ({nbytes} B) cannot "
-                    f"fit in compute DRAM even with an empty cache")
+        finally:
+            cache.unpin(entry)
 
-    def cache_put(self, entry: CachedCluster,
-                  count_miss: bool = True) -> None:
-        """Insert into the cache, spilling LRU entries if DRAM is tight."""
-        self._reserve_dram(entry.nbytes, entry.cluster_id)
-        self.host.cache.put(entry, count_miss=count_miss)
+    def offer(self, entries: Iterable[CachedCluster],
+              count_miss: bool = True) -> None:
+        """Offer one wave's fetched entries to the cache and reserve their
+        bytes.  An admitted entry spills the weakest residents if DRAM is
+        tight, and stays pinned until the whole wave is offered so that
+        none is the victim of a sibling's admission: the wave searches
+        every entry it loaded.  A streamed one is being searched as a
+        pinned entry is, so it forces its reservation, and the cache
+        hands the bytes back when the wave's pins drop."""
+        host = self.host
+        cache = host.cache
+        now_us = host.node.clock.now_us
+        admitted = []
+        try:
+            for entry in entries:
+                if cache.put(entry, count_miss, now_us) is None:
+                    host.node.reserve_dram(entry.nbytes, force=True)
+                    continue
+                cache.pin(entry)
+                admitted.append(entry)
+                self._reserve_dram(entry, entry.nbytes)
+        finally:
+            for entry in admitted:
+                cache.unpin(entry)
 
     def grow(self, entry: CachedCluster, nbytes: int) -> None:
         """Account ``nbytes`` more held by ``entry`` (grafted records); a
         resident entry reserves them now, a fresh one at admission."""
-        host = self.host
-        if host.cache.grow(entry, nbytes):
-            # Pinned so the spill cannot pick the entry it makes room for.
-            host.cache.pin(entry)
-            try:
-                self._reserve_dram(nbytes, entry.cluster_id)
-            finally:
-                host.cache.unpin(entry)
+        if self.host.cache.grow(entry, nbytes):
+            self._reserve_dram(entry, nbytes)
 
     # -- wave loading -----------------------------------------------------
     def admit(self, extents: list[Extent], payloads: list[bytes],
@@ -166,7 +183,8 @@ class Fetcher:
               count_miss: bool = True) -> dict[int, CachedCluster]:
         """Decode fetched extents, top up the ones that ran short, count
         them and their decode cost on ``execution`` (the wave loop charges
-        it), and cache them."""
+        it), and offer them to the cache (admitted or streamed, each is
+        searched in this wave)."""
         host = self.host
         loaded: dict[int, CachedCluster] = {}
         with span(trace, "decode"):
@@ -181,8 +199,7 @@ class Fetcher:
             self.top_up(loaded.values(), trace))
         execution.fetched += len(loaded)
         if host.policy.use_cluster_cache:
-            for entry in loaded.values():
-                self.cache_put(entry, count_miss=count_miss)
+            self.offer(loaded.values(), count_miss)
         return loaded
 
     def take_hits(self, wave: Wave, execution,
@@ -198,8 +215,8 @@ class Fetcher:
             entry = host.cache.get(cid)
             if entry is None:
                 # Evicted between planning and execution (possible only
-                # with pathological capacity 1): refetch — and re-insert,
-                # or every later query of the batch refetches it again.
+                # with pathological capacity 1): refetch — and offer it
+                # back, or every later query of the batch refetches it.
                 # The failed ``get`` above already counted the miss.
                 entry = self.admit(
                     *self.read([cid], host.policy.doorbell_batching, trace),

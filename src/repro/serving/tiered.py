@@ -18,8 +18,10 @@ beam-searched, exactly as before) and which are served **cold**:
 
 Between batches :meth:`TieredClusterStore.rebalance` promotes/demotes
 clusters against ``DHnswConfig.hot_tier_budget_bytes`` using the
-cache's EWMA access frequencies, with hysteresis (``_HYSTERESIS``) so
-alternating access patterns do not ping-pong a cluster between tiers.
+cache's EWMA access frequencies (recorded once per batch by the serving
+engine, weighted by the queries that probe each cluster), with
+hysteresis (``_HYSTERESIS``) so alternating access patterns do not
+ping-pong a cluster between tiers.
 Demotion never touches an entry pinned by in-flight compute.
 
 Everything here is charged to the simulated clock through the same
@@ -143,24 +145,15 @@ class TieredClusterStore:
         Returns ``(hot_required, cold_required)`` where ``hot_required``
         mirrors ``required`` with cold clusters removed (it feeds the
         unchanged wave planner) and ``cold_required`` maps each cold
-        cluster id to the sorted query indices that need it.  Every
-        unique required cluster gets one EWMA access bump.
+        cluster id to the sorted query indices that need it.  The access
+        frequencies :meth:`rebalance` ranks by were recorded for this
+        batch by the serving engine before the split.
         """
         cache = self.host.cache
         cold_dir = self.host.metadata.cold
-        now_us = self.host.node.clock.now_us
-        demand: dict[int, int] = {}
-        for row in required:
-            for cid in row:
-                demand[cid] = demand.get(cid, 0) + 1
-        unique = sorted(demand)
+        unique = sorted({cid for row in required for cid in row})
         serve_cold: set[int] = set()
         for cid in unique:
-            # Weight by how many of the batch's queries probe the
-            # cluster: with large batches nearly every cluster appears
-            # in every batch, and presence alone cannot tell a Zipf head
-            # cluster from the tail.
-            cache.record_access(cid, now_us, weight=demand[cid])
             if (cold_dir.extents[cid].length > 0
                     and cid not in self.hot_ids
                     and cache.peek(cid) is None):

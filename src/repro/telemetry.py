@@ -57,6 +57,9 @@ class CacheTelemetry:
     misses: int
     evictions: int
     invalidations: int
+    #: Fetched clusters worth less than every evictable resident:
+    #: searched in their wave, never admitted.
+    streamed: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -180,6 +183,7 @@ class ClientTelemetry:
                 misses=cache.misses,
                 evictions=cache.evictions,
                 invalidations=cache.invalidations,
+                streamed=cache.streamed,
             ),
             metadata_version=client.metadata.version,
             overlapped_time_us=stats.overlapped_time_us,
@@ -267,6 +271,9 @@ def render_report(telemetry: DeploymentTelemetry,
                   frontdoor=None) -> str:
     """A fixed-width operator report.
 
+    Per compute instance, the cluster-cache section says where cluster
+    bytes came from: hits, fetches, and whether each fetch was admitted
+    (evicting a resident) or streamed through its wave.
     ``frontdoor`` optionally takes a
     :class:`repro.frontdoor.LoadReport`; when given, the report grows a
     front-door section — waves, batch occupancy, queue-delay and in-wave
@@ -306,6 +313,18 @@ def render_report(telemetry: DeploymentTelemetry,
             f"{client.overlapped_time_us:>10.1f} "
             f"{client.compute_time_us:>10.1f} "
             f"{client.cache.hit_rate:>9.2%}")
+    # Where each instance's cluster bytes came from: every fetch is a miss,
+    # and a fetch is either admitted (evicting the weakest resident once
+    # the cache is full) or streamed through its wave.
+    lines += ["", "=== cluster cache ==="]
+    for client in telemetry.clients:
+        cache = client.cache
+        lines.append(
+            f"{client.name:<12} : {cache.resident_clusters}"
+            f"/{cache.capacity_clusters} resident "
+            f"({cache.cached_bytes / 2**20:.2f} MiB), {cache.hits} hits, "
+            f"{cache.misses} fetched, {cache.evictions} evicted, "
+            f"{cache.streamed} streamed, {cache.invalidations} invalidated")
     faulted = [client for client in telemetry.clients
                if client.retries or client.faults_injected
                or client.failovers]

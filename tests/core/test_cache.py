@@ -1,11 +1,11 @@
-"""Cluster LRU cache behaviour."""
+"""Cluster cache behaviour: LRU among equals, frequency x bytes above."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.cache import CachedCluster, ClusterCache
+from repro.core.cache import FREQ_HALFLIFE_US, CachedCluster, ClusterCache
 from repro.errors import ConfigError
 from repro.hnsw import HnswIndex, HnswParams
 
@@ -62,10 +62,10 @@ class TestLruSemantics:
         cache = ClusterCache(3)
         cache.put(make_entry(1))
         cache.put(make_entry(2))
-        victim = cache.pop_lru()
+        victim = cache.pop_weakest(0.0)
         assert victim.cluster_id == 1
-        assert cache.pop_lru().cluster_id == 2
-        assert cache.pop_lru() is None
+        assert cache.pop_weakest(0.0).cluster_id == 2
+        assert cache.pop_weakest(0.0) is None
 
     def test_capacity_one(self):
         cache = ClusterCache(1)
@@ -93,7 +93,7 @@ class TestBookkeeping:
             if op <= 1:
                 cache.put(make_entry(cid, int(rng.integers(1, 500))))
             elif op == 2:
-                cache.pop_lru()
+                cache.pop_weakest(0.0)
             elif op == 3:
                 cache.invalidate(cid)
             elif op == 4 and cache.peek(cid) is not None:
@@ -147,7 +147,7 @@ class TestBookkeeping:
         cache.put(grown)                       # replaces 2
         assert released == [10, 20]
         cache.grow(grown, 4)
-        assert cache.pop_lru().cluster_id == 3  # spilled
+        assert cache.pop_weakest(0.0).cluster_id == 3  # spilled
         assert released == [10, 20, 30]
         assert cache.invalidate(2)             # with what it grew by
         assert released == [10, 20, 30, 25]
@@ -199,3 +199,92 @@ class TestBookkeeping:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigError):
             ClusterCache(0)
+
+
+def recorded(cache: ClusterCache, weights: dict[int, float],
+             now_us: float = 0.0) -> ClusterCache:
+    """``cache`` with each cluster's access recorded at ``now_us``."""
+    for cluster_id, weight in weights.items():
+        cache.record_access(cluster_id, now_us, weight)
+    return cache
+
+
+class TestValueRanking:
+    """An entry is worth its access frequency times its bytes."""
+
+    def test_equal_values_keep_lru_order(self):
+        cache = recorded(ClusterCache(2), {1: 3.0, 2: 3.0, 3: 3.0})
+        cache.put(make_entry(1), now_us=10.0)
+        cache.put(make_entry(2), now_us=10.0)
+        cache.get(1)            # 1 is now most recent
+        evicted = cache.put(make_entry(3), now_us=10.0)
+        assert [e.cluster_id for e in evicted] == [2]
+        assert cache.evictions == 1 and cache.streamed == 0
+
+    def test_one_shot_cluster_is_streamed_past_hotter_residents(self):
+        cache = recorded(ClusterCache(2), {1: 5.0, 2: 4.0, 3: 1.0})
+        cache.put(make_entry(1), now_us=10.0)
+        cache.put(make_entry(2), now_us=10.0)
+        one_shot = make_entry(3)
+        assert cache.put(one_shot, now_us=10.0) is None
+        assert one_shot.streamed and 3 not in cache
+        assert 1 in cache and 2 in cache
+        # One miss for the fetch, no eviction.
+        assert cache.counters() == (0, 3, 0) and cache.streamed == 1
+        assert cache.cached_bytes == 200
+
+    def test_at_equal_frequency_the_larger_entry_stays(self):
+        cache = recorded(ClusterCache(1), {1: 2.0, 2: 2.0})
+        cache.put(make_entry(1, nbytes=500), now_us=10.0)
+        assert cache.put(make_entry(2, nbytes=100), now_us=10.0) is None
+        assert cache.peek(1).nbytes == 500
+        # The other way round, the larger one displaces the smaller.
+        cache = recorded(ClusterCache(1), {1: 2.0, 2: 2.0})
+        cache.put(make_entry(1, nbytes=100), now_us=10.0)
+        evicted = cache.put(make_entry(2, nbytes=500), now_us=10.0)
+        assert [e.cluster_id for e in evicted] == [1]
+
+    def test_value_decays_with_the_clock(self):
+        """A cluster hot long ago loses to one warm now."""
+        cache = recorded(ClusterCache(1), {1: 8.0})
+        cache.put(make_entry(1), now_us=0.0)
+        recorded(cache, {2: 1.0}, now_us=4 * FREQ_HALFLIFE_US)
+        evicted = cache.put(make_entry(2), now_us=4 * FREQ_HALFLIFE_US)
+        assert [e.cluster_id for e in evicted] == [1]
+
+    def test_pinned_entries_are_never_the_victim(self):
+        cache = recorded(ClusterCache(2), {1: 1.0, 2: 6.0, 3: 4.0, 4: 9.0})
+        cold, hot = make_entry(1), make_entry(2)
+        cache.put(cold, now_us=10.0)
+        cache.put(hot, now_us=10.0)
+        cache.pin(cold)
+        # The weakest *unpinned* resident is the hot one: 3 is streamed
+        # even though it is worth more than the pinned cold entry ...
+        assert cache.put(make_entry(3), now_us=10.0) is None
+        # ... and 4, worth more than the hot one, evicts it, not 1.
+        evicted = cache.put(make_entry(4), now_us=10.0)
+        assert evicted == [hot]
+        assert cache.pop_weakest(10.0).cluster_id == 4
+        assert cache.pop_weakest(10.0) is None and 1 in cache
+
+    def test_spill_takes_the_weakest(self):
+        cache = recorded(ClusterCache(3), {1: 5.0, 2: 1.0, 3: 3.0})
+        for cluster_id in (1, 2, 3):
+            cache.put(make_entry(cluster_id), now_us=10.0)
+        assert [cache.pop_weakest(10.0).cluster_id
+                for _ in range(3)] == [2, 3, 1]
+
+    def test_streamed_entry_hands_its_bytes_back_when_unpinned(self):
+        released: list[int] = []
+        cache = recorded(ClusterCache(1, release=released.append),
+                         {1: 5.0, 2: 1.0})
+        cache.put(make_entry(1, nbytes=10), now_us=10.0)
+        streamed = make_entry(2, nbytes=40)
+        assert cache.put(streamed, now_us=10.0) is None
+        cache.pin(streamed)       # its wave searches it ...
+        cache.pin(streamed)
+        cache.unpin(streamed)
+        assert released == []     # ... until the last pin drops
+        cache.unpin(streamed)
+        assert released == [40] and not streamed.streamed
+        assert cache.cached_bytes == 10

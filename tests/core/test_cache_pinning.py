@@ -54,8 +54,8 @@ class TestPinnedEviction:
         cache.put(pinned)
         cache.put(other)
         cache.pin(pinned)
-        assert cache.pop_lru() is other  # LRU but pinned -> next victim
-        assert cache.pop_lru() is None  # only the pinned entry remains
+        assert cache.pop_weakest(0.0) is other  # LRU but pinned -> next victim
+        assert cache.pop_weakest(0.0) is None  # only the pinned entry remains
         assert len(cache) == 1
 
     def test_unpin_underflow_raises(self):

@@ -84,7 +84,8 @@ class TestEwmaFrequency:
         index = HnswIndex(4, HnswParams(m=4))
         cache.record_access(1, 0.0)
         cache.put(CachedCluster(1, index, [], 0, (1, 0, 0), nbytes=10))
-        # Evicts 1.
+        # Worth as much as 1 and more recent: evicts 1.
+        cache.record_access(2, 0.0)
         cache.put(CachedCluster(2, index, [], 0, (1, 0, 0), nbytes=10))
         assert 1 not in cache
         assert cache.frequency(1, 0.0) == 1.0

@@ -16,8 +16,10 @@ three loops (serial, pipelined, naive), which ``src/`` now runs as one.
 The pieces of the monolith that have left ``src/`` for good live here with
 it: its ``PlanExecution`` report, the decoder's deserialize side channel
 (``_DeserializeLedger``), the engine's lump charges (in ``install``) and
-the ``overlap_saved`` closed form.  It takes no pins and records no trace
-spans, so an installed client is single-request only.
+the ``overlap_saved`` closed form.  It records no trace spans, so an
+installed client is single-request only; it pins each wave's entries
+for their search as ``src/`` does, because the cache hands a streamed
+entry's DRAM back when its last pin drops.
 
 Per-row completion stamps are derived here the oracle's own way — a
 countdown of each row's unserviced ``(query, cluster)`` pairs against the
@@ -204,9 +206,8 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
                 pending, pending_index = issue(index + 1), index + 1
             loaded = _decode(host, extents, payloads)
             execution.fetched += len(loaded)
-            for entry in loaded.values():
-                if host.policy.use_cluster_cache:
-                    _cache_put(host, entry)
+            if host.policy.use_cluster_cache:
+                host.engine.fetcher.offer(loaded.values())
             entries.update(loaded)
         else:
             _load_hit_wave(host, wave, entries, execution)
@@ -277,10 +278,6 @@ def _fetch_clusters(host, cluster_ids: list[int],
     return _decode(host, extents, payloads)
 
 
-def _cache_put(host, entry: CachedCluster, count_miss: bool = True) -> None:
-    host.engine.fetcher.cache_put(entry, count_miss=count_miss)
-
-
 def _load_wave(host, wave: Wave,
                execution: PlanExecution) -> dict[int, CachedCluster]:
     entries: dict[int, CachedCluster] = {}
@@ -288,9 +285,8 @@ def _load_wave(host, wave: Wave,
         loaded = _fetch_clusters(host, list(wave.fetch_cluster_ids),
                                  host.policy.doorbell_batching)
         execution.fetched += len(loaded)
-        for entry in loaded.values():
-            if host.policy.use_cluster_cache:
-                _cache_put(host, entry)
+        if host.policy.use_cluster_cache:
+            host.engine.fetcher.offer(loaded.values())
         entries.update(loaded)
     else:
         _load_hit_wave(host, wave, entries, execution)
@@ -309,7 +305,7 @@ def _load_hit_wave(host, wave: Wave, entries: dict[int, CachedCluster],
                 host, [cid], host.policy.doorbell_batching)[cid]
             execution.fetched += 1
             if host.policy.use_cluster_cache:
-                _cache_put(host, entry, count_miss=False)
+                host.engine.fetcher.offer([entry], count_miss=False)
         else:
             execution.hit_count += 1
         entries[cid] = entry
@@ -328,6 +324,8 @@ def _run_wave_compute(host, wave: Wave, entries: dict[int, CachedCluster],
         tasks.append((cid, entry, query_indices))
     workers = host.config.search_workers
     executor = host.engine.executor
+    for _, entry, _ in tasks:
+        host.cache.pin(entry)
     started = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
         outputs = executor._get_search_pool().run_wave(
@@ -337,6 +335,8 @@ def _run_wave_compute(host, wave: Wave, entries: dict[int, CachedCluster],
     else:
         outputs = [search_cluster_entry(entry, queries[query_indices], k, ef)
                    for _, entry, query_indices in tasks]
+    for _, entry, _ in tasks:
+        host.cache.unpin(entry)
     host.node.record_wall_compute(time.perf_counter() - started)
     wave_evals = 0
     for (_, _, query_indices), output in zip(tasks, outputs):

@@ -63,6 +63,7 @@ def assert_ledgers_identical(staged, oracle):
     assert (dataclasses.asdict(staged.node.stats)
             == dataclasses.asdict(oracle.node.stats))
     assert staged.cache.counters() == oracle.cache.counters()
+    assert staged.cache.streamed == oracle.cache.streamed
     assert staged.node.clock.now_us == oracle.node.clock.now_us
 
 
@@ -77,6 +78,7 @@ def assert_batches_identical(staged, oracle):
     assert staged.cache_hits == oracle.cache_hits
     assert staged.cache_misses == oracle.cache_misses
     assert staged.cache_evictions == oracle.cache_evictions
+    assert staged.cache_streamed == oracle.cache_streamed
     assert staged.waves == oracle.waves
     assert (staged.duplicate_requests_pruned
             == oracle.duplicate_requests_pruned)
@@ -160,12 +162,16 @@ def test_staged_matches_reference(built_deployment, small_dataset,
 
 @SCHEDULES
 def test_capacity_one_cache(built_deployment, small_dataset, pipeline):
-    """The smallest cache: one cluster per wave, every wave evicts."""
+    """The smallest cache: one cluster per wave.  Once it is full, every
+    fetched cluster either evicts the resident or is streamed past it;
+    the cold batch left the most valuable one resident, so the warm batch
+    streams every fetch and evicts nothing."""
     staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
                                cache_fraction=1e-9)
     assert staged.cache.capacity_clusters == 1
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
-    assert result.cache_hits == 1 and result.cache_evictions > 0
+    assert result.cache_hits == 1 and result.cache_evictions == 0
+    assert result.cache_streamed == result.clusters_fetched > 0
 
 
 @SCHEDULES

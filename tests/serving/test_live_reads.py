@@ -394,7 +394,8 @@ def test_cutover_between_extent_and_delta_reads_is_retried(deployment):
         attempts = []
         once = reader.engine._search_batch_once
         reader.engine._search_batch_once = (
-            lambda *args: attempts.append(1) or once(*args))
+            lambda *args, **kwargs: attempts.append(1)
+            or once(*args, **kwargs))
         target = probe + 1e-4 * (TAIL_SLACK_SLOTS + 3)
         result = reader.search_batch(target[None, :], 1, ef_search=32)
         assert not armed[0] and len(attempts) == 2

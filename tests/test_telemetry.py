@@ -76,6 +76,17 @@ class TestRenderReport:
         for client in snapshot.clients:
             assert client.name in report
 
+    def test_cache_section_says_where_cluster_bytes_came_from(self,
+                                                               snapshot):
+        report = render_report(snapshot)
+        assert "=== cluster cache ===" in report
+        for client in snapshot.clients:
+            cache = client.cache
+            assert (f"{cache.hits} hits, {cache.misses} fetched, "
+                    f"{cache.evictions} evicted, {cache.streamed} streamed"
+                    in report)
+        assert snapshot.clients[0].cache.streamed > 0
+
 
 class TestRenderReportFrontDoorSection:
     """The report grows a front-door section when handed a LoadReport.
