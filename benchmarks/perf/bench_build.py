@@ -16,8 +16,17 @@ process-pool cluster builds.  Three sections:
 The construction and build sections assert the equivalence contract:
 the two construction paths serialize byte-identical blobs with equal
 evaluation counts, and both end-to-end builds leave *byte-identical
-remote regions* (SHA-256 over the whole layout).  Any drift exits
-non-zero, so CI runs double as a regression gate.
+remote regions* (SHA-256 over the whole layout).  A quick run also pins
+what construction builds: the region's SHA-256 and the insert section's
+evaluation count must equal :data:`QUICK_REGION_SHA256` and
+:data:`QUICK_EVALUATIONS`, so a change that builds different graphs fails
+even when both build modes agree on them.  Any drift exits non-zero, so
+CI runs double as a regression gate.
+
+Wall clocks on a shared host wander, so the insert and end-to-end
+sections report ``time.process_time`` next to wall time (the process-pool
+build's CPU is spent in its workers, so only the sequential build's is
+reported).
 
 Usage::
 
@@ -56,20 +65,44 @@ SCALES = {
 }
 
 
+#: What a quick run builds, pinned: the end-to-end region's SHA-256 and
+#: the insert section's distance evaluations.  A change to construction
+#: that alters either must update these on purpose.
+QUICK_REGION_SHA256 = (
+    "2b2ec727c324fffa4cc0b3c9a4790c3192548beb54dd2a2e94bc8dc7ae166c7c")
+QUICK_EVALUATIONS = 811_160
+
+
 def best_of(reps: int, fn):
-    """Minimum wall time of ``reps`` calls; returns (seconds, last result)."""
-    best = float("inf")
+    """Minimum wall and CPU (``process_time``) seconds of ``reps`` calls;
+    returns (wall, cpu, last result)."""
+    best_wall = best_cpu = float("inf")
     result = None
     for _ in range(reps):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        best_wall = min(best_wall, time.perf_counter() - start)
+        best_cpu = min(best_cpu, time.process_time() - start_cpu)
+    return best_wall, best_cpu, result
 
 
 def check(condition: bool, what: str) -> None:
     if not condition:
         raise SystemExit(f"EQUIVALENCE DRIFT: {what}")
+
+
+def check_pinned(sections: dict) -> None:
+    """Fail a quick run whose graphs differ from the pinned ones."""
+    found = (sections["end_to_end_build"]["region_sha256"],
+             sections["insert_construction"]["distance_evaluations"])
+    if found != (QUICK_REGION_SHA256, QUICK_EVALUATIONS):
+        raise SystemExit(
+            f"CONSTRUCTION CHANGED: quick-mode region SHA-256 {found[0]} "
+            f"and {found[1]} evaluations, pinned {QUICK_REGION_SHA256} and "
+            f"{QUICK_EVALUATIONS}.  Construction must build the same "
+            f"graphs; a change that means to alter them must update "
+            f"QUICK_REGION_SHA256 and QUICK_EVALUATIONS in "
+            f"benchmarks/perf/bench_build.py on purpose.")
 
 
 def region_digest(deployment: Deployment) -> str:
@@ -96,8 +129,8 @@ def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
             index.add_one(vector)
         return index
 
-    table_time, table_index = best_of(reps, batch)
-    einsum_time, einsum_index = best_of(reps, row_by_row)
+    table_time, table_cpu, table_index = best_of(reps, batch)
+    einsum_time, einsum_cpu, einsum_index = best_of(reps, row_by_row)
 
     table, einsum = (
         (serialize_cluster(index, 0), index.kernel.num_evaluations)
@@ -115,6 +148,8 @@ def bench_insert_construction(vectors: np.ndarray, reps: int) -> dict:
         "distance_evaluations": table[1],
         "einsum_column_inserts_per_s": round(nodes / einsum_time, 1),
         "pair_table_inserts_per_s": round(nodes / table_time, 1),
+        "einsum_column_cpu_seconds": round(einsum_cpu, 3),
+        "pair_table_cpu_seconds": round(table_cpu, 3),
         "speedup_vs_einsum_columns": round(einsum_time / table_time, 2),
         "blobs_and_counts_identical": True,
     }
@@ -126,7 +161,8 @@ def bench_serialization(vectors: np.ndarray, reps: int) -> dict:
                       HnswParams(m=16, ef_construction=100, seed=42))
     index.add(vectors)
 
-    seconds, blob = best_of(reps * 3, lambda: serialize_cluster(index, 0))
+    seconds, _, blob = best_of(reps * 3,
+                               lambda: serialize_cluster(index, 0))
     return {
         "blob_bytes": len(blob),
         "zero_copy_mb_per_s": round(len(blob) / seconds / 1e6, 1),
@@ -136,15 +172,16 @@ def bench_serialization(vectors: np.ndarray, reps: int) -> dict:
 def bench_end_to_end(dataset, config: DHnswConfig, workers: int) -> dict:
     """Two full builds: sequential and on a process pool."""
 
-    def build(build_workers: int) -> tuple[float, Deployment]:
-        start = time.perf_counter()
+    def build(build_workers: int) -> tuple[float, float, Deployment]:
+        start, start_cpu = time.perf_counter(), time.process_time()
         deployment = Deployment(
             dataset.vectors, config.replace(build_workers=build_workers),
             simulate_link_contention=False)
-        return time.perf_counter() - start, deployment
+        return (time.perf_counter() - start,
+                time.process_time() - start_cpu, deployment)
 
-    sequential_seconds, sequential = build(0)
-    parallel_seconds, parallel = build(workers)
+    sequential_seconds, sequential_cpu, sequential = build(0)
+    parallel_seconds, _, parallel = build(workers)
 
     digests = {name: region_digest(deployment) for name, deployment in
                [("sequential", sequential), ("parallel", parallel)]}
@@ -155,6 +192,7 @@ def bench_end_to_end(dataset, config: DHnswConfig, workers: int) -> dict:
         "dim": int(dataset.vectors.shape[1]),
         "build_workers": workers,
         "sequential_seconds": round(sequential_seconds, 2),
+        "sequential_cpu_seconds": round(sequential_cpu, 2),
         "parallel_seconds": round(parallel_seconds, 2),
         "parallel_speedup": round(sequential_seconds / parallel_seconds, 2),
         "region_sha256": digests["parallel"],
@@ -208,6 +246,8 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["sections"], indent=2))
     print(f"\nwrote {args.output}")
+    if args.quick:
+        check_pinned(report["sections"])
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from repro.core.config import META_PARAMS, SUB_PARAMS, DHnswConfig
 from repro.core.meta_index import MetaHnsw, sample_representatives
 from repro.core.partitions import (Partitioning, assign_partitions,
                                    build_sub_hnsws, cluster_build_tasks)
-from repro.errors import LayoutError
+from repro.errors import LayoutError, NonFiniteVectorError
 from repro.hnsw.parallel_build import build_cluster_blob
 from repro.layout.allocator import RegionAllocator
 from repro.layout.cold import (codebook_blob_size, serialize_codebook,
@@ -145,6 +145,7 @@ class DHnswBuilder:
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if vectors.shape[0] < 1:
             raise LayoutError("cannot build over an empty corpus")
+        NonFiniteVectorError.check(vectors, "corpus")
         meta, partitioning = self._build_meta(vectors)
         codebook = None
         if self.config.cold_tier != "off":

@@ -8,6 +8,8 @@ without re-running it.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -24,6 +26,24 @@ class DimensionMismatchError(ReproError, ValueError):
         super().__init__(f"expected dimension {expected}, got {actual}")
         self.expected = expected
         self.actual = actual
+
+
+class NonFiniteVectorError(ReproError, ValueError):
+    """A vector holds a NaN or an infinity, so no distance to it can be
+    ordered: raised where vectors enter, naming the first bad row."""
+
+    def __init__(self, row: int, what: str) -> None:
+        super().__init__(f"{what} row {row} holds a NaN or an infinity")
+        self.row = row
+
+    @classmethod
+    def check(cls, vectors: np.ndarray, what: str) -> None:
+        """Raise for the first row of ``vectors`` (a single vector is row
+        0) that is not entirely finite."""
+        finite = np.isfinite(vectors)
+        if not finite.all():
+            rows = np.atleast_2d(finite).all(axis=1)
+            raise cls(int(rows.argmin()), what)
 
 
 class EmptyIndexError(ReproError, RuntimeError):

@@ -12,21 +12,31 @@ selector: the lists that named a removed node are re-chosen from what is
 left around the hole, everything else stays where it was, so a delete
 costs what it removes rather than a rebuild of the graph.
 
-The hot loops are restructured around whole-array NumPy calls: inserts
-run on a precomputed distance table (:func:`search_layer_table`), and
-the selector ORs one column of candidate-vs-selected distances per
-*accepted* neighbour into an occlusion mask instead of one
-``kernel.many`` call per examined candidate.
+The hot loops are restructured around whole-array NumPy calls, in three
+pieces:
 
-Where the column comes from is the only fork.  A batch of inserts
-(:meth:`HnswIndex.add`) keeps the rows ``insert`` computes anyway in a
-:class:`PairTable`, and the column is a gather from it — a pair's
-distance is evaluated once per build, not once per accepted neighbour
-per insert.  Without a table (a lone ``add_one``, a graph past
-``TABLE_NODES_MAX``) the column is an einsum over the gathered candidate
-matrix.
+* **The column source.**  The selector ORs one column of
+  candidate-vs-selected distances per *accepted* neighbour into an
+  occlusion mask instead of one ``kernel.many`` call per examined
+  candidate.  A batch of inserts (:meth:`HnswIndex.add`) keeps the rows
+  ``insert`` computes anyway in a :class:`PairTable`, and the column is a
+  gather from it — a pair's distance is evaluated once per build, not
+  once per accepted neighbour per insert.  Without a row (a lone
+  ``add_one``, a graph past ``TABLE_NODES_MAX``, a node that predates the
+  batch) the column is an einsum over the gathered candidate matrix.
+* **The per-level block.**  At each level an insert adds all its reverse
+  edges first, then prunes every list that went over its bound.  The
+  prunes are independent — each rewrites only its own list — so the
+  lists whose members all have pair rows gather their ``D[c, c']``
+  blocks in one fancy index, and Algorithm 4 runs per list as an
+  integer-bitmask loop (:func:`_prune_block`).  A list naming a node
+  without a row prunes on columns.
+* **The reach sweep.**  While a graph holds no more than
+  ``ef_construction`` nodes the construction beam can never fill, so it
+  visits exactly the nodes reachable from its seeds;
+  :func:`_sweep_layer_table` collects that set without the beam's heaps.
 
-Both produce the graphs and evaluation counts of the textbook
+All three produce the graphs and evaluation counts of the textbook
 per-candidate loops (kept test-side as the oracle,
 ``tests/hnsw/reference_build.py``): the column ``|c - s|²`` equals the
 textbook row ``|s - c|²`` exactly whichever operand the subtraction
@@ -104,6 +114,17 @@ class PairTable:
         if node < self._first:
             return None
         return self._rows[node - self._first, others]
+
+    def covers(self, nodes: list[int]) -> bool:
+        """Whether every node of ``nodes`` has a row."""
+        return min(nodes) >= self._first
+
+    def block(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """``D[r, c]`` for every ``r`` of ``rows`` and ``c`` of
+        ``columns``, broadcast together; every ``r`` must have a row
+        (:meth:`covers`)."""
+        return self._rows.reshape(-1).take(
+            (rows - self._first) * self.capacity + columns)
 
 
 def sample_level(rng: random.Random, params: HnswParams) -> int:
@@ -200,23 +221,132 @@ def _select_vectorized(
     return selected
 
 
-def _prune_node(graph: LayeredGraph, kernel: DistanceKernel, node: int,
-                level: int, params: HnswParams,
-                pairs: PairTable | None) -> None:
-    """Shrink ``node``'s neighbour list at ``level`` back to its bound."""
-    bound = params.max_degree(level)
-    neighbor_ids = graph.neighbors(node, level)
-    if len(neighbor_ids) <= bound:
-        return
-    node_vector = graph.vector(node)
-    dists = pairs.column(node, neighbor_ids) if pairs is not None else None
-    if dists is None:
-        dists = kernel.many(node_vector, graph.vectors[neighbor_ids])
-    else:
-        kernel.num_evaluations += len(neighbor_ids)
-    candidates = list(zip(dists.tolist(), neighbor_ids))
-    kept = select_neighbors_heuristic(graph, kernel, candidates, bound, pairs)
-    graph.set_neighbors(node, level, kept)
+def _prune(graph: LayeredGraph, kernel: DistanceKernel, owners: list[int],
+           level: int, bound: int, pairs: PairTable | None) -> None:
+    """Shrink every list of ``owners`` at ``level`` that is over ``bound``.
+
+    Lists whose members all have pair rows are pruned together from one
+    gathered block (:func:`_prune_block`, grouped by length so each group
+    is one rectangular gather); the rest on columns.  Each prune rewrites
+    only its own list, so the order they run in changes nothing.
+    """
+    adjacency = graph.adjacency
+    blocks: dict[int, list[int]] = {}
+    for owner in owners:
+        listed = adjacency[owner][level]
+        if len(listed) <= bound:
+            continue
+        if pairs is not None and pairs.covers(listed):
+            blocks.setdefault(len(listed), []).append(owner)
+            continue
+        dists = pairs.column(owner, listed) if pairs is not None else None
+        if dists is None:
+            dists = kernel.many(graph.vector(owner), graph.vectors[listed])
+        else:
+            kernel.num_evaluations += len(listed)
+        graph.set_neighbors(owner, level, select_neighbors_heuristic(
+            graph, kernel, list(zip(dists.tolist(), listed)), bound, pairs))
+    for group in blocks.values():
+        _prune_block(graph, kernel, group, level, bound, pairs)
+
+
+def _prune_block(graph: LayeredGraph, kernel: DistanceKernel,
+                 owners: list[int], level: int, bound: int,
+                 pairs: PairTable) -> None:
+    """Algorithm 4 over equally long lists, all read off ``pairs``.
+
+    One gather yields each list's distances to its owner, one more the
+    ``D[c, c']`` block of every list, sorted into the textbook's
+    ``(distance, node)`` order.  Candidate ``i``'s row of the block,
+    ``D[c_i, c_j] < d(owner, c_j)``, packs into an integer bitmask of the
+    candidates it occludes, so the in-order acceptance is a loop of
+    integer ORs that jumps from one unoccluded candidate to the next.
+    It credits what :func:`_select_vectorized` credits: every candidate
+    it passes, and the one it lands on, against every neighbour accepted
+    so far.
+    """
+    adjacency = graph.adjacency
+    lists = np.array([adjacency[owner][level] for owner in owners],
+                     dtype=np.intp)
+    count, width = lists.shape
+    starts = np.arange(0, count * width, width)[:, None]
+    to_owner = pairs.block(lists, np.array(owners, dtype=np.intp)[:, None])
+    # Flat positions that put each list in ``(distance, node)`` order.
+    order = np.lexsort((lists, to_owner)) + starts
+    lists = lists.take(order)
+    to_owner = to_owner.take(order)
+    occludes = (pairs.block(lists[:, :, None], lists[:, None, :])
+                < to_owner[:, None, :])
+    # Bit j of candidate i's mask: i is closer to j than j's owner is.
+    # Packed little-endian into 64-bit words; lists past 64 candidates
+    # stitch their words together in Python.
+    packed = np.packbits(occludes, axis=2, bitorder="little")
+    words = np.zeros((count, width, -(-width // 64) * 8), dtype=np.uint8)
+    words[:, :, :packed.shape[2]] = packed
+    words = words.view("<u8")
+    masks = words[:, :, 0].tolist()
+    for word in range(1, words.shape[2]):
+        masks = [[low | high << 64 * word for low, high in zip(mine, more)]
+                 for mine, more in zip(masks, words[:, :, word].tolist())]
+
+    evaluations = count * width  # each list's distances to its owner
+    everyone = (1 << width) - 1
+    picks: list[int] = []  # flat positions of the accepted candidates
+    for start, mask in zip(range(0, count * width, width), masks):
+        accepted = 0
+        occluded = 0
+        cursor = 0
+        while accepted < bound:
+            # Candidates not yet examined that nothing accepted occludes.
+            free = ~occluded & (everyone >> cursor << cursor)
+            if not free:
+                evaluations += (width - cursor) * accepted
+                break
+            pick = (free & -free).bit_length() - 1
+            evaluations += (pick - cursor + 1) * accepted
+            picks.append(start + pick)
+            accepted += 1
+            occluded |= mask[pick]
+            cursor = pick + 1
+    # Accepted candidates first, then the pruned ones as backfill, each
+    # in examination order, cut at the bound: a list that accepted
+    # ``bound`` stopped there, and one that accepted fewer examined all.
+    pruned = np.ones(count * width, dtype=bool)
+    pruned[picks] = False
+    kept = np.argsort(pruned.reshape(count, width), axis=1,
+                      kind="stable")[:, :bound] + starts
+    for owner, neighbors in zip(owners, lists.take(kept).tolist()):
+        adjacency[owner][level] = neighbors
+    kernel.num_evaluations += evaluations
+
+
+def _sweep_layer_table(graph: LayeredGraph, kernel: DistanceKernel,
+                       table: list[float], entries: list[tuple[float, int]],
+                       level: int) -> list[tuple[float, int]]:
+    """:func:`search_layer_table` for a beam that can never fill.
+
+    With no more nodes in the graph than the beam is wide, the beam
+    accepts every node it meets and stops only when nothing new is
+    reachable: its result is the seeds plus everything reachable from
+    them at ``level``, sorted, and it credits one evaluation per node
+    outside the seeds.  A breadth-first walk over the adjacency finds the
+    same set without the heaps.  Seeds keep the distances they came with.
+    """
+    tags, epoch = graph.acquire_visited()
+    reached = [node for _, node in entries]
+    for node in reached:
+        tags[node] = epoch
+    adjacency = graph.adjacency
+    for node in reached:  # grows while walked
+        for neighbor in adjacency[node][level]:
+            if tags[neighbor] != epoch:
+                tags[neighbor] = epoch
+                reached.append(neighbor)
+    kernel.num_evaluations += len(reached) - len(entries)
+    output = list(entries)
+    output.extend([(table[node], node) for node in reached[len(entries):]])
+    output.sort()
+    return output
 
 
 def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
@@ -264,11 +394,16 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
         # ``for_batch`` hands out a table only where the branch above ran.
         pairs.append(node, row)
 
-    # Phase 2: beam-search each layer from min(level, old top) down to 0,
-    # wiring bidirectional edges as we go.
+    # Phase 2: search each layer from min(level, old top) down to 0,
+    # wiring bidirectional edges as we go.  A graph no larger than the
+    # beam is swept instead of beam-searched: same result, same count.
+    sweep = table is not None and len(table) <= params.ef_construction
     seeds = [(entry_dist, entry)]
     for current_level in range(min(level, top_level), -1, -1):
-        if table is not None:
+        if sweep:
+            candidates = _sweep_layer_table(graph, kernel, table, seeds,
+                                            current_level)
+        elif table is not None:
             candidates = search_layer_table(
                 graph, kernel, table, seeds, params.ef_construction,
                 current_level)
@@ -281,8 +416,8 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
         graph.set_neighbors(node, current_level, neighbors)
         for neighbor in neighbors:
             graph.add_edge(neighbor, node, current_level)
-            _prune_node(graph, kernel, neighbor, current_level, params,
-                        pairs)
+        _prune(graph, kernel, neighbors, current_level,
+               params.max_degree(current_level), pairs)
         seeds = candidates
     return node
 

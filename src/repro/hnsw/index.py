@@ -12,7 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import DimensionMismatchError, EmptyIndexError
+from repro.errors import (DimensionMismatchError, EmptyIndexError,
+                          NonFiniteVectorError)
 from repro.hnsw.build import PairTable, insert, remove_nodes
 from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.graph import LayeredGraph
@@ -61,6 +62,8 @@ class HnswIndex:
     def add_one(self, vector: np.ndarray, label: int | None = None,
                 forced_level: int | None = None) -> int:
         """Insert one vector; returns its internal node id."""
+        vector = np.asarray(vector, dtype=np.float32)
+        NonFiniteVectorError.check(vector, "vector")
         return self._insert(vector, label, forced_level, None)
 
     def _insert(self, vector: np.ndarray, label: int | None,
@@ -82,6 +85,7 @@ class HnswIndex:
         batch builds the same graph as :meth:`add_one` row by row, faster.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
+        NonFiniteVectorError.check(vectors, "vector")
         if labels is not None and len(labels) != vectors.shape[0]:
             raise ValueError(
                 f"got {vectors.shape[0]} vectors but {len(labels)} labels")
@@ -124,6 +128,8 @@ class HnswIndex:
         Returns ``(labels, distances)`` arrays, ascending by distance.
         ``ef`` defaults to ``2k`` and is never below ``k``.
         """
+        query = np.asarray(query, dtype=np.float32)
+        NonFiniteVectorError.check(query, "query")
         candidates = self.search_candidates(query, k, ef)
         top = knn_from_candidates(candidates, k)
         labels = np.array([self.labels[node] for _, node in top],

@@ -38,7 +38,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import GroupSealedError, OverflowFullError
+from repro.errors import (GroupSealedError, NonFiniteVectorError,
+                          OverflowFullError)
 from repro.layout.group_layout import (decode_overflow_tail,
                                        overflow_slot_offset)
 from repro.layout.serializer import (
@@ -131,6 +132,7 @@ class MutationEngine:
         if vectors.shape[0] != len(global_ids):
             raise ValueError(
                 f"{vectors.shape[0]} vectors but {len(global_ids)} ids")
+        NonFiniteVectorError.check(vectors, "vector")
         trace = self.last_trace = TraceContext(
             self._request_counter, host.node.clock, host.node.stats)
         self._request_counter += 1

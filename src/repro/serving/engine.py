@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.results import BatchResult
-from repro.errors import StaleReadError
+from repro.errors import NonFiniteVectorError, StaleReadError
 from repro.metrics.latency import LatencyBreakdown
 from repro.serving.decoder import Decoder
 from repro.serving.executor import WaveExecutor
@@ -84,6 +84,7 @@ class ServingEngine:
                            record_access: bool = True) -> BatchResult:
         host = self.host
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        NonFiniteVectorError.check(queries, "query")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         ef = self.resolve_ef(k, ef_search)

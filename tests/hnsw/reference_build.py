@@ -4,8 +4,9 @@
   per-candidate loop: one validated ``kernel.many`` row per examined
   candidate against every neighbour accepted so far.
 * :func:`use_reference_construction` — routes ``repro.hnsw.build`` onto
-  the textbook loops: no distance tables (inserts search hop by hop,
-  batches keep no pair table) and the selector above.
+  the textbook loops: no distance tables (inserts beam-search hop by hop
+  and never sweep, batches keep no pair table, so every prune runs per
+  list) and the selector above.
 * :func:`serialize_cluster_reference` — the ``DHN1`` wire format packed
   node by node with ``struct``, spelled out here rather than imported.
 
