@@ -1,9 +1,13 @@
 """Hot/cold tiered-memory benchmark: DRAM footprint vs quality.
 
-PR 9 put a PQ cold tier underneath the full-precision cluster cache:
-every cluster also has a compact cold extent (labels + short codes)
-served with one RDMA READ + ADC + a narrow exact rerank, and a background rebalancer promotes only the EWMA-hottest
-clusters into a bounded full-precision hot tier.  This harness stands up
+Every cluster also has a compact cold extent (labels + short codes)
+served with one RDMA READ + ADC + a narrow exact rerank, and the
+full-precision cluster cache is the hot tier: ``hot_tier_budget_bytes``
+is its byte cap, a cluster it would admit (frequency x bytes, judged
+before the fetch) is fetched full-precision and admitted, and any other
+is served cold.  Promotions and demotions are the cache's admissions and
+evictions, reported per budget with its streams, ``cached_bytes`` and
+resident count.  This harness stands up
 the CI scenario (200k x 128d, 400 clusters, batch 256) under a Zipfian
 cluster-popularity workload and gates the memory-frontier claim:
 
@@ -18,10 +22,11 @@ cluster-popularity workload and gates the memory-frontier claim:
   a pq build (staged-vs-reference-loop identity of the off path is
   ``tests/serving/test_engine_equivalence.py``'s job).
 
-Every gate prints its verdict.  Under ``--ci`` and the full run a
-violated gate exits non-zero, so the CI perf-smoke job doubles as a
-regression gate; ``--quick`` is for local iteration and only reports
-(its 30k scenario sits on the p99 ceiling: x1.66 at the 25 % budget).
+Every gate prints its verdict, and the report is written either way.
+Under ``--ci`` and the full run a violated gate then exits non-zero, so
+the CI perf-smoke job doubles as a regression gate and a red run still
+uploads the numbers that failed; ``--quick`` is for local iteration and
+only reports.
 
 Usage::
 
@@ -84,12 +89,12 @@ MIN_RECALL_RATIO = 0.95
 MAX_P99_RATIO = 1.65
 
 
-def check(condition: bool, what: str, enforce: bool) -> bool:
-    """Print one gate's verdict; a violated gate exits non-zero when
-    ``enforce`` is set."""
+def check(condition: bool, what: str, failures: list[str]) -> bool:
+    """Print one gate's verdict; a violated gate is added to
+    ``failures``, which fail the run once the report is written."""
     print(f"gate {'met' if condition else 'NOT MET'}: {what}")
-    if not condition and enforce:
-        raise SystemExit(f"ACCEPTANCE FAILURE: {what}")
+    if not condition:
+        failures.append(what)
     return condition
 
 
@@ -118,24 +123,23 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
                          cost_model=deployment.cost_model, name=name)
     try:
         latencies = []
-        cold_served = 0
-        promotions = demotions = 0
+        cold_served = admissions = 0
         wall_start = time.perf_counter()
         for index, batch in enumerate(batches):
             result = client.search_batch(batch, k=10)
             if index >= WARMUP_BATCHES:
                 latencies.append(result.latency_per_query_us)
             cold_served += result.cold_clusters_served
-            promotions += result.tier_promotions
-            demotions += result.tier_demotions
+            admissions += result.clusters_fetched - result.cache_streamed
         wall = time.perf_counter() - wall_start
         final = client.search_batch(eval_batch, k=10)
         latencies.append(final.latency_per_query_us)
+        admissions += final.clusters_fetched - final.cache_streamed
         ids = np.stack([r.ids for r in final.results])
-        tier = client.tier_store
+        cache = client.cache
         return {
             "dram_used_bytes": client.node.dram_used_bytes,
-            "cache_bytes": client.cache.cached_bytes,
+            "cached_bytes": cache.cached_bytes,
             "recall_at_10": round(recall_at_10(ids, ground_truth), 4),
             "p99_latency_per_query_us": round(
                 float(np.percentile(latencies, 99)), 2),
@@ -143,10 +147,11 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
                 float(np.mean(latencies)), 2),
             "wall_seconds": round(wall, 2),
             "cold_clusters_served": cold_served,
-            "tier_promotions": promotions,
-            "tier_demotions": demotions,
-            "hot_tier_bytes": tier.hot_tier_bytes() if tier else None,
-            "tier_counts": list(tier.tier_counts()) if tier else None,
+            # The hot tier's moves, over every batch (the eval one too).
+            "cache_admissions": admissions,
+            "cache_evictions": cache.evictions,
+            "cache_streamed": cache.streamed,
+            "resident_clusters": len(cache),
         }
     finally:
         client.close()
@@ -175,6 +180,7 @@ def main() -> None:
     mode = "ci" if args.ci else "quick" if args.quick else "full"
     scale = SCALES[mode]
     enforce = mode != "quick"
+    failures: list[str] = []
 
     dataset = sift1m_like(num_vectors=scale["num_vectors"],
                           num_queries=scale["eval_queries"],
@@ -204,7 +210,7 @@ def main() -> None:
     identical = check(read_base_extents(off_deployment)
                       == read_base_extents(pq_deployment),
                       "the pq build leaves the full-precision cluster "
-                      "extents byte-identical", enforce)
+                      "extents byte-identical", failures)
 
     assignments = assign_partitions(dataset.vectors,
                                     off_deployment.meta).assignments
@@ -251,7 +257,7 @@ def main() -> None:
                                f"dram -{s['dram_reduction']:.0%}, "
                                f"recall x{s['recall_ratio']:.3f}, "
                                f"p99 x{s['p99_ratio']:.2f}" for s in sweep)
-                   + ")", enforce) and identical
+                   + ")", failures) and identical
     headline = max(passing or sweep, key=lambda s: s["dram_reduction"])
 
     report = {
@@ -299,6 +305,8 @@ def main() -> None:
                       ("baseline", "sweep", "headline",
                        "off_bit_identity", "acceptance")}, indent=2))
     print(f"\nwrote {args.output}")
+    if failures and enforce:
+        raise SystemExit("ACCEPTANCE FAILURE: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@
 batch.  If the required sub-HNSWs are already in the compute instance, they
 do not need to be loaded again, further reducing data transfer overhead."
 
-Capacity is a cluster count (the paper configures 10 % of all clusters).
-Entries carry the epoch of the extent they were decoded from and the
-overflow tail observed at load time so staleness is detectable after
-inserts and rebuilds.
+Capacity is a cluster count (the paper configures 10 % of all clusters)
+and, with a cold tier on, also a byte cap (``hot_tier_budget_bytes``):
+the cache is then the hot tier, the one thing that decides which
+clusters hold full-precision DRAM.  Entries carry the epoch of the
+extent they were decoded from and the overflow tail observed at load
+time so staleness is detectable after inserts and rebuilds.
 
 What is retained is ranked by what it would cost to fetch again, not by
 recency alone.  Under wave-by-wave loading every admission is an eviction,
@@ -21,7 +23,10 @@ its value is at least the weakest unpinned resident's, which it then
 evicts; otherwise it is *streamed*: searched in its wave and dropped.
 Equal values fall back to LRU order, so where every entry is worth the
 same (nothing recorded, or uniform demand over equal sizes) the cache is
-the paper's LRU.
+the paper's LRU.  The tier split asks the same rule before anything is
+fetched (:meth:`ClusterCache.admissions`, a dry run over the bytes each
+fetch would read): a cluster it would admit is fetched full-precision,
+any other is served from its cold extent instead of streamed.
 
 The cache is thread-safe: every operation (including the byte/counter
 bookkeeping) runs under one re-entrant lock, although the serving engine
@@ -54,7 +59,7 @@ __all__ = ["CachedCluster", "ClusterCache", "FREQ_HALFLIFE_US"]
 
 #: Half-life of the EWMA access frequency, in simulated microseconds:
 #: short enough to follow a workload shift, long enough to damp
-#: promotion churn.
+#: admission churn.
 FREQ_HALFLIFE_US = 50_000.0
 
 
@@ -104,11 +109,14 @@ class ClusterCache:
     what costs most to refetch (frequency x bytes, LRU among equals)."""
 
     def __init__(self, capacity_clusters: int,
-                 release: "Callable[[int], None] | None" = None) -> None:
+                 release: "Callable[[int], None] | None" = None,
+                 capacity_bytes: int | None = None) -> None:
         if capacity_clusters < 1:
             raise ConfigError(
                 f"cache capacity must be >= 1, got {capacity_clusters}")
         self.capacity_clusters = int(capacity_clusters)
+        #: Bytes the residents may hold together (None: no byte cap).
+        self.capacity_bytes = capacity_bytes
         #: Called with the ``nbytes`` of every entry that leaves the cache.
         self._release = release
         self._entries: collections.OrderedDict[int, CachedCluster] = (
@@ -122,8 +130,8 @@ class ClusterCache:
         self._cached_bytes = 0
         # EWMA access frequencies, keyed by cluster id.  Deliberately
         # covers non-resident clusters too: admission scores a cluster
-        # before it is resident, and the tier store scores *cold* clusters
-        # for promotion, so the signal must survive eviction.
+        # before it is resident (and, with a cold tier, before it is
+        # fetched), so the signal must survive eviction.
         # Each value is (score, last_access_us); the score decays by
         # 2 ** (-elapsed / halflife) before each bump or read.
         self._freq: dict[int, tuple[float, float]] = {}
@@ -191,7 +199,7 @@ class ClusterCache:
             return self._entries.get(cluster_id)
 
     # ------------------------------------------------------------------
-    # EWMA access frequency (admission, eviction and tier signal)
+    # EWMA access frequency (admission and eviction signal)
     # ------------------------------------------------------------------
     def record_access(self, cluster_id: int, now_us: float,
                       weight: float = 1.0) -> float:
@@ -202,7 +210,7 @@ class ClusterCache:
         served cold — once per batch, while ``get`` only sees hot
         lookups.  ``weight`` is how many queries of the batch probe the
         cluster, so popularity (not mere presence in a batch) drives
-        retention and promotion.  Returns the updated score.
+        admission and retention.  Returns the updated score.
         """
         if weight <= 0:
             raise ConfigError(f"weight must be > 0, got {weight}")
@@ -262,70 +270,120 @@ class ClusterCache:
         ``now_us`` times the bytes a miss would re-read and re-decode."""
         return self.frequency(entry.cluster_id, now_us) * entry.nbytes
 
-    def _weakest(self, now_us: float
-                 ) -> tuple[float, CachedCluster] | None:
-        """``(value, entry)`` of the unpinned resident worth least, the
-        least recently used among equals; None when every resident is
-        pinned — the caller defers eviction (a transient capacity/budget
-        overshoot) rather than spill memory a search is reading right
-        now.  Must be called under the lock."""
-        weakest = None
-        for entry in self._entries.values():  # least recently used first
-            if entry.pins == 0:
-                value = self.value(entry, now_us)
-                if weakest is None or value < weakest[0]:
-                    weakest = value, entry
-        return weakest
+    def _residents(self) -> dict[int, tuple[int, bool]]:
+        """Cluster id -> ``(nbytes, pinned)`` of every resident, least
+        recently used first.  Must be called under the lock."""
+        return {entry.cluster_id: (entry.nbytes, entry.pins > 0)
+                for entry in self._entries.values()}
 
-    def _evict(self, entry: CachedCluster) -> None:
-        """Displace resident ``entry``.  Must be called under the lock."""
-        del self._entries[entry.cluster_id]
+    def _victims(self, residents: dict[int, tuple[int, bool]],
+                 held: int, value: float, nbytes: int,
+                 now_us: float) -> list[int] | None:
+        """The one room-and-victim rule.  Given ``residents`` (as
+        :meth:`_residents` lists them) holding ``held`` bytes, returns the
+        ids an entry worth ``value`` that holds ``nbytes`` evicts to be
+        admitted, weakest first, or None when it is streamed instead.
+
+        It is admitted when there is room under both caps, or when it is
+        worth at least the weakest unpinned resident, which it evicts
+        together with as many next-weakest as room takes.  An entry
+        larger than the byte cap never fits.  Pinned residents are never
+        victims: if they are all that is left the cache transiently
+        exceeds a cap rather than spill memory a search is reading, and
+        sheds the excess on a later ``put``."""
+        byte_cap = self.capacity_bytes
+        if byte_cap is not None and nbytes > byte_cap:
+            return None
+        # Clusters and bytes still to free before the entry fits.
+        clusters = len(residents) + 1 - self.capacity_clusters
+        excess = 0 if byte_cap is None else held + nbytes - byte_cap
+        victims: list[int] = []
+        if clusters <= 0 and excess <= 0:
+            return victims
+        # A stable sort keeps LRU order among equal values.
+        ranked = sorted(((self.frequency(cid, now_us) * size, cid, size)
+                         for cid, (size, pinned) in residents.items()
+                         if not pinned),
+                        key=lambda ranking: ranking[0])
+        for victim_value, cid, size in ranked:
+            if not victims and value < victim_value:
+                return None
+            victims.append(cid)
+            clusters -= 1
+            excess -= size
+            if clusters <= 0 and excess <= 0:
+                break
+        return victims
+
+    def _evict(self, cluster_id: int) -> CachedCluster:
+        """Displace resident ``cluster_id``.  Must be called under the
+        lock."""
+        entry = self._entries.pop(cluster_id)
         self._evictions += 1
         self._drop(entry)
+        return entry
 
     def put(self, entry: CachedCluster, count_miss: bool = True,
             now_us: float = 0.0) -> list[CachedCluster] | None:
         """Offer an entry; returns the entries it evicted, or None when it
         was streamed rather than admitted.
 
-        ``entry`` is admitted when the cache has room, or when its
-        :meth:`value` at ``now_us`` is at least the weakest unpinned
-        resident's, which it evicts.  Otherwise it is streamed: left out
-        of the cache, counted in :attr:`streamed` (not in
-        :attr:`evictions`), and flagged so that :meth:`unpin` hands its
-        ``nbytes`` back when its wave is done with it — the owner reserves
-        for it as for an admitted entry.  Values are read at ``now_us``;
-        with no access recorded every value is 0 and the rule is LRU.
+        Admission is :meth:`_victims`' rule, with ``entry``'s
+        :meth:`value` at ``now_us``.  A streamed entry is left out of the
+        cache, counted in :attr:`streamed` (not in :attr:`evictions`),
+        and flagged so that :meth:`unpin` hands its ``nbytes`` back when
+        its wave is done with it — the owner reserves for it as for an
+        admitted entry.  With no access recorded every value is 0 and
+        the rule is LRU.
 
         Inserting a key that was absent counts one miss — the fetch that
         produced ``entry`` went to remote memory.  Pass
         ``count_miss=False`` when a failed :meth:`get` already counted it
         (the evicted-between-planning-and-execution refetch path).
-        Pinned entries are never chosen as victims; if everything
-        resident is pinned the cache transiently exceeds capacity and
-        sheds the excess on a later unpinned ``put``.
         """
         with self._lock:
-            evicted = []
             previous = self._entries.pop(entry.cluster_id, None)
             if previous is not None:
                 self._drop(previous)
             elif count_miss:
                 self._misses += 1
-            while len(self._entries) >= self.capacity_clusters:
-                weakest = self._weakest(now_us)
-                if weakest is None:
-                    break
-                value, victim = weakest
-                if not evicted and self.value(entry, now_us) < value:
-                    entry.streamed = True
-                    self._streamed += 1
-                    return None
-                self._evict(victim)
-                evicted.append(victim)
+            victims = self._victims(self._residents(), self._cached_bytes,
+                                    self.value(entry, now_us), entry.nbytes,
+                                    now_us)
+            if victims is None:
+                entry.streamed = True
+                self._streamed += 1
+                return None
+            evicted = [self._evict(cid) for cid in victims]
             self._entries[entry.cluster_id] = entry
             self._cached_bytes += entry.nbytes
             return evicted
+
+    def admissions(self, offers: dict[int, int], now_us: float) -> set[int]:
+        """The clusters of ``offers`` (cluster id -> the bytes its fetch
+        would read) that :meth:`put` would admit were they offered at
+        ``now_us`` in value order, most valuable first (lower id among
+        equals).  A dry run of the same rule: the cache is not touched."""
+        with self._lock:
+            residents = self._residents()
+            held = self._cached_bytes
+            admitted: set[int] = set()
+            for cid in sorted(offers, key=lambda cid: (
+                    -self.frequency(cid, now_us) * offers[cid], cid)):
+                nbytes = offers[cid]
+                if cid in residents:
+                    held -= residents.pop(cid)[0]
+                victims = self._victims(
+                    residents, held, self.frequency(cid, now_us) * nbytes,
+                    nbytes, now_us)
+                if victims is None:
+                    continue
+                for victim in victims:
+                    held -= residents.pop(victim)[0]
+                residents[cid] = (nbytes, False)
+                held += nbytes
+                admitted.add(cid)
+            return admitted
 
     def grow(self, entry: CachedCluster, nbytes: int) -> bool:
         """Add ``nbytes`` to ``entry``'s size (records grafted onto it);
@@ -339,17 +397,19 @@ class ClusterCache:
 
     def pop_weakest(self, now_us: float) -> CachedCluster | None:
         """Evict and return the unpinned entry worth least at ``now_us``
-        — the victim :meth:`put` would pick (the DRAM spill).
+        — the first victim :meth:`put` would pick (the DRAM spill).
 
         Returns None when the cache is empty *or* every entry is pinned
         by in-flight compute (callers distinguish via ``len(cache)``).
         """
         with self._lock:
-            weakest = self._weakest(now_us)
-            if weakest is None:
+            unpinned = [(self.value(entry, now_us), entry.cluster_id)
+                        for entry in self._entries.values()
+                        if entry.pins == 0]
+            if not unpinned:
                 return None
-            self._evict(weakest[1])
-            return weakest[1]
+            # min keeps the first, least recently used, among equals.
+            return self._evict(min(unpinned, key=lambda pair: pair[0])[1])
 
     def invalidate(self, cluster_id: int) -> bool:
         """Drop one entry (stale after a rebuild); True if it was cached.

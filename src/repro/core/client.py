@@ -105,8 +105,12 @@ class DHnswClient:
         if not self.node.reserve_dram(meta_bytes):
             raise LayoutError("DRAM budget cannot hold the meta-HNSW")
         # Admission reserves an entry's bytes (``Fetcher.offer``); the
-        # cache gives them back however the entry leaves.
-        self.cache = ClusterCache(capacity, release=self.node.release_dram)
+        # cache gives them back however the entry leaves.  With a cold
+        # tier the cache is the hot tier, and the budget its byte cap.
+        self.cache = ClusterCache(
+            capacity, release=self.node.release_dram,
+            capacity_bytes=(None if self.config.cold_tier == "off"
+                            else self.config.hot_tier_budget_bytes))
 
         # The transport seam: every remote byte this client moves goes
         # through here; ``max_retries`` puts a retrying layer over it.

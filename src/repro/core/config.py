@@ -95,10 +95,11 @@ class DHnswConfig:
         read of the short codes (ADC scan + exact rerank of
         ``rerank_depth`` candidates fetched in a second narrow read).
     hot_tier_budget_bytes:
-        Compute-side DRAM the hot tier may occupy with full-precision
-        cluster extents.  ``None`` (default) is unbounded: every
-        accessed cluster is promoted, so the tier behaves like the
-        full-precision engine after warmup.  Ignored when
+        Byte cap of the cluster cache, which is the hot tier: the
+        full-precision bytes its residents may hold together, enforced
+        alongside the cluster count ``cache_fraction`` sets.  A cluster
+        the cache would not admit is served cold rather than fetched.
+        ``None`` (default) caps the count only.  Ignored when
         ``cold_tier="off"``.
     rerank_depth:
         Cold-serve candidates re-ranked with exact distances against

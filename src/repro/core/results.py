@@ -63,12 +63,10 @@ class BatchResult:
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False
-    #: Clusters served from the cold (PQ) tier this batch, and the
-    #: tier transitions the post-batch rebalance made.  All zero when
-    #: ``cold_tier="off"``.
+    #: Clusters served from the cold (PQ) tier this batch (zero when
+    #: ``cold_tier="off"``); what moved into or out of the hot tier is
+    #: the cache's admissions and evictions above.
     cold_clusters_served: int = 0
-    tier_promotions: int = 0
-    tier_demotions: int = 0
     #: Per-stage cost attribution for this batch (route / plan / fetch /
     #: decode / compute / merge), populated by the serving engine.  None
     #: for results produced outside the staged path (e.g. shard merges).

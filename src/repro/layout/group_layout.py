@@ -16,8 +16,8 @@ round trip.  Two invariants follow, stated here once; the fetcher,
 *layout* (:func:`cluster_read_extent`)
     A member's blob and its group's overflow area are contiguous:
     ``[blob | area)`` for the first member of a group, ``[area | blob)``
-    for the second.  Tier sizing and the client's DRAM plan size from
-    this worst case; the two extents together are the group's span
+    for the second.  The client's DRAM plan sizes from this worst case
+    (the tier split sizes a fetch from its read ranges); the two extents together are the group's span
     (:func:`group_extent`), which a rebuild snapshots and retires, and
     :func:`place_group` is the one rule that puts the three parts there.
 

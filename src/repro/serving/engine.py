@@ -104,7 +104,7 @@ class ServingEngine:
             # with large batches nearly every cluster appears in every
             # batch, and presence alone cannot tell a Zipf head cluster
             # from the tail.  Cache admission and eviction rank by it,
-            # and so does the tier rebalance.
+            # and so does the tier split, which asks the cache.
             now_us = host.node.clock.now_us
             probes = collections.Counter(cid for row in required
                                          for cid in row)
@@ -120,7 +120,6 @@ class ServingEngine:
         # path below is bit-identical to the untiered engine.
         tier = host.tier_store if host.policy.deduplicate_batch else None
         cold = ColdExecution()
-        promotions = demotions = 0
         cold_required: dict[int, list[int]] = {}
         if tier is not None:
             required, cold_required = tier.split(required)
@@ -130,7 +129,6 @@ class ServingEngine:
         if tier is not None:
             cold = tier.execute_cold(cold_required, queries, merger,
                                      k, trace)
-            promotions, demotions = tier.rebalance(trace)
         # The wave loop charged decode + search to the clock itself, and
         # cold serving its compute inside execute_cold (the waves never
         # saw those clusters); both belong to the sub-HNSW bucket.
@@ -173,6 +171,4 @@ class ServingEngine:
                            cache_streamed=host.cache.streamed - streamed_before,
                            pipeline_executed=execution.pipeline_executed,
                            cold_clusters_served=cold.clusters,
-                           tier_promotions=promotions,
-                           tier_demotions=demotions,
                            trace=trace, complete_us=complete_us)

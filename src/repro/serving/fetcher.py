@@ -87,7 +87,8 @@ class Fetcher:
     def extent_descriptors(self, cluster_ids: Sequence[int]
                            ) -> tuple[list[ReadDescriptor], list[Extent]]:
         """READ descriptors + extents for a set of clusters (shared by the
-        sync and async fetch paths)."""
+        sync and async fetch paths, and by the tier split, which sizes a
+        fetch before deciding to make it)."""
         metadata = self.host.metadata
         tail_seen = self.decoder.tail_seen
         merge = self.merge_hole_bytes()

@@ -16,18 +16,18 @@ beam-searched, exactly as before) and which are served **cold**:
    a second doorbell READ straight out of the hot blob's vector section
    (``vectors_offset`` + 4·dim·node) and reranked exactly.
 
-Between batches :meth:`TieredClusterStore.rebalance` promotes/demotes
-clusters against ``DHnswConfig.hot_tier_budget_bytes`` using the
-cache's EWMA access frequencies (recorded once per batch by the serving
-engine, weighted by the queries that probe each cluster), with
-hysteresis (``_HYSTERESIS``) so alternating access patterns do not
-ping-pong a cluster between tiers.
-Demotion never touches an entry pinned by in-flight compute.
+Which clusters are hot is the cluster cache's call, not this store's:
+the cache is the hot tier, its byte cap is ``hot_tier_budget_bytes``.
+A resident cluster is served hot; a missing one is fetched hot exactly
+when the cache would admit it, judged before the fetch on the bytes that
+fetch would read (:meth:`~repro.core.cache.ClusterCache.admissions`);
+every other cluster is served cold.  Promotions and demotions are the
+cache's admissions and evictions.
 
 Everything here is charged to the simulated clock through the same
 transport and compute-cost paths the hot tier uses, and shows up on the
 request trace under the ``cold-fetch`` / ``cold-compute`` /
-``rerank-fetch`` / ``tier-rebalance`` stages.
+``rerank-fetch`` stages.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import numpy as np
 from repro.errors import LayoutError, SerializationError
 from repro.hnsw.distance import DistanceKernel
 from repro.layout.cold import deserialize_cold_cluster
-from repro.layout.group_layout import (cluster_read_extent,
-                                       live_overflow_count,
+from repro.layout.group_layout import (live_overflow_count,
                                        overflow_slot_offset,
                                        overflow_tail_extent)
 from repro.layout.serializer import (overflow_record_size,
@@ -62,11 +61,6 @@ _COARSE_FRACTION = 2       # scan with num_subspaces // 2 subspaces
 _MIN_COARSE_SUBSPACES = 8
 _REFINE_FACTOR = 2         # refine 2 x rerank_depth candidates
 
-#: A cold cluster displaces a hot one only when its EWMA score exceeds
-#: this multiple of the victim's — the guard against tier ping-pong under
-#: alternating access patterns.
-_HYSTERESIS = 2.0
-
 
 @dataclasses.dataclass
 class ColdExecution:
@@ -78,7 +72,7 @@ class ColdExecution:
 
 
 class TieredClusterStore:
-    """Per-batch hot/cold routing plus background tier rebalancing."""
+    """Per-batch hot/cold routing and the cold serve."""
 
     def __init__(self, host, codebook: PqCodebook) -> None:
         self.host = host
@@ -87,15 +81,8 @@ class TieredClusterStore:
             raise LayoutError(
                 "tiered store requires a layout with a cold directory")
         self.kernel = DistanceKernel(host.metadata.dim)
-        #: Clusters currently assigned to the hot tier.  A hot cluster is
-        #: fetched full-precision (and cached) on its next serve — until
-        #: that fetch lands it is "promoting".
-        self.hot_ids: set[int] = set()
-        self.promotions = 0
-        self.demotions = 0
         self.hot_serves = 0
         self.cold_serves = 0
-        self._accessed_cold: set[int] = set()
         # Two-phase scan split: a strided half of the subspaces for
         # the coarse pass (striding samples components across the whole
         # vector), the rest for refinement.  A codebook too small to
@@ -115,27 +102,6 @@ class TieredClusterStore:
             self._rest_columns = None
 
     # ------------------------------------------------------------------
-    # Tier inventory (telemetry)
-    # ------------------------------------------------------------------
-    def tier_counts(self) -> tuple[int, int, int]:
-        """(hot, cold, promoting) cluster counts right now."""
-        cold_dir = self.host.metadata.cold
-        tiered = sum(1 for extent in cold_dir.extents if extent.length > 0)
-        hot = len(self.hot_ids)
-        promoting = sum(1 for cid in self.hot_ids
-                        if self.host.cache.peek(cid) is None)
-        return hot, max(0, tiered - hot), promoting
-
-    def hot_tier_bytes(self) -> int:
-        """Full-precision bytes the current hot set can pin in DRAM:
-        whole extents, the worst case of every overflow slot live (an
-        entry's own ``nbytes`` is what it read), so a promotion decided
-        here never has to be revisited as a group fills."""
-        metadata = self.host.metadata
-        return sum(cluster_read_extent(metadata, cid)[1]
-                   for cid in self.hot_ids)
-
-    # ------------------------------------------------------------------
     # Per-batch split
     # ------------------------------------------------------------------
     def split(self, required: list[list[int]]
@@ -145,22 +111,24 @@ class TieredClusterStore:
         Returns ``(hot_required, cold_required)`` where ``hot_required``
         mirrors ``required`` with cold clusters removed (it feeds the
         unchanged wave planner) and ``cold_required`` maps each cold
-        cluster id to the sorted query indices that need it.  The access
-        frequencies :meth:`rebalance` ranks by were recorded for this
-        batch by the serving engine before the split.
+        cluster id to the sorted query indices that need it.  A cluster
+        is hot when it is resident or the cache would admit it, offered
+        at the bytes its fetch would read; the access frequencies the
+        cache ranks by were recorded for this batch by the serving engine
+        before the split.
         """
-        cache = self.host.cache
-        cold_dir = self.host.metadata.cold
+        host = self.host
+        cold_dir = host.metadata.cold
         unique = sorted({cid for row in required for cid in row})
-        serve_cold: set[int] = set()
-        for cid in unique:
-            if (cold_dir.extents[cid].length > 0
-                    and cid not in self.hot_ids
-                    and cache.peek(cid) is None):
-                serve_cold.add(cid)
+        missing = [cid for cid in unique if host.cache.peek(cid) is None]
+        _, extents = host.engine.fetcher.extent_descriptors(missing)
+        admitted = host.cache.admissions(
+            {cid: sum(length for _, length in ranges)
+             for cid, ranges in extents}, host.node.clock.now_us)
+        serve_cold = {cid for cid in missing if cid not in admitted
+                      and cold_dir.extents[cid].length > 0}
         self.hot_serves += len(unique) - len(serve_cold)
         self.cold_serves += len(serve_cold)
-        self._accessed_cold.update(serve_cold)
         hot_required = [[cid for cid in row if cid not in serve_cold]
                         for row in required]
         cold_required: dict[int, list[int]] = {cid: [] for cid
@@ -419,94 +387,3 @@ class TieredClusterStore:
             merger.add(query_index, labels,
                        np.asarray(exact, dtype=np.float64))
         return execution
-
-    # ------------------------------------------------------------------
-    # Background promotion / demotion
-    # ------------------------------------------------------------------
-    def rebalance(self, trace: TraceContext | None = None
-                  ) -> tuple[int, int]:
-        """Move clusters between tiers under the DRAM budget.
-
-        Promotes the hottest recently-cold clusters; to make room it
-        demotes the coldest hot clusters, but only when the candidate's
-        EWMA score beats the victim's by ``_HYSTERESIS`` — the
-        hysteresis band is what stops an alternating access pattern from
-        ping-ponging a pair of clusters between tiers.  Pinned cache
-        entries are never demoted mid-wave.  Returns
-        ``(promotions, demotions)`` for this call.
-        """
-        host = self.host
-        cache = host.cache
-        now_us = host.node.clock.now_us
-        budget = host.config.hot_tier_budget_bytes
-        metadata = host.metadata
-        candidates = sorted(self._accessed_cold)
-        self._accessed_cold.clear()
-        promotions = 0
-        demotions = 0
-        with span(trace, "tier-rebalance"):
-            if budget is None:
-                for cid in candidates:
-                    if cid not in self.hot_ids:
-                        self.hot_ids.add(cid)
-                        promotions += 1
-            else:
-                scored = sorted(
-                    ((cache.frequency(cid, now_us), cid)
-                     for cid in candidates if cid not in self.hot_ids),
-                    key=lambda pair: (-pair[0], pair[1]))
-                hot_bytes = self.hot_tier_bytes()
-                for score, cid in scored:
-                    size = cluster_read_extent(metadata, cid)[1]
-                    if size > budget:
-                        continue
-                    freed, evicted = self._make_room(
-                        hot_bytes + size - budget, score, now_us)
-                    hot_bytes -= freed
-                    demotions += evicted
-                    if hot_bytes + size > budget:
-                        continue
-                    self.hot_ids.add(cid)
-                    hot_bytes += size
-                    promotions += 1
-        self.promotions += promotions
-        self.demotions += demotions
-        if trace is not None:
-            trace.record_event("tier_promotions", promotions)
-            trace.record_event("tier_demotions", demotions)
-        return promotions, demotions
-
-    def _make_room(self, need_bytes: int, candidate_score: float,
-                   now_us: float) -> tuple[int, int]:
-        """Demote weakest hot clusters until ``need_bytes`` is freed.
-
-        Stops at the hysteresis band (victim score within
-        ``candidate_score / _HYSTERESIS``) or when only pinned entries
-        remain.  Returns ``(bytes freed, clusters demoted)``.
-        """
-        host = self.host
-        cache = host.cache
-        metadata = host.metadata
-        freed = 0
-        demoted = 0
-        while need_bytes - freed > 0 and self.hot_ids:
-            victims = sorted(
-                ((cache.frequency(cid, now_us), cid)
-                 for cid in self.hot_ids),
-                key=lambda pair: (pair[0], pair[1]))
-            progressed = False
-            for victim_score, victim in victims:
-                if candidate_score <= _HYSTERESIS * victim_score:
-                    return freed, demoted
-                entry = cache.peek(victim)
-                if entry is not None and entry.pins > 0:
-                    continue  # searched right now; never demote mid-wave
-                self.hot_ids.discard(victim)
-                cache.invalidate(victim)
-                freed += cluster_read_extent(metadata, victim)[1]
-                demoted += 1
-                progressed = True
-                break
-            if not progressed:
-                break
-        return freed, demoted

@@ -122,18 +122,11 @@ class ClientTelemetry:
     #: Per-replica health/traffic rows (``ReplicaSelector.status()``);
     #: empty for an unreplicated pool.
     replicas: tuple = ()
-    #: Tiered-memory ledger (all zero with ``cold_tier="off"``):
-    #: current hot/cold/promoting cluster counts, cumulative
-    #: promotions/demotions, and serves per tier.  "promoting" = assigned
-    #: hot but not yet resident (the next serve fetches it).
-    tier_hot: int = 0
-    tier_cold: int = 0
-    tier_promoting: int = 0
-    tier_promotions: int = 0
-    tier_demotions: int = 0
+    #: Cluster serves per tier (both zero with ``cold_tier="off"``).
+    #: The hot tier is the cluster cache: its residents, bytes,
+    #: admissions and evictions are ``cache``.
     tier_hot_serves: int = 0
     tier_cold_serves: int = 0
-    tier_hot_bytes: int = 0
 
     @classmethod
     def from_client(cls, client: DHnswClient) -> "ClientTelemetry":
@@ -144,18 +137,6 @@ class ClientTelemetry:
         replicas = (tuple(replicated.selector.status())
                     if replicated is not None else ())
         tier = client.tier_store
-        if tier is not None:
-            tier_hot, tier_cold, tier_promoting = tier.tier_counts()
-            tier_fields = dict(
-                tier_hot=tier_hot, tier_cold=tier_cold,
-                tier_promoting=tier_promoting,
-                tier_promotions=tier.promotions,
-                tier_demotions=tier.demotions,
-                tier_hot_serves=tier.hot_serves,
-                tier_cold_serves=tier.cold_serves,
-                tier_hot_bytes=tier.hot_tier_bytes())
-        else:
-            tier_fields = {}
         mstats = client.mutation.stats
         return cls(
             name=client.node.name,
@@ -202,7 +183,8 @@ class ClientTelemetry:
             batch_chunks=mstats.batch_chunks,
             reclaimed_bytes=mstats.reclaimed_bytes,
             replicas=replicas,
-            **tier_fields,
+            tier_hot_serves=tier.hot_serves if tier else 0,
+            tier_cold_serves=tier.cold_serves if tier else 0,
         )
 
 
@@ -360,23 +342,17 @@ def render_report(telemetry: DeploymentTelemetry,
                 f"{client.records_migrated:>6} {client.batch_chunks:>7} "
                 f"{client.reclaimed_bytes / 2**20:>9.2f}")
     tiered = [client for client in telemetry.clients
-              if client.tier_hot or client.tier_cold
-              or client.tier_cold_serves]
+              if client.tier_hot_serves or client.tier_cold_serves]
     if tiered:
         lines += [
             "",
-            "=== tiered memory ===",
-            f"{'instance':<12} {'hot':>5} {'cold':>6} {'promoting':>10} "
-            f"{'promo':>6} {'demo':>6} {'hot_srv':>8} {'cold_srv':>9} "
-            f"{'hot_MiB':>8}",
+            "=== tiered memory (hot tier: the cluster cache) ===",
+            f"{'instance':<12} {'hot_srv':>8} {'cold_srv':>9}",
         ]
         for client in tiered:
             lines.append(
-                f"{client.name:<12} {client.tier_hot:>5} "
-                f"{client.tier_cold:>6} {client.tier_promoting:>10} "
-                f"{client.tier_promotions:>6} {client.tier_demotions:>6} "
-                f"{client.tier_hot_serves:>8} {client.tier_cold_serves:>9} "
-                f"{client.tier_hot_bytes / 2**20:>8.2f}")
+                f"{client.name:<12} {client.tier_hot_serves:>8} "
+                f"{client.tier_cold_serves:>9}")
     replicated = [client for client in telemetry.clients if client.replicas]
     if replicated:
         lines += [

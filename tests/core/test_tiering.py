@@ -1,10 +1,10 @@
-"""Tier accounting: EWMA access frequencies, promotion hysteresis,
-pinned-entry protection.
+"""Tier accounting: EWMA access frequencies and the one residency rule.
 
-The cache's frequency tracker and the tier store's rebalance loop are
-the control plane of the hot/cold split — these tests pin their exact
-semantics (scores under the lock, no ping-pong under alternating
-access, never demoting an entry a worker thread is searching).
+The cache's frequency tracker and its admission rule are the control
+plane of the hot/cold split: the split sends a missing cluster hot
+exactly when the cache would admit it.  These tests pin their exact
+semantics (scores under the lock; the split's dry run agreeing with
+``put``; oversized clusters, pinned residents and a zero budget).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Deployment
 from repro.core import DHnswConfig, DHnswClient
@@ -21,7 +23,6 @@ from repro.core.cache import (FREQ_HALFLIFE_US, CachedCluster,
                               ClusterCache)
 from repro.datasets.synthetic import make_clustered
 from repro.hnsw import HnswIndex, HnswParams
-from repro.layout.group_layout import cluster_read_extent
 
 
 class TestEwmaFrequency:
@@ -78,7 +79,7 @@ class TestEwmaFrequency:
         assert cache.frequency(7, 100.0) == 8 * 200
 
     def test_survives_eviction(self):
-        # The promotion signal must outlive residency: evicting the entry
+        # The admission signal must outlive residency: evicting the entry
         # does not forget its access history.
         cache = ClusterCache(1)
         index = HnswIndex(4, HnswParams(m=4))
@@ -92,13 +93,96 @@ class TestEwmaFrequency:
 
 
 # ----------------------------------------------------------------------
+INDEX = HnswIndex(4, HnswParams(m=4))
+
+
+def entry(cid, nbytes):
+    return CachedCluster(cid, INDEX, [], 0, (1, 0, 0), nbytes=nbytes)
+
+
+def offered_in_value_order(cache, offers, now_us):
+    """What ``put`` admits when ``offers`` arrive most valuable first."""
+    order = sorted(offers, key=lambda cid: (
+        -cache.frequency(cid, now_us) * offers[cid], cid))
+    return {cid for cid in order
+            if cache.put(entry(cid, offers[cid]), now_us=now_us)
+            is not None}
+
+
+class TestOneResidencyRule:
+    @settings(deadline=None, max_examples=200)
+    @given(capacity=st.integers(min_value=1, max_value=6),
+           byte_cap=st.one_of(st.none(),
+                              st.integers(min_value=0, max_value=400)),
+           residents=st.lists(st.tuples(
+               st.integers(min_value=1, max_value=120),   # nbytes
+               st.integers(min_value=0, max_value=5),     # weight
+               st.booleans()),                             # pinned
+               max_size=8),
+           offers=st.lists(st.tuples(
+               st.integers(min_value=1, max_value=120),
+               st.integers(min_value=0, max_value=5)),
+               min_size=1, max_size=8))
+    def test_split_prediction_equals_what_put_admits(
+            self, capacity, byte_cap, residents, offers):
+        cache = ClusterCache(capacity, capacity_bytes=byte_cap)
+        now = 100.0
+        for cid, (nbytes, _, _) in enumerate(residents):
+            cache.put(entry(cid, nbytes), now_us=0.0)
+        for cid, (_, weight, pinned) in enumerate(residents):
+            if weight:
+                cache.record_access(cid, now, weight)
+            resident = cache.peek(cid)
+            if pinned and resident is not None:
+                cache.pin(resident)
+        offered = {}
+        for index, (nbytes, weight) in enumerate(offers):
+            cid = len(residents) + index
+            offered[cid] = nbytes
+            if weight:
+                cache.record_access(cid, now, weight)
+        before = (cache._residents(), cache.cached_bytes,
+                  cache.counters(), cache.streamed)
+        predicted = cache.admissions(offered, now)
+        # A dry run: the cache is exactly as it was.
+        assert (cache._residents(), cache.cached_bytes,
+                cache.counters(), cache.streamed) == before
+        assert predicted == offered_in_value_order(cache, offered, now)
+
+    def test_cluster_larger_than_byte_cap_is_never_admitted(self):
+        cache = ClusterCache(4, capacity_bytes=100)
+        cache.record_access(1, 0.0, 50)
+        assert cache.admissions({1: 101}, 0.0) == set()
+        assert cache.put(entry(1, 101)) is None
+        assert len(cache) == 0
+
+    def test_pinned_resident_is_never_a_victim(self):
+        cache = ClusterCache(2, capacity_bytes=100)
+        weak, strong = entry(1, 50), entry(2, 50)
+        cache.put(weak)
+        cache.put(strong)
+        cache.record_access(1, 0.0, 1)
+        cache.record_access(2, 0.0, 9)
+        cache.record_access(3, 0.0, 5)
+        cache.pin(weak)
+        # The weakest resident is pinned, so the offer is judged against
+        # the next one, which is worth more: it is not admitted.
+        assert cache.admissions({3: 50}, 0.0) == set()
+        assert cache.put(entry(3, 50)) is None
+        assert 1 in cache and 2 in cache
+        cache.unpin(weak)
+        assert cache.admissions({3: 50}, 0.0) == {3}
+        assert cache.put(entry(3, 50)) == [weak]
+
+
+# ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiered_world():
     rng = np.random.default_rng(11)
     corpus = make_clustered(2500, 24, num_clusters=10, cluster_std=0.05,
                             rng=rng)
     config = DHnswConfig(num_representatives=10, nprobe=3, seed=4,
-                         cold_tier="pq")
+                         cold_tier="pq", cache_fraction=1.0)
     deployment = Deployment(corpus, config, num_compute_instances=1,
                             simulate_link_contention=False)
     return corpus, config, deployment
@@ -113,129 +197,42 @@ def make_tiered_client(world, budget_bytes):
                        name="tier-test")
 
 
-def cluster_size(client, cid):
-    return cluster_read_extent(client.metadata, cid)[1]
+def fetch_bytes(client, cid):
+    _, [(_, ranges)] = client.engine.fetcher.extent_descriptors([cid])
+    return sum(length for _, length in ranges)
 
 
-def touch(client, cid):
-    """One batch's worth of access: EWMA bump + cold-demand mark."""
-    tier = client.tier_store
-    client.cache.record_access(cid, client.node.clock.now_us)
-    tier._accessed_cold.add(cid)
-
-
-class TestPromotionHysteresis:
-    def test_alternating_access_does_not_ping_pong(self, tiered_world):
+class TestTierSplit:
+    def test_cluster_larger_than_byte_cap_is_served_cold(self, tiered_world):
         client = make_tiered_client(tiered_world, None)
-        # Budget fits exactly one of the two clusters.
-        a, b = 0, 1
-        budget = max(cluster_size(client, a), cluster_size(client, b))
-        client = make_tiered_client(tiered_world, budget)
-        tier = client.tier_store
-
-        touch(client, a)
-        assert tier.rebalance() == (1, 0)
-        assert tier.hot_ids == {a}
-
-        # Alternate a/b for many rounds: scores stay comparable, so the
-        # hysteresis band (2x) must block every demotion.
-        for _ in range(10):
-            touch(client, b)
-            tier.rebalance()
-            touch(client, a)
-            tier.rebalance()
-        assert tier.hot_ids == {a}
-        assert tier.demotions == 0
-
-    def test_genuinely_hot_candidate_displaces(self, tiered_world):
-        client = make_tiered_client(tiered_world, None)
-        a, b = 0, 1
-        budget = max(cluster_size(client, a), cluster_size(client, b))
-        client = make_tiered_client(tiered_world, budget)
-        tier = client.tier_store
-
-        touch(client, a)
-        tier.rebalance()
-        assert tier.hot_ids == {a}
-        # b becomes decisively hotter than a (beyond the 2x band).
+        client = make_tiered_client(tiered_world,
+                                    fetch_bytes(client, 0) - 1)
         for _ in range(5):
-            touch(client, b)
-        promotions, demotions = tier.rebalance()
-        assert (promotions, demotions) == (1, 1)
-        assert tier.hot_ids == {b}
+            client.cache.record_access(0, client.node.clock.now_us, 100)
+            assert client.tier_store.split([[0]]) == ([[]], {0: [0]})
+        # It fits a budget of exactly its bytes.
+        client = make_tiered_client(tiered_world, fetch_bytes(client, 0))
+        client.cache.record_access(0, client.node.clock.now_us)
+        assert client.tier_store.split([[0]]) == ([[0]], {})
 
-    def test_oversized_cluster_never_promotes(self, tiered_world):
-        client = make_tiered_client(tiered_world, None)
-        size = cluster_size(client, 0)
-        client = make_tiered_client(tiered_world, size // 2)
-        tier = client.tier_store
-        for _ in range(10):
-            touch(client, 0)
-        assert tier.rebalance() == (0, 0)
-        assert tier.hot_ids == set()
+    def test_zero_budget_serves_everything_cold(self, tiered_world):
+        client = make_tiered_client(tiered_world, 0)
+        everything = list(range(len(client.metadata.clusters)))
+        for cid in everything:
+            client.cache.record_access(cid, client.node.clock.now_us, 10)
+        hot, cold = client.tier_store.split([everything, everything[:3]])
+        assert hot == [[], []]
+        assert cold == {cid: [0, 1] if cid < 3 else [0]
+                        for cid in everything}
 
-    def test_unbounded_budget_promotes_everything_accessed(
-            self, tiered_world):
-        client = make_tiered_client(tiered_world, None)
-        tier = client.tier_store
-        for cid in (0, 1, 2):
-            touch(client, cid)
-        assert tier.rebalance() == (3, 0)
-        assert tier.hot_ids == {0, 1, 2}
-        # Rebalance is edge-triggered: nothing accessed, nothing moves.
-        assert tier.rebalance() == (0, 0)
-
-    def test_pinned_entry_never_demoted_mid_wave(self, tiered_world):
+    def test_split_sends_hot_what_the_cache_admits(self, tiered_world):
+        """Two clusters that cannot both fit: the more valuable one is
+        sent hot (its fetch will be admitted), the other served cold."""
         client = make_tiered_client(tiered_world, None)
         a, b = 0, 1
-        budget = max(cluster_size(client, a), cluster_size(client, b))
-        client = make_tiered_client(tiered_world, budget)
-        tier = client.tier_store
-        fixed_bytes = client.node.dram_used_bytes  # meta-HNSW + codebook
-
-        touch(client, a)
-        tier.rebalance()
-        # Simulate a resident entry mid-search: pinned in the cache.
-        entry = CachedCluster(a, HnswIndex(24, HnswParams(m=4)), [], 0,
-                              (1, 0, 0), nbytes=64)
-        client.node.reserve_dram(entry.nbytes, force=True)
-        client.cache.put(entry)
-        client.cache.pin(entry)
-
-        for _ in range(8):
-            touch(client, b)
-        promotions, demotions = tier.rebalance()
-        # The only possible victim is pinned: no demotion, and b cannot
-        # fit, so no promotion either.
-        assert (promotions, demotions) == (0, 0)
-        assert tier.hot_ids == {a}
-        assert a in client.cache
-
-        # Once the wave releases its pin the same pressure succeeds.
-        client.cache.unpin(entry)
-        for _ in range(8):
-            touch(client, b)
-        promotions, demotions = tier.rebalance()
-        assert (promotions, demotions) == (1, 1)
-        assert tier.hot_ids == {b}
-        assert a not in client.cache
-        # The demotion's bytes went back through the cache's one exit.
-        assert client.cache.cached_bytes == 0
-        assert client.node.dram_used_bytes == fixed_bytes
-
-
-class TestTierInventory:
-    def test_counts_and_bytes(self, tiered_world):
-        client = make_tiered_client(tiered_world, None)
-        tier = client.tier_store
-        total = len(client.metadata.clusters)
-        assert tier.tier_counts() == (0, total, 0)
-        assert tier.hot_tier_bytes() == 0
-
-        touch(client, 0)
-        tier.rebalance()
-        hot, cold, promoting = tier.tier_counts()
-        assert (hot, cold) == (1, total - 1)
-        # Promoted but not yet fetched: counted as promoting.
-        assert promoting == 1
-        assert tier.hot_tier_bytes() == cluster_size(client, 0)
+        client = make_tiered_client(
+            tiered_world, max(fetch_bytes(client, a), fetch_bytes(client, b)))
+        now = client.node.clock.now_us
+        client.cache.record_access(a, now, 1)
+        client.cache.record_access(b, now, 8)
+        assert client.tier_store.split([[a, b]]) == ([[b]], {a: [0]})

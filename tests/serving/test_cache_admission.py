@@ -81,7 +81,9 @@ def test_each_routed_cluster_is_recorded_once_per_batch(world, cold_tier):
 def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
     """Between batches the node holds the fixed reservations plus
     ``cache.cached_bytes``; inside a wave, the bytes of every entry it
-    streams as well, until the wave's pins drop."""
+    streams as well, until the wave's pins drop.  With the tier on, the
+    split serves cold what the cache would not admit, so what would have
+    streamed is never fetched."""
     client = fresh_client(world, cold_tier)
     fixed = client.node.dram_used_bytes  # meta-HNSW (+ codebook)
     streamed = []
@@ -96,13 +98,19 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
         return run_wave_compute(wave, entries, *args, **kwargs)
 
     client.engine.executor.run_wave_compute = checked
+    served_cold = 0
     with client:
         for queries in batches(world) * 2:
             result = client.search_batch(queries, 10)
             assert (client.node.dram_used_bytes
                     == fixed + client.cache.cached_bytes)
             assert result.cache_streamed <= result.clusters_fetched
-    assert streamed, "no wave streamed a cluster; shrink the cache"
+            served_cold += result.cold_clusters_served
+    if cold_tier == "off":
+        assert streamed, "no wave streamed a cluster; shrink the cache"
+    else:
+        assert served_cold, "no cluster was served cold; shrink the cache"
+        assert not streamed
     assert client.cache.streamed == len(streamed)
     assert not any(entry.streamed for entry in streamed)
 

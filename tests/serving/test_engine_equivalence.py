@@ -377,21 +377,38 @@ def test_cold_tier_rows_complete_with_the_batch():
     """Row 0's farthest probe cold, the rest hot: a row the cold tier
     answers is final only when the batch is (cold serving runs after the
     waves); a row whose clusters are all hot keeps its wave's stamp, and
-    that is earlier."""
+    that is earlier.
+
+    The split is the cache's: its byte cap holds exactly the batch's
+    other clusters, and the cold one is worth least.  A warm-up batch
+    that does not probe it makes some of the rest resident, so the batch
+    runs a hit wave and a fetch wave."""
     corpus, queries, _ = make_world()
     deployment = Deployment(corpus, base_config(cold_tier="pq"),
                             simulate_link_contention=False)
-    config = deployment.config.replace(pipeline_waves=True)
+    config = deployment.config.replace(pipeline_waves=True,
+                                       cache_fraction=1.0)
+    routes = deployment.meta.route_batch(queries[:16], config.nprobe,
+                                         config.ef_meta)
+    cold_ids = {routes[0][-1]}
+    hot_ids = {cid for row in routes for cid in row} - cold_ids
+    warm_rows = [row for row, probes in enumerate(routes)
+                 if cold_ids.isdisjoint(probes)][:2]
+    with DHnswClient(deployment.layout, deployment.meta, config,
+                     cost_model=deployment.effective_cost_model) as probe:
+        _, extents = probe.engine.fetcher.extent_descriptors(sorted(hot_ids))
+    config = config.replace(hot_tier_budget_bytes=sum(
+        length for _, ranges in extents for _, length in ranges))
     staged, oracle = (
         DHnswClient(deployment.layout, deployment.meta, config,
                     cost_model=deployment.effective_cost_model, name=name)
         for name in ("staged", "oracle"))
     reference_loop.install(oracle)
     splits = []
-    cold_ids = {staged.meta.route_batch(queries[:1], config.nprobe,
-                                        config.ef_meta)[0][-1]}
     for client in (staged, oracle):
-        client.tier_store.hot_ids = set(range(12)) - cold_ids
+        for cid in hot_ids:
+            client.cache.record_access(cid, 0.0, 1000.0)
+        client.search_batch(queries[warm_rows], k=10)
     split = staged.tier_store.split
 
     def recording(required):
@@ -410,6 +427,7 @@ def test_cold_tier_rows_complete_with_the_batch():
         oracle.close()
     assert result.pipeline_executed and result.cold_clusters_served > 0
     _, cold_required = splits[-1]
+    assert set(cold_required) == cold_ids
     cold_rows = sorted({row for rows in cold_required.values()
                         for row in rows})
     hot_rows = sorted(set(range(16)) - set(cold_rows))

@@ -89,8 +89,6 @@ class TestOffModeIdentity:
         assert client.tier_store is None
         result = client.search_batch(queries[:8], k=10)
         assert result.cold_clusters_served == 0
-        assert result.tier_promotions == 0
-        assert result.tier_demotions == 0
 
 
 class TestColdBuildDeterminism:
@@ -128,8 +126,8 @@ class TestColdServing:
         result = client.search_batch(queries, k=10)
         assert result.cold_clusters_served > 0
         assert result.clusters_fetched == 0
-        assert result.tier_promotions == 0
-        assert client.tier_store.hot_ids == set()
+        assert result.cache_streamed == 0
+        assert len(client.cache) == 0 and client.cache.cached_bytes == 0
 
     def test_cold_recall_within_rerank_guarantee(self, tiered_world):
         _, queries, truth, deployment = tiered_world
@@ -245,16 +243,23 @@ class TestColdServing:
         assert result.results[0].ids[0] == last_id
 
     def test_promotion_moves_cluster_to_hot_path(self, tiered_world):
+        """Promotion is admission: a cluster worth admitting is fetched
+        hot and admitted in the batch that first needs it, and hits in
+        the next; one the cache would not admit is served cold."""
         _, queries, _, deployment = tiered_world
-        # Unbounded budget: first batch serves cold and promotes; the
-        # second batch fetches full-precision and serves hot.
-        config = deployment.config.replace()
-        client = DHnswClient(deployment.layout, deployment.meta, config,
+        client = DHnswClient(deployment.layout, deployment.meta,
+                             deployment.config,
                              cost_model=deployment.effective_cost_model,
                              name="promoter")
-        first = client.search_batch(queries, k=10)
+        first = client.search_batch(queries[:8], k=10)
+        assert first.clusters_fetched > 0 and first.cache_hits == 0
+        assert first.cache_streamed == 0
+        admitted = {cid for cid in range(len(client.metadata.clusters))
+                    if cid in client.cache}
+        assert len(admitted) == first.clusters_fetched
+        # The cache holds 3 of 12 clusters: the rest of what the batch
+        # probed was served cold rather than fetched and streamed.
         assert first.cold_clusters_served > 0
-        assert first.tier_promotions == first.cold_clusters_served
-        second = client.search_batch(queries, k=10)
-        assert second.cold_clusters_served == 0
-        assert second.clusters_fetched > 0
+        second = client.search_batch(queries[:8], k=10)
+        assert second.clusters_fetched == 0
+        assert second.cache_hits == len(admitted)
