@@ -29,6 +29,10 @@ criteria of the front-door PR:
 * running the steady scenario twice replays the identical schedule
   and latency histogram (simulated time: same seed ⇒ same numbers).
 
+Where latency goes is reported beside the gates: per phase, the p50 and
+p99 of the queue wait (the batching budget) and of the time in the wave
+(dispatch to the request's own completion), in ``latency_split``.
+
 Any violated criterion exits non-zero, so the CI smoke job doubles as a
 regression gate.
 
@@ -238,6 +242,12 @@ def main() -> None:
           f"batched door gave only {speedup:.2f}x the per-query "
           f"throughput (gate: >= 2x at equal recall)")
 
+    latency_split = {
+        phase: {"queue_p50_us": section["queue_delay_us"]["p50"],
+                "queue_p99_us": section["queue_delay_us"]["p99"],
+                "in_wave_p50_us": section["in_wave_us"]["p50"],
+                "in_wave_p99_us": section["in_wave_us"]["p99"]}
+        for phase, section in sections.items()}
     acceptance = {
         "steady_p99_queue_delay_us": round(p99, 1),
         "steady_wait_budget_us": BATCHED.max_wait_us,
@@ -275,12 +285,13 @@ def main() -> None:
         },
         "build_seconds": round(build_seconds, 1),
         "sections": sections,
+        "latency_split": latency_split,
         "acceptance": acceptance,
     }
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps({"sections": sections, "acceptance": acceptance},
-                     indent=2))
+    print(json.dumps({"sections": sections, "latency_split": latency_split,
+                      "acceptance": acceptance}, indent=2))
     print(f"\nwrote {args.output}")
 
 

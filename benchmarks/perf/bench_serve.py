@@ -1,9 +1,11 @@
 """Wall-clock + simulated-latency benchmark of the pipelined serving engine.
 
-PR 4 turned the serving wave loop (now ``WaveExecutor.execute_plan``)
-into a double-buffered wave executor with a multi-worker cluster-search
-phase and vectorized top-k merging.  This harness runs the acceptance
-scenario (20k vectors, batch 256, efSearch 32) across the serving
+The serving engine pipelines its cluster READs, searches clusters on
+worker processes and merges top-k candidates vectorized; the pipelined
+schedule is ``WaveExecutor``'s ready-list loop, which keeps a wave's
+READ in flight behind routing, hit searches and the previous wave's
+searches.  This harness runs the acceptance scenario
+(20k vectors, batch 256, efSearch 32) across the serving
 configurations:
 
 * ``serial``             — pipeline off, 1 worker (the pre-PR-4 engine),
@@ -17,8 +19,11 @@ and asserts the PR's acceptance criteria:
   ``sub_evals`` (worker count and scheduling never change answers);
 * with pipelining on, the simulated end-to-end batch latency improves
   over the serial schedule by at least the wire time the transport
-  measured as hidden (that the measurement equals the closed-form
-  schedule is pinned test-side, ``tests/core/test_tuning_and_pipeline.py``);
+  measured as hidden — ``overlapped_time_us``, which counts wire time
+  hidden behind any CPU work: routing, a hit's search or a wave's (that
+  the measurement equals what the test-side transcription of the loop
+  adds up, and that time hidden behind hits lands in it, is pinned in
+  ``tests/core/test_tuning_and_pipeline.py``);
 * a fetch moves what is live, not what is reserved: on this never-written
   layout every cluster's READ is exactly its blob, the tail word and the
   fetcher's slack slots (``fetch_audit``) — the whole-area READ must not
@@ -175,7 +180,7 @@ def assert_acceptance(sections, batches) -> dict:
 
     piped = batches["pipelined"]
     check(piped.pipeline_executed, "pipelined run never entered the "
-                                   "double-buffered executor")
+                                   "ready-list loop")
     check(piped.waves >= 2, "scenario produced a single wave — nothing "
                             "to overlap; enlarge the corpus")
     improvement = (reference.breakdown.total_us

@@ -4,8 +4,8 @@ All schemes share the meta-HNSW and the remote layout; they differ only in
 how sub-HNSW clusters travel from the memory pool to the compute pool:
 
 * **Naive d-HNSW** — one blocking fetch per (query, cluster) pair: no
-  cache, no batch-level deduplication, no doorbell batching, no
-  look-ahead.
+  cache, no batch-level deduplication, no doorbell batching, nothing in
+  flight behind search.
 * **d-HNSW w/o doorbell** — meta-HNSW caching and query-aware loading
   (dedup + cluster cache), but discontinuous clusters are read in one
   round trip *each*.

@@ -47,7 +47,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -147,8 +147,7 @@ class ClusterCache:
     @property
     def misses(self) -> int:
         """Lookups that went to remote memory (counted at ``get`` misses
-        and at ``put`` inserts of absent keys — never both for one fetch:
-        the refetch path opts out with ``count_miss=False``)."""
+        and at ``put`` inserts of absent keys)."""
         return self._misses
 
     @property
@@ -288,9 +287,9 @@ class ClusterCache:
         worth at least the weakest unpinned resident, which it evicts
         together with as many next-weakest as room takes.  An entry
         larger than the byte cap never fits.  Pinned residents are never
-        victims: if they are all that is left the cache transiently
-        exceeds a cap rather than spill memory a search is reading, and
-        sheds the excess on a later ``put``."""
+        victims (a search is reading them): an entry that the unpinned
+        ones cannot make room for is streamed, so a ``put`` never takes
+        the cache past a cap."""
         byte_cap = self.capacity_bytes
         if byte_cap is not None and nbytes > byte_cap:
             return None
@@ -312,8 +311,8 @@ class ClusterCache:
             clusters -= 1
             excess -= size
             if clusters <= 0 and excess <= 0:
-                break
-        return victims
+                return victims
+        return None
 
     def _evict(self, cluster_id: int) -> CachedCluster:
         """Displace resident ``cluster_id``.  Must be called under the
@@ -323,7 +322,7 @@ class ClusterCache:
         self._drop(entry)
         return entry
 
-    def put(self, entry: CachedCluster, count_miss: bool = True,
+    def put(self, entry: CachedCluster,
             now_us: float = 0.0) -> list[CachedCluster] | None:
         """Offer an entry; returns the entries it evicted, or None when it
         was streamed rather than admitted.
@@ -337,15 +336,13 @@ class ClusterCache:
         the rule is LRU.
 
         Inserting a key that was absent counts one miss — the fetch that
-        produced ``entry`` went to remote memory.  Pass
-        ``count_miss=False`` when a failed :meth:`get` already counted it
-        (the evicted-between-planning-and-execution refetch path).
+        produced ``entry`` went to remote memory.
         """
         with self._lock:
             previous = self._entries.pop(entry.cluster_id, None)
             if previous is not None:
                 self._drop(previous)
-            elif count_miss:
+            else:
                 self._misses += 1
             victims = self._victims(self._residents(), self._cached_bytes,
                                     self.value(entry, now_us), entry.nbytes,
@@ -359,13 +356,20 @@ class ClusterCache:
             self._cached_bytes += entry.nbytes
             return evicted
 
-    def admissions(self, offers: dict[int, int], now_us: float) -> set[int]:
+    def admissions(self, offers: dict[int, int], now_us: float,
+                   pinned: Iterable[int] = ()) -> set[int]:
         """The clusters of ``offers`` (cluster id -> the bytes its fetch
         would read) that :meth:`put` would admit were they offered at
         ``now_us`` in value order, most valuable first (lower id among
-        equals).  A dry run of the same rule: the cache is not touched."""
+        equals).  A dry run of the same rule: the cache is not touched.
+
+        ``pinned`` names residents the caller will pin before offering
+        (a batch's hits, pinned until searched): never victims."""
         with self._lock:
             residents = self._residents()
+            for cid in pinned:
+                if cid in residents:
+                    residents[cid] = (residents[cid][0], True)
             held = self._cached_bytes
             admitted: set[int] = set()
             for cid in sorted(offers, key=lambda cid: (

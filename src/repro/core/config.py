@@ -51,15 +51,18 @@ class DHnswConfig:
         it does not tax reads — a fetch moves the live slots plus a small
         slack, not the area (``layout.group_layout.cluster_read_ranges``).
     pipeline_waves:
-        Extension, on by default: *execute* a double-buffered loader that
-        issues wave ``i+1``'s fetch asynchronously while wave ``i`` is
-        being searched (non-blocking ``post_read_batch_async`` +
-        ``poll_cq`` in the RDMA sim).  Hidden wire time is charged
-        honestly — ``breakdown.network_us`` holds only the exposed wait
-        and ``BatchResult.overlap_saved_us`` reports the measured overlap.
-        Applies to deduplicated plans of two or more waves; the naive
-        scheme's one blocking fetch per pair never overlaps.  ``False`` is
-        the paper's serial loader (Tables 1-2, Fig. 6).
+        Extension, on by default: *execute* the ready-list loader, which
+        keeps a wave's READ in flight (non-blocking
+        ``post_read_batch_async`` + ``poll_cq`` in the RDMA sim) while
+        the CPU routes the rest of the batch and searches whatever is
+        already in DRAM — hits, then each wave as it lands — and
+        releases each row once its own clusters are searched.  Hidden
+        wire time is charged honestly — ``breakdown.network_us`` holds
+        only the exposed wait and ``BatchResult.overlap_saved_us``
+        reports the measured overlap.  Applies to deduplicated plans
+        that fetch anything; the naive scheme's one blocking fetch per
+        pair never overlaps.  ``False`` is the paper's serial loader
+        (Tables 1-2, Fig. 6).
     search_workers:
         Worker processes for per-cluster searches inside a wave.  ``1``
         (default) runs inline; ``> 1`` shards a wave's clusters over that

@@ -117,8 +117,9 @@ class MetaHnsw:
         """Vector dimensionality."""
         return self.index.dim
 
-    def route_batch(self, queries: np.ndarray, nprobe: int,
-                    ef: int) -> list[list[int]]:
+    def route_batch(self, queries: np.ndarray, nprobe: int, ef: int,
+                    evaluations: list[int] | None = None
+                    ) -> list[list[int]]:
         """Partition ids each row of ``queries`` probes, closest first.
 
         Greedy routing from the fixed L2 entry point down to L0 finds the
@@ -129,14 +130,15 @@ class MetaHnsw:
         one on a boundary keeps the full width.  The whole batch shares
         one distance-table computation
         (:meth:`~repro.hnsw.index.HnswIndex.search_candidates_batch`), and
-        decisions and evaluation counts equal per-row calls.
+        decisions and evaluation counts equal per-row calls;
+        ``evaluations``, when given, receives each row's count.
         """
         if nprobe < 1:
             raise ConfigError(f"nprobe must be >= 1, got {nprobe}")
         nprobe = min(nprobe, self.num_partitions)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         candidate_lists = self.index.search_candidates_batch(
-            queries, nprobe, ef=max(ef, nprobe))
+            queries, nprobe, ef=max(ef, nprobe), evaluations=evaluations)
         labels = self.index.labels
         routed = []
         for candidates in candidate_lists:

@@ -4,11 +4,14 @@ Given a batch of queries, each needing its ``nprobe`` closest sub-HNSW
 clusters, the planner guarantees every cluster crosses the network **at
 most once per batch** and never exceeds the compute instance's cache
 capacity in flight.  When the union of required clusters is larger than the
-cache, the batch is processed in *waves* (the paper's Fig. 5 walkthrough):
-load a cache-full of clusters, advance every query that needs them, retain
-partial top-k candidates, and continue.
+cache, the batch is loaded in *waves* (the paper's Fig. 5 walkthrough):
+READ rings of a cache-full of clusters, each advancing every query that
+needs them while partial top-k candidates are retained.
 
-Clusters already cached are pruned from the load set entirely.
+Clusters already cached are pruned from the load set entirely, but not
+from the plan: :attr:`BatchPlan.clusters` lists every cluster the batch
+searches, hits included, in the order the rows first need them, which is
+the order the pipelined executor searches whatever is in DRAM.
 """
 
 from __future__ import annotations
@@ -47,15 +50,28 @@ class Wave:
 class BatchPlan:
     """The full schedule for a query batch."""
 
+    #: The READ rings, in fetch order (hits are in none of them).
     waves: tuple[Wave, ...]
     cache_hit_cluster_ids: tuple[int, ...]
     unique_clusters: int
     duplicate_requests_pruned: int
+    #: Every cluster the batch searches, cache hits included, with the
+    #: rows that probe it, in first-need order: row, then probe rank.
+    clusters: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    #: How many leading rows fix the first wave's clusters: once they are
+    #: routed, the first READ can be posted (every row, when the batch
+    #: has fewer misses than a wave holds).
+    first_wave_rows: int = 0
 
     @property
     def total_fetches(self) -> int:
         """Clusters that will cross the network this batch."""
         return sum(len(wave.fetch_cluster_ids) for wave in self.waves)
+
+    def hit_groups(self) -> list[tuple[int, list[int]]]:
+        """Per-hit query groups, in cluster id order."""
+        rows = dict(self.clusters)
+        return [(cid, list(rows[cid])) for cid in self.cache_hit_cluster_ids]
 
 
 def plan_batch(required: list[list[int]], cache: ClusterCache,
@@ -67,22 +83,23 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     required:
         ``required[q]`` lists the cluster ids query ``q`` must search.
     cache:
-        The instance's cluster cache; cached clusters are serviced in the
-        first wave without any fetch.  (Inspected via ``peek`` — recency
-        is updated later, when the engine actually consumes entries.)
+        The instance's cluster cache; cached clusters are searched without
+        any fetch.  (Inspected via ``peek`` — recency is updated later,
+        when the engine actually consumes entries.)
     cache_capacity:
         Maximum clusters resident at once; each wave fetches at most this
         many.
 
     Earliest-row-first ordering: rows are in priority order by contract
     (the front door hands them over earliest deadline first; a plain
-    batch caller's order is as good as any), so miss clusters are fetched
-    in the order the rows first need them — row index, then that row's
-    probe rank.  Row ``r`` is therefore complete no later than the wave
-    holding the last distinct miss cluster rows ``0..r`` need, and the
-    executor can release it there instead of at the batch end.  What a
-    wave *contains* is untouched: every cluster still crosses once, in
-    chunks of ``cache_capacity``.
+    batch caller's order is as good as any), so every cluster, hit or
+    miss, is listed in the order the rows first need it — row index, then
+    that row's probe rank — and misses are fetched in that order.  The
+    pipelined executor searches the earliest-needed cluster whose bytes
+    are in DRAM, so row ``r`` is final once the clusters rows ``0..r``
+    first need are, and it is released there instead of at the batch
+    end.  What a wave *contains* is untouched: every cluster still
+    crosses once, in chunks of ``cache_capacity``.
     """
     if cache_capacity < 1:
         raise ConfigError(
@@ -102,15 +119,15 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     hits = [cid for cid in demand if cache.peek(cid) is not None]
     misses = [cid for cid in demand if cache.peek(cid) is None]
 
-    waves: list[Wave] = []
-    if hits:
-        serviced = tuple((q, cid) for cid in sorted(hits)
-                         for q in demand[cid])
-        waves.append(Wave(fetch_cluster_ids=(), serviced=serviced))
+    waves = []
     for start in range(0, len(misses), cache_capacity):
         chunk = misses[start:start + cache_capacity]
         serviced = tuple((q, cid) for cid in chunk for q in demand[cid])
         waves.append(Wave(fetch_cluster_ids=tuple(chunk), serviced=serviced))
+    # The first wave is fixed by the row that first needs its last
+    # cluster, unless a later row could still add one to it.
+    first_wave_rows = (demand[misses[cache_capacity - 1]][0] + 1
+                       if len(misses) >= cache_capacity else len(required))
 
     unique = len(demand)
     return BatchPlan(
@@ -118,6 +135,8 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
         cache_hit_cluster_ids=tuple(sorted(hits)),
         unique_clusters=unique,
         duplicate_requests_pruned=total_requests - unique,
+        clusters=tuple((cid, tuple(rows)) for cid, rows in demand.items()),
+        first_wave_rows=first_wave_rows,
     )
 
 

@@ -60,8 +60,8 @@ class BatchResult:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_streamed: int = 0
-    #: True when the double-buffered wave pipeline actually ran (multi-wave
-    #: plan with ``pipeline_waves`` enabled).
+    #: True when the ready-list loop actually ran (``pipeline_waves``
+    #: enabled and the plan fetches something).
     pipeline_executed: bool = False
     #: Clusters served from the cold (PQ) tier this batch (zero when
     #: ``cold_tier="off"``); what moved into or out of the hot tier is
@@ -72,11 +72,12 @@ class BatchResult:
     #: for results produced outside the staged path (e.g. shard merges).
     trace: "TraceContext | None" = None
     #: Per row, the client clock (µs) at which the row's answer was final:
-    #: the end of the last wave that serviced it under the look-ahead
-    #: schedule, else the end of the batch (serial schedules, single-wave
-    #: plans, rows the cold tier answered).  Non-decreasing in wave index;
-    #: its max is the batch end.  None for results produced outside the
-    #: staged path (e.g. shard merges): every row completes with the call.
+    #: under the ready-list loop, once its own last cluster was searched
+    #: (and, for a hit, its tail word had landed); else the end of the
+    #: batch (serial schedules, all-hit plans, rows the cold tier
+    #: answered).  Its max is the batch end.  None for results produced
+    #: outside the staged path (e.g. shard merges): every row completes
+    #: with the call.
     complete_us: np.ndarray | None = None
 
     @property

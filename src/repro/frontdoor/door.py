@@ -14,9 +14,10 @@ the wave's service time; arrivals that land "during" service simply queue
 with their original timestamps, so backlog and queue delay emerge from
 the simulation rather than being modelled.  A request completes when *its*
 answer is final — ``BatchResult.complete_us``: the engine serves rows in
-the EDF order the door hands them over and stamps each after the last
-inner wave that searched one of its clusters — not when its wave ends, so
-the request that waited longest for the wave to form leaves it first.
+the EDF order the door hands them over and stamps each once its own last
+cluster is searched (a hit's once its tail word has landed) — not when
+its wave ends, nor when every other row's hits are, so the request that
+waited longest for the wave to form leaves it first.
 
 Determinism contract: admission is charged at *arrival* timestamps (not
 dispatch), DRR order is a function of the arrival sequence, and the

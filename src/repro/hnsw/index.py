@@ -149,7 +149,8 @@ class HnswIndex:
         return self.search_candidates_batch(query, k, ef)[0]
 
     def search_candidates_batch(self, queries: np.ndarray, k: int,
-                                ef: int | None = None
+                                ef: int | None = None,
+                                evaluations: list[int] | None = None
                                 ) -> list[list[tuple[float, int]]]:
         """:meth:`search_candidates` for a whole batch of queries.
 
@@ -160,7 +161,7 @@ class HnswIndex:
         credits a node's distance once, however often its descent and
         beam meet the node.  Results and evaluation counts do not depend
         on the form (see :mod:`repro.hnsw.search`) nor on how queries are
-        batched.
+        batched; ``evaluations``, when given, receives each query's count.
         """
         graph, kernel = self.graph, self.kernel
         if len(graph) == 0:
@@ -198,6 +199,7 @@ class HnswIndex:
         # the check-free kernel entry point (same arithmetic + counting).
         seed_one = kernel.one_prechecked
         for query, probe, scored in zip(queries, probes, memos):
+            counted = kernel.num_evaluations
             entry = entry_point
             entry_dist = seed_one(query, entry_vector)
             if top_level > 0:
@@ -206,6 +208,8 @@ class HnswIndex:
                                             scored)
             outputs.append(beam(graph, kernel, probe, [(entry_dist, entry)],
                                 effective_ef, 0, scored))
+            if evaluations is not None:
+                evaluations.append(kernel.num_evaluations - counted)
         return outputs
 
     def materialize(self) -> bool:

@@ -96,8 +96,30 @@ class ServingEngine:
         breakdown = LatencyBreakdown()
         host.refresh_metadata()
 
+        merger = self.merger.create(len(queries), k, filter_fn)
+        cache_counters_before = host.cache.counters()
+        streamed_before = host.cache.streamed
+        # Tiering applies only under the full scheme (deduplicated
+        # batches); with cold_tier="off" there is no tier store and the
+        # path below is bit-identical to the untiered engine.
+        tier = host.tier_store if host.policy.deduplicate_batch else None
+        plan = loop = None
+
+        def first_wave(routes: list[list[int]]):
+            # Untiered, the plan needs only the routes and the cache, so
+            # a ready-list loop can post its first READ mid-routing.
+            nonlocal plan, loop
+            plan = self.planner.plan(routes, trace)
+            loop = self.executor.ready_list(plan, queries, merger, k, ef,
+                                            trace)
+            if loop is None:
+                return len(queries), None
+            return plan.first_wave_rows, lambda: loop.start(
+                plan.first_wave_rows)
+
         # --- meta-HNSW routing (local, cached) -------------------------
-        required = self.planner.route(queries, breakdown, trace)
+        required = self.planner.route(queries, breakdown, trace,
+                                      first_wave if tier is None else None)
         if record_access:
             # Once per batch, before anything reads it: every routed
             # cluster's frequency, weighted by the queries probing it —
@@ -112,24 +134,19 @@ class ServingEngine:
                 host.cache.record_access(cid, now_us, weight=weight)
 
         # --- cluster loading + sub-HNSW search -------------------------
-        merger = self.merger.create(len(queries), k, filter_fn)
-        cache_counters_before = host.cache.counters()
-        streamed_before = host.cache.streamed
-        # Tiering applies only under the full scheme (deduplicated
-        # batches); with cold_tier="off" there is no tier store and the
-        # path below is bit-identical to the untiered engine.
-        tier = host.tier_store if host.policy.deduplicate_batch else None
         cold = ColdExecution()
         cold_required: dict[int, list[int]] = {}
         if tier is not None:
+            # The split weighs the whole batch, so nothing is fetched
+            # before every row is routed.
             required, cold_required = tier.split(required)
-        plan = self.planner.plan(required, trace)
+            plan = self.planner.plan(required, trace)
         execution = self.executor.execute_plan(plan, queries, merger,
-                                               k, ef, trace)
+                                               k, ef, trace, loop)
         if tier is not None:
             cold = tier.execute_cold(cold_required, queries, merger,
                                      k, trace)
-        # The wave loop charged decode + search to the clock itself, and
+        # The schedule charged decode + search to the clock itself, and
         # cold serving its compute inside execute_cold (the waves never
         # saw those clusters); both belong to the sub-HNSW bucket.
         breakdown.sub_hnsw_us += execution.sub_hnsw_us
@@ -138,9 +155,9 @@ class ServingEngine:
         # --- finalize ---------------------------------------------------
         results = self.merger.finalize(merger, len(queries), k, filter_fn,
                                        trace)
-        # A row is final after the last wave that serviced it; rows the
-        # cold tier answered, and every row of a schedule that charged
-        # nothing wave by wave, are final when the batch is.
+        # A row is final once its last cluster is; rows the cold tier
+        # answered, and every row of a schedule that charged nothing
+        # cluster by cluster, are final when the batch is.
         batch_end_us = host.node.clock.now_us
         complete_us = execution.complete_us
         if complete_us is None:

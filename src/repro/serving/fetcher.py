@@ -14,10 +14,9 @@ both are decisions about what was just fetched.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.cache import CachedCluster
-from repro.core.query_planner import Wave
 from repro.layout.group_layout import (
     cluster_read_ranges,
     live_overflow_count,
@@ -46,6 +45,16 @@ TAIL_SLACK_SLOTS = 4
 #: One fetched cluster: ``(cluster id, ranges read for it)``; a READ's
 #: payloads line up with the ranges of all its extents, flattened.
 Extent = tuple[int, tuple[tuple[int, int], ...]]
+
+
+class Delta(NamedTuple):
+    """A delta ring: what lags, and what to read to catch it up."""
+
+    #: ``(group id, entry)`` of every lagging entry.
+    lagging: list[tuple[int, CachedCluster]]
+    #: Per stale group, in group order: ``(start, live tail, ranges)``.
+    deltas: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]]
+    descriptors: list[ReadDescriptor]
 
 
 def _pieces(payloads: list, shapes: Iterable[Sequence]) -> Iterable[list]:
@@ -110,11 +119,18 @@ class Fetcher:
             return extents, self.host.transport.read_batch(
                 descriptors, doorbell=doorbell)
 
-    def issue_async(self, cluster_ids: Sequence[int], doorbell: bool
+    def issue_async(self, cluster_ids: Sequence[int], doorbell: bool,
+                    tail_groups: Sequence[int] = ()
                     ) -> tuple[PendingRead, list[Extent]]:
-        """Issue a non-blocking doorbell fetch; pair with :meth:`poll`."""
+        """Issue a non-blocking doorbell fetch; pair with :meth:`poll`.
+
+        The tail words of ``tail_groups`` ride in the same ring, ahead of
+        the extents: their payloads come first (:meth:`note_tails`)."""
+        metadata = self.host.metadata
         descriptors, extents = self.extent_descriptors(cluster_ids)
-        token = self.host.transport.read_batch_async(descriptors,
+        words = self._descriptors(overflow_tail_extent(metadata.groups[gid])
+                                  for gid in tail_groups)
+        token = self.host.transport.read_batch_async(words + descriptors,
                                                      doorbell=doorbell)
         return token, extents
 
@@ -147,8 +163,7 @@ class Fetcher:
         finally:
             cache.unpin(entry)
 
-    def offer(self, entries: Iterable[CachedCluster],
-              count_miss: bool = True) -> None:
+    def offer(self, entries: Iterable[CachedCluster]) -> None:
         """Offer one wave's fetched entries to the cache and reserve their
         bytes.  An admitted entry spills the weakest residents if DRAM is
         tight, and stays pinned until the whole wave is offered so that
@@ -162,7 +177,7 @@ class Fetcher:
         admitted = []
         try:
             for entry in entries:
-                if cache.put(entry, count_miss, now_us) is None:
+                if cache.put(entry, now_us=now_us) is None:
                     host.node.reserve_dram(entry.nbytes, force=True)
                     continue
                 cache.pin(entry)
@@ -180,13 +195,15 @@ class Fetcher:
 
     # -- wave loading -----------------------------------------------------
     def admit(self, extents: list[Extent], payloads: list[bytes],
-              execution, trace: TraceContext | None = None,
-              count_miss: bool = True) -> dict[int, CachedCluster]:
+              execution, trace: TraceContext | None = None
+              ) -> dict[int, CachedCluster]:
         """Decode fetched extents, top up the ones that ran short, count
         them and their decode cost on ``execution`` (the wave loop charges
-        it), and offer them to the cache (admitted or streamed, each is
-        searched in this wave)."""
+        it; a top-up ring is decoded with the first extent), and offer
+        them to the cache (admitted or streamed, each is searched in this
+        batch)."""
         host = self.host
+        deserialize_us = host.cost_model.deserialize_us
         loaded: dict[int, CachedCluster] = {}
         with span(trace, "decode"):
             for (cid, ranges), pieces in zip(extents, _pieces(
@@ -194,38 +211,16 @@ class Fetcher:
                 entry = loaded[cid] = self.decoder.decode_extent(
                     cid, ranges, pieces)
                 # Fresh from the decoder, ``nbytes`` is the bytes fetched.
-                execution.decode_backlog_us += (
-                    host.cost_model.deserialize_us(entry.nbytes))
-        execution.decode_backlog_us += host.cost_model.deserialize_us(
-            self.top_up(loaded.values(), trace))
+                execution.decode_backlog.append(
+                    (cid, deserialize_us(entry.nbytes)))
+        topped_up = self.top_up(loaded.values(), trace)
+        if loaded:
+            execution.decode_backlog.append(
+                (extents[0][0], deserialize_us(topped_up)))
         execution.fetched += len(loaded)
         if host.policy.use_cluster_cache:
-            self.offer(loaded.values(), count_miss)
+            self.offer(loaded.values())
         return loaded
-
-    def take_hits(self, wave: Wave, execution,
-                  trace: TraceContext | None = None
-                  ) -> dict[int, CachedCluster]:
-        """Consume a hit wave: validate overflow tails, then take entries
-        from the cache, refetching any evicted in the meantime."""
-        host = self.host
-        hit_ids = sorted({cid for _, cid in wave.serviced})
-        self.validate_cached(hit_ids, trace)
-        entries: dict[int, CachedCluster] = {}
-        for cid in hit_ids:
-            entry = host.cache.get(cid)
-            if entry is None:
-                # Evicted between planning and execution (possible only
-                # with pathological capacity 1): refetch — and offer it
-                # back, or every later query of the batch refetches it.
-                # The failed ``get`` above already counted the miss.
-                entry = self.admit(
-                    *self.read([cid], host.policy.doorbell_batching, trace),
-                    execution, trace, count_miss=False)[cid]
-            else:
-                execution.hit_count += 1
-            entries[cid] = entry
-        return entries
 
     # -- overflow freshness ------------------------------------------------
     def validate_cached(self, cluster_ids: list[int],
@@ -250,6 +245,14 @@ class Fetcher:
         with span(trace, "fetch"):
             payloads = host.transport.read_batch(
                 descriptors, doorbell=host.policy.doorbell_batching)
+        self.note_tails(group_ids, payloads)
+        self.top_up(cached, trace)
+
+    def note_tails(self, group_ids: Sequence[int],
+                   payloads: Sequence["bytes | memoryview"]) -> None:
+        """Remember the live tails the words of ``group_ids`` carry (the
+        first of ``payloads``, one word each)."""
+        metadata = self.host.metadata
         for gid, payload in zip(group_ids, payloads):
             # A sealed tail means the group was relocated by a cutover
             # after this plan's metadata refresh; never graft records
@@ -257,7 +260,6 @@ class Fetcher:
             self.decoder.note_tail(gid, live_overflow_count(
                 payload, metadata.groups[gid].capacity_records,
                 f"overflow tail of group {gid}"))
-        self.top_up(cached, trace)
 
     def top_up(self, entries: Iterable[CachedCluster],
                trace: TraceContext | None = None) -> int:
@@ -271,6 +273,27 @@ class Fetcher:
         group's tail word: a cutover since the tail was learned is a
         retryable ``StaleReadError``, never a graft from the retired area.
         """
+        delta = self.delta(entries)
+        if delta is None:
+            return 0
+        with span(trace, "fetch"):
+            payloads = self.host.transport.read_batch(
+                delta.descriptors, doorbell=self.host.policy.doorbell_batching)
+        return self.graft(delta, payloads)
+
+    def issue_top_up(self, entries: Iterable[CachedCluster]
+                     ) -> "tuple[PendingRead, Delta] | None":
+        """:meth:`top_up` without waiting: the ring is posted, and
+        :meth:`graft` takes its payloads once it has landed."""
+        delta = self.delta(entries)
+        if delta is None:
+            return None
+        return self.host.transport.read_batch_async(
+            delta.descriptors,
+            doorbell=self.host.policy.doorbell_batching), delta
+
+    def delta(self, entries: Iterable[CachedCluster]) -> "Delta | None":
+        """The delta ring ``entries`` need, or None when none lags."""
         host = self.host
         metadata = host.metadata
         tail_seen = self.decoder.tail_seen
@@ -283,29 +306,32 @@ class Fetcher:
                 starts[gid] = min(starts.get(gid, entry.overflow_tail),
                                   entry.overflow_tail)
         if not lagging:
-            return 0
-        dim = metadata.dim
+            return None
         merge = self.merge_hole_bytes()
         # Per stale group, in group order: (start, live tail, ranges).
         deltas = {gid: (start, tail_seen(gid), overflow_delta_ranges(
-            metadata.groups[gid], dim, start, tail_seen(gid), merge))
+            metadata.groups[gid], metadata.dim, start, tail_seen(gid), merge))
                   for gid, start in sorted(starts.items())}
-        shapes = [ranges for *_, ranges in deltas.values()]
-        with span(trace, "fetch"):
-            payloads = host.transport.read_batch(
-                self._descriptors(piece for ranges in shapes
-                                  for piece in ranges),
-                doorbell=host.policy.doorbell_batching)
+        return Delta(lagging, deltas, self._descriptors(
+            piece for *_, ranges in deltas.values() for piece in ranges))
+
+    def graft(self, delta: "Delta", payloads: list) -> int:
+        """Graft a landed delta ring onto its lagging entries; returns the
+        bytes it read."""
+        metadata = self.host.metadata
+        dim = metadata.dim
         record_size = overflow_record_size(dim)
         records: dict[int, "bytes | memoryview"] = {}
-        for (gid, (start, tail, _)), pieces in zip(deltas.items(),
-                                                   _pieces(payloads, shapes)):
+        for (gid, (start, tail, _)), pieces in zip(
+                delta.deltas.items(),
+                _pieces(payloads, (ranges for *_, ranges
+                                   in delta.deltas.values()))):
             live_overflow_count(pieces[0],
                                 metadata.groups[gid].capacity_records,
                                 f"overflow tail of group {gid}")
             records[gid] = pieces[-1][-(tail - start) * record_size:]
-        for gid, entry in lagging:
-            start, tail, _ = deltas[gid]
+        for gid, entry in delta.lagging:
+            start, tail, _ = delta.deltas[gid]
             missing = tail - entry.overflow_tail
             entry.overflow.extend(unpack_overflow_records(
                 records[gid][(entry.overflow_tail - start) * record_size:],

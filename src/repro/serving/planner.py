@@ -1,13 +1,17 @@
 """Planner stage: meta-HNSW routing and wave scheduling.
 
 First of the serving stages.  Routing runs the cached meta-HNSW over the
-query batch (local compute, charged to the meta bucket); planning turns
-the per-query cluster lists into the wave schedule the scheme calls for:
-the deduplicated one of §3.3 (:func:`repro.core.query_planner.plan_batch`)
-or the naive baseline's one pair per wave.
+query batch (local compute, charged to the meta bucket row by row, so the
+engine can put the first READ on the wire before the last row's routing
+is paid for); planning turns the per-query cluster lists into the wave
+schedule the scheme calls for: the deduplicated one of §3.3
+(:func:`repro.core.query_planner.plan_batch`) or the naive baseline's one
+pair per wave.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -15,7 +19,12 @@ from repro.core.query_planner import BatchPlan, plan_batch, plan_naive
 from repro.metrics.latency import LatencyBreakdown
 from repro.serving.trace import TraceContext
 
-__all__ = ["Planner"]
+__all__ = ["FirstWave", "Planner"]
+
+#: Shown a batch's routes, returns ``(rows, post)``: the leading rows that
+#: fix its first READ and the call that posts it (None: nothing to post).
+FirstWave = Callable[[list[list[int]]],
+                     tuple[int, "Callable[[], None] | None"]]
 
 
 class Planner:
@@ -25,16 +34,35 @@ class Planner:
         self.host = host
 
     def route(self, queries: np.ndarray, breakdown: LatencyBreakdown,
-              trace: TraceContext) -> list[list[int]]:
-        """Meta-HNSW routing for the batch; charges the meta bucket."""
+              trace: TraceContext,
+              first_wave: "FirstWave | None" = None) -> list[list[int]]:
+        """Meta-HNSW routing for the batch; charges the meta bucket.
+
+        ``first_wave``, when given, is shown the routes and returns
+        ``(rows, post)``: how many leading rows fix the batch's first
+        READ, and the call that puts it on the wire (None: nothing to
+        post).  Routing is then billed in two parts around ``post``, so
+        the READ is in flight while the remaining rows are paid for.
+        """
         host = self.host
         with trace.stage("route"):
             host.meta.reset_compute_counter()
+            evaluations: list[int] = []
             required = host.meta.route_batch(
-                queries, host.config.nprobe, host.config.ef_meta)
+                queries, host.config.nprobe, host.config.ef_meta,
+                evaluations)
             meta_evals = host.meta.reset_compute_counter()
-            breakdown.meta_hnsw_us += host.node.charge_compute(
-                meta_evals, host.meta.dim)
+            rows, post = (first_wave(required) if first_wave is not None
+                          else (len(queries), None))
+            if post is None:
+                breakdown.meta_hnsw_us += host.node.charge_compute(
+                    meta_evals, host.meta.dim)
+            else:
+                breakdown.meta_hnsw_us += host.node.charge_compute(
+                    sum(evaluations[:rows]), host.meta.dim)
+                post()
+                breakdown.meta_hnsw_us += host.node.charge_compute(
+                    sum(evaluations[rows:]), host.meta.dim)
         return required
 
     def plan(self, required: list[list[int]],

@@ -122,9 +122,12 @@ class TieredClusterStore:
         unique = sorted({cid for row in required for cid in row})
         missing = [cid for cid in unique if host.cache.peek(cid) is None]
         _, extents = host.engine.fetcher.extent_descriptors(missing)
+        # The batch's hits stay pinned until they are searched: no fetch
+        # of the batch can count on evicting one.
         admitted = host.cache.admissions(
             {cid: sum(length for _, length in ranges)
-             for cid, ranges in extents}, host.node.clock.now_us)
+             for cid, ranges in extents}, host.node.clock.now_us,
+            pinned=set(unique).difference(missing))
         serve_cold = {cid for cid in missing if cid not in admitted
                       and cold_dir.extents[cid].length > 0}
         self.hot_serves += len(unique) - len(serve_cold)

@@ -166,14 +166,6 @@ class TestBookkeeping:
         cache.put(make_entry(1, nbytes=7))
         assert cache.misses == 1
 
-    def test_put_count_miss_false_for_refetch_after_get(self):
-        """The refetch path: a failed get already counted the miss, so the
-        subsequent put must not count it again."""
-        cache = ClusterCache(2)
-        assert cache.get(3) is None
-        cache.put(make_entry(3), count_miss=False)
-        assert cache.misses == 1
-
     def test_evictions_counted_inside_put(self):
         cache = ClusterCache(1)
         cache.put(make_entry(1))

@@ -39,12 +39,12 @@ class TestPinnedEviction:
         pinned = make_entry(0)
         cache.put(pinned)
         cache.pin(pinned)
-        assert cache.put(make_entry(1)) == []  # eviction deferred
-        assert len(cache) == 2  # transient overshoot
+        assert cache.put(make_entry(1)) is None  # streamed: no room
+        assert len(cache) == 1  # never past the cap
         assert cache.peek(0) is pinned
         cache.unpin(pinned)
         evicted = cache.put(make_entry(2))
-        assert {victim.cluster_id for victim in evicted} == {0, 1}
+        assert {victim.cluster_id for victim in evicted} == {0}
         assert len(cache) == 1
 
     def test_pop_lru_skips_pinned_entries(self):

@@ -80,20 +80,35 @@ class TestCacheInteraction:
         assert fetched == [5]
         assert plan.total_fetches == 1
 
-    def test_hit_wave_comes_first(self):
+    def test_hits_are_planned_in_first_need_order(self):
+        """A hit is in no wave, but it is in the plan, where the rows
+        first need it: row, then probe rank — not ahead of the misses."""
         cache = empty_cache()
         cache.put(make_entry(2))
-        plan = plan_batch([[2], [7]], cache, cache_capacity=8)
-        assert plan.waves[0].fetch_cluster_ids == ()
-        assert plan.waves[0].serviced == ((0, 2),)
+        plan = plan_batch([[7, 2], [2, 3]], cache, cache_capacity=8)
+        assert [w.fetch_cluster_ids for w in plan.waves] == [(7, 3)]
+        assert plan.clusters == ((7, (0,)), (2, (0, 1)), (3, (1,)))
+        assert plan.hit_groups() == [(2, [0, 1])]
 
-    def test_all_hits_single_wave(self):
+    def test_all_hits_fetch_nothing(self):
         cache = empty_cache()
         cache.put(make_entry(1))
         cache.put(make_entry(2))
         plan = plan_batch([[1], [2]], cache, cache_capacity=8)
-        assert len(plan.waves) == 1
+        assert plan.waves == ()
         assert plan.total_fetches == 0
+        assert plan.hit_groups() == [(1, [0]), (2, [1])]
+
+    def test_first_wave_rows(self):
+        """The first wave is fixed once the row that first needs its last
+        cluster is routed; with fewer misses than a wave holds, a later
+        row could still add one, so it takes every row."""
+        required = [[1], [1, 2], [3], [4]]
+        plan = plan_batch(required, empty_cache(), cache_capacity=2)
+        assert plan.waves[0].fetch_cluster_ids == (1, 2)
+        assert plan.first_wave_rows == 2
+        plan = plan_batch(required, empty_cache(), cache_capacity=8)
+        assert plan.first_wave_rows == len(required)
 
     def test_planner_uses_peek_not_get(self):
         cache = empty_cache()
@@ -126,8 +141,8 @@ BATCHES = st.lists(
        cached=st.sets(st.integers(min_value=0, max_value=20), max_size=4))
 def test_plan_properties(required, capacity, cached):
     """Invariants for arbitrary batches and cache contents: single fetch
-    per cluster, wave bound, hits first, every pair serviced exactly once
-    — and the earliest-row-first guarantee."""
+    per cluster, wave bound, every pair planned exactly once, clusters in
+    first-need order — and the earliest-row-first guarantee."""
     cache = ClusterCache(4)
     for cid in cached:
         cache.put(make_entry(cid))
@@ -136,21 +151,26 @@ def test_plan_properties(required, capacity, cached):
     assert len(fetched) == len(set(fetched))
     assert not set(fetched) & cached
     assert all(len(w.fetch_cluster_ids) <= capacity for w in plan.waves)
+    assert all(wave.fetch_cluster_ids for wave in plan.waves)
     serviced = [pair for wave in plan.waves for pair in wave.serviced]
+    serviced += [(q, cid) for cid, rows in plan.hit_groups() for q in rows]
     expected = {(q, c) for q, cids in enumerate(required) for c in set(cids)}
     assert set(serviced) == expected
     assert len(serviced) == len(expected)
-    # Hits are one wave, and it runs before any fetch.
-    for index, wave in enumerate(plan.waves):
-        hit_wave = not wave.fetch_cluster_ids
-        assert hit_wave == (index == 0 and bool(plan.cache_hit_cluster_ids))
-        assert {cid for _, cid in wave.serviced} <= (
-            set(plan.cache_hit_cluster_ids) if hit_wave
-            else set(wave.fetch_cluster_ids))
+    assert sorted(pair for cid, rows in plan.clusters
+                  for pair in ((q, cid) for q in rows)) == sorted(expected)
+    for wave in plan.waves:
+        assert {cid for _, cid in wave.serviced} <= set(
+            wave.fetch_cluster_ids)
+    # Clusters in first-need order (row, then probe rank), and the
+    # misses fetched in that order.
+    first_need = list(dict.fromkeys(cid for cids in required
+                                    for cid in cids))
+    assert [cid for cid, _ in plan.clusters] == first_need
+    assert fetched == [cid for cid in first_need if cid not in cached]
     # Row r is complete no later than the wave holding the last distinct
-    # miss cluster rows 0..r need: the first ceil(n / capacity) miss waves,
-    # n being how many distinct miss clusters those rows want.
-    first_miss_wave = 1 if plan.cache_hit_cluster_ids else 0
+    # miss cluster rows 0..r need: the first ceil(n / capacity) waves, n
+    # being how many distinct miss clusters those rows want.
     completed_in = {}
     for index, wave in enumerate(plan.waves):
         for row, _ in wave.serviced:
@@ -160,8 +180,12 @@ def test_plan_properties(required, capacity, cached):
         wanted |= set(cluster_ids) - cached
         if row in completed_in:
             miss_waves = -(-len(wanted) // capacity)
-            assert completed_in[row] <= (
-                first_miss_wave + miss_waves - 1 if miss_waves else 0)
+            assert completed_in[row] <= miss_waves - 1
+    # The first wave is fixed by the rows it names.
+    if plan.waves:
+        head = plan_batch(required[:plan.first_wave_rows], cache, capacity)
+        assert head.waves[0].fetch_cluster_ids == (
+            plan.waves[0].fetch_cluster_ids)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,12 @@
-"""The PR-4 serving engine: refetch regression, worker identity, cache
+"""The PR-4 serving engine: the smallest cache, worker identity, cache
 thread-safety.
 
-Three concerns of the pipelined multi-worker executor that the ablation
-and tuning suites don't reach:
+Concerns of the pipelined multi-worker executor that the ablation and
+tuning suites don't reach:
 
-* the hit-wave refetch path (an entry evicted between planning and
-  execution) must re-insert the refetched entry and count exactly one
-  cache miss — the pre-PR-4 engine did neither;
+* a cache of one cluster still answers exactly (the hit wave's refetch
+  path these tests once pinned is gone: hits stay pinned from the start
+  of their batch, so none can be evicted before it is searched);
 * ``search_workers > 1`` (worker processes; the test names predate the
   removal of the thread pool) must be bit-identical to the serial path
   in results *and* in simulated accounting;
@@ -23,10 +23,7 @@ import pytest
 
 from repro.core import DHnswClient
 from repro.core.cache import ClusterCache
-from repro.core.merge import TopKMerger
-from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import StaleReadError
-from repro.serving import PlanExecution
 from tests.core.test_cache import make_entry
 
 
@@ -35,56 +32,13 @@ def make_client(deployment, config):
                        cost_model=deployment.cost_model)
 
 
-def hit_plan(cluster_id, num_queries=1):
-    """A plan whose only wave is a cache-hit wave for one cluster."""
-    serviced = tuple((q, cluster_id) for q in range(num_queries))
-    return BatchPlan(waves=(Wave(fetch_cluster_ids=(), serviced=serviced),),
-                     cache_hit_cluster_ids=(cluster_id,),
-                     unique_clusters=1, duplicate_requests_pruned=0)
-
-
 class TestHitWaveRefetch:
-    """Satellite 1: the evicted-hit-wave entry must be re-cached and its
-    refetch counted as a miss."""
-
-    def run_hit_plan(self, client, queries, cid):
-        execution = client.engine.executor.execute_plan(
-            hit_plan(cid), queries, TopKMerger(len(queries), 10), k=10,
-            ef=16)
-        return execution
-
-    def test_refetched_entry_is_reinserted_and_miss_counted(
-            self, built_deployment, small_config, small_dataset):
-        client = make_client(built_deployment, small_config)
-        queries = small_dataset.queries[:1]
-        cid = 0
-        # Warm the cluster, then evict it behind the planner's back.
-        fetcher = client.engine.fetcher
-        fetcher.admit(*fetcher.read([cid], True), PlanExecution())
-        client.cache.invalidate(cid)
-        before_hits, before_misses, _ = client.cache.counters()
-        fetched_before = client.node.stats.read_ops
-
-        execution = self.run_hit_plan(client, queries, cid)
-
-        assert execution.fetched == 1
-        assert execution.hit_count == 0
-        assert client.node.stats.read_ops > fetched_before
-        hits, misses, _ = client.cache.counters()
-        assert misses - before_misses == 1   # the failed get, counted once
-        assert hits == before_hits
-        # The regression: the refetched entry must be resident again...
-        assert client.cache.peek(cid) is not None
-        # ...so a second pass over the same plan is a pure hit.
-        execution = self.run_hit_plan(client, queries, cid)
-        assert execution.fetched == 0
-        assert execution.hit_count == 1
-        assert client.cache.counters()[1] == misses
+    """The smallest cache, end to end."""
 
     def test_capacity_one_refetch_end_to_end(self, built_deployment,
                                              small_dataset, small_config):
-        """With capacity 1 the refetch path still yields correct answers
-        and non-degenerate accounting through ``search_batch``."""
+        """With capacity 1 ``search_batch`` still yields correct answers
+        and non-degenerate accounting."""
         config = small_config.replace(cache_fraction=1e-9)  # capacity 1
         client = make_client(built_deployment, config)
         assert client.cache.capacity_clusters == 1
@@ -94,27 +48,6 @@ class TestHitWaveRefetch:
             small_dataset.queries[:8], 10, ef_search=32)
         assert batch.ids_list() == reference.ids_list()
         assert batch.cache_misses >= batch.clusters_fetched > 0
-
-    def test_pipelined_executor_shares_refetch_path(
-            self, built_deployment, small_config, small_dataset):
-        """The same regression fix must hold when the hit wave runs inside
-        the pipelined executor (hit wave + fetch wave = two waves)."""
-        config = small_config.replace(pipeline_waves=True)
-        client = make_client(built_deployment, config)
-        queries = small_dataset.queries[:1]
-        fetcher = client.engine.fetcher
-        fetcher.admit(*fetcher.read([0], True), PlanExecution())
-        client.cache.invalidate(0)
-        plan = BatchPlan(
-            waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0),)),
-                   Wave(fetch_cluster_ids=(1,), serviced=((0, 1),))),
-            cache_hit_cluster_ids=(0,), unique_clusters=2,
-            duplicate_requests_pruned=0)
-        execution = client.engine.executor.execute_plan(
-            plan, queries, TopKMerger(1, 10), k=10, ef=16)
-        assert execution.pipeline_executed
-        assert execution.fetched == 2        # refetch of 0 plus fetch of 1
-        assert client.cache.peek(0) is not None
 
 
 class TestPrefetchAbandonedOnError:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DHnswClient, Scheme
+from repro.core.cluster_search import search_cluster_entry
+from repro.core.merge import TopKMerger
+from repro.core.query_planner import plan_batch
 from repro.core.tuning import tune_ef_search
 from repro.errors import ConfigError
 from repro.metrics import recall_at_k
@@ -101,9 +104,9 @@ class TestWavePipelining:
 
     def test_measured_overlap_matches_oracle(self, built_deployment,
                                              small_config, small_dataset):
-        """The realized schedule is exactly the ``overlap_saved`` closed
-        form: measured hidden wire time == the test-side oracle's estimate
-        from its per-wave (fetch, process) profiles — and the staged loop
+        """Measured hidden wire time == what the test-side transcription
+        of the ready-list loop adds up from its own READs (each READ's
+        wire time less the wait its poll exposed) — and the staged loop
         hides exactly as much as the oracle loop does."""
         config = small_config.replace(pipeline_waves=True)
         staged, oracle = (DHnswClient(built_deployment.layout,
@@ -118,6 +121,35 @@ class TestWavePipelining:
         assert staged.search_batch(
             small_dataset.queries, 10,
             ef_search=48).overlap_saved_us == batch.overlap_saved_us
+
+    def test_wire_time_hidden_behind_a_hit_is_overlap(
+            self, built_deployment, small_config, small_dataset):
+        """A READ in flight while the CPU searches a cache hit is hidden
+        wire time like any other: it lands in ``overlapped_time_us``
+        (what ``bench_serve`` holds the pipelined gain to), as much of it
+        as the hit's search covers."""
+        config = small_config.replace(pipeline_waves=True)
+        client = DHnswClient(built_deployment.layout, built_deployment.meta,
+                             config, cost_model=built_deployment.cost_model)
+        query = small_dataset.queries[:1]
+        hit, miss = client.meta.route_batch(query, 2, config.ef_meta)[0]
+        executor = client.engine.executor
+        warm = plan_batch([[hit]], client.cache, 1)
+        executor.execute_plan(warm, query, TopKMerger(1, 10), 10, 32)
+        plan = plan_batch([[hit, miss]], client.cache, 1)
+        assert plan.cache_hit_cluster_ids == (hit,)
+        hit_us = client.cost_model.compute_us(search_cluster_entry(
+            client.cache.peek(hit), query, 10, 32).evals, client.meta.dim)
+        before = client.node.stats.snapshot()
+        loop = executor.ready_list(plan, query, TopKMerger(1, 10), 10, 32)
+        loop.start(len(query))
+        read = loop.rings[0].token
+        executor.execute_plan(plan, query, TopKMerger(1, 10), 10, 32,
+                              loop=loop)
+        hidden = client.node.stats.delta(before).overlapped_time_us
+        assert hidden > 0.0
+        assert hidden == pytest.approx(min(read.elapsed_us, hit_us))
+        client.close()
 
     def test_saving_bounded_by_smaller_resource(self, built_deployment,
                                                 small_config,

@@ -129,13 +129,13 @@ class TestPerRequestCompletion:
             self, make_door, small_dataset):
         """Rows go to the engine earliest deadline first and it fetches
         in row order, so the request that waited out the whole batching
-        budget is final as soon as its own clusters are searched: after
-        the hit wave and ``ceil(nprobe / capacity)`` fetch waves at most —
-        strictly before the end of any wave that runs more."""
+        budget is final as soon as its own clusters are searched: its
+        hits and ``ceil(nprobe / capacity)`` fetch waves at most — strictly
+        before the end of any batch that runs more."""
         door, batches, report = self.run(make_door, small_dataset,
                                          count=120, rate_qps=6000.0)
         config, cache = door.client.config, door.client.cache
-        own_waves = 1 + -(-config.nprobe // cache.capacity_clusters)
+        own_waves = -(-config.nprobe // cache.capacity_clusters)
         by_id = {o.request.request_id: o for o in report.outcomes}
         longer = 0
         for wave, batch in zip(report.waves, batches):

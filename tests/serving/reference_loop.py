@@ -8,23 +8,24 @@ swaps it in for the staged ``WaveExecutor`` schedules so
 assert bit-identical results, sub-evaluations, RDMA counters, and cache
 counters.
 
-It is *not* an independent implementation: it shares the client's fetcher,
+It is *not* an independent implementation of the substrate: it shares the
+client's fetcher (descriptors, admission, tail words, delta rings),
 decoder (memoization), cache and worker pools with the staged path —
 those are substrate, not orchestration.  What it pins is the *schedule*:
-the exact verb order, charge order, and cache interaction of the original
-three loops (serial, pipelined, naive), which ``src/`` now runs as one.
-The pieces of the monolith that have left ``src/`` for good live here with
-it: its ``PlanExecution`` report, the decoder's deserialize side channel
-(``_DeserializeLedger``), the engine's lump charges (in ``install``) and
-the ``overlap_saved`` closed form.  It records no trace spans, so an
-installed client is single-request only; it pins each wave's entries
-for their search as ``src/`` does, because the cache hands a streamed
-entry's DRAM back when its last pin drops.
+the exact verb order, charge order, and cache interaction of the serial
+and naive loops of the monolith, and of the ready-list loop that replaced
+its double-buffered one (:func:`execute_plan_pipelined`, transcribed
+from the rule, not from ``src/``).  The pieces of the monolith that have
+left ``src/`` for good live here with it: its ``PlanExecution`` report,
+the decoder's deserialize side channel (``_DeserializeLedger``), the
+engine's lump charges (in ``install``) and the ``overlap_saved`` closed
+form of the double buffer.  It records no trace spans, so an installed
+client is single-request only; it pins entries as ``src/`` does, because
+the cache hands a streamed entry's DRAM back when its last pin drops.
 
 Per-row completion stamps are derived here the oracle's own way — a
-countdown of each row's unserviced ``(query, cluster)`` pairs against the
-clock read at every wave's end — where ``src/`` indexes a per-wave clock
-array by each row's last wave.
+countdown of each row's unmerged clusters against the clock read at each
+merge — where ``src/`` keeps its own countdown inside the loop.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import time
+import types
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from repro.core.cluster_search import search_cluster_entry
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import LayoutError
+from repro.layout.group_layout import overflow_tail_extent
 from repro.serving import executor as staged
 
 
@@ -51,24 +54,27 @@ class PlanExecution:
     sub_evals: int = 0
     fetched: int = 0
     hit_count: int = 0
-    #: Closed-form overlap estimate from the per-wave profiles.
+    #: Wire time hidden under compute, added up READ by READ from each
+    #: token's duration and the wait its poll exposed.
     overlap_oracle_us: float = 0.0
-    #: True when deserialize + compute were charged per wave inside the
-    #: pipelined loop; the engine then skipped its lump charges.
+    #: True when deserialize + compute were charged cluster by cluster
+    #: inside the pipelined loop; the engine then skipped its lump charges.
     charged_in_loop: bool = False
     #: Simulated µs already charged to the sub-HNSW bucket in-loop.
     charged_compute_us: float = 0.0
     pipeline_executed: bool = False
-    #: Per row: the clock when its last pair was serviced (pipelined
+    #: Per row: the clock when its last cluster was merged (pipelined
     #: schedule only; the serial and naive ones release with the batch).
     complete_us: np.ndarray | None = None
 
 
 def overlap_saved(profiles: list[tuple[float, float]]) -> float:
-    """Serial minus pipelined schedule length for the given waves.
-
-    Pipelined: ``f_0 + sum(max(f_{i+1}, p_i)) + p_last`` — wave
-    ``i``'s search overlaps wave ``i+1``'s fetch.
+    """Serial minus double-buffered schedule length for the given waves:
+    the monolith's closed form, ``f_0 + sum(max(f_{i+1}, p_i)) +
+    p_last``, where only wave ``i``'s search overlaps wave ``i+1``'s
+    fetch.  The ready-list loop that replaced the double buffer also
+    hides wire time behind routing and hits, which this form cannot
+    express; its transcription adds the hidden time up READ by READ.
     """
     if len(profiles) < 2:
         return 0.0
@@ -107,27 +113,48 @@ class _DeserializeLedger:
 
 
 def install(client) -> list[PlanExecution]:
-    """Replace ``client``'s staged wave loop with this one.
+    """Replace ``client``'s staged schedules with these.
 
-    An instance attribute on the executor — the same seam the spine's
+    Instance attributes on the executor — the same seam the spine's
     tracer wraps — so the engine's ``_search_batch_once`` runs unchanged
-    around it.  The replacement dispatches on the scheme as the monolith's
-    engine did (the naive schedule reads the ``(query, cluster)`` pairs
-    back out of the one-pair-per-wave plan), then posts the lump charges
-    that engine posted for schedules that did not charge in-loop.
-    Returns the list each batch's oracle-side execution is appended to.
+    around them: ``ready_list`` hands the engine a loop whose ``start``
+    posts the first READ mid-routing, ``execute_plan`` runs it (or the
+    serial schedule).  The replacement dispatches on the scheme as the
+    monolith's engine did (the naive schedule reads the ``(query,
+    cluster)`` pairs back out of the one-pair-per-wave plan), then posts
+    the lump charges that engine posted for schedules that did not charge
+    in-loop.  Returns the list each batch's oracle-side execution is
+    appended to.
     """
     ledger = _DeserializeLedger(client.engine.decoder)
     executions: list[PlanExecution] = []
 
-    def run(plan, queries, merger, k, ef, trace=None):
+    def ready_list(plan, queries, merger, k, ef, trace=None):
+        if not (client.policy.deduplicate_batch
+                and client.config.pipeline_waves and plan.waves):
+            return None
         # A torn attempt (``StaleReadError``) leaves decodes it never
         # charged; the retry must not inherit them (src fixed this in the
         # staged loop, where the backlog lives on the attempt's execution).
         ledger.drain()
-        if client.policy.deduplicate_batch:
-            execution = execute_plan(client, plan, queries, merger, k, ef)
+        steps = execute_plan_pipelined(client, plan, queries, merger, k, ef)
+        return types.SimpleNamespace(
+            start=lambda routed_rows: _start(steps, routed_rows),
+            steps=steps)
+
+    def run(plan, queries, merger, k, ef, trace=None, loop=None):
+        if loop is None:
+            loop = ready_list(plan, queries, merger, k, ef)
+            if loop is not None:
+                loop.start(len(queries))
+        if loop is not None:
+            execution = _finish(loop.steps)
+        elif client.policy.deduplicate_batch:
+            ledger.drain()
+            execution = execute_plan_serial(client, plan, queries, merger,
+                                            k, ef)
         else:
+            ledger.drain()
             required: list[list[int]] = [[] for _ in queries]
             for wave in plan.waves:
                 (query_index, cluster_id), = wave.serviced
@@ -148,23 +175,39 @@ def install(client) -> list[PlanExecution]:
             pipeline_executed=execution.pipeline_executed,
             complete_us=execution.complete_us)
 
+    client.engine.executor.ready_list = ready_list
     client.engine.executor.execute_plan = run
     return executions
 
 
-def execute_plan(host, plan: BatchPlan, queries: np.ndarray,
-                 merger: TopKMerger, k: int, ef: int) -> PlanExecution:
-    """Run a deduplicated wave schedule exactly as the monolith did."""
-    if host.config.pipeline_waves and len(plan.waves) >= 2:
-        return execute_plan_pipelined(host, plan, queries, merger, k, ef)
-    return execute_plan_serial(host, plan, queries, merger, k, ef)
+def _start(steps, routed_rows: int) -> None:
+    """Run the ready-list transcription up to its first READ."""
+    steps.send(None)
+    steps.send(routed_rows)
+
+
+def _finish(steps) -> PlanExecution:
+    """Run the ready-list transcription to the end."""
+    try:
+        steps.send(None)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("the ready-list loop yielded twice")
+
+
+def monolith_waves(plan: BatchPlan) -> tuple[Wave, ...]:
+    """The plan as the monolith's waves: a head wave of the hits (no
+    fetch, cluster id order), then the READ waves."""
+    hits = tuple((q, cid) for cid, rows in plan.hit_groups() for q in rows)
+    head = (Wave(fetch_cluster_ids=(), serviced=hits),) if hits else ()
+    return head + plan.waves
 
 
 def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
                         merger: TopKMerger, k: int, ef: int) -> PlanExecution:
     """Strictly serial wave schedule: fetch, then search, per wave."""
     execution = PlanExecution()
-    for wave in plan.waves:
+    for wave in monolith_waves(plan):
         entries = _load_wave(host, wave, execution)
         execution.sub_evals += _run_wave_compute(
             host, wave, entries, queries, merger, k, ef)
@@ -172,66 +215,180 @@ def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
 
 
 def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
-                           merger: TopKMerger, k: int,
-                           ef: int) -> PlanExecution:
-    """Double-buffered wave schedule, transcription of the monolith."""
+                           merger: TopKMerger, k: int, ef: int):
+    """The ready-list loop, transcribed from its rule, as a generator:
+    sent the number of rows routed so far, it takes the hits and posts
+    the first READ, then pauses until the rest of routing is billed.
+
+    Search the earliest-needed planned cluster whose bytes are in DRAM;
+    wait on the NIC only when none is left.  Hits are in DRAM from the
+    start (taken and pinned when the first READ is posted); a fetched
+    cluster once its wave's READ has landed, which this loop reads off
+    the token's completion time.  The first wave's READ is posted once
+    the rows that fix it are routed, each next one as soon as the
+    previous has landed and no more than two waves are unsearched.  A
+    hit's tail word rides in the first READ posted after its row is
+    routed, and its answer counts only once that word has landed; a hit
+    the word shows lagging waits for its delta ring and is searched
+    again.  A row is stamped at the merge of its last cluster.
+    """
     execution = PlanExecution(charged_in_loop=True, pipeline_executed=True)
-    waves = plan.waves
+    fetcher, cache, clock = host.engine.fetcher, host.cache, host.node.clock
+    ledger = host.engine.decoder.deserialize_ledger
     doorbell = host.policy.doorbell_batching
-    profiles: list[tuple[float, float]] = []
-    pending: tuple | None = None
-    pending_index = -1
-    decoder = host.engine.decoder
-    unserviced = collections.Counter(
-        row for wave in waves for row, _ in wave.serviced)
+    order = [cid for cid, _ in plan.clusters]
+    rows_of = {cid: list(rows) for cid, rows in plan.clusters}
+    countdown = collections.Counter(row for rows in rows_of.values()
+                                    for row in rows)
     complete_us = np.full(len(queries), np.nan)
+    hits = [cid for cid in order if cid in plan.cache_hit_cluster_ids]
+    pending_waves = list(plan.waves)
+    in_dram: dict[int, CachedCluster] = {}
+    pins: dict[int, CachedCluster] = {}
+    no_word_yet = set(hits)
+    behind: set[int] = set()            # lagging hits, delta in flight
+    charged: dict[int, object] = {}     # searched hits awaiting a word
+    owed: dict[int, float] = {}         # decode µs per fetched cluster
+    merged: set[int] = set()
+    rings: list[dict] = []
+    open_waves: list[set[int]] = []     # posted, not searched to the end
+    late: list[int] = []                # hits whose word is not posted
+    hidden_us = 0.0
 
-    def issue(index: int) -> tuple:
-        descriptors, extents = _extent_descriptors(
-            host, list(waves[index].fetch_cluster_ids))
-        token = host.transport.read_batch_async(descriptors,
+    def post_next() -> None:
+        # A wave's READ while fewer than two waves are unsearched; the
+        # words of the hits routed since the last READ ride along.
+        nonlocal late
+        if pending_waves and len(open_waves) < 2:
+            fetch_ids = pending_waves.pop(0).fetch_cluster_ids
+            open_waves.append(set(fetch_ids))
+        elif pending_waves or not late:
+            return
+        else:
+            fetch_ids = ()
+        word_hits, late = late, []
+        groups: dict[int, list[int]] = {}
+        for cid in word_hits:
+            groups.setdefault(host.metadata.clusters[cid].group_id,
+                              []).append(cid)
+        group_ids = sorted(groups)
+        descriptors, extents = _extent_descriptors(host, list(fetch_ids))
+        words = fetcher._descriptors(
+            overflow_tail_extent(host.metadata.groups[gid])
+            for gid in group_ids)
+        token = host.transport.read_batch_async(words + descriptors,
                                                 doorbell=doorbell)
-        return token, extents
+        rings.append({"token": token, "extents": extents,
+                      "groups": [(gid, groups[gid]) for gid in group_ids]})
 
-    for index, wave in enumerate(waves):
-        sync_network_before = host.node.stats.network_time_us
-        entries: dict[int, CachedCluster] = {}
-        if wave.fetch_cluster_ids:
-            token, extents = (pending if pending_index == index
-                              else issue(index))
-            payloads = host.transport.poll(token)
-            wave_fetch_us = token.elapsed_us
-            if (index + 1 < len(waves)
-                    and waves[index + 1].fetch_cluster_ids):
-                pending, pending_index = issue(index + 1), index + 1
-            loaded = _decode(host, extents, payloads)
+    def merge(cid: int, output) -> None:
+        for position, row in enumerate(rows_of[cid]):
+            merger.add(row, output.gids[position], output.dists[position])
+        execution.sub_evals += output.evals
+        merged.add(cid)
+        cache.unpin(pins.pop(cid))
+        for row in rows_of[cid]:
+            countdown[row] -= 1
+            if countdown[row] == 0:
+                complete_us[row] = clock.now_us
+        for wave in open_waves:
+            wave.discard(cid)
+        if open_waves and not open_waves[0]:
+            open_waves.pop(0)
+            post_next()
+
+    def land(ring: dict) -> None:
+        nonlocal hidden_us
+        token = ring["token"]
+        hidden_us += max(0.0, token.elapsed_us - max(
+            0.0, token.completes_at_us - clock.now_us))
+        payloads = host.transport.poll(token)
+        if "delta" in ring:
+            fetcher.graft(ring["delta"], payloads)
+            behind.difference_update(entry.cluster_id
+                                     for _, entry in ring["delta"].lagging)
+            return
+        words = len(ring["groups"])
+        if ring["extents"]:
+            loaded = {}
+            parts = iter(payloads[words:])
+            for cid, ranges in ring["extents"]:
+                ledger.drain()
+                loaded[cid] = host.engine.decoder.decode_extent(
+                    cid, ranges, [next(parts) for _ in ranges])
+                owed[cid] = ledger.drain()
+            first = ring["extents"][0][0]
+            owed[first] += host.cost_model.deserialize_us(
+                fetcher.top_up(loaded.values()))
             execution.fetched += len(loaded)
             if host.policy.use_cluster_cache:
-                host.engine.fetcher.offer(loaded.values())
-            entries.update(loaded)
-        else:
-            _load_hit_wave(host, wave, entries, execution)
-            wave_fetch_us = (host.node.stats.network_time_us
-                             - sync_network_before)
-            if (index + 1 < len(waves)
-                    and waves[index + 1].fetch_cluster_ids):
-                pending, pending_index = issue(index + 1), index + 1
-        deserialize_us = decoder.deserialize_ledger.drain()
-        charged = host.node.charge_time(deserialize_us)
-        wave_evals = _run_wave_compute(host, wave, entries, queries,
-                                       merger, k, ef)
-        charged += host.node.charge_compute(wave_evals, host.meta.dim)
-        execution.sub_evals += wave_evals
-        execution.charged_compute_us += charged
-        profiles.append((wave_fetch_us, charged))
-        for row, _ in wave.serviced:
-            unserviced[row] -= 1
-            if not unserviced[row]:
-                complete_us[row] = host.node.clock.now_us
-    # A row no wave serviced is released with the last one.
-    complete_us[np.isnan(complete_us)] = host.node.clock.now_us
+                fetcher.offer(loaded.values())
+            for cid, entry in loaded.items():
+                cache.pin(entry)
+                pins[cid] = in_dram[cid] = entry
+        if ring["groups"]:
+            fetcher.note_tails([gid for gid, _ in ring["groups"]], payloads)
+            validated = [cid for _, cids in ring["groups"] for cid in cids]
+            no_word_yet.difference_update(validated)
+            lagging = fetcher.issue_top_up([pins[cid] for cid in validated])
+            if lagging is not None:
+                rings.append({"token": lagging[0], "delta": lagging[1]})
+                behind.update(entry.cluster_id
+                              for _, entry in lagging[1].lagging)
+            for cid in validated:
+                if cid in behind:
+                    charged.pop(cid, None)   # searched too early: again
+                elif cid in charged:
+                    merge(cid, charged.pop(cid))
+        post_next()
+
+    routed_rows = yield
+    for cid in hits:
+        entry = cache.get(cid)
+        if entry is None:
+            raise LayoutError(f"planned hit {cid} left the cache")
+        cache.pin(entry)
+        pins[cid] = in_dram[cid] = entry
+        execution.hit_count += 1
+    late = [cid for cid in hits if rows_of[cid][0] < routed_rows]
+    try:
+        post_next()
+        late = [cid for cid in hits if rows_of[cid][0] >= routed_rows]
+        yield
+        while len(merged) < len(order):
+            if rings and rings[0]["token"].completes_at_us <= clock.now_us:
+                land(rings.pop(0))
+                continue
+            ready = [cid for cid in order if cid in in_dram
+                     and cid not in merged and cid not in charged
+                     and cid not in behind]
+            if not ready:
+                land(rings.pop(0))
+                continue
+            cid = ready[0]
+            entry = in_dram[cid]
+            started = time.perf_counter()
+            output = search_cluster_entry(entry, queries[rows_of[cid]], k,
+                                          ef)
+            host.node.record_wall_compute(time.perf_counter() - started)
+            if cid in owed:
+                execution.charged_compute_us += host.node.charge_time(
+                    owed.pop(cid))
+            execution.charged_compute_us += host.node.charge_compute(
+                output.evals, host.meta.dim)
+            if cid in no_word_yet:
+                charged[cid] = output
+            else:
+                merge(cid, output)
+    finally:
+        for ring in rings:
+            host.transport.abandon(ring["token"])
+        for entry in pins.values():
+            cache.unpin(entry)
+    # A row no cluster serviced (the cold tier's) ends with the batch.
+    complete_us[np.isnan(complete_us)] = clock.now_us
     execution.complete_us = complete_us
-    execution.overlap_oracle_us = overlap_saved(profiles)
+    execution.overlap_oracle_us = hidden_us
     return execution
 
 
@@ -301,13 +458,8 @@ def _load_hit_wave(host, wave: Wave, entries: dict[int, CachedCluster],
     for cid in hit_ids:
         entry = host.cache.get(cid)
         if entry is None:
-            entry = _fetch_clusters(
-                host, [cid], host.policy.doorbell_batching)[cid]
-            execution.fetched += 1
-            if host.policy.use_cluster_cache:
-                host.engine.fetcher.offer([entry], count_miss=False)
-        else:
-            execution.hit_count += 1
+            raise LayoutError(f"planned hit {cid} left the cache")
+        execution.hit_count += 1
         entries[cid] = entry
 
 

@@ -20,6 +20,7 @@ from repro.core.baselines import Scheme
 from repro.core.client import DHnswClient
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan, Wave
+from repro.errors import LayoutError
 from repro.mutation.rebuild import ShadowRebuild
 from repro.rdma import CostModel
 from tests.mutation.test_shadow_rebuild import CutoverDuringFetch, fill_group
@@ -104,38 +105,56 @@ def record_plans(client) -> list[BatchPlan]:
     return plans
 
 
-def assert_stamps_follow_the_plan(result, plan, batch_end_us):
-    """``complete_us`` against the plan that produced it: a row's stamp
-    is its last wave's, stamps never decrease from wave to wave, the last
-    one is the batch end — and a schedule that charged nothing wave by
-    wave releases every row there."""
+def record_merges(client) -> list[dict[int, float]]:
+    """Per merger ``client`` creates from now on (one per attempt): each
+    row's clock at its last merged candidate chunk."""
+    merges: list[dict[int, float]] = []
+    create = client.engine.merger.create
+
+    def recording(*args, **kwargs):
+        merger = create(*args, **kwargs)
+        last: dict[int, float] = {}
+        merges.append(last)
+        add = merger.add
+
+        def add_recording(row, gids, dists):
+            last[row] = client.node.clock.now_us
+            return add(row, gids, dists)
+
+        merger.add = add_recording
+        return merger
+
+    client.engine.merger.create = recording
+    return merges
+
+
+def assert_stamps_follow_the_plan(result, last_merge, batch_end_us):
+    """``complete_us`` row by row: a row's stamp is the clock when its
+    own last cluster was merged (searched, and a hit's tail word in) —
+    never the end of the READ wave it came with — and the last stamp is
+    the batch end; a schedule that charged nothing cluster by cluster
+    releases every row there."""
     stamps = result.complete_us
     assert stamps.shape == (result.batch_size,)
     assert stamps.max() == batch_end_us
     if not result.pipeline_executed:
         assert (stamps == batch_end_us).all()
         return
-    last_wave = {row: index for index, wave in enumerate(plan.waves)
-                 for row, _ in wave.serviced}
-    by_wave: dict[int, set[float]] = {}
-    for row, index in last_wave.items():
-        by_wave.setdefault(index, set()).add(stamps[row])
-    assert all(len(values) == 1 for values in by_wave.values())
-    ends = [by_wave[index].pop() for index in sorted(by_wave)]
-    assert ends == sorted(set(ends))  # strictly later, wave after wave
+    for row in range(result.batch_size):
+        assert stamps[row] == last_merge.get(row, batch_end_us), row
 
 
 def run_cold_then_warm(staged, oracle, queries, k=10):
     """A cold batch (all misses), then a warm one (cache hits plus the
     overflow-tail validation path) — both must match exactly."""
-    plans = record_plans(staged)
+    merges = record_merges(staged)
     try:
         for _ in range(2):
             staged_result = staged.search_batch(queries, k=k)
             oracle_result = oracle.search_batch(queries, k=k)
             assert_batches_identical(staged_result, oracle_result)
             assert_ledgers_identical(staged, oracle)
-            assert_stamps_follow_the_plan(staged_result, plans[-1],
+            assert_stamps_follow_the_plan(staged_result, merges[-1],
                                           staged.node.clock.now_us)
     finally:
         staged.close()
@@ -153,7 +172,7 @@ def test_staged_matches_reference(built_deployment, small_dataset,
         oracle_workers=1 if executor == "thread" else None)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
     assert result.waves >= 2 and result.pipeline_executed == pipeline
-    # Under the look-ahead some row is final before the batch is.
+    # Under the ready-list loop some row is final before the batch is.
     assert (result.complete_us.min() < result.complete_us.max()) == pipeline
     # Only the staged path populates per-stage traces.
     assert result.trace is not None
@@ -177,36 +196,27 @@ def test_capacity_one_cache(built_deployment, small_dataset, pipeline):
 @SCHEDULES
 def test_hit_evicted_between_planning_and_execution(
         built_deployment, small_dataset, pipeline):
-    """A hit wave whose cluster left the cache after planning refetches
-    and re-admits it; under the look-ahead the next wave's READ is already
-    on the wire while it does."""
+    """A plan whose hit left the cache cannot run: nothing between
+    planning and the hits' pinning can evict one, so the executor refuses
+    rather than refetch, and leaves no pin and no READ behind."""
     staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
                                cache_fraction=1e-9)
     queries = small_dataset.queries[:2]
     plan = BatchPlan(
-        waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0), (1, 0))),
-               Wave(fetch_cluster_ids=(1,), serviced=((0, 1),)),
+        waves=(Wave(fetch_cluster_ids=(1,), serviced=((0, 1),)),
                Wave(fetch_cluster_ids=(2,), serviced=((1, 2),))),
         cache_hit_cluster_ids=(0,), unique_clusters=3,
-        duplicate_requests_pruned=0)
+        duplicate_requests_pruned=0,
+        clusters=((0, (0, 1)), (1, (0,)), (2, (1,))), first_wave_rows=1)
+    rings = staged.node.stats.round_trips
     try:
-        executions = [
-            client.engine.executor.execute_plan(
-                plan, queries, TopKMerger(len(queries), 10), 10, 20)
-            for client in (staged, oracle)]
-        assert executions[0] == executions[1]
-        assert executions[0].fetched == 3 and executions[0].hit_count == 0
-        assert executions[0].pipeline_executed == pipeline
+        for client in (staged, oracle):
+            with pytest.raises(LayoutError, match="planned hit 0"):
+                client.engine.executor.execute_plan(
+                    plan, queries, TopKMerger(len(queries), 10), 10, 20)
         assert_ledgers_identical(staged, oracle)
-        stamps = executions[0].complete_us
-        if pipeline:
-            # Row 0 is final after wave 1 (the refetch inside the hit
-            # wave is on its bill), row 1 after wave 2 = the end.
-            np.testing.assert_array_equal(stamps,
-                                          executions[1].complete_us)
-            assert stamps[0] < stamps[1] == staged.node.clock.now_us
-        else:
-            assert stamps is None and executions[1].complete_us is None
+        assert staged.node.stats.round_trips == rings
+        assert len(staged.cache) == 0
     finally:
         staged.close()
         oracle.close()
@@ -214,12 +224,13 @@ def test_hit_evicted_between_planning_and_execution(
 
 def test_single_wave_batch_never_looks_ahead(built_deployment,
                                              small_dataset):
-    """``pipeline_waves`` with a plan of one wave is the serial schedule:
-    deferred charges, nothing in flight."""
+    """``pipeline_waves`` with a plan that fetches nothing (every cluster
+    a hit) is the serial schedule: deferred charges, nothing in flight."""
     staged, oracle = make_pair(built_deployment, pipeline_waves=True,
                                cache_fraction=1.0)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
-    assert result.waves == 1 and not result.pipeline_executed
+    assert result.waves == 0 and result.cache_hits > 0
+    assert not result.pipeline_executed
     assert result.overlap_saved_us == 0.0
 
 
@@ -312,8 +323,8 @@ def test_peer_inserts_between_batches(mutable_deployment, small_dataset,
         assert_batches_identical(result, oracle.search_batch(queries, k=10))
         assert_ledgers_identical(staged, oracle)
         assert result.results[0].ids[0] == 910_000
-        # The version peek, one ring per wave (the hit wave's is its tails
-        # ring) — and the delta rings this test is about.
+        # The version peek and one ring per wave — and the tails ring
+        # (serial) or the delta rings this test is about.
         assert result.cache_hits > 0
         rings = staged.node.stats.delta(before).round_trips
         assert rings - 1 - result.waves >= 1
@@ -358,12 +369,12 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
             return _once(*args, **kwargs)
 
         reader.engine._search_batch_once = counting
-        plans = record_plans(reader)
+        merges = record_merges(reader)
         result = reader.search_batch(vectors, 1, ef_search=64)
         assert reader.transport.triggered == 1 and len(attempt_starts) == 2
         assert result.pipeline_executed
         assert result.complete_us.min() > attempt_starts[1]
-        assert_stamps_follow_the_plan(result, plans[-1],
+        assert_stamps_follow_the_plan(result, merges[-1],
                                       reader.node.clock.now_us)
         results.append(result)
         starts.append(attempt_starts)
@@ -376,13 +387,13 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
 def test_cold_tier_rows_complete_with_the_batch():
     """Row 0's farthest probe cold, the rest hot: a row the cold tier
     answers is final only when the batch is (cold serving runs after the
-    waves); a row whose clusters are all hot keeps its wave's stamp, and
-    that is earlier.
+    waves); a row whose clusters are all hot keeps the stamp of its own
+    last merge, and that is earlier.
 
     The split is the cache's: its byte cap holds exactly the batch's
     other clusters, and the cold one is worth least.  A warm-up batch
     that does not probe it makes some of the rest resident, so the batch
-    runs a hit wave and a fetch wave."""
+    searches hits and fetches."""
     corpus, queries, _ = make_world()
     deployment = Deployment(corpus, base_config(cold_tier="pq"),
                             simulate_link_contention=False)
@@ -416,7 +427,7 @@ def test_cold_tier_rows_complete_with_the_batch():
         return splits[-1]
 
     staged.tier_store.split = recording
-    plans = record_plans(staged)
+    merges = record_merges(staged)
     try:
         result = staged.search_batch(queries[:16], k=10)
         assert_batches_identical(result, oracle.search_batch(queries[:16],
@@ -434,11 +445,9 @@ def test_cold_tier_rows_complete_with_the_batch():
     assert cold_rows and hot_rows
     assert (result.complete_us[cold_rows] == batch_end_us).all()
     assert (result.complete_us[hot_rows] < batch_end_us).all()
-    last_wave = {row: index for index, wave in enumerate(plans[-1].waves)
-                 for row, _ in wave.serviced}
-    for one, other in zip(hot_rows, hot_rows[1:]):
-        if last_wave[one] < last_wave[other]:
-            assert result.complete_us[one] < result.complete_us[other]
+    # A hot row keeps the stamp of its own last merge.
+    for row in hot_rows:
+        assert result.complete_us[row] == merges[-1][row]
 
 
 def test_worker_processes_stamp_as_inline_does(built_deployment,
