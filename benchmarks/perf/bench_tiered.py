@@ -138,7 +138,7 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
         ids = np.stack([r.ids for r in final.results])
         cache = client.cache
         return {
-            "dram_used_bytes": client.node.dram_used_bytes,
+            "dram_used_bytes": client.dram_used_bytes,
             "cached_bytes": cache.cached_bytes,
             "recall_at_10": round(recall_at_10(ids, ground_truth), 4),
             "p99_latency_per_query_us": round(

@@ -34,12 +34,12 @@ itself reaches it from one thread only (search workers are processes and
 hold their own copies).  Accounting lives *inside* the cache: ``get``
 counts hits and misses, ``put`` counts the miss that caused the fetch (an
 insert of an absent key), any evictions and any streamed entry — callers
-never poke the counters.  So does giving bytes back: every way an entry
-leaves (evicted, spilled, replaced, invalidated) goes through one
-``_drop``, which hands the entry's ``nbytes`` to the ``release`` callable
-the owner supplied (the client's DRAM ledger), and a streamed entry hands
-its bytes back when its wave's last pin drops — whoever admits or streams
-an entry reserves for it, nobody but the cache releases.
+never poke the counters.  The cache is also the instance's one ledger of
+cluster DRAM (:attr:`ClusterCache.held_bytes`): its residents, plus every
+streamed entry until its wave's last pin drops.  Every way a resident
+leaves (evicted, replaced, invalidated) goes through one ``_drop``, and
+:meth:`ClusterCache.grow` holds a grown resident to the same caps as
+:meth:`ClusterCache.put` does a new one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class CachedCluster:
     #: In-flight compute references.  The zero-copy decode path leaves
     #: ``index`` holding read-only views over remote region memory; a
     #: pinned entry is being searched right now, so the cache must not
-    #: spill it (DRAM accounting would free memory still in use) and must
+    #: evict it (that would free DRAM still in use) and must
     #: :meth:`materialize` it before the backing extent can be rewritten.
     #: Mutated only under the owning cache's lock.
     pins: int = 0
@@ -91,8 +91,8 @@ class CachedCluster:
     #: every entry over it; the index is frozen after deserialization.
     labels: np.ndarray | None = None
     #: Fetched but not admitted: the entry is searched in its wave only.
-    #: Its ``nbytes`` are reserved for that wave and handed back by the
-    #: cache when its last pin drops (:meth:`ClusterCache.unpin`).
+    #: The cache holds its ``nbytes`` for that wave and lets them go when
+    #: its last pin drops (:meth:`ClusterCache.unpin`).
     streamed: bool = False
 
     def __post_init__(self) -> None:
@@ -109,7 +109,6 @@ class ClusterCache:
     what costs most to refetch (frequency x bytes, LRU among equals)."""
 
     def __init__(self, capacity_clusters: int,
-                 release: "Callable[[int], None] | None" = None,
                  capacity_bytes: int | None = None) -> None:
         if capacity_clusters < 1:
             raise ConfigError(
@@ -117,8 +116,6 @@ class ClusterCache:
         self.capacity_clusters = int(capacity_clusters)
         #: Bytes the residents may hold together (None: no byte cap).
         self.capacity_bytes = capacity_bytes
-        #: Called with the ``nbytes`` of every entry that leaves the cache.
-        self._release = release
         self._entries: collections.OrderedDict[int, CachedCluster] = (
             collections.OrderedDict())
         self._lock = threading.RLock()
@@ -128,6 +125,8 @@ class ClusterCache:
         self._invalidations = 0
         self._streamed = 0
         self._cached_bytes = 0
+        # Bytes of streamed entries their wave still pins.
+        self._streamed_bytes = 0
         # EWMA access frequencies, keyed by cluster id.  Deliberately
         # covers non-resident clusters too: admission scores a cluster
         # before it is resident (and, with a cold tier, before it is
@@ -180,6 +179,13 @@ class ClusterCache:
     def cached_bytes(self) -> int:
         """Sum of cached entries' sizes (a running total, O(1))."""
         return self._cached_bytes
+
+    @property
+    def held_bytes(self) -> int:
+        """Cluster DRAM held: :attr:`cached_bytes` plus the bytes of every
+        streamed entry its wave has not yet unpinned."""
+        with self._lock:
+            return self._cached_bytes + self._streamed_bytes
 
     def get(self, cluster_id: int) -> CachedCluster | None:
         """Look up a cluster, refreshing its recency; counts hit/miss."""
@@ -244,7 +250,7 @@ class ClusterCache:
 
     def unpin(self, entry: CachedCluster) -> None:
         """Release one compute reference taken by :meth:`pin`; the last
-        one off a streamed entry hands its bytes back."""
+        one off a streamed entry lets its bytes go."""
         with self._lock:
             if entry.pins <= 0:
                 raise ValueError(
@@ -253,16 +259,12 @@ class ClusterCache:
             entry.pins -= 1
             if entry.streamed and not entry.pins:
                 entry.streamed = False
-                if self._release is not None:
-                    self._release(entry.nbytes)
+                self._streamed_bytes -= entry.nbytes
 
     def _drop(self, entry: CachedCluster) -> None:
         """The one exit: ``entry`` is leaving ``_entries``; take its bytes
-        off the running total and hand them back to the owner.  Must be
-        called under the lock."""
+        off the running total.  Must be called under the lock."""
         self._cached_bytes -= entry.nbytes
-        if self._release is not None:
-            self._release(entry.nbytes)
 
     def value(self, entry: CachedCluster, now_us: float) -> float:
         """What keeping ``entry`` saves: its access frequency at
@@ -330,10 +332,9 @@ class ClusterCache:
         Admission is :meth:`_victims`' rule, with ``entry``'s
         :meth:`value` at ``now_us``.  A streamed entry is left out of the
         cache, counted in :attr:`streamed` (not in :attr:`evictions`),
-        and flagged so that :meth:`unpin` hands its ``nbytes`` back when
-        its wave is done with it — the owner reserves for it as for an
-        admitted entry.  With no access recorded every value is 0 and
-        the rule is LRU.
+        and flagged; its ``nbytes`` count in :attr:`held_bytes` until
+        :meth:`unpin` takes its wave's last pin off.  With no access
+        recorded every value is 0 and the rule is LRU.
 
         Inserting a key that was absent counts one miss — the fetch that
         produced ``entry`` went to remote memory.
@@ -350,6 +351,7 @@ class ClusterCache:
             if victims is None:
                 entry.streamed = True
                 self._streamed += 1
+                self._streamed_bytes += entry.nbytes
                 return None
             evicted = [self._evict(cid) for cid in victims]
             self._entries[entry.cluster_id] = entry
@@ -389,31 +391,32 @@ class ClusterCache:
                 admitted.add(cid)
             return admitted
 
-    def grow(self, entry: CachedCluster, nbytes: int) -> bool:
-        """Add ``nbytes`` to ``entry``'s size (records grafted onto it);
-        True if it is resident, so the caller owes the DRAM."""
+    def grow(self, entry: CachedCluster, nbytes: int,
+             now_us: float = 0.0) -> None:
+        """Add ``nbytes`` to ``entry``'s size (records grafted onto it).
+
+        A grown resident is held to :meth:`put`'s rule at its new size,
+        ranked against the other residents: it evicts the victims the
+        rule names, or — when the rule would stream it — leaves the
+        cache itself, unless a search has it pinned."""
         with self._lock:
             entry.nbytes += nbytes
-            resident = self._entries.get(entry.cluster_id) is entry
-            if resident:
-                self._cached_bytes += nbytes
-            return resident
-
-    def pop_weakest(self, now_us: float) -> CachedCluster | None:
-        """Evict and return the unpinned entry worth least at ``now_us``
-        — the first victim :meth:`put` would pick (the DRAM spill).
-
-        Returns None when the cache is empty *or* every entry is pinned
-        by in-flight compute (callers distinguish via ``len(cache)``).
-        """
-        with self._lock:
-            unpinned = [(self.value(entry, now_us), entry.cluster_id)
-                        for entry in self._entries.values()
-                        if entry.pins == 0]
-            if not unpinned:
-                return None
-            # min keeps the first, least recently used, among equals.
-            return self._evict(min(unpinned, key=lambda pair: pair[0])[1])
+            if self._entries.get(entry.cluster_id) is not entry:
+                if entry.streamed:
+                    self._streamed_bytes += nbytes
+                return
+            self._cached_bytes += nbytes
+            others = self._residents()
+            del others[entry.cluster_id]
+            victims = self._victims(
+                others, self._cached_bytes - entry.nbytes,
+                self.value(entry, now_us), entry.nbytes, now_us)
+            if victims is None:
+                if not entry.pins:
+                    self._evict(entry.cluster_id)
+                return
+            for cid in victims:
+                self._evict(cid)
 
     def invalidate(self, cluster_id: int) -> bool:
         """Drop one entry (stale after a rebuild); True if it was cached.

@@ -46,7 +46,6 @@ from repro.core.meta_index import MetaHnsw
 from repro.core.results import BatchResult, QueryResult
 from repro.core.fsck import RepairReport, repair_replica
 from repro.errors import LayoutError, NoHealthyReplicaError
-from repro.layout.group_layout import cluster_read_extent
 from repro.layout.cold import deserialize_codebook
 from repro.layout.metadata import GlobalMetadata
 from repro.mutation.writer import InsertReport, MutationEngine
@@ -89,26 +88,13 @@ class DHnswClient:
         # (§3.1: "we cache the lightweight meta-HNSW in the compute pool").
         self.meta = copy.deepcopy(meta)
 
-        capacity = self.config.cache_capacity_clusters(
-            layout.metadata.num_clusters)
-        meta_bytes = self.meta.serialized_size_bytes()
-        # Sized from the whole extent — the worst case, every overflow
-        # slot live; an entry reserves only what it read (``nbytes``).
-        max_extent = max(
-            (cluster_read_extent(layout.metadata, cid)[1]
-             for cid in range(layout.metadata.num_clusters)), default=0)
-        budget = meta_bytes + int(capacity * max_extent * 1.5) + (1 << 20)
-        self.config.validate_dram_plan(capacity, meta_bytes, max_extent,
-                                       budget)
-        self.node = ComputeNode(layout.memory_node, self.cost_model,
-                                dram_budget_bytes=budget, name=name)
-        if not self.node.reserve_dram(meta_bytes):
-            raise LayoutError("DRAM budget cannot hold the meta-HNSW")
-        # Admission reserves an entry's bytes (``Fetcher.offer``); the
-        # cache gives them back however the entry leaves.  With a cold
-        # tier the cache is the hot tier, and the budget its byte cap.
+        self.node = ComputeNode(layout.memory_node, self.cost_model, name=name)
+        # DRAM held outside the cluster cache: the meta-HNSW, plus the PQ
+        # codebook once the cold tier loads it (``dram_used_bytes``).
+        self._fixed_dram_bytes = self.meta.serialized_size_bytes()
+        # With a cold tier the cache is the hot tier (budget: byte cap).
         self.cache = ClusterCache(
-            capacity, release=self.node.release_dram,
+            self.config.cache_capacity_clusters(layout.metadata.num_clusters),
             capacity_bytes=(None if self.config.cold_tier == "off"
                             else self.config.hot_tier_budget_bytes))
 
@@ -185,11 +171,16 @@ class DHnswClient:
                 self.layout.addr(cold_dir.codebook_offset),
                 cold_dir.codebook_length)
             self.node.charge_time(self.cost_model.deserialize_us(len(blob)))
-            if not self.node.reserve_dram(len(blob)):
-                raise LayoutError(
-                    "DRAM budget cannot hold the PQ codebook")
+            self._fixed_dram_bytes += len(blob)
             self.tier_store = TieredClusterStore(
                 self, deserialize_codebook(blob))
+
+    @property
+    def dram_used_bytes(self) -> int:
+        """Compute DRAM this instance holds: the meta-HNSW (plus the PQ
+        codebook with the cold tier on) and what the cluster cache holds
+        (:attr:`ClusterCache.held_bytes`)."""
+        return self._fixed_dram_bytes + self.cache.held_bytes
 
     # ------------------------------------------------------------------
     # Resource lifecycle

@@ -31,7 +31,7 @@ class DHnswConfig:
     ----------
     num_representatives:
         Vectors uniformly sampled to build the meta-HNSW (the paper picks
-        500 for a 1M corpus).  ``None`` derives ``clamp(n // 300, 16, 500)``
+        500 for a 1M corpus).  ``None`` derives ``clamp(n // 300, 4, 500)``
         from the corpus size, preserving the paper's cluster-count-to-data
         ratio at smaller scale.  Each representative defines one partition.
     nprobe:
@@ -190,31 +190,6 @@ class DHnswConfig:
             raise ConfigError(
                 f"num_clusters must be >= 1, got {num_clusters}")
         return max(1, int(round(self.cache_fraction * num_clusters)))
-
-    def validate_dram_plan(self, capacity_clusters: int, meta_bytes: int,
-                           max_extent_bytes: int,
-                           dram_budget_bytes: int) -> None:
-        """Sanity-check a client's DRAM sizing before it connects.
-
-        The cluster cache must be able to admit at least the largest
-        single cluster extent after the meta-HNSW is resident — otherwise
-        every fetch of that cluster would spill the whole cache and then
-        fail, which surfaces deep in the serving path as a
-        ``LayoutError``.  Checking here turns a confusing runtime failure
-        into an actionable configuration error.
-        """
-        if capacity_clusters < 1:
-            raise ConfigError(
-                f"cache capacity must hold >= 1 cluster, got "
-                f"{capacity_clusters} (cache_fraction={self.cache_fraction})")
-        available = dram_budget_bytes - meta_bytes
-        if max_extent_bytes > 0 and available < max_extent_bytes:
-            raise ConfigError(
-                f"compute DRAM plan too small: {available} B remain after "
-                f"the meta-HNSW ({meta_bytes} B) but the largest cluster "
-                f"extent is {max_extent_bytes} B — raise cache_fraction "
-                f"(currently {self.cache_fraction}) or shrink clusters "
-                f"via num_representatives")
 
     def replace(self, **changes: object) -> "DHnswConfig":
         """Return a copy with the given fields replaced."""

@@ -277,8 +277,9 @@ class MutationEngine:
                 if cid == record.cluster_id:
                     entry.overflow.append(record)
                 entry.overflow_tail = slot + 1
-                self.host.engine.fetcher.grow(
-                    entry, overflow_record_size(self.host.metadata.dim))
+                self.host.cache.grow(
+                    entry, overflow_record_size(self.host.metadata.dim),
+                    self.host.node.clock.now_us)
 
     # -- rebuild ----------------------------------------------------------
     def rebuild_group(self, group_id: int,

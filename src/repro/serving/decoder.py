@@ -49,9 +49,9 @@ class Decoder:
         """Forget retained bases (no simulated-cost effect).
 
         Retained entries hold zero-copy views over remote region memory;
-        drop them when that memory is damaged or rewritten in place
-        (chaos harness, replica repair) so stale bytes cannot resurface
-        through the memo.
+        drop them when that memory is damaged in place (the chaos harness
+        does, before it bit-rots a replica) so stale bytes cannot
+        resurface through the memo.  Replica repair does not call it.
         """
         self._bases.clear()
 

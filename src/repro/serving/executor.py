@@ -217,9 +217,9 @@ class WaveExecutor:
                         f"planned cluster {cid} missing during search")
                 tasks.append((cid, entry, query_indices))
             # Pin for the duration of the search: a concurrent request's
-            # cache admission must not spill these entries (their vector
-            # stores may be zero-copy views whose DRAM accounting would
-            # be freed mid-search), and a concurrent invalidation must
+            # cache admission must not evict these entries (their vector
+            # stores may be zero-copy views whose DRAM would be freed
+            # mid-search), and a concurrent invalidation must
             # materialize rather than leave them over rewritten memory.
             for _, entry, _ in tasks:
                 host.cache.pin(entry)

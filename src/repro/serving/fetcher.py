@@ -6,9 +6,9 @@ queue pair.  A fetch reads what is live, not what is reserved: the blob,
 the tail word and as many record slots as the group's last seen tail plus
 :data:`TAIL_SLACK_SLOTS` (``layout.group_layout.cluster_read_ranges``);
 the word in the payload then says whether that was enough, and
-:meth:`Fetcher.top_up` brings in what was not.  The fetcher also owns
-cache admission (admit or stream by frequency x bytes, DRAM spill of the
-weakest) and the overflow-tail freshness check for cache hits, because
+:meth:`Fetcher.top_up` brings in what was not.  The fetcher also offers
+what it fetched to the cache (which admits or streams it by frequency x
+bytes) and owns the overflow-tail freshness check for cache hits, because
 both are decisions about what was just fetched.
 """
 
@@ -141,57 +141,22 @@ class Fetcher:
             return self.host.transport.poll(token)
 
     # -- cache admission --------------------------------------------------
-    def _reserve_dram(self, entry: CachedCluster, nbytes: int) -> None:
-        """Reserve ``nbytes`` for resident ``entry``, spilling the weakest
-        other residents while DRAM is tight (the cache gives back what it
-        drops).  ``entry`` is pinned meanwhile so the spill cannot pick
-        the entry it makes room for."""
-        host = self.host
-        cache = host.cache
-        now_us = host.node.clock.now_us
-        cache.pin(entry)
-        try:
-            while not host.node.reserve_dram(nbytes):
-                if cache.pop_weakest(now_us) is None:
-                    # Every other resident is pinned by in-flight
-                    # compute: spilling one would free DRAM a search is
-                    # reading right now.  Over-commit the budget
-                    # transiently instead; pressure resolves once the
-                    # pins drop and a later put evicts.
-                    host.node.reserve_dram(nbytes, force=True)
-                    break
-        finally:
-            cache.unpin(entry)
-
     def offer(self, entries: Iterable[CachedCluster]) -> None:
-        """Offer one wave's fetched entries to the cache and reserve their
-        bytes.  An admitted entry spills the weakest residents if DRAM is
-        tight, and stays pinned until the whole wave is offered so that
-        none is the victim of a sibling's admission: the wave searches
-        every entry it loaded.  A streamed one is being searched as a
-        pinned entry is, so it forces its reservation, and the cache
-        hands the bytes back when the wave's pins drop."""
-        host = self.host
-        cache = host.cache
-        now_us = host.node.clock.now_us
+        """Offer one wave's fetched entries to the cache.  An admitted
+        entry stays pinned until the whole wave is offered so that none
+        is the victim of a sibling's admission: the wave searches every
+        entry it loaded."""
+        cache = self.host.cache
+        now_us = self.host.node.clock.now_us
         admitted = []
         try:
             for entry in entries:
-                if cache.put(entry, now_us=now_us) is None:
-                    host.node.reserve_dram(entry.nbytes, force=True)
-                    continue
-                cache.pin(entry)
-                admitted.append(entry)
-                self._reserve_dram(entry, entry.nbytes)
+                if cache.put(entry, now_us=now_us) is not None:
+                    cache.pin(entry)
+                    admitted.append(entry)
         finally:
             for entry in admitted:
                 cache.unpin(entry)
-
-    def grow(self, entry: CachedCluster, nbytes: int) -> None:
-        """Account ``nbytes`` more held by ``entry`` (grafted records); a
-        resident entry reserves them now, a fresh one at admission."""
-        if self.host.cache.grow(entry, nbytes):
-            self._reserve_dram(entry, nbytes)
 
     # -- wave loading -----------------------------------------------------
     def admit(self, extents: list[Extent], payloads: list[bytes],
@@ -230,11 +195,14 @@ class Fetcher:
         Tail counters are 8-byte READs, doorbell-batched under the full
         scheme, so observing concurrent inserts costs a fraction of a
         round trip per batch; the deltas of every stale group then share
-        one more ring (:meth:`top_up`).
+        one more ring (:meth:`top_up`).  The entries stay pinned while
+        their deltas graft, so no grown entry evicts one the batch is
+        about to search.
         """
         host = self.host
         metadata = host.metadata
-        cached = [entry for entry in map(host.cache.peek, cluster_ids)
+        cache = host.cache
+        cached = [entry for entry in map(cache.peek, cluster_ids)
                   if entry is not None]
         group_ids = sorted({metadata.clusters[entry.cluster_id].group_id
                             for entry in cached})
@@ -246,7 +214,13 @@ class Fetcher:
             payloads = host.transport.read_batch(
                 descriptors, doorbell=host.policy.doorbell_batching)
         self.note_tails(group_ids, payloads)
-        self.top_up(cached, trace)
+        for entry in cached:
+            cache.pin(entry)
+        try:
+            self.top_up(cached, trace)
+        finally:
+            for entry in cached:
+                cache.unpin(entry)
 
     def note_tails(self, group_ids: Sequence[int],
                    payloads: Sequence["bytes | memoryview"]) -> None:
@@ -337,5 +311,6 @@ class Fetcher:
                 records[gid][(entry.overflow_tail - start) * record_size:],
                 dim, missing, entry.cluster_id))
             entry.overflow_tail = tail
-            self.grow(entry, missing * record_size)
+            self.host.cache.grow(entry, missing * record_size,
+                                 self.host.node.clock.now_us)
         return sum(map(len, payloads))

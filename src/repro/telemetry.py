@@ -86,7 +86,6 @@ class ClientTelemetry:
     control_requests: int
     control_time_us: float
     dram_used_bytes: int
-    dram_budget_bytes: int
     cache: CacheTelemetry
     metadata_version: int
     #: Wire time hidden behind compute by the pipelined wave executor.
@@ -154,8 +153,7 @@ class ClientTelemetry:
                               if client.control else 0),
             control_time_us=(client.control.stats.time_us
                              if client.control else 0.0),
-            dram_used_bytes=client.node.dram_used_bytes,
-            dram_budget_bytes=client.node.dram_budget_bytes,
+            dram_used_bytes=client.dram_used_bytes,
             cache=CacheTelemetry(
                 capacity_clusters=cache.capacity_clusters,
                 resident_clusters=len(cache),

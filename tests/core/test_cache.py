@@ -59,13 +59,16 @@ class TestLruSemantics:
         assert cache.get(1).nbytes == 999
 
     def test_pop_lru(self):
-        cache = ClusterCache(3)
+        """With nothing recorded, ``put`` evicts least recently used
+        first, one victim per admission over the cap."""
+        cache = ClusterCache(2)
         cache.put(make_entry(1))
         cache.put(make_entry(2))
-        victim = cache.pop_weakest(0.0)
-        assert victim.cluster_id == 1
-        assert cache.pop_weakest(0.0).cluster_id == 2
-        assert cache.pop_weakest(0.0) is None
+        assert [victim.cluster_id
+                for victim in cache.put(make_entry(3))] == [1]
+        assert [victim.cluster_id
+                for victim in cache.put(make_entry(4))] == [2]
+        assert len(cache) == 2 and 3 in cache and 4 in cache
 
     def test_capacity_one(self):
         cache = ClusterCache(1)
@@ -84,39 +87,43 @@ class TestBookkeeping:
 
     def test_cached_bytes_matches_brute_force_sum(self):
         """The O(1) running total tracks the true sum through every
-        mutating operation (put/replace/evict/pop/invalidate/clear)."""
+        mutating operation (put/replace/evict/grow/invalidate/clear), and
+        neither a put nor a grow takes it past the byte cap."""
         rng = np.random.default_rng(7)
-        cache = ClusterCache(5)
+        cache = ClusterCache(5, capacity_bytes=1000)
         for step in range(300):
             op = rng.integers(0, 6)
             cid = int(rng.integers(0, 12))
             if op <= 1:
                 cache.put(make_entry(cid, int(rng.integers(1, 500))))
             elif op == 2:
-                cache.pop_weakest(0.0)
+                cache.grow(make_entry(cid), int(rng.integers(1, 50)))
             elif op == 3:
                 cache.invalidate(cid)
             elif op == 4 and cache.peek(cid) is not None:
-                cache.grow(cache.peek(cid), int(rng.integers(1, 50)))
+                cache.grow(cache.peek(cid), int(rng.integers(1, 300)))
             else:
                 cache.get(cid)
             if step % 50 == 49:
                 cache.invalidate_all()
             brute_force = sum(entry.nbytes
                               for entry in cache._entries.values())
-            assert cache.cached_bytes == brute_force
+            assert cache.cached_bytes == brute_force <= 1000
+            assert cache.held_bytes == cache.cached_bytes
 
     def test_grow_counts_resident_entries_only(self):
         cache = ClusterCache(2)
         resident, fresh = make_entry(1, 10), make_entry(2, 10)
         cache.put(resident)
-        assert cache.grow(resident, 5) and resident.nbytes == 15
-        assert not cache.grow(fresh, 7) and fresh.nbytes == 17
-        assert cache.cached_bytes == 15
+        cache.grow(resident, 5)
+        cache.grow(fresh, 7)
+        assert resident.nbytes == 15 and fresh.nbytes == 17
+        assert cache.cached_bytes == cache.held_bytes == 15
         # A replaced entry is no longer the resident one.
         cache.put(make_entry(1, 40))
-        assert not cache.grow(resident, 1)
-        assert cache.cached_bytes == 40
+        cache.grow(resident, 1)
+        assert resident.nbytes == 16
+        assert cache.cached_bytes == cache.held_bytes == 40
 
     def test_invalidate(self):
         cache = ClusterCache(2)
@@ -134,29 +141,27 @@ class TestBookkeeping:
         assert cache.invalidations == 2
 
     def test_every_exit_hands_the_bytes_back(self):
-        """Evicted, replaced, spilled, invalidated one by one or all at
-        once: each entry's ``nbytes`` reaches ``release`` exactly once, so
-        what went in is what is held plus what came back."""
-        released: list[int] = []
-        cache = ClusterCache(2, release=released.append)
+        """Evicted, replaced, evicted by a grown sibling, invalidated one
+        by one or all at once: each entry leaves the cache's ledger with
+        exactly its ``nbytes``, what it grew by included."""
+        cache = ClusterCache(2, capacity_bytes=60)
         cache.put(make_entry(1, 10))
         cache.put(make_entry(2, 20))
         cache.put(make_entry(3, 30))          # evicts 1
-        assert released == [10]
+        assert cache.held_bytes == 50
         grown = make_entry(2, 21)
         cache.put(grown)                       # replaces 2
-        assert released == [10, 20]
-        cache.grow(grown, 4)
-        assert cache.pop_weakest(0.0).cluster_id == 3  # spilled
-        assert released == [10, 20, 30]
+        assert cache.held_bytes == 51
+        cache.grow(grown, 14)                  # 65 > 60: evicts 3
+        assert 3 not in cache and cache.held_bytes == 35
         assert cache.invalidate(2)             # with what it grew by
-        assert released == [10, 20, 30, 25]
+        assert cache.held_bytes == 0
         cache.put(make_entry(4, 40))
-        cache.put(make_entry(5, 50))
+        cache.put(make_entry(5, 20))
+        assert cache.held_bytes == 60
         cache.invalidate_all()
-        assert released == [10, 20, 30, 25, 40, 50]
-        assert cache.cached_bytes == 0 and not cache.invalidate(4)
-        assert released == [10, 20, 30, 25, 40, 50]
+        assert cache.held_bytes == cache.cached_bytes == 0
+        assert not cache.invalidate(4) and cache.held_bytes == 0
 
     def test_put_of_absent_key_counts_the_fetch_as_miss(self):
         cache = ClusterCache(2)
@@ -256,27 +261,33 @@ class TestValueRanking:
         # ... and 4, worth more than the hot one, evicts it, not 1.
         evicted = cache.put(make_entry(4), now_us=10.0)
         assert evicted == [hot]
-        assert cache.pop_weakest(10.0).cluster_id == 4
-        assert cache.pop_weakest(10.0) is None and 1 in cache
+        # Next, 4 is the only unpinned resident: 5 evicts it, and the
+        # pinned cold entry, worth far less, stays.
+        four = cache.peek(4)
+        recorded(cache, {5: 9.5}, now_us=10.0)
+        assert cache.put(make_entry(5), now_us=10.0) == [four]
+        assert 1 in cache and 5 in cache
 
     def test_spill_takes_the_weakest(self):
-        cache = recorded(ClusterCache(3), {1: 5.0, 2: 1.0, 3: 3.0})
+        """Each admission over the cap evicts the weakest resident."""
+        cache = recorded(ClusterCache(3),
+                         {1: 5.0, 2: 1.0, 3: 3.0, 4: 9.0, 5: 9.0, 6: 9.0})
         for cluster_id in (1, 2, 3):
             cache.put(make_entry(cluster_id), now_us=10.0)
-        assert [cache.pop_weakest(10.0).cluster_id
-                for _ in range(3)] == [2, 3, 1]
+        assert [cache.put(make_entry(cluster_id), now_us=10.0)[0].cluster_id
+                for cluster_id in (4, 5, 6)] == [2, 3, 1]
 
     def test_streamed_entry_hands_its_bytes_back_when_unpinned(self):
-        released: list[int] = []
-        cache = recorded(ClusterCache(1, release=released.append),
-                         {1: 5.0, 2: 1.0})
+        cache = recorded(ClusterCache(1), {1: 5.0, 2: 1.0})
         cache.put(make_entry(1, nbytes=10), now_us=10.0)
         streamed = make_entry(2, nbytes=40)
         assert cache.put(streamed, now_us=10.0) is None
-        cache.pin(streamed)       # its wave searches it ...
+        assert cache.held_bytes == 50   # held for its wave ...
+        cache.pin(streamed)             # ... which searches it ...
         cache.pin(streamed)
+        cache.grow(streamed, 5)         # (a top-up grafts onto it)
         cache.unpin(streamed)
-        assert released == []     # ... until the last pin drops
+        assert cache.held_bytes == 55   # ... until the last pin drops
         cache.unpin(streamed)
-        assert released == [40] and not streamed.streamed
+        assert cache.held_bytes == 10 and not streamed.streamed
         assert cache.cached_bytes == 10

@@ -99,30 +99,3 @@ class TestEfSearchDefault:
         with pytest.raises(TypeError, match="ef_search_default"):
             DHnswConfig(ef_search_default=bad)
 
-
-class TestDramPlanValidation:
-    def test_adequate_plan_passes(self):
-        DHnswConfig().validate_dram_plan(
-            capacity_clusters=4, meta_bytes=1000,
-            max_extent_bytes=5000, dram_budget_bytes=50_000)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigError, match="cache capacity"):
-            DHnswConfig().validate_dram_plan(
-                capacity_clusters=0, meta_bytes=0,
-                max_extent_bytes=100, dram_budget_bytes=1000)
-
-    def test_budget_smaller_than_largest_extent_rejected(self):
-        config = DHnswConfig(cache_fraction=0.05)
-        with pytest.raises(ConfigError) as exc:
-            config.validate_dram_plan(
-                capacity_clusters=1, meta_bytes=9_000,
-                max_extent_bytes=5_000, dram_budget_bytes=10_000)
-        # The message must be actionable: name the knobs to turn.
-        assert "cache_fraction" in str(exc.value)
-        assert "num_representatives" in str(exc.value)
-
-    def test_zero_extent_always_fits(self):
-        DHnswConfig().validate_dram_plan(
-            capacity_clusters=1, meta_bytes=100,
-            max_extent_bytes=0, dram_budget_bytes=100)

@@ -174,6 +174,43 @@ class TestOneResidencyRule:
         assert cache.admissions({3: 50}, 0.0) == {3}
         assert cache.put(entry(3, 50)) == [weak]
 
+    @staticmethod
+    def grown_past_the_cap():
+        """Residents of 60 B and 30 B (the 30 B one weaker) under a
+        100 B cap; the 60 B one is about to grow by 40 B."""
+        cache = ClusterCache(4, capacity_bytes=100)
+        grown, weak = entry(1, 60), entry(2, 30)
+        cache.put(grown)
+        cache.put(weak)
+        cache.record_access(1, 0.0, 5)
+        cache.record_access(2, 0.0, 1)
+        return cache, grown, weak
+
+    def test_grow_evicts_what_put_would_for_the_new_size(self):
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.grow(grown, 40)
+        assert 2 not in cache and cache.peek(1) is grown
+        assert grown.nbytes == cache.cached_bytes == 100
+        assert cache.cached_bytes <= cache.capacity_bytes
+        assert cache.evictions == 1
+
+    def test_grow_never_evicts_a_pinned_resident(self):
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.pin(weak)
+        cache.grow(grown, 40)
+        # No unpinned resident can make room, so the rule would stream
+        # the grown entry: it leaves, and the pinned one stays.
+        assert 1 not in cache and cache.peek(2) is weak
+        assert cache.cached_bytes == 30 <= cache.capacity_bytes
+        # A grown entry a search is reading stays too, over the cap
+        # until a later put or grow finds it unpinned.
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.pin(weak)
+        cache.pin(grown)
+        cache.grow(grown, 40)
+        assert cache.peek(1) is grown and cache.peek(2) is weak
+        assert cache.cached_bytes == 130 and cache.evictions == 0
+
 
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")

@@ -97,6 +97,10 @@ def test_memory_registration_accounted(world):
 
 
 def test_compute_dram_budget_respected(world):
+    """An instance's DRAM is its meta-HNSW plus what its cache holds,
+    and the cache holds no more clusters than its capacity."""
     *_, deployment = world
     for client in deployment.clients:
-        assert client.node.dram_used_bytes <= client.node.dram_budget_bytes
+        assert len(client.cache) <= client.cache.capacity_clusters
+        assert client.dram_used_bytes == (
+            client.meta.serialized_size_bytes() + client.cache.cached_bytes)

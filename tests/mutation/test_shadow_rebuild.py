@@ -357,21 +357,25 @@ class TestDramLedgerUnderChurn:
             self, mutable_deployment, small_config, small_dataset):
         """Whatever drops a cached entry — LRU eviction, a peer's cutover
         seen at ``refresh_metadata``, the client's own cutover, a ``put``
-        over a resident entry, ``invalidate_all`` — its bytes go back to
-        the DRAM ledger: beyond the meta-HNSW the node holds exactly
-        ``cache.cached_bytes``, at every step.  (The parent released only
-        evicted victims, so each cutover leaked two extents.)"""
+        over a resident entry, ``invalidate_all`` — its bytes leave the
+        cache's ledger: beyond the meta-HNSW the client holds exactly
+        what its residents hold, at every step, and nothing streamed
+        outlives its batch."""
         writer = fresh_client(mutable_deployment, small_config)
         # Six resident clusters: a probe's three stay cached to be dropped.
         reader = fresh_client(mutable_deployment,
                               small_config.replace(cache_fraction=0.5))
-        meta_bytes = reader.node.dram_used_bytes
+        meta_bytes = reader.dram_used_bytes
         queries = small_dataset.queries[:12]
         capacity = small_config.overflow_capacity_records
 
         def check(step):
-            held = reader.node.dram_used_bytes - meta_bytes
-            assert held == reader.cache.cached_bytes, step
+            held = reader.dram_used_bytes - meta_bytes
+            resident = sum(
+                entry.nbytes for entry in map(
+                    reader.cache.peek, range(reader.metadata.num_clusters))
+                if entry is not None)
+            assert held == reader.cache.cached_bytes == resident, step
             return held
 
         check("fresh")

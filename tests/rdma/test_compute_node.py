@@ -1,52 +1,15 @@
-"""Compute-instance DRAM budget and compute-time charging."""
+"""Compute-instance compute-time charging."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.rdma import ComputeNode, CostModel, MemoryNode
 
 
 @pytest.fixture()
 def node() -> ComputeNode:
-    return ComputeNode(MemoryNode(), CostModel(), dram_budget_bytes=1000)
-
-
-class TestDramAccounting:
-    def test_initially_empty(self, node):
-        assert node.dram_used_bytes == 0
-        assert node.dram_free_bytes == 1000
-
-    def test_reserve_and_release(self, node):
-        assert node.reserve_dram(400)
-        assert node.dram_free_bytes == 600
-        node.release_dram(150)
-        assert node.dram_used_bytes == 250
-
-    def test_over_reservation_refused_not_raised(self, node):
-        assert node.reserve_dram(900)
-        assert not node.reserve_dram(200)
-        assert node.dram_used_bytes == 900  # refused reserve changed nothing
-
-    def test_exact_fit_allowed(self, node):
-        assert node.reserve_dram(1000)
-        assert node.dram_free_bytes == 0
-
-    def test_release_more_than_reserved(self, node):
-        node.reserve_dram(10)
-        with pytest.raises(ValueError, match="releasing"):
-            node.release_dram(11)
-
-    def test_negative_amounts_rejected(self, node):
-        with pytest.raises(ValueError):
-            node.reserve_dram(-1)
-        with pytest.raises(ValueError):
-            node.release_dram(-1)
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            ComputeNode(MemoryNode(), CostModel(), dram_budget_bytes=0)
+    return ComputeNode(MemoryNode(), CostModel())
 
 
 class TestComputeCharging:

@@ -3,8 +3,8 @@
 The serving engine records every routed cluster's access once per batch,
 before the tier split, weighted by the queries that probe it; the fetcher
 offers each fetched cluster to the cache, which admits it or streams it
-through its wave; and the DRAM ledger holds exactly what is cached between
-batches plus, during a wave, what that wave streams.
+through its wave; and the cache, the one DRAM ledger, holds exactly its
+residents between batches plus, during a wave, what that wave streams.
 """
 
 from __future__ import annotations
@@ -79,21 +79,22 @@ def test_each_routed_cluster_is_recorded_once_per_batch(world, cold_tier):
 
 @TIERS
 def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
-    """Between batches the node holds the fixed reservations plus
+    """Between batches the client holds its fixed bytes plus
     ``cache.cached_bytes``; inside a wave, the bytes of every entry it
-    streams as well, until the wave's pins drop.  With the tier on, the
+    streams as well (``cache.held_bytes``), until the wave's pins drop.  With the tier on, the
     split serves cold what the cache would not admit, so what would have
     streamed is never fetched."""
     client = fresh_client(world, cold_tier)
-    fixed = client.node.dram_used_bytes  # meta-HNSW (+ codebook)
+    fixed = client.dram_used_bytes  # meta-HNSW (+ codebook)
     streamed = []
     run_wave_compute = client.engine.executor.run_wave_compute
 
     def checked(wave, entries, *args, **kwargs):
         passing = [entry for entry in entries.values() if entry.streamed]
-        assert client.node.dram_used_bytes == (
-            fixed + client.cache.cached_bytes
+        assert client.cache.held_bytes == (
+            client.cache.cached_bytes
             + sum(entry.nbytes for entry in passing))
+        assert client.dram_used_bytes == fixed + client.cache.held_bytes
         streamed.extend(passing)
         return run_wave_compute(wave, entries, *args, **kwargs)
 
@@ -102,7 +103,7 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
     with client:
         for queries in batches(world) * 2:
             result = client.search_batch(queries, 10)
-            assert (client.node.dram_used_bytes
+            assert (client.dram_used_bytes
                     == fixed + client.cache.cached_bytes)
             assert result.cache_streamed <= result.clusters_fetched
             served_cold += result.cold_clusters_served
@@ -119,9 +120,9 @@ def test_a_wave_never_evicts_what_it_loaded(world):
     """Two fetched clusters of one wave, both worth more than the weakest
     resident but less than the rest: the first evicts the weakest, and
     the second is streamed rather than evicting its sibling, which the
-    wave is about to search."""
+    wave is about to search.  The cache holds both until the search."""
     client = fresh_client(world, "off")
-    cache, fixed = client.cache, client.node.dram_used_bytes
+    cache, fixed = client.cache, client.dram_used_bytes
     assert cache.capacity_clusters == 3
 
     def entry(cluster_id, weight):
@@ -135,7 +136,10 @@ def test_a_wave_never_evicts_what_it_loaded(world):
         client.engine.fetcher.offer([first, second])
         assert cache.evictions == 1 and 2 not in cache
         assert first.cluster_id in cache and second.streamed
-        assert client.node.dram_used_bytes == fixed + 4 * 1000
+        assert cache.cached_bytes == 3 * 1000
+        assert cache.held_bytes == 4 * 1000
+        assert client.dram_used_bytes == fixed + 4 * 1000
         cache.pin(second)    # the wave's search
         cache.unpin(second)
-    assert client.node.dram_used_bytes == fixed + cache.cached_bytes
+    assert cache.held_bytes == cache.cached_bytes == 3 * 1000
+    assert client.dram_used_bytes == fixed + cache.cached_bytes

@@ -35,7 +35,6 @@ from repro.layout.group_layout import (
 )
 from repro.layout.serializer import (
     OverflowRecord,
-    deserialize_cluster,
     overflow_record_size,
     pack_overflow_records,
     serialize_cluster,
@@ -427,7 +426,7 @@ def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
                 insert_near(writer, vector, inserted[gid], 70_000 + 100 * gid)
         assert len(inserted) == 3
         sizes = {cid: reader.cache.peek(cid).nbytes for cid in cached}
-        dram = reader.node.dram_used_bytes
+        dram = reader.dram_used_bytes
 
         rings, nbytes, _ = rings_and_bytes(
             reader, lambda: reader.engine.fetcher.validate_cached(cached))
@@ -443,8 +442,8 @@ def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
             assert entry.overflow_tail == count
             assert entry.nbytes == sizes[cid] + count * record
             grown += count * record
-        # What the grafts hold is reserved, and the cache's total follows.
-        assert reader.node.dram_used_bytes == dram + grown
+        # What the grafts hold is counted, in the cache's one total.
+        assert reader.dram_used_bytes == dram + grown
         assert reader.cache.cached_bytes == sum(
             reader.cache.peek(cid).nbytes for cid in cached)
         # Both members of group 0 saw its records; each kept its own.
@@ -456,15 +455,39 @@ def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
         )[:2] == (1, 3 * OVERFLOW_TAIL_BYTES)
 
 
+def test_validation_at_the_byte_cap_evicts_no_hit(deployment):
+    """A peer's records grafted onto a hit held at the byte cap would
+    have the grown hit evict its sibling, which the batch is about to
+    search: validated entries stay pinned while their deltas land, so
+    both stay, over the cap until a later put."""
+    probe = corpus(360, SCENARIO_DIM)[0]
+    record = overflow_record_size(SCENARIO_DIM)
+    with make_client(deployment, name="writer") as writer, \
+            make_client(deployment) as reader:
+        clusters = reader.metadata.clusters
+        grown = reader.meta.classify(probe)
+        sibling = next(cid for cid, cluster in enumerate(clusters)
+                       if cluster.group_id != clusters[grown].group_id)
+        hits = fetch(reader, [sibling, grown])
+        cache = reader.cache
+        cache.capacity_bytes = cache.cached_bytes
+        insert_near(writer, probe, 2, 56_000)
+        reader.engine.fetcher.validate_cached([sibling, grown])
+        assert hits[grown].overflow_tail == 2
+        assert cache.peek(sibling) is hits[sibling]
+        assert cache.peek(grown) is hits[grown]
+        assert cache.cached_bytes == cache.capacity_bytes + 2 * record
+
+
 def test_own_write_grows_the_cached_entry_it_patches(deployment):
     probe = corpus(360, SCENARIO_DIM)[0]
     record = overflow_record_size(SCENARIO_DIM)
     with make_client(deployment) as client:
         cid = client.meta.classify(probe)
         entry = fetch(client, [cid])[cid]
-        size, dram = entry.nbytes, client.node.dram_used_bytes
+        size, dram = entry.nbytes, client.dram_used_bytes
         insert_near(client, probe, 2, 55_000)
         assert entry.overflow_tail == 2 and len(entry.overflow) == 2
         assert entry.nbytes == size + 2 * record
-        assert client.node.dram_used_bytes == dram + 2 * record
+        assert client.dram_used_bytes == dram + 2 * record
         assert client.cache.cached_bytes == entry.nbytes

@@ -108,7 +108,7 @@ def test_ready_list_loop_against_oracle_and_serial(built_deployment,
         for name, client in (("staged", staged), ("oracle", oracle),
                              ("serial", serial)):
             warm(client, small_dataset.queries, hits)
-            fixed = client.node.dram_used_bytes - client.cache.cached_bytes
+            fixed = client.dram_used_bytes - client.cache.cached_bytes
             waits = spy_on_waits(client, hits) if name == "staged" else []
             plan = plan_batch(required, client.cache, capacity)
             merger = TopKMerger(len(required), K)
@@ -124,11 +124,11 @@ def test_ready_list_loop_against_oracle_and_serial(built_deployment,
                                               loop=loop)
             runs[name] = (plan, execution, merger, waits)
             # No pin outlives the batch; DRAM holds the cache, nothing
-            # streamed is still reserved.
+            # streamed is still held.
             assert all(client.cache.peek(cid).pins == 0
                        for cid in range(num_clusters)
                        if client.cache.peek(cid) is not None)
-            assert (client.node.dram_used_bytes
+            assert (client.dram_used_bytes
                     == fixed + client.cache.cached_bytes)
         plan, execution, merger, waits = runs["staged"]
         _, oracle_execution, _, _ = runs["oracle"]

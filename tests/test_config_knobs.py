@@ -32,12 +32,14 @@ import pathlib
 import pytest
 
 import repro
+from repro.core.cache import ClusterCache
 from repro.core.client import DHnswClient
 from repro.core.config import DHnswConfig, FrontDoorConfig
 from repro.errors import ConfigError
 from repro.frontdoor.admission import TenantPolicy
 from repro.hnsw.params import HnswParams
 from repro.pq.codebook import PqCodebook
+from repro.rdma.compute_node import ComputeNode
 from repro.transport.retry import RetryingTransport
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
@@ -98,7 +100,7 @@ def test_every_field_is_read_outside_the_config_module(cls, paths, unread):
 #: The surfaces whose keywords are knobs: the configs, the HNSW
 #: parameters, and the constructors callers tune.
 SURFACES = (DHnswConfig, FrontDoorConfig, TenantPolicy, HnswParams,
-            DHnswClient, RetryingTransport, PqCodebook)
+            DHnswClient, RetryingTransport, PqCodebook, ClusterCache)
 
 #: Knobs allowed to stay test-only.  None: ``HnswParams.metric``, the
 #: last one (only tests asked for cosine or inner product), is retired.
@@ -201,6 +203,8 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
     (HnswParams, "keep_pruned_connections"),
     (HnswParams, "metric"),
     (PqCodebook, "bits"),
+    (ClusterCache, "release"),
+    (ComputeNode, "dram_budget_bytes"),
 ])
 def test_retired_keywords_are_refused(cls, keyword):
     with pytest.raises(TypeError, match=keyword):

@@ -38,9 +38,16 @@ class TestClientTelemetry:
         assert cache.hits + cache.misses > 0
         assert 0.0 <= cache.hit_rate <= 1.0
 
-    def test_dram_within_budget(self, snapshot):
+    def test_dram_within_budget(self, snapshot, built_deployment):
+        """The snapshot's DRAM is the meta-HNSW plus the cache's bytes,
+        and the cache is within its cluster capacity."""
         client = snapshot.clients[0]
-        assert 0 < client.dram_used_bytes <= client.dram_budget_bytes
+        meta_bytes = built_deployment.client(0).meta.serialized_size_bytes()
+        assert client.dram_used_bytes == (meta_bytes
+                                          + client.cache.cached_bytes)
+        assert client.cache.cached_bytes > 0
+        assert (client.cache.resident_clusters
+                <= client.cache.capacity_clusters)
 
     def test_control_path_counted(self, snapshot):
         assert snapshot.clients[0].control_requests >= 1
