@@ -66,10 +66,12 @@ SCALES = {
 
 
 #: What a quick run builds, pinned: the end-to-end region's SHA-256 and
-#: the insert section's distance evaluations.  A change to construction
-#: that alters either must update these on purpose.
+#: the insert section's distance evaluations.  The SHA-256 covers every
+#: blob's bytes, so it pins the cluster wire format too.  A change to
+#: construction or to the format that alters either must update these on
+#: purpose.
 QUICK_REGION_SHA256 = (
-    "2b2ec727c324fffa4cc0b3c9a4790c3192548beb54dd2a2e94bc8dc7ae166c7c")
+    "cb2f503e1ab9577db79d2e8e704d29b7ffad850bc3fcf047f02d86a67fba0304")
 QUICK_EVALUATIONS = 811_160
 
 
@@ -100,7 +102,8 @@ def check_pinned(sections: dict) -> None:
             f"CONSTRUCTION CHANGED: quick-mode region SHA-256 {found[0]} "
             f"and {found[1]} evaluations, pinned {QUICK_REGION_SHA256} and "
             f"{QUICK_EVALUATIONS}.  Construction must build the same "
-            f"graphs; a change that means to alter them must update "
+            f"graphs in the same wire format; a change that means to "
+            f"alter either must update "
             f"QUICK_REGION_SHA256 and QUICK_EVALUATIONS in "
             f"benchmarks/perf/bench_build.py on purpose.")
 

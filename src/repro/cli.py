@@ -15,6 +15,7 @@ report recall without regenerating anything.
 from __future__ import annotations
 
 import argparse
+import collections
 import pathlib
 import sys
 import time
@@ -33,6 +34,7 @@ from repro.datasets import (
 )
 from repro.datasets.synthetic import Dataset, exact_knn, make_clustered
 from repro.errors import ReproError
+from repro.layout.serializer import cluster_blob_split
 from repro.metrics import recall_at_k
 from repro.persist import load_deployment, save_deployment
 
@@ -97,6 +99,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
           f"records/group")
     print(f"region            : {layout.region.length / 2**20:.2f} MiB "
           f"({layout.allocator.fragmentation():.1%} fragmented)")
+    # What a cluster miss moves: each hot blob's header says its split.
+    splits = [cluster_blob_split(layout.memory_node.read(
+        layout.rkey, layout.addr(cluster.blob_offset), cluster.blob_length))
+        for cluster in metadata.clusters]
+    total = sum(cluster.blob_length for cluster in metadata.clusters)
+    print(f"hot blobs         : {total / 1024:.1f} KiB = vectors "
+          f"{sum(s.vectors for s in splits) / 1024:.1f} KiB / graph "
+          f"{sum(s.graph for s in splits) / 1024:.1f} KiB / labels + levels "
+          f"{sum(s.labels_levels for s in splits) / 1024:.1f} KiB")
+    widths = collections.Counter(split.id_width for split in splits)
+    print("id widths         : " + ", ".join(
+        f"{count} blob(s) at {width} B" for width, count in sorted(
+            widths.items())))
     print(f"meta-HNSW         : {meta.num_partitions} representatives, "
           f"{meta.serialized_size_bytes() / 1024:.1f} KiB, "
           f"layers {meta.index.layer_sizes()}")

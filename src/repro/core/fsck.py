@@ -5,8 +5,10 @@ instance would — metadata block first, then every cluster blob and
 overflow area — and validates the invariants the query path relies on:
 
 * the metadata block parses and its version is sane;
-* every cluster blob lies inside the region, parses, and carries the
-  cluster id the metadata claims;
+* every cluster blob lies inside the region, parses, carries the
+  cluster id the metadata claims, and holds only finite vector
+  components (``NonFiniteVectorError`` guards the entry points, not
+  bytes already in the pool);
 * blobs and overflow areas do not overlap each other or the metadata;
 * every overflow tail counter is within its capacity (a tail beyond
   capacity indicates a torn rebuild);
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+
+import numpy as np
 
 from repro.core.engine import RemoteLayout
 from repro.errors import LayoutError, SerializationError
@@ -276,6 +280,12 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
             report.findings.append(Finding(
                 "error", location,
                 f"blob dim {index.dim} != metadata dim {metadata.dim}"))
+        non_finite = ~np.isfinite(index.graph.vectors).all(axis=1)
+        if non_finite.any():
+            report.findings.append(Finding(
+                "error", location,
+                f"{int(non_finite.sum())} node(s) with non-finite vector "
+                f"components: {np.flatnonzero(non_finite)[:8].tolist()}"))
         try:
             index.graph.check_invariants()
         except AssertionError as error:

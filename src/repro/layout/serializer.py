@@ -3,18 +3,31 @@
 Wire format (little-endian throughout):
 
 Cluster blob (§3.2: "its metadata, neighbor array for HNSW, and the
-associated floating-point vectors"):
+associated floating-point vectors"), ``DHN2``:
 
 ====================  =======================================================
 section               contents
 ====================  =======================================================
-header                magic ``b"DHN1"``, version u16, cluster_id u32,
-                      num_nodes u32, dim u32, max_level i32, entry_point i32
+header                magic ``b"DHN2"``, version u16, id width u16,
+                      cluster_id u32, num_nodes u32, dim u32, max_level i32,
+                      entry_point i32
 labels                num_nodes x i64 (global dataset ids)
-levels                num_nodes x i32 (top layer of each node)
-adjacency             per node, per layer 0..level: count u32 + count x u32
-vectors               num_nodes x dim x f32
+levels                num_nodes x u8 (top layer of each node)
+counts                one neighbour count per (node, layer 0..level), in
+                      node order, each ``width`` bytes
+ids                   every neighbour list back to back, each id ``width``
+                      bytes
+pad                   0-3 zero bytes, so the vectors start 4-byte aligned
+vectors               num_nodes x dim x f32 — the blob's last
+                      ``4 * num_nodes * dim`` bytes
 ====================  =======================================================
+
+``width`` is one per blob: 1, 2 or 4 bytes, the narrowest unsigned
+integer that holds both the largest node id (``num_nodes - 1``) and the
+longest neighbour list, so a sub-HNSW of a few hundred nodes ships its
+graph at one byte per id.  The sections end exactly at the blob's
+length, which is what lets readers that never parse the graph find the
+labels right after the header and the vectors at the end.
 
 Overflow record (one dynamically inserted vector):
 
@@ -39,6 +52,7 @@ node-by-node ``struct`` writer kept test-side
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 
 import numpy as np
@@ -59,12 +73,15 @@ __all__ = [
     "serialized_cluster_size",
     "deserialize_cluster",
     "peek_cluster_geometry",
+    "BlobSplit",
+    "cluster_blob_split",
 ]
 
-MAGIC = b"DHN1"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHHIIIii")  # magic, ver, pad, cid, n, dim, maxlvl, entry
-_COUNT = struct.Struct("<I")
+MAGIC = b"DHN2"
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sHHIIIii")  # magic, ver, width, cid, n, dim, maxlvl, entry
+_ID_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
+_MAX_LEVEL = 255  # levels ship as u8
 _OVERFLOW_HEAD = struct.Struct("<qI")  # global_id, cluster_id
 
 
@@ -163,6 +180,19 @@ def unpack_overflow_records(blob: bytes, dim: int, count: int,
 
 
 # ----------------------------------------------------------------------
+def _check_header(blob: "bytes | memoryview") -> tuple:
+    """The header's fields, once its length, magic and version hold."""
+    if len(blob) < _HEADER.size:
+        raise SerializationError(
+            f"blob of {len(blob)} B shorter than header {_HEADER.size} B")
+    header = _HEADER.unpack_from(blob, 0)
+    if header[0] != MAGIC:
+        raise SerializationError(f"bad magic {header[0]!r}")
+    if header[1] != _FORMAT_VERSION:
+        raise SerializationError(f"unsupported format version {header[1]}")
+    return header
+
+
 def peek_cluster_geometry(blob: "bytes | memoryview"
                           ) -> tuple[int, int, int]:
     """Read ``(cluster_id, num_nodes, dim)`` from a blob's header.
@@ -172,21 +202,46 @@ def peek_cluster_geometry(blob: "bytes | memoryview"
     caller needs to view either section without a full deserialize (the
     cold-tier builder and the rerank read path both rely on it).
     """
-    if len(blob) < _HEADER.size:
-        raise SerializationError(
-            f"blob of {len(blob)} B shorter than header {_HEADER.size} B")
-    magic, version, _, cluster_id, num_nodes, dim, _, _ = (
-        _HEADER.unpack_from(blob, 0))
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise SerializationError(f"unsupported format version {version}")
+    _, _, _, cluster_id, num_nodes, dim, _, _ = _check_header(blob)
     return cluster_id, num_nodes, dim
 
 
 def cluster_label_section_offset() -> int:
-    """Byte offset of the labels section inside a ``DHN1`` blob."""
+    """Byte offset of the labels section inside a cluster blob."""
     return _HEADER.size
+
+
+@dataclasses.dataclass(frozen=True)
+class BlobSplit:
+    """Where a cluster blob's bytes go: ``graph`` is the header, the
+    counts, the ids and the alignment pad."""
+
+    id_width: int
+    vectors: int
+    graph: int
+    labels_levels: int
+
+
+def cluster_blob_split(blob: "bytes | memoryview") -> BlobSplit:
+    """A blob's id width and byte split, from its header and length."""
+    _, _, width, _, num_nodes, dim, _, _ = _check_header(blob)
+    vectors = 4 * num_nodes * dim
+    labels_levels = 9 * num_nodes
+    return BlobSplit(width, vectors, len(blob) - vectors - labels_levels,
+                     labels_levels)
+
+
+def _id_width(largest: int) -> int:
+    """The narrowest id width (bytes) that holds ``largest``."""
+    if largest < 1 << 8:
+        return 1
+    return 2 if largest < 1 << 16 else 4
+
+
+def _blob_size(num_nodes: int, dim: int, width: int, num_lists: int,
+               num_ids: int) -> int:
+    graph_end = _HEADER.size + 9 * num_nodes + width * (num_lists + num_ids)
+    return graph_end + (-graph_end) % 4 + 4 * num_nodes * dim
 
 
 def serialized_cluster_size(index: HnswIndex) -> int:
@@ -196,14 +251,9 @@ def serialized_cluster_size(index: HnswIndex) -> int:
     layout planner can place every cluster before any blob exists.
     """
     graph = index.graph
-    num_nodes = len(graph)
-    adjacency_words = 0
-    for layers in graph.adjacency:
-        adjacency_words += len(layers)
-        for layer in layers:
-            adjacency_words += len(layer)
-    return (_HEADER.size + 12 * num_nodes + 4 * adjacency_words
-            + 4 * num_nodes * graph.dim)
+    counts = [len(layer) for layers in graph.adjacency for layer in layers]
+    width = _id_width(max(len(graph) - 1, max(counts, default=0)))
+    return _blob_size(len(graph), graph.dim, width, len(counts), sum(counts))
 
 
 def serialize_cluster(index: HnswIndex, cluster_id: int) -> bytes:
@@ -218,44 +268,36 @@ def serialize_cluster(index: HnswIndex, cluster_id: int) -> bytes:
     entry = graph.entry_point if graph.entry_point is not None else -1
     adjacency = graph.adjacency
 
-    adjacency_words = 0
-    for layers in adjacency:
-        adjacency_words += len(layers)
-        for layer in layers:
-            adjacency_words += len(layer)
+    levels = [len(layers) - 1 for layers in adjacency]
+    if num_nodes and max(levels) > _MAX_LEVEL:
+        raise SerializationError(
+            f"node level {max(levels)} does not fit the u8 levels section")
+    counts = [len(layer) for layers in adjacency for layer in layers]
+    ids = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(adjacency)), dtype=np.int64,
+        count=sum(counts))
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_nodes):
+        raise SerializationError(
+            f"neighbour id out of range for {num_nodes} nodes")
+    width = _id_width(max(num_nodes - 1, max(counts, default=0)))
 
-    buffer = bytearray(_HEADER.size + 12 * num_nodes + 4 * adjacency_words
-                       + 4 * num_nodes * graph.dim)
-    _HEADER.pack_into(buffer, 0, MAGIC, _FORMAT_VERSION, 0, cluster_id,
+    buffer = bytearray(_blob_size(num_nodes, graph.dim, width, len(counts),
+                                  ids.size))
+    _HEADER.pack_into(buffer, 0, MAGIC, _FORMAT_VERSION, width, cluster_id,
                       num_nodes, graph.dim, graph.max_level, entry)
     offset = _HEADER.size
-
-    labels_view = np.frombuffer(buffer, dtype=np.int64, count=num_nodes,
-                                offset=offset)
-    labels_view[:] = index.labels
-    offset += 8 * num_nodes
-
-    levels_view = np.frombuffer(buffer, dtype=np.int32, count=num_nodes,
-                                offset=offset)
-    levels_view[:] = [len(layers) - 1 for layers in adjacency]
-    offset += 4 * num_nodes
-
-    # Interleaved per-layer "count + ids" words flattened into one list,
-    # then converted by a single array assignment.
-    flat: list[int] = []
-    append = flat.append
-    extend = flat.extend
-    for layers in adjacency:
-        for layer in layers:
-            append(len(layer))
-            extend(layer)
-    adjacency_view = np.frombuffer(buffer, dtype=np.uint32,
-                                   count=adjacency_words, offset=offset)
-    adjacency_view[:] = flat
-    offset += 4 * adjacency_words
+    for values, dtype, count in ((index.labels, np.dtype("<i8"), num_nodes),
+                                 (levels, np.dtype("u1"), num_nodes),
+                                 (counts, _ID_DTYPES[width], len(counts)),
+                                 (ids, _ID_DTYPES[width], ids.size)):
+        view = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+        view[:] = values
+        offset += view.nbytes
 
     vectors_view = np.frombuffer(buffer, dtype=np.float32,
-                                 count=num_nodes * graph.dim, offset=offset)
+                                 count=num_nodes * graph.dim,
+                                 offset=len(buffer) - 4 * num_nodes
+                                 * graph.dim)
     vectors_view[:] = graph.vectors.reshape(-1)
     return bytes(buffer)
 
@@ -272,15 +314,10 @@ def deserialize_cluster(blob: "bytes | memoryview",
     it (adopted by the graph without copying), so the returned index
     aliases ``blob``'s memory and shares its lifetime.
     """
-    if len(blob) < _HEADER.size:
-        raise SerializationError(
-            f"blob of {len(blob)} B shorter than header {_HEADER.size} B")
-    magic, version, _, cluster_id, num_nodes, dim, max_level, entry = (
-        _HEADER.unpack_from(blob, 0))
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise SerializationError(f"unsupported format version {version}")
+    _, _, width, cluster_id, num_nodes, dim, max_level, entry = (
+        _check_header(blob))
+    if width not in _ID_DTYPES:
+        raise SerializationError(f"bad id width {width}")
     if dim < 1 or dim > 1 << 20:
         raise SerializationError(f"implausible dimension {dim}")
     # These bytes arrive from remote memory — every section read must be
@@ -288,70 +325,41 @@ def deserialize_cluster(blob: "bytes | memoryview",
     # a stray ValueError/IndexError deep in numpy.
     offset = _HEADER.size
 
-    def take(nbytes: int, what: str) -> int:
+    def take(dtype: np.dtype, count: int, what: str) -> np.ndarray:
         nonlocal offset
-        if nbytes < 0 or offset + nbytes > len(blob):
+        nbytes = dtype.itemsize * count
+        if offset + nbytes > len(blob):
             raise SerializationError(
                 f"truncated blob: {what} needs {nbytes} B at offset "
                 f"{offset}, blob is {len(blob)} B")
-        start = offset
+        section = np.frombuffer(blob, dtype=dtype, count=count,
+                                offset=offset)
         offset += nbytes
-        return start
+        return section
 
-    labels = np.frombuffer(blob, dtype=np.int64, count=num_nodes,
-                           offset=take(8 * num_nodes, "labels"))
-    levels = np.frombuffer(blob, dtype=np.int32, count=num_nodes,
-                           offset=take(4 * num_nodes, "levels"))
-    if num_nodes and (levels < 0).any():
-        raise SerializationError("negative node level")
-
-    # Fail fast on corrupt levels: the adjacency section needs at least
-    # one count word per layer, and the vectors follow it, so a levels
-    # sum the remaining bytes cannot hold can never parse.
-    remaining_words = (len(blob) - offset) // 4
-    minimum_words = (int(levels.astype(np.int64).sum()) + num_nodes
-                     + num_nodes * dim)
-    if minimum_words > remaining_words:
+    ids_dtype = _ID_DTYPES[width]
+    labels = take(np.dtype("<i8"), num_nodes, "labels")
+    levels = take(np.dtype("u1"), num_nodes, "levels")
+    layer_ends = np.cumsum(levels, dtype=np.int64) + np.arange(
+        1, num_nodes + 1)
+    counts = take(ids_dtype, int(layer_ends[-1]) if num_nodes else 0,
+                  "neighbour counts")
+    list_ends = np.cumsum(counts, dtype=np.int64)
+    ids = take(ids_dtype, int(list_ends[-1]) if counts.size else 0,
+               "neighbour ids")
+    if ids.size and int(ids.max()) >= num_nodes:
+        raise SerializationError("neighbour id out of range")
+    if width != _id_width(max(num_nodes - 1,
+                              int(counts.max()) if counts.size else 0)):
         raise SerializationError(
-            f"truncated blob: adjacency and vectors need at least "
-            f"{4 * minimum_words} B at offset {offset}, blob is "
-            f"{len(blob)} B")
-
-    # The whole adjacency section is one u32 view walked per layer —
-    # count lookup, slice, bounds check — instead of per-node struct
-    # unpacking and per-id int conversion.
-    words = np.frombuffer(blob, dtype=np.uint32, count=remaining_words,
-                          offset=offset)
-    adjacency: list[list[list[int]]] = []
-    cursor = 0
-    for node in range(num_nodes):
-        layers: list[list[int]] = []
-        for _ in range(int(levels[node]) + 1):
-            if cursor >= remaining_words:
-                raise SerializationError(
-                    f"truncated blob: adjacency count of node {node} "
-                    f"needs {_COUNT.size} B at offset "
-                    f"{offset + 4 * cursor}, blob is {len(blob)} B")
-            count = int(words[cursor])
-            cursor += 1
-            if cursor + count > remaining_words:
-                raise SerializationError(
-                    f"truncated blob: neighbours of node {node} need "
-                    f"{4 * count} B at offset {offset + 4 * cursor}, "
-                    f"blob is {len(blob)} B")
-            neighbors = words[cursor:cursor + count]
-            cursor += count
-            if count and int(neighbors.max()) >= num_nodes:
-                raise SerializationError(
-                    f"node {node}: neighbour id out of range")
-            layers.append(neighbors.tolist())
-        adjacency.append(layers)
-    offset += 4 * cursor
-
-    vectors = np.frombuffer(
-        blob, dtype=np.float32, count=num_nodes * dim,
-        offset=take(4 * num_nodes * dim, "vectors")).reshape(num_nodes,
-                                                             dim)
+            f"id width {width} is not the narrowest for this graph")
+    if any(take(np.dtype("u1"), -offset % 4, "alignment pad")):
+        raise SerializationError("non-zero alignment pad")
+    vectors = take(np.dtype("<f4"), num_nodes * dim,
+                   "vectors").reshape(num_nodes, dim)
+    if offset != len(blob):
+        raise SerializationError(
+            f"{len(blob) - offset} trailing bytes after the vectors")
     # The view may sit over writable region memory (a zero-copy READ
     # payload); freeze it so the graph adopts it as a frozen store and
     # nothing downstream can scribble on the memory node through it.
@@ -366,6 +374,15 @@ def deserialize_cluster(blob: "bytes | memoryview",
                 f"{int(levels.max())}")
     elif entry != -1 or max_level != -1:
         raise SerializationError("empty cluster with non-empty header")
+
+    # One tolist() of the ids, split into lists at the counts' running
+    # sums, then grouped into nodes at the levels' running sums.
+    flat = ids.tolist()
+    bounds = [0, *list_ends.tolist()]
+    lists = [flat[start:end] for start, end in itertools.pairwise(bounds)]
+    bounds = [0, *layer_ends.tolist()]
+    adjacency = [lists[start:end]
+                 for start, end in itertools.pairwise(bounds)]
 
     index = HnswIndex(dim, params if params is not None else HnswParams())
     graph = index.graph

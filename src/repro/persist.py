@@ -34,7 +34,9 @@ from repro.rdma.memory_node import MemoryNode
 
 __all__ = ["save_deployment", "load_deployment"]
 
-_FORMAT_VERSION = 1
+#: 2 since cluster blobs became ``DHN2``: a format-1 directory holds
+#: ``DHN1`` blobs (``region.bin``, ``meta.bin``) this library cannot read.
+_FORMAT_VERSION = 2
 
 
 #: Config keys older manifests carry for fields that are constants now
@@ -119,7 +121,9 @@ def load_deployment(path: "str | os.PathLike[str]",
     if manifest.get("format_version") != _FORMAT_VERSION:
         raise SerializationError(
             f"unsupported deployment format "
-            f"{manifest.get('format_version')!r}")
+            f"{manifest.get('format_version')!r} (this library reads "
+            f"format {_FORMAT_VERSION}, whose cluster blobs are DHN2) — "
+            f"rebuild the deployment")
 
     config = _config_from_dict(manifest["config"])
     region_image = (directory / "region.bin").read_bytes()

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import struct
 
-import pytest
-
 from repro.core import fsck
 from repro.core.fsck import Finding
 from repro.layout.group_layout import OVERFLOW_TAIL_BYTES
@@ -64,6 +62,19 @@ class TestCorruptionDetection:
         assert not report.clean
         assert any("cluster 4" == finding.location
                    for finding in report.findings)
+
+    def test_non_finite_vector_in_blob(self, mutable_deployment):
+        """A NaN already in the pool is damage, though it parses."""
+        layout = mutable_deployment.layout
+        entry = layout.metadata.clusters[0]
+        last_component = entry.blob_offset + entry.blob_length - 4
+        corrupt(layout, last_component, struct.pack("<f", float("nan")))
+        report = fsck(layout)
+        assert not report.clean
+        (finding,) = [finding for finding in report.findings
+                      if finding.severity == "error"]
+        assert finding.location == "cluster 0"
+        assert "non-finite" in finding.message
 
     def test_wrong_cluster_id_in_blob(self, mutable_deployment):
         layout = mutable_deployment.layout

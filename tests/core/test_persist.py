@@ -126,6 +126,17 @@ class TestErrors:
         with pytest.raises(SerializationError, match="unsupported"):
             load_deployment(path)
 
+    def test_format_1_deployment_refused_at_load(self, saved):
+        """Format 1 directories hold DHN1 blobs: ``load_deployment``
+        refuses them itself instead of leaving it to the first fetch."""
+        path, _ = saved
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        manifest["format_version"] = 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SerializationError, match="format 1 .*DHN2"):
+            load_deployment(path)
+
     #: The config keys a manifest written before the knobs were retired
     #: carries on top of today's, at the only values ever in use.
     RETIRED = {"mutation_retry_limit": 8, "pq_bits": 8,

@@ -7,8 +7,9 @@
   the textbook loops: no distance tables (inserts beam-search hop by hop
   and never sweep, batches keep no pair table, so every prune runs per
   list) and the selector above.
-* :func:`serialize_cluster_reference` — the ``DHN1`` wire format packed
-  node by node with ``struct``, spelled out here rather than imported.
+* :func:`serialize_cluster_reference` — the ``DHN2`` wire format packed
+  node by node with ``struct``, spelled out here rather than imported
+  (the id width, too, is chosen here from the graph).
 
 ``repro.hnsw.build`` must build the same graphs and credit the same
 evaluation counts, and ``serialize_cluster`` must write the same bytes,
@@ -23,8 +24,8 @@ import numpy as np
 
 import repro.hnsw.build as build_module
 
-_HEADER = struct.Struct("<4sHHIIIii")  # magic, ver, pad, cid, n, dim, maxlvl, entry
-_COUNT = struct.Struct("<I")
+_HEADER = struct.Struct("<4sHHIIIii")  # magic, ver, width, cid, n, dim, maxlvl, entry
+_ID_CODES = {1: "<B", 2: "<H", 4: "<I"}
 
 
 def select_reference(graph, kernel, candidates, m):
@@ -63,15 +64,26 @@ def serialize_cluster_reference(index, cluster_id: int) -> bytes:
     graph = index.graph
     num_nodes = len(graph)
     entry = graph.entry_point if graph.entry_point is not None else -1
-    parts = [_HEADER.pack(b"DHN1", 1, 0, cluster_id, num_nodes, graph.dim,
-                          graph.max_level, entry)]
-    parts.append(np.asarray(index.labels, dtype=np.int64).tobytes())
-    levels = np.array([graph.level_of(node) for node in range(num_nodes)],
-                      dtype=np.int32)
-    parts.append(levels.tobytes())
+    largest = num_nodes - 1
     for node in range(num_nodes):
         for layer in graph.adjacency[node]:
-            parts.append(_COUNT.pack(len(layer)))
-            parts.append(np.asarray(layer, dtype=np.uint32).tobytes())
-    parts.append(graph.vectors.astype(np.float32, copy=False).tobytes())
+            largest = max(largest, len(layer))
+    width = 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+    code = _ID_CODES[width]
+    parts = [_HEADER.pack(b"DHN2", 2, width, cluster_id, num_nodes,
+                          graph.dim, graph.max_level, entry)]
+    for node in range(num_nodes):
+        parts.append(struct.pack("<q", index.labels[node]))
+    for node in range(num_nodes):
+        parts.append(struct.pack("<B", graph.level_of(node)))
+    for node in range(num_nodes):
+        for layer in graph.adjacency[node]:
+            parts.append(struct.pack(code, len(layer)))
+    for node in range(num_nodes):
+        for layer in graph.adjacency[node]:
+            for neighbour in layer:
+                parts.append(struct.pack(code, neighbour))
+    parts.append(b"\0" * (-sum(map(len, parts)) % 4))
+    for node in range(num_nodes):
+        parts.append(struct.pack(f"<{graph.dim}f", *graph.vector(node)))
     return b"".join(parts)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.errors import SerializationError
 from repro.hnsw import HnswIndex, HnswParams
 from repro.layout.serializer import (
     OverflowRecord,
+    cluster_blob_split,
     deserialize_cluster,
     overflow_record_size,
     pack_overflow_record,
@@ -131,6 +134,135 @@ class TestClusterErrors:
         blob[4] = 99  # version field follows the 4-byte magic
         with pytest.raises(SerializationError, match="version"):
             deserialize_cluster(bytes(blob))
+
+    def test_dhn1_blob_refused(self):
+        blob = serialize_cluster(build_index(5, 4), 0)
+        with pytest.raises(SerializationError, match="bad magic"):
+            deserialize_cluster(b"DHN1" + blob[4:])
+
+    def test_trailing_bytes_rejected(self):
+        """Readers that never parse the graph take the vectors from the
+        blob's end, so a blob longer than its sections is corrupt."""
+        blob = serialize_cluster(build_index(30, 8), 0)
+        with pytest.raises(SerializationError, match="trailing"):
+            deserialize_cluster(blob + b"\0" * 12)
+
+    @pytest.mark.parametrize("width", [0, 3, 8])
+    def test_bad_width_rejected(self, width):
+        blob = bytearray(serialize_cluster(build_index(30, 8), 0))
+        assert cluster_blob_split(blob).id_width == 1
+        struct.pack_into("<H", blob, WIDTH_OFFSET, width)
+        with pytest.raises(SerializationError, match="bad id width"):
+            deserialize_cluster(bytes(blob))
+
+    def test_wider_than_needed_width_rejected(self):
+        """A well-formed blob at 2-byte ids for a 3-node graph: one graph
+        has one encoding, so the decoder refuses it."""
+        index = bulk_index(3, [[[1]], [[2]], [[0]]])
+        narrow = serialize_cluster(index, 0)
+        head = bytearray(narrow[:HEADER_SIZE + 27])
+        struct.pack_into("<H", head, WIDTH_OFFSET, 2)
+        wide = (bytes(head) + struct.pack("<6H", 1, 1, 1, 1, 2, 0) + b"\0"
+                + narrow[-12:])
+        with pytest.raises(SerializationError, match="narrowest"):
+            deserialize_cluster(wide)
+
+    def test_truncated_counts_section(self):
+        index = build_index(30, 8)
+        blob = serialize_cluster(index, 0)
+        counts_start = HEADER_SIZE + 9 * len(index)
+        with pytest.raises(SerializationError, match="neighbour counts"):
+            deserialize_cluster(blob[:counts_start + 3])
+
+    def test_non_zero_pad_rejected(self):
+        index = bulk_index(3, [[[1]], [[2]], [[0]]])
+        blob = bytearray(serialize_cluster(index, 0))
+        assert len(blob) == HEADER_SIZE + 27 + 6 + 3 + 12  # 3 B of pad
+        blob[HEADER_SIZE + 27 + 6] = 1
+        with pytest.raises(SerializationError, match="pad"):
+            deserialize_cluster(bytes(blob))
+
+    def test_level_above_255_refused_by_the_writer(self):
+        adjacency = [[[1]], [[0]] + [[] for _ in range(256)]]
+        with pytest.raises(SerializationError, match="level 256"):
+            serialize_cluster(bulk_index(2, adjacency), 0)
+        adjacency[1].pop()
+        restored, _ = deserialize_cluster(
+            serialize_cluster(bulk_index(2, adjacency), 0))
+        assert restored.graph.max_level == 255
+
+
+#: Header layout: magic (4 B), version (2 B), then the id width (u16).
+WIDTH_OFFSET = 6
+HEADER_SIZE = 28
+
+
+def bulk_index(num_nodes: int, adjacency: list) -> HnswIndex:
+    """A synthetic one-dimensional graph loaded as given, not built."""
+    index = HnswIndex(1)
+    graph = index.graph
+    graph.bulk_load(np.arange(num_nodes, dtype=np.float32)[:, None],
+                    adjacency)
+    levels = [len(layers) - 1 for layers in adjacency]
+    graph.max_level = max(levels)
+    graph.entry_point = levels.index(graph.max_level)
+    index.labels = list(range(10**12, 10**12 + num_nodes))
+    return index
+
+
+def ring(num_nodes: int) -> list:
+    """Every node linked to its two ring neighbours; every 97th node also
+    on layer 1, linked to the next such node."""
+    upper = list(range(0, num_nodes, 97))
+    adjacency = [[[(node + 1) % num_nodes, (node - 1) % num_nodes]]
+                 for node in range(num_nodes)]
+    for rank, node in enumerate(upper):
+        adjacency[node].append([upper[(rank + 1) % len(upper)]])
+    return adjacency
+
+
+class TestIdWidth:
+    """One width per blob: the narrowest that holds both the largest node
+    id and the longest neighbour list."""
+
+    def assert_round_trip(self, index: HnswIndex, width: int) -> None:
+        blob = serialize_cluster(index, 5)
+        assert cluster_blob_split(blob).id_width == width
+        assert len(blob) == serialized_cluster_size(index)
+        restored, cid = deserialize_cluster(blob)
+        assert cid == 5
+        assert restored.labels == index.labels
+        assert restored.graph.adjacency == index.graph.adjacency
+        assert restored.graph.max_level == index.graph.max_level
+        assert restored.graph.entry_point == index.graph.entry_point
+        np.testing.assert_array_equal(restored.graph.vectors,
+                                      index.graph.vectors)
+
+    @pytest.mark.parametrize("num_nodes,width", [(256, 1), (257, 2),
+                                                 (65_536, 2), (65_537, 4)])
+    def test_node_count_boundary(self, num_nodes, width):
+        self.assert_round_trip(bulk_index(num_nodes, ring(num_nodes)),
+                               width)
+
+    @pytest.mark.parametrize("count,width", [(255, 1), (256, 2)])
+    def test_neighbour_count_boundary(self, count, width):
+        """Lists may repeat ids, so a long list can outgrow the ids."""
+        adjacency = ring(10)
+        adjacency[3][0] = [node % 10 for node in range(count)]
+        self.assert_round_trip(bulk_index(10, adjacency), width)
+
+    def test_width_matches_reference(self):
+        index = bulk_index(300, ring(300))
+        assert serialize_cluster(index, 1) == \
+            serialize_cluster_reference(index, 1)
+
+    def test_split_sums_to_the_blob(self):
+        index = build_index(120, 12, seed=3)
+        blob = serialize_cluster(index, 0)
+        split = cluster_blob_split(blob)
+        assert split.vectors == 4 * 120 * 12
+        assert split.labels_levels == 9 * 120
+        assert split.vectors + split.labels_levels + split.graph == len(blob)
 
 
 class TestOverflowRecords:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.layout.serializer import peek_cluster_geometry
+from repro.persist import load_deployment
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,28 @@ class TestBuild:
         out = capsys.readouterr().out
         assert "partitions" in out
         assert "meta-HNSW" in out
+
+    def test_info_splits_the_hot_blobs(self, built_index, capsys):
+        """What a miss moves, without running a bench: the hot blobs'
+        bytes by section and how many blobs use each id width."""
+        main(["info", "--index", str(built_index)])
+        lines = dict(line.split(" : ", 1) for line in
+                     capsys.readouterr().out.splitlines() if " : " in line)
+        total, parts = lines["hot blobs        "].split(" = ")
+        kib = [float(part.split()[-2]) for part in parts.split(" / ")]
+        assert [part.split()[0] for part in parts.split(" / ")] == [
+            "vectors", "graph", "labels"]
+        assert abs(sum(kib) - float(total.split()[0])) <= 0.15
+        # No neighbour list here is longer than 256, so a blob's width
+        # follows from its node count alone.
+        _, layout, _ = load_deployment(built_index)
+        sizes = [peek_cluster_geometry(layout.memory_node.read(
+            layout.rkey, layout.addr(cluster.blob_offset), 28))[1]
+            for cluster in layout.metadata.clusters]
+        narrow = sum(size <= 256 for size in sizes)
+        assert 0 < narrow < len(sizes) == 6
+        assert lines["id widths        "] == (
+            f"{narrow} blob(s) at 1 B, {6 - narrow} blob(s) at 2 B")
 
 
 class TestQuery:
