@@ -14,10 +14,11 @@ scenario up end-to-end and gates:
 * **peak RSS** — the process-wide high-water mark must stay inside a
   budget proportional to the corpus (the pre-PR substrate's copy-per-READ
   behaviour blows well past it);
-* **bit-identical answers** — the pipelined engine against the serial
-  schedule (itself pinned to the retained reference executor by tier-1
-  equivalence tests), plus a zero-copy proof: a served cluster's vector
-  store must share memory with the registered region.
+* **bit-identical answers** — the engine with its look-ahead on
+  (``pipeline_waves``) against it off (both pinned to the test-side
+  transcriptions of the loop by tier-1 equivalence tests), plus a
+  zero-copy proof: a served cluster's vector store must share memory
+  with the registered region.
 
 Any violated gate exits non-zero, so the CI perf-smoke job doubles as a
 regression gate.
@@ -175,7 +176,7 @@ def main() -> None:
 
     check(np.array_equal(serial_ids, piped_ids)
           and np.array_equal(serial_dists, piped_dists),
-          "pipelined results differ from the serial schedule")
+          "pipelined results differ from look-ahead off")
     check(piped_section["wall_qps"] >= scale["min_qps"],
           f"steady-state {piped_section['wall_qps']:.1f} QPS below the "
           f"{scale['min_qps']:.1f} QPS floor")

@@ -8,17 +8,21 @@ searches.  This harness runs the acceptance scenario
 (20k vectors, batch 256, efSearch 32) across the serving
 configurations:
 
-* ``serial``             — pipeline off, 1 worker (the pre-PR-4 engine),
-* ``pipelined``          — pipeline on, 1 worker,
-* ``workers4``           — pipeline off, 4 worker processes,
-* ``pipelined_workers4`` — pipeline on, 4 worker processes,
+* ``serial``             — look-ahead off (``pipeline_waves=False``),
+  1 worker,
+* ``pipelined``          — look-ahead on, 1 worker,
+* ``workers4``           — look-ahead off, 4 worker processes,
+* ``pipelined_workers4`` — look-ahead on, 4 worker processes,
 
 and asserts the PR's acceptance criteria:
 
 * every configuration returns bit-identical results and identical
   ``sub_evals`` (worker count and scheduling never change answers);
-* with pipelining on, the simulated end-to-end batch latency improves
-  over the serial schedule by at least the wire time the transport
+* with the look-ahead off (``serial``, ``workers4``) no wire time hides:
+  every READ lands before anything is searched, so
+  ``overlapped_time_us`` is 0;
+* with the look-ahead on, the simulated end-to-end batch latency improves
+  over look-ahead off by at least the wire time the transport
   measured as hidden — ``overlapped_time_us``, which counts wire time
   hidden behind any CPU work: routing, a hit's search or a wave's (that
   the measurement equals what the test-side transcription of the loop
@@ -127,7 +131,6 @@ def run_config(deployment, queries, overrides, reps):
             "sub_evals": batch.sub_evals,
             "cache_misses": batch.cache_misses,
             "cache_evictions": batch.cache_evictions,
-            "pipeline_executed": batch.pipeline_executed,
         }
         return section, batch
     finally:
@@ -145,9 +148,10 @@ def fetch_audit(deployment) -> dict:
         live = (OVERFLOW_TAIL_BYTES
                 + TAIL_SLACK_SLOTS * overflow_record_size(metadata.dim))
         fetched = whole = 0
+        fetcher = client.engine.fetcher
         for cid, cluster in enumerate(metadata.clusters):
             before = client.node.stats.bytes_read
-            client.engine.fetcher.read([cid], doorbell=True)
+            fetcher.poll(fetcher.issue_async([cid], doorbell=True)[0])
             nbytes = client.node.stats.bytes_read - before
             check(nbytes < cluster.blob_length + 8 + live,
                   f"fetch of never-written cluster {cid} moved {nbytes} B: "
@@ -174,13 +178,15 @@ def assert_acceptance(sections, batches) -> dict:
         check(all(np.array_equal(a.ids, b.ids)
                   and np.array_equal(a.distances, b.distances)
                   for a, b in zip(reference.results, batch.results)),
-              f"results of '{label}' differ from the serial engine")
+              f"results of '{label}' differ from look-ahead off")
         check(batch.sub_evals == reference.sub_evals,
               f"'{label}' changed the distance-evaluation count")
+    for label in ("serial", "workers4"):
+        check(batches[label].rdma.overlapped_time_us == 0.0,
+              f"'{label}' runs with the look-ahead off but hid "
+              f"{batches[label].rdma.overlapped_time_us}us of wire time")
 
     piped = batches["pipelined"]
-    check(piped.pipeline_executed, "pipelined run never entered the "
-                                   "ready-list loop")
     check(piped.waves >= 2, "scenario produced a single wave — nothing "
                             "to overlap; enlarge the corpus")
     improvement = (reference.breakdown.total_us

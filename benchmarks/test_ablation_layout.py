@@ -70,10 +70,15 @@ def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
     # live prefix only.
     reader = world.client(Scheme.DHNSW, contended=False)
     fetcher = reader.engine.fetcher
-    fetcher.admit(*fetcher.read([cluster_id], True), PlanExecution())
+
+    def fetch():
+        token, extents = fetcher.issue_async([cluster_id], True)
+        return fetcher.admit(extents, fetcher.poll(token),
+                             PlanExecution())[cluster_id]
+
+    fetch()
     before = reader.node.stats.snapshot()
-    entry = fetcher.admit(*fetcher.read([cluster_id], True),
-                          PlanExecution())[cluster_id]
+    entry = fetch()
     live = reader.node.stats.delta(before)
     assert entry.overflow_tail == NUM_INSERTS
 

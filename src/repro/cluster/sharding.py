@@ -131,9 +131,7 @@ class ShardedDeployment:
             cache_evictions=sum(batch.cache_evictions
                                 for batch in shard_batches),
             cache_streamed=sum(batch.cache_streamed
-                               for batch in shard_batches),
-            pipeline_executed=any(batch.pipeline_executed
-                                  for batch in shard_batches))
+                               for batch in shard_batches))
 
     def search(self, query: np.ndarray, k: int,
                ef_search: int | None = None) -> QueryResult:

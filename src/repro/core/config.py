@@ -9,6 +9,8 @@ batches that the query-aware loader deduplicates.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
@@ -21,6 +23,16 @@ META_PARAMS = HnswParams(m=8, ef_construction=64, max_level=2)
 #: ``SUB_PARAMS.seed + i`` so the layout is byte-identical at any
 #: ``build_workers`` count.
 SUB_PARAMS = HnswParams(m=16, ef_construction=100)
+
+
+def _require_finite(config) -> None:
+    """Refuse a NaN or an infinity in any numeric field: the range checks
+    are comparisons, which a NaN passes."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and not math.isfinite(value)):
+            raise ConfigError(f"{field.name} must be finite, got {value}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,18 +63,18 @@ class DHnswConfig:
         it does not tax reads — a fetch moves the live slots plus a small
         slack, not the area (``layout.group_layout.cluster_read_ranges``).
     pipeline_waves:
-        Extension, on by default: *execute* the ready-list loader, which
-        keeps a wave's READ in flight (non-blocking
-        ``post_read_batch_async`` + ``poll_cq`` in the RDMA sim) while
-        the CPU routes the rest of the batch and searches whatever is
-        already in DRAM — hits, then each wave as it lands — and
-        releases each row once its own clusters are searched.  Hidden
-        wire time is charged honestly — ``breakdown.network_us`` holds
-        only the exposed wait and ``BatchResult.overlap_saved_us``
-        reports the measured overlap.  Applies to deduplicated plans
-        that fetch anything; the naive scheme's one blocking fetch per
-        pair never overlaps.  ``False`` is the paper's serial loader
-        (Tables 1-2, Fig. 6).
+        Extension, on by default: the look-ahead of the ready-list
+        loader, which keeps up to two waves' READs in flight
+        (non-blocking ``post_read_batch_async`` + ``poll_cq`` in the
+        RDMA sim) while the CPU routes the rest of the batch and searches
+        whatever is already in DRAM — hits, then each wave as it lands —
+        and releases each row once its own clusters are searched.
+        Hidden wire time is charged honestly — ``breakdown.network_us``
+        holds only the exposed wait and ``BatchResult.overlap_saved_us``
+        reports the measured overlap.  ``False`` (the paper's serial
+        loader: Tables 1-2, Fig. 6) runs the same loop with one wave
+        open, landing every READ before it searches anything, so nothing
+        overlaps; the naive scheme always runs that way.
     search_workers:
         Worker processes for per-cluster searches inside a wave.  ``1``
         (default) runs inline; ``> 1`` shards a wave's clusters over that
@@ -130,6 +142,7 @@ class DHnswConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.num_representatives is not None and self.num_representatives < 1:
             raise ConfigError(
                 f"num_representatives must be >= 1, got "
@@ -240,6 +253,7 @@ class FrontDoorConfig:
     degraded_ef: int | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.max_wait_us < 0.0:
             raise ConfigError(
                 f"max_wait_us must be >= 0, got {self.max_wait_us}")

@@ -11,7 +11,7 @@ needs them while partial top-k candidates are retained.
 Clusters already cached are pruned from the load set entirely, but not
 from the plan: :attr:`BatchPlan.clusters` lists every cluster the batch
 searches, hits included, in the order the rows first need them, which is
-the order the pipelined executor searches whatever is in DRAM.
+the order the executor searches whatever is in DRAM.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ class Wave:
     fetch_cluster_ids: tuple[int, ...]
     serviced: tuple[tuple[int, int], ...]  # (query index, cluster id)
 
-    def cluster_groups(self) -> list[tuple[int, list[int]]]:
-        """Per-cluster query groups in first-appearance order.
-
-        ``[(cluster_id, [query indices]), ...]`` is the unit of work the
-        serving engine hands to its search executor; the ordering is a pure
-        function of ``serviced``, so merges stay deterministic at every
-        worker count.
-        """
-        groups: dict[int, list[int]] = {}
-        for query_index, cluster_id in self.serviced:
-            groups.setdefault(cluster_id, []).append(query_index)
-        return list(groups.items())
-
 
 @dataclasses.dataclass(frozen=True)
 class BatchPlan:
@@ -55,8 +42,9 @@ class BatchPlan:
     cache_hit_cluster_ids: tuple[int, ...]
     unique_clusters: int
     duplicate_requests_pruned: int
-    #: Every cluster the batch searches, cache hits included, with the
-    #: rows that probe it, in first-need order: row, then probe rank.
+    #: Every search the batch makes, cache hits included: a cluster and
+    #: the rows that probe it, in first-need order (row, then probe
+    #: rank).  The executor keys its per-search state by position here.
     clusters: tuple[tuple[int, tuple[int, ...]], ...] = ()
     #: How many leading rows fix the first wave's clusters: once they are
     #: routed, the first READ can be posted (every row, when the batch
@@ -67,11 +55,6 @@ class BatchPlan:
     def total_fetches(self) -> int:
         """Clusters that will cross the network this batch."""
         return sum(len(wave.fetch_cluster_ids) for wave in self.waves)
-
-    def hit_groups(self) -> list[tuple[int, list[int]]]:
-        """Per-hit query groups, in cluster id order."""
-        rows = dict(self.clusters)
-        return [(cid, list(rows[cid])) for cid in self.cache_hit_cluster_ids]
 
 
 def plan_batch(required: list[list[int]], cache: ClusterCache,
@@ -142,7 +125,8 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
 
 def plan_naive(required: list[list[int]]) -> BatchPlan:
     """Naive d-HNSW as a schedule: one ``(query, cluster)`` pair per wave,
-    in query order, nothing deduplicated — one READ round trip per pair."""
+    in query order, nothing deduplicated — one READ round trip per pair,
+    and one search per pair (a cluster two rows probe is listed twice)."""
     pairs = [(query_index, cluster_id)
              for query_index, cluster_ids in enumerate(required)
              for cluster_id in cluster_ids]
@@ -150,4 +134,5 @@ def plan_naive(required: list[list[int]]) -> BatchPlan:
                   for q, cid in pairs)
     return BatchPlan(waves=waves, cache_hit_cluster_ids=(),
                      unique_clusters=len({cid for _, cid in pairs}),
-                     duplicate_requests_pruned=0)
+                     duplicate_requests_pruned=0,
+                     clusters=tuple((cid, (q,)) for q, cid in pairs))

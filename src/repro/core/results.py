@@ -46,8 +46,8 @@ class BatchResult:
     cache_hits: int
     duplicate_requests_pruned: int
     waves: int
-    #: *Measured* simulated time the wave loop hid by fetching wave i+1
-    #: while searching wave i (0 unless ``pipeline_waves`` is on):
+    #: *Measured* wire time the loop hid behind routing and search (0
+    #: with the look-ahead off):
     #: ``breakdown.total_us`` is the pipelined latency and this field the
     #: saving relative to a serial schedule
     #: (``serial_latency_per_query_us``).
@@ -60,9 +60,6 @@ class BatchResult:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_streamed: int = 0
-    #: True when the ready-list loop actually ran (``pipeline_waves``
-    #: enabled and the plan fetches something).
-    pipeline_executed: bool = False
     #: Clusters served from the cold (PQ) tier this batch (zero when
     #: ``cold_tier="off"``); what moved into or out of the hot tier is
     #: the cache's admissions and evictions above.
@@ -72,10 +69,9 @@ class BatchResult:
     #: for results produced outside the staged path (e.g. shard merges).
     trace: "TraceContext | None" = None
     #: Per row, the client clock (µs) at which the row's answer was final:
-    #: under the ready-list loop, once its own last cluster was searched
-    #: (and, for a hit, its tail word had landed); else the end of the
-    #: batch (serial schedules, all-hit plans, rows the cold tier
-    #: answered).  Its max is the batch end.  None for results produced
+    #: once its own last cluster was searched (and, for a hit, its tail
+    #: word had landed); the end of the batch for rows the cold tier
+    #: answered.  Its max is the batch end.  None for results produced
     #: outside the staged path (e.g. shard merges): every row completes
     #: with the call.
     complete_us: np.ndarray | None = None

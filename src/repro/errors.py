@@ -20,10 +20,14 @@ class ConfigError(ReproError, ValueError):
 
 
 class DimensionMismatchError(ReproError, ValueError):
-    """A vector's dimensionality does not match the index it targets."""
+    """A vector's dimensionality does not match the index it targets
+    (``actual`` is a dimension, or the whole shape of a query array that
+    is not one vector or one batch of rows)."""
 
-    def __init__(self, expected: int, actual: int) -> None:
-        super().__init__(f"expected dimension {expected}, got {actual}")
+    def __init__(self, expected: int, actual: "int | tuple") -> None:
+        got = (f"shape {actual}" if isinstance(actual, tuple)
+               else str(actual))
+        super().__init__(f"expected dimension {expected}, got {got}")
         self.expected = expected
         self.actual = actual
 

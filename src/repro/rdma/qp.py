@@ -252,8 +252,13 @@ class QueuePair:
             pending.guard = None
         if not pending.sizes:
             return []
+        polled_at = self.clock.now_us
         waited = self.clock.advance_to(pending.completes_at_us)
-        hidden = max(0.0, pending.elapsed_us - waited)
+        # Wire time hides only under work done since the issue: polled at
+        # its issue time, a READ hid nothing (``elapsed - waited`` would
+        # be rounding).
+        hidden = (max(0.0, pending.elapsed_us - waited)
+                  if polled_at > pending.issued_at_us else 0.0)
         self.stats.record_async_read(pending.sizes, pending.rings,
                                      waited, hidden,
                                      doorbell=pending.doorbell)

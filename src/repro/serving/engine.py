@@ -19,7 +19,11 @@ from typing import Callable
 import numpy as np
 
 from repro.core.results import BatchResult
-from repro.errors import NonFiniteVectorError, StaleReadError
+from repro.errors import (
+    DimensionMismatchError,
+    NonFiniteVectorError,
+    StaleReadError,
+)
 from repro.metrics.latency import LatencyBreakdown
 from repro.serving.decoder import Decoder
 from repro.serving.executor import WaveExecutor
@@ -83,10 +87,15 @@ class ServingEngine:
                            filter_fn: "Callable[[int], bool] | None" = None,
                            record_access: bool = True) -> BatchResult:
         host = self.host
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim not in (1, 2) or queries.shape[-1] != host.meta.dim:
+            raise DimensionMismatchError(host.meta.dim, queries.shape)
+        queries = np.atleast_2d(queries)
         NonFiniteVectorError.check(queries, "query")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if isinstance(k, (bool, np.bool_)) or not isinstance(
+                k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        k = int(k)
         ef = self.resolve_ef(k, ef_search)
 
         self._request_counter += 1
@@ -107,15 +116,12 @@ class ServingEngine:
 
         def first_wave(routes: list[list[int]]):
             # Untiered, the plan needs only the routes and the cache, so
-            # a ready-list loop can post its first READ mid-routing.
+            # the loop can post its first READ mid-routing.
             nonlocal plan, loop
             plan = self.planner.plan(routes, trace)
             loop = self.executor.ready_list(plan, queries, merger, k, ef,
                                             trace)
-            if loop is None:
-                return len(queries), None
-            return plan.first_wave_rows, lambda: loop.start(
-                plan.first_wave_rows)
+            return loop.first_rows, lambda: loop.start(loop.first_rows)
 
         # --- meta-HNSW routing (local, cached) -------------------------
         required = self.planner.route(queries, breakdown, trace,
@@ -141,14 +147,16 @@ class ServingEngine:
             # before every row is routed.
             required, cold_required = tier.split(required)
             plan = self.planner.plan(required, trace)
-        execution = self.executor.execute_plan(plan, queries, merger,
-                                               k, ef, trace, loop)
+            loop = self.executor.ready_list(plan, queries, merger, k, ef,
+                                            trace)
+            loop.start(len(queries))
+        execution = loop.run()
         if tier is not None:
             cold = tier.execute_cold(cold_required, queries, merger,
                                      k, trace)
-        # The schedule charged decode + search to the clock itself, and
-        # cold serving its compute inside execute_cold (the waves never
-        # saw those clusters); both belong to the sub-HNSW bucket.
+        # The loop charged decode + search to the clock itself, and cold
+        # serving its compute inside execute_cold (the waves never saw
+        # those clusters); both belong to the sub-HNSW bucket.
         breakdown.sub_hnsw_us += execution.sub_hnsw_us
         breakdown.sub_hnsw_us += cold.compute_us
 
@@ -156,14 +164,10 @@ class ServingEngine:
         results = self.merger.finalize(merger, len(queries), k, filter_fn,
                                        trace)
         # A row is final once its last cluster is; rows the cold tier
-        # answered, and every row of a schedule that charged nothing
-        # cluster by cluster, are final when the batch is.
-        batch_end_us = host.node.clock.now_us
+        # answered are final when the batch is.
         complete_us = execution.complete_us
-        if complete_us is None:
-            complete_us = np.full(len(queries), batch_end_us)
         for query_indices in cold_required.values():
-            complete_us[query_indices] = batch_end_us
+            complete_us[query_indices] = host.node.clock.now_us
         rdma_delta = host.node.stats.delta(before)
         breakdown.network_us += rdma_delta.network_time_us
         # Fault-path attribution: which request paid for retries and
@@ -186,6 +190,5 @@ class ServingEngine:
                            cache_misses=misses_after - misses_before,
                            cache_evictions=evictions_after - evictions_before,
                            cache_streamed=host.cache.streamed - streamed_before,
-                           pipeline_executed=execution.pipeline_executed,
                            cold_clusters_served=cold.clusters,
                            trace=trace, complete_us=complete_us)

@@ -6,10 +6,12 @@ queue pair.  A fetch reads what is live, not what is reserved: the blob,
 the tail word and as many record slots as the group's last seen tail plus
 :data:`TAIL_SLACK_SLOTS` (``layout.group_layout.cluster_read_ranges``);
 the word in the payload then says whether that was enough, and
-:meth:`Fetcher.top_up` brings in what was not.  The fetcher also offers
-what it fetched to the cache (which admits or streams it by frequency x
-bytes) and owns the overflow-tail freshness check for cache hits, because
-both are decisions about what was just fetched.
+:meth:`Fetcher.top_up` brings in what was not.  Every cluster READ is
+posted with :meth:`Fetcher.issue_async` and taken in with
+:meth:`Fetcher.poll`; the tail words that validate cache hits ride in the
+same READ, and :meth:`Fetcher.issue_top_up` posts the delta ring of the
+hits they show lagging.  The fetcher also offers what it fetched to the
+cache (which admits or streams it by frequency x bytes).
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class Fetcher:
     def extent_descriptors(self, cluster_ids: Sequence[int]
                            ) -> tuple[list[ReadDescriptor], list[Extent]]:
         """READ descriptors + extents for a set of clusters (shared by the
-        sync and async fetch paths, and by the tier split, which sizes a
-        fetch before deciding to make it)."""
+        fetch and by the tier split, which sizes a fetch before deciding
+        to make it)."""
         metadata = self.host.metadata
         tail_seen = self.decoder.tail_seen
         merge = self.merge_hole_bytes()
@@ -108,17 +110,7 @@ class Fetcher:
         return self._descriptors(
             piece for _, ranges in extents for piece in ranges), extents
 
-    # -- synchronous / asynchronous fetch --------------------------------
-    def read(self, cluster_ids: Sequence[int], doorbell: bool,
-             trace: TraceContext | None = None
-             ) -> tuple[list[Extent], list[bytes]]:
-        """Blocking READ of each cluster's live ranges (blob + tail word +
-        record slots); returns ``(extents, payloads)``."""
-        descriptors, extents = self.extent_descriptors(cluster_ids)
-        with span(trace, "fetch"):
-            return extents, self.host.transport.read_batch(
-                descriptors, doorbell=doorbell)
-
+    # -- fetch ------------------------------------------------------------
     def issue_async(self, cluster_ids: Sequence[int], doorbell: bool,
                     tail_groups: Sequence[int] = ()
                     ) -> tuple[PendingRead, list[Extent]]:
@@ -188,40 +180,6 @@ class Fetcher:
         return loaded
 
     # -- overflow freshness ------------------------------------------------
-    def validate_cached(self, cluster_ids: list[int],
-                        trace: TraceContext | None = None) -> None:
-        """Check overflow tails of cached clusters; fetch record deltas.
-
-        Tail counters are 8-byte READs, doorbell-batched under the full
-        scheme, so observing concurrent inserts costs a fraction of a
-        round trip per batch; the deltas of every stale group then share
-        one more ring (:meth:`top_up`).  The entries stay pinned while
-        their deltas graft, so no grown entry evicts one the batch is
-        about to search.
-        """
-        host = self.host
-        metadata = host.metadata
-        cache = host.cache
-        cached = [entry for entry in map(cache.peek, cluster_ids)
-                  if entry is not None]
-        group_ids = sorted({metadata.clusters[entry.cluster_id].group_id
-                            for entry in cached})
-        if not group_ids:
-            return
-        descriptors = self._descriptors(
-            overflow_tail_extent(metadata.groups[gid]) for gid in group_ids)
-        with span(trace, "fetch"):
-            payloads = host.transport.read_batch(
-                descriptors, doorbell=host.policy.doorbell_batching)
-        self.note_tails(group_ids, payloads)
-        for entry in cached:
-            cache.pin(entry)
-        try:
-            self.top_up(cached, trace)
-        finally:
-            for entry in cached:
-                cache.unpin(entry)
-
     def note_tails(self, group_ids: Sequence[int],
                    payloads: Sequence["bytes | memoryview"]) -> None:
         """Remember the live tails the words of ``group_ids`` carry (the
@@ -242,8 +200,9 @@ class Fetcher:
 
         One ring for all of them, one delta per group however many of its
         members lag (:func:`~repro.layout.group_layout.overflow_delta_ranges`).
-        Shared by fetched extents whose slots ran short and by cached
-        entries a peer's insert left behind.  Each delta re-reads its
+        Blocking, for fetched extents whose slots ran short (cached
+        entries a peer's insert left behind take :meth:`issue_top_up`).
+        Each delta re-reads its
         group's tail word: a cutover since the tail was learned is a
         retryable ``StaleReadError``, never a graft from the retired area.
         """

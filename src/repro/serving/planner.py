@@ -22,9 +22,8 @@ from repro.serving.trace import TraceContext
 __all__ = ["FirstWave", "Planner"]
 
 #: Shown a batch's routes, returns ``(rows, post)``: the leading rows that
-#: fix its first READ and the call that posts it (None: nothing to post).
-FirstWave = Callable[[list[list[int]]],
-                     tuple[int, "Callable[[], None] | None"]]
+#: fix its first READ and the call that posts it.
+FirstWave = Callable[[list[list[int]]], tuple[int, Callable[[], None]]]
 
 
 class Planner:
@@ -40,9 +39,9 @@ class Planner:
 
         ``first_wave``, when given, is shown the routes and returns
         ``(rows, post)``: how many leading rows fix the batch's first
-        READ, and the call that puts it on the wire (None: nothing to
-        post).  Routing is then billed in two parts around ``post``, so
-        the READ is in flight while the remaining rows are paid for.
+        READ, and the call that puts it on the wire.  Routing is then
+        billed in two parts around ``post``, so the READ is in flight
+        while the remaining rows are paid for.
         """
         host = self.host
         with trace.stage("route"):
@@ -52,12 +51,11 @@ class Planner:
                 queries, host.config.nprobe, host.config.ef_meta,
                 evaluations)
             meta_evals = host.meta.reset_compute_counter()
-            rows, post = (first_wave(required) if first_wave is not None
-                          else (len(queries), None))
-            if post is None:
+            if first_wave is None:
                 breakdown.meta_hnsw_us += host.node.charge_compute(
                     meta_evals, host.meta.dim)
             else:
+                rows, post = first_wave(required)
                 breakdown.meta_hnsw_us += host.node.charge_compute(
                     sum(evaluations[:rows]), host.meta.dim)
                 post()

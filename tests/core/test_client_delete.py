@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DHnswClient, Scheme
-from repro.serving import PlanExecution
+from tests.serving.helpers import fetch
 
 
 def fresh_client(deployment, config, scheme=Scheme.DHNSW):
@@ -88,9 +88,7 @@ class TestDeleteReclamation:
         for i in range(small_config.overflow_capacity_records):
             client.insert(target + (i + 1) * 1e-3, 42_000 + i)
         # After the rebuild the base graph no longer contains id 17.
-        fetcher = client.engine.fetcher
-        entry = fetcher.admit(*fetcher.read([cid], doorbell=False),
-                              PlanExecution())[cid]
+        entry = fetch(client, [cid], doorbell=False)[cid]
         assert 17 not in entry.index.labels
         assert all(not record.tombstone for record in entry.overflow)
         assert client.search(target, 1, ef_search=32).ids[0] != 17

@@ -16,7 +16,7 @@ from repro.errors import StaleReadError
 from repro.hnsw import HnswIndex, HnswParams
 from repro.layout.serializer import OverflowRecord, replay_overflow
 from repro.mutation.rebuild import ShadowRebuild
-from repro.serving import PlanExecution
+from tests.serving.helpers import fetch
 from tests.serving.reference_loop import overlap_saved
 
 
@@ -172,17 +172,15 @@ class TestDecodeCacheHygiene:
                              scheme=Scheme.NAIVE,
                              cost_model=mutable_deployment.cost_model)
         cid = client.meta.classify(small_dataset.queries[0])
-        fetcher = client.engine.fetcher
 
-        def fetch():
-            return fetcher.admit(*fetcher.read([cid], doorbell=False),
-                                 PlanExecution())[cid]
+        def refetch():
+            return fetch(client, [cid], doorbell=False)[cid]
 
-        first = fetch()
+        first = refetch()
         first.overflow.append(
             OverflowRecord(123456, cid,
                            np.zeros(client.meta.dim, dtype=np.float32)))
-        second = fetch()
+        second = refetch()
         assert all(record.global_id != 123456
                    for record in second.overflow)
 
@@ -200,9 +198,7 @@ class TestSearchingDerivesNothing:
                          config, name="retention",
                          cost_model=built_deployment.cost_model) as client:
             every = range(client.metadata.num_clusters)
-            fetcher = client.engine.fetcher
-            fetcher.admit(*fetcher.read(every, doorbell=True),
-                          PlanExecution())
+            fetch(client, every)
             gc.collect()
             tracemalloc.start()
             try:
@@ -236,9 +232,7 @@ class TestDecodeRetention:
 
     @staticmethod
     def fetch(client, cid):
-        fetcher = client.engine.fetcher
-        return fetcher.admit(*fetcher.read([cid], doorbell=False),
-                             PlanExecution())[cid]
+        return fetch(client, [cid], doorbell=False)[cid]
 
     @staticmethod
     def rebuild_group_of(writer, probe, base_gid=700_000):

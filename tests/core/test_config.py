@@ -19,9 +19,15 @@ class TestValidation:
         ("cache_fraction", 1.5),
         ("overflow_capacity_records", -1),
         ("region_headroom", 0.5),
+        # A NaN passes every range check (the build then died converting
+        # it to a region size); an infinity is no size either.
+        ("region_headroom", float("nan")),
+        ("region_headroom", float("inf")),
+        ("cache_fraction", float("nan")),
+        ("nprobe", float("nan")),
     ])
     def test_out_of_range_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             DHnswConfig(**{field: value})
 
     def test_meta_params_must_be_three_layered(self):

@@ -88,7 +88,7 @@ class TestCacheInteraction:
         plan = plan_batch([[7, 2], [2, 3]], cache, cache_capacity=8)
         assert [w.fetch_cluster_ids for w in plan.waves] == [(7, 3)]
         assert plan.clusters == ((7, (0,)), (2, (0, 1)), (3, (1,)))
-        assert plan.hit_groups() == [(2, [0, 1])]
+        assert plan.cache_hit_cluster_ids == (2,)
 
     def test_all_hits_fetch_nothing(self):
         cache = empty_cache()
@@ -97,7 +97,8 @@ class TestCacheInteraction:
         plan = plan_batch([[1], [2]], cache, cache_capacity=8)
         assert plan.waves == ()
         assert plan.total_fetches == 0
-        assert plan.hit_groups() == [(1, [0]), (2, [1])]
+        assert plan.cache_hit_cluster_ids == (1, 2)
+        assert plan.clusters == ((1, (0,)), (2, (1,)))
 
     def test_first_wave_rows(self):
         """The first wave is fixed once the row that first needs its last
@@ -153,7 +154,8 @@ def test_plan_properties(required, capacity, cached):
     assert all(len(w.fetch_cluster_ids) <= capacity for w in plan.waves)
     assert all(wave.fetch_cluster_ids for wave in plan.waves)
     serviced = [pair for wave in plan.waves for pair in wave.serviced]
-    serviced += [(q, cid) for cid, rows in plan.hit_groups() for q in rows]
+    serviced += [(q, cid) for cid, rows in plan.clusters
+                 if cid in plan.cache_hit_cluster_ids for q in rows]
     expected = {(q, c) for q, cids in enumerate(required) for c in set(cids)}
     assert set(serviced) == expected
     assert len(serviced) == len(expected)
@@ -198,5 +200,7 @@ def test_plan_naive_is_one_pair_per_wave_in_row_order(required):
     assert [w.serviced for w in plan.waves] == [(pair,) for pair in pairs]
     assert [w.fetch_cluster_ids for w in plan.waves] == [(c,)
                                                          for _, c in pairs]
+    # One search per pair, in the same order.
+    assert plan.clusters == tuple((c, (q,)) for q, c in pairs)
     assert plan.duplicate_requests_pruned == 0
     assert plan.cache_hit_cluster_ids == ()

@@ -79,7 +79,7 @@ class TestPrefetchAbandonedOnError:
         batch = client.search_batch(small_dataset.queries, 10, ef_search=32)
 
         assert calls > 1                      # the batch was re-planned
-        assert batch.pipeline_executed and batch.waves >= 2
+        assert batch.waves >= 2
         assert len(memory_node._guards) == 0
         fresh = make_client(built_deployment, config).search_batch(
             small_dataset.queries, 10, ef_search=32)

@@ -12,6 +12,7 @@ from repro.core.tuning import tune_ef_search
 from repro.errors import ConfigError
 from repro.metrics import recall_at_k
 from tests.serving import reference_loop
+from tests.serving.helpers import run_plan
 
 
 class TestTuneEfSearch:
@@ -80,7 +81,6 @@ class TestWavePipelining:
                                     ef_search=32)
         assert batch.waves >= 2
         assert batch.overlap_saved_us == 0.0
-        assert not batch.pipeline_executed
         # Nothing overlapped, so the serial reconstruction is the total.
         assert (batch.serial_latency_per_query_us
                 == pytest.approx(batch.latency_per_query_us))
@@ -97,7 +97,6 @@ class TestWavePipelining:
         batch = client.search_batch(small_dataset.queries, 10,
                                     ef_search=48)
         assert batch.waves >= 2  # tiny cache forces waves
-        assert batch.pipeline_executed
         assert batch.overlap_saved_us > 0.0
         assert (batch.latency_per_query_us
                 < batch.serial_latency_per_query_us)
@@ -115,7 +114,6 @@ class TestWavePipelining:
                           for _ in range(2))
         executions = reference_loop.install(oracle)
         batch = oracle.search_batch(small_dataset.queries, 10, ef_search=48)
-        assert batch.pipeline_executed
         assert batch.overlap_saved_us == pytest.approx(
             executions[-1].overlap_oracle_us, rel=1e-9, abs=1e-6)
         assert staged.search_batch(
@@ -135,7 +133,7 @@ class TestWavePipelining:
         hit, miss = client.meta.route_batch(query, 2, config.ef_meta)[0]
         executor = client.engine.executor
         warm = plan_batch([[hit]], client.cache, 1)
-        executor.execute_plan(warm, query, TopKMerger(1, 10), 10, 32)
+        run_plan(client, warm, query, TopKMerger(1, 10), 10, 32)
         plan = plan_batch([[hit, miss]], client.cache, 1)
         assert plan.cache_hit_cluster_ids == (hit,)
         hit_us = client.cost_model.compute_us(search_cluster_entry(
@@ -144,8 +142,7 @@ class TestWavePipelining:
         loop = executor.ready_list(plan, query, TopKMerger(1, 10), 10, 32)
         loop.start(len(query))
         read = loop.rings[0].token
-        executor.execute_plan(plan, query, TopKMerger(1, 10), 10, 32,
-                              loop=loop)
+        loop.run()
         hidden = client.node.stats.delta(before).overlapped_time_us
         assert hidden > 0.0
         assert hidden == pytest.approx(min(read.elapsed_us, hit_us))
@@ -182,7 +179,6 @@ class TestWavePipelining:
                             cost_model=built_deployment.cost_model)
         a = serial.search_batch(small_dataset.queries, 10, ef_search=48)
         b = piped.search_batch(small_dataset.queries, 10, ef_search=48)
-        assert b.pipeline_executed
         assert b.breakdown.network_us < a.breakdown.network_us
         # Exposed + hidden reconstructs the serial wire time.
         assert (b.breakdown.network_us + b.rdma.overlapped_time_us

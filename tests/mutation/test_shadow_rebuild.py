@@ -9,7 +9,7 @@ from repro.core import DHnswClient, Scheme, fsck
 from repro.errors import GroupSealedError
 from repro.layout.group_layout import OVERFLOW_SEALED, decode_overflow_tail
 from repro.mutation.rebuild import ShadowRebuild, writer_token
-from repro.serving.executor import PlanExecution
+from tests.serving.helpers import fetch
 
 MUTATION_STAGES = {"classify", "reserve", "snapshot", "build", "publish"}
 
@@ -400,9 +400,8 @@ class TestDramLedgerUnderChurn:
             cid = reader.meta.classify(probe)
             reader.search_batch(probe[None, :], 10)
             assert cid in reader.cache
-            fetcher = reader.engine.fetcher
             previous = reader.cache.peek(cid)
-            fetcher.admit(*fetcher.read([cid], True), PlanExecution())
+            fetch(reader, [cid])
             assert reader.cache.peek(cid) is not previous
             check("replaced")
         assert writer.mutation.stats.rebuilds_led >= 4

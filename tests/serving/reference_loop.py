@@ -1,27 +1,32 @@
-"""The pre-seam monolithic wave loop, kept test-side as a schedule oracle.
+"""Test-side transcriptions of every schedule the executor runs, as
+schedule oracles.
 
-A faithful transcription of the serving loop as it lived inside
-``DHnswClient`` before the staged decomposition: one function per former
-private method, operating directly on the client.  ``install(client)``
-swaps it in for the staged ``WaveExecutor`` schedules so
+The serving path runs one ready-list loop (``serving/executor.py``) for
+every scheme and config; this module writes each schedule it produces
+down again from its rule, independently of that loop, so
 ``test_engine_equivalence.py`` can run the same batches through both and
-assert bit-identical results, sub-evaluations, RDMA counters, and cache
-counters.
+assert bit-identical results, sub-evaluations, RDMA counters, cache
+counters and per-row stamps:
+
+* :func:`execute_plan_pipelined` — look-ahead on (``pipeline_waves``
+  under a deduplicating scheme): search whatever is in DRAM with two
+  waves open, hits optimistically ahead of their tail words;
+* :func:`execute_plan_serial` — look-ahead off: wave by wave, each READ
+  landed as soon as it is posted, the hits' tail words in the first;
+* :func:`execute_naive` — the naive scheme: one READ per ``(query,
+  cluster)`` pair, landed, searched and charged before the next.
 
 It is *not* an independent implementation of the substrate: it shares the
 client's fetcher (descriptors, admission, tail words, delta rings),
 decoder (memoization), cache and worker pools with the staged path —
 those are substrate, not orchestration.  What it pins is the *schedule*:
-the exact verb order, charge order, and cache interaction of the serial
-and naive loops of the monolith, and of the ready-list loop that replaced
-its double-buffered one (:func:`execute_plan_pipelined`, transcribed
-from the rule, not from ``src/``).  The pieces of the monolith that have
-left ``src/`` for good live here with it: its ``PlanExecution`` report,
-the decoder's deserialize side channel (``_DeserializeLedger``), the
-engine's lump charges (in ``install``) and the ``overlap_saved`` closed
-form of the double buffer.  It records no trace spans, so an installed
-client is single-request only; it pins entries as ``src/`` does, because
-the cache hands a streamed entry's DRAM back when its last pin drops.
+the exact verb order, charge order and cache interaction.  Pieces that
+have left ``src/`` live here with it: a ``PlanExecution`` report of its
+own, the decoder's deserialize side channel (``_DeserializeLedger``) and
+the ``overlap_saved`` closed form of the double buffer.  It records no
+trace spans, so an installed client is single-request only; it pins
+entries as ``src/`` does, because the cache hands a streamed entry's DRAM
+back when its last pin drops.
 
 Per-row completion stamps are derived here the oracle's own way — a
 countdown of each row's unmerged clusters against the clock read at each
@@ -40,7 +45,7 @@ import numpy as np
 from repro.core.cache import CachedCluster
 from repro.core.cluster_search import search_cluster_entry
 from repro.core.merge import TopKMerger
-from repro.core.query_planner import BatchPlan, Wave
+from repro.core.query_planner import BatchPlan
 from repro.errors import LayoutError
 from repro.layout.group_layout import overflow_tail_extent
 from repro.serving import executor as staged
@@ -48,8 +53,7 @@ from repro.serving import executor as staged
 
 @dataclasses.dataclass
 class PlanExecution:
-    """What the monolith's schedules reported back to its engine, which
-    then posted the charges the schedule had not (``charged_in_loop``)."""
+    """What a transcription reports back to the engine."""
 
     sub_evals: int = 0
     fetched: int = 0
@@ -57,14 +61,9 @@ class PlanExecution:
     #: Wire time hidden under compute, added up READ by READ from each
     #: token's duration and the wait its poll exposed.
     overlap_oracle_us: float = 0.0
-    #: True when deserialize + compute were charged cluster by cluster
-    #: inside the pipelined loop; the engine then skipped its lump charges.
-    charged_in_loop: bool = False
-    #: Simulated µs already charged to the sub-HNSW bucket in-loop.
+    #: Simulated µs charged to the sub-HNSW bucket (decode + search).
     charged_compute_us: float = 0.0
-    pipeline_executed: bool = False
-    #: Per row: the clock when its last cluster was merged (pipelined
-    #: schedule only; the serial and naive ones release with the batch).
+    #: Per row: the clock when its last cluster was merged.
     complete_us: np.ndarray | None = None
 
 
@@ -88,9 +87,8 @@ def overlap_saved(profiles: list[tuple[float, float]]) -> float:
 
 class _DeserializeLedger:
     """The monolith's decoder side channel: every ``decode_extent`` adds
-    the simulated deserialize cost of the payloads it was handed (and
-    ``_decode`` that of a short read's delta ring); the schedules drain
-    it."""
+    the simulated deserialize cost of the payloads it was handed; the
+    schedules drain it."""
 
     def __init__(self, decoder) -> None:
         self.pending_us = 0.0
@@ -113,104 +111,182 @@ class _DeserializeLedger:
 
 
 def install(client) -> list[PlanExecution]:
-    """Replace ``client``'s staged schedules with these.
+    """Replace ``client``'s ready-list loop with these transcriptions.
 
-    Instance attributes on the executor — the same seam the spine's
+    An instance attribute on the executor — the same seam the spine's
     tracer wraps — so the engine's ``_search_batch_once`` runs unchanged
-    around them: ``ready_list`` hands the engine a loop whose ``start``
-    posts the first READ mid-routing, ``execute_plan`` runs it (or the
-    serial schedule).  The replacement dispatches on the scheme as the
-    monolith's engine did (the naive schedule reads the ``(query,
-    cluster)`` pairs back out of the one-pair-per-wave plan), then posts
-    the lump charges that engine posted for schedules that did not charge
-    in-loop.  Returns the list each batch's oracle-side execution is
-    appended to.
+    around it: ``ready_list`` hands the engine a loop whose ``start``
+    posts the first READ once ``first_rows`` rows are routed and whose
+    ``run`` finishes the batch.  The transcription is picked from the
+    scheme and config, as the rule reads: the naive schedule takes the
+    ``(query, cluster)`` pairs back out of the one-pair-per-wave plan.
+    Returns the list each batch's oracle-side execution is appended to.
     """
     ledger = _DeserializeLedger(client.engine.decoder)
     executions: list[PlanExecution] = []
 
     def ready_list(plan, queries, merger, k, ef, trace=None):
-        if not (client.policy.deduplicate_batch
-                and client.config.pipeline_waves and plan.waves):
-            return None
         # A torn attempt (``StaleReadError``) leaves decodes it never
-        # charged; the retry must not inherit them (src fixed this in the
-        # staged loop, where the backlog lives on the attempt's execution).
+        # charged; the retry must not inherit them.
         ledger.drain()
-        steps = execute_plan_pipelined(client, plan, queries, merger, k, ef)
-        return types.SimpleNamespace(
-            start=lambda routed_rows: _start(steps, routed_rows),
-            steps=steps)
-
-    def run(plan, queries, merger, k, ef, trace=None, loop=None):
-        if loop is None:
-            loop = ready_list(plan, queries, merger, k, ef)
-            if loop is not None:
-                loop.start(len(queries))
-        if loop is not None:
-            execution = _finish(loop.steps)
-        elif client.policy.deduplicate_batch:
-            ledger.drain()
-            execution = execute_plan_serial(client, plan, queries, merger,
-                                            k, ef)
-        else:
-            ledger.drain()
+        if not client.policy.deduplicate_batch:
             required: list[list[int]] = [[] for _ in queries]
             for wave in plan.waves:
                 (query_index, cluster_id), = wave.serviced
                 required[query_index].append(cluster_id)
-            execution = execute_naive(client, required, queries, merger,
-                                      k, ef)
-        executions.append(execution)
-        if execution.charged_in_loop:
-            sub_hnsw_us = execution.charged_compute_us
-            ledger.drain()
+            steps = _after_routing(execute_naive, client, required,
+                                   queries, merger, k, ef)
+        elif client.config.pipeline_waves:
+            steps = execute_plan_pipelined(client, plan, queries, merger,
+                                           k, ef)
         else:
-            sub_hnsw_us = client.node.charge_compute(execution.sub_evals,
-                                                     client.meta.dim)
-            sub_hnsw_us += client.node.charge_time(ledger.drain())
-        return staged.PlanExecution(
-            sub_evals=execution.sub_evals, fetched=execution.fetched,
-            hit_count=execution.hit_count, sub_hnsw_us=sub_hnsw_us,
-            pipeline_executed=execution.pipeline_executed,
-            complete_us=execution.complete_us)
+            steps = _after_routing(execute_plan_serial, client, plan,
+                                   queries, merger, k, ef)
+        first_rows = (plan.first_wave_rows if client.policy.deduplicate_batch
+                      and client.config.pipeline_waves else len(queries))
+        return types.SimpleNamespace(
+            first_rows=first_rows,
+            start=lambda routed_rows: _start(steps, routed_rows),
+            run=lambda: _finish(steps, executions))
 
     client.engine.executor.ready_list = ready_list
-    client.engine.executor.execute_plan = run
     return executions
 
 
+def _after_routing(schedule, *args):
+    """A schedule that posts nothing before every row is routed, as a
+    generator of the same two pauses as the pipelined one."""
+    yield
+    yield
+    return schedule(*args)
+
+
 def _start(steps, routed_rows: int) -> None:
-    """Run the ready-list transcription up to its first READ."""
+    """Run a transcription up to its first READ."""
     steps.send(None)
     steps.send(routed_rows)
 
 
-def _finish(steps) -> PlanExecution:
-    """Run the ready-list transcription to the end."""
+def _finish(steps, executions: list[PlanExecution]) -> staged.PlanExecution:
+    """Run a transcription to the end; report it as ``src/`` does."""
     try:
         steps.send(None)
     except StopIteration as done:
-        return done.value
-    raise AssertionError("the ready-list loop yielded twice")
-
-
-def monolith_waves(plan: BatchPlan) -> tuple[Wave, ...]:
-    """The plan as the monolith's waves: a head wave of the hits (no
-    fetch, cluster id order), then the READ waves."""
-    hits = tuple((q, cid) for cid, rows in plan.hit_groups() for q in rows)
-    head = (Wave(fetch_cluster_ids=(), serviced=hits),) if hits else ()
-    return head + plan.waves
+        execution = done.value
+    else:
+        raise AssertionError("a transcription yielded twice")
+    executions.append(execution)
+    return staged.PlanExecution(
+        sub_evals=execution.sub_evals, fetched=execution.fetched,
+        hit_count=execution.hit_count,
+        sub_hnsw_us=execution.charged_compute_us,
+        complete_us=execution.complete_us)
 
 
 def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
                         merger: TopKMerger, k: int, ef: int) -> PlanExecution:
-    """Strictly serial wave schedule: fetch, then search, per wave."""
+    """Look-ahead off, transcribed wave by wave.
+
+    Take and pin the hits.  Then per wave: post its READ — the first one
+    with the tail words of every hit (a READ of the words alone when
+    nothing is fetched) — and poll it at once; decode, top up and offer
+    what it fetched; note the words, and land the delta ring of the hits
+    they show lagging at once too.  Only then search, earliest-needed
+    first among the clusters in DRAM, until every cluster of this wave has
+    been searched (after the last READ: until every cluster has been);
+    each search charges its cluster's decode, then its evaluations, and
+    is final.  Nothing is searched while a READ is outstanding.
+    """
     execution = PlanExecution()
-    for wave in monolith_waves(plan):
-        entries = _load_wave(host, wave, execution)
-        execution.sub_evals += _run_wave_compute(
-            host, wave, entries, queries, merger, k, ef)
+    fetcher, cache, clock = host.engine.fetcher, host.cache, host.node.clock
+    ledger = host.engine.decoder.deserialize_ledger
+    doorbell = host.policy.doorbell_batching
+    cluster_of = [cid for cid, _ in plan.clusters]
+    rows_of = [list(rows) for _, rows in plan.clusters]
+    countdown = collections.Counter(row for rows in rows_of for row in rows)
+    complete_us = np.full(len(queries), np.nan)
+    hit_ids = set(plan.cache_hit_cluster_ids)
+    hits = [pos for pos, cid in enumerate(cluster_of) if cid in hit_ids]
+    unfilled = {cid: [pos for pos, other in enumerate(cluster_of)
+                      if other == cid] for cid in set(cluster_of) - hit_ids}
+    in_dram: dict[int, CachedCluster] = {}
+    owed: dict[int, float] = {}
+    searched: set[int] = set()
+
+    def search(pos: int) -> None:
+        entry = in_dram[pos]
+        started = time.perf_counter()
+        output = search_cluster_entry(entry, queries[rows_of[pos]], k, ef)
+        host.node.record_wall_compute(time.perf_counter() - started)
+        execution.charged_compute_us += host.node.charge_time(
+            owed.pop(pos, 0.0))
+        execution.charged_compute_us += host.node.charge_compute(
+            output.evals, host.meta.dim)
+        for place, row in enumerate(rows_of[pos]):
+            merger.add(row, output.gids[place], output.dists[place])
+        execution.sub_evals += output.evals
+        searched.add(pos)
+        cache.unpin(entry)
+        for row in rows_of[pos]:
+            countdown[row] -= 1
+            if countdown[row] == 0:
+                complete_us[row] = clock.now_us
+
+    try:
+        for pos in hits:
+            entry = cache.get(cluster_of[pos])
+            if entry is None:
+                raise LayoutError(f"planned hit {cluster_of[pos]} left "
+                                  f"the cache")
+            cache.pin(entry)
+            in_dram[pos] = entry
+            execution.hit_count += 1
+        reads = [wave.fetch_cluster_ids for wave in plan.waves]
+        if not reads and hits:
+            reads = [()]
+        for index, fetch_ids in enumerate(reads):
+            groups: dict[int, list[int]] = {}
+            for pos in hits if index == 0 else ():
+                groups.setdefault(host.metadata.clusters[
+                    cluster_of[pos]].group_id, []).append(pos)
+            group_ids = sorted(groups)
+            token, extents = fetcher.issue_async(list(fetch_ids), doorbell,
+                                                 group_ids)
+            payloads = host.transport.poll(token)
+            wave = [unfilled[cid].pop(0) for cid in fetch_ids]
+            loaded = {}
+            parts = iter(payloads[len(group_ids):])
+            for (cid, ranges), pos in zip(extents, wave):
+                ledger.drain()
+                loaded[cid] = host.engine.decoder.decode_extent(
+                    cid, ranges, [next(parts) for _ in ranges])
+                owed[pos] = ledger.drain()
+            if wave:
+                owed[wave[0]] += host.cost_model.deserialize_us(
+                    fetcher.top_up(loaded.values()))
+            execution.fetched += len(loaded)
+            if host.policy.use_cluster_cache:
+                fetcher.offer(loaded.values())
+            for cid, pos in zip(fetch_ids, wave):
+                cache.pin(loaded[cid])
+                in_dram[pos] = loaded[cid]
+            if group_ids:
+                fetcher.note_tails(group_ids, payloads)
+                lagging = fetcher.issue_top_up(
+                    [in_dram[pos] for gid in group_ids for pos in groups[gid]])
+                if lagging is not None:
+                    ring, delta = lagging
+                    fetcher.graft(delta, host.transport.poll(ring))
+            last = index == len(reads) - 1
+            while any(pos not in searched
+                      for pos in (in_dram if last else wave)):
+                search(min(pos for pos in in_dram if pos not in searched))
+    finally:
+        for pos, entry in in_dram.items():
+            if pos not in searched:
+                cache.unpin(entry)
+    complete_us[np.isnan(complete_us)] = clock.now_us
+    execution.complete_us = complete_us
     return execution
 
 
@@ -232,7 +308,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
     the word shows lagging waits for its delta ring and is searched
     again.  A row is stamped at the merge of its last cluster.
     """
-    execution = PlanExecution(charged_in_loop=True, pipeline_executed=True)
+    execution = PlanExecution()
     fetcher, cache, clock = host.engine.fetcher, host.cache, host.node.clock
     ledger = host.engine.decoder.deserialize_ledger
     doorbell = host.policy.doorbell_batching
@@ -272,7 +348,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             groups.setdefault(host.metadata.clusters[cid].group_id,
                               []).append(cid)
         group_ids = sorted(groups)
-        descriptors, extents = _extent_descriptors(host, list(fetch_ids))
+        descriptors, extents = fetcher.extent_descriptors(list(fetch_ids))
         words = fetcher._descriptors(
             overflow_tail_extent(host.metadata.groups[gid])
             for gid in group_ids)
@@ -394,105 +470,36 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
 
 def execute_naive(host, required: list[list[int]], queries: np.ndarray,
                   merger: TopKMerger, k: int, ef: int) -> PlanExecution:
-    """Naive d-HNSW: one READ round trip per (query, cluster) pair."""
+    """Naive d-HNSW: per ``(query, cluster)`` pair, in query order, one
+    READ without a doorbell, polled at once, decoded and searched; the
+    decode, then the evaluations, are charged before the next READ is
+    posted, and a row is final with its last pair."""
     execution = PlanExecution()
+    fetcher, clock = host.engine.fetcher, host.node.clock
+    ledger = host.engine.decoder.deserialize_ledger
+    complete_us = np.full(len(queries), np.nan)
     for query_index, cluster_ids in enumerate(required):
         for cid in cluster_ids:
-            entry = _fetch_clusters(host, [cid], doorbell=False)[cid]
+            token, extents = fetcher.issue_async([cid], False)
+            payloads = host.transport.poll(token)
+            ledger.drain()
+            (_, ranges), = extents
+            entry = host.engine.decoder.decode_extent(cid, ranges, payloads)
+            decode_us = ledger.drain()
+            decode_us += host.cost_model.deserialize_us(
+                fetcher.top_up([entry]))
             execution.fetched += 1
+            started = time.perf_counter()
             output = search_cluster_entry(
                 entry, queries[query_index:query_index + 1], k, ef)
+            host.node.record_wall_compute(time.perf_counter() - started)
+            execution.charged_compute_us += host.node.charge_time(decode_us)
+            execution.charged_compute_us += host.node.charge_compute(
+                output.evals, host.meta.dim)
             execution.sub_evals += output.evals
             merger.add(query_index, output.gids[0], output.dists[0])
+        if cluster_ids:
+            complete_us[query_index] = clock.now_us
+    complete_us[np.isnan(complete_us)] = clock.now_us
+    execution.complete_us = complete_us
     return execution
-
-
-# ----------------------------------------------------------------------
-# Former private helpers of the monolith
-# ----------------------------------------------------------------------
-def _extent_descriptors(host, cluster_ids: list[int]):
-    return host.engine.fetcher.extent_descriptors(cluster_ids)
-
-
-def _decode(host, extents, payloads) -> dict[int, CachedCluster]:
-    """Decode one READ's extents; entries whose slots ran short of the
-    tail word are topped up by the fetcher's delta ring (substrate, like
-    the descriptors), its bytes deserialized like any others."""
-    decoder = host.engine.decoder
-    parts = iter(payloads)
-    loaded = {cid: decoder.decode_extent(cid, ranges,
-                                         [next(parts) for _ in ranges])
-              for cid, ranges in extents}
-    decoder.deserialize_ledger.add(
-        host.engine.fetcher.top_up(loaded.values()))
-    return loaded
-
-
-def _fetch_clusters(host, cluster_ids: list[int],
-                    doorbell: bool) -> dict[int, CachedCluster]:
-    descriptors, extents = _extent_descriptors(host, cluster_ids)
-    payloads = host.transport.read_batch(descriptors, doorbell=doorbell)
-    return _decode(host, extents, payloads)
-
-
-def _load_wave(host, wave: Wave,
-               execution: PlanExecution) -> dict[int, CachedCluster]:
-    entries: dict[int, CachedCluster] = {}
-    if wave.fetch_cluster_ids:
-        loaded = _fetch_clusters(host, list(wave.fetch_cluster_ids),
-                                 host.policy.doorbell_batching)
-        execution.fetched += len(loaded)
-        if host.policy.use_cluster_cache:
-            host.engine.fetcher.offer(loaded.values())
-        entries.update(loaded)
-    else:
-        _load_hit_wave(host, wave, entries, execution)
-    return entries
-
-
-def _load_hit_wave(host, wave: Wave, entries: dict[int, CachedCluster],
-                   execution: PlanExecution) -> None:
-    hit_ids = sorted({cid for _, cid in wave.serviced})
-    if hit_ids:
-        host.engine.fetcher.validate_cached(hit_ids)
-    for cid in hit_ids:
-        entry = host.cache.get(cid)
-        if entry is None:
-            raise LayoutError(f"planned hit {cid} left the cache")
-        execution.hit_count += 1
-        entries[cid] = entry
-
-
-def _run_wave_compute(host, wave: Wave, entries: dict[int, CachedCluster],
-                      queries: np.ndarray, merger: TopKMerger, k: int,
-                      ef: int) -> int:
-    tasks: list[tuple[int, CachedCluster, list[int]]] = []
-    for cid, query_indices in wave.cluster_groups():
-        entry = entries.get(cid)
-        if entry is None:
-            entry = host.cache.peek(cid)
-        if entry is None:
-            raise LayoutError(f"planned cluster {cid} missing during wave")
-        tasks.append((cid, entry, query_indices))
-    workers = host.config.search_workers
-    executor = host.engine.executor
-    for _, entry, _ in tasks:
-        host.cache.pin(entry)
-    started = time.perf_counter()
-    if workers > 1 and len(tasks) > 1:
-        outputs = executor._get_search_pool().run_wave(
-            [(cid, (entry.extent_epoch, entry.overflow_tail),
-              entry, queries[query_indices], k, ef)
-             for cid, entry, query_indices in tasks])
-    else:
-        outputs = [search_cluster_entry(entry, queries[query_indices], k, ef)
-                   for _, entry, query_indices in tasks]
-    for _, entry, _ in tasks:
-        host.cache.unpin(entry)
-    host.node.record_wall_compute(time.perf_counter() - started)
-    wave_evals = 0
-    for (_, _, query_indices), output in zip(tasks, outputs):
-        wave_evals += output.evals
-        for row, query_index in enumerate(query_indices):
-            merger.add(query_index, output.gids[row], output.dists[row])
-    return wave_evals

@@ -89,14 +89,14 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
     streamed = []
     run_wave_compute = client.engine.executor.run_wave_compute
 
-    def checked(wave, entries, *args, **kwargs):
-        passing = [entry for entry in entries.values() if entry.streamed]
+    def checked(tasks, *args, **kwargs):
+        passing = [entry for _, entry, _ in tasks if entry.streamed]
         assert client.cache.held_bytes == (
             client.cache.cached_bytes
             + sum(entry.nbytes for entry in passing))
         assert client.dram_used_bytes == fixed + client.cache.held_bytes
         streamed.extend(passing)
-        return run_wave_compute(wave, entries, *args, **kwargs)
+        return run_wave_compute(tasks, *args, **kwargs)
 
     client.engine.executor.run_wave_compute = checked
     served_cold = 0

@@ -1,11 +1,11 @@
-"""Staged pipeline vs the monolithic reference loop, bit for bit.
+"""The ready-list loop vs its test-side transcriptions, bit for bit.
 
-The refactor's acceptance oracle: ``reference_loop.install`` makes a
-client replay the pre-refactor monolithic wave loop.  For every executor
-configuration, a staged client and a reference client over the same
-layout must produce identical answers *and* identical simulated ledgers —
-same RdmaStats field by field, same latency breakdown, same cache
-counters.
+``reference_loop.install`` makes a client replay, from its rule, the
+schedule its scheme and config call for (look-ahead on or off, or the
+naive scheme's).  For every executor configuration, a staged client and
+a reference client over the same layout must produce identical answers
+*and* identical simulated ledgers — same RdmaStats field by field, same
+latency breakdown, same cache counters, same per-row stamps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.mutation.rebuild import ShadowRebuild
 from repro.rdma import CostModel
 from tests.mutation.test_shadow_rebuild import CutoverDuringFetch, fill_group
 from tests.serving import reference_loop
+from tests.serving.helpers import run_plan
 from tests.serving.test_tiered_equivalence import base_config, make_world
 
 # Row ids predate the single worker pool and are kept so the suite's ids
@@ -38,6 +39,8 @@ MATRIX = [
     ("process", 1),
     ("process", 4),
 ]
+#: ``pipeline_waves`` off (the ids predate the one loop: "serial" is
+#: look-ahead off) and on.
 SCHEDULES = pytest.mark.parametrize("pipeline", [False, True],
                                     ids=["serial", "pipelined"])
 
@@ -83,10 +86,9 @@ def assert_batches_identical(staged, oracle):
     assert staged.waves == oracle.waves
     assert (staged.duplicate_requests_pruned
             == oracle.duplicate_requests_pruned)
-    assert staged.pipeline_executed == oracle.pipeline_executed
     assert staged.overlap_saved_us == oracle.overlap_saved_us
-    # Per-row completion: the oracle counts pairs down, ``src/`` indexes
-    # a per-wave clock — same stamps, to the bit.
+    # Per-row completion: both count each row's clusters down against the
+    # clock at each merge — same stamps, to the bit.
     assert staged.complete_us.dtype == np.float64
     np.testing.assert_array_equal(staged.complete_us, oracle.complete_us)
 
@@ -132,14 +134,10 @@ def assert_stamps_follow_the_plan(result, last_merge, batch_end_us):
     """``complete_us`` row by row: a row's stamp is the clock when its
     own last cluster was merged (searched, and a hit's tail word in) —
     never the end of the READ wave it came with — and the last stamp is
-    the batch end; a schedule that charged nothing cluster by cluster
-    releases every row there."""
+    the batch end."""
     stamps = result.complete_us
     assert stamps.shape == (result.batch_size,)
     assert stamps.max() == batch_end_us
-    if not result.pipeline_executed:
-        assert (stamps == batch_end_us).all()
-        return
     for row in range(result.batch_size):
         assert stamps[row] == last_merge.get(row, batch_end_us), row
 
@@ -171,9 +169,11 @@ def test_staged_matches_reference(built_deployment, small_dataset,
         built_deployment, pipeline_waves=pipeline, search_workers=workers,
         oracle_workers=1 if executor == "thread" else None)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
-    assert result.waves >= 2 and result.pipeline_executed == pipeline
-    # Under the ready-list loop some row is final before the batch is.
-    assert (result.complete_us.min() < result.complete_us.max()) == pipeline
+    assert result.waves >= 2
+    # Wire time hides only under look-ahead; either way some row is final
+    # before the batch is.
+    assert (result.overlap_saved_us > 0.0) == pipeline
+    assert result.complete_us.min() < result.complete_us.max()
     # Only the staged path populates per-stage traces.
     assert result.trace is not None
     assert result.trace.total_sim_us > 0.0
@@ -212,8 +212,8 @@ def test_hit_evicted_between_planning_and_execution(
     try:
         for client in (staged, oracle):
             with pytest.raises(LayoutError, match="planned hit 0"):
-                client.engine.executor.execute_plan(
-                    plan, queries, TopKMerger(len(queries), 10), 10, 20)
+                run_plan(client, plan, queries, TopKMerger(len(queries), 10),
+                         10, 20)
         assert_ledgers_identical(staged, oracle)
         assert staged.node.stats.round_trips == rings
         assert len(staged.cache) == 0
@@ -222,16 +222,19 @@ def test_hit_evicted_between_planning_and_execution(
         oracle.close()
 
 
-def test_single_wave_batch_never_looks_ahead(built_deployment,
-                                             small_dataset):
-    """``pipeline_waves`` with a plan that fetches nothing (every cluster
-    a hit) is the serial schedule: deferred charges, nothing in flight."""
-    staged, oracle = make_pair(built_deployment, pipeline_waves=True,
+@SCHEDULES
+def test_all_hit_batch_reads_its_tail_words_once(built_deployment,
+                                                 small_dataset, pipeline):
+    """A plan that fetches nothing (every cluster a hit) posts one READ,
+    of its hits' tail words.  Under look-ahead the hits are searched
+    while it is on the wire, so its time hides; without, it lands
+    first."""
+    staged, oracle = make_pair(built_deployment, pipeline_waves=pipeline,
                                cache_fraction=1.0)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
     assert result.waves == 0 and result.cache_hits > 0
-    assert not result.pipeline_executed
-    assert result.overlap_saved_us == 0.0
+    assert result.rdma.round_trips == 2          # the version peek, the words
+    assert (result.overlap_saved_us > 0.0) == pipeline
 
 
 def test_no_doorbell_pipelined(built_deployment, small_dataset):
@@ -240,12 +243,12 @@ def test_no_doorbell_pipelined(built_deployment, small_dataset):
     staged, oracle = make_pair(built_deployment, Scheme.NO_DOORBELL,
                                pipeline_waves=True)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:12])
-    assert result.pipeline_executed and result.overlap_saved_us > 0.0
+    assert result.overlap_saved_us > 0.0
 
 
 def test_reference_covers_naive_path(built_deployment, small_dataset):
     """The naive scheme is a plan of one pair per wave through the same
-    loop; the oracle still runs the monolith's dedicated naive schedule."""
+    loop, look-ahead off; the oracle runs its own naive transcription."""
     staged, oracle = make_pair(built_deployment, Scheme.NAIVE)
     result = run_cold_then_warm(staged, oracle, small_dataset.queries[:6],
                                 k=5)
@@ -323,8 +326,8 @@ def test_peer_inserts_between_batches(mutable_deployment, small_dataset,
         assert_batches_identical(result, oracle.search_batch(queries, k=10))
         assert_ledgers_identical(staged, oracle)
         assert result.results[0].ids[0] == 910_000
-        # The version peek and one ring per wave — and the tails ring
-        # (serial) or the delta rings this test is about.
+        # The version peek and one ring per wave (the tail words ride in
+        # the first) — and the delta rings this test is about.
         assert result.cache_hits > 0
         rings = staged.node.stats.delta(before).round_trips
         assert rings - 1 - result.waves >= 1
@@ -372,7 +375,6 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
         merges = record_merges(reader)
         result = reader.search_batch(vectors, 1, ef_search=64)
         assert reader.transport.triggered == 1 and len(attempt_starts) == 2
-        assert result.pipeline_executed
         assert result.complete_us.min() > attempt_starts[1]
         assert_stamps_follow_the_plan(result, merges[-1],
                                       reader.node.clock.now_us)
@@ -436,7 +438,7 @@ def test_cold_tier_rows_complete_with_the_batch():
     finally:
         staged.close()
         oracle.close()
-    assert result.pipeline_executed and result.cold_clusters_served > 0
+    assert result.cold_clusters_served > 0
     _, cold_required = splits[-1]
     assert set(cold_required) == cold_ids
     cold_rows = sorted({row for rows in cold_required.values()
@@ -465,5 +467,4 @@ def test_worker_processes_stamp_as_inline_does(built_deployment,
     finally:
         for client in clients:
             client.close()
-    assert inline.pipeline_executed
     np.testing.assert_array_equal(inline.complete_us, pooled.complete_us)

@@ -39,10 +39,12 @@ from repro.layout.serializer import (
     pack_overflow_records,
     serialize_cluster,
 )
+from repro.core.merge import TopKMerger
+from repro.core.query_planner import plan_batch
 from repro.rdma import CostModel
 from repro.serving import fetcher as fetcher_module
-from repro.serving.executor import PlanExecution
 from repro.serving.fetcher import TAIL_SLACK_SLOTS
+from tests.serving.helpers import fetch, run_plan
 
 DIM = 8
 #: A WQE that costs nothing is never worth a hole: second members always
@@ -71,13 +73,6 @@ def make_client(deployment, cost_model=None, name="reader", **overrides):
                        deployment.config.replace(**overrides),
                        cost_model=cost_model or deployment.cost_model,
                        name=name)
-
-
-def fetch(client, cluster_ids):
-    """One wave's fetch of ``cluster_ids`` through the served path."""
-    fetcher = client.engine.fetcher
-    return fetcher.admit(*fetcher.read(cluster_ids, doorbell=True),
-                         PlanExecution())
 
 
 def write_area(layout, group, raw_tail: int, records, poison) -> None:
@@ -225,21 +220,22 @@ def test_area_sealed_before_the_delta_ring_is_a_stale_read(cid):
     record = OverflowRecord(7, cid, np.ones(DIM, dtype=np.float32))
     write_area(layout, group, 3, [record] * 3, record)
     with slack(1), make_client(deployment, SPLIT) as client:
+        # The extent READ is posted and polled; the delta ring is the
+        # fetch's one blocking READ.
         read_batch = client.transport.read_batch
         rings = []
 
-        def seal_after_the_extent_read(descriptors, doorbell=True):
-            if rings:
-                layout.memory_node.fetch_and_add(
-                    layout.rkey, layout.addr(group.overflow_offset),
-                    OVERFLOW_SEALED)
+        def seal_before_the_delta_ring(descriptors, doorbell=True):
+            layout.memory_node.fetch_and_add(
+                layout.rkey, layout.addr(group.overflow_offset),
+                OVERFLOW_SEALED)
             rings.append(len(descriptors))
             return read_batch(descriptors, doorbell=doorbell)
 
-        client.transport.read_batch = seal_after_the_extent_read
+        client.transport.read_batch = seal_before_the_delta_ring
         with pytest.raises(StaleReadError, match="sealed"):
             fetch(client, [cid])
-        assert len(rings) == 2
+        assert len(rings) == 1
         assert client.cache.peek(cid) is None
 
 
@@ -404,10 +400,21 @@ def test_cutover_between_extent_and_delta_reads_is_retried(deployment):
         assert entry.overflow_tail == 0          # all merged into the blob
 
 
+def search_hits(client, cluster_ids, query):
+    """One batch of ``query`` probing ``cluster_ids``, every one a hit:
+    the loop's READ of their tail words, then a delta ring for the ones
+    a peer's insert left behind, while the hits stay pinned."""
+    plan = plan_batch([list(cluster_ids)], client.cache,
+                      client.cache.capacity_clusters)
+    assert plan.waves == ()
+    return run_plan(client, plan, query[None, :], TopKMerger(1, 10), 10, 20)
+
+
 def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
     """Four cached clusters in three groups (both members of one), a
-    peer's insert in each group: validation costs the tails ring plus one
-    delta ring, and every distinct delta crosses the wire once."""
+    peer's insert in each group: an all-hit batch costs the tails ring
+    plus one delta ring, and every distinct delta crosses the wire
+    once."""
     vectors = corpus(360, SCENARIO_DIM)
     record = overflow_record_size(SCENARIO_DIM)
     with make_client(deployment, name="writer") as writer, \
@@ -429,7 +436,7 @@ def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
         dram = reader.dram_used_bytes
 
         rings, nbytes, _ = rings_and_bytes(
-            reader, lambda: reader.engine.fetcher.validate_cached(cached))
+            reader, lambda: search_hits(reader, cached, vectors[0]))
 
         assert rings == 2
         deltas = sum(OVERFLOW_TAIL_BYTES + count * record
@@ -449,21 +456,22 @@ def test_hit_wave_validation_fetches_each_stale_group_once(deployment):
         # Both members of group 0 saw its records; each kept its own.
         assert (len(reader.cache.peek(0).overflow)
                 + len(reader.cache.peek(1).overflow)) == inserted[0]
-        # Nothing is stale now: the next validation is the tails ring only.
+        # Nothing is stale now: the next batch is the tails ring only.
         assert rings_and_bytes(
-            reader, lambda: reader.engine.fetcher.validate_cached(cached)
+            reader, lambda: search_hits(reader, cached, vectors[0])
         )[:2] == (1, 3 * OVERFLOW_TAIL_BYTES)
 
 
 def test_validation_at_the_byte_cap_evicts_no_hit(deployment):
     """A peer's records grafted onto a hit held at the byte cap would
-    have the grown hit evict its sibling, which the batch is about to
-    search: validated entries stay pinned while their deltas land, so
+    have the grown hit evict its sibling, which the batch has yet to
+    search: without look-ahead nothing is searched before the delta ring
+    lands, and the loop pins every hit until its answer is final, so
     both stay, over the cap until a later put."""
     probe = corpus(360, SCENARIO_DIM)[0]
     record = overflow_record_size(SCENARIO_DIM)
     with make_client(deployment, name="writer") as writer, \
-            make_client(deployment) as reader:
+            make_client(deployment, pipeline_waves=False) as reader:
         clusters = reader.metadata.clusters
         grown = reader.meta.classify(probe)
         sibling = next(cid for cid, cluster in enumerate(clusters)
@@ -472,11 +480,45 @@ def test_validation_at_the_byte_cap_evicts_no_hit(deployment):
         cache = reader.cache
         cache.capacity_bytes = cache.cached_bytes
         insert_near(writer, probe, 2, 56_000)
-        reader.engine.fetcher.validate_cached([sibling, grown])
+        search_hits(reader, [sibling, grown], probe)
         assert hits[grown].overflow_tail == 2
         assert cache.peek(sibling) is hits[sibling]
         assert cache.peek(grown) is hits[grown]
         assert cache.cached_bytes == cache.capacity_bytes + 2 * record
+
+
+def test_look_ahead_releases_a_final_hit_to_the_byte_cap(deployment):
+    """Under look-ahead both hits are searched while their tail words fly;
+    the sibling's answer is final once its word lands, and the loop
+    unpins it there.  The grown hit's graft, which lands later, then
+    evicts it to stay under the cap — after its answer is merged: the
+    batch answers as a fresh look-ahead-off reader does."""
+    probe = corpus(360, SCENARIO_DIM)[0]
+    with make_client(deployment, name="writer") as writer, \
+            make_client(deployment, pipeline_waves=True) as reader, \
+            make_client(deployment, pipeline_waves=False,
+                        name="fresh") as fresh:
+        clusters = reader.metadata.clusters
+        grown = reader.meta.classify(probe)
+        sibling = next(cid for cid, cluster in enumerate(clusters)
+                       if cluster.group_id != clusters[grown].group_id)
+        hits = fetch(reader, [sibling, grown])
+        cache = reader.cache
+        cache.capacity_bytes = cache.cached_bytes
+        insert_near(writer, probe, 2, 56_000)
+        answers = []
+        for client in (reader, fresh):
+            merger = TopKMerger(1, 10)
+            plan = plan_batch([[sibling, grown]], client.cache,
+                              client.cache.capacity_clusters)
+            run_plan(client, plan, probe[None, :], merger, 10, 20)
+            answers.append(merger.top(0))
+        assert cache.peek(grown) is hits[grown]
+        assert cache.peek(sibling) is None
+        assert cache.cached_bytes <= cache.capacity_bytes
+    np.testing.assert_array_equal(answers[0][0], answers[1][0])
+    np.testing.assert_array_equal(answers[0][1], answers[1][1])
+    assert 56_000 in answers[0][0]
 
 
 def test_own_write_grows_the_cached_entry_it_patches(deployment):

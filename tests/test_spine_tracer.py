@@ -59,9 +59,11 @@ def test_every_bound_name_exists_and_records_spans(small_dataset,
         batch = client.search_batch(small_dataset.queries[:8], 10)
         batch_spans = tracer.spans[first_span:]
         client.insert(small_dataset.queries[0], 70_000)
-        # A blocking doorbell READ: the serial schedule's verb (the
-        # pipelined one posts every READ asynchronously).
-        client.engine.fetcher.read([0], True)
+        # A blocking doorbell READ: the verb of a short fetch's delta
+        # ring and of the cold tier (the loop posts its READs
+        # asynchronously).
+        descriptors, _ = client.engine.fetcher.extent_descriptors([0])
+        client.transport.read_batch(descriptors, doorbell=True)
         rng = np.random.default_rng(3)
         door.run(make_requests(poisson_arrivals(3000.0, 6, rng),
                                small_dataset.queries, k=10, slo_us=50_000.0,
