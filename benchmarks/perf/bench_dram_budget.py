@@ -1,27 +1,24 @@
-"""Hot/cold tiered-memory benchmark: DRAM footprint vs quality.
+"""DRAM-budget benchmark: peak compute DRAM vs quality under a byte cap.
 
-Every cluster also has a compact cold extent (labels + short codes)
-served with one RDMA READ + ADC + a narrow exact rerank, and the
-full-precision cluster cache is the hot tier: ``hot_tier_budget_bytes``
-is its byte cap, a cluster it would admit (frequency x bytes, judged
-before the fetch) is fetched full-precision and admitted, and any other
-is served cold.  Promotions and demotions are the cache's admissions and
-evictions, reported per budget with its streams, ``cached_bytes`` and
-resident count.  This harness stands up
-the CI scenario (200k x 128d, 400 clusters, batch 256) under a Zipfian
-cluster-popularity workload and gates the memory-frontier claim:
+The cluster cache takes a byte cap (``hot_tier_budget_bytes``): its
+residents hold at most the cap, a fetched cluster it will not keep is
+searched in its wave and dropped (streamed), and the planner sizes each
+wave in bytes, so the waves open at once stream at most the cap too.
+This harness builds the CI scenario once (200k x 128d, 400 clusters,
+batch 256), serves a Zipfian cluster-popularity workload with no cap
+(the baseline: every cluster stays resident), then sweeps the cap as a
+fraction of the baseline's peak DRAM, and gates the memory frontier:
 
-* **DRAM reduction** — some swept hot-tier budget must cut steady-state
-  compute DRAM by >= 70 % against the untiered baseline...
+* **peak DRAM reduction** — some swept cap must cut *peak* compute DRAM
+  (the meta-HNSW plus ``ClusterCache.peak_held_bytes``, the most the
+  cache held at any point of the run, streams in flight included) by
+  >= 70 % against the baseline's peak...
 * **recall floor** — ...while keeping >= 95 % of the baseline's
   recall@10...
-* **latency ceiling** — ...with p99 simulated batch latency within
-  1.65x of the baseline's (``p99_added_us`` reports the difference);
-* **off bit-identity** — ``cold_tier="off"`` must remain *exactly*
-  today's engine: byte-identical base extents between an off build and
-  a pq build (staged-vs-reference-loop identity of the off path is
-  ``tests/serving/test_engine_equivalence.py``'s job).
+* **latency ceiling** — ...with p99 simulated per-query latency within
+  1.65x of the baseline's (``p99_added_us`` reports the difference).
 
+Each cap's section records its peak and after-run DRAM, p99 and recall.
 Every gate prints its verdict, and the report is written either way.
 Under ``--ci`` and the full run a violated gate then exits non-zero, so
 the CI perf-smoke job doubles as a regression gate and a red run still
@@ -30,11 +27,12 @@ only reports.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/bench_tiered.py           # full
-    PYTHONPATH=src python benchmarks/perf/bench_tiered.py --ci      # 200k
-    PYTHONPATH=src python benchmarks/perf/bench_tiered.py --quick   # 30k
+    PYTHONPATH=src python benchmarks/perf/bench_dram_budget.py           # full
+    PYTHONPATH=src python benchmarks/perf/bench_dram_budget.py --ci      # 200k
+    PYTHONPATH=src python benchmarks/perf/bench_dram_budget.py --quick   # 30k
 
-Writes ``benchmarks/perf/BENCH_tiered.json`` (override with ``--output``).
+Writes ``benchmarks/perf/BENCH_dram_budget.json`` (override with
+``--output``).
 """
 
 from __future__ import annotations
@@ -51,10 +49,9 @@ from repro.cluster import Deployment
 from repro.core import DHnswClient, DHnswConfig
 from repro.core.partitions import assign_partitions
 from repro.datasets import exact_knn, sift1m_like
-from repro.layout.group_layout import cluster_read_extent
 from repro.workloads import zipfian_cluster_queries
 
-DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_tiered.json"
+DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "BENCH_dram_budget.json"
 
 #: ``ci`` is the scenario the acceptance criteria name: 200k x 128d in
 #: 400 clusters, batch 256.  ``quick`` exists for local iteration;
@@ -68,22 +65,17 @@ SCALES = {
                   batch_size=128, batches=6, eval_queries=128),
 }
 
-#: Swept hot-tier budgets, as fractions of the baseline's steady-state
-#: compute-DRAM footprint.
+#: Swept byte caps, as fractions of the baseline's peak compute DRAM.
 BUDGET_FRACTIONS = [0.05, 0.15, 0.25]
 
 #: Batches excluded from the latency percentile: the first few batches
-#: pay cold-start fetches and tier warm-up on both sides of the
-#: comparison, and the gate is about *steady-state* p99.
+#: pay cold-start fetches on both sides of the comparison, and the gate
+#: is about *steady-state* p99.
 WARMUP_BATCHES = 3
 
-#: Acceptance thresholds.  The p99 ceiling was 1.5x while every query
-#: probed all ``nprobe`` partitions.  Distance-gap routing cut the
-#: untiered p99 94.01 -> 70.49 us and the tier's *added* p99 at budgets
-#: 25 / 15 / 5 % from 43.43 / 49.24 / 59.31 to 42.76 / 47.21 / 54.74 us,
-#: but not the per-query cold cost (64 ADC tables of 256 centroids plus
-#: a ``rerank_depth``-vector rerank), so the ratio rose 1.46 / 1.52 / 1.63 ->
-#: 1.61 / 1.67 / 1.78 on a smaller denominator.
+#: Acceptance thresholds, unchanged since they gated the retired PQ cold
+#: tier (on DRAM after the run, which cannot see a peak; this gate reads
+#: the peak, so it is the stricter one).
 MIN_DRAM_REDUCTION = 0.70
 MIN_RECALL_RATIO = 0.95
 MAX_P99_RATIO = 1.65
@@ -122,23 +114,24 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
     client = DHnswClient(deployment.layout, deployment.meta, config,
                          cost_model=deployment.cost_model, name=name)
     try:
+        fixed = client.dram_used_bytes
         latencies = []
-        cold_served = admissions = 0
+        waves = 0
         wall_start = time.perf_counter()
         for index, batch in enumerate(batches):
             result = client.search_batch(batch, k=10)
             if index >= WARMUP_BATCHES:
                 latencies.append(result.latency_per_query_us)
-            cold_served += result.cold_clusters_served
-            admissions += result.clusters_fetched - result.cache_streamed
+            waves += result.waves
         wall = time.perf_counter() - wall_start
         final = client.search_batch(eval_batch, k=10)
         latencies.append(final.latency_per_query_us)
-        admissions += final.clusters_fetched - final.cache_streamed
+        waves += final.waves
         ids = np.stack([r.ids for r in final.results])
         cache = client.cache
         return {
-            "dram_used_bytes": client.dram_used_bytes,
+            "dram_peak_bytes": fixed + cache.peak_held_bytes,
+            "dram_after_bytes": client.dram_used_bytes,
             "cached_bytes": cache.cached_bytes,
             "recall_at_10": round(recall_at_10(ids, ground_truth), 4),
             "p99_latency_per_query_us": round(
@@ -146,9 +139,7 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
             "mean_latency_per_query_us": round(
                 float(np.mean(latencies)), 2),
             "wall_seconds": round(wall, 2),
-            "cold_clusters_served": cold_served,
-            # The hot tier's moves, over every batch (the eval one too).
-            "cache_admissions": admissions,
+            "waves_per_batch": round(waves / (len(batches) + 1), 2),
             "cache_evictions": cache.evictions,
             "cache_streamed": cache.streamed,
             "resident_clusters": len(cache),
@@ -157,21 +148,11 @@ def serve(deployment, config, batches, eval_batch, ground_truth, name):
         client.close()
 
 
-def read_base_extents(deployment):
-    layout = deployment.layout
-    node = deployment.memory_node
-    metadata = layout.metadata
-    return [bytes(node.read(layout.rkey, layout.addr(offset), length))
-            for offset, length in
-            (cluster_read_extent(metadata, cid)
-             for cid in range(len(metadata.clusters)))]
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--ci", action="store_true",
-                       help="200k-vector tiered-smoke run")
+                       help="200k-vector budget-smoke run")
     group.add_argument("--quick", action="store_true",
                        help="30k-vector local iteration run")
     parser.add_argument("--output", type=pathlib.Path,
@@ -186,55 +167,40 @@ def main() -> None:
                           num_queries=scale["eval_queries"],
                           num_clusters=scale["num_clusters"],
                           gt_k=10, seed=42)
-    # 32 subspaces over 128d (4 dims per 8-bit code) keeps ADC faithful
-    # enough that a 128-deep per-query exact rerank recovers >= 95 % of
-    # full-precision recall; the codes never touch compute DRAM, so the
-    # finer quantization costs only memory-node bytes.
-    base = DHnswConfig(num_representatives=scale["num_clusters"],
-                       nprobe=4, ef_meta=32, cache_fraction=1.0,
-                       overflow_capacity_records=64, seed=42,
-                       pq_subspaces=64, rerank_depth=96)
+    config = DHnswConfig(num_representatives=scale["num_clusters"],
+                         nprobe=4, ef_meta=32, cache_fraction=1.0,
+                         overflow_capacity_records=64, seed=42)
 
     build_start = time.perf_counter()
-    off_deployment = Deployment(dataset.vectors,
-                                base.replace(cold_tier="off"),
-                                simulate_link_contention=False)
-    off_build_s = time.perf_counter() - build_start
-    build_start = time.perf_counter()
-    pq_deployment = Deployment(dataset.vectors,
-                               base.replace(cold_tier="pq"),
-                               simulate_link_contention=False)
-    pq_build_s = time.perf_counter() - build_start
-
-    # Gate: the full-precision extents must not move by a byte.
-    identical = check(read_base_extents(off_deployment)
-                      == read_base_extents(pq_deployment),
-                      "the pq build leaves the full-precision cluster "
-                      "extents byte-identical", failures)
+    deployment = Deployment(dataset.vectors, config,
+                            simulate_link_contention=False)
+    build_s = time.perf_counter() - build_start
 
     assignments = assign_partitions(dataset.vectors,
-                                    off_deployment.meta).assignments
+                                    deployment.meta).assignments
     batches, eval_batch = make_workload(dataset.vectors, assignments,
                                         scale, seed=7)
     ground_truth = exact_knn(dataset.vectors, eval_batch, 10)
 
-    # Baseline: untiered full-precision serving, whole working set in DRAM.
-    baseline = serve(off_deployment, off_deployment.config, batches,
-                     eval_batch, ground_truth, "baseline")
-    baseline_dram = baseline["dram_used_bytes"]
+    # Baseline: no byte cap, the whole working set resident.
+    baseline = serve(deployment, config, batches, eval_batch, ground_truth,
+                     "baseline")
+    baseline_dram = baseline["dram_peak_bytes"]
 
-    # Budget sweep on the tiered build.
     sweep = []
     for fraction in BUDGET_FRACTIONS:
         budget = int(baseline_dram * fraction)
-        config = pq_deployment.config.replace(
-            hot_tier_budget_bytes=budget)
-        section = serve(pq_deployment, config, batches, eval_batch,
-                        ground_truth, f"tiered-{fraction}")
+        section = serve(deployment,
+                        config.replace(hot_tier_budget_bytes=budget),
+                        batches, eval_batch, ground_truth,
+                        f"capped-{fraction}")
         section["budget_fraction"] = fraction
         section["hot_tier_budget_bytes"] = budget
         section["dram_reduction"] = round(
-            1.0 - section["dram_used_bytes"] / baseline_dram, 4)
+            1.0 - section["dram_peak_bytes"] / baseline_dram, 4)
+        section["dram_after_reduction"] = round(
+            1.0 - section["dram_after_bytes"]
+            / baseline["dram_after_bytes"], 4)
         section["recall_ratio"] = round(
             section["recall_at_10"] / baseline["recall_at_10"], 4)
         section["p99_ratio"] = round(
@@ -250,18 +216,19 @@ def main() -> None:
                and s["recall_ratio"] >= MIN_RECALL_RATIO
                and s["p99_ratio"] <= MAX_P99_RATIO]
     passed = check(bool(passing),
-                   f"a swept budget reaches {MIN_DRAM_REDUCTION:.0%} DRAM "
+                   f"a swept cap reaches {MIN_DRAM_REDUCTION:.0%} peak DRAM "
                    f"reduction at >= {MIN_RECALL_RATIO:.0%} relative "
                    f"recall@10 and p99 <= {MAX_P99_RATIO}x (sweep: "
                    + "; ".join(f"{s['budget_fraction']}: "
-                               f"dram -{s['dram_reduction']:.0%}, "
+                               f"peak dram -{s['dram_reduction']:.1%}, "
                                f"recall x{s['recall_ratio']:.3f}, "
                                f"p99 x{s['p99_ratio']:.2f}" for s in sweep)
-                   + ")", failures) and identical
+                   + ")", failures)
     headline = max(passing or sweep, key=lambda s: s["dram_reduction"])
 
     report = {
-        "benchmark": "tiered hot/cold memory under Zipfian cluster skew",
+        "benchmark": "peak compute DRAM under a cluster-cache byte cap, "
+                     "Zipfian cluster skew",
         "mode": mode,
         "platform": {
             "python": platform.python_version(),
@@ -278,8 +245,7 @@ def main() -> None:
             "zipf_skew": 1.2,
             "seed": 42,
         },
-        "build_seconds": {"off": round(off_build_s, 1),
-                          "pq": round(pq_build_s, 1)},
+        "build_seconds": round(build_s, 1),
         "baseline": baseline,
         "sweep": sweep,
         "headline": {
@@ -288,9 +254,6 @@ def main() -> None:
             "recall_ratio": headline["recall_ratio"],
             "p99_ratio": headline["p99_ratio"],
             "p99_added_us": headline["p99_added_us"],
-        },
-        "off_bit_identity": {
-            "base_extents_byte_identical": identical,
         },
         "acceptance": {
             "min_dram_reduction": MIN_DRAM_REDUCTION,
@@ -302,8 +265,8 @@ def main() -> None:
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps({k: report[k] for k in
-                      ("baseline", "sweep", "headline",
-                       "off_bit_identity", "acceptance")}, indent=2))
+                      ("baseline", "sweep", "headline", "acceptance")},
+                     indent=2))
     print(f"\nwrote {args.output}")
     if failures and enforce:
         raise SystemExit("ACCEPTANCE FAILURE: " + "; ".join(failures))

@@ -10,8 +10,6 @@ hardware-independent cost that justifies HNSW as d-HNSW's substrate.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines import IvfFlatIndex, KdTreeIndex, LshIndex, VamanaIndex
 from repro.hnsw import HnswIndex, HnswParams
 

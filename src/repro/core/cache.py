@@ -5,11 +5,10 @@ batch.  If the required sub-HNSWs are already in the compute instance, they
 do not need to be loaded again, further reducing data transfer overhead."
 
 Capacity is a cluster count (the paper configures 10 % of all clusters)
-and, with a cold tier on, also a byte cap (``hot_tier_budget_bytes``):
-the cache is then the hot tier, the one thing that decides which
-clusters hold full-precision DRAM.  Entries carry the epoch of the
-extent they were decoded from and the overflow tail observed at load
-time so staleness is detectable after inserts and rebuilds.
+and, optionally, a byte cap (``hot_tier_budget_bytes``) on what the
+residents hold together.  Entries carry the epoch of the extent they were
+decoded from and the overflow tail observed at load time so staleness is
+detectable after inserts and rebuilds.
 
 What is retained is ranked by what it would cost to fetch again, not by
 recency alone.  Under wave-by-wave loading every admission is an eviction,
@@ -23,10 +22,11 @@ its value is at least the weakest unpinned resident's, which it then
 evicts; otherwise it is *streamed*: searched in its wave and dropped.
 Equal values fall back to LRU order, so where every entry is worth the
 same (nothing recorded, or uniform demand over equal sizes) the cache is
-the paper's LRU.  The tier split asks the same rule before anything is
-fetched (:meth:`ClusterCache.admissions`, a dry run over the bytes each
-fetch would read): a cluster it would admit is fetched full-precision,
-any other is served from its cold extent instead of streamed.
+the paper's LRU.  Under a byte cap the planner also sizes each wave in
+bytes, so the waves open at once stream at most the cap besides what the
+residents hold (a wave of one cluster larger than its share excepted):
+held bytes peak at twice the cap (:attr:`ClusterCache.peak_held_bytes`
+is the high-water mark).
 
 The cache is thread-safe: every operation (including the byte/counter
 bookkeeping) runs under one re-entrant lock, although the serving engine
@@ -47,7 +47,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Iterable
 
 import numpy as np
 
@@ -127,10 +126,10 @@ class ClusterCache:
         self._cached_bytes = 0
         # Bytes of streamed entries their wave still pins.
         self._streamed_bytes = 0
+        self._peak_held_bytes = 0
         # EWMA access frequencies, keyed by cluster id.  Deliberately
         # covers non-resident clusters too: admission scores a cluster
-        # before it is resident (and, with a cold tier, before it is
-        # fetched), so the signal must survive eviction.
+        # before it is resident, so the signal must survive eviction.
         # Each value is (score, last_access_us); the score decays by
         # 2 ** (-elapsed / halflife) before each bump or read.
         self._freq: dict[int, tuple[float, float]] = {}
@@ -187,6 +186,17 @@ class ClusterCache:
         with self._lock:
             return self._cached_bytes + self._streamed_bytes
 
+    @property
+    def peak_held_bytes(self) -> int:
+        """The most :attr:`held_bytes` has been since the cache was made."""
+        return self._peak_held_bytes
+
+    def _note_held(self) -> None:
+        """Raise the high-water mark after bytes were taken on.  Must be
+        called under the lock."""
+        self._peak_held_bytes = max(
+            self._peak_held_bytes, self._cached_bytes + self._streamed_bytes)
+
     def get(self, cluster_id: int) -> CachedCluster | None:
         """Look up a cluster, refreshing its recency; counts hit/miss."""
         with self._lock:
@@ -211,11 +221,11 @@ class ClusterCache:
         """Bump ``cluster_id``'s EWMA access score at time ``now_us``.
 
         Separate from :meth:`get` recency/hit accounting: the serving
-        engine records *every* routed cluster — resident, fetched or
-        served cold — once per batch, while ``get`` only sees hot
-        lookups.  ``weight`` is how many queries of the batch probe the
-        cluster, so popularity (not mere presence in a batch) drives
-        admission and retention.  Returns the updated score.
+        engine records *every* routed cluster — resident or fetched —
+        once per batch, while ``get`` only sees lookups.  ``weight`` is
+        how many queries of the batch probe the cluster, so popularity
+        (not mere presence in a batch) drives admission and retention.
+        Returns the updated score.
         """
         if weight <= 0:
             raise ConfigError(f"weight must be > 0, got {weight}")
@@ -271,19 +281,11 @@ class ClusterCache:
         ``now_us`` times the bytes a miss would re-read and re-decode."""
         return self.frequency(entry.cluster_id, now_us) * entry.nbytes
 
-    def _residents(self) -> dict[int, tuple[int, bool]]:
-        """Cluster id -> ``(nbytes, pinned)`` of every resident, least
-        recently used first.  Must be called under the lock."""
-        return {entry.cluster_id: (entry.nbytes, entry.pins > 0)
-                for entry in self._entries.values()}
-
-    def _victims(self, residents: dict[int, tuple[int, bool]],
-                 held: int, value: float, nbytes: int,
+    def _victims(self, entry: CachedCluster,
                  now_us: float) -> list[int] | None:
-        """The one room-and-victim rule.  Given ``residents`` (as
-        :meth:`_residents` lists them) holding ``held`` bytes, returns the
-        ids an entry worth ``value`` that holds ``nbytes`` evicts to be
-        admitted, weakest first, or None when it is streamed instead.
+        """The one room-and-victim rule: the ids of the residents other
+        than ``entry`` that it evicts to be held, weakest first, or None
+        when it is streamed instead.  Must be called under the lock.
 
         It is admitted when there is room under both caps, or when it is
         worth at least the weakest unpinned resident, which it evicts
@@ -293,25 +295,31 @@ class ClusterCache:
         ones cannot make room for is streamed, so a ``put`` never takes
         the cache past a cap."""
         byte_cap = self.capacity_bytes
-        if byte_cap is not None and nbytes > byte_cap:
+        if byte_cap is not None and entry.nbytes > byte_cap:
             return None
-        # Clusters and bytes still to free before the entry fits.
-        clusters = len(residents) + 1 - self.capacity_clusters
-        excess = 0 if byte_cap is None else held + nbytes - byte_cap
+        # Clusters and bytes still to free before the entry fits (a grown
+        # resident already counts in both).
+        clusters = len(self._entries) - self.capacity_clusters
+        held = self._cached_bytes
+        if self._entries.get(entry.cluster_id) is not entry:
+            clusters += 1
+            held += entry.nbytes
+        excess = 0 if byte_cap is None else held - byte_cap
         victims: list[int] = []
         if clusters <= 0 and excess <= 0:
             return victims
+        value = self.value(entry, now_us)
         # A stable sort keeps LRU order among equal values.
-        ranked = sorted(((self.frequency(cid, now_us) * size, cid, size)
-                         for cid, (size, pinned) in residents.items()
-                         if not pinned),
+        ranked = sorted(((self.value(other, now_us), other)
+                         for other in self._entries.values()
+                         if other is not entry and not other.pins),
                         key=lambda ranking: ranking[0])
-        for victim_value, cid, size in ranked:
+        for victim_value, victim in ranked:
             if not victims and value < victim_value:
                 return None
-            victims.append(cid)
+            victims.append(victim.cluster_id)
             clusters -= 1
-            excess -= size
+            excess -= victim.nbytes
             if clusters <= 0 and excess <= 0:
                 return victims
         return None
@@ -345,51 +353,18 @@ class ClusterCache:
                 self._drop(previous)
             else:
                 self._misses += 1
-            victims = self._victims(self._residents(), self._cached_bytes,
-                                    self.value(entry, now_us), entry.nbytes,
-                                    now_us)
+            victims = self._victims(entry, now_us)
             if victims is None:
                 entry.streamed = True
                 self._streamed += 1
                 self._streamed_bytes += entry.nbytes
+                self._note_held()
                 return None
             evicted = [self._evict(cid) for cid in victims]
             self._entries[entry.cluster_id] = entry
             self._cached_bytes += entry.nbytes
+            self._note_held()
             return evicted
-
-    def admissions(self, offers: dict[int, int], now_us: float,
-                   pinned: Iterable[int] = ()) -> set[int]:
-        """The clusters of ``offers`` (cluster id -> the bytes its fetch
-        would read) that :meth:`put` would admit were they offered at
-        ``now_us`` in value order, most valuable first (lower id among
-        equals).  A dry run of the same rule: the cache is not touched.
-
-        ``pinned`` names residents the caller will pin before offering
-        (a batch's hits, pinned until searched): never victims."""
-        with self._lock:
-            residents = self._residents()
-            for cid in pinned:
-                if cid in residents:
-                    residents[cid] = (residents[cid][0], True)
-            held = self._cached_bytes
-            admitted: set[int] = set()
-            for cid in sorted(offers, key=lambda cid: (
-                    -self.frequency(cid, now_us) * offers[cid], cid)):
-                nbytes = offers[cid]
-                if cid in residents:
-                    held -= residents.pop(cid)[0]
-                victims = self._victims(
-                    residents, held, self.frequency(cid, now_us) * nbytes,
-                    nbytes, now_us)
-                if victims is None:
-                    continue
-                for victim in victims:
-                    held -= residents.pop(victim)[0]
-                residents[cid] = (nbytes, False)
-                held += nbytes
-                admitted.add(cid)
-            return admitted
 
     def grow(self, entry: CachedCluster, nbytes: int,
              now_us: float = 0.0) -> None:
@@ -404,13 +379,11 @@ class ClusterCache:
             if self._entries.get(entry.cluster_id) is not entry:
                 if entry.streamed:
                     self._streamed_bytes += nbytes
+                    self._note_held()
                 return
             self._cached_bytes += nbytes
-            others = self._residents()
-            del others[entry.cluster_id]
-            victims = self._victims(
-                others, self._cached_bytes - entry.nbytes,
-                self.value(entry, now_us), entry.nbytes, now_us)
+            self._note_held()
+            victims = self._victims(entry, now_us)
             if victims is None:
                 if not entry.pins:
                     self._evict(entry.cluster_id)

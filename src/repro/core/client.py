@@ -46,14 +46,12 @@ from repro.core.meta_index import MetaHnsw
 from repro.core.results import BatchResult, QueryResult
 from repro.core.fsck import RepairReport, repair_replica
 from repro.errors import LayoutError, NoHealthyReplicaError
-from repro.layout.cold import deserialize_codebook
 from repro.layout.metadata import GlobalMetadata
 from repro.mutation.writer import InsertReport, MutationEngine
 from repro.rdma.compute_node import ComputeNode
 from repro.rdma.control import ControlClient
 from repro.rdma.network import CostModel
 from repro.serving.engine import ServingEngine
-from repro.serving.tiered import TieredClusterStore
 from repro.transport import (
     ReplicatedTransport,
     RetryingTransport,
@@ -89,14 +87,12 @@ class DHnswClient:
         self.meta = copy.deepcopy(meta)
 
         self.node = ComputeNode(layout.memory_node, self.cost_model, name=name)
-        # DRAM held outside the cluster cache: the meta-HNSW, plus the PQ
-        # codebook once the cold tier loads it (``dram_used_bytes``).
+        # DRAM held outside the cluster cache: the meta-HNSW
+        # (``dram_used_bytes``).
         self._fixed_dram_bytes = self.meta.serialized_size_bytes()
-        # With a cold tier the cache is the hot tier (budget: byte cap).
         self.cache = ClusterCache(
             self.config.cache_capacity_clusters(layout.metadata.num_clusters),
-            capacity_bytes=(None if self.config.cold_tier == "off"
-                            else self.config.hot_tier_budget_bytes))
+            capacity_bytes=self.config.hot_tier_budget_bytes)
 
         # The transport seam: every remote byte this client moves goes
         # through here; ``max_retries`` puts a retrying layer over it.
@@ -154,32 +150,10 @@ class DHnswClient:
         # Fetch the authoritative metadata block (one READ at startup).
         self.metadata = self._read_metadata()
 
-        # Tiered memory: with a cold tier configured, pull the
-        # deployment's PQ codebook (one READ) and stand up the hot/cold
-        # store.  ``cold_tier="off"`` leaves ``tier_store`` None and the
-        # serving path bit-identical to the untiered engine.
-        self.tier_store: TieredClusterStore | None = None
-        if self.config.cold_tier != "off":
-            if self.metadata.cold is None:
-                raise LayoutError(
-                    f'cold_tier="{self.config.cold_tier}" requires a '
-                    f"layout built with a cold directory (builder config "
-                    f"had cold_tier off)")
-            cold_dir = self.metadata.cold
-            blob = self.transport.read(
-                self.layout.rkey,
-                self.layout.addr(cold_dir.codebook_offset),
-                cold_dir.codebook_length)
-            self.node.charge_time(self.cost_model.deserialize_us(len(blob)))
-            self._fixed_dram_bytes += len(blob)
-            self.tier_store = TieredClusterStore(
-                self, deserialize_codebook(blob))
-
     @property
     def dram_used_bytes(self) -> int:
-        """Compute DRAM this instance holds: the meta-HNSW (plus the PQ
-        codebook with the cold tier on) and what the cluster cache holds
-        (:attr:`ClusterCache.held_bytes`)."""
+        """Compute DRAM this instance holds: the meta-HNSW and what the
+        cluster cache holds (:attr:`ClusterCache.held_bytes`)."""
         return self._fixed_dram_bytes + self.cache.held_bytes
 
     # ------------------------------------------------------------------

@@ -101,28 +101,14 @@ class DHnswConfig:
         depth (``repro.transport.replica.ReplicaSelector``, seeded from
         ``seed`` so traces replay) and fail over to a healthy peer when
         one replica exhausts its retry budget mid-request.
-    cold_tier:
-        Tiered hot/cold memory mode.  ``"off"`` (default) serves every
-        cluster full-precision, exactly the pre-tiering engine — the
-        build writes no cold extents and the layout is byte-identical.
-        ``"pq"`` additionally writes a compact PQ-coded extent per
-        cluster; clusters outside the hot tier are served from one RDMA
-        read of the short codes (ADC scan + exact rerank of
-        ``rerank_depth`` candidates fetched in a second narrow read).
     hot_tier_budget_bytes:
-        Byte cap of the cluster cache, which is the hot tier: the
-        full-precision bytes its residents may hold together, enforced
-        alongside the cluster count ``cache_fraction`` sets.  A cluster
-        the cache would not admit is served cold rather than fetched.
-        ``None`` (default) caps the count only.  Ignored when
-        ``cold_tier="off"``.
-    rerank_depth:
-        Cold-serve candidates re-ranked with exact distances against
-        full vectors fetched in the narrow second read.
-    pq_subspaces:
-        Sub-quantizers of the cold codes — one byte per subspace per
-        vector (8-bit codes).  Must divide the corpus dimensionality
-        when the cold tier is enabled.
+        Byte cap of the cluster cache: the bytes its residents may hold
+        together, enforced alongside the cluster count ``cache_fraction``
+        sets.  A fetched cluster the cache will not keep is searched in
+        its wave and dropped (streamed), and each wave fetches at most
+        its share of the cap (the cap over the waves the loop keeps
+        open), so cluster DRAM peaks at twice the cap.  ``None``
+        (default) caps the count only.
     """
 
     num_representatives: int | None = None
@@ -135,10 +121,7 @@ class DHnswConfig:
     region_headroom: float = 3.0
     build_workers: int = 0
     replication_factor: int = 1
-    cold_tier: str = "off"
     hot_tier_budget_bytes: int | None = None
-    rerank_depth: int = 48
-    pq_subspaces: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -171,20 +154,11 @@ class DHnswConfig:
         if self.search_workers < 1:
             raise ConfigError(
                 f"search_workers must be >= 1, got {self.search_workers}")
-        if self.cold_tier not in ("off", "pq"):
-            raise ConfigError(
-                f"cold_tier must be 'off' or 'pq', got {self.cold_tier!r}")
         if (self.hot_tier_budget_bytes is not None
                 and self.hot_tier_budget_bytes < 0):
             raise ConfigError(
                 f"hot_tier_budget_bytes must be >= 0 (or None for "
                 f"unbounded), got {self.hot_tier_budget_bytes}")
-        if self.rerank_depth < 1:
-            raise ConfigError(
-                f"rerank_depth must be >= 1, got {self.rerank_depth}")
-        if self.pq_subspaces < 1:
-            raise ConfigError(
-                f"pq_subspaces must be >= 1, got {self.pq_subspaces}")
 
     # ------------------------------------------------------------------
     def derived_num_representatives(self, corpus_size: int) -> int:

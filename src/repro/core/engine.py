@@ -33,17 +33,10 @@ from repro.core.partitions import (Partitioning, assign_partitions,
 from repro.errors import LayoutError, NonFiniteVectorError
 from repro.hnsw.parallel_build import build_cluster_blob
 from repro.layout.allocator import RegionAllocator
-from repro.layout.cold import (codebook_blob_size, serialize_codebook,
-                               serialize_cold_cluster)
 from repro.layout.group_layout import plan_groups
-from repro.layout.metadata import (ColdDirectory, ColdExtentEntry,
-                                   GlobalMetadata, rebuild_lock_offset)
+from repro.layout.metadata import GlobalMetadata, rebuild_lock_offset
 from repro.mutation.reclaim import RetiredExtentLog
-from repro.layout.serializer import (cluster_label_section_offset,
-                                     peek_cluster_geometry,
-                                     serialize_cluster,
-                                     serialized_cluster_size)
-from repro.pq.codebook import PqCodebook
+from repro.layout.serializer import serialize_cluster, serialized_cluster_size
 from repro.rdma import MemoryNode, MemoryRegion
 from repro.rdma.clock import SimClock
 from repro.rdma.control import ControlClient, MemoryDaemon
@@ -101,11 +94,10 @@ class RemoteLayout:
 
     @property
     def metadata_nbytes(self) -> int:
-        """Serialized size of the metadata block (the optional cold-tier
-        directory included when present); constant for a deployment."""
-        return GlobalMetadata.packed_size(
-            self.metadata.num_clusters, self.metadata.num_groups,
-            with_cold=self.metadata.cold is not None)
+        """Serialized size of the metadata block; constant for a
+        deployment."""
+        return GlobalMetadata.packed_size(self.metadata.num_clusters,
+                                          self.metadata.num_groups)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,14 +139,10 @@ class DHnswBuilder:
             raise LayoutError("cannot build over an empty corpus")
         NonFiniteVectorError.check(vectors, "corpus")
         meta, partitioning = self._build_meta(vectors)
-        codebook = None
-        if self.config.cold_tier != "off":
-            codebook = self._train_codebook(vectors)
         source = _ClusterBlobSource(vectors, partitioning, labels,
                                     self.config.build_workers)
         layout, build_stats = self._write_layout(
-            source, vectors.shape[1], partitioning.num_partitions,
-            codebook=codebook)
+            source, vectors.shape[1], partitioning.num_partitions)
         report = BuildReport(
             num_vectors=vectors.shape[0],
             num_partitions=meta.num_partitions,
@@ -177,27 +165,11 @@ class DHnswBuilder:
         partitioning = assign_partitions(vectors, meta)
         return meta, partitioning
 
-    def _train_codebook(self, vectors: np.ndarray) -> PqCodebook:
-        """Train the deployment's PQ codebook on a deterministic sample.
-
-        The sample is an even stride over corpus rows — no RNG — so the
-        codebook (and every cold extent derived from it) is byte-identical
-        across rebuilds at any ``build_workers`` count.
-        """
-        codebook = PqCodebook(vectors.shape[1], self.config.pq_subspaces,
-                              seed=self.config.seed)
-        limit = 65536
-        step = max(1, vectors.shape[0] // limit)
-        codebook.train(vectors[::step][:limit], seed=self.config.seed)
-        return codebook
-
     def _write_layout(self, source: "_ClusterBlobSource",
-                      dim: int, num_clusters: int,
-                      codebook: PqCodebook | None = None
+                      dim: int, num_clusters: int
                       ) -> tuple[RemoteLayout, RdmaStats]:
         num_groups = (num_clusters + 1) // 2
-        metadata_size = GlobalMetadata.packed_size(
-            num_clusters, num_groups, with_cold=codebook is not None)
+        metadata_size = GlobalMetadata.packed_size(num_clusters, num_groups)
         # The reserve holds the metadata block followed by one rebuild
         # lock word per group (region bytes start zeroed = unlocked);
         # ``rebuild_lock_offset(metadata_size, num_groups)`` is one past
@@ -209,12 +181,6 @@ class DHnswBuilder:
             reserve)
         layout_end = plans[-1].end_offset if plans else reserve
         capacity = int(layout_end * self.config.region_headroom) + reserve
-        if codebook is not None:
-            # Room for the cold extents and codebook blob past the hot
-            # layout: the codes are a small fraction of the
-            # full-precision bytes, bounded here by a quarter.
-            capacity += (codebook_blob_size(codebook) + layout_end // 4
-                         + _METADATA_ALIGN)
 
         # Registration goes through the memory node's control daemon —
         # the one task the paper leaves on the memory instance's CPU.
@@ -267,56 +233,14 @@ class DHnswBuilder:
             transport = ReplicatedTransport([transport, *mirrors],
                                             seed=self.config.seed)
         blobs = source.blobs()
-        cold_blobs: list[bytes | None] = [None] * num_clusters
         for cid, entry in enumerate(cluster_entries):
             blob = self._next_blob(blobs, cid, entry.blob_length)
             transport.write(region.rkey, layout.addr(entry.blob_offset),
                             blob)
-            if codebook is not None:
-                cold_blobs[cid] = self._cold_blob(blob, entry.blob_offset,
-                                                  codebook)
         # Overflow areas start zeroed; fresh registrations already are.
-        if codebook is not None:
-            # Cold extents and the codebook blob land past the hot layout
-            # in cluster-id order, so off/pq builds share identical hot
-            # bytes and the cold section is itself deterministic.
-            extents = []
-            for cold_blob in cold_blobs:
-                assert cold_blob is not None
-                offset = allocator.allocate(len(cold_blob))
-                transport.write(region.rkey, layout.addr(offset), cold_blob)
-                extents.append(ColdExtentEntry(offset, len(cold_blob)))
-            book_blob = serialize_codebook(codebook)
-            book_offset = allocator.allocate(len(book_blob))
-            transport.write(region.rkey, layout.addr(book_offset), book_blob)
-            metadata.cold = ColdDirectory(codebook_offset=book_offset,
-                                          codebook_length=len(book_blob),
-                                          extents=extents)
         transport.write(region.rkey, layout.addr(0), metadata.pack())
         transport.close()
         return layout, stats
-
-    def _cold_blob(self, blob: bytes, blob_offset: int,
-                   codebook: PqCodebook) -> bytes:
-        """Build one cluster's cold extent from its hot blob's bytes.
-
-        Labels and vectors are viewed straight out of the serialized
-        blob (labels right after the header, vectors in the final
-        section), so the cold form is derived from exactly the bytes on
-        the wire — never from a parallel in-memory copy that could
-        drift.
-        """
-        cluster_id, num_nodes, dim = peek_cluster_geometry(blob)
-        labels = np.frombuffer(blob, dtype=np.int64, count=num_nodes,
-                               offset=cluster_label_section_offset())
-        vectors = np.frombuffer(
-            blob, dtype=np.float32, count=num_nodes * dim,
-            offset=len(blob) - 4 * num_nodes * dim).reshape(num_nodes, dim)
-        codes = (codebook.encode(vectors) if num_nodes else
-                 np.empty((0, codebook.num_subspaces), dtype=np.uint8))
-        vectors_offset = blob_offset + len(blob) - 4 * num_nodes * dim
-        return serialize_cold_cluster(cluster_id, labels, codes,
-                                      vectors_offset)
 
     @staticmethod
     def _next_blob(blobs: Iterator[tuple[int, bytes]], cluster_id: int,

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.engine import RemoteLayout
 from repro.errors import LayoutError, SerializationError
-from repro.layout.cold import deserialize_codebook, deserialize_cold_cluster
 from repro.layout.group_layout import (
     cluster_read_extent,
     cluster_read_ranges,
@@ -309,58 +308,6 @@ def fsck(layout: RemoteLayout, replica: int = 0) -> FsckReport:
                     f"global id {label} also owned by cluster "
                     f"{previous}"))
 
-    # --- cold tier (optional) ---------------------------------------------
-    if metadata.cold is not None:
-        cold_dir = metadata.cold
-        location = "codebook"
-        book_end = cold_dir.codebook_offset + cold_dir.codebook_length
-        if book_end > region_length:
-            report.findings.append(Finding(
-                "error", location, "codebook blob exceeds region"))
-        else:
-            try:
-                book = deserialize_codebook(_read(
-                    node, layout, cold_dir.codebook_offset,
-                    cold_dir.codebook_length))
-                if book.dim != metadata.dim:
-                    report.findings.append(Finding(
-                        "error", location,
-                        f"codebook dim {book.dim} != metadata dim "
-                        f"{metadata.dim}"))
-            except SerializationError as error:
-                report.findings.append(Finding("error", location,
-                                               str(error)))
-        for cid, extent in enumerate(cold_dir.extents):
-            if extent.length == 0:
-                continue
-            location = f"cold cluster {cid}"
-            end = extent.offset + extent.length
-            if end > region_length:
-                report.findings.append(Finding(
-                    "error", location, "cold extent exceeds region"))
-                continue
-            try:
-                cold = deserialize_cold_cluster(_read(
-                    node, layout, extent.offset, extent.length))
-            except SerializationError as error:
-                report.findings.append(Finding("error", location,
-                                               str(error)))
-                continue
-            if cold.cluster_id != cid:
-                report.findings.append(Finding(
-                    "error", location,
-                    f"cold extent claims to be cluster "
-                    f"{cold.cluster_id}"))
-            hot = metadata.clusters[cid]
-            vectors_end = (cold.vectors_offset
-                           + 4 * cold.num_nodes * metadata.dim)
-            if not (hot.blob_offset <= cold.vectors_offset
-                    and vectors_end <= hot.blob_offset + hot.blob_length):
-                report.findings.append(Finding(
-                    "error", location,
-                    f"vectors_offset {cold.vectors_offset} outside the "
-                    f"paired hot blob"))
-
     # --- overlap check ----------------------------------------------------
     # Everything in-bounds the metadata names, the block itself included.
     extents = sorted(
@@ -463,11 +410,6 @@ def _layout_extents(layout: RemoteLayout,
     for cid, cluster in enumerate(metadata.clusters):
         extents.append((cluster.blob_offset, cluster.blob_length,
                         f"cluster {cid}"))
-    if metadata.cold is not None:
-        extents.append((metadata.cold.codebook_offset,
-                        metadata.cold.codebook_length, "codebook"))
-        for cid, cold in enumerate(metadata.cold.extents):
-            extents.append((cold.offset, cold.length, f"cold cluster {cid}"))
     return extents
 
 

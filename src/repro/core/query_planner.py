@@ -6,7 +6,9 @@ most once per batch** and never exceeds the compute instance's cache
 capacity in flight.  When the union of required clusters is larger than the
 cache, the batch is loaded in *waves* (the paper's Fig. 5 walkthrough):
 READ rings of a cache-full of clusters, each advancing every query that
-needs them while partial top-k candidates are retained.
+needs them while partial top-k candidates are retained.  Under a byte
+cap, a wave also closes before its fetch bytes would pass a share of the
+cap, so what is in flight stays bounded in bytes as well as clusters.
 
 Clusters already cached are pruned from the load set entirely, but not
 from the plan: :attr:`BatchPlan.clusters` lists every cluster the batch
@@ -17,6 +19,7 @@ the order the executor searches whatever is in DRAM.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 from repro.core.cache import ClusterCache
 from repro.errors import ConfigError
@@ -58,7 +61,9 @@ class BatchPlan:
 
 
 def plan_batch(required: list[list[int]], cache: ClusterCache,
-               cache_capacity: int) -> BatchPlan:
+               cache_capacity: int, wave_bytes: int | None = None,
+               fetch_bytes: Callable[[int], int] | None = None
+               ) -> BatchPlan:
     """Schedule cluster loads for a batch.
 
     Parameters
@@ -72,6 +77,11 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     cache_capacity:
         Maximum clusters resident at once; each wave fetches at most this
         many.
+    wave_bytes, fetch_bytes:
+        With a byte cap, the bytes a wave may fetch and the bytes a fetch
+        of a cluster reads: a wave closes before a miss would take it
+        past ``wave_bytes`` (it always takes one cluster).  None: waves
+        are sized in clusters only.
 
     Earliest-row-first ordering: rows are in priority order by contract
     (the front door hands them over earliest deadline first; a plain
@@ -82,7 +92,8 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     are in DRAM, so row ``r`` is final once the clusters rows ``0..r``
     first need are, and it is released there instead of at the batch
     end.  What a wave *contains* is untouched: every cluster still
-    crosses once, in chunks of ``cache_capacity``.
+    crosses once, in chunks of at most ``cache_capacity`` clusters (and
+    ``wave_bytes``, unless one cluster alone is more).
     """
     if cache_capacity < 1:
         raise ConfigError(
@@ -102,15 +113,33 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     hits = [cid for cid in demand if cache.peek(cid) is not None]
     misses = [cid for cid in demand if cache.peek(cid) is None]
 
-    waves = []
-    for start in range(0, len(misses), cache_capacity):
-        chunk = misses[start:start + cache_capacity]
-        serviced = tuple((q, cid) for cid in chunk for q in demand[cid])
-        waves.append(Wave(fetch_cluster_ids=tuple(chunk), serviced=serviced))
+    chunks: list[list[int]] = []
+    taken = 0
+    # The miss the first wave's bytes could not take, if any.
+    overflow = None
+    for cid in misses:
+        nbytes = 0 if wave_bytes is None else fetch_bytes(cid)
+        if (not chunks or len(chunks[-1]) == cache_capacity
+                or (wave_bytes is not None and taken + nbytes > wave_bytes)):
+            if len(chunks) == 1 and len(chunks[0]) < cache_capacity:
+                overflow = cid
+            chunks.append([])
+            taken = 0
+        chunks[-1].append(cid)
+        taken += nbytes
+    waves = [Wave(fetch_cluster_ids=tuple(chunk),
+                  serviced=tuple((q, cid) for cid in chunk
+                                 for q in demand[cid]))
+             for chunk in chunks]
     # The first wave is fixed by the row that first needs its last
-    # cluster, unless a later row could still add one to it.
-    first_wave_rows = (demand[misses[cache_capacity - 1]][0] + 1
-                       if len(misses) >= cache_capacity else len(required))
+    # cluster once it is full, or by the row that first needs the miss
+    # its bytes could not take; otherwise a later row could still add one.
+    if chunks and len(chunks[0]) == cache_capacity:
+        first_wave_rows = demand[chunks[0][-1]][0] + 1
+    elif overflow is not None:
+        first_wave_rows = demand[overflow][0] + 1
+    else:
+        first_wave_rows = len(required)
 
     unique = len(demand)
     return BatchPlan(

@@ -60,18 +60,13 @@ class BatchResult:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_streamed: int = 0
-    #: Clusters served from the cold (PQ) tier this batch (zero when
-    #: ``cold_tier="off"``); what moved into or out of the hot tier is
-    #: the cache's admissions and evictions above.
-    cold_clusters_served: int = 0
     #: Per-stage cost attribution for this batch (route / plan / fetch /
     #: decode / compute / merge), populated by the serving engine.  None
     #: for results produced outside the staged path (e.g. shard merges).
     trace: "TraceContext | None" = None
     #: Per row, the client clock (µs) at which the row's answer was final:
     #: once its own last cluster was searched (and, for a hit, its tail
-    #: word had landed); the end of the batch for rows the cold tier
-    #: answered.  Its max is the batch end.  None for results produced
+    #: word had landed).  Its max is the batch end.  None for results produced
     #: outside the staged path (e.g. shard merges): every row completes
     #: with the call.
     complete_us: np.ndarray | None = None

@@ -17,8 +17,8 @@ round trip.  Two invariants follow, stated here once; the fetcher,
     A member's blob and its group's overflow area are contiguous:
     ``[blob | area)`` for the first member of a group, ``[area | blob)``
     for the second.  ``fsck`` holds every fetch's ranges inside it (the
-    tier split sizes a fetch from those ranges); the two extents together
-    are the group's span
+    planner sizes a byte-capped wave from those ranges); the two extents
+    together are the group's span
     (:func:`group_extent`), which a rebuild snapshots and retires, and
     :func:`place_group` is the one rule that puts the three parts there.
 

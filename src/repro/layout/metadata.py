@@ -26,14 +26,10 @@ Wire format:
   dim u32, overflow_capacity_records u32
 * per cluster: blob_offset u64, blob_length u64, group_id u32, pad u32
 * per group: overflow_offset u64, capacity_records u32, version u32
-* cold directory (optional, only for tiered deployments): marker
-  ``b"DHMC"`` + pad u32, codebook_offset u64, codebook_length u64, then
-  per cluster: cold_offset u64, cold_length u64 (length 0 = no cold
-  form; that cluster is always served hot)
 
-A block without the trailing cold directory is byte-identical to the
-pre-tiering format, so ``cold_tier="off"`` deployments emit exactly the
-bytes they always did.
+A trailing ``b"DHMC"`` cold-tier directory (written by deployments of the
+retired PQ cold tier) is refused, not ignored: its extents would read as
+leaks to ``fsck``.
 
 (The per-group overflow *tail* counter is NOT here — it lives at the head
 of each overflow area so inserts can reserve slots with one remote FAA
@@ -47,17 +43,14 @@ import struct
 
 from repro.errors import LayoutError
 
-__all__ = ["ClusterEntry", "GroupEntry", "ColdExtentEntry",
-           "ColdDirectory", "GlobalMetadata", "REBUILD_LOCK_BYTES",
-           "rebuild_lock_offset"]
+__all__ = ["ClusterEntry", "GroupEntry", "GlobalMetadata",
+           "REBUILD_LOCK_BYTES", "rebuild_lock_offset"]
 
 _MAGIC = b"DHM1"
 _COLD_MARKER = b"DHMC"
 _HEADER = struct.Struct("<4sxxxxQIIII")
 _CLUSTER = struct.Struct("<QQII")
 _GROUP = struct.Struct("<QII")
-_COLD_HEAD = struct.Struct("<4sxxxxQQ")  # marker, codebook offset/length
-_COLD_EXTENT = struct.Struct("<QQ")
 
 #: One u64 rebuild-lock word per group, laid out after the packed block.
 REBUILD_LOCK_BYTES = 8
@@ -102,31 +95,6 @@ class GroupEntry:
     version: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
-class ColdExtentEntry:
-    """Location of one cluster's cold (PQ) extent.
-
-    ``length == 0`` means the cluster has no cold form and is always
-    served from the full-precision hot tier.
-    """
-
-    offset: int
-    length: int
-
-
-@dataclasses.dataclass
-class ColdDirectory:
-    """The optional trailing cold-tier directory.
-
-    One codebook blob per deployment plus one extent entry per cluster,
-    in cluster-id order (``extents[cid]`` pairs with ``clusters[cid]``).
-    """
-
-    codebook_offset: int
-    codebook_length: int
-    extents: list[ColdExtentEntry]
-
-
 @dataclasses.dataclass
 class GlobalMetadata:
     """In-memory form of the metadata block."""
@@ -136,7 +104,6 @@ class GlobalMetadata:
     overflow_capacity_records: int
     clusters: list[ClusterEntry]
     groups: list[GroupEntry]
-    cold: ColdDirectory | None = None
 
     @property
     def num_clusters(self) -> int:
@@ -157,14 +124,10 @@ class GlobalMetadata:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def packed_size(num_clusters: int, num_groups: int,
-                    with_cold: bool = False) -> int:
+    def packed_size(num_clusters: int, num_groups: int) -> int:
         """Serialized size of a block with the given entry counts."""
-        size = (_HEADER.size + num_clusters * _CLUSTER.size
+        return (_HEADER.size + num_clusters * _CLUSTER.size
                 + num_groups * _GROUP.size)
-        if with_cold:
-            size += _COLD_HEAD.size + num_clusters * _COLD_EXTENT.size
-        return size
 
     def pack(self) -> bytes:
         """Serialize the block."""
@@ -179,17 +142,6 @@ class GlobalMetadata:
             parts.append(_GROUP.pack(group.overflow_offset,
                                      group.capacity_records,
                                      group.version))
-        if self.cold is not None:
-            if len(self.cold.extents) != self.num_clusters:
-                raise LayoutError(
-                    f"cold directory has {len(self.cold.extents)} extents "
-                    f"for {self.num_clusters} clusters")
-            parts.append(_COLD_HEAD.pack(_COLD_MARKER,
-                                         self.cold.codebook_offset,
-                                         self.cold.codebook_length))
-            for extent in self.cold.extents:
-                parts.append(_COLD_EXTENT.pack(extent.offset,
-                                               extent.length))
         return b"".join(parts)
 
     @classmethod
@@ -223,29 +175,13 @@ class GlobalMetadata:
             groups.append(GroupEntry(overflow_offset, cap,
                                      version=group_version or 1))
             offset += _GROUP.size
-        cold = None
-        if (len(blob) >= offset + _COLD_HEAD.size
-                and blob[offset:offset + 4] == _COLD_MARKER):
-            marker, codebook_offset, codebook_length = _COLD_HEAD.unpack_from(
-                blob, offset)
-            offset += _COLD_HEAD.size
-            needed = offset + num_clusters * _COLD_EXTENT.size
-            if len(blob) < needed:
-                raise LayoutError(
-                    f"metadata blob of {len(blob)} B, cold directory "
-                    f"needs {needed} B for {num_clusters} clusters")
-            extents = []
-            for _ in range(num_clusters):
-                cold_offset, cold_length = _COLD_EXTENT.unpack_from(
-                    blob, offset)
-                extents.append(ColdExtentEntry(cold_offset, cold_length))
-                offset += _COLD_EXTENT.size
-            cold = ColdDirectory(codebook_offset=codebook_offset,
-                                 codebook_length=codebook_length,
-                                 extents=extents)
+        if blob[offset:offset + 4] == _COLD_MARKER:
+            raise LayoutError(
+                "metadata block carries a cold-tier directory: the PQ "
+                "cold tier is retired — rebuild the deployment")
         return cls(version=version, dim=dim,
                    overflow_capacity_records=capacity,
-                   clusters=clusters, groups=groups, cold=cold)
+                   clusters=clusters, groups=groups)
 
     @staticmethod
     def peek_version(first_bytes: bytes) -> int:

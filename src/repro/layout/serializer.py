@@ -112,7 +112,7 @@ def replay_overflow(records: "list[OverflowRecord]"
 
     The latest record of an id wins: ``state[gid] is None`` means the id
     is tombstoned, a live record supersedes any earlier record *and* any
-    base-graph vector with the same id (search, cold tier, rebuild alike).
+    base-graph vector with the same id (search and rebuild alike).
     """
     state: dict[int, OverflowRecord | None] = {}
     for record in records:
@@ -197,18 +197,11 @@ def peek_cluster_geometry(blob: "bytes | memoryview"
                           ) -> tuple[int, int, int]:
     """Read ``(cluster_id, num_nodes, dim)`` from a blob's header.
 
-    The labels section starts at ``_HEADER.size`` and the vector section
-    occupies the last ``4 * num_nodes * dim`` bytes, so this is all a
-    caller needs to view either section without a full deserialize (the
-    cold-tier builder and the rerank read path both rely on it).
+    The vector section occupies the last ``4 * num_nodes * dim`` bytes,
+    so this is all a caller needs to view it without a full deserialize.
     """
     _, _, _, cluster_id, num_nodes, dim, _, _ = _check_header(blob)
     return cluster_id, num_nodes, dim
-
-
-def cluster_label_section_offset() -> int:
-    """Byte offset of the labels section inside a cluster blob."""
-    return _HEADER.size
 
 
 @dataclasses.dataclass(frozen=True)

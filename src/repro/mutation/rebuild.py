@@ -84,8 +84,7 @@ from repro.layout.group_layout import (
     unpack_overflow_area,
     unpack_overflow_tail,
 )
-from repro.layout.metadata import (ColdDirectory, ColdExtentEntry,
-                                   GlobalMetadata, rebuild_lock_offset)
+from repro.layout.metadata import GlobalMetadata, rebuild_lock_offset
 from repro.layout.serializer import (
     OverflowRecord,
     overflow_record_size,
@@ -325,35 +324,15 @@ class ShadowRebuild:
                 groups[self.group_id],
                 overflow_offset=plan.overflow_offset,
                 version=groups[self.group_id].version + 1)
-            # A rebuilt member's cold extent is stale twice over: its
-            # codes predate the merged overflow and its vectors_offset
-            # points at the retired blob.  Zero the entry (the cluster
-            # serves hot until a future re-encode) and retire the extent
-            # through the grace-period log.
-            cold = remote.cold
-            stale_cold: list[ColdExtentEntry] = []
-            if cold is not None:
-                extents = list(cold.extents)
-                for cid in snap.member_ids:
-                    stale = extents[cid]
-                    if stale.length > 0:
-                        stale_cold.append(stale)
-                    extents[cid] = ColdExtentEntry(0, 0)
-                cold = ColdDirectory(codebook_offset=cold.codebook_offset,
-                                     codebook_length=cold.codebook_length,
-                                     extents=extents)
             fresh = GlobalMetadata(
                 version=remote.version + 1, dim=remote.dim,
                 overflow_capacity_records=remote.overflow_capacity_records,
-                clusters=clusters, groups=groups, cold=cold)
+                clusters=clusters, groups=groups)
             host.transport.write(host.layout.rkey, host.layout.addr(0),
                                  fresh.pack())
             # 4. Retire the old extents behind the grace period: readers
             #    pinned to the previous epoch may still be decoding them.
-            retired = host.layout.retired
-            retired.retire(*snap.old_extent, fresh.version)
-            for stale in stale_cold:
-                retired.retire(stale.offset, stale.length, fresh.version)
+            host.layout.retired.retire(*snap.old_extent, fresh.version)
             # 5. Adopt the new epoch locally and release the lock.
             host.metadata = fresh
             host.layout.metadata = GlobalMetadata.unpack(fresh.pack())

@@ -24,7 +24,7 @@ import pathlib
 from repro.core.config import META_PARAMS, SUB_PARAMS, DHnswConfig
 from repro.core.engine import RemoteLayout
 from repro.core.meta_index import MetaHnsw
-from repro.errors import LayoutError, SerializationError
+from repro.errors import ConfigError, LayoutError, SerializationError
 from repro.hnsw.params import HnswParams
 from repro.layout.allocator import RegionAllocator
 from repro.layout.metadata import GlobalMetadata
@@ -41,11 +41,14 @@ _FORMAT_VERSION = 2
 
 #: Config keys older manifests carry for fields that are constants now
 #: (each only ever had one value in use), that nothing ever read
-#: (``batch_size``), or that chose a router (``adaptive_*``): a restored
-#: deployment routes by the one distance-gap rule whatever they said.
+#: (``batch_size``), that chose a router (``adaptive_*``): a restored
+#: deployment routes by the one distance-gap rule whatever they said —
+#: or that configured the retired PQ cold tier (``cold_tier`` and the
+#: two knobs under it), which loads only where it was off.
 _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
                         "tier_ewma_halflife_us", "tier_hysteresis",
-                        "batch_size", "adaptive_nprobe", "adaptive_alpha"}
+                        "batch_size", "adaptive_nprobe", "adaptive_alpha",
+                        "cold_tier", "rerank_depth", "pq_subspaces"}
 
 
 def _legacy_params(params: HnswParams) -> dict:
@@ -57,6 +60,14 @@ def _legacy_params(params: HnswParams) -> dict:
 
 
 def _config_from_dict(data: dict) -> DHnswConfig:
+    cold_tier = data.get("cold_tier", "off")
+    if cold_tier != "off":
+        # Its region holds cold extents and a codebook nothing reads any
+        # more (fsck would call them leaks): rebuild it instead.
+        raise ConfigError(
+            f"manifest config has cold_tier={cold_tier!r}: the PQ cold "
+            f"tier is retired — rebuild the deployment (a byte cap on the "
+            f"cluster cache, hot_tier_budget_bytes, bounds DRAM instead)")
     data = {key: value for key, value in data.items()
             if key not in _RETIRED_CONFIG_KEYS}
     # Older manifests also carry the HNSW parameters, which are constants

@@ -26,7 +26,7 @@ import enum
 
 from repro.errors import QpStateError
 from repro.rdma.clock import SimClock
-from repro.rdma.memory_node import MemoryNode, as_byte_view
+from repro.rdma.memory_node import MemoryNode
 from repro.rdma.network import CostModel
 from repro.rdma.stats import RdmaStats
 

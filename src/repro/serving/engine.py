@@ -30,7 +30,6 @@ from repro.serving.executor import WaveExecutor
 from repro.serving.fetcher import Fetcher
 from repro.serving.merger import Merger
 from repro.serving.planner import Planner
-from repro.serving.tiered import ColdExecution
 from repro.serving.trace import TraceContext
 
 __all__ = ["ServingEngine"]
@@ -41,9 +40,9 @@ class ServingEngine:
 
     def __init__(self, host) -> None:
         self.host = host
-        self.planner = Planner(host)
         self.decoder = Decoder(host)
         self.fetcher = Fetcher(host, self.decoder)
+        self.planner = Planner(host, self.fetcher)
         self.executor = WaveExecutor(host, self.fetcher)
         self.merger = Merger(host)
         self._request_counter = 0
@@ -108,15 +107,11 @@ class ServingEngine:
         merger = self.merger.create(len(queries), k, filter_fn)
         cache_counters_before = host.cache.counters()
         streamed_before = host.cache.streamed
-        # Tiering applies only under the full scheme (deduplicated
-        # batches); with cold_tier="off" there is no tier store and the
-        # path below is bit-identical to the untiered engine.
-        tier = host.tier_store if host.policy.deduplicate_batch else None
         plan = loop = None
 
         def first_wave(routes: list[list[int]]):
-            # Untiered, the plan needs only the routes and the cache, so
-            # the loop can post its first READ mid-routing.
+            # The plan needs only the routes and the cache, so the loop
+            # can post its first READ mid-routing.
             nonlocal plan, loop
             plan = self.planner.plan(routes, trace)
             loop = self.executor.ready_list(plan, queries, merger, k, ef,
@@ -124,15 +119,13 @@ class ServingEngine:
             return loop.first_rows, lambda: loop.start(loop.first_rows)
 
         # --- meta-HNSW routing (local, cached) -------------------------
-        required = self.planner.route(queries, breakdown, trace,
-                                      first_wave if tier is None else None)
+        required = self.planner.route(queries, breakdown, trace, first_wave)
         if record_access:
             # Once per batch, before anything reads it: every routed
             # cluster's frequency, weighted by the queries probing it —
             # with large batches nearly every cluster appears in every
             # batch, and presence alone cannot tell a Zipf head cluster
-            # from the tail.  Cache admission and eviction rank by it,
-            # and so does the tier split, which asks the cache.
+            # from the tail.  Cache admission and eviction rank by it.
             now_us = host.node.clock.now_us
             probes = collections.Counter(cid for row in required
                                          for cid in row)
@@ -140,34 +133,14 @@ class ServingEngine:
                 host.cache.record_access(cid, now_us, weight=weight)
 
         # --- cluster loading + sub-HNSW search -------------------------
-        cold = ColdExecution()
-        cold_required: dict[int, list[int]] = {}
-        if tier is not None:
-            # The split weighs the whole batch, so nothing is fetched
-            # before every row is routed.
-            required, cold_required = tier.split(required)
-            plan = self.planner.plan(required, trace)
-            loop = self.executor.ready_list(plan, queries, merger, k, ef,
-                                            trace)
-            loop.start(len(queries))
         execution = loop.run()
-        if tier is not None:
-            cold = tier.execute_cold(cold_required, queries, merger,
-                                     k, trace)
-        # The loop charged decode + search to the clock itself, and cold
-        # serving its compute inside execute_cold (the waves never saw
-        # those clusters); both belong to the sub-HNSW bucket.
+        # The loop charged decode + search to the clock itself; both
+        # belong to the sub-HNSW bucket.
         breakdown.sub_hnsw_us += execution.sub_hnsw_us
-        breakdown.sub_hnsw_us += cold.compute_us
 
         # --- finalize ---------------------------------------------------
         results = self.merger.finalize(merger, len(queries), k, filter_fn,
                                        trace)
-        # A row is final once its last cluster is; rows the cold tier
-        # answered are final when the batch is.
-        complete_us = execution.complete_us
-        for query_indices in cold_required.values():
-            complete_us[query_indices] = host.node.clock.now_us
         rdma_delta = host.node.stats.delta(before)
         breakdown.network_us += rdma_delta.network_time_us
         # Fault-path attribution: which request paid for retries and
@@ -186,9 +159,8 @@ class ServingEngine:
                                plan.duplicate_requests_pruned),
                            waves=len(plan.waves),
                            overlap_saved_us=rdma_delta.overlapped_time_us,
-                           sub_evals=execution.sub_evals + cold.evals,
+                           sub_evals=execution.sub_evals,
                            cache_misses=misses_after - misses_before,
                            cache_evictions=evictions_after - evictions_before,
                            cache_streamed=host.cache.streamed - streamed_before,
-                           cold_clusters_served=cold.clusters,
-                           trace=trace, complete_us=complete_us)
+                           trace=trace, complete_us=execution.complete_us)

@@ -27,7 +27,17 @@ from repro.serving.fetcher import Delta, Extent, Fetcher
 from repro.serving.trace import TraceContext, span
 from repro.transport import PendingRead
 
-__all__ = ["PlanExecution", "ReadyList", "WaveExecutor"]
+__all__ = ["OPEN_WAVES", "PlanExecution", "ReadyList", "WaveExecutor",
+           "lookahead"]
+
+#: Posted waves the loop keeps open, without and with look-ahead.
+OPEN_WAVES = (1, 2)
+
+
+def lookahead(host) -> bool:
+    """The loop's look-ahead: ``config.pipeline_waves`` under a
+    deduplicating scheme."""
+    return host.config.pipeline_waves and host.policy.deduplicate_batch
 
 
 @dataclasses.dataclass
@@ -206,8 +216,7 @@ class ReadyList:
         self.plan = plan
         self.queries, self.merger, self.k, self.ef = queries, merger, k, ef
         self.trace = trace
-        self.lookahead = (host.config.pipeline_waves
-                          and host.policy.deduplicate_batch)
+        self.lookahead = lookahead(host)
         #: Rows routed before the first READ is posted: those that fix
         #: it under look-ahead, else every row (routing overlaps nothing).
         self.first_rows = (plan.first_wave_rows if self.lookahead
@@ -284,7 +293,7 @@ class ReadyList:
                     raise LayoutError("planned clusters left unsearched")
         finally:
             self._release()
-        # A row no cluster serviced (the cold tier's) ends with the loop.
+        # A row the plan gives no cluster ends with the loop.
         self.complete_us[np.isnan(self.complete_us)] = clock.now_us
         self.execution.complete_us = self.complete_us
         return self.execution
@@ -307,7 +316,7 @@ class ReadyList:
         posted yet (a READ of those alone once every wave is posted)."""
         waves = self.plan.waves
         cluster_ids, positions = (), []
-        if (len(self.open_waves) < (2 if self.lookahead else 1)
+        if (len(self.open_waves) < OPEN_WAVES[self.lookahead]
                 and self.next_wave < len(waves)):
             cluster_ids = waves[self.next_wave].fetch_cluster_ids
             self.next_wave += 1

@@ -95,20 +95,30 @@ class Fetcher:
         return [ReadDescriptor(rkey, base + offset, length)
                 for offset, length in ranges]
 
+    def _read_ranges(self, cluster_id: int, merge: float
+                     ) -> tuple[tuple[int, int], ...]:
+        metadata = self.host.metadata
+        return cluster_read_ranges(
+            metadata, cluster_id,
+            self.decoder.tail_seen(metadata.clusters[cluster_id].group_id)
+            + TAIL_SLACK_SLOTS, merge)
+
     def extent_descriptors(self, cluster_ids: Sequence[int]
                            ) -> tuple[list[ReadDescriptor], list[Extent]]:
-        """READ descriptors + extents for a set of clusters (shared by the
-        fetch and by the tier split, which sizes a fetch before deciding
-        to make it)."""
-        metadata = self.host.metadata
-        tail_seen = self.decoder.tail_seen
+        """READ descriptors + extents for a set of clusters."""
         merge = self.merge_hole_bytes()
-        extents = [(cid, cluster_read_ranges(
-            metadata, cid,
-            tail_seen(metadata.clusters[cid].group_id) + TAIL_SLACK_SLOTS,
-            merge)) for cid in cluster_ids]
+        extents = [(cid, self._read_ranges(cid, merge))
+                   for cid in cluster_ids]
         return self._descriptors(
             piece for _, ranges in extents for piece in ranges), extents
+
+    def fetch_bytes(self, cluster_id: int) -> int:
+        """Bytes a fetch of ``cluster_id`` would read now: what
+        :meth:`extent_descriptors` posts for it, and the ``nbytes`` the
+        cache charges its decoded entry (the planner sizes byte-capped
+        waves by it)."""
+        return sum(length for _, length in self._read_ranges(
+            cluster_id, self.merge_hole_bytes()))
 
     # -- fetch ------------------------------------------------------------
     def issue_async(self, cluster_ids: Sequence[int], doorbell: bool,

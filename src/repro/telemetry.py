@@ -121,11 +121,6 @@ class ClientTelemetry:
     #: Per-replica health/traffic rows (``ReplicaSelector.status()``);
     #: empty for an unreplicated pool.
     replicas: tuple = ()
-    #: Cluster serves per tier (both zero with ``cold_tier="off"``).
-    #: The hot tier is the cluster cache: its residents, bytes,
-    #: admissions and evictions are ``cache``.
-    tier_hot_serves: int = 0
-    tier_cold_serves: int = 0
 
     @classmethod
     def from_client(cls, client: DHnswClient) -> "ClientTelemetry":
@@ -135,7 +130,6 @@ class ClientTelemetry:
         replicated = client._replicated_transport()
         replicas = (tuple(replicated.selector.status())
                     if replicated is not None else ())
-        tier = client.tier_store
         mstats = client.mutation.stats
         return cls(
             name=client.node.name,
@@ -181,8 +175,6 @@ class ClientTelemetry:
             batch_chunks=mstats.batch_chunks,
             reclaimed_bytes=mstats.reclaimed_bytes,
             replicas=replicas,
-            tier_hot_serves=tier.hot_serves if tier else 0,
-            tier_cold_serves=tier.cold_serves if tier else 0,
         )
 
 
@@ -339,18 +331,6 @@ def render_report(telemetry: DeploymentTelemetry,
                 f"{client.rebuilds_yielded:>6} "
                 f"{client.records_migrated:>6} {client.batch_chunks:>7} "
                 f"{client.reclaimed_bytes / 2**20:>9.2f}")
-    tiered = [client for client in telemetry.clients
-              if client.tier_hot_serves or client.tier_cold_serves]
-    if tiered:
-        lines += [
-            "",
-            "=== tiered memory (hot tier: the cluster cache) ===",
-            f"{'instance':<12} {'hot_srv':>8} {'cold_srv':>9}",
-        ]
-        for client in tiered:
-            lines.append(
-                f"{client.name:<12} {client.tier_hot_serves:>8} "
-                f"{client.tier_cold_serves:>9}")
     replicated = [client for client in telemetry.clients if client.replicas]
     if replicated:
         lines += [

@@ -84,15 +84,15 @@ def zipfian_cluster_queries(corpus: np.ndarray, cluster_of: np.ndarray,
     """Queries whose *cluster* popularity is Zipfian.
 
     Unlike :func:`zipfian_queries` (hot individual rows), this skews at
-    the partition granularity the tiered store cares about: a handful of
+    the partition granularity the cluster cache cares about: a handful of
     clusters absorb most of the traffic while the tail stays cold.  The
     Zipf ranks are mapped through a random permutation of cluster ids,
     so which clusters run hot is seed-dependent rather than id-ordered;
     within the chosen cluster the query row is uniform.
 
     ``cluster_of`` maps each corpus row to its cluster id (the builder's
-    assignment array).  Used by ``bench_tiered`` and the front-door skew
-    tests so both exercise the same hot/cold access pattern.
+    assignment array).  Used by ``bench_dram_budget`` and the front-door
+    skew tests so both exercise the same hot/cold access pattern.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")

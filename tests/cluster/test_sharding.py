@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import Deployment, ShardedDeployment
-from repro.core import DHnswConfig
 from repro.errors import ConfigError
 from repro.metrics import recall_at_k
 

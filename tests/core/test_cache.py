@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,149 @@ class TestValueRanking:
         cache.unpin(streamed)
         assert cache.held_bytes == 10 and not streamed.streamed
         assert cache.cached_bytes == 10
+
+
+class TestEwmaFrequency:
+    def test_first_access_scores_one(self):
+        cache = ClusterCache(4)
+        assert cache.record_access(3, 1000.0) == 1.0
+
+    def test_absent_cluster_reads_zero(self):
+        cache = ClusterCache(4)
+        assert cache.frequency(9, 0.0) == 0.0
+
+    def test_same_instant_accumulates_exactly(self):
+        cache = ClusterCache(4)
+        for _ in range(10):
+            cache.record_access(1, 500.0)
+        assert cache.frequency(1, 500.0) == 10.0
+
+    def test_halflife_decay(self):
+        cache = ClusterCache(4)
+        cache.record_access(1, 0.0)
+        # One halflife later the old score is worth exactly half.
+        assert cache.frequency(1, FREQ_HALFLIFE_US) == pytest.approx(0.5)
+        assert (cache.record_access(1, FREQ_HALFLIFE_US)
+                == pytest.approx(1.5))
+
+    def test_frequency_read_does_not_mutate(self):
+        cache = ClusterCache(4)
+        cache.record_access(1, 0.0)
+        cache.frequency(1, 3 * FREQ_HALFLIFE_US)
+        # The stored (score, last) pair is untouched by reads: a second
+        # read at the same horizon gives the same answer.
+        assert cache.frequency(1, 3 * FREQ_HALFLIFE_US) == pytest.approx(0.125)
+
+    def test_stale_timestamp_never_inflates(self):
+        # Out-of-order timestamps (pipelined waves) must not decay
+        # backwards or move last-access earlier.
+        cache = ClusterCache(4)
+        cache.record_access(1, 2000.0)
+        cache.record_access(1, 1000.0)   # late arrival
+        assert cache.frequency(1, 2000.0) == 2.0
+
+    def test_counters_exact_under_contention(self):
+        # Many threads bumping the same cluster at one instant: the score
+        # is += 1 under the lock, so the total must be exact, not
+        # approximately N.
+        cache = ClusterCache(4)
+        threads = [threading.Thread(
+            target=lambda: [cache.record_access(7, 100.0)
+                            for _ in range(200)]) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cache.frequency(7, 100.0) == 8 * 200
+
+    def test_survives_eviction(self):
+        # The admission signal must outlive residency: evicting the entry
+        # does not forget its access history.
+        cache = ClusterCache(1)
+        cache.record_access(1, 0.0)
+        cache.put(make_entry(1, 10))
+        # Worth as much as 1 and more recent: evicts 1.
+        cache.record_access(2, 0.0)
+        cache.put(make_entry(2, 10))
+        assert 1 not in cache
+        assert cache.frequency(1, 0.0) == 1.0
+
+
+class TestByteCap:
+    def test_cluster_larger_than_byte_cap_is_never_admitted(self):
+        cache = ClusterCache(4, capacity_bytes=100)
+        cache.record_access(1, 0.0, 50)
+        oversized = make_entry(1, 101)
+        assert cache.put(oversized) is None
+        assert oversized.streamed and len(cache) == 0
+        # It fits a cap of exactly its bytes.
+        cache = ClusterCache(4, capacity_bytes=101)
+        assert cache.put(make_entry(1, 101)) == []
+
+    def test_pinned_resident_is_never_a_victim(self):
+        cache = ClusterCache(2, capacity_bytes=100)
+        weak, strong = make_entry(1, 50), make_entry(2, 50)
+        cache.put(weak)
+        cache.put(strong)
+        cache.record_access(1, 0.0, 1)
+        cache.record_access(2, 0.0, 9)
+        cache.record_access(3, 0.0, 5)
+        cache.pin(weak)
+        # The weakest resident is pinned, so the offer is judged against
+        # the next one, which is worth more: it is streamed.
+        assert cache.put(make_entry(3, 50)) is None
+        assert 1 in cache and 2 in cache
+        cache.unpin(weak)
+        assert cache.put(make_entry(3, 50)) == [weak]
+
+    @staticmethod
+    def grown_past_the_cap():
+        """Residents of 60 B and 30 B (the 30 B one weaker) under a
+        100 B cap; the 60 B one is about to grow by 40 B."""
+        cache = ClusterCache(4, capacity_bytes=100)
+        grown, weak = make_entry(1, 60), make_entry(2, 30)
+        cache.put(grown)
+        cache.put(weak)
+        cache.record_access(1, 0.0, 5)
+        cache.record_access(2, 0.0, 1)
+        return cache, grown, weak
+
+    def test_grow_evicts_what_put_would_for_the_new_size(self):
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.grow(grown, 40)
+        assert 2 not in cache and cache.peek(1) is grown
+        assert grown.nbytes == cache.cached_bytes == 100
+        assert cache.cached_bytes <= cache.capacity_bytes
+        assert cache.evictions == 1
+        # The same put, of a 100 B entry for cluster 1, evicts the same.
+        cache, _, weak = self.grown_past_the_cap()
+        assert cache.put(make_entry(1, 100)) == [weak]
+
+    def test_grow_never_evicts_a_pinned_resident(self):
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.pin(weak)
+        cache.grow(grown, 40)
+        # No unpinned resident can make room, so the rule would stream
+        # the grown entry: it leaves, and the pinned one stays.
+        assert 1 not in cache and cache.peek(2) is weak
+        assert cache.cached_bytes == 30 <= cache.capacity_bytes
+        # A grown entry a search is reading stays too, over the cap
+        # until a later put or grow finds it unpinned.
+        cache, grown, weak = self.grown_past_the_cap()
+        cache.pin(weak)
+        cache.pin(grown)
+        cache.grow(grown, 40)
+        assert cache.peek(1) is grown and cache.peek(2) is weak
+        assert cache.cached_bytes == 130 and cache.evictions == 0
+
+    def test_peak_held_bytes_is_the_high_water_mark(self):
+        cache = recorded(ClusterCache(2, capacity_bytes=100), {1: 5.0})
+        cache.put(make_entry(1, 60), now_us=0.0)
+        streamed = make_entry(2, 70)
+        assert cache.put(streamed, now_us=0.0) is None
+        cache.pin(streamed)
+        cache.grow(streamed, 5)
+        assert cache.held_bytes == cache.peak_held_bytes == 135
+        cache.unpin(streamed)
+        cache.invalidate_all()
+        assert cache.held_bytes == 0 and cache.peak_held_bytes == 135

@@ -46,14 +46,12 @@ class TestRemoteState:
         assert metadata.num_clusters == 12
         assert metadata.clusters == layout.metadata.clusters
 
-    @pytest.mark.parametrize("cold_tier", ["off", "pq"])
     def test_metadata_nbytes_is_the_packed_size(self, small_dataset,
-                                                small_config, cold_tier):
+                                                small_config):
         """Computed from the entry counts, never by re-serializing the
-        block — with and without the trailing cold directory."""
+        block."""
         layout = Deployment(small_dataset.vectors[:400], small_config.replace(
-            num_representatives=4, cold_tier=cold_tier)).layout
-        assert (layout.metadata.cold is not None) == (cold_tier == "pq")
+            num_representatives=4)).layout
         assert layout.metadata_nbytes == len(layout.metadata.pack())
 
     def test_every_cluster_blob_deserializable(self, built_deployment):

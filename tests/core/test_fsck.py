@@ -163,8 +163,7 @@ class TestCorruptionDetection:
         corrupt(layout, 0, GlobalMetadata(
             version=metadata.version, dim=metadata.dim,
             overflow_capacity_records=metadata.overflow_capacity_records,
-            clusters=clusters, groups=metadata.groups,
-            cold=metadata.cold).pack())
+            clusters=clusters, groups=metadata.groups).pack())
         report = fsck(layout)
         assert not report.clean
         assert any(finding.location == "cluster 1"

@@ -138,10 +138,12 @@ class TestErrors:
             load_deployment(path)
 
     #: The config keys a manifest written before the knobs were retired
-    #: carries on top of today's, at the only values ever in use.
+    #: carries on top of today's, at the only values ever in use (the
+    #: cold tier's at their defaults, with the tier off).
     RETIRED = {"mutation_retry_limit": 8, "pq_bits": 8,
                "tier_ewma_halflife_us": 50_000.0, "tier_hysteresis": 2.0,
-               "vamana_degree": 16, "batch_size": 64}
+               "vamana_degree": 16, "batch_size": 64,
+               "rerank_depth": 48, "pq_subspaces": 8}
 
     def rewrite_config(self, path, **changes):
         manifest = json.loads((path / "manifest.json").read_text())
@@ -151,9 +153,18 @@ class TestErrors:
     def test_older_manifest_loads_without_its_retired_keys(
             self, saved, small_config):
         path, _ = saved
-        self.rewrite_config(path, cold_tier="pq", **self.RETIRED)
+        self.rewrite_config(path, cold_tier="off", **self.RETIRED)
         _, _, config = load_deployment(path)
-        assert config == small_config.replace(cold_tier="pq")
+        assert config == small_config
+
+    def test_cold_tier_manifest_refused_at_load(self, saved):
+        """A deployment built with the retired PQ cold tier on holds cold
+        extents and a codebook nothing reads: ``load_deployment`` refuses
+        it, naming the key and its value."""
+        path, _ = saved
+        self.rewrite_config(path, cold_tier="pq", **self.RETIRED)
+        with pytest.raises(ConfigError, match="cold_tier='pq'"):
+            load_deployment(path)
 
     @pytest.mark.parametrize("adaptive_nprobe", [False, True])
     def test_manifest_naming_a_router_loads(self, saved, small_config,

@@ -68,6 +68,19 @@ class TestWaves:
             allowed = set(wave.fetch_cluster_ids)
             assert {cid for _, cid in wave.serviced} <= allowed
 
+    def test_waves_close_on_bytes(self):
+        """Under a byte cap a wave closes before a miss would pass its
+        share, and one larger than the share travels alone; the first
+        wave is fixed once the row needing the miss it left out is
+        routed."""
+        sizes = {1: 40, 2: 50, 3: 30, 4: 120, 5: 10}
+        required = [[1], [2], [3, 4], [5]]
+        plan = plan_batch(required, empty_cache(), cache_capacity=8,
+                          wave_bytes=100, fetch_bytes=sizes.__getitem__)
+        assert [w.fetch_cluster_ids for w in plan.waves] == [
+            (1, 2), (3,), (4,), (5,)]
+        assert plan.first_wave_rows == 3
+
 
 class TestCacheInteraction:
     def test_cached_clusters_not_fetched(self):
@@ -139,20 +152,38 @@ BATCHES = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(required=BATCHES,
        capacity=st.integers(min_value=1, max_value=6),
-       cached=st.sets(st.integers(min_value=0, max_value=20), max_size=4))
-def test_plan_properties(required, capacity, cached):
-    """Invariants for arbitrary batches and cache contents: single fetch
-    per cluster, wave bound, every pair planned exactly once, clusters in
-    first-need order — and the earliest-row-first guarantee."""
+       cached=st.sets(st.integers(min_value=0, max_value=20), max_size=4),
+       wave_bytes=st.one_of(st.none(),
+                            st.integers(min_value=0, max_value=600)),
+       sizes=st.lists(st.integers(min_value=1, max_value=300),
+                      min_size=21, max_size=21))
+def test_plan_properties(required, capacity, cached, wave_bytes, sizes):
+    """Invariants for arbitrary batches, cache contents and byte caps:
+    single fetch per cluster, wave bounds in clusters and in bytes, every
+    pair planned exactly once, clusters in first-need order — and the
+    earliest-row-first guarantee."""
     cache = ClusterCache(4)
     for cid in cached:
         cache.put(make_entry(cid))
-    plan = plan_batch(required, cache, capacity)
+    fetch_bytes = sizes.__getitem__
+    plan = plan_batch(required, cache, capacity, wave_bytes, fetch_bytes)
     fetched = [cid for wave in plan.waves for cid in wave.fetch_cluster_ids]
     assert len(fetched) == len(set(fetched))
     assert not set(fetched) & cached
     assert all(len(w.fetch_cluster_ids) <= capacity for w in plan.waves)
     assert all(wave.fetch_cluster_ids for wave in plan.waves)
+    # A wave holds its share of the cap unless it is one cluster, and
+    # closes only when full or when the next miss would pass the share.
+    wave_sizes = [sum(map(fetch_bytes, wave.fetch_cluster_ids))
+                  for wave in plan.waves]
+    for index, wave in enumerate(plan.waves):
+        if wave_bytes is not None and len(wave.fetch_cluster_ids) > 1:
+            assert wave_sizes[index] <= wave_bytes
+        if index + 1 < len(plan.waves):
+            following = plan.waves[index + 1].fetch_cluster_ids[0]
+            assert len(wave.fetch_cluster_ids) == capacity or (
+                wave_bytes is not None and wave_sizes[index]
+                + fetch_bytes(following) > wave_bytes)
     serviced = [pair for wave in plan.waves for pair in wave.serviced]
     serviced += [(q, cid) for cid, rows in plan.clusters
                  if cid in plan.cache_hit_cluster_ids for q in rows]
@@ -180,12 +211,13 @@ def test_plan_properties(required, capacity, cached):
     wanted: set[int] = set()
     for row, cluster_ids in enumerate(required):
         wanted |= set(cluster_ids) - cached
-        if row in completed_in:
+        if row in completed_in and wave_bytes is None:
             miss_waves = -(-len(wanted) // capacity)
             assert completed_in[row] <= miss_waves - 1
     # The first wave is fixed by the rows it names.
     if plan.waves:
-        head = plan_batch(required[:plan.first_wave_rows], cache, capacity)
+        head = plan_batch(required[:plan.first_wave_rows], cache, capacity,
+                          wave_bytes, fetch_bytes)
         assert head.waves[0].fetch_cluster_ids == (
             plan.waves[0].fetch_cluster_ids)
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import FrontDoorConfig
 from repro.errors import ConfigError
-from repro.frontdoor import (ClosedLoopSession, FrontDoor, RequestStatus,
+from repro.frontdoor import (ClosedLoopSession, RequestStatus,
                              TenantPolicy, calibrate_degraded_ef,
                              make_requests, poisson_arrivals)
 from repro.telemetry import (DeploymentTelemetry, render_report,

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import DHnswClient, Scheme
 from repro.errors import LayoutError, ProtectionError, QpStateError
-from repro.layout.metadata import GlobalMetadata
 
 
 def fresh_client(deployment, config):

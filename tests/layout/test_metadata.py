@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.errors import LayoutError
@@ -73,3 +75,13 @@ class TestErrors:
         blob = sample_metadata().pack()
         with pytest.raises(LayoutError, match="need"):
             GlobalMetadata.unpack(blob[:40])
+
+    def test_trailing_cold_directory_refused(self):
+        """A block written with the retired PQ cold tier ends in a
+        ``DHMC`` directory (codebook offset and length, then one extent
+        per cluster); unpack refuses it instead of ignoring it."""
+        cold = struct.pack("<4sxxxxQQ", b"DHMC", 90_000, 4096) + b"".join(
+            struct.pack("<QQ", 100_000 + 512 * cid, 512) for cid in range(4))
+        blob = sample_metadata().pack() + cold + bytes(64)
+        with pytest.raises(LayoutError, match="cold-tier directory"):
+            GlobalMetadata.unpack(blob)

@@ -461,7 +461,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             host.transport.abandon(ring["token"])
         for entry in pins.values():
             cache.unpin(entry)
-    # A row no cluster serviced (the cold tier's) ends with the batch.
+    # A row the plan gives no cluster ends with the batch.
     complete_us[np.isnan(complete_us)] = clock.now_us
     execution.complete_us = complete_us
     execution.overlap_oracle_us = hidden_us

@@ -1,10 +1,11 @@
 """Frequency x bytes cache admission, end to end through the client.
 
 The serving engine records every routed cluster's access once per batch,
-before the tier split, weighted by the queries that probe it; the fetcher
-offers each fetched cluster to the cache, which admits it or streams it
-through its wave; and the cache, the one DRAM ledger, holds exactly its
-residents between batches plus, during a wave, what that wave streams.
+weighted by the queries that probe it; the fetcher offers each fetched
+cluster to the cache, which admits it or streams it through its wave; and
+the cache, the one DRAM ledger, holds exactly its residents between
+batches plus, during a wave, what that wave streams — with or without a
+byte cap, under which it never holds more than twice the cap.
 """
 
 from __future__ import annotations
@@ -17,27 +18,32 @@ from repro.cluster import Deployment
 from repro.core import DHnswClient
 from repro.core.cache import CachedCluster
 from repro.hnsw import HnswIndex, HnswParams
-from tests.serving.test_tiered_equivalence import base_config, make_world
+from tests.serving.helpers import base_config, make_world
 
-TIERS = pytest.mark.parametrize("cold_tier", ["off", "pq"])
+#: The cache's byte cap: none, or about two median clusters' fetches.
+BYTE_CAP = pytest.mark.parametrize("byte_cap", ["off", "capped"])
 BATCH = 8
 
 
 @pytest.fixture(scope="module")
 def world():
     corpus, queries, _ = make_world()
-    deployments = {tier: Deployment(corpus, base_config(cold_tier=tier),
-                                    simulate_link_contention=False)
-                   for tier in ("off", "pq")}
-    return deployments, queries
+    deployment = Deployment(corpus, base_config(),
+                            simulate_link_contention=False)
+    return deployment, queries
 
 
-def fresh_client(world, cold_tier: str) -> DHnswClient:
-    deployments, _ = world
-    deployment = deployments[cold_tier]
-    return DHnswClient(deployment.layout, deployment.meta, deployment.config,
+def fresh_client(world, byte_cap: str = "off", **overrides) -> DHnswClient:
+    deployment, _ = world
+    config = deployment.config.replace(**overrides)
+    if byte_cap == "capped":
+        sizes = sorted(entry.blob_length
+                       for entry in deployment.layout.metadata.clusters)
+        config = config.replace(
+            hot_tier_budget_bytes=2 * sizes[len(sizes) // 2])
+    return DHnswClient(deployment.layout, deployment.meta, config,
                        cost_model=deployment.effective_cost_model,
-                       name=f"admission-{cold_tier}")
+                       name=f"admission-{byte_cap}")
 
 
 def batches(world):
@@ -46,12 +52,12 @@ def batches(world):
             for start in range(0, len(queries), BATCH)]
 
 
-@TIERS
-def test_each_routed_cluster_is_recorded_once_per_batch(world, cold_tier):
+@BYTE_CAP
+def test_each_routed_cluster_is_recorded_once_per_batch(world, byte_cap):
     """One recorder: per batch, every routed cluster gets exactly one
-    bump, weighted by the number of queries that probe it — with the tier
-    on, too (its split only reads the scores)."""
-    client = fresh_client(world, cold_tier)
+    bump, weighted by the number of queries that probe it — under a byte
+    cap, too."""
+    client = fresh_client(world, byte_cap)
     bumps: list[tuple[int, float]] = []
     routed: list[list[list[int]]] = []
     record, route = client.cache.record_access, client.engine.planner.route
@@ -66,26 +72,24 @@ def test_each_routed_cluster_is_recorded_once_per_batch(world, cold_tier):
 
     client.cache.record_access = recording
     client.engine.planner.route = routing
-    served_cold = 0
     with client:
         for queries in batches(world):
             bumps.clear()
-            served_cold += client.search_batch(queries, 10).cold_clusters_served
+            client.search_batch(queries, 10)
             probes = collections.Counter(
                 cid for row in routed[-1] for cid in set(row))
             assert sorted(bumps) == sorted(probes.items())
-    assert (served_cold > 0) == (cold_tier == "pq")
 
 
-@TIERS
-def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
+@BYTE_CAP
+def test_dram_holds_the_cache_and_what_the_wave_streams(world, byte_cap):
     """Between batches the client holds its fixed bytes plus
     ``cache.cached_bytes``; inside a wave, the bytes of every entry it
-    streams as well (``cache.held_bytes``), until the wave's pins drop.  With the tier on, the
-    split serves cold what the cache would not admit, so what would have
-    streamed is never fetched."""
-    client = fresh_client(world, cold_tier)
-    fixed = client.dram_used_bytes  # meta-HNSW (+ codebook)
+    streams as well (``cache.held_bytes``), until the wave's pins drop.
+    Under a byte cap the cache streams whatever it will not keep, and
+    the residents never pass the cap."""
+    client = fresh_client(world, byte_cap)
+    fixed = client.dram_used_bytes  # the meta-HNSW
     streamed = []
     run_wave_compute = client.engine.executor.run_wave_compute
 
@@ -99,19 +103,16 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, cold_tier):
         return run_wave_compute(tasks, *args, **kwargs)
 
     client.engine.executor.run_wave_compute = checked
-    served_cold = 0
+    cap = client.cache.capacity_bytes
     with client:
         for queries in batches(world) * 2:
             result = client.search_batch(queries, 10)
             assert (client.dram_used_bytes
                     == fixed + client.cache.cached_bytes)
             assert result.cache_streamed <= result.clusters_fetched
-            served_cold += result.cold_clusters_served
-    if cold_tier == "off":
-        assert streamed, "no wave streamed a cluster; shrink the cache"
-    else:
-        assert served_cold, "no cluster was served cold; shrink the cache"
-        assert not streamed
+            if cap is not None:
+                assert client.cache.cached_bytes <= cap
+    assert streamed, "no wave streamed a cluster; shrink the cache"
     assert client.cache.streamed == len(streamed)
     assert not any(entry.streamed for entry in streamed)
 
@@ -121,7 +122,7 @@ def test_a_wave_never_evicts_what_it_loaded(world):
     resident but less than the rest: the first evicts the weakest, and
     the second is streamed rather than evicting its sibling, which the
     wave is about to search.  The cache holds both until the search."""
-    client = fresh_client(world, "off")
+    client = fresh_client(world)
     cache, fixed = client.cache, client.dram_used_bytes
     assert cache.capacity_clusters == 3
 
@@ -143,3 +144,28 @@ def test_a_wave_never_evicts_what_it_loaded(world):
         cache.unpin(second)
     assert cache.held_bytes == cache.cached_bytes == 3 * 1000
     assert client.dram_used_bytes == fixed + cache.cached_bytes
+
+
+@pytest.mark.parametrize("pipeline", [False, True],
+                         ids=["serial", "pipelined"])
+def test_capped_batch_holds_at_most_twice_the_cap(world, pipeline):
+    """With the whole corpus allowed by count, the byte cap alone bounds
+    DRAM: each wave fetches at most the cap over the waves the loop keeps
+    open, so while the batch runs the cache holds at most its residents
+    (<= the cap) plus the open waves' streams (<= the cap), and after it
+    nothing but its residents."""
+    deployment, queries = world
+    with fresh_client(world) as probe:
+        largest = max(probe.engine.fetcher.fetch_bytes(cid) for cid in
+                      range(len(deployment.layout.metadata.clusters)))
+    cap = 2 * largest
+    client = fresh_client(world, cache_fraction=1.0,
+                          pipeline_waves=pipeline,
+                          hot_tier_budget_bytes=cap)
+    cache = client.cache
+    with client:
+        for batch in (queries[:24], queries[24:]):
+            result = client.search_batch(batch, 10)
+            assert result.waves > 1 and result.cache_streamed
+            assert cache.peak_held_bytes <= 2 * cap
+            assert cache.held_bytes == cache.cached_bytes <= cap

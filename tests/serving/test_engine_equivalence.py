@@ -26,7 +26,6 @@ from repro.rdma import CostModel
 from tests.mutation.test_shadow_rebuild import CutoverDuringFetch, fill_group
 from tests.serving import reference_loop
 from tests.serving.helpers import run_plan
-from tests.serving.test_tiered_equivalence import base_config, make_world
 
 # Row ids predate the single worker pool and are kept so the suite's ids
 # stay comparable.  ``process`` rows run both clients on ``workers``
@@ -384,72 +383,6 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
         client.close()
     assert starts[0] == starts[1]
     assert_batches_identical(*results)
-
-
-def test_cold_tier_rows_complete_with_the_batch():
-    """Row 0's farthest probe cold, the rest hot: a row the cold tier
-    answers is final only when the batch is (cold serving runs after the
-    waves); a row whose clusters are all hot keeps the stamp of its own
-    last merge, and that is earlier.
-
-    The split is the cache's: its byte cap holds exactly the batch's
-    other clusters, and the cold one is worth least.  A warm-up batch
-    that does not probe it makes some of the rest resident, so the batch
-    searches hits and fetches."""
-    corpus, queries, _ = make_world()
-    deployment = Deployment(corpus, base_config(cold_tier="pq"),
-                            simulate_link_contention=False)
-    config = deployment.config.replace(pipeline_waves=True,
-                                       cache_fraction=1.0)
-    routes = deployment.meta.route_batch(queries[:16], config.nprobe,
-                                         config.ef_meta)
-    cold_ids = {routes[0][-1]}
-    hot_ids = {cid for row in routes for cid in row} - cold_ids
-    warm_rows = [row for row, probes in enumerate(routes)
-                 if cold_ids.isdisjoint(probes)][:2]
-    with DHnswClient(deployment.layout, deployment.meta, config,
-                     cost_model=deployment.effective_cost_model) as probe:
-        _, extents = probe.engine.fetcher.extent_descriptors(sorted(hot_ids))
-    config = config.replace(hot_tier_budget_bytes=sum(
-        length for _, ranges in extents for _, length in ranges))
-    staged, oracle = (
-        DHnswClient(deployment.layout, deployment.meta, config,
-                    cost_model=deployment.effective_cost_model, name=name)
-        for name in ("staged", "oracle"))
-    reference_loop.install(oracle)
-    splits = []
-    for client in (staged, oracle):
-        for cid in hot_ids:
-            client.cache.record_access(cid, 0.0, 1000.0)
-        client.search_batch(queries[warm_rows], k=10)
-    split = staged.tier_store.split
-
-    def recording(required):
-        splits.append(split(required))
-        return splits[-1]
-
-    staged.tier_store.split = recording
-    merges = record_merges(staged)
-    try:
-        result = staged.search_batch(queries[:16], k=10)
-        assert_batches_identical(result, oracle.search_batch(queries[:16],
-                                                             k=10))
-        batch_end_us = staged.node.clock.now_us
-    finally:
-        staged.close()
-        oracle.close()
-    assert result.cold_clusters_served > 0
-    _, cold_required = splits[-1]
-    assert set(cold_required) == cold_ids
-    cold_rows = sorted({row for rows in cold_required.values()
-                        for row in rows})
-    hot_rows = sorted(set(range(16)) - set(cold_rows))
-    assert cold_rows and hot_rows
-    assert (result.complete_us[cold_rows] == batch_end_us).all()
-    assert (result.complete_us[hot_rows] < batch_end_us).all()
-    # A hot row keeps the stamp of its own last merge.
-    for row in hot_rows:
-        assert result.complete_us[row] == merges[-1][row]
 
 
 def test_worker_processes_stamp_as_inline_does(built_deployment,

@@ -35,10 +35,8 @@ import repro
 from repro.core.cache import ClusterCache
 from repro.core.client import DHnswClient
 from repro.core.config import DHnswConfig, FrontDoorConfig
-from repro.errors import ConfigError
 from repro.frontdoor.admission import TenantPolicy
 from repro.hnsw.params import HnswParams
-from repro.pq.codebook import PqCodebook
 from repro.rdma.compute_node import ComputeNode
 from repro.transport.retry import RetryingTransport
 
@@ -100,7 +98,7 @@ def test_every_field_is_read_outside_the_config_module(cls, paths, unread):
 #: The surfaces whose keywords are knobs: the configs, the HNSW
 #: parameters, and the constructors callers tune.
 SURFACES = (DHnswConfig, FrontDoorConfig, TenantPolicy, HnswParams,
-            DHnswClient, RetryingTransport, PqCodebook, ClusterCache)
+            DHnswClient, RetryingTransport, ClusterCache)
 
 #: Knobs allowed to stay test-only.  None: ``HnswParams.metric``, the
 #: last one (only tests asked for cosine or inner product), is retired.
@@ -182,10 +180,11 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
     """Guard the walker itself on a caller it can be checked against."""
     (tmp_path / "caller.py").write_text(
         "HnswParams(m=4, ef_construction=200)\n"  # 200 is the default
-        "PqCodebook(8, 2)\n"
+        "TenantPolicy(2.0)\n"
         "overrides = {'seed': 3}\n")
-    assert unset_knobs([tmp_path], [HnswParams, PqCodebook]) == {
-        "HnswParams.ef_construction", "HnswParams.max_level"}
+    assert unset_knobs([tmp_path], [HnswParams, TenantPolicy]) == {
+        "HnswParams.ef_construction", "HnswParams.max_level",
+        "TenantPolicy.rate_qps", "TenantPolicy.slo_us"}
 
 
 @pytest.mark.parametrize("cls,keyword", [
@@ -197,12 +196,14 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
     (DHnswConfig, "batch_size"),
     (DHnswConfig, "reclaim_eager"),
     (DHnswConfig, "sub_params"),
+    (DHnswConfig, "cold_tier"),
+    (DHnswConfig, "rerank_depth"),
+    (DHnswConfig, "pq_subspaces"),
     (FrontDoorConfig, "seed"),
     (TenantPolicy, "burst"),
     (HnswParams, "extend_candidates"),
     (HnswParams, "keep_pruned_connections"),
     (HnswParams, "metric"),
-    (PqCodebook, "bits"),
     (ClusterCache, "release"),
     (ComputeNode, "dram_budget_bytes"),
 ])
@@ -212,6 +213,7 @@ def test_retired_keywords_are_refused(cls, keyword):
 
 
 def test_vamana_cold_tier_is_refused():
-    with pytest.raises(ConfigError, match="cold_tier"):
-        DHnswConfig(cold_tier="vamana")
-    assert DHnswConfig(cold_tier="pq").cold_tier == "pq"
+    """The cold tier is retired: no value of ``cold_tier`` is a knob."""
+    for value in ("vamana", "pq", "off"):
+        with pytest.raises(TypeError, match="cold_tier"):
+            DHnswConfig(cold_tier=value)

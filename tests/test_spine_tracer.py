@@ -60,8 +60,7 @@ def test_every_bound_name_exists_and_records_spans(small_dataset,
         batch_spans = tracer.spans[first_span:]
         client.insert(small_dataset.queries[0], 70_000)
         # A blocking doorbell READ: the verb of a short fetch's delta
-        # ring and of the cold tier (the loop posts its READs
-        # asynchronously).
+        # ring (the loop posts its READs asynchronously).
         descriptors, _ = client.engine.fetcher.extent_descriptors([0])
         client.transport.read_batch(descriptors, doorbell=True)
         rng = np.random.default_rng(3)
