@@ -1,26 +1,21 @@
 """Wall-clock + simulated-latency benchmark of the pipelined serving engine.
 
-The serving engine pipelines its cluster READs, searches clusters on
-worker processes and merges top-k candidates vectorized; the pipelined
+The serving engine pipelines its cluster READs, searches clusters in the
+serving process and merges top-k candidates vectorized; the pipelined
 schedule is ``WaveExecutor``'s ready-list loop, which keeps a wave's
 READ in flight behind routing, hit searches and the previous wave's
 searches.  This harness runs the acceptance scenario
-(20k vectors, batch 256, efSearch 32) across the serving
-configurations:
+(20k vectors, batch 256, efSearch 32) in both serving configurations:
 
-* ``serial``             — look-ahead off (``pipeline_waves=False``),
-  1 worker,
-* ``pipelined``          — look-ahead on, 1 worker,
-* ``workers4``           — look-ahead off, 4 worker processes,
-* ``pipelined_workers4`` — look-ahead on, 4 worker processes,
+* ``serial``    — look-ahead off (``pipeline_waves=False``),
+* ``pipelined`` — look-ahead on,
 
-and asserts the PR's acceptance criteria:
+and asserts the acceptance criteria:
 
-* every configuration returns bit-identical results and identical
-  ``sub_evals`` (worker count and scheduling never change answers);
-* with the look-ahead off (``serial``, ``workers4``) no wire time hides:
-  every READ lands before anything is searched, so
-  ``overlapped_time_us`` is 0;
+* both configurations return bit-identical results and identical
+  ``sub_evals`` (scheduling never changes answers);
+* with the look-ahead off (``serial``) no wire time hides: every READ
+  lands before anything is searched, so ``overlapped_time_us`` is 0;
 * with the look-ahead on, the simulated end-to-end batch latency improves
   over look-ahead off by at least the wire time the transport
   measured as hidden — ``overlapped_time_us``, which counts wire time
@@ -34,10 +29,7 @@ and asserts the PR's acceptance criteria:
   come back silently.
 
 Any violated criterion exits non-zero, so the CI smoke job doubles as a
-regression gate.  The compute-phase wall-clock ratio of 4 process workers
-over 1 is *recorded* (``compute_phase_speedup_workers4``, next to
-``cpu_count``) but not gated: it measures 0.7x on one core and 0.9-1.3x
-on two, so a wall-clock floor here either never fires or never passes.
+regression gate.  Wall-clock numbers are recorded, not gated.
 
 Usage::
 
@@ -79,8 +71,6 @@ SCALES = {
 CONFIGS = [
     ("serial", {"pipeline_waves": False}),
     ("pipelined", {"pipeline_waves": True}),
-    ("workers4", {"pipeline_waves": False, "search_workers": 4}),
-    ("pipelined_workers4", {"pipeline_waves": True, "search_workers": 4}),
 ]
 
 
@@ -113,7 +103,6 @@ def run_config(deployment, queries, overrides, reps):
                                client.node.wall_compute_s - compute_before)
         section = {
             "pipeline_waves": bool(config.pipeline_waves),
-            "search_workers": config.search_workers,
             "wall_seconds": round(wall, 4),
             "compute_wall_seconds": round(compute_wall, 4),
             "wall_qps": round(len(queries) / wall, 1),
@@ -171,8 +160,8 @@ def fetch_audit(deployment) -> dict:
         client.close()
 
 
-def assert_acceptance(sections, batches) -> dict:
-    """The PR-4 acceptance gates; returns the summary block."""
+def assert_acceptance(batches) -> dict:
+    """The acceptance gates; returns the summary block."""
     reference = batches["serial"]
     for label, batch in batches.items():
         check(all(np.array_equal(a.ids, b.ids)
@@ -181,10 +170,9 @@ def assert_acceptance(sections, batches) -> dict:
               f"results of '{label}' differ from look-ahead off")
         check(batch.sub_evals == reference.sub_evals,
               f"'{label}' changed the distance-evaluation count")
-    for label in ("serial", "workers4"):
-        check(batches[label].rdma.overlapped_time_us == 0.0,
-              f"'{label}' runs with the look-ahead off but hid "
-              f"{batches[label].rdma.overlapped_time_us}us of wire time")
+    check(reference.rdma.overlapped_time_us == 0.0,
+          f"'serial' runs with the look-ahead off but hid "
+          f"{reference.rdma.overlapped_time_us}us of wire time")
 
     piped = batches["pipelined"]
     check(piped.waves >= 2, "scenario produced a single wave — nothing "
@@ -198,14 +186,9 @@ def assert_acceptance(sections, batches) -> dict:
           f"hidden wire time {hidden:.3f}us")
     check(piped.breakdown.network_us < reference.breakdown.network_us,
           "pipelining did not shrink the exposed network bucket")
-
-    workers = sections["workers4"]["compute_wall_seconds"]
-    single = sections["serial"]["compute_wall_seconds"]
-    speedup = single / workers if workers > 0 else float("inf")
     return {
         "simulated_improvement_us": round(improvement, 3),
         "overlap_saved_us": round(hidden, 3),
-        "compute_phase_speedup_workers4": round(speedup, 2),
         "bit_identical": True,
     }
 
@@ -239,7 +222,7 @@ def main() -> None:
         sections[label], batches[label] = run_config(
             deployment, queries, overrides, scale["reps"])
 
-    acceptance = assert_acceptance(sections, batches)
+    acceptance = assert_acceptance(batches)
     acceptance["fetch_audit"] = fetch_audit(deployment)
     report = {
         "benchmark": "pipelined serving engine vs serial",

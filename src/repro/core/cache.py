@@ -30,8 +30,8 @@ is the high-water mark).
 
 The cache is thread-safe: every operation (including the byte/counter
 bookkeeping) runs under one re-entrant lock, although the serving engine
-itself reaches it from one thread only (search workers are processes and
-hold their own copies).  Accounting lives *inside* the cache: ``get``
+itself reaches it from one thread only and searches every entry in its
+own process.  Accounting lives *inside* the cache: ``get``
 counts hits and misses, ``put`` counts the miss that caused the fetch (an
 insert of an absent key), any evictions and any streamed entry — callers
 never poke the counters.  The cache is also the instance's one ledger of

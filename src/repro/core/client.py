@@ -160,16 +160,12 @@ class DHnswClient:
     # Resource lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the serving engine's worker pools (idempotent).
+        """Release this client's grace-period pin, so retired extents it
+        may have been reading become reclaimable (idempotent).
 
         Safe to call on a partially constructed client and after a failed
         ``with`` body — ``__exit__`` routes here unconditionally.
         """
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            engine.close()
-        # Release this client's grace-period pin so retired extents it
-        # may have been reading become reclaimable.
         token = getattr(self, "_observer_token", None)
         if token is not None:
             self.layout.retired.deregister(token)

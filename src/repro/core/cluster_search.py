@@ -3,11 +3,9 @@
 ``search_cluster_entry`` is a *pure* function over a cached cluster entry
 and a block of query vectors: it runs the sub-HNSW beam search plus the
 overflow-record scan and returns private per-query candidate arrays, never
-touching shared state.  That purity is what lets the pipelined executor run
-one task per (cluster, query-group) inline or in a worker process
-(:mod:`repro.core.search_pool`) with bit-identical results at every worker
-count: the task's output depends only on its inputs, and the caller merges
-outputs in deterministic cluster order.
+touching shared state: its output depends only on its inputs, so the
+executor may run it whenever a planned cluster's turn comes, and the
+caller merges outputs in deterministic cluster order.
 
 Tombstoned/superseded ids are masked out of graph candidates and live
 overflow records are scored against every query; both count towards the
@@ -48,9 +46,7 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
     The overflow replay, the dead-node mask, the live records' distances
     to every query and the graph's distance tables are computed once for
     the whole block.  Distance evaluations are read off the entry's kernel
-    counter, so they match the serial engine exactly; with one task per
-    cluster no two concurrent tasks share a kernel or a graph's visited
-    tags.
+    counter, so they match the serial engine exactly.
     """
     kernel = entry.index.kernel
     evals_before = kernel.num_evaluations

@@ -35,6 +35,19 @@ def _require_finite(config) -> None:
             raise ConfigError(f"{field.name} must be finite, got {value}")
 
 
+def _require_integers(config) -> None:
+    """Refuse anything but an integer (NumPy's count; a bool does not) in
+    an ``int`` field: a float passes the range checks, then fails or
+    rounds far from here."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if (field.type in ("int", "int | None") and value is not None
+                and (isinstance(value, bool)
+                     or not isinstance(value, numbers.Integral))):
+            raise ConfigError(
+                f"{field.name} must be an integer, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class DHnswConfig:
     """All knobs of a d-HNSW build and its query-time behaviour.
@@ -75,14 +88,6 @@ class DHnswConfig:
         loader: Tables 1-2, Fig. 6) runs the same loop with one wave
         open, landing every READ before it searches anything, so nothing
         overlaps; the naive scheme always runs that way.
-    search_workers:
-        Worker processes for per-cluster searches inside a wave.  ``1``
-        (default) runs inline; ``> 1`` shards a wave's clusters over that
-        many single-worker process pools with cluster→worker affinity and
-        a worker-side entry cache (``core.search_pool.SearchPool``) — the
-        beam loops are pure Python, so only processes can scale them with
-        cores.  Results are merged deterministically in cluster order, so
-        answers are bit-identical at every worker count.
     region_headroom:
         Registered-region capacity as a multiple of the initial layout
         size; the slack absorbs groups relocated by overflow rebuilds.
@@ -109,6 +114,12 @@ class DHnswConfig:
         its share of the cap (the cap over the waves the loop keeps
         open), so cluster DRAM peaks at twice the cap.  ``None``
         (default) caps the count only.
+    search_workers:
+        Retired, not a field: every cluster search runs in the serving
+        process (search is charged per distance evaluation, so worker
+        processes could buy only wall time, and did not).  Still a
+        constructor keyword at its one value ``1``; any other raises
+        :class:`ConfigError`.
     """
 
     num_representatives: int | None = None
@@ -117,14 +128,20 @@ class DHnswConfig:
     cache_fraction: float = 0.10
     overflow_capacity_records: int = 128
     pipeline_waves: bool = True
-    search_workers: int = 1
     region_headroom: float = 3.0
     build_workers: int = 0
     replication_factor: int = 1
     hot_tier_budget_bytes: int | None = None
     seed: int = 0
+    search_workers: dataclasses.InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, search_workers: int) -> None:
+        if search_workers != 1:
+            raise ConfigError(
+                f"search_workers must be 1, got {search_workers!r}: the "
+                f"search worker pool is retired, every cluster search "
+                f"runs in the serving process")
+        _require_integers(self)
         _require_finite(self)
         if self.num_representatives is not None and self.num_representatives < 1:
             raise ConfigError(
@@ -151,9 +168,6 @@ class DHnswConfig:
             raise ConfigError(
                 f"replication_factor must be >= 1, got "
                 f"{self.replication_factor}")
-        if self.search_workers < 1:
-            raise ConfigError(
-                f"search_workers must be >= 1, got {self.search_workers}")
         if (self.hot_tier_budget_bytes is not None
                 and self.hot_tier_budget_bytes < 0):
             raise ConfigError(
@@ -227,6 +241,7 @@ class FrontDoorConfig:
     degraded_ef: int | None = None
 
     def __post_init__(self) -> None:
+        _require_integers(self)
         _require_finite(self)
         if self.max_wait_us < 0.0:
             raise ConfigError(

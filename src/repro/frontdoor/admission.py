@@ -21,6 +21,7 @@ import dataclasses
 from collections import deque
 from typing import Iterable, Mapping
 
+from repro.core.config import _require_finite
 from repro.errors import ConfigError
 from repro.frontdoor.request import Request
 
@@ -48,6 +49,7 @@ class TenantPolicy:
     slo_us: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.weight <= 0.0:
             raise ConfigError(f"weight must be > 0, got {self.weight}")
         if self.rate_qps is not None and self.rate_qps <= 0.0:

@@ -58,6 +58,10 @@ class Request:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        for name in ("arrival_us", "slo_us"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.slo_us <= 0.0:
             raise ValueError(f"slo_us must be > 0, got {self.slo_us}")
 

@@ -45,8 +45,8 @@ class LayeredGraph:
         self._visited_epoch = 0
 
     def __getstate__(self) -> dict:
-        # Traversal scratch is not part of the graph: a pickled, copied or
-        # worker-shipped graph carries none, whatever was searched before.
+        # Traversal scratch is not part of the graph: a pickled or copied
+        # graph carries none, whatever was searched before.
         return {**self.__dict__, "_visited": [], "_visited_epoch": 0}
 
     # ------------------------------------------------------------------

@@ -43,12 +43,15 @@ _FORMAT_VERSION = 2
 #: (each only ever had one value in use), that nothing ever read
 #: (``batch_size``), that chose a router (``adaptive_*``): a restored
 #: deployment routes by the one distance-gap rule whatever they said —
-#: or that configured the retired PQ cold tier (``cold_tier`` and the
-#: two knobs under it), which loads only where it was off.
+#: that configured the retired PQ cold tier (``cold_tier`` and the two
+#: knobs under it), which loads only where it was off, or that sized the
+#: retired search worker pool (``search_workers``), which never changed
+#: an answer.
 _RETIRED_CONFIG_KEYS = {"mutation_retry_limit", "pq_bits", "vamana_degree",
                         "tier_ewma_halflife_us", "tier_hysteresis",
                         "batch_size", "adaptive_nprobe", "adaptive_alpha",
-                        "cold_tier", "rerank_depth", "pq_subspaces"}
+                        "cold_tier", "rerank_depth", "pq_subspaces",
+                        "search_workers"}
 
 
 def _legacy_params(params: HnswParams) -> dict:

@@ -47,17 +47,19 @@ class ServingEngine:
         self.merger = Merger(host)
         self._request_counter = 0
 
-    # -- lifecycle -------------------------------------------------------
-    def close(self) -> None:
-        """Release every OS resource the serving path created."""
-        self.executor.close()
-
     # -- request entry ----------------------------------------------------
     @staticmethod
     def resolve_ef(k: int, ef_search: int | None) -> int:
         """Beam width for the batch: the explicit arg, else the paper's
-        ``2k`` rule — never below ``k``."""
-        return max(ef_search if ef_search is not None else 2 * k, k)
+        ``2k`` rule — never below ``k``.  An explicit width must be an
+        integer (NumPy's count; a bool, a NaN or a fraction does not)."""
+        if ef_search is None:
+            return 2 * k
+        if isinstance(ef_search, (bool, np.bool_)) or not isinstance(
+                ef_search, (int, np.integer)):
+            raise ValueError(f"ef_search must be an integer, got "
+                             f"{ef_search!r}")
+        return max(ef_search, k)
 
     def search_batch(self, queries: np.ndarray, k: int,
                      ef_search: int | None = None,

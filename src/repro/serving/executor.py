@@ -5,8 +5,8 @@ only when none is left — for every scheme and config.  With look-ahead
 open and the READs fly behind routing and search; without it every
 posted READ lands before anything is searched, one wave at a time, so
 nothing overlaps (paper Tables 1-2, and the naive scheme's one pair per
-wave).  Clusters are searched inline or on the worker processes this
-stage owns.
+wave).  Every cluster is searched in the serving process, when its
+turn to be charged comes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.cache import CachedCluster
 from repro.core.cluster_search import search_cluster_entry
 from repro.core.merge import TopKMerger
 from repro.core.query_planner import BatchPlan
-from repro.core.search_pool import SearchPool
 from repro.errors import LayoutError
 from repro.serving.fetcher import Delta, Extent, Fetcher
 from repro.serving.trace import TraceContext, span
@@ -78,26 +77,12 @@ class _Ring:
 
 
 class WaveExecutor:
-    """Searches planned clusters inline or on ``config.search_workers``
-    worker processes."""
+    """Searches planned clusters, one at a time, in the serving
+    process."""
 
     def __init__(self, host, fetcher: Fetcher) -> None:
         self.host = host
         self.fetcher = fetcher
-        # Created lazily on the first multi-worker search.
-        self._search_pool: SearchPool | None = None
-
-    # -- pool lifecycle --------------------------------------------------
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._search_pool is not None:
-            self._search_pool.close()
-            self._search_pool = None
-
-    def _get_search_pool(self) -> SearchPool:
-        if self._search_pool is None:
-            self._search_pool = SearchPool(self.host.config.search_workers)
-        return self._search_pool
 
     # -- the schedule -----------------------------------------------------
     def ready_list(self, plan: BatchPlan, queries: np.ndarray,
@@ -142,37 +127,15 @@ class WaveExecutor:
                                                  list[int]]],
                          queries: np.ndarray, k: int, ef: int,
                          trace: TraceContext | None = None) -> list:
-        """Search ``(cluster id, entry, query rows)`` tasks inline or on
-        the worker pool; returns one output per task, in order.
-
-        Tasks are the pure :func:`search_cluster_entry`: nothing shared is
-        mutated outside this process, so every worker count is
-        bit-identical.
-        """
-        host = self.host
+        """Search ``(cluster id, entry, query rows)`` tasks with the pure
+        :func:`search_cluster_entry`; returns one output per task, in
+        order.  The caller holds a pin on every entry, so nothing evicts
+        or rewrites one mid-search."""
         with span(trace, "compute"):
-            # Pin for the duration of the search: a concurrent request's
-            # cache admission must not evict these entries (their vector
-            # stores may be zero-copy views whose DRAM would be freed
-            # mid-search), and a concurrent invalidation must
-            # materialize rather than leave them over rewritten memory.
-            for _, entry, _ in tasks:
-                host.cache.pin(entry)
-            try:
-                started = time.perf_counter()
-                if host.config.search_workers > 1 and len(tasks) > 1:
-                    outputs = self._get_search_pool().run_wave(
-                        [(cid, (entry.extent_epoch, entry.overflow_tail),
-                          entry, queries[rows], k, ef)
-                         for cid, entry, rows in tasks])
-                else:
-                    outputs = [search_cluster_entry(entry, queries[rows],
-                                                    k, ef)
-                               for _, entry, rows in tasks]
-            finally:
-                for _, entry, _ in tasks:
-                    host.cache.unpin(entry)
-            host.node.record_wall_compute(time.perf_counter() - started)
+            started = time.perf_counter()
+            outputs = [search_cluster_entry(entry, queries[rows], k, ef)
+                       for _, entry, rows in tasks]
+            self.host.node.record_wall_compute(time.perf_counter() - started)
         return outputs
 
 
@@ -204,7 +167,8 @@ class ReadyList:
     rides in the first READ posted after its row is routed, and its
     answer is merged — final — only once that word has landed.  A hit
     the word shows lagging is searched again after its delta ring lands
-    (the first search is charged and discarded).
+    (the first search is charged and discarded).  A position is searched
+    when its charge comes, so nothing is searched that is not charged.
     """
 
     def __init__(self, executor: WaveExecutor, plan: BatchPlan,
@@ -246,9 +210,7 @@ class ReadyList:
         #: word was not posted yet (in first-need order).
         self.unconfirmed: set[int] = set()
         self.unposted: list[int] = []
-        #: Outputs searched (wall clock) but not charged yet, and outputs
-        #: charged but waiting for their hit's tail word.
-        self.outputs: dict[int, object] = {}
+        #: Outputs charged but waiting for their hit's tail word.
         self.held: dict[int, object] = {}
         self.rings: collections.deque[_Ring] = collections.deque()
         self.next_wave = 0
@@ -368,26 +330,18 @@ class ReadyList:
                 if pos in stale:
                     self.ready.pop(pos, None)
                     self.held.pop(pos, None)
-                    self.outputs.pop(pos, None)
                 elif pos in self.held:
                     self._merge(pos, self.held.pop(pos))
         self._post_next()
 
     # -- search ---------------------------------------------------------------
     def _search(self, pos: int) -> None:
-        """Charge the search at ``pos`` and its cluster's decode; merge it
+        """Search ``pos`` and charge it and its cluster's decode; merge it
         unless it is a hit still waiting for its tail word."""
         executor, execution, trace = self.executor, self.execution, self.trace
-        if pos not in self.outputs:
-            # Search everything searchable in one go (one pool round trip
-            # when there are workers); each is charged when its turn comes.
-            fresh = [other for other in self.ready
-                     if other not in self.outputs]
-            self.outputs.update(zip(fresh, executor.run_wave_compute(
-                [(self.cluster_ids[other], self.ready[other],
-                  self.rows[other]) for other in fresh],
-                self.queries, self.k, self.ef, trace)))
-        output = self.outputs.pop(pos)
+        (output,) = executor.run_wave_compute(
+            [(self.cluster_ids[pos], self.ready[pos], self.rows[pos])],
+            self.queries, self.k, self.ef, trace)
         execution.sub_hnsw_us += executor.charge_decode(
             execution, self.cluster_ids[pos], trace)
         execution.sub_hnsw_us += executor.charge_search(output.evals, trace)

@@ -92,7 +92,6 @@ class ClientTelemetry:
     overlapped_time_us: float = 0.0
     #: Measured wall-clock seconds of the sub-HNSW compute phase.
     wall_compute_s: float = 0.0
-    search_workers: int = 1
     #: Verb re-issues a retrying transport performed after faults.
     retries: int = 0
     #: Simulated µs spent backing off between retry attempts.
@@ -161,7 +160,6 @@ class ClientTelemetry:
             metadata_version=client.metadata.version,
             overlapped_time_us=stats.overlapped_time_us,
             wall_compute_s=client.node.wall_compute_s,
-            search_workers=client.config.search_workers,
             retries=stats.retries,
             backoff_time_us=stats.backoff_time_us,
             faults_injected=stats.faults_injected,

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-import types
-
-import numpy as np
 import pytest
 
 from repro.cluster import Deployment, LoadBalancer
-from repro.core import DHnswClient
 from repro.metrics import recall_at_k
 
 
@@ -81,34 +76,3 @@ class TestDispatch:
                                          ef_search=16)
         expected = result.batch_size / (result.wall_time_us / 1e6)
         assert result.throughput_qps == pytest.approx(expected)
-
-    def test_worker_processes_never_change_the_dispatch(self, balanced,
-                                                        small_dataset):
-        """``search_workers`` sizes each instance's own process pool and
-        nothing else: the balancer walks the instances in turn (it once
-        also fanned them over that many threads)."""
-        deployment, _ = balanced
-
-        def dispatch(workers):
-            clients = [
-                DHnswClient(deployment.layout, deployment.meta,
-                            deployment.config.replace(
-                                search_workers=workers),
-                            cost_model=deployment.effective_cost_model,
-                            name=f"workers{workers}-{i}")
-                for i in range(3)]
-            try:
-                return LoadBalancer(types.SimpleNamespace(
-                    clients=clients)).dispatch_batch(
-                        small_dataset.queries, 5, ef_search=32)
-            finally:
-                for client in clients:
-                    client.close()
-
-        inline, pooled = dispatch(1), dispatch(2)
-        assert pooled.ids_list() == inline.ids_list()
-        for got, want in zip(pooled.results, inline.results):
-            np.testing.assert_array_equal(got.distances, want.distances)
-        assert pooled.wall_time_us == inline.wall_time_us
-        assert (dataclasses.asdict(pooled.rdma)
-                == dataclasses.asdict(inline.rdma))

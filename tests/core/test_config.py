@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core.config import META_PARAMS, DHnswConfig
+from repro.core.config import META_PARAMS, DHnswConfig, FrontDoorConfig
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
 from repro.serving.engine import ServingEngine
@@ -80,6 +83,44 @@ class TestCacheCapacity:
     def test_invalid_cluster_count(self):
         with pytest.raises(ConfigError):
             DHnswConfig().cache_capacity_clusters(0)
+
+
+#: Every ``int`` / ``int | None`` field of both configs.
+INTEGER_FIELDS = [(cls, field.name) for cls in (DHnswConfig, FrontDoorConfig)
+                  for field in dataclasses.fields(cls)
+                  if field.type in ("int", "int | None")]
+EACH_INTEGER_FIELD = pytest.mark.parametrize(
+    "cls,field", INTEGER_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name in INTEGER_FIELDS])
+
+
+def test_integer_fields_are_all_listed():
+    assert len(INTEGER_FIELDS) == 10
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@EACH_INTEGER_FIELD
+def test_integer_fields_refuse_non_integers(cls, field, value):
+    """A float passed the range checks and failed (``nprobe``,
+    ``overflow_capacity_records``) or rounded (``max_batch``) far from
+    here, or served silently (``ef_meta``); a bool is no count."""
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        cls(**{field: value})
+
+
+@EACH_INTEGER_FIELD
+def test_integer_fields_take_numpy_integers(cls, field):
+    assert getattr(cls(**{field: np.int64(3)}), field) == 3
+
+
+def test_search_workers_is_retired_at_its_one_value():
+    """The search worker pool is gone; the keyword stays for callers that
+    spell the one value out."""
+    assert DHnswConfig(search_workers=1) == DHnswConfig()
+    assert DHnswConfig(search_workers=1).replace(nprobe=2).nprobe == 2
+    for value in (0, 2, 4):
+        with pytest.raises(ConfigError, match="search worker pool"):
+            DHnswConfig(search_workers=value)
 
 
 def test_replace_round_trips():

@@ -177,6 +177,16 @@ class TestErrors:
         _, _, config = load_deployment(path)
         assert config == small_config
 
+    @pytest.mark.parametrize("search_workers", [1, 4])
+    def test_manifest_sizing_the_search_pool_loads(self, saved, small_config,
+                                                   search_workers):
+        """Manifests from before the search worker pool was retired carry
+        its size; it never changed an answer, so any value loads."""
+        path, _ = saved
+        self.rewrite_config(path, search_workers=search_workers)
+        _, _, config = load_deployment(path)
+        assert config == small_config
+
     def test_older_vamana_manifest_is_a_config_error(self, saved):
         path, _ = saved
         self.rewrite_config(path, cold_tier="vamana", **self.RETIRED)

@@ -1,15 +1,13 @@
-"""The PR-4 serving engine: the smallest cache, worker identity, cache
-thread-safety.
+"""The serving engine: the smallest cache, a READ abandoned on error,
+cache thread-safety.
 
-Concerns of the pipelined multi-worker executor that the ablation and
-tuning suites don't reach:
+Concerns of the pipelined executor that the ablation and tuning suites
+don't reach:
 
 * a cache of one cluster still answers exactly (the hit wave's refetch
   path these tests once pinned is gone: hits stay pinned from the start
   of their batch, so none can be evicted before it is searched);
-* ``search_workers > 1`` (worker processes; the test names predate the
-  removal of the thread pool) must be bit-identical to the serial path
-  in results *and* in simulated accounting;
+* an error escaping the loop retires the READ it has in flight;
 * :class:`ClusterCache` must survive concurrent hammering with its
   bookkeeping intact.
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro.core import DHnswClient
 from repro.core.cache import ClusterCache
@@ -86,59 +83,6 @@ class TestPrefetchAbandonedOnError:
         assert batch.ids_list() == fresh.ids_list()
         for got, want in zip(batch.results, fresh.results):
             np.testing.assert_array_equal(got.distances, want.distances)
-
-
-class TestWorkerIdentity:
-    """Satellite 4: the worker count never changes results or simulated
-    accounting — only wall-clock."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, built_deployment, small_config, small_dataset):
-        client = make_client(built_deployment, small_config)
-        return client.search_batch(small_dataset.queries, 10, ef_search=32)
-
-    def assert_identical(self, batch, reference):
-        assert batch.ids_list() == reference.ids_list()
-        for got, want in zip(batch.results, reference.results):
-            np.testing.assert_array_equal(got.distances, want.distances)
-        assert batch.sub_evals == reference.sub_evals
-        assert batch.clusters_fetched == reference.clusters_fetched
-        assert batch.breakdown.total_us == pytest.approx(
-            reference.breakdown.total_us)
-
-    def test_thread_workers_bit_identical(self, built_deployment,
-                                          small_config, small_dataset,
-                                          reference):
-        with make_client(built_deployment,
-                         small_config.replace(search_workers=4)) as client:
-            batch = client.search_batch(small_dataset.queries, 10,
-                                        ef_search=32)
-        self.assert_identical(batch, reference)
-
-    def test_process_workers_bit_identical(self, built_deployment,
-                                           small_config, small_dataset,
-                                           reference):
-        with make_client(built_deployment, small_config.replace(
-                search_workers=2)) as client:
-            batch = client.search_batch(small_dataset.queries, 10,
-                                        ef_search=32)
-        self.assert_identical(batch, reference)
-
-    def test_pipelined_threaded_bit_identical(self, built_deployment,
-                                              small_config, small_dataset,
-                                              reference):
-        with make_client(built_deployment, small_config.replace(
-                search_workers=4, pipeline_waves=True)) as client:
-            batch = client.search_batch(small_dataset.queries, 10,
-                                        ef_search=32)
-        assert batch.ids_list() == reference.ids_list()
-        assert batch.sub_evals == reference.sub_evals
-
-    def test_close_is_idempotent(self, built_deployment, small_config):
-        client = make_client(built_deployment,
-                             small_config.replace(search_workers=2))
-        client.close()
-        client.close()
 
 
 class TestClusterCacheThreadSafety:

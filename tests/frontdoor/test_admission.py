@@ -69,6 +69,24 @@ class TestTenantPolicy:
         with pytest.raises(ConfigError):
             TenantPolicy(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["weight", "rate_qps", "slo_us"])
+    def test_non_finite_refused(self, field, value):
+        """A NaN passes every range check: as a weight or an arrival it
+        hung ``FrontDoor.run``, as a rate it admitted everything, as an
+        SLO it was never shed."""
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TenantPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("field", ["arrival_us", "slo_us"])
+def test_request_times_must_be_finite(field, value):
+    fields = {"arrival_us": 0.0, "slo_us": 50_000.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_request(0, "t", **fields)
+
 
 class TestAdmissionController:
     def test_per_tenant_buckets_and_ledgers(self):

@@ -138,7 +138,7 @@ def tiny_deployment() -> tuple[Deployment, DHnswConfig, np.ndarray]:
     config = DHnswConfig(num_representatives=4, nprobe=2, ef_meta=8,
                          cache_fraction=0.3,
                          overflow_capacity_records=4, seed=11,
-                         build_workers=1, search_workers=1)
+                         build_workers=1)
     return Deployment(corpus, config), config, corpus
 
 

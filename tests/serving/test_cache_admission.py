@@ -90,19 +90,26 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, byte_cap):
     the residents never pass the cap."""
     client = fresh_client(world, byte_cap)
     fixed = client.dram_used_bytes  # the meta-HNSW
-    streamed = []
-    run_wave_compute = client.engine.executor.run_wave_compute
+    streamed, loops = [], []
+    executor = client.engine.executor
+    run_wave_compute, ready_list = (executor.run_wave_compute,
+                                    executor.ready_list)
 
     def checked(tasks, *args, **kwargs):
-        passing = [entry for _, entry, _ in tasks if entry.streamed]
+        passing = {id(entry): entry for entry in loops[-1].pinned.values()
+                   if entry.streamed}
         assert client.cache.held_bytes == (
             client.cache.cached_bytes
-            + sum(entry.nbytes for entry in passing))
+            + sum(entry.nbytes for entry in passing.values()))
         assert client.dram_used_bytes == fixed + client.cache.held_bytes
-        streamed.extend(passing)
+        streamed.extend(entry for _, entry, _ in tasks if entry.streamed)
         return run_wave_compute(tasks, *args, **kwargs)
 
-    client.engine.executor.run_wave_compute = checked
+    def recording(*args, **kwargs):
+        loops.append(ready_list(*args, **kwargs))
+        return loops[-1]
+
+    executor.run_wave_compute, executor.ready_list = checked, recording
     cap = client.cache.capacity_bytes
     with client:
         for queries in batches(world) * 2:

@@ -23,20 +23,18 @@ from repro.core.query_planner import BatchPlan, Wave
 from repro.errors import LayoutError
 from repro.mutation.rebuild import ShadowRebuild
 from repro.rdma import CostModel
+from repro.serving import executor as executor_module
 from tests.mutation.test_shadow_rebuild import CutoverDuringFetch, fill_group
 from tests.serving import reference_loop
 from tests.serving.helpers import run_plan
 
-# Row ids predate the single worker pool and are kept so the suite's ids
-# stay comparable.  ``process`` rows run both clients on ``workers``
-# search processes; ``thread`` rows (once the thread pool) hold the
-# oracle inline, so a pooled staged client is compared with a serial
-# replay: ``search_workers=4`` answers as ``search_workers=1`` does.
+# Row ids predate the retirement of the search worker pools and are kept
+# so the suite's ids stay comparable.  Every search runs in the serving
+# process; ``thread`` rows spell the retired ``search_workers`` keyword
+# out at its one value for the oracle, ``process`` rows leave it unset.
 MATRIX = [
     ("thread", 1),
-    ("thread", 4),
     ("process", 1),
-    ("process", 4),
 ]
 #: ``pipeline_waves`` off (the ids predate the one loop: "serial" is
 #: look-ahead off) and on.
@@ -47,7 +45,7 @@ SCHEDULES = pytest.mark.parametrize("pipeline", [False, True],
 def make_pair(deployment, scheme=Scheme.DHNSW, oracle_workers=None,
               **overrides):
     """A staged client and one running the reference loop, same config
-    (but for the oracle's worker count, where given)."""
+    (the oracle's spelling the retired worker count, where given)."""
     config = deployment.config.replace(**overrides)
     oracle_config = (config if oracle_workers is None
                      else config.replace(search_workers=oracle_workers))
@@ -255,30 +253,21 @@ def test_reference_covers_naive_path(built_deployment, small_dataset):
     assert result.cache_hits == 0
 
 
-def test_process_pool_across_a_peers_rebuild(mutable_deployment,
-                                             small_dataset):
-    """A second client rebuilds one group between two batches.  Worker
-    processes key their entries on the extent epoch, so only the rebuilt
-    group's clusters are shipped again — and the answers and ledgers
+def test_answers_match_across_a_peers_rebuild(mutable_deployment,
+                                              small_dataset):
+    """A second client rebuilds one group between two batches: the
+    cached members of that group are stale, and the answers and ledgers
     still match the monolith's, batch for batch."""
-    staged, oracle = make_pair(mutable_deployment, search_workers=4)
+    staged, oracle = make_pair(mutable_deployment)
     writer = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
                          mutable_deployment.config,
                          cost_model=mutable_deployment.effective_cost_model,
                          name="writer")
     queries = small_dataset.queries[:12]
-
-    def shipped():
-        pool = staged.engine.executor._search_pool
-        return {(cid, state) for shard in pool._shipped
-                for _, cid, state in shard}
-
     try:
         assert_batches_identical(staged.search_batch(queries, k=10),
                                  oracle.search_batch(queries, k=10))
-        before = shipped()
         probe = queries[0]
-        group = writer.metadata.clusters[writer.meta.classify(probe)].group_id
         for i in range(mutable_deployment.config.overflow_capacity_records
                        + 1):
             writer.insert(probe + i * 1e-4, 900_000 + i)
@@ -286,12 +275,6 @@ def test_process_pool_across_a_peers_rebuild(mutable_deployment,
         assert_batches_identical(staged.search_batch(queries, k=10),
                                  oracle.search_batch(queries, k=10))
         assert_ledgers_identical(staged, oracle)
-        # Shipped before and again since, under a new state key.
-        again = ({cid for cid, _ in shipped() - before}
-                 & {cid for cid, _ in before})
-        assert again
-        assert {staged.metadata.clusters[cid].group_id
-                for cid in again} == {group}
     finally:
         writer.close()
         staged.close()
@@ -334,6 +317,60 @@ def test_peer_inserts_between_batches(mutable_deployment, small_dataset,
         writer.close()
         staged.close()
         oracle.close()
+
+
+@SCHEDULES
+def test_every_search_is_charged(mutable_deployment, small_dataset,
+                                 monkeypatch, pipeline):
+    """Under look-ahead a lagging hit is searched, charged and discarded,
+    then searched again once its delta lands — and nothing is searched
+    that is not charged: one ``search_cluster_entry`` per sub-HNSW compute
+    charge.  The reader caches every cluster, so the second batch is all
+    hits, searched while their tail words fly; the peer inserts fewer
+    records than the overflow capacity, so no rebuild runs."""
+    searches, charges = [], []
+    search = executor_module.search_cluster_entry
+
+    def searching(entry, *args):
+        searches.append(entry.cluster_id)
+        return search(entry, *args)
+
+    monkeypatch.setattr(executor_module, "search_cluster_entry", searching)
+    reader = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
+                         mutable_deployment.config.replace(
+                             pipeline_waves=pipeline, cache_fraction=1.0),
+                         cost_model=mutable_deployment.effective_cost_model,
+                         name="reader")
+    writer = DHnswClient(mutable_deployment.layout, mutable_deployment.meta,
+                         mutable_deployment.config,
+                         cost_model=mutable_deployment.effective_cost_model,
+                         name="writer")
+    charge_search = reader.engine.executor.charge_search
+
+    def charging(evals, trace):
+        charges.append(evals)
+        return charge_search(evals, trace)
+
+    reader.engine.executor.charge_search = charging
+    plans = record_plans(reader)
+    queries = small_dataset.queries[:12]
+    capacity = mutable_deployment.config.overflow_capacity_records
+    try:
+        reader.search_batch(queries, k=10)
+        for i in range(capacity - 2):
+            writer.insert(queries[0] + i * 1e-4, 920_000 + i)
+        assert writer.mutation.stats.rebuilds_led == 0
+        del searches[:], charges[:]
+        result = reader.search_batch(queries, k=10)
+        assert result.cache_hits > 0
+        assert result.results[0].ids[0] == 920_000
+        # Under look-ahead a lagging hit is searched before its tail word
+        # lands, and again after its delta; without, the word lands first.
+        assert (len(searches) > len(plans[-1].clusters)) == pipeline
+        assert len(searches) == len(charges)
+    finally:
+        writer.close()
+        reader.close()
 
 
 def test_stamps_come_from_the_attempt_that_returned(small_dataset,
@@ -383,21 +420,3 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
         client.close()
     assert starts[0] == starts[1]
     assert_batches_identical(*results)
-
-
-def test_worker_processes_stamp_as_inline_does(built_deployment,
-                                               small_dataset):
-    """Stamps are simulated time: ``search_workers=4`` hands back the
-    float64s the inline search does."""
-    clients = [DHnswClient(built_deployment.layout, built_deployment.meta,
-                           built_deployment.config.replace(
-                               search_workers=workers),
-                           cost_model=built_deployment.effective_cost_model,
-                           name=f"w{workers}") for workers in (1, 4)]
-    try:
-        inline, pooled = (client.search_batch(small_dataset.queries[:12],
-                                              k=10) for client in clients)
-    finally:
-        for client in clients:
-            client.close()
-    np.testing.assert_array_equal(inline.complete_us, pooled.complete_us)

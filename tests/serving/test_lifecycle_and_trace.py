@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from multiprocessing.connection import wait
-
 import pytest
 
 from repro.core.client import DHnswClient
@@ -20,44 +18,26 @@ def make_client(deployment, name, **overrides):
 
 class TestTeardown:
     def test_close_is_idempotent(self, built_deployment, small_dataset):
-        client = make_client(built_deployment, "td1", search_workers=4)
+        client = make_client(built_deployment, "td1")
         client.search_batch(small_dataset.queries[:4], k=5)
-        assert client.engine.executor._search_pool is not None
         client.close()
-        assert client.engine.executor._search_pool is None
+        assert client._observer_token is None
         client.close()  # second close must be a no-op, not an error
         client.close()
 
     def test_close_without_any_search(self, built_deployment):
         client = make_client(built_deployment, "td2")
-        client.close()  # pools were never created
+        client.close()
 
     def test_context_manager_closes_on_exception(self, built_deployment,
                                                  small_dataset):
         with pytest.raises(RuntimeError, match="boom"):
-            with make_client(built_deployment, "td3",
-                             search_workers=4) as client:
+            with make_client(built_deployment, "td3") as client:
                 client.search_batch(small_dataset.queries[:4], k=5)
-                assert client.engine.executor._search_pool is not None
+                assert client._observer_token is not None
                 raise RuntimeError("boom")
-        # __exit__ ran despite the raise: no worker processes leaked.
-        assert client.engine.executor._search_pool is None
-
-    def test_process_pool_teardown(self, built_deployment, small_dataset):
-        client = make_client(built_deployment, "td4", search_workers=2)
-        client.search_batch(small_dataset.queries[:6], k=5)
-        pool = client.engine.executor._search_pool
-        workers = [process for executor in pool._executors
-                   for process in executor._processes.values()]
-        assert len(workers) == 2
-        client.close()
-        assert client.engine.executor._search_pool is None
-        # The workers exit on their own.  Watch the exit sentinels: the
-        # executor's manager thread reaps its worker, and ``join`` +
-        # ``is_alive`` from a second thread race that ``waitpid``.
-        for process in workers:
-            assert wait([process.sentinel], timeout=10)
-        client.close()
+        # __exit__ ran despite the raise: the grace-period pin is gone.
+        assert client._observer_token is None
 
 
 class TestTraceContext:

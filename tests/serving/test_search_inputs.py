@@ -1,7 +1,7 @@
 """``search_batch`` refuses, at its entry and by name, what it cannot
-answer: a ``k`` that is not an integer >= 1 (NumPy integers are), and
-queries that are not one vector or one batch of rows of the index's
-dimension."""
+answer: a ``k`` that is not an integer >= 1 (NumPy integers are), an
+``ef_search`` that is not an integer, and queries that are not one vector
+or one batch of rows of the index's dimension."""
 
 from __future__ import annotations
 
@@ -26,6 +26,29 @@ def test_numpy_integers_are_integers(built_deployment, small_dataset, k):
     result = built_deployment.client(0).search_batch(
         small_dataset.queries[:2], k)
     assert [len(row.ids) for row in result.results] == [3, 3]
+
+
+@pytest.mark.parametrize("ef", [float("nan"), 2.5, True],
+                         ids=["nan", "fraction", "bool"])
+def test_ef_search_must_be_an_integer(built_deployment, small_dataset, ef):
+    """``max(nan, k)`` is ``nan``: a NaN beam once answered one row
+    instead of ``k``."""
+    client = built_deployment.client(0)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"ef_search must be an integer, got "
+                                       f"{ef!r}")):
+        client.search_batch(small_dataset.queries[:2], 5, ef_search=ef)
+
+
+@pytest.mark.parametrize("ef", [3, np.int64(3), 0, -1])
+def test_ef_search_below_k_is_clamped_to_k(built_deployment, small_dataset,
+                                           ef):
+    client = built_deployment.client(0)
+    clamped, at_k = (client.search_batch(small_dataset.queries[:2], 5,
+                                         ef_search=width)
+                     for width in (ef, 5))
+    assert clamped.ids_list() == at_k.ids_list()
+    assert [len(row.ids) for row in clamped.results] == [5, 5]
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 24), (2, 23), (23,), (1, 1, 24),

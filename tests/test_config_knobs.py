@@ -104,12 +104,28 @@ SURFACES = (DHnswConfig, FrontDoorConfig, TenantPolicy, HnswParams,
 #: last one (only tests asked for cosine or inner product), is retired.
 UNSET: set[str] = set()
 
+#: Retired spellings a surface still accepts as keywords, at one value
+#: only (any other raises ``ConfigError``): not knobs, so not counted.
+#: ``search_workers`` sized the retired search worker pool; the spine
+#: still spells it out at 1.
+ACCEPTED_AT_ONE_VALUE = {"DHnswConfig.search_workers"}
+
 
 def knob_defaults(cls) -> dict[str, object]:
     """``cls``'s keyword parameters and their defaults."""
     return {name: parameter.default
             for name, parameter in inspect.signature(cls).parameters.items()
-            if parameter.default is not parameter.empty}
+            if parameter.default is not parameter.empty
+            and f"{cls.__name__}.{name}" not in ACCEPTED_AT_ONE_VALUE}
+
+
+def test_one_value_spellings_are_keywords_not_fields():
+    surfaces = {cls.__name__: cls for cls in SURFACES}
+    for qualified in ACCEPTED_AT_ONE_VALUE:
+        owner, name = qualified.split(".")
+        cls = surfaces[owner]
+        assert name in inspect.signature(cls).parameters
+        assert name not in {field.name for field in dataclasses.fields(cls)}
 
 
 def settings(roots) -> tuple[list[tuple[str, ast.expr]],

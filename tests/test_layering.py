@@ -117,11 +117,12 @@ def test_mutation_never_imports_its_host():
 
 
 def test_one_traversal_engine_and_one_worker_pool():
-    """``repro.hnsw.search`` is the only traversal engine and
-    ``core.search_pool`` (processes) the only search executor: no module
-    brings back a compiled-graph generation or a thread pool — the Python
-    beam loops cannot run in parallel under the interpreter lock, and
-    ``SearchPool`` forks, which is safe only from a thread-free parent."""
+    """``repro.hnsw.search`` is the only traversal engine and every
+    search runs in the serving process: no module brings back a
+    compiled-graph generation or a thread pool — the Python beam loops
+    cannot run in parallel under the interpreter lock, and
+    ``core.build_pool``, the one pool that forks (construction and
+    rebuild workers), is safe only from a thread-free parent."""
     violations = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -80,11 +80,11 @@ def test_every_bound_name_exists_and_records_spans(small_dataset,
         return [span for span in batch_spans if span.name == name]
 
     assert len(named("decoder.decode_extent")) == batch.clusters_fetched
-    # Every planned cluster is searched once, in as many
-    # ``run_wave_compute`` rounds as the loop found new ones searchable.
+    # Every planned cluster is searched once, in a ``run_wave_compute``
+    # call of its own, as its charge comes.
     searches = len(named("executor.search_cluster"))
     assert searches == batch.clusters_fetched + batch.cache_hits
-    assert 1 <= len(named("executor.run_wave_compute")) <= searches
+    assert len(named("executor.run_wave_compute")) == searches
     assert len(named("engine.attempt")) == len(named("engine.search_batch"))
     # ``charge_compute(evals, dim)`` is read positionally for the counts.
     sub_charges = [span for span in named("node.charge_compute")
