@@ -25,10 +25,12 @@ examples:
 
 # CI's paper-figures job, run locally: regenerate every
 # benchmarks/results/*.txt table at full scale (~3 min), then fail if a
-# committed table is stale.
+# committed table is stale, or a table is written that is not committed
+# (git diff alone does not see untracked files).
 figures:
 	python -m pytest benchmarks -q
 	git diff --exit-code benchmarks/results
+	@git status --porcelain benchmarks/results | { ! grep .; }
 
 # Python line totals: src/ is the count ROADMAP item 11 tracks; tests/
 # and benchmarks/ beside it show lines moved out of src/ apart from

@@ -38,23 +38,23 @@ class Scheme(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class SchemePolicy:
-    """Loading behaviour toggles derived from a scheme."""
+    """Loading behaviour toggles derived from a scheme.
 
-    deduplicate_batch: bool
-    use_cluster_cache: bool
+    ``query_aware_loading`` is §3.3's pair: a batch fetches each cluster
+    it needs once (deduplicated) and offers what it fetched to the
+    cluster cache."""
+
+    query_aware_loading: bool
     doorbell_batching: bool
 
 
 _POLICIES = {
-    Scheme.NAIVE: SchemePolicy(
-        deduplicate_batch=False, use_cluster_cache=False,
-        doorbell_batching=False),
-    Scheme.NO_DOORBELL: SchemePolicy(
-        deduplicate_batch=True, use_cluster_cache=True,
-        doorbell_batching=False),
-    Scheme.DHNSW: SchemePolicy(
-        deduplicate_batch=True, use_cluster_cache=True,
-        doorbell_batching=True),
+    Scheme.NAIVE: SchemePolicy(query_aware_loading=False,
+                               doorbell_batching=False),
+    Scheme.NO_DOORBELL: SchemePolicy(query_aware_loading=True,
+                                     doorbell_batching=False),
+    Scheme.DHNSW: SchemePolicy(query_aware_loading=True,
+                               doorbell_batching=True),
 }
 
 

@@ -41,8 +41,7 @@ from repro.frontdoor.batch_former import BatchFormer, FormedWave
 from repro.frontdoor.door import (FrontDoor, LoadReport, TenantReport,
                                   WaveRecord)
 from repro.frontdoor.loadgen import (ClosedLoopSession, bursty_arrivals,
-                                     diurnal_arrivals, make_requests,
-                                     poisson_arrivals)
+                                     make_requests, poisson_arrivals)
 from repro.frontdoor.request import Request, RequestOutcome, RequestStatus
 from repro.frontdoor.scheduler import (DispatchGroup, DispatchPlan,
                                        SloScheduler, calibrate_degraded_ef)
@@ -68,7 +67,6 @@ __all__ = [
     "WaveRecord",
     "bursty_arrivals",
     "calibrate_degraded_ef",
-    "diurnal_arrivals",
     "make_requests",
     "poisson_arrivals",
 ]

@@ -1,13 +1,11 @@
 """Load generation: arrival processes on the simulated clock.
 
 Serving papers evaluate under *arrival processes*, not pre-formed
-batches.  This module generates the three standard open-loop shapes —
+batches.  This module generates two open-loop shapes —
 
 * :func:`poisson_arrivals` — memoryless steady-state traffic;
 * :func:`bursty_arrivals` — on/off (interrupted Poisson) traffic, the
   adversary of any latency-budget batcher;
-* :func:`diurnal_arrivals` — a sinusoidally modulated rate (thinning
-  method), compressing a day's load curve into a simulated window;
 
 — plus :func:`make_requests` to attach tenants/queries/SLOs to arrival
 times, and :class:`ClosedLoopSession` for closed-loop (think-time)
@@ -25,8 +23,8 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.frontdoor.request import Request
 
-__all__ = ["ClosedLoopSession", "bursty_arrivals", "diurnal_arrivals",
-           "make_requests", "poisson_arrivals"]
+__all__ = ["ClosedLoopSession", "bursty_arrivals", "make_requests",
+           "poisson_arrivals"]
 
 
 def poisson_arrivals(rate_qps: float, count: int,
@@ -80,37 +78,6 @@ def bursty_arrivals(burst_rate_qps: float, idle_rate_qps: float,
             now = phase_end
             in_burst = not in_burst
             phase_end += burst_us if in_burst else idle_us
-    return arrivals
-
-
-def diurnal_arrivals(base_rate_qps: float, peak_rate_qps: float,
-                     period_us: float, count: int,
-                     rng: np.random.Generator,
-                     start_us: float = 0.0) -> np.ndarray:
-    """Inhomogeneous Poisson arrivals with a sinusoidal daily rate.
-
-    Instantaneous rate ``r(t) = base + (peak - base) · ½(1 − cos(2πt/T))``
-    — troughs at ``base_rate_qps``, crests at ``peak_rate_qps`` once per
-    ``period_us``.  Generated by Lewis–Shedler thinning against the peak
-    rate, so the sample path is exact.
-    """
-    if not 0.0 < base_rate_qps <= peak_rate_qps:
-        raise ConfigError("need 0 < base_rate_qps <= peak_rate_qps")
-    if period_us <= 0.0:
-        raise ConfigError(f"period_us must be > 0, got {period_us}")
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    arrivals = np.empty(count, dtype=np.float64)
-    now = start_us
-    produced = 0
-    while produced < count:
-        now += rng.exponential(1e6 / peak_rate_qps)
-        phase = 2.0 * np.pi * (now - start_us) / period_us
-        rate = base_rate_qps + (peak_rate_qps - base_rate_qps) * 0.5 * (
-            1.0 - np.cos(phase))
-        if rng.random() <= rate / peak_rate_qps:
-            arrivals[produced] = now
-            produced += 1
     return arrivals
 
 

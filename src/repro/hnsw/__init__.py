@@ -11,7 +11,6 @@ Public surface:
 from repro.hnsw.distance import DistanceKernel, pairwise_l2
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.index import HnswIndex
-from repro.hnsw.io import load_index, save_index
 from repro.hnsw.params import HnswParams
 
 __all__ = [
@@ -19,7 +18,5 @@ __all__ = [
     "HnswIndex",
     "HnswParams",
     "LayeredGraph",
-    "load_index",
     "pairwise_l2",
-    "save_index",
 ]

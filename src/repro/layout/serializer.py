@@ -72,7 +72,6 @@ __all__ = [
     "serialize_cluster",
     "serialized_cluster_size",
     "deserialize_cluster",
-    "peek_cluster_geometry",
     "BlobSplit",
     "cluster_blob_split",
 ]
@@ -191,17 +190,6 @@ def _check_header(blob: "bytes | memoryview") -> tuple:
     if header[1] != _FORMAT_VERSION:
         raise SerializationError(f"unsupported format version {header[1]}")
     return header
-
-
-def peek_cluster_geometry(blob: "bytes | memoryview"
-                          ) -> tuple[int, int, int]:
-    """Read ``(cluster_id, num_nodes, dim)`` from a blob's header.
-
-    The vector section occupies the last ``4 * num_nodes * dim`` bytes,
-    so this is all a caller needs to view it without a full deserialize.
-    """
-    _, _, _, cluster_id, num_nodes, dim, _, _ = _check_header(blob)
-    return cluster_id, num_nodes, dim
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,8 +35,8 @@ OPEN_WAVES = (1, 2)
 
 def lookahead(host) -> bool:
     """The loop's look-ahead: ``config.pipeline_waves`` under a
-    deduplicating scheme."""
-    return host.config.pipeline_waves and host.policy.deduplicate_batch
+    query-aware scheme."""
+    return host.config.pipeline_waves and host.policy.query_aware_loading
 
 
 @dataclasses.dataclass
@@ -123,20 +123,19 @@ class WaveExecutor:
             return self.host.node.charge_compute(evals, self.host.meta.dim)
 
     # -- compute ------------------------------------------------------------
-    def run_wave_compute(self, tasks: list[tuple[int, CachedCluster,
-                                                 list[int]]],
-                         queries: np.ndarray, k: int, ef: int,
-                         trace: TraceContext | None = None) -> list:
-        """Search ``(cluster id, entry, query rows)`` tasks with the pure
-        :func:`search_cluster_entry`; returns one output per task, in
-        order.  The caller holds a pin on every entry, so nothing evicts
-        or rewrites one mid-search."""
+    def run_wave_compute(self, cluster_id: int, entry: CachedCluster,
+                         rows: list[int], queries: np.ndarray, k: int,
+                         ef: int, trace: TraceContext | None = None):
+        """Search ``entry`` for the query ``rows`` with the pure
+        :func:`search_cluster_entry`; ``cluster_id`` names the search
+        for whatever wraps the method (the tracer, test spies).  The
+        caller holds a pin on the entry, so nothing evicts or rewrites
+        it mid-search."""
         with span(trace, "compute"):
             started = time.perf_counter()
-            outputs = [search_cluster_entry(entry, queries[rows], k, ef)
-                       for _, entry, rows in tasks]
+            output = search_cluster_entry(entry, queries[rows], k, ef)
             self.host.node.record_wall_compute(time.perf_counter() - started)
-        return outputs
+        return output
 
 
 def merge_output(merger: TopKMerger, rows: list[int], output) -> None:
@@ -339,8 +338,8 @@ class ReadyList:
         """Search ``pos`` and charge it and its cluster's decode; merge it
         unless it is a hit still waiting for its tail word."""
         executor, execution, trace = self.executor, self.execution, self.trace
-        (output,) = executor.run_wave_compute(
-            [(self.cluster_ids[pos], self.ready[pos], self.rows[pos])],
+        output = executor.run_wave_compute(
+            self.cluster_ids[pos], self.ready[pos], self.rows[pos],
             self.queries, self.k, self.ef, trace)
         execution.sub_hnsw_us += executor.charge_decode(
             execution, self.cluster_ids[pos], trace)

@@ -185,7 +185,7 @@ class Fetcher:
             execution.decode_backlog.append(
                 (extents[0][0], deserialize_us(topped_up)))
         execution.fetched += len(loaded)
-        if host.policy.use_cluster_cache:
+        if host.policy.query_aware_loading:
             self.offer(loaded.values())
         return loaded
 

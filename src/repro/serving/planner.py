@@ -71,7 +71,7 @@ class Planner:
         cache = host.cache
         cap = cache.capacity_bytes
         with trace.stage("plan"):
-            if not host.policy.deduplicate_batch:
+            if not host.policy.query_aware_loading:
                 return plan_naive(required)
             return plan_batch(
                 required, cache, cache.capacity_clusters,

@@ -1,33 +1,24 @@
 """Workload generators for benchmarking and examples.
 
 The paper's evaluation issues uniform batched queries; real vector-search
-traffic is skewed and bursty, which is precisely what query-aware batched
+traffic is skewed, which is precisely what query-aware batched
 loading and the cluster cache exploit.  This module provides reusable
 generators:
 
 * :func:`uniform_queries` — held-out queries drawn like the corpus;
 * :func:`zipfian_queries` — popularity-skewed repeats of hot regions,
   modelling head-heavy RAG / recommendation traffic;
-* :func:`bursty_topics` — batches focused on a few topics at a time;
-* :class:`MixedWorkload` — an interleaved insert/search stream with a
-  configurable write ratio.
+* :func:`zipfian_cluster_queries` — the same skew at cluster
+  granularity, the unit the cluster cache keeps.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import enum
-from typing import Iterator
 
 import numpy as np
 
 from repro.errors import ConfigError
 
 __all__ = [
-    "MixedWorkload",
-    "Operation",
-    "OpKind",
-    "bursty_topics",
     "uniform_queries",
     "zipfian_cluster_queries",
     "zipfian_queries",
@@ -120,109 +111,3 @@ def zipfian_cluster_queries(corpus: np.ndarray, cluster_of: np.ndarray,
         queries += rng.normal(0.0, noise_std,
                               size=queries.shape).astype(np.float32)
     return queries
-
-
-def bursty_topics(corpus: np.ndarray, batches: int, batch_size: int,
-                  rng: np.random.Generator, topics_per_burst: int = 3,
-                  noise_std: float = 0.5) -> Iterator[np.ndarray]:
-    """Yield query batches, each concentrated on a few anchor vectors.
-
-    Models diurnal / event-driven traffic: every burst picks
-    ``topics_per_burst`` anchors and perturbs them, so consecutive
-    queries within a batch hit the same partitions (maximal dedup win),
-    while bursts drift across the corpus (cache churn).
-    """
-    if batches < 1 or batch_size < 1:
-        raise ConfigError("batches and batch_size must be >= 1")
-    if topics_per_burst < 1:
-        raise ConfigError(
-            f"topics_per_burst must be >= 1, got {topics_per_burst}")
-    for _ in range(batches):
-        anchors = corpus[rng.integers(0, corpus.shape[0],
-                                      size=topics_per_burst)]
-        picks = rng.integers(0, topics_per_burst, size=batch_size)
-        batch = anchors[picks].astype(np.float32, copy=True)
-        batch += rng.normal(0.0, noise_std,
-                            size=batch.shape).astype(np.float32)
-        yield batch
-
-
-# ----------------------------------------------------------------------
-class OpKind(enum.Enum):
-    """Operation type in a mixed stream."""
-
-    SEARCH = "search"
-    INSERT = "insert"
-
-
-@dataclasses.dataclass(frozen=True)
-class Operation:
-    """One step of a mixed workload."""
-
-    kind: OpKind
-    vector: np.ndarray
-    global_id: int | None = None  # set for inserts
-
-
-class MixedWorkload:
-    """An insert/search stream with a fixed write ratio.
-
-    Inserted vectors are drawn near existing corpus points (new items
-    resemble old items); searches may target both old and freshly
-    inserted vectors.
-
-    Example
-    -------
-    >>> rng = np.random.default_rng(0)
-    >>> corpus = rng.random((100, 8), dtype=np.float32)
-    >>> stream = MixedWorkload(corpus, write_ratio=0.25, rng=rng,
-    ...                        first_insert_id=1000)
-    >>> ops = stream.take(20)
-    >>> sum(op.kind is OpKind.INSERT for op in ops) in range(0, 21)
-    True
-    """
-
-    def __init__(self, corpus: np.ndarray, write_ratio: float,
-                 rng: np.random.Generator, first_insert_id: int,
-                 insert_noise_std: float = 0.01) -> None:
-        if not 0.0 <= write_ratio <= 1.0:
-            raise ConfigError(
-                f"write_ratio must be in [0, 1], got {write_ratio}")
-        self.corpus = np.asarray(corpus, dtype=np.float32)
-        self.write_ratio = write_ratio
-        self.rng = rng
-        self.insert_noise_std = insert_noise_std
-        self._next_id = int(first_insert_id)
-        self._inserted: list[np.ndarray] = []
-
-    @property
-    def inserted_count(self) -> int:
-        """Inserts generated so far."""
-        return len(self._inserted)
-
-    def _base_vector(self) -> np.ndarray:
-        """A random existing vector (corpus or previously inserted)."""
-        total = self.corpus.shape[0] + len(self._inserted)
-        pick = int(self.rng.integers(0, total))
-        if pick < self.corpus.shape[0]:
-            return self.corpus[pick]
-        return self._inserted[pick - self.corpus.shape[0]]
-
-    def next_op(self) -> Operation:
-        """Generate the next operation."""
-        base = self._base_vector()
-        if self.rng.random() < self.write_ratio:
-            vector = base + self.rng.normal(
-                0.0, self.insert_noise_std,
-                size=base.shape).astype(np.float32)
-            op = Operation(OpKind.INSERT, vector, self._next_id)
-            self._inserted.append(vector)
-            self._next_id += 1
-            return op
-        return Operation(OpKind.SEARCH, base.copy())
-
-    def take(self, count: int) -> list[Operation]:
-        """Generate ``count`` operations."""
-        if count < 0:
-            raise ConfigError(f"count must be >= 0, got {count}")
-        return [self.next_op() for _ in range(count)]

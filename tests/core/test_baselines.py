@@ -7,22 +7,19 @@ from repro.core.baselines import Scheme, policy_for
 
 def test_naive_disables_everything():
     policy = policy_for(Scheme.NAIVE)
-    assert not policy.deduplicate_batch
-    assert not policy.use_cluster_cache
+    assert not policy.query_aware_loading
     assert not policy.doorbell_batching
 
 
 def test_no_doorbell_keeps_cache_and_dedup():
     policy = policy_for(Scheme.NO_DOORBELL)
-    assert policy.deduplicate_batch
-    assert policy.use_cluster_cache
+    assert policy.query_aware_loading
     assert not policy.doorbell_batching
 
 
 def test_full_scheme_enables_all():
     policy = policy_for(Scheme.DHNSW)
-    assert policy.deduplicate_batch
-    assert policy.use_cluster_cache
+    assert policy.query_aware_loading
     assert policy.doorbell_batching
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.frontdoor import (ClosedLoopSession, bursty_arrivals,
-                             diurnal_arrivals, make_requests,
-                             poisson_arrivals)
+                             make_requests, poisson_arrivals)
 
 
 class TestPoisson:
@@ -60,32 +59,6 @@ class TestBursty:
             bursty_arrivals(100.0, 0.0, 0.0, 1.0, 1, rng)
         with pytest.raises(ConfigError):
             bursty_arrivals(100.0, 0.0, 1.0, 1.0, 0, rng)
-
-
-class TestDiurnal:
-    def test_shape_and_monotonicity(self):
-        arrivals = diurnal_arrivals(200.0, 2000.0, 1e6, 300,
-                                    np.random.default_rng(4))
-        assert len(arrivals) == 300
-        assert np.all(np.diff(arrivals) > 0)
-
-    def test_crest_denser_than_trough(self):
-        period = 1e6
-        arrivals = diurnal_arrivals(100.0, 5000.0, period, 2000,
-                                    np.random.default_rng(5))
-        phase = (arrivals % period) / period
-        crest = ((phase > 0.25) & (phase < 0.75)).sum()
-        trough = len(arrivals) - crest
-        assert crest > 3 * trough
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            diurnal_arrivals(0.0, 100.0, 1e6, 10, rng)
-        with pytest.raises(ConfigError):
-            diurnal_arrivals(200.0, 100.0, 1e6, 10, rng)
-        with pytest.raises(ConfigError):
-            diurnal_arrivals(100.0, 200.0, 0.0, 10, rng)
 
 
 class TestMakeRequests:

@@ -16,7 +16,6 @@ from repro.datasets import exact_knn
 from repro.datasets.synthetic import make_clustered
 from repro.persist import load_deployment, save_deployment
 from repro.replay import TraceWriter, read_trace, replay
-from repro.workloads import MixedWorkload
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +45,20 @@ def test_mixed_trace_through_shards_then_checkpoint(corpus, tmp_path):
                          overflow_capacity_records=16, seed=32)
     sharded = ShardedDeployment(vectors, config, num_shards=2)
 
-    # Record a mixed workload; insert ids are fresh (>= 10000).
-    workload = MixedWorkload(vectors, write_ratio=0.3,
-                             rng=np.random.default_rng(33),
-                             first_insert_id=10_000)
+    # Record a mixed workload: 30 % inserts near corpus points, with
+    # fresh ids (>= 10000); the rest search corpus points.
+    rng = np.random.default_rng(33)
     trace_path = tmp_path / "mixed.jsonl"
+    next_id = 10_000
     with TraceWriter(trace_path) as trace:
-        for op in workload.take(60):
-            if op.kind.value == "insert":
-                trace.insert(op.vector, op.global_id)
+        for row in rng.integers(0, len(vectors), size=60):
+            if rng.random() < 0.3:
+                trace.insert(vectors[row] + rng.normal(
+                    0.0, 0.01, size=vectors.shape[1]).astype(np.float32),
+                    next_id)
+                next_id += 1
             else:
-                trace.search(op.vector, k=5, ef_search=24)
+                trace.search(vectors[row], k=5, ef_search=24)
 
     result = replay(sharded, read_trace(trace_path))
     assert result.operations == 60

@@ -129,7 +129,7 @@ def install(client) -> list[PlanExecution]:
         # A torn attempt (``StaleReadError``) leaves decodes it never
         # charged; the retry must not inherit them.
         ledger.drain()
-        if not client.policy.deduplicate_batch:
+        if not client.policy.query_aware_loading:
             required: list[list[int]] = [[] for _ in queries]
             for wave in plan.waves:
                 (query_index, cluster_id), = wave.serviced
@@ -142,7 +142,8 @@ def install(client) -> list[PlanExecution]:
         else:
             steps = _after_routing(execute_plan_serial, client, plan,
                                    queries, merger, k, ef)
-        first_rows = (plan.first_wave_rows if client.policy.deduplicate_batch
+        first_rows = (plan.first_wave_rows
+                      if client.policy.query_aware_loading
                       and client.config.pipeline_waves else len(queries))
         return types.SimpleNamespace(
             first_rows=first_rows,
@@ -265,7 +266,7 @@ def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
                 owed[wave[0]] += host.cost_model.deserialize_us(
                     fetcher.top_up(loaded.values()))
             execution.fetched += len(loaded)
-            if host.policy.use_cluster_cache:
+            if host.policy.query_aware_loading:
                 fetcher.offer(loaded.values())
             for cid, pos in zip(fetch_ids, wave):
                 cache.pin(loaded[cid])
@@ -397,7 +398,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             owed[first] += host.cost_model.deserialize_us(
                 fetcher.top_up(loaded.values()))
             execution.fetched += len(loaded)
-            if host.policy.use_cluster_cache:
+            if host.policy.query_aware_loading:
                 fetcher.offer(loaded.values())
             for cid, entry in loaded.items():
                 cache.pin(entry)

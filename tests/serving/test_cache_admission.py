@@ -95,15 +95,16 @@ def test_dram_holds_the_cache_and_what_the_wave_streams(world, byte_cap):
     run_wave_compute, ready_list = (executor.run_wave_compute,
                                     executor.ready_list)
 
-    def checked(tasks, *args, **kwargs):
+    def checked(cid, entry, *args, **kwargs):
         passing = {id(entry): entry for entry in loops[-1].pinned.values()
                    if entry.streamed}
         assert client.cache.held_bytes == (
             client.cache.cached_bytes
             + sum(entry.nbytes for entry in passing.values()))
         assert client.dram_used_bytes == fixed + client.cache.held_bytes
-        streamed.extend(entry for _, entry, _ in tasks if entry.streamed)
-        return run_wave_compute(tasks, *args, **kwargs)
+        if entry.streamed:
+            streamed.append(entry)
+        return run_wave_compute(cid, entry, *args, **kwargs)
 
     def recording(*args, **kwargs):
         loops.append(ready_list(*args, **kwargs))

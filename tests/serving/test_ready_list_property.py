@@ -81,10 +81,10 @@ def spy(client):
         loops.append(ready_list(*args, **kwargs))
         return loops[-1]
 
-    def searching(tasks, *args, **kwargs):
-        searches.extend((row, cid) for cid, _, rows in tasks for row in rows)
-        searched_in_flight.extend([len(outstanding)] * len(tasks))
-        return run_wave_compute(tasks, *args, **kwargs)
+    def searching(cid, entry, rows, *args, **kwargs):
+        searches.extend((row, cid) for row in rows)
+        searched_in_flight.append(len(outstanding))
+        return run_wave_compute(cid, entry, rows, *args, **kwargs)
 
     def posting(*args, **kwargs):
         token = post(*args, **kwargs)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.layout.serializer import peek_cluster_geometry
+from repro.layout.serializer import cluster_blob_split
 from repro.persist import load_deployment
 
 
@@ -61,8 +61,9 @@ class TestBuild:
         # No neighbour list here is longer than 256, so a blob's width
         # follows from its node count alone.
         _, layout, _ = load_deployment(built_index)
-        sizes = [peek_cluster_geometry(layout.memory_node.read(
-            layout.rkey, layout.addr(cluster.blob_offset), 28))[1]
+        sizes = [cluster_blob_split(layout.memory_node.read(
+            layout.rkey, layout.addr(cluster.blob_offset),
+            cluster.blob_length)).vectors // (4 * layout.metadata.dim)
             for cluster in layout.metadata.clusters]
         narrow = sum(size <= 256 for size in sizes)
         assert 0 < narrow < len(sizes) == 6

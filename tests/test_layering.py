@@ -150,3 +150,80 @@ def test_contract_scope_is_nonempty():
     scanned = [path for package in CONSTRAINED
                for path in (SRC_ROOT / package).rglob("*.py")]
     assert len(scanned) > 10
+
+
+#: What runs the library: every module under ``src/repro/`` must be
+#: reached from one of these.
+RUNNERS = ("benchmarks", "examples", "src/repro/cli.py")
+
+
+def _module_files() -> dict[str, pathlib.Path]:
+    """Dotted name -> source file, for every module and package."""
+    files = {}
+    for path in SRC_ROOT.rglob("*.py"):
+        parts = path.relative_to(SRC_ROOT.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _defining_module(files, module: str, name: str) -> str:
+    """The module that defines ``module.name``: a submodule of that
+    name, else whatever the package's ``__init__`` re-exports it from,
+    else ``module`` itself."""
+    if f"{module}.{name}" in files:
+        return f"{module}.{name}"
+    if files[module].name == "__init__.py":
+        for node in ast.parse(files[module].read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.module in files:
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return _defining_module(files, node.module,
+                                                alias.name)
+    return module
+
+
+def _named_modules(files, path: pathlib.Path):
+    """The ``repro`` modules ``path`` names in its imports, each
+    ``from package import name`` resolved to the module defining it."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in files:
+                    yield alias.name
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module in files):
+            for alias in node.names:
+                yield _defining_module(files, node.module, alias.name)
+
+
+def test_every_module_is_run_by_something():
+    """ROADMAP item 11(c): keep only what a paper figure, an example,
+    the measurement spine, a perf script or the CLI runs.  Every module
+    under ``src/repro/`` is reached by name, transitively, from
+    ``benchmarks/`` (the spine, the figure harness and the perf
+    scripts), ``examples/`` or ``cli.py``.  A name imported from
+    a package resolves through the package's ``__init__`` re-exports to
+    the module that defines it, so a re-export alone reaches nothing;
+    ``__init__`` files themselves are not held to the rule.  Tests do
+    not count: a module only its own tests import should go with them."""
+    files = _module_files()
+    repo = SRC_ROOT.parent.parent
+    todo = [path for runner in RUNNERS
+            for path in ([repo / runner] if runner.endswith(".py")
+                         else sorted((repo / runner).rglob("*.py")))]
+    reached = {module for module, path in files.items() if path in todo}
+    while todo:
+        for module in _named_modules(files, todo.pop()):
+            if module not in reached:
+                reached.add(module)
+                # A package's own imports are its re-exports: not run.
+                if files[module].name != "__init__.py":
+                    todo.append(files[module])
+    orphans = sorted(str(path.relative_to(SRC_ROOT.parent))
+                     for module, path in files.items()
+                     if module not in reached
+                     and path.name != "__init__.py")
+    assert not orphans, "run by nothing outside tests:\n  " + "\n  ".join(
+        orphans)

@@ -7,10 +7,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.workloads import (
-    MixedWorkload,
-    OpKind,
-    bursty_topics,
     uniform_queries,
+    zipfian_cluster_queries,
     zipfian_queries,
 )
 
@@ -60,76 +58,53 @@ class TestZipfianQueries:
             zipfian_queries(corpus, 10, np.random.default_rng(0), skew=1.0)
 
 
-class TestBurstyTopics:
-    def test_yields_requested_batches(self, corpus):
-        batches = list(bursty_topics(corpus, 4, 16,
-                                     np.random.default_rng(4)))
-        assert len(batches) == 4
-        assert all(batch.shape == (16, 8) for batch in batches)
+class TestZipfianClusterQueries:
+    @pytest.fixture()
+    def cluster_of(self, corpus):
+        return np.arange(corpus.shape[0]) % 10
 
-    def test_within_burst_queries_cluster(self, corpus):
-        (batch,) = bursty_topics(corpus, 1, 64, np.random.default_rng(5),
-                                 topics_per_burst=2, noise_std=0.01)
-        # 64 queries around 2 anchors: pairwise spread is bimodal and
-        # small within a topic.
-        from repro.hnsw.distance import pairwise_l2
-        dists = pairwise_l2(batch, batch)
-        near = (dists < 0.1).sum()
-        assert near > 64  # many near-duplicate pairs beyond the diagonal
+    @staticmethod
+    def clusters_hit(corpus, cluster_of, queries):
+        """The cluster of the corpus row each query repeats."""
+        row_of = {row.tobytes(): i for i, row in enumerate(corpus)}
+        return cluster_of[[row_of[query.tobytes()] for query in queries]]
 
-    def test_validation(self, corpus):
+    def test_zero_noise_yields_rows_of_the_drawn_cluster(self, corpus,
+                                                         cluster_of):
+        queries = zipfian_cluster_queries(corpus, cluster_of, 300,
+                                          np.random.default_rng(11))
+        # Every query is a corpus row, of the cluster the same seed's
+        # Zipf draw over a permutation of cluster ids picked for it.
+        rng = np.random.default_rng(11)
+        permutation = rng.permutation(10)
+        ranks = rng.zipf(1.2, size=300)
+        drawn = permutation[(ranks - 1) % 10]
+        assert list(self.clusters_hit(corpus, cluster_of, queries)) == list(
+            drawn)
+
+    def test_hottest_cluster_share_rises_with_skew(self, corpus,
+                                                   cluster_of):
+        def hottest_share(skew):
+            queries = zipfian_cluster_queries(
+                corpus, cluster_of, 2000, np.random.default_rng(12),
+                skew=skew)
+            clusters = self.clusters_hit(corpus, cluster_of, queries)
+            return np.bincount(clusters).max() / 2000
+
+        shares = [hottest_share(skew) for skew in (1.1, 1.5, 2.5)]
+        assert shares[0] < shares[1] < shares[2]
+
+    def test_same_seed_same_queries(self, corpus, cluster_of):
+        first, second = (zipfian_cluster_queries(
+            corpus, cluster_of, 100, np.random.default_rng(13),
+            noise_std=0.1) for _ in range(2))
+        assert np.array_equal(first, second)
+
+    def test_validation(self, corpus, cluster_of):
+        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            list(bursty_topics(corpus, 0, 4, np.random.default_rng(0)))
+            zipfian_cluster_queries(corpus, cluster_of, 10, rng, skew=1.0)
         with pytest.raises(ConfigError):
-            list(bursty_topics(corpus, 1, 4, np.random.default_rng(0),
-                               topics_per_burst=0))
-
-
-class TestMixedWorkload:
-    def test_write_ratio_respected(self, corpus):
-        stream = MixedWorkload(corpus, write_ratio=0.3,
-                               rng=np.random.default_rng(6),
-                               first_insert_id=1000)
-        ops = stream.take(1000)
-        writes = sum(op.kind is OpKind.INSERT for op in ops)
-        assert 230 <= writes <= 370
-
-    def test_insert_ids_sequential_from_base(self, corpus):
-        stream = MixedWorkload(corpus, write_ratio=1.0,
-                               rng=np.random.default_rng(7),
-                               first_insert_id=500)
-        ops = stream.take(5)
-        assert [op.global_id for op in ops] == [500, 501, 502, 503, 504]
-
-    def test_search_ops_have_no_id(self, corpus):
-        stream = MixedWorkload(corpus, write_ratio=0.0,
-                               rng=np.random.default_rng(8),
-                               first_insert_id=0)
-        ops = stream.take(10)
-        assert all(op.kind is OpKind.SEARCH and op.global_id is None
-                   for op in ops)
-
-    def test_inserted_count_tracked(self, corpus):
-        stream = MixedWorkload(corpus, write_ratio=1.0,
-                               rng=np.random.default_rng(9),
-                               first_insert_id=0)
-        stream.take(7)
-        assert stream.inserted_count == 7
-
-    def test_searches_can_target_inserted_vectors(self, corpus):
-        rng = np.random.default_rng(10)
-        stream = MixedWorkload(corpus, write_ratio=0.5, rng=rng,
-                               first_insert_id=10_000,
-                               insert_noise_std=0.0)
-        stream.take(500)
-        assert stream.inserted_count > 100
-
-    def test_validation(self, corpus):
+            zipfian_cluster_queries(corpus, cluster_of, 0, rng)
         with pytest.raises(ConfigError):
-            MixedWorkload(corpus, write_ratio=1.5,
-                          rng=np.random.default_rng(0), first_insert_id=0)
-        stream = MixedWorkload(corpus, write_ratio=0.5,
-                               rng=np.random.default_rng(0),
-                               first_insert_id=0)
-        with pytest.raises(ConfigError):
-            stream.take(-1)
+            zipfian_cluster_queries(corpus, cluster_of[:-1], 10, rng)
