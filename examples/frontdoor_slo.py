@@ -11,9 +11,9 @@ tenants, faster than I can serve them?"*
    auto-tuner.
 2. Serve steady Poisson traffic through the front door: waves form
    under a 2 ms batching budget, tenants share via weighted DRR, and
-   queue delay becomes a first-class stage of every request trace.
+   every request's queue delay is split from its time in the wave.
 3. Slam the door with a burst: watch admission shed the flooding
-   tenant, the scheduler degrade beam widths, and the report account
+   tenant, the door degrade beam widths, and the report account
    for every downgrade honestly.
 
 Run:  python examples/frontdoor_slo.py
@@ -27,8 +27,8 @@ from repro import Deployment, DHnswConfig
 from repro.core.tuning import tune_ef_search
 from repro.datasets import sift_like
 from repro.frontdoor import (FrontDoor, FrontDoorConfig, TenantPolicy,
-                             bursty_arrivals, calibrate_degraded_ef,
-                             make_requests, poisson_arrivals)
+                             bursty_arrivals, make_requests,
+                             poisson_arrivals)
 from repro.telemetry import DeploymentTelemetry, render_report
 
 
@@ -50,9 +50,9 @@ def main() -> None:
     tuner_client = deployment.make_client(scheme, name="tuner")
     normal = tune_ef_search(tuner_client, validation, validation_truth,
                             k=10, target_recall=0.86, ef_max=128)
-    degraded_ef = calibrate_degraded_ef(tuner_client, validation,
-                                        validation_truth, k=10,
-                                        relaxed_recall=0.85)
+    degraded_ef = tune_ef_search(tuner_client, validation,
+                                 validation_truth, k=10,
+                                 target_recall=0.85, ef_max=128).ef_search
     print(f"normal efSearch    : {normal.ef_search} "
           f"(recall {normal.recall:.3f})")
     print(f"degraded efSearch  : {degraded_ef} (recall floor 0.85 "
@@ -70,7 +70,8 @@ def main() -> None:
     rng = np.random.default_rng(11)
     steady = door.run(make_requests(
         poisson_arrivals(1500.0, 600, rng), dataset.queries, k=10,
-        slo_us=50_000.0, rng=rng, tenants=("gold", "free"),
+        slo_us=door.tenant_slo_us("gold"), rng=rng,
+        tenants=("gold", "free"),
         tenant_weights=(1.0, 1.0), ef_search=normal.ef_search))
     queue = steady.queue_delay_percentiles()
     print(f"served             : {steady.served}/{steady.offered} across "
@@ -87,8 +88,8 @@ def main() -> None:
     burst = burst_door.run(make_requests(
         bursty_arrivals(30_000.0, 500.0, burst_us=20_000.0,
                         idle_us=30_000.0, count=900, rng=rng),
-        dataset.queries, k=10, slo_us=50_000.0, rng=rng,
-        tenants=("gold", "free"), tenant_weights=(5.0, 5.0),
+        dataset.queries, k=10, slo_us=burst_door.tenant_slo_us("gold"),
+        rng=rng, tenants=("gold", "free"), tenant_weights=(5.0, 5.0),
         ef_search=normal.ef_search))
     print(f"served             : {burst.served}/{burst.offered} "
           f"({burst.degraded} degraded to ef={degraded_ef}, "

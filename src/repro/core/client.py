@@ -203,7 +203,19 @@ class DHnswClient:
         if remote_version == self.metadata.version:
             self.observe_version(self.metadata.version)
             return False
-        fresh = self._read_metadata()
+        self.adopt_metadata(self._read_metadata())
+        return True
+
+    def adopt_metadata(self, fresh: GlobalMetadata) -> None:
+        """Serve from ``fresh`` from now on.
+
+        Every cluster whose entry or group version changed is invalidated
+        *before* the version is observed: observing it may hand the old
+        extents, which those entries' zero-copy views alias, back to the
+        allocator.  A refresh and a rebuild's cutover both adopt here, so
+        a cutover whose re-read block carries a peer's rebuild of another
+        group drops that group's members too.
+        """
         stale_groups = {
             gid for gid, (old, new) in enumerate(zip(self.metadata.groups,
                                                      fresh.groups))
@@ -214,7 +226,6 @@ class DHnswClient:
                 self.cache.invalidate(cid)
         self.metadata = fresh
         self.observe_version(fresh.version)
-        return True
 
     def observe_version(self, version: int) -> None:
         """Report an observed metadata version to the grace-period ledger.

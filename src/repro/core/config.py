@@ -210,28 +210,31 @@ class FrontDoorConfig:
     Attributes
     ----------
     max_wait_us:
-        Latency budget of the batch former: a wave dispatches as soon as
+        Latency budget of wave forming: a wave dispatches as soon as
         its oldest pending request has waited this long (or earlier, when
         ``max_batch`` fills).  ``0`` dispatches every request immediately
         — per-query serving, the baseline the benchmark compares against.
     max_batch:
         Wave size ceiling.  Reaching it dispatches immediately.
     slo_us:
-        Default end-to-end deadline budget stamped onto requests whose
-        tenant policy does not override it; the scheduler sheds requests
-        already past their deadline at dispatch time (``shed_late``).
+        Default end-to-end deadline budget for a tenant whose policy does
+        not set one, as ``FrontDoor.tenant_slo_us`` resolves it for a
+        caller building requests.  Each request carries its own
+        ``slo_us`` (``make_requests`` stamps it), and that is what the
+        door sheds by at dispatch time (``shed_late``).
     shed_late:
         When True (default), requests whose deadline has already passed
         when their wave forms are shed (counted, never answered) instead
         of wasting engine work that cannot meet the SLO.
     degraded_ef:
         Overload escape valve: when the post-wave backlog exceeds two
-        full waves (``scheduler.DEGRADE_BACKLOG_WAVES``), dispatch with
+        full waves (``door.DEGRADE_BACKLOG_WAVES``), dispatch with
         this (lower) ``ef_search`` instead of the requested beam —
         trading recall for drain rate, with the downgrade recorded
         honestly on every affected request.  ``None`` (default) never
-        degrades.  Calibrate against a relaxed recall target with
-        :func:`repro.frontdoor.scheduler.calibrate_degraded_ef`.
+        degrades.  Calibrate it against a relaxed recall target with
+        :func:`repro.core.tuning.tune_ef_search` (say recall 0.85 where
+        the normal operating point asks 0.95) rather than guessing.
     """
 
     max_wait_us: float = 2000.0

@@ -34,39 +34,27 @@ Typical usage::
 """
 
 from repro.core.config import FrontDoorConfig
-from repro.frontdoor.admission import (AdmissionController,
-                                       DeficitRoundRobin, TenantPolicy,
+from repro.frontdoor.admission import (DeficitRoundRobin, TenantPolicy,
                                        TokenBucket)
-from repro.frontdoor.batch_former import BatchFormer, FormedWave
 from repro.frontdoor.door import (FrontDoor, LoadReport, TenantReport,
                                   WaveRecord)
-from repro.frontdoor.loadgen import (ClosedLoopSession, bursty_arrivals,
-                                     make_requests, poisson_arrivals)
+from repro.frontdoor.loadgen import (bursty_arrivals, make_requests,
+                                     poisson_arrivals)
 from repro.frontdoor.request import Request, RequestOutcome, RequestStatus
-from repro.frontdoor.scheduler import (DispatchGroup, DispatchPlan,
-                                       SloScheduler, calibrate_degraded_ef)
 
 __all__ = [
-    "AdmissionController",
-    "BatchFormer",
-    "ClosedLoopSession",
     "DeficitRoundRobin",
-    "DispatchGroup",
-    "DispatchPlan",
-    "FormedWave",
     "FrontDoor",
     "FrontDoorConfig",
     "LoadReport",
     "Request",
     "RequestOutcome",
     "RequestStatus",
-    "SloScheduler",
     "TenantPolicy",
     "TenantReport",
     "TokenBucket",
     "WaveRecord",
     "bursty_arrivals",
-    "calibrate_degraded_ef",
     "make_requests",
     "poisson_arrivals",
 ]

@@ -13,20 +13,22 @@ Two mechanisms keep one tenant from starving the rest:
   FIFO queues when waves form.  While several tenants are backlogged,
   each receives wave slots in proportion to its weight (the classic DRR
   guarantee); an idle tenant's unused share flows to the busy ones.
+
+:class:`~repro.frontdoor.door.FrontDoor` holds one bucket per rated
+tenant and one set of queues.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.config import _require_finite
 from repro.errors import ConfigError
 from repro.frontdoor.request import Request
 
-__all__ = ["AdmissionController", "DeficitRoundRobin", "TenantPolicy",
-           "TokenBucket"]
+__all__ = ["DeficitRoundRobin", "TenantPolicy", "TokenBucket"]
 
 #: Token-bucket capacity: the burst a rate-limited tenant may send at once.
 BURST = 32
@@ -87,26 +89,6 @@ class TokenBucket:
             self.tokens -= 1.0
             return True
         return False
-
-
-class AdmissionController:
-    """One token bucket per tenant whose policy sets a rate."""
-
-    def __init__(self, policies: Mapping[str, TenantPolicy]) -> None:
-        self._buckets = {tenant: TokenBucket(policy.rate_qps)
-                         for tenant, policy in policies.items()
-                         if policy.rate_qps is not None}
-        #: Cumulative (admitted, shed) per tenant, for telemetry.
-        self.admitted: dict[str, int] = {}
-        self.shed: dict[str, int] = {}
-
-    def admit(self, request: Request) -> bool:
-        """Charge the request against its tenant's bucket at arrival time."""
-        bucket = self._buckets.get(request.tenant)
-        ok = bucket is None or bucket.admit(request.arrival_us)
-        ledger = self.admitted if ok else self.shed
-        ledger[request.tenant] = ledger.get(request.tenant, 0) + 1
-        return ok
 
 
 class DeficitRoundRobin:
@@ -182,10 +164,3 @@ class DeficitRoundRobin:
             if not queue:
                 self._deficit[tenant] = 0.0
         return out
-
-    def drain(self) -> Iterable[Request]:
-        """Remove and yield every pending request (shutdown path)."""
-        for queue in self._queues.values():
-            while queue:
-                self._pending -= 1
-                yield queue.popleft()

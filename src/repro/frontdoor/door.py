@@ -1,4 +1,4 @@
-"""The front door: an event loop coalescing requests into engine waves.
+"""The front door: one event loop coalescing requests into engine waves.
 
 :class:`FrontDoor` sits between independently arriving single-query
 requests and a :class:`~repro.core.client.DHnswClient`.  It runs on the
@@ -7,17 +7,22 @@ RDMA verb and compute charge advances — so queue delay, batching delay,
 and service time compose into one honest end-to-end latency per request.
 
 The loop alternates between exactly two event kinds: the next arrival,
-and the instant the pending wave becomes due (oldest wait hits
-``max_wait_us``, or ``max_batch`` fills at an arrival).  Dispatch calls
-``search_batch`` once per ``(k, ef)`` group, which advances the clock by
-the wave's service time; arrivals that land "during" service simply queue
-with their original timestamps, so backlog and queue delay emerge from
-the simulation rather than being modelled.  A request completes when *its*
-answer is final — ``BatchResult.complete_us``: the engine serves rows in
-the EDF order the door hands them over and stamps each once its own last
-cluster is searched (a hit's once its tail word has landed) — not when
-its wave ends, nor when every other row's hits are, so the request that
-waited longest for the wave to form leaves it first.
+and the instant the pending wave becomes due (``max_batch`` requests
+pending, or the oldest has waited ``max_wait_us``).  An arrival is
+charged to its tenant's token bucket (a :class:`TokenBucket` per tenant
+whose policy sets a rate) and queued on the weighted deficit-round-robin
+queues; a due wave takes a DRR-fair share of them, orders it earliest
+deadline first, sheds what is already late (``shed_late``), degrades the
+beam under a deep backlog, and calls ``search_batch`` once per
+``(k, ef)`` group, which advances the clock by the wave's service time.
+Arrivals that land "during" service simply queue with their original
+timestamps, so backlog and queue delay emerge from the simulation rather
+than being modelled.  A request completes when *its* answer is final —
+``BatchResult.complete_us``: the engine serves rows in the EDF order the
+door hands them over and stamps each once its own last cluster is
+searched (a hit's once its tail word has landed) — not when its wave
+ends, so the request that waited longest for the wave to form leaves it
+first.
 
 Determinism contract: admission is charged at *arrival* timestamps (not
 dispatch), DRR order is a function of the arrival sequence, and the
@@ -25,28 +30,30 @@ engine is deterministic — so the same requests + the same seed replay the
 identical schedule, wave for wave.  Answers are bit-identical to calling
 ``search_batch`` directly on the same queries (wave composition only
 changes *when* clusters are fetched, never what a query answers), which
-``benchmarks/perf/bench_frontdoor.py`` gates.
+``benchmarks/perf/bench_frontdoor.py`` gates.  Beam widths come from the
+engine's own ``resolve_ef`` (explicit, else the paper's ``2k``), so the
+door and a direct call agree on them.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import heapq
 import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import FrontDoorConfig
-from repro.frontdoor.admission import (AdmissionController,
-                                       DeficitRoundRobin, TenantPolicy)
-from repro.frontdoor.batch_former import BatchFormer, FormedWave
-from repro.frontdoor.loadgen import ClosedLoopSession
+from repro.frontdoor.admission import (DeficitRoundRobin, TenantPolicy,
+                                       TokenBucket)
 from repro.frontdoor.request import Request, RequestOutcome, RequestStatus
-from repro.frontdoor.scheduler import SloScheduler
 
-__all__ = ["FrontDoor", "LoadReport", "TenantReport", "WaveRecord"]
+__all__ = ["DEGRADE_BACKLOG_WAVES", "FrontDoor", "LoadReport",
+           "TenantReport", "WaveRecord"]
+
+#: Backlog, in full waves (units of ``max_batch``), beyond which a wave
+#: dispatches with ``FrontDoorConfig.degraded_ef``.
+DEGRADE_BACKLOG_WAVES = 2.0
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -267,220 +274,154 @@ class FrontDoor:
         self.config = config if config is not None else FrontDoorConfig()
         self.tenants = dict(tenants) if tenants is not None else {}
         self.clock = client.node.clock
-        self.admission = AdmissionController(self.tenants)
-        self.former = BatchFormer(self.config,
-                                  DeficitRoundRobin(self.tenants))
-        self.scheduler = SloScheduler(self.config,
-                                      client.engine.resolve_ef)
+        self.queues = DeficitRoundRobin(self.tenants)
+        self.buckets = {tenant: TokenBucket(policy.rate_qps)
+                        for tenant, policy in self.tenants.items()
+                        if policy.rate_qps is not None}
         self._wave_counter = 0
 
-    # -- request intake --------------------------------------------------
     def tenant_slo_us(self, tenant: str) -> float:
-        """Deadline budget for ``tenant`` (policy override or default)."""
+        """Deadline budget for ``tenant`` (policy override or default),
+        for stamping onto the requests a caller builds."""
         policy = self.tenants.get(tenant)
         if policy is not None and policy.slo_us is not None:
             return policy.slo_us
         return self.config.slo_us
 
-    def _admit(self, request: Request) -> RequestOutcome | None:
-        """Admission-check one arrival: queue it (``None``), or shed it on
-        the spot and return that outcome."""
-        if self.admission.admit(request):
-            self.former.offer(request)
-            return None
-        return RequestOutcome(
-            request=request, status=RequestStatus.SHED_ADMISSION,
-            dispatch_us=float("nan"), complete_us=request.arrival_us,
-            wave_id=-1, ef_used=0)
-
-    # -- wave dispatch ----------------------------------------------------
-    def _dispatch_wave(self, waves: list[WaveRecord]
-                       ) -> list[RequestOutcome]:
-        """Form and execute one wave; returns the wave's outcomes."""
-        now = self.clock.now_us
-        wave = self.former.form(now, self._wave_counter)
-        self._wave_counter += 1
-        plan = self.scheduler.plan(wave, backlog=self.former.pending)
-
-        produced: list[RequestOutcome] = []
-        for request in plan.shed:
-            produced.append(RequestOutcome(
-                request=request, status=RequestStatus.SHED_DEADLINE,
-                dispatch_us=wave.formed_us, complete_us=now,
-                wave_id=wave.wave_id, ef_used=0))
-
-        service_start = now
-        fetched = 0
-        status = (RequestStatus.DEGRADED if plan.degraded
-                  else RequestStatus.OK)
-        for group in plan.groups:
-            queries = np.stack([r.query for r in group.requests])
-            batch = self.client.search_batch(queries, group.k,
-                                             ef_search=group.ef)
-            # Rows went in EDF order and the engine serves them in the
-            # order given, stamping each when its answer is final.
-            completes = batch.complete_us.tolist()
-            fetched += batch.clusters_fetched
-            self._attribute_wait_stages(batch, wave, group.requests,
-                                        completes)
-            for request, result, complete in zip(group.requests,
-                                                 batch.results, completes):
-                produced.append(RequestOutcome(
-                    request=request, status=status,
-                    dispatch_us=wave.formed_us, complete_us=complete,
-                    wave_id=wave.wave_id, ef_used=group.ef,
-                    ids=result.ids, distances=result.distances))
-
-        waves.append(WaveRecord(
-            wave_id=wave.wave_id, formed_us=wave.formed_us,
-            request_ids=tuple(r.request_id for group in plan.groups
-                              for r in group.requests),
-            groups=tuple((g.k, g.ef, len(g.requests))
-                         for g in plan.groups),
-            shed_ids=tuple(r.request_id for r in plan.shed),
-            degraded=plan.degraded,
-            service_us=self.clock.now_us - service_start,
-            clusters_fetched=fetched))
-        return produced
-
-    def _attribute_wait_stages(self, batch, wave: FormedWave,
-                               members: tuple[Request, ...],
-                               completes: Sequence[float]) -> None:
-        """Record the members' waits as first-class trace stages.
-
-        The engine's trace covers route→plan→fetch→decode→compute→merge;
-        the front door prepends ``queue`` (the time its members spent
-        waiting for the wave to form) and ``in_wave`` (dispatch → each
-        member's own completion, summed over members), so
-        ``telemetry.render_trace`` shows the full request path with the
-        two waits first.  Observation only — the clock already advanced
-        past them.
-        """
-        trace = batch.trace
-        if trace is None:
-            return
-        in_wave = trace.ensure_stage_first("in_wave")
-        in_wave.calls += len(members)
-        in_wave.sim_us += sum(complete - wave.formed_us
-                              for complete in completes)
-        queue = trace.ensure_stage_first("queue")
-        queue.calls += len(members)
-        queue.sim_us += sum(wave.formed_us - r.arrival_us
-                            for r in members)
-
-    # -- the event loop ---------------------------------------------------
-    def _serve(self, peek, pop, completed,
-               issued: Sequence[Request]) -> LoadReport:
-        """Admit what has arrived, dispatch a ready wave, else advance the
-        clock to the next arrival or due time — until both run dry.
-
-        The arrival source: ``peek()`` is the next arrival's time (``None``
-        when there is none), ``pop()`` its request, ``completed(outcome)``
-        hears every outcome as it lands (a closed-loop session schedules
-        its next query from it); ``issued`` is every request popped.
-        """
-        outcomes: dict[int, RequestOutcome] = {}
-        waves: list[WaveRecord] = []
-
-        def land(outcome: RequestOutcome) -> None:
-            outcomes[outcome.request.request_id] = outcome
-            completed(outcome)
-
-        while True:
-            now = self.clock.now_us
-            upcoming = peek()
-            while upcoming is not None and upcoming <= now:
-                shed = self._admit(pop())
-                if shed is not None:   # completes on the spot
-                    land(shed)
-                upcoming = peek()
-            if self.former.ready(now):
-                for outcome in self._dispatch_wave(waves):
-                    land(outcome)
-                continue
-            targets = [t for t in (upcoming, self.former.due_us())
-                       if t is not None]
-            if not targets:
-                break
-            self.clock.advance_to(min(targets))
-            # Loop back: the drain admits a reached arrival, and a
-            # waited-out batch budget makes ``ready`` true.
-        return self._report(outcomes, waves, issued)
-
     def run(self, requests: Sequence[Request]) -> LoadReport:
         """Serve a pre-generated (open-loop) arrival sequence to completion.
 
         ``requests`` must be sorted by ``arrival_us`` (load generators
-        produce them that way); ties are served in sequence order.
-        Arrivals are fixed in advance — queue delay under load comes out
-        of the simulation, not out of the generator.
+        produce them that way); ties are served in sequence order.  The
+        loop admits what has arrived, dispatches a due wave, else
+        advances the clock to the next arrival or due time — until both
+        run dry.  Arrivals are fixed in advance: queue delay under load
+        comes out of the simulation, not out of the generator.
         """
         for earlier, later in zip(requests, requests[1:]):
             if later.arrival_us < earlier.arrival_us:
                 raise ValueError(
                     "open-loop requests must be sorted by arrival_us")
-        waiting = collections.deque(requests)
-        return self._serve(
-            peek=lambda: waiting[0].arrival_us if waiting else None,
-            pop=waiting.popleft, completed=lambda outcome: None,
-            issued=requests)
-
-    def run_closed_loop(self, sessions: Sequence[ClosedLoopSession],
-                        first_request_id: int = 0) -> LoadReport:
-        """Serve closed-loop sessions: each issues, waits, thinks, repeats.
-
-        Every session keeps exactly one request in flight; its next query
-        issues at ``completion + think_us``.  Sheds count as instant
-        completions so a rate-limited tenant keeps pacing rather than
-        deadlocking.  Throughput here is self-limiting — the classic
-        closed-loop property — which makes it the right mode for
-        measuring steady-state capacity.
-        """
-        # (issue_us, session_index, query_index): the tuple order makes
-        # simultaneous issues deterministic.
-        pending: list[tuple[float, int, int]] = [
-            (session.start_us, index, 0)
-            for index, session in enumerate(sessions)
-            if len(session.queries)]
-        heapq.heapify(pending)
-        by_request: dict[int, tuple[int, int]] = {}
-        issued: list[Request] = []
-
-        def pop() -> Request:
-            issue_us, session_index, query_index = heapq.heappop(pending)
-            session = sessions[session_index]
-            request = Request(
-                request_id=first_request_id + len(issued),
-                tenant=session.tenant,
-                query=session.queries[query_index], k=session.k,
-                arrival_us=max(issue_us, 0.0),
-                slo_us=(session.slo_us if session.slo_us is not None
-                        else self.tenant_slo_us(session.tenant)),
-                ef_search=session.ef_search)
-            by_request[request.request_id] = (session_index, query_index)
-            issued.append(request)
-            return request
-
-        def completed(outcome: RequestOutcome) -> None:
-            session_index, query_index = by_request[outcome.request.request_id]
-            session = sessions[session_index]
-            following = query_index + 1
-            if following < len(session.queries):
-                think = float(session.think_us[query_index])
-                heapq.heappush(pending, (outcome.complete_us + think,
-                                         session_index, following))
-
-        return self._serve(
-            peek=lambda: pending[0][0] if pending else None,
-            pop=pop, completed=completed, issued=issued)
-
-    # -- reporting --------------------------------------------------------
-    def _report(self, outcomes: dict[int, RequestOutcome],
-                waves: list[WaveRecord],
-                requests: Sequence[Request]) -> LoadReport:
-        ordered = tuple(outcomes[r.request_id] for r in requests
-                        if r.request_id in outcomes)
+        outcomes: dict[int, RequestOutcome] = {}
+        waves: list[WaveRecord] = []
+        arrived = 0
+        while True:
+            now = self.clock.now_us
+            while (arrived < len(requests)
+                   and requests[arrived].arrival_us <= now):
+                request = requests[arrived]
+                arrived += 1
+                bucket = self.buckets.get(request.tenant)
+                if bucket is None or bucket.admit(request.arrival_us):
+                    self.queues.push(request)
+                else:   # shed at the door: completes on the spot
+                    outcomes[request.request_id] = RequestOutcome(
+                        request=request, status=RequestStatus.SHED_ADMISSION,
+                        dispatch_us=float("nan"),
+                        complete_us=request.arrival_us, wave_id=-1,
+                        ef_used=0)
+            due = self._due_us()
+            if due is not None and due <= now:
+                self._dispatch(self._form_wave(), now, waves, outcomes)
+                continue
+            upcoming = (requests[arrived].arrival_us
+                        if arrived < len(requests) else None)
+            targets = [t for t in (upcoming, due) if t is not None]
+            if not targets:
+                break
+            self.clock.advance_to(min(targets))
+        ordered = tuple(outcomes[r.request_id] for r in requests)
         start = min((r.arrival_us for r in requests), default=0.0)
         end = max((o.complete_us for o in ordered), default=start)
         return LoadReport(outcomes=ordered, waves=tuple(waves),
                           start_us=start, end_us=end)
+
+    # -- the wave trigger --------------------------------------------------
+    def _due_us(self) -> float | None:
+        """When the pending wave must form: at once (``-inf``) when
+        ``max_batch`` requests wait, else once the oldest has waited
+        ``max_wait_us``; ``None`` when nothing waits.
+
+        The loop advances the clock to exactly this sum and tests
+        ``due <= now`` against it — never ``now - oldest >= max_wait_us``,
+        which can round below the budget at the boundary and spin.
+        """
+        if not self.queues.pending:
+            return None
+        if self.queues.pending >= self.config.max_batch:
+            return -math.inf
+        return self.queues.oldest_arrival_us() + self.config.max_wait_us
+
+    # -- wave formation ----------------------------------------------------
+    def _form_wave(self) -> list[Request]:
+        """DRR-fair selection, then EDF order.
+
+        Fairness decides *which* requests board the wave; the deadline
+        sort (``request_id`` breaking ties, so the order is total and
+        replayable) decides the order they are considered for shedding
+        and handed to the engine.
+        """
+        taken = self.queues.take(self.config.max_batch)
+        taken.sort(key=lambda r: (r.deadline_us, r.request_id))
+        return taken
+
+    # -- the dispatch rule -------------------------------------------------
+    def _dispatch(self, wave: list[Request], now: float,
+                  waves: list[WaveRecord],
+                  outcomes: dict[int, RequestOutcome]) -> None:
+        """Shed, degrade, group and serve one formed wave.
+
+        Requests already past their deadline are shed (``shed_late``):
+        answering them cannot meet the SLO.  When more than
+        ``DEGRADE_BACKLOG_WAVES`` full waves are still queued behind this
+        one, the wave runs with ``degraded_ef`` — never below ``k``, never
+        above the request's own beam — and every member is marked
+        ``DEGRADED``.  Survivors group by ``(k, ef)`` in EDF order: one
+        engine call per group, the earliest deadline's first.
+        """
+        config = self.config
+        wave_id = self._wave_counter
+        self._wave_counter += 1
+        shed: list[Request] = []
+        live: list[Request] = []
+        for request in wave:
+            late = config.shed_late and now > request.deadline_us
+            (shed if late else live).append(request)
+        degraded = (bool(live) and config.degraded_ef is not None
+                    and self.queues.pending
+                    > DEGRADE_BACKLOG_WAVES * config.max_batch)
+        groups: dict[tuple[int, int], list[Request]] = {}
+        for request in live:
+            ef = self.client.engine.resolve_ef(request.k, request.ef_search)
+            if degraded:
+                ef = min(ef, max(config.degraded_ef, request.k))
+            groups.setdefault((request.k, ef), []).append(request)
+
+        for request in shed:
+            outcomes[request.request_id] = RequestOutcome(
+                request=request, status=RequestStatus.SHED_DEADLINE,
+                dispatch_us=now, complete_us=now, wave_id=wave_id,
+                ef_used=0)
+        status = RequestStatus.DEGRADED if degraded else RequestStatus.OK
+        fetched = 0
+        for (k, ef), members in groups.items():
+            batch = self.client.search_batch(
+                np.stack([r.query for r in members]), k, ef_search=ef)
+            # Rows went in EDF order and the engine serves them in the
+            # order given, stamping each when its answer is final.
+            fetched += batch.clusters_fetched
+            for request, result, complete in zip(
+                    members, batch.results, batch.complete_us.tolist()):
+                outcomes[request.request_id] = RequestOutcome(
+                    request=request, status=status, dispatch_us=now,
+                    complete_us=complete, wave_id=wave_id, ef_used=ef,
+                    ids=result.ids, distances=result.distances)
+        waves.append(WaveRecord(
+            wave_id=wave_id, formed_us=now,
+            request_ids=tuple(r.request_id for members in groups.values()
+                              for r in members),
+            groups=tuple((k, ef, len(members))
+                         for (k, ef), members in groups.items()),
+            shed_ids=tuple(r.request_id for r in shed),
+            degraded=degraded, service_us=self.clock.now_us - now,
+            clusters_fetched=fetched))

@@ -8,14 +8,12 @@ batches.  This module generates two open-loop shapes —
   adversary of any latency-budget batcher;
 
 — plus :func:`make_requests` to attach tenants/queries/SLOs to arrival
-times, and :class:`ClosedLoopSession` for closed-loop (think-time)
-driving.  Everything is drawn from a caller-provided seeded
+times.  Everything is drawn from a caller-provided seeded
 ``numpy.random.Generator``, so a workload is replayable from its seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +21,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.frontdoor.request import Request
 
-__all__ = ["ClosedLoopSession", "bursty_arrivals", "make_requests",
-           "poisson_arrivals"]
+__all__ = ["bursty_arrivals", "make_requests", "poisson_arrivals"]
 
 
 def poisson_arrivals(rate_qps: float, count: int,
@@ -116,30 +113,3 @@ def make_requests(arrival_us: np.ndarray, queries: np.ndarray, k: int,
                 ef_search=ef_search)
         for index in range(len(arrival_us))
     ]
-
-
-@dataclasses.dataclass(frozen=True)
-class ClosedLoopSession:
-    """One closed-loop virtual client for ``FrontDoor.run_closed_loop``.
-
-    The session issues ``queries[0]``, waits for the answer (or shed),
-    thinks ``think_us[0]``, issues ``queries[1]``, and so on — at most
-    one request in flight.  ``think_us`` of zeros turns the session into
-    a saturation prober (issue as fast as the system answers), the
-    standard way to measure closed-loop capacity.
-    """
-
-    tenant: str
-    queries: np.ndarray
-    think_us: np.ndarray
-    k: int
-    #: Per-request SLO; ``None`` uses the front door's tenant default.
-    slo_us: float | None = None
-    ef_search: int | None = None
-    start_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.queries) != len(self.think_us):
-            raise ConfigError(
-                f"{len(self.queries)} queries but {len(self.think_us)} "
-                f"think times")

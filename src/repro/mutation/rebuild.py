@@ -333,12 +333,10 @@ class ShadowRebuild:
             # 4. Retire the old extents behind the grace period: readers
             #    pinned to the previous epoch may still be decoding them.
             host.layout.retired.retire(*snap.old_extent, fresh.version)
-            # 5. Adopt the new epoch locally and release the lock.
-            host.metadata = fresh
+            # 5. Adopt the new epoch locally (by the rule a refresh
+            #    follows) and release the lock.
             host.layout.metadata = GlobalMetadata.unpack(fresh.pack())
-            for cid in snap.member_ids:
-                host.cache.invalidate(cid)
-            host.observe_version(fresh.version)
+            host.adopt_metadata(fresh)
             host.transport.write(host.layout.rkey, self._lock_addr(),
                                  _U64.pack(0))
         self.state = "done"

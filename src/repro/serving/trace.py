@@ -83,25 +83,6 @@ class TraceContext:
                 report.bytes_written += (self._stats.bytes_written
                                          - written_start)
 
-    def ensure_stage_first(self, name: str) -> StageReport:
-        """Report for stage ``name``, created if needed and ordered first.
-
-        For costs accrued *before* the engine saw the request — the front
-        door's queue wait — so rendered traces read in request order
-        (queue → route → … → merge).  The caller accumulates into the
-        returned report directly; no clock or counters are read.
-        """
-        report = self.stages.get(name)
-        if report is None:
-            report = StageReport(name)
-        if next(iter(self.stages), None) != name:
-            reordered = {name: report}
-            reordered.update(
-                (key, value) for key, value in self.stages.items()
-                if key != name)
-            self.stages = reordered
-        return report
-
     # ------------------------------------------------------------------
     def report(self) -> list[StageReport]:
         """Stage reports in first-entry order."""

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import FrontDoorConfig
 from repro.errors import ConfigError
-from repro.frontdoor import (AdmissionController, DeficitRoundRobin,
-                             Request, TenantPolicy, TokenBucket)
+from repro.frontdoor import (DeficitRoundRobin, Request, RequestStatus,
+                             TenantPolicy, TokenBucket)
 from repro.frontdoor.admission import BURST, DRR_QUANTUM
 
 
@@ -23,13 +24,23 @@ def drain(bucket: TokenBucket, now_us: float) -> None:
     assert all(bucket.admit(now_us) for _ in range(BURST))
 
 
+def door_requests(queries, tenants, arrivals) -> list[Request]:
+    """One door-servable request per (tenant, arrival) pair."""
+    return [Request(request_id=i, tenant=tenant,
+                    query=queries[i % len(queries)], k=5,
+                    arrival_us=arrival, slo_us=50_000.0)
+            for i, (tenant, arrival) in enumerate(zip(tenants, arrivals))]
+
+
 class TestTokenBucket:
-    def test_unlimited_rate_admits_everything(self):
+    def test_unlimited_rate_admits_everything(self, make_door,
+                                              small_dataset):
         """A tenant whose policy sets no rate gets no bucket at all."""
-        controller = AdmissionController({"free": TenantPolicy()})
-        assert all(controller.admit(make_request(i, "free", 0.0))
-                   for i in range(4 * BURST))
-        assert controller.shed == {}
+        door = make_door(tenants={"free": TenantPolicy()})
+        assert door.buckets == {}
+        report = door.run(door_requests(
+            small_dataset.queries, ["free"] * 4 * BURST, [0.0] * 4 * BURST))
+        assert report.shed_admission == 0
 
     def test_burst_then_dry(self):
         bucket = TokenBucket(rate_qps=1000.0)
@@ -88,24 +99,26 @@ def test_request_times_must_be_finite(field, value):
         make_request(0, "t", **fields)
 
 
-class TestAdmissionController:
-    def test_per_tenant_buckets_and_ledgers(self):
-        controller = AdmissionController(
-            {"limited": TenantPolicy(rate_qps=1000.0)})
-        for i in range(BURST):
-            assert controller.admit(make_request(i, "limited", 0.0))
-        assert not controller.admit(make_request(BURST, "limited", 0.0))
-        # The unlisted tenant has no bucket: it is never limited.
-        assert controller.admit(make_request(BURST + 1, "other", 0.0))
-        assert controller.admitted == {"limited": BURST, "other": 1}
-        assert controller.shed == {"limited": 1}
+class TestDoorAdmission:
+    def test_per_tenant_buckets(self, make_door, small_dataset):
+        door = make_door(tenants={"limited": TenantPolicy(rate_qps=1000.0)})
+        report = door.run(door_requests(
+            small_dataset.queries, ["limited"] * (BURST + 1) + ["other"],
+            [0.0] * (BURST + 2)))
+        # The burst passes, the next is shed; the unlisted tenant has
+        # no bucket: it is never limited.
+        assert [o.status is RequestStatus.SHED_ADMISSION
+                for o in report.outcomes] == [False] * BURST + [True, False]
 
-    def test_admission_is_a_function_of_arrivals_only(self):
+    def test_admission_is_a_function_of_arrivals_only(self, make_door,
+                                                      small_dataset):
         def run() -> list[bool]:
-            controller = AdmissionController(
-                {"t": TenantPolicy(rate_qps=2000.0)})
-            return [controller.admit(make_request(i, "t", i * 10.0))
-                    for i in range(3 * BURST)]
+            door = make_door(tenants={"t": TenantPolicy(rate_qps=2000.0)})
+            report = door.run(door_requests(
+                small_dataset.queries, ["t"] * 3 * BURST,
+                [i * 10.0 for i in range(3 * BURST)]))
+            return [o.status is not RequestStatus.SHED_ADMISSION
+                    for o in report.outcomes]
 
         first = run()
         assert first == run()
@@ -179,14 +192,6 @@ class TestDeficitRoundRobin:
         drr.push(make_request(1, "b", 200.0))
         assert drr.oldest_arrival_us() == 200.0
 
-    def test_drain(self):
-        drr = self.drr()
-        self.fill(drr, "a", 2)
-        self.fill(drr, "b", 1, first_id=10)
-        drained = list(drr.drain())
-        assert len(drained) == 3
-        assert drr.pending == 0
-
     def test_quantum_validation(self):
         """One round hands a weight-1.0 tenant exactly ``DRR_QUANTUM``
         slots before the ring moves on."""
@@ -195,3 +200,10 @@ class TestDeficitRoundRobin:
         self.fill(drr, "b", 3 * DRR_QUANTUM, first_id=100)
         tenants = [r.tenant for r in drr.take(2 * DRR_QUANTUM)]
         assert tenants == ["a"] * DRR_QUANTUM + ["b"] * DRR_QUANTUM
+
+    def test_tenant_slo_us_prefers_the_policy(self, make_door):
+        door = make_door(FrontDoorConfig(slo_us=9000.0),
+                         tenants={"gold": TenantPolicy(slo_us=3000.0),
+                                  "free": TenantPolicy()})
+        slos = [door.tenant_slo_us(t) for t in ("gold", "free", "other")]
+        assert slos == [3000.0, 9000.0, 9000.0]

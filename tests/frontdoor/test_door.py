@@ -9,11 +9,9 @@ import pytest
 
 from repro.core.config import FrontDoorConfig
 from repro.errors import ConfigError
-from repro.frontdoor import (ClosedLoopSession, RequestStatus,
-                             TenantPolicy, calibrate_degraded_ef,
-                             make_requests, poisson_arrivals)
-from repro.telemetry import (DeploymentTelemetry, render_report,
-                             render_trace)
+from repro.frontdoor import (RequestStatus, TenantPolicy, make_requests,
+                             poisson_arrivals)
+from repro.telemetry import DeploymentTelemetry, render_report
 
 
 def capture_batches(door) -> list:
@@ -199,132 +197,6 @@ class TestSloPath:
             assert outcome.ef_used == 12
         assert any(w.degraded for w in report.waves)
 
-    def test_calibrate_degraded_ef(self, fresh_client, small_dataset):
-        ef = calibrate_degraded_ef(fresh_client, small_dataset.queries,
-                                   small_dataset.ground_truth, k=10,
-                                   relaxed_recall=0.8)
-        assert 10 <= ef <= 128
-
-
-class TestClosedLoop:
-    def sessions(self, small_dataset, count: int = 4, per: int = 6):
-        rng = np.random.default_rng(21)
-        return [
-            ClosedLoopSession(
-                tenant=f"t{i % 2}",
-                queries=small_dataset.queries[i * per:(i + 1) * per],
-                think_us=rng.uniform(200.0, 2000.0, per),
-                k=10, ef_search=32)
-            for i in range(count)
-        ]
-
-    def test_every_session_request_resolves(self, make_door, small_dataset):
-        sessions = self.sessions(small_dataset)
-        door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
-        report = door.run_closed_loop(sessions)
-        assert report.offered == sum(len(s.queries) for s in sessions)
-        assert report.served == report.offered
-
-    def test_closed_loop_replays(self, make_door, small_dataset):
-        sessions = self.sessions(small_dataset)
-        config = FrontDoorConfig(max_wait_us=800.0, max_batch=8)
-        first = make_door(config).run_closed_loop(sessions)
-        second = make_door(config).run_closed_loop(sessions)
-        assert first.schedule_signature() == second.schedule_signature()
-        assert first.latency_histogram() == second.latency_histogram()
-        assert ([o.complete_us for o in first.outcomes]
-                == [o.complete_us for o in second.outcomes])
-
-    def test_sessions_think_from_their_own_completion(self, make_door,
-                                                      small_dataset):
-        """A session's next query issues ``think_us`` after *its* answer,
-        not after its wave: with a short think that lands while the wave
-        is still running, and the request simply queues with that
-        timestamp until the next wave forms."""
-        rng = np.random.default_rng(5)
-        sessions = [
-            ClosedLoopSession(
-                tenant=f"t{i % 2}",
-                queries=small_dataset.queries[i * 5:(i + 1) * 5],
-                think_us=rng.uniform(1.0, 5.0, 5), k=10, ef_search=32)
-            for i in range(8)]
-        door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
-        report = door.run_closed_loop(sessions)
-        assert report.served == report.offered == 40
-        wave_end = {w.wave_id: w.formed_us + w.service_us
-                    for w in report.waves}
-        # Outcomes are in issue order, sessions interleaved; regroup
-        # them per session through the query each one carried.
-        owner = {query.tobytes(): index
-                 for index, session in enumerate(sessions)
-                 for query in session.queries}
-        inside = 0
-        for index, session in enumerate(sessions):
-            outcomes = [o for o in report.outcomes
-                        if owner[o.request.query.tobytes()] == index]
-            assert len(outcomes) == 5
-            for (previous, following), think in zip(
-                    zip(outcomes, outcomes[1:]), session.think_us):
-                assert following.request.arrival_us == (
-                    previous.complete_us + float(think))
-                if following.request.arrival_us < wave_end[previous.wave_id]:
-                    inside += 1
-                    assert following.dispatch_us >= (
-                        wave_end[previous.wave_id] - 1e-9)
-                    assert following.wave_id > previous.wave_id
-        assert inside > 0
-
-    def test_rate_limited_session_keeps_pacing(self, make_door,
-                                               small_dataset):
-        # One session asks more than the bucket's 32-request burst, faster
-        # than 300 qps refills it.
-        queries = np.resize(small_dataset.queries, (48, small_dataset.dim))
-        sessions = [ClosedLoopSession(
-            tenant="t0", queries=queries, think_us=np.full(48, 100.0),
-            k=10, ef_search=32)]
-        door = make_door(
-            FrontDoorConfig(max_wait_us=800.0, max_batch=8),
-            tenants={"t0": TenantPolicy(rate_qps=300.0)})
-        report = door.run_closed_loop(sessions)
-        # Sheds complete instantly, so the session still issues all its
-        # queries instead of deadlocking on an answer that never comes.
-        assert report.offered == sum(len(s.queries) for s in sessions)
-        assert report.shed_admission > 0
-
-
-class TestOneEventLoop:
-    """``run`` and ``run_closed_loop`` are one admit → dispatch → advance
-    loop over two arrival sources: sessions of one query each, started at
-    the open-loop arrival times, must replay the open-loop schedule."""
-
-    @pytest.mark.parametrize("rate_qps,policies", [
-        (3000.0, None),                       # waves close on the budget
-        (200_000.0, None),                    # waves close on max_batch
-        (3000.0, {"a": TenantPolicy(rate_qps=30.0)}),  # sheds
-    ])
-    def test_single_query_sessions_replay_the_open_loop_schedule(
-            self, make_door, small_dataset, rate_qps, policies):
-        # Enough arrivals that tenant "a" outruns its 32-request burst.
-        requests = load(small_dataset, count=96 if policies else 48,
-                        rate_qps=rate_qps)
-        sessions = [
-            ClosedLoopSession(
-                tenant=r.tenant, queries=r.query[None, :],
-                think_us=np.zeros(1), k=r.k, slo_us=r.slo_us,
-                ef_search=r.ef_search, start_us=r.arrival_us)
-            for r in requests]
-        config = FrontDoorConfig(max_wait_us=800.0, max_batch=8)
-        opened = make_door(config, tenants=policies).run(requests)
-        closed = make_door(config, tenants=policies).run_closed_loop(sessions)
-        assert opened.waves
-        assert closed.schedule_signature() == opened.schedule_signature()
-        assert ([(o.request.request_id, o.status, o.complete_us)
-                 for o in closed.outcomes]
-                == [(o.request.request_id, o.status, o.complete_us)
-                    for o in opened.outcomes])
-        if policies:
-            assert opened.shed_admission > 0
-
 
 class TestFairness:
     def test_weighted_share_under_saturation(self, make_door,
@@ -345,29 +217,6 @@ class TestFairness:
 
 
 class TestObservability:
-    def test_queue_is_the_first_trace_stage(
-            self, built_deployment, make_door, small_dataset):
-        door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))
-        captured = capture_batches(door)
-        report = door.run(load(small_dataset, count=20))
-        assert captured
-        by_wave: dict[int, list] = {}
-        for outcome in report.outcomes:
-            by_wave.setdefault(outcome.wave_id, []).append(outcome)
-        for wave_id, batch in enumerate(captured):
-            stages = [s.name for s in batch.trace.report()]
-            assert stages[:2] == ["queue", "in_wave"]
-            queue = batch.trace.stages["queue"]
-            assert queue.calls == len(batch.results)
-            assert queue.sim_us >= 0.0
-            in_wave = batch.trace.stages["in_wave"]
-            assert in_wave.calls == len(batch.results)
-            assert in_wave.sim_us == pytest.approx(
-                sum(o.in_wave_us for o in by_wave[wave_id]))
-            rendered = render_trace(batch.trace)
-            assert rendered.splitlines()[2].startswith("queue")
-            assert rendered.splitlines()[3].startswith("in_wave")
-
     def test_in_wave_and_tenant_latency_percentiles(self, make_door,
                                                     small_dataset):
         door = make_door(FrontDoorConfig(max_wait_us=800.0, max_batch=8))

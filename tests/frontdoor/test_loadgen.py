@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.frontdoor import (ClosedLoopSession, bursty_arrivals,
-                             make_requests, poisson_arrivals)
+from repro.frontdoor import bursty_arrivals, make_requests, poisson_arrivals
 
 
 class TestPoisson:
@@ -95,10 +94,3 @@ class TestMakeRequests:
         with pytest.raises(ConfigError):
             make_requests(np.array([1.0]), self.queries(), 5, 1000.0, rng,
                           tenants=("a", "b"), tenant_weights=(1.0,))
-
-
-class TestClosedLoopSession:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigError):
-            ClosedLoopSession(tenant="t", queries=np.zeros((3, 4)),
-                              think_us=np.zeros(2), k=5)

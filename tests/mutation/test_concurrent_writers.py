@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import Deployment
 from repro.core import DHnswClient, DHnswConfig, Scheme, fsck
 from repro.datasets.synthetic import make_clustered
+from repro.mutation.rebuild import ShadowRebuild
 
 
 def fresh_client(deployment, config, scheme=Scheme.DHNSW):
@@ -124,6 +125,44 @@ class TestSupersession:
         if old_hit.ids[0] == 740_000:
             assert old_hit.distances[0] > 1e-5
         # Exactly one copy of the id remains anywhere in the layout.
+        report = fsck(mutable_deployment.layout)
+        assert report.clean, report.summary()
+
+
+class TestCutoverAdoption:
+    def test_cutover_drops_a_group_a_peer_rebuilt_meanwhile(
+            self, mutable_deployment, small_config, small_dataset):
+        """A cutover publishes against the re-read remote block, so the
+        epoch it adopts can carry a peer's rebuild of another group.  It
+        must invalidate that group's cached members as a refresh would,
+        or the next refresh sees no version change and keeps serving
+        them from an extent already back in the allocator."""
+        reader = fresh_client(mutable_deployment,
+                              small_config.replace(cache_fraction=1.0))
+        peer = fresh_client(mutable_deployment, small_config)
+        probe = small_dataset.queries[0]
+        for i in range(5):
+            assert peer.insert(probe + (i + 1) * 1e-3,
+                               750_000 + i).cluster_id == 2
+        reader.search_batch(probe[None, :], 10, ef_search=64)
+        assert 2 in reader.cache
+        group = reader.metadata.clusters[2].group_id
+        assert group != 0
+
+        rebuild = ShadowRebuild(reader, 0)
+        while rebuild.state != "cutover":
+            rebuild.step()
+        assert peer.mutation.rebuild_group(group)
+        target = (probe + 0.5e-3).astype(np.float32)
+        assert peer.insert(target, 999_999).cluster_id == 2
+        rebuild.step()
+        assert rebuild.done
+
+        assert 2 not in reader.cache
+        observers = (reader, peer, fresh_client(mutable_deployment,
+                                                small_config))
+        for client in observers:
+            assert client.search(target, 1, ef_search=64).ids[0] == 999_999
         report = fsck(mutable_deployment.layout)
         assert report.clean, report.summary()
 
