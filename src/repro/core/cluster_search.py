@@ -15,6 +15,7 @@ distance evaluations the latency model charges.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +41,16 @@ class ClusterSearchResult:
 
 
 def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
-                         k: int, ef: int) -> ClusterSearchResult:
+                         k: int, ef: int | Sequence[int]
+                         ) -> ClusterSearchResult:
     """Search one cluster (graph + overflow) for a block of queries.
 
-    The overflow replay, the dead-node mask, the live records' distances
-    to every query and the graph's distance tables are computed once for
-    the whole block.  Distance evaluations are read off the entry's kernel
-    counter, so they match the serial engine exactly.
+    ``ef`` is one beam for the block or one per row (the serving loop
+    passes each row's beam for its probe rank).  The overflow replay, the
+    dead-node mask, the live records' distances to every query and the
+    graph's distance tables are computed once for the whole block.
+    Distance evaluations are read off the entry's kernel counter, so they
+    match the serial engine exactly.
     """
     kernel = entry.index.kernel
     evals_before = kernel.num_evaluations

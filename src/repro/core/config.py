@@ -217,11 +217,10 @@ class FrontDoorConfig:
     max_batch:
         Wave size ceiling.  Reaching it dispatches immediately.
     slo_us:
-        Default end-to-end deadline budget for a tenant whose policy does
-        not set one, as ``FrontDoor.tenant_slo_us`` resolves it for a
-        caller building requests.  Each request carries its own
-        ``slo_us`` (``make_requests`` stamps it), and that is what the
-        door sheds by at dispatch time (``shed_late``).
+        Default end-to-end deadline budget, as ``FrontDoor.tenant_slo_us``
+        hands it to a caller building requests.  Each request carries its
+        own ``slo_us`` (``make_requests`` stamps it), and that is what
+        the door sheds by at dispatch time (``shed_late``).
     shed_late:
         When True (default), requests whose deadline has already passed
         when their wave forms are shed (counted, never answered) instead

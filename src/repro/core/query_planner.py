@@ -53,6 +53,10 @@ class BatchPlan:
     #: routed, the first READ can be posted (every row, when the batch
     #: has fewer misses than a wave holds).
     first_wave_rows: int = 0
+    #: Per search in :attr:`clusters`, each row's probe rank: where the
+    #: cluster sits in that row's routed list (0 for its closest).  The
+    #: executor sizes each row's beam by it.
+    ranks: tuple[tuple[int, ...], ...] = ()
 
     @property
     def total_fetches(self) -> int:
@@ -102,12 +106,14 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
     # Insertion order is the fetch order: first row to need a cluster,
     # then that row's probe rank.
     demand: dict[int, list[int]] = {}
+    ranks: dict[int, list[int]] = {}
     total_requests = 0
     for query_index, cluster_ids in enumerate(required):
         # dict.fromkeys: preserve order, drop duplicate probes of the
         # same cluster by one query (harmless upstream, wasteful here).
-        for cluster_id in dict.fromkeys(cluster_ids):
+        for rank, cluster_id in enumerate(dict.fromkeys(cluster_ids)):
             demand.setdefault(cluster_id, []).append(query_index)
+            ranks.setdefault(cluster_id, []).append(rank)
             total_requests += 1
 
     hits = [cid for cid in demand if cache.peek(cid) is not None]
@@ -149,6 +155,7 @@ def plan_batch(required: list[list[int]], cache: ClusterCache,
         duplicate_requests_pruned=total_requests - unique,
         clusters=tuple((cid, tuple(rows)) for cid, rows in demand.items()),
         first_wave_rows=first_wave_rows,
+        ranks=tuple(tuple(ranks[cid]) for cid in demand),
     )
 
 
@@ -156,12 +163,13 @@ def plan_naive(required: list[list[int]]) -> BatchPlan:
     """Naive d-HNSW as a schedule: one ``(query, cluster)`` pair per wave,
     in query order, nothing deduplicated — one READ round trip per pair,
     and one search per pair (a cluster two rows probe is listed twice)."""
-    pairs = [(query_index, cluster_id)
+    pairs = [(query_index, rank, cluster_id)
              for query_index, cluster_ids in enumerate(required)
-             for cluster_id in cluster_ids]
+             for rank, cluster_id in enumerate(cluster_ids)]
     waves = tuple(Wave(fetch_cluster_ids=(cid,), serviced=((q, cid),))
-                  for q, cid in pairs)
+                  for q, _, cid in pairs)
     return BatchPlan(waves=waves, cache_hit_cluster_ids=(),
-                     unique_clusters=len({cid for _, cid in pairs}),
+                     unique_clusters=len({cid for _, _, cid in pairs}),
                      duplicate_requests_pruned=0,
-                     clusters=tuple((cid, (q,)) for q, cid in pairs))
+                     clusters=tuple((cid, (q,)) for q, _, cid in pairs),
+                     ranks=tuple((rank,) for _, rank, _ in pairs))

@@ -47,8 +47,6 @@ class TenantPolicy:
     #: Sustained admission rate (a bucket of ``BURST`` tokens); ``None``
     #: admits everything.
     rate_qps: float | None = None
-    #: Per-tenant deadline budget; ``None`` uses the config default.
-    slo_us: float | None = None
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -58,10 +56,6 @@ class TenantPolicy:
             raise ConfigError(
                 f"rate_qps must be > 0 (or None for unlimited), got "
                 f"{self.rate_qps}")
-        if self.slo_us is not None and self.slo_us <= 0.0:
-            raise ConfigError(
-                f"slo_us must be > 0 (or None for the default), got "
-                f"{self.slo_us}")
 
 
 class TokenBucket:

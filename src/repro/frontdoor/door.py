@@ -32,7 +32,9 @@ identical schedule, wave for wave.  Answers are bit-identical to calling
 changes *when* clusters are fetched, never what a query answers), which
 ``benchmarks/perf/bench_frontdoor.py`` gates.  Beam widths come from the
 engine's own ``resolve_ef`` (explicit, else the paper's ``2k``), so the
-door and a direct call agree on them.
+door and a direct call agree on them; the width is each row's lead
+probe's beam, and the engine narrows its later probes below it
+(:func:`repro.serving.executor.probe_ef`).
 """
 
 from __future__ import annotations
@@ -281,11 +283,9 @@ class FrontDoor:
         self._wave_counter = 0
 
     def tenant_slo_us(self, tenant: str) -> float:
-        """Deadline budget for ``tenant`` (policy override or default),
-        for stamping onto the requests a caller builds."""
-        policy = self.tenants.get(tenant)
-        if policy is not None and policy.slo_us is not None:
-            return policy.slo_us
+        """Deadline budget for stamping onto the requests a caller builds
+        for ``tenant``: the door's default, ``FrontDoorConfig.slo_us``.
+        The door itself sheds by each request's own ``slo_us``."""
         return self.config.slo_us
 
     def run(self, requests: Sequence[Request]) -> LoadReport:
@@ -375,7 +375,8 @@ class FrontDoor:
         answering them cannot meet the SLO.  When more than
         ``DEGRADE_BACKLOG_WAVES`` full waves are still queued behind this
         one, the wave runs with ``degraded_ef`` — never below ``k``, never
-        above the request's own beam — and every member is marked
+        above the request's own beam — as its rows' lead-probe beam (the
+        later probes narrow below it), and every member is marked
         ``DEGRADED``.  Survivors group by ``(k, ef)`` in EDF order: one
         engine call per group, the earliest deadline's first.
         """

@@ -149,10 +149,14 @@ class HnswIndex:
         return self.search_candidates_batch(query, k, ef)[0]
 
     def search_candidates_batch(self, queries: np.ndarray, k: int,
-                                ef: int | None = None,
+                                ef: int | Sequence[int] | None = None,
                                 evaluations: list[int] | None = None
                                 ) -> list[list[tuple[float, int]]]:
         """:meth:`search_candidates` for a whole batch of queries.
+
+        ``ef`` is one beam for every row, or one beam per row (each never
+        below ``k``); a row's walk is the one :meth:`search_candidates`
+        makes alone at its beam.
 
         Small graphs (every d-HNSW sub-cluster and the meta-HNSW) are
         searched on distance tables, the whole batch's computed by one
@@ -171,7 +175,13 @@ class HnswIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         if queries.shape[1] != kernel.dim:
             raise DimensionMismatchError(kernel.dim, queries.shape[1])
-        effective_ef = max(ef if ef is not None else 2 * k, k)
+        if ef is None or isinstance(ef, (int, np.integer)):
+            efs = [max(ef if ef is not None else 2 * k, k)] * len(queries)
+        else:
+            efs = [max(row_ef, k) for row_ef in ef]
+            if len(efs) != len(queries):
+                raise ValueError(f"got {len(queries)} queries but "
+                                 f"{len(efs)} beams")
         entry_point = graph.entry_point
         assert entry_point is not None
         entry_vector = graph.vector(entry_point)
@@ -198,7 +208,8 @@ class HnswIndex:
         # The matrix was validated above, so per-query seeding can use
         # the check-free kernel entry point (same arithmetic + counting).
         seed_one = kernel.one_prechecked
-        for query, probe, scored in zip(queries, probes, memos):
+        for query, probe, scored, row_ef in zip(queries, probes, memos,
+                                                efs):
             counted = kernel.num_evaluations
             entry = entry_point
             entry_dist = seed_one(query, entry_vector)
@@ -207,7 +218,7 @@ class HnswIndex:
                                             entry_dist, top_level, 0,
                                             scored)
             outputs.append(beam(graph, kernel, probe, [(entry_dist, entry)],
-                                effective_ef, 0, scored))
+                                row_ef, 0, scored))
             if evaluations is not None:
                 evaluations.append(kernel.num_evaluations - counted)
         return outputs

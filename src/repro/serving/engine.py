@@ -51,8 +51,11 @@ class ServingEngine:
     @staticmethod
     def resolve_ef(k: int, ef_search: int | None) -> int:
         """Beam width for the batch: the explicit arg, else the paper's
-        ``2k`` rule — never below ``k``.  An explicit width must be an
-        integer (NumPy's count; a bool, a NaN or a fraction does not)."""
+        ``2k`` rule — never below ``k``.  It is each row's lead-probe
+        beam; the executor narrows the later probes below it
+        (:func:`~repro.serving.executor.probe_ef`).  An explicit width
+        must be an integer (NumPy's count; a bool, a NaN or a fraction
+        does not)."""
         if ef_search is None:
             return 2 * k
         if isinstance(ef_search, (bool, np.bool_)) or not isinstance(

@@ -27,10 +27,18 @@ from repro.serving.trace import TraceContext, span
 from repro.transport import PendingRead
 
 __all__ = ["OPEN_WAVES", "PlanExecution", "ReadyList", "WaveExecutor",
-           "lookahead"]
+           "lookahead", "probe_ef"]
 
 #: Posted waves the loop keeps open, without and with look-ahead.
 OPEN_WAVES = (1, 2)
+
+
+def probe_ef(ef: int, k: int, rank: int) -> int:
+    """The beam of a row's probe at ``rank`` of its routed list (0 for
+    the closest): ``ef`` divided by ``rank + 1``, rounded up, never below
+    ``k``.  The lead probe supplies most of a row's top-k, so the later
+    ones search narrower beams; every probe still keeps ``k``."""
+    return max(k, -(-ef // (rank + 1)))
 
 
 def lookahead(host) -> bool:
@@ -125,15 +133,16 @@ class WaveExecutor:
     # -- compute ------------------------------------------------------------
     def run_wave_compute(self, cluster_id: int, entry: CachedCluster,
                          rows: list[int], queries: np.ndarray, k: int,
-                         ef: int, trace: TraceContext | None = None):
-        """Search ``entry`` for the query ``rows`` with the pure
-        :func:`search_cluster_entry`; ``cluster_id`` names the search
-        for whatever wraps the method (the tracer, test spies).  The
-        caller holds a pin on the entry, so nothing evicts or rewrites
-        it mid-search."""
+                         beams: list[int],
+                         trace: TraceContext | None = None):
+        """Search ``entry`` for the query ``rows``, row ``rows[i]`` at
+        beam ``beams[i]``, with the pure :func:`search_cluster_entry`;
+        ``cluster_id`` names the search for whatever wraps the method
+        (the tracer, test spies).  The caller holds a pin on the entry,
+        so nothing evicts or rewrites it mid-search."""
         with span(trace, "compute"):
             started = time.perf_counter()
-            output = search_cluster_entry(entry, queries[rows], k, ef)
+            output = search_cluster_entry(entry, queries[rows], k, beams)
             self.host.node.record_wall_compute(time.perf_counter() - started)
         return output
 
@@ -154,7 +163,8 @@ class ReadyList:
     READ has landed.  A wave fills the next unfilled position of each
     cluster it fetches, so a plan that fetches a cluster in more than one
     wave (the naive scheme's) runs here as it is.  Each entry stays
-    pinned until it is final.
+    pinned until it is final.  A search runs each of its rows at that
+    row's probe-rank beam (:func:`probe_ef`), all of them in one call.
 
     With look-ahead, wave ``i+2``'s READ is posted once wave ``i`` is
     searched, so the batch holds at most two waves besides its hits, and
@@ -177,7 +187,7 @@ class ReadyList:
         self.host = host = executor.host
         self.fetcher = executor.fetcher
         self.plan = plan
-        self.queries, self.merger, self.k, self.ef = queries, merger, k, ef
+        self.queries, self.merger, self.k = queries, merger, k
         self.trace = trace
         self.lookahead = lookahead(host)
         #: Rows routed before the first READ is posted: those that fix
@@ -185,9 +195,12 @@ class ReadyList:
         self.first_rows = (plan.first_wave_rows if self.lookahead
                            else len(queries))
         self.execution = PlanExecution()
-        #: Per position: the cluster searched and its query rows.
+        #: Per position: the cluster searched, its query rows and each
+        #: row's beam.
         self.cluster_ids = [cid for cid, _ in plan.clusters]
         self.rows = [list(rows) for _, rows in plan.clusters]
+        self.beams = [[probe_ef(ef, k, rank) for rank in ranks]
+                      for ranks in plan.ranks]
         #: Searches not merged yet, and the ones each row still waits on.
         self.unmerged = len(plan.clusters)
         self.left = collections.Counter(row for rows in self.rows
@@ -340,7 +353,7 @@ class ReadyList:
         executor, execution, trace = self.executor, self.execution, self.trace
         output = executor.run_wave_compute(
             self.cluster_ids[pos], self.ready[pos], self.rows[pos],
-            self.queries, self.k, self.ef, trace)
+            self.queries, self.k, self.beams[pos], trace)
         execution.sub_hnsw_us += executor.charge_decode(
             execution, self.cluster_ids[pos], trace)
         execution.sub_hnsw_us += executor.charge_search(output.evals, trace)

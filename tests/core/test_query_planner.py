@@ -101,6 +101,7 @@ class TestCacheInteraction:
         plan = plan_batch([[7, 2], [2, 3]], cache, cache_capacity=8)
         assert [w.fetch_cluster_ids for w in plan.waves] == [(7, 3)]
         assert plan.clusters == ((7, (0,)), (2, (0, 1)), (3, (1,)))
+        assert plan.ranks == ((0,), (1, 0), (1,))
         assert plan.cache_hit_cluster_ids == (2,)
 
     def test_all_hits_fetch_nothing(self):
@@ -201,6 +202,11 @@ def test_plan_properties(required, capacity, cached, wave_bytes, sizes):
                                     for cid in cids))
     assert [cid for cid, _ in plan.clusters] == first_need
     assert fetched == [cid for cid in first_need if cid not in cached]
+    # Each searched row's rank: where the cluster sits in its routes.
+    assert len(plan.ranks) == len(plan.clusters)
+    for (cid, rows), ranks in zip(plan.clusters, plan.ranks):
+        assert ranks == tuple(list(dict.fromkeys(required[row])).index(cid)
+                              for row in rows)
     # Row r is complete no later than the wave holding the last distinct
     # miss cluster rows 0..r need: the first ceil(n / capacity) waves, n
     # being how many distinct miss clusters those rows want.
@@ -234,5 +240,7 @@ def test_plan_naive_is_one_pair_per_wave_in_row_order(required):
                                                          for _, c in pairs]
     # One search per pair, in the same order.
     assert plan.clusters == tuple((c, (q,)) for q, c in pairs)
+    assert plan.ranks == tuple((rank,) for cids in required
+                               for rank in range(len(cids)))
     assert plan.duplicate_requests_pruned == 0
     assert plan.cache_hit_cluster_ids == ()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FrontDoorConfig
 from repro.errors import ConfigError
 from repro.frontdoor import (DeficitRoundRobin, Request, RequestStatus,
                              TenantPolicy, TokenBucket)
@@ -74,18 +73,16 @@ class TestTenantPolicy:
         {"weight": 0.0},
         {"rate_qps": -1.0},
         {"rate_qps": 0.0},
-        {"slo_us": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             TenantPolicy(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["weight", "rate_qps", "slo_us"])
+    @pytest.mark.parametrize("field", ["weight", "rate_qps"])
     def test_non_finite_refused(self, field, value):
         """A NaN passes every range check: as a weight or an arrival it
-        hung ``FrontDoor.run``, as a rate it admitted everything, as an
-        SLO it was never shed."""
+        hung ``FrontDoor.run``, as a rate it admitted everything."""
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             TenantPolicy(**{field: value})
 
@@ -200,10 +197,3 @@ class TestDeficitRoundRobin:
         self.fill(drr, "b", 3 * DRR_QUANTUM, first_id=100)
         tenants = [r.tenant for r in drr.take(2 * DRR_QUANTUM)]
         assert tenants == ["a"] * DRR_QUANTUM + ["b"] * DRR_QUANTUM
-
-    def test_tenant_slo_us_prefers_the_policy(self, make_door):
-        door = make_door(FrontDoorConfig(slo_us=9000.0),
-                         tenants={"gold": TenantPolicy(slo_us=3000.0),
-                                  "free": TenantPolicy()})
-        slos = [door.tenant_slo_us(t) for t in ("gold", "free", "other")]
-        assert slos == [3000.0, 9000.0, 9000.0]

@@ -185,7 +185,7 @@ class TestSloPath:
                 assert outcome.ef_used == 0
 
     def test_overload_degrades_and_accounts(self, make_door, small_dataset):
-        requests = load(small_dataset, count=120, rate_qps=100_000.0,
+        requests = load(small_dataset, count=120, rate_qps=150_000.0,
                         ef_search=64)
         door = make_door(FrontDoorConfig(
             max_wait_us=500.0, max_batch=4, degraded_ef=12))

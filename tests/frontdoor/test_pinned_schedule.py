@@ -24,9 +24,9 @@ TENANTS = {"limited": TenantPolicy(rate_qps=2000.0),
            "light": TenantPolicy(weight=1.0)}
 
 SCHEDULE_SHA256 = (
-    "5c3d18d5eb076a1d21af528302c1821c9ac6fcaea9faab513bad28b93d77bb54")
+    "407451b3ae4145f6e27ae7fe51165af792a8f637864713bae818c454fba1dce5")
 OUTCOMES_SHA256 = (
-    "b2c5dd35a23f8654248a74fd8f6fd5207793057457da877bc0b93ab51e85c3da")
+    "eca3810852c9a34462495a12fef0802236122f9f2ff950c949783a211f2baee5")
 
 
 def pinned_requests(queries: np.ndarray) -> list:

@@ -176,6 +176,56 @@ class TestEngineEquivalence:
         assert batch_evals == expected_evals
 
 
+class TestPerRowBeams:
+    """A batch given one beam per row searches each row as it would be
+    searched alone at its beam: the serving loop hands a cluster's rows
+    their probe ranks' beams in one call, and the counters it charges
+    must not depend on which rows share the call."""
+
+    @pytest.mark.parametrize("form", ["table", "hop"])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_each_row_is_its_search_alone(self, form, data):
+        count = data.draw(st.integers(min_value=1, max_value=90))
+        m = data.draw(st.integers(min_value=2, max_value=8))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 16))
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        efs = data.draw(st.lists(st.integers(min_value=1, max_value=40),
+                                 min_size=1, max_size=8))
+        index = build_index(count=count, m=m, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        queries = (rng.standard_normal((len(efs), 6)) * 4).astype(
+            np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = engine_calls(patch)
+            if form == "hop":
+                patch.setattr(index_module, "TABLE_NODES_MAX", 0)
+            alone = []
+            for query, ef in zip(queries, efs):
+                evaluations: list[int] = []
+                found, = index.search_candidates_batch(query[None], k, ef,
+                                                       evaluations)
+                alone.append((found, evaluations[0]))
+            evaluations = []
+            batch = index.search_candidates_batch(queries, k, efs,
+                                                  evaluations)
+        assert list(zip(batch, evaluations)) == alone
+        assert set(calls) == {"search_layer" if form == "hop"
+                              else "search_layer_table"}
+
+    def test_beams_below_k_are_raised_to_k(self):
+        index = build_index(count=50)
+        queries = np.ones((2, 6), dtype=np.float32)
+        assert (index.search_candidates_batch(queries, 4, [1, 2])
+                == index.search_candidates_batch(queries, 4, 4))
+
+    def test_one_beam_per_row(self):
+        index = build_index(count=20)
+        with pytest.raises(ValueError, match="3 queries but 2 beams"):
+            index.search_candidates_batch(np.ones((3, 6), np.float32), 1,
+                                          [4, 4])
+
+
 def engine_calls(monkeypatch) -> list[str]:
     """Record which form of the beam search ``HnswIndex`` reaches."""
     calls: list[str] = []

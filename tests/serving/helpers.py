@@ -13,6 +13,7 @@ from repro.core.query_planner import BatchPlan
 from repro.datasets import exact_knn
 from repro.datasets.synthetic import make_clustered
 from repro.serving.executor import PlanExecution
+from repro.serving.trace import TraceContext
 
 
 def make_world(seed=21):
@@ -40,6 +41,13 @@ def fetch(client, cluster_ids, doorbell: bool = True
     fetcher = client.engine.fetcher
     token, extents = fetcher.issue_async(list(cluster_ids), doorbell)
     return fetcher.admit(extents, fetcher.poll(token), PlanExecution())
+
+
+def make_plan(client, required: list[list[int]]) -> BatchPlan:
+    """The plan the client's planner makes of the routes ``required``, as
+    the engine makes it (a client running ``reference_loop`` reads each
+    row's probe ranks off the routes it sees here)."""
+    return client.engine.planner.plan(required, TraceContext(0))
 
 
 def run_plan(client, plan: BatchPlan, queries, merger: TopKMerger, k: int,

@@ -30,13 +30,18 @@ back when its last pin drops.
 
 Per-row completion stamps are derived here the oracle's own way — a
 countdown of each row's unmerged clusters against the clock read at each
-merge — where ``src/`` keeps its own countdown inside the loop.
+merge — where ``src/`` keeps its own countdown inside the loop.  So are
+the beams: each row searches a cluster at the beam its rule gives the
+cluster's place in the row's routed list (:func:`beam`), the place read
+off the routes this module captures from the planner (the naive
+schedule's off the order of its pairs), never off ``BatchPlan.ranks``.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import time
 import types
 
@@ -65,6 +70,19 @@ class PlanExecution:
     charged_compute_us: float = 0.0
     #: Per row: the clock when its last cluster was merged.
     complete_us: np.ndarray | None = None
+
+
+def beam(ef: int, k: int, rank: int) -> int:
+    """The rule, written down again: the probe at ``rank`` (0 for the
+    closest) of a row's routed list gets ``ef / (rank + 1)``, rounded up,
+    and never fewer than ``k``."""
+    return max(k, math.ceil(ef / (rank + 1)))
+
+
+def beams(routes: list[list[int]], cluster_id: int, rows, ef: int,
+          k: int) -> list[int]:
+    """Each of ``rows``' beam for its probe of ``cluster_id``."""
+    return [beam(ef, k, routes[row].index(cluster_id)) for row in rows]
 
 
 def overlap_saved(profiles: list[tuple[float, float]]) -> float:
@@ -124,11 +142,20 @@ def install(client) -> list[PlanExecution]:
     """
     ledger = _DeserializeLedger(client.engine.decoder)
     executions: list[PlanExecution] = []
+    # The routes each batch is planned from, for the beams; a plan run by
+    # hand (no planner call) has none and must not reach a search.
+    routed: list[list[list[int]] | None] = [None]
+    plan_routes = client.engine.planner.plan
+
+    def plan(required, trace):
+        routed[0] = required
+        return plan_routes(required, trace)
 
     def ready_list(plan, queries, merger, k, ef, trace=None):
         # A torn attempt (``StaleReadError``) leaves decodes it never
         # charged; the retry must not inherit them.
         ledger.drain()
+        routes, routed[0] = routed[0], None
         if not client.policy.query_aware_loading:
             required: list[list[int]] = [[] for _ in queries]
             for wave in plan.waves:
@@ -137,11 +164,11 @@ def install(client) -> list[PlanExecution]:
             steps = _after_routing(execute_naive, client, required,
                                    queries, merger, k, ef)
         elif client.config.pipeline_waves:
-            steps = execute_plan_pipelined(client, plan, queries, merger,
-                                           k, ef)
+            steps = execute_plan_pipelined(client, plan, routes, queries,
+                                           merger, k, ef)
         else:
             steps = _after_routing(execute_plan_serial, client, plan,
-                                   queries, merger, k, ef)
+                                   routes, queries, merger, k, ef)
         first_rows = (plan.first_wave_rows
                       if client.policy.query_aware_loading
                       and client.config.pipeline_waves else len(queries))
@@ -150,6 +177,7 @@ def install(client) -> list[PlanExecution]:
             start=lambda routed_rows: _start(steps, routed_rows),
             run=lambda: _finish(steps, executions))
 
+    client.engine.planner.plan = plan
     client.engine.executor.ready_list = ready_list
     return executions
 
@@ -184,8 +212,9 @@ def _finish(steps, executions: list[PlanExecution]) -> staged.PlanExecution:
         complete_us=execution.complete_us)
 
 
-def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
-                        merger: TopKMerger, k: int, ef: int) -> PlanExecution:
+def execute_plan_serial(host, plan: BatchPlan, routes: list[list[int]],
+                        queries: np.ndarray, merger: TopKMerger, k: int,
+                        ef: int) -> PlanExecution:
     """Look-ahead off, transcribed wave by wave.
 
     Take and pin the hits.  Then per wave: post its READ — the first one
@@ -217,7 +246,9 @@ def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
     def search(pos: int) -> None:
         entry = in_dram[pos]
         started = time.perf_counter()
-        output = search_cluster_entry(entry, queries[rows_of[pos]], k, ef)
+        output = search_cluster_entry(
+            entry, queries[rows_of[pos]], k,
+            beams(routes, cluster_of[pos], rows_of[pos], ef, k))
         host.node.record_wall_compute(time.perf_counter() - started)
         execution.charged_compute_us += host.node.charge_time(
             owed.pop(pos, 0.0))
@@ -291,8 +322,9 @@ def execute_plan_serial(host, plan: BatchPlan, queries: np.ndarray,
     return execution
 
 
-def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
-                           merger: TopKMerger, k: int, ef: int):
+def execute_plan_pipelined(host, plan: BatchPlan, routes: list[list[int]],
+                           queries: np.ndarray, merger: TopKMerger, k: int,
+                           ef: int):
     """The ready-list loop, transcribed from its rule, as a generator:
     sent the number of rows routed so far, it takes the hits and posts
     the first READ, then pauses until the rest of routing is billed.
@@ -445,8 +477,9 @@ def execute_plan_pipelined(host, plan: BatchPlan, queries: np.ndarray,
             cid = ready[0]
             entry = in_dram[cid]
             started = time.perf_counter()
-            output = search_cluster_entry(entry, queries[rows_of[cid]], k,
-                                          ef)
+            output = search_cluster_entry(
+                entry, queries[rows_of[cid]], k,
+                beams(routes, cid, rows_of[cid], ef, k))
             host.node.record_wall_compute(time.perf_counter() - started)
             if cid in owed:
                 execution.charged_compute_us += host.node.charge_time(
@@ -480,7 +513,7 @@ def execute_naive(host, required: list[list[int]], queries: np.ndarray,
     ledger = host.engine.decoder.deserialize_ledger
     complete_us = np.full(len(queries), np.nan)
     for query_index, cluster_ids in enumerate(required):
-        for cid in cluster_ids:
+        for rank, cid in enumerate(cluster_ids):
             token, extents = fetcher.issue_async([cid], False)
             payloads = host.transport.poll(token)
             ledger.drain()
@@ -492,7 +525,8 @@ def execute_naive(host, required: list[list[int]], queries: np.ndarray,
             execution.fetched += 1
             started = time.perf_counter()
             output = search_cluster_entry(
-                entry, queries[query_index:query_index + 1], k, ef)
+                entry, queries[query_index:query_index + 1], k,
+                [beam(ef, k, rank)])
             host.node.record_wall_compute(time.perf_counter() - started)
             execution.charged_compute_us += host.node.charge_time(decode_us)
             execution.charged_compute_us += host.node.charge_compute(

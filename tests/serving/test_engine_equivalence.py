@@ -204,7 +204,8 @@ def test_hit_evicted_between_planning_and_execution(
                Wave(fetch_cluster_ids=(2,), serviced=((1, 2),))),
         cache_hit_cluster_ids=(0,), unique_clusters=3,
         duplicate_requests_pruned=0,
-        clusters=((0, (0, 1)), (1, (0,)), (2, (1,))), first_wave_rows=1)
+        clusters=((0, (0, 1)), (1, (0,)), (2, (1,))), first_wave_rows=1,
+        ranks=((0, 0), (1,), (1,)))
     rings = staged.node.stats.round_trips
     try:
         for client in (staged, oracle):

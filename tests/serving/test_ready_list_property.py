@@ -31,10 +31,9 @@ from hypothesis import strategies as st
 from repro.core.baselines import Scheme
 from repro.core.client import DHnswClient
 from repro.core.merge import TopKMerger
-from repro.core.query_planner import plan_batch, plan_naive
 from repro.rdma import CostModel
 from tests.serving import reference_loop
-from tests.serving.helpers import run_plan
+from tests.serving.helpers import make_plan, run_plan
 
 K, EF = 5, 16
 
@@ -56,10 +55,8 @@ def make_client(deployment, scheme, capacity, cost_model, pipeline, name):
 def warm(client, queries, hits):
     """Make exactly ``hits`` resident (the cache has room for them)."""
     if hits:
-        plan = plan_batch([[cid] for cid in hits], client.cache,
-                          client.cache.capacity_clusters)
-        run_plan(client, plan, queries[:len(hits)],
-                 TopKMerger(len(hits), K), K, EF)
+        run_plan(client, make_plan(client, [[cid] for cid in hits]),
+                 queries[:len(hits)], TopKMerger(len(hits), K), K, EF)
     assert {cid for cid in hits if cid in client.cache} == set(hits)
 
 
@@ -153,8 +150,9 @@ def test_ready_list_loop_against_its_transcription(built_deployment,
             fixed = client.dram_used_bytes - client.cache.cached_bytes
             if name == "staged":
                 searches, in_flight, waits = spy(client)
-            plan = (plan_batch(required, client.cache, capacity)
-                    if scheme is Scheme.DHNSW else plan_naive(required))
+            # The planner makes plan_batch's plan at this capacity (no
+            # byte cap), or plan_naive's.
+            plan = make_plan(client, required)
             merger = TopKMerger(len(required), K)
             before = client.node.stats.snapshot()
             # As the engine runs it: the loop starts once the rows that

@@ -200,7 +200,7 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
         "overrides = {'seed': 3}\n")
     assert unset_knobs([tmp_path], [HnswParams, TenantPolicy]) == {
         "HnswParams.ef_construction", "HnswParams.max_level",
-        "TenantPolicy.rate_qps", "TenantPolicy.slo_us"}
+        "TenantPolicy.rate_qps"}
 
 
 @pytest.mark.parametrize("cls,keyword", [
@@ -217,6 +217,7 @@ def test_the_census_counts_keywords_positions_and_dict_keys(tmp_path):
     (DHnswConfig, "pq_subspaces"),
     (FrontDoorConfig, "seed"),
     (TenantPolicy, "burst"),
+    (TenantPolicy, "slo_us"),
     (HnswParams, "extend_candidates"),
     (HnswParams, "keep_pruned_connections"),
     (HnswParams, "metric"),
