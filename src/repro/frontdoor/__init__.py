@@ -36,8 +36,8 @@ Typical usage::
 from repro.core.config import FrontDoorConfig
 from repro.frontdoor.admission import (DeficitRoundRobin, TenantPolicy,
                                        TokenBucket)
-from repro.frontdoor.door import (FrontDoor, LoadReport, TenantReport,
-                                  WaveRecord)
+from repro.frontdoor.door import (FrontDoor, ImmediateServe, LoadReport,
+                                  TenantReport, WaveRecord)
 from repro.frontdoor.loadgen import (bursty_arrivals, make_requests,
                                      poisson_arrivals)
 from repro.frontdoor.request import Request, RequestOutcome, RequestStatus
@@ -46,6 +46,7 @@ __all__ = [
     "DeficitRoundRobin",
     "FrontDoor",
     "FrontDoorConfig",
+    "ImmediateServe",
     "LoadReport",
     "Request",
     "RequestOutcome",

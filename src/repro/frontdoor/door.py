@@ -10,14 +10,32 @@ The loop alternates between exactly two event kinds: the next arrival,
 and the instant the pending wave becomes due (``max_batch`` requests
 pending, or the oldest has waited ``max_wait_us``).  An arrival is
 charged to its tenant's token bucket (a :class:`TokenBucket` per tenant
-whose policy sets a rate) and queued on the weighted deficit-round-robin
-queues; a due wave takes a DRR-fair share of them, orders it earliest
-deadline first, sheds what is already late (``shed_late``), degrades the
-beam under a deep backlog, and calls ``search_batch`` once per
-``(k, ef)`` group, which advances the clock by the wave's service time.
-Arrivals that land "during" service simply queue with their original
-timestamps, so backlog and queue delay emerge from the simulation rather
-than being modelled.  A request completes when *its* answer is final —
+whose policy sets a rate), then routed: the door charges its meta-HNSW
+walk to the clock at admission (behind any wave in service), through the
+engine's own ``planner.route``, and keeps the routes for its dispatch.
+The walk itself is computed ahead, ``WALK_ROWS`` arrivals per
+``route_batch`` call, since a row's routes do not depend on the rows
+walked with it.  A routed request is queued on the weighted
+deficit-round-robin queues; a due wave takes a DRR-fair share of them,
+orders it earliest deadline first, sheds what is already late
+(``shed_late``), degrades the beam under a deep backlog, and calls
+``search_batch`` once per ``(k, ef)`` group with its members' routes
+(:meth:`~repro.serving.engine.ServingEngine.routed`), which advances the
+clock by the wave's service time and puts the wave's first READ on the
+wire at once.  Arrivals that land "during" service simply queue with
+their original timestamps, so backlog and queue delay emerge from the
+simulation rather than being modelled.
+
+A request whose routed clusters are all cache-resident gains nothing from
+waiting — the wave's shared fetch is all it would wait for — so it is not
+queued: it is served at once in a batch of its own (an *immediate
+serve*, not a wave).  If a wave is due at that instant, the wave goes
+first and the request's residency is checked again after it (a request
+that lost a cluster to the wave's evictions is queued after all).  A
+request already past its deadline under ``shed_late`` is queued, so the
+wave's shedding rule decides it as before.
+
+A request completes when *its* answer is final —
 ``BatchResult.complete_us``: the engine serves rows in the EDF order the
 door hands them over and stamps each once its own last cluster is
 searched (a hit's once its tail word has landed) — not when its wave
@@ -49,13 +67,21 @@ from repro.core.config import FrontDoorConfig
 from repro.frontdoor.admission import (DeficitRoundRobin, TenantPolicy,
                                        TokenBucket)
 from repro.frontdoor.request import Request, RequestOutcome, RequestStatus
+from repro.metrics.latency import LatencyBreakdown
+from repro.serving.planner import Walk
 
-__all__ = ["DEGRADE_BACKLOG_WAVES", "FrontDoor", "LoadReport",
-           "TenantReport", "WaveRecord"]
+__all__ = ["DEGRADE_BACKLOG_WAVES", "FrontDoor", "ImmediateServe",
+           "LoadReport", "TenantReport", "WaveRecord"]
 
 #: Backlog, in full waves (units of ``max_batch``), beyond which a wave
 #: dispatches with ``FrontDoorConfig.degraded_ef``.
 DEGRADE_BACKLOG_WAVES = 2.0
+
+#: Arrivals walked through the meta-HNSW per ``route_batch`` call: a row
+#: walked alone costs about a third more wall time than in a batch of 16
+#: or more.  Its simulated cost is charged request by request at
+#: admission either way.
+WALK_ROWS = 64
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -95,6 +121,18 @@ class WaveRecord:
 
 
 @dataclasses.dataclass(frozen=True)
+class ImmediateServe:
+    """One request served at once, outside any wave: every cluster it
+    probes was cache-resident when it was admitted (or, when a wave went
+    first, right after that wave)."""
+
+    request_id: int
+    served_us: float
+    #: Simulated time the engine spent on the request.
+    service_us: float
+
+
+@dataclasses.dataclass(frozen=True)
 class TenantReport:
     """One tenant's slice of a load report."""
 
@@ -119,10 +157,12 @@ class LoadReport:
     """Everything one load-generation run produced, ready to assert on."""
 
     outcomes: tuple[RequestOutcome, ...]
+    #: Timer- and size-formed waves only; immediate serves are apart.
     waves: tuple[WaveRecord, ...]
     #: [first arrival, last completion] span on the simulated clock.
     start_us: float
     end_us: float
+    immediate: tuple[ImmediateServe, ...] = ()
 
     # -- counts ---------------------------------------------------------
     @property
@@ -147,6 +187,11 @@ class LoadReport:
     @property
     def shed_deadline(self) -> int:
         return self._count(RequestStatus.SHED_DEADLINE)
+
+    @property
+    def immediate_share(self) -> float:
+        """Fraction of answered requests served at once, in no wave."""
+        return len(self.immediate) / self.served if self.served else 0.0
 
     @property
     def duration_us(self) -> float:
@@ -258,12 +303,14 @@ class LoadReport:
         nanosecond to absorb float printing, not float arithmetic (the
         same operations run in the same order, so even exact equality
         holds; rounding just keeps the signature stable if a NumPy
-        version changes summation order inside the engine).
+        version changes summation order inside the engine).  Waves come
+        first, then the immediate serves.
         """
-        return tuple(
+        return (tuple(
             (w.wave_id, round(w.formed_us, 3), w.request_ids, w.groups,
              w.shed_ids, w.degraded)
-            for w in self.waves)
+            for w in self.waves), tuple(
+            (s.request_id, round(s.served_us, 3)) for s in self.immediate))
 
 
 class FrontDoor:
@@ -281,6 +328,12 @@ class FrontDoor:
                         for tenant, policy in self.tenants.items()
                         if policy.rate_qps is not None}
         self._wave_counter = 0
+        #: Per position in the running arrival list: its walk (routes,
+        #: evaluations), computed ahead of admission.
+        self._walks: list[tuple[list[int], int]] = []
+        #: Per admitted, unserved request: its routes and the routing
+        #: time charged for it.
+        self._routes: dict[int, tuple[list[int], float]] = {}
 
     def tenant_slo_us(self, tenant: str) -> float:
         """Deadline budget for stamping onto the requests a caller builds
@@ -293,10 +346,11 @@ class FrontDoor:
 
         ``requests`` must be sorted by ``arrival_us`` (load generators
         produce them that way); ties are served in sequence order.  The
-        loop admits what has arrived, dispatches a due wave, else
-        advances the clock to the next arrival or due time — until both
-        run dry.  Arrivals are fixed in advance: queue delay under load
-        comes out of the simulation, not out of the generator.
+        loop admits and routes what has arrived, dispatches a due wave,
+        else serves a held all-resident request, else advances the clock
+        to the next arrival or due time — until all run dry.  Arrivals
+        are fixed in advance: queue delay under load comes out of the
+        simulation, not out of the generator.
         """
         for earlier, later in zip(requests, requests[1:]):
             if later.arrival_us < earlier.arrival_us:
@@ -304,25 +358,49 @@ class FrontDoor:
                     "open-loop requests must be sorted by arrival_us")
         outcomes: dict[int, RequestOutcome] = {}
         waves: list[WaveRecord] = []
+        immediate: list[ImmediateServe] = []
+        self._walks = []
+        # Routed requests waiting for an immediate serve, in admission
+        # order.
+        held: list[Request] = []
         arrived = 0
         while True:
             now = self.clock.now_us
+            admitted = False
             while (arrived < len(requests)
                    and requests[arrived].arrival_us <= now):
                 request = requests[arrived]
                 arrived += 1
                 bucket = self.buckets.get(request.tenant)
-                if bucket is None or bucket.admit(request.arrival_us):
-                    self.queues.push(request)
-                else:   # shed at the door: completes on the spot
+                if bucket is not None and not bucket.admit(
+                        request.arrival_us):
+                    # Shed at the door: completes on the spot.
                     outcomes[request.request_id] = RequestOutcome(
                         request=request, status=RequestStatus.SHED_ADMISSION,
                         dispatch_us=float("nan"),
                         complete_us=request.arrival_us, wave_id=-1,
                         ef_used=0)
+                    continue
+                self._route(requests, arrived - 1)
+                admitted = True
+                if self._immediate(request):
+                    held.append(request)
+                else:
+                    self.queues.push(request)
+            if admitted:
+                # Routing moved the clock: admit what arrived meanwhile.
+                continue
             due = self._due_us()
             if due is not None and due <= now:
                 self._dispatch(self._form_wave(), now, waves, outcomes)
+                # The held requests waited out one wave; they wait no
+                # more, served at once if still all resident, else queued.
+                for request in held:
+                    self._serve_or_queue(request, immediate, outcomes)
+                held.clear()
+                continue
+            if held:
+                self._serve_or_queue(held.pop(0), immediate, outcomes)
                 continue
             upcoming = (requests[arrived].arrival_us
                         if arrived < len(requests) else None)
@@ -334,7 +412,66 @@ class FrontDoor:
         start = min((r.arrival_us for r in requests), default=0.0)
         end = max((o.complete_us for o in ordered), default=start)
         return LoadReport(outcomes=ordered, waves=tuple(waves),
-                          start_us=start, end_us=end)
+                          start_us=start, end_us=end,
+                          immediate=tuple(immediate))
+
+    # -- routing at admission ----------------------------------------------
+    def _route(self, requests: Sequence[Request], position: int) -> None:
+        """Charge ``requests[position]``'s meta-HNSW walk to the clock
+        now, through the engine's ``planner.route``, and keep its routes
+        and the time charged for its dispatch.  Walks are computed
+        ``WALK_ROWS`` arrivals at a time, ahead of their admission."""
+        planner = self.client.engine.planner
+        walks = self._walks
+        if position >= len(walks):
+            ahead = requests[len(walks):position + WALK_ROWS]
+            walk = planner.walk(np.stack([r.query for r in ahead]))
+            walks.extend(zip(walk.clusters, walk.evaluations))
+        request = requests[position]
+        clusters, evaluations = walks[position]
+        charged = LatencyBreakdown()
+        planner.route(request.query[None, :], charged,
+                      walk=Walk([clusters], [evaluations]))
+        self._routes[request.request_id] = (clusters,
+                                            charged.meta_hnsw_us)
+
+    def _immediate(self, request: Request) -> bool:
+        """Whether ``request`` may skip the queue: every cluster it probes
+        is cache-resident, and (under ``shed_late``) it is not late."""
+        if self.config.shed_late and self.clock.now_us > request.deadline_us:
+            return False
+        cache = self.client.cache
+        return all(cache.peek(cid) is not None
+                   for cid in self._routes[request.request_id][0])
+
+    def _serve_or_queue(self, request: Request,
+                        immediate: list[ImmediateServe],
+                        outcomes: dict[int, RequestOutcome]) -> None:
+        """Serve a held request at once in a batch of its own, unless it
+        stopped qualifying (:meth:`_immediate`): then queue it."""
+        if not self._immediate(request):
+            self.queues.push(request)
+            return
+        now = self.clock.now_us
+        ef = self.client.engine.resolve_ef(request.k, request.ef_search)
+        batch = self._search([request], request.k, ef)
+        outcomes[request.request_id] = RequestOutcome(
+            request=request, status=RequestStatus.OK, dispatch_us=now,
+            complete_us=float(batch.complete_us[0]), wave_id=-1,
+            ef_used=ef, ids=batch.results[0].ids,
+            distances=batch.results[0].distances)
+        immediate.append(ImmediateServe(
+            request_id=request.request_id, served_us=now,
+            service_us=self.clock.now_us - now))
+
+    def _search(self, members: list[Request], k: int, ef: int):
+        """One engine call over ``members`` in order, with their routes."""
+        routes = [self._routes.pop(r.request_id) for r in members]
+        with self.client.engine.routed(
+                [clusters for clusters, _ in routes],
+                sum(charged for _, charged in routes)):
+            return self.client.search_batch(
+                np.stack([r.query for r in members]), k, ef_search=ef)
 
     # -- the wave trigger --------------------------------------------------
     def _due_us(self) -> float | None:
@@ -399,6 +536,7 @@ class FrontDoor:
             groups.setdefault((request.k, ef), []).append(request)
 
         for request in shed:
+            del self._routes[request.request_id]
             outcomes[request.request_id] = RequestOutcome(
                 request=request, status=RequestStatus.SHED_DEADLINE,
                 dispatch_us=now, complete_us=now, wave_id=wave_id,
@@ -406,8 +544,7 @@ class FrontDoor:
         status = RequestStatus.DEGRADED if degraded else RequestStatus.OK
         fetched = 0
         for (k, ef), members in groups.items():
-            batch = self.client.search_batch(
-                np.stack([r.query for r in members]), k, ef_search=ef)
+            batch = self._search(members, k, ef)
             # Rows went in EDF order and the engine serves them in the
             # order given, stamping each when its answer is final.
             fetched += batch.clusters_fetched

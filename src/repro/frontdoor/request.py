@@ -77,14 +77,16 @@ class RequestOutcome:
 
     request: Request
     status: RequestStatus
-    #: When the request's wave formed (entered the engine); NaN for
-    #: requests shed at admission (they never queued).
+    #: When the request's wave formed (entered the engine), or its
+    #: immediate serve began; NaN for requests shed at admission (they
+    #: never queued).
     dispatch_us: float
     #: When this request's answer was final (or the shed decision made):
     #: the end of the last engine wave that searched one of its clusters —
     #: for all but the wave's last-served members, before the wave ends.
     complete_us: float
-    #: Wave that carried (or shed) the request; -1 for admission sheds.
+    #: Wave that carried (or shed) the request; -1 for admission sheds
+    #: and immediate serves (which no wave carries).
     wave_id: int
     #: Beam width actually used; 0 when the request was never searched.
     ef_used: int

@@ -74,11 +74,16 @@ class PairTable:
     the same float32 last-axis einsum), and mirrored into the earlier new
     nodes' rows it completes them (float negation is exact).  So a row
     costs nothing to keep and covers every node inserted so far.  Nodes
-    that predate the batch — a deserialized graph being appended to — get
-    no row: evaluating one costs more than the einsum column it replaces
-    unless many later selects reuse it, which appends do not.  Reads are
-    uncounted like ``l2_table``; callers credit ``kernel.num_evaluations``
-    as the textbook loop would.
+    that predate the batch get a row only when the batch asks for one
+    (``kernel`` in :meth:`for_batch`): each node's uncounted ``l2_table``
+    row against the nodes before it, the row ``insert`` would have kept
+    for it, mirrored as :meth:`append` does (half the pairs).  A
+    rebuild's appends onto a deserialized graph ask: every list they
+    overfill names base nodes, and with rows for those all of them prune
+    on one gathered block (:func:`_prune_block`) instead of einsum
+    columns — about half the wall time of a rebuild's appends, for the
+    same graph.  Reads are uncounted like ``l2_table``; callers credit
+    ``kernel.num_evaluations`` as the textbook loop would.
 
     Owned by the batch (:meth:`HnswIndex.add`), never by the index: at
     most ``TABLE_NODES_MAX² × 4 B`` = 16 MiB, gone when the batch returns.
@@ -92,14 +97,24 @@ class PairTable:
                               dtype=np.float32)
 
     @classmethod
-    def for_batch(cls, graph: LayeredGraph,
-                  batch: int) -> "PairTable | None":
+    def for_batch(cls, graph: LayeredGraph, batch: int,
+                  kernel: DistanceKernel | None = None
+                  ) -> "PairTable | None":
         """A table for ``batch`` inserts into ``graph``, capped at
-        ``TABLE_NODES_MAX`` nodes; None for a graph already at the cap."""
-        capacity = min(len(graph) + batch, TABLE_NODES_MAX)
-        if capacity <= len(graph):
+        ``TABLE_NODES_MAX`` nodes; None for a graph already at the cap.
+        With ``kernel``, the graph's nodes get their rows up front too."""
+        existing = len(graph)
+        capacity = min(existing + batch, TABLE_NODES_MAX)
+        if capacity <= existing:
             return None
-        return cls(len(graph), capacity)
+        if kernel is None:
+            return cls(existing, capacity)
+        table = cls(0, capacity)
+        vectors = graph.vectors
+        for node in range(existing):
+            table.append(node, kernel.l2_table(vectors[node],
+                                               vectors[:node]))
+        return table
 
     def append(self, node: int, row: np.ndarray) -> None:
         """Record new node ``node``'s distances to nodes ``0..node-1``."""

@@ -9,12 +9,18 @@ client exposes.  The engine holds no index state of its own: everything it
 needs (metadata, cache, transport, cost model, policy) lives on the host
 client and is read late, so decorating ``host.transport`` after
 construction (fault injection, retries) affects every stage immediately.
+
+A caller that routed its rows ahead — the front door routes each request
+at its admission — hands the routes to the next ``search_batch`` through
+:meth:`ServingEngine.routed`, so ``search_batch`` keeps its signature and
+no row is routed twice.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Callable
+import contextlib
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,6 +52,21 @@ class ServingEngine:
         self.executor = WaveExecutor(host, self.fetcher)
         self.merger = Merger(host)
         self._request_counter = 0
+        #: Routes handed to the next ``search_batch`` (:meth:`routed`).
+        self._routed: tuple[list[list[int]], float] | None = None
+
+    @contextlib.contextmanager
+    def routed(self, routes: list[list[int]],
+               routing_us: float) -> Iterator[None]:
+        """Hand the ``search_batch`` call made inside the block its rows'
+        routes, already charged to the clock (``routing_us`` in all):
+        it plans from them at once, so its first READ leaves at
+        dispatch, and bills ``routing_us`` to the batch's meta bucket."""
+        self._routed = (routes, routing_us)
+        try:
+            yield
+        finally:
+            self._routed = None
 
     # -- request entry ----------------------------------------------------
     @staticmethod
@@ -78,18 +99,23 @@ class ServingEngine:
         and re-plans once rather than decoding retired offsets; a second
         failure propagates.
         """
+        routed, self._routed = self._routed, None
         try:
-            return self._search_batch_once(queries, k, ef_search, filter_fn)
+            return self._search_batch_once(queries, k, ef_search, filter_fn,
+                                           routed=routed)
         except StaleReadError:
             self.host.refresh_metadata()
             # The first attempt already recorded the batch's accesses.
             return self._search_batch_once(queries, k, ef_search, filter_fn,
-                                           record_access=False)
+                                           record_access=False,
+                                           routed=routed)
 
     def _search_batch_once(self, queries: np.ndarray, k: int,
                            ef_search: int | None = None,
                            filter_fn: "Callable[[int], bool] | None" = None,
-                           record_access: bool = True) -> BatchResult:
+                           record_access: bool = True,
+                           routed: tuple[list[list[int]], float] | None
+                           = None) -> BatchResult:
         host = self.host
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim not in (1, 2) or queries.shape[-1] != host.meta.dim:
@@ -101,6 +127,9 @@ class ServingEngine:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
         k = int(k)
         ef = self.resolve_ef(k, ef_search)
+        if routed is not None and len(routed[0]) != len(queries):
+            raise ValueError(f"{len(routed[0])} routes handed in for "
+                             f"{len(queries)} queries")
 
         self._request_counter += 1
         trace = TraceContext(self._request_counter, host.node.clock,
@@ -124,7 +153,14 @@ class ServingEngine:
             return loop.first_rows, lambda: loop.start(loop.first_rows)
 
         # --- meta-HNSW routing (local, cached) -------------------------
-        required = self.planner.route(queries, breakdown, trace, first_wave)
+        if routed is None:
+            required = self.planner.route(queries, breakdown, trace,
+                                          first_wave)
+        else:
+            required, routing_us = routed
+            breakdown.meta_hnsw_us += routing_us
+            first_wave(required)
+            loop.start(len(queries))
         if record_access:
             # Once per batch, before anything reads it: every routed
             # cluster's frequency, weighted by the queries probing it —

@@ -246,12 +246,12 @@ def render_report(telemetry: DeploymentTelemetry,
     (evicting a resident) or streamed through its wave.
     ``frontdoor`` optionally takes a
     :class:`repro.frontdoor.LoadReport`; when given, the report grows a
-    front-door section — waves, batch occupancy, queue-delay and in-wave
-    percentiles side by side ("was it the batching budget or the
-    wave?"), and per-tenant served / shed / degraded / latency accounting —
-    next to the pool and fault sections, so one page shows the whole
-    serving story.  Duck-typed, so ``repro.telemetry`` stays importable
-    without the front door.
+    front-door section — waves, batch occupancy, immediate serves,
+    queue-delay and in-wave percentiles side by side ("was it the
+    batching budget or the wave?"), and per-tenant served / shed /
+    degraded / latency accounting — next to the pool and fault
+    sections, so one page shows the whole serving story.  Duck-typed, so
+    ``repro.telemetry`` stays importable without the front door.
     """
     lines = [
         "=== memory pool ===",
@@ -352,7 +352,8 @@ def render_report(telemetry: DeploymentTelemetry,
             "=== front door ===",
             f"waves            : {len(frontdoor.waves)} "
             f"(occupancy mean {frontdoor.mean_occupancy:.1f}, "
-            f"max {frontdoor.max_occupancy})",
+            f"max {frontdoor.max_occupancy}); "
+            f"{len(frontdoor.immediate)} requests served at once",
             f"requests         : {frontdoor.offered} offered, "
             f"{frontdoor.served} served ({frontdoor.degraded} degraded), "
             f"{frontdoor.shed_admission} shed@admission, "

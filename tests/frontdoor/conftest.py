@@ -11,7 +11,9 @@ import itertools
 
 import pytest
 
+from repro.cluster import Deployment
 from repro.frontdoor import FrontDoor, FrontDoorConfig
+from repro.rdma import CostModel
 
 _names = itertools.count()
 
@@ -33,3 +35,13 @@ def make_door(built_deployment):
         return FrontDoor(client, config, tenants)
 
     return _make
+
+
+@pytest.fixture(scope="session")
+def roomy_deployment(small_dataset, small_config):
+    """The tiny corpus with a cache of 6 of its 12 clusters: every query
+    probes 3, so a warm cache holds a few queries' clusters whole and
+    their requests are served at once."""
+    return Deployment(small_dataset.vectors,
+                      small_config.replace(cache_fraction=0.5),
+                      cost_model=CostModel())

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.config import FrontDoorConfig
@@ -44,10 +45,20 @@ class TestTriggers:
         report = run([])
         assert report.waves == () and report.outcomes == ()
 
-    def test_full_batch_is_ready_immediately(self, run, request_at):
-        report = run([request_at(0, 100.0), request_at(1, 100.0)],
-                     max_batch=2)
-        assert report.waves[0].formed_us == 100.0
+    def test_full_batch_is_ready_immediately(self, run, request_at,
+                                             fresh_client):
+        """A full batch forms the instant its last member is routed:
+        each arrival's meta-HNSW walk is charged at its admission."""
+        requests = [request_at(0, 100.0), request_at(1, 100.0)]
+        report = run(requests, max_batch=2)
+        walk = fresh_client.engine.planner.walk(
+            np.stack([r.query for r in requests]))
+        charge = fresh_client.node.cost_model.compute_us
+        dim = fresh_client.meta.dim
+        routed_us = 100.0
+        for evaluations in walk.evaluations:
+            routed_us += charge(evaluations, dim)
+        assert report.waves[0].formed_us == routed_us
         assert report.waves[0].request_ids == (0, 1)
 
     def test_wait_budget_trigger(self, run, request_at):

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.config import FrontDoorConfig
 from repro.errors import ConfigError
-from repro.frontdoor import (RequestStatus, TenantPolicy, make_requests,
-                             poisson_arrivals)
+from repro.frontdoor import (FrontDoor, Request, RequestStatus, TenantPolicy,
+                             make_requests, poisson_arrivals)
 from repro.telemetry import DeploymentTelemetry, render_report
 
 
@@ -147,6 +147,81 @@ class TestPerRequestCompletion:
                     o.complete_us for o in members)
                 assert members[0].in_wave_us < wave.service_us
         assert longer >= 3
+
+
+class TestImmediateServe:
+    """A request whose routed clusters are all cache-resident is served at
+    once in a batch of its own — not queued, and not a wave."""
+
+    @pytest.fixture()
+    def warm_door(self, roomy_deployment, small_dataset):
+        """Factory: a door whose cache holds the first query's clusters."""
+        def make(config: FrontDoorConfig):
+            client = roomy_deployment.make_client(
+                roomy_deployment.client().scheme, name="warm")
+            client.search_batch(small_dataset.queries[:1], 5, ef_search=24)
+            return FrontDoor(client, config)
+        return make
+
+    def request(self, small_dataset, request_id: int, row: int,
+                arrival_us: float, slo_us: float = 50_000.0) -> Request:
+        return Request(request_id=request_id, tenant="t",
+                       query=small_dataset.queries[row], k=5,
+                       arrival_us=arrival_us, slo_us=slo_us, ef_search=24)
+
+    def test_resident_requests_skip_the_queue(self, warm_door,
+                                              small_dataset):
+        door = warm_door(FrontDoorConfig(max_wait_us=2000.0, max_batch=8))
+        batches = capture_batches(door)
+        requests = [self.request(small_dataset, i, 0, 1000.0 + 100.0 * i)
+                    for i in range(4)]
+        report = door.run(requests)
+        client = door.client
+        (evaluations,) = client.engine.planner.walk(
+            small_dataset.queries[:1]).evaluations
+        routing_us = client.node.cost_model.compute_us(evaluations,
+                                                       client.meta.dim)
+        assert report.waves == ()
+        assert [s.request_id for s in report.immediate] == [0, 1, 2, 3]
+        assert report.immediate_share == 1.0
+        assert [b.batch_size for b in batches] == [1, 1, 1, 1]
+        assert all(b.clusters_fetched == 0 for b in batches)
+        for outcome, serve in zip(report.outcomes, report.immediate):
+            # Served the instant its routing was charged: no queueing.
+            assert outcome.wave_id == -1
+            assert outcome.dispatch_us == serve.served_us
+            assert outcome.queue_delay_us == pytest.approx(routing_us)
+            assert (outcome.dispatch_us < outcome.complete_us
+                    <= serve.served_us + serve.service_us + 1e-9)
+        direct = door.client.search_batch(
+            np.stack([r.query for r in requests]), 5, ef_search=24)
+        for outcome, result in zip(report.outcomes, direct.results):
+            assert np.array_equal(outcome.ids, result.ids)
+            assert np.array_equal(outcome.distances, result.distances)
+
+    def test_a_due_wave_goes_first(self, warm_door, small_dataset):
+        # Two cold requests fill a wave; the resident one that arrived
+        # with them waits for that wave, then is served at once.
+        door = warm_door(FrontDoorConfig(max_wait_us=2000.0, max_batch=2))
+        report = door.run([self.request(small_dataset, 0, 0, 1000.0),
+                           self.request(small_dataset, 1, 4, 1000.0),
+                           self.request(small_dataset, 2, 6, 1000.0)])
+        (wave,) = report.waves
+        assert wave.request_ids == (1, 2)
+        (serve,) = report.immediate
+        assert serve.request_id == 0
+        assert serve.served_us == wave.formed_us + wave.service_us
+
+    def test_a_late_request_is_left_to_the_wave(self, warm_door,
+                                               small_dataset):
+        # Past its deadline once routed: queued, and the wave sheds it.
+        door = warm_door(FrontDoorConfig(max_wait_us=2000.0, max_batch=8))
+        report = door.run([self.request(small_dataset, 0, 0, 1000.0,
+                                        slo_us=0.1)])
+        assert report.immediate == ()
+        (wave,) = report.waves
+        assert wave.shed_ids == (0,)
+        assert report.outcomes[0].status is RequestStatus.SHED_DEADLINE
 
 
 class TestAdmissionPath:

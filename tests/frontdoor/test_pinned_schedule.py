@@ -24,9 +24,9 @@ TENANTS = {"limited": TenantPolicy(rate_qps=2000.0),
            "light": TenantPolicy(weight=1.0)}
 
 SCHEDULE_SHA256 = (
-    "407451b3ae4145f6e27ae7fe51165af792a8f637864713bae818c454fba1dce5")
+    "b0c9476a7836db850cb5f6a725be0df17b650c5ce0be2bb9b1170139e8bd642a")
 OUTCOMES_SHA256 = (
-    "eca3810852c9a34462495a12fef0802236122f9f2ff950c949783a211f2baee5")
+    "7c9d798aae93c6306a569e0b89e22d9263a567aa898f46808ee3a7c18795a4af")
 
 
 def pinned_requests(queries: np.ndarray) -> list:

@@ -151,6 +151,26 @@ class TestAgainstReference:
         assert spy.columns > 0
         assert spy.calls["block"] > 0 and spy.calls["sweep"] > 0
 
+    def test_appends_with_base_rows_prune_only_on_blocks(self):
+        """A rebuild's appends give the base nodes pair rows
+        (``pair_existing``): every overfull list prunes from a block,
+        none on columns, into the textbook loops' blob and count."""
+        params = HnswParams(m=4, ef_construction=48, seed=4)
+        base = HnswIndex(DIM, params)
+        base.add(vectors(120, 2))
+        blob = serialize_cluster(base, 0)
+        rows = vectors(30, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            spy = Spy(patch)
+            index = deserialize_cluster(blob, params)[0]
+            index.add(rows, pair_existing=True)
+        index.graph.check_invariants()
+        paired = serialize_cluster(index, 0), index.kernel.num_evaluations
+        reference, _ = spied(lambda: deserialize_cluster(blob, params)[0],
+                             rows, "reference", None)
+        assert paired == reference
+        assert spy.columns == 0 and spy.calls["block"] > 0
+
 
 class TestSweep:
     """``_sweep_layer_table`` is the beam whenever the beam cannot fill."""
