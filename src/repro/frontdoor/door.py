@@ -345,12 +345,16 @@ class FrontDoor:
         """Serve a pre-generated (open-loop) arrival sequence to completion.
 
         ``requests`` must be sorted by ``arrival_us`` (load generators
-        produce them that way); ties are served in sequence order.  The
-        loop admits and routes what has arrived, dispatches a due wave,
-        else serves a held all-resident request, else advances the clock
-        to the next arrival or due time — until all run dry.  Arrivals
-        are fixed in advance: queue delay under load comes out of the
-        simulation, not out of the generator.
+        produce them that way); ties are served in sequence order.  Each
+        turn of the loop admits and routes the requests that have landed,
+        serves the all-resident ones at once (a due wave first),
+        dispatches a due wave, else advances the clock to the next arrival
+        or due time — until all run dry.  A pass of admissions ends early
+        when the wave timer runs out, and routes for ``max_wait_us`` at
+        most: each routing charge moves the clock, and arrivals faster
+        than routing must not hold a due wave back.
+        Arrivals are fixed in advance: queue delay under load comes out of
+        the simulation, not out of the generator.
         """
         for earlier, later in zip(requests, requests[1:]):
             if later.arrival_us < earlier.arrival_us:
@@ -360,51 +364,40 @@ class FrontDoor:
         waves: list[WaveRecord] = []
         immediate: list[ImmediateServe] = []
         self._walks = []
-        # Routed requests waiting for an immediate serve, in admission
-        # order.
-        held: list[Request] = []
         arrived = 0
         while True:
+            # One admission pass over the requests that had landed when it
+            # began, so DRR and EDF see the backlog a wave leaves behind.
+            # It stops once the wave timer runs out while it routes, and
+            # after routing for the batching budget at most.
             now = self.clock.now_us
-            admitted = False
+            limit = now + self.config.max_wait_us
+            held: list[Request] = []
             while (arrived < len(requests)
                    and requests[arrived].arrival_us <= now):
-                request = requests[arrived]
                 arrived += 1
-                bucket = self.buckets.get(request.tenant)
-                if bucket is not None and not bucket.admit(
-                        request.arrival_us):
-                    # Shed at the door: completes on the spot.
-                    outcomes[request.request_id] = RequestOutcome(
-                        request=request, status=RequestStatus.SHED_ADMISSION,
-                        dispatch_us=float("nan"),
-                        complete_us=request.arrival_us, wave_id=-1,
-                        ef_used=0)
-                    continue
-                self._route(requests, arrived - 1)
-                admitted = True
-                if self._immediate(request):
+                request = self._admit(requests, arrived - 1, outcomes)
+                if request is not None:
                     held.append(request)
-                else:
-                    self.queues.push(request)
-            if admitted:
-                # Routing moved the clock: admit what arrived meanwhile.
-                continue
-            due = self._due_us()
-            if due is not None and due <= now:
-                self._dispatch(self._form_wave(), now, waves, outcomes)
-                # The held requests waited out one wave; they wait no
-                # more, served at once if still all resident, else queued.
+                timer = self._timer_us()
+                if self.clock.now_us >= limit or (
+                        timer is not None
+                        and now < timer <= self.clock.now_us):
+                    break
+            if held:
+                # A due wave goes first.  The held requests wait out that
+                # one wave, no more: each is served at once if still all
+                # resident, else queued.
+                self._dispatch_due(waves, outcomes)
                 for request in held:
                     self._serve_or_queue(request, immediate, outcomes)
-                held.clear()
-                continue
-            if held:
-                self._serve_or_queue(held.pop(0), immediate, outcomes)
+            if self._dispatch_due(waves, outcomes):
                 continue
             upcoming = (requests[arrived].arrival_us
                         if arrived < len(requests) else None)
-            targets = [t for t in (upcoming, due) if t is not None]
+            if upcoming is not None and upcoming <= self.clock.now_us:
+                continue
+            targets = [t for t in (upcoming, self._due_us()) if t is not None]
             if not targets:
                 break
             self.clock.advance_to(min(targets))
@@ -416,6 +409,26 @@ class FrontDoor:
                           immediate=tuple(immediate))
 
     # -- routing at admission ----------------------------------------------
+    def _admit(self, requests: Sequence[Request], position: int,
+               outcomes: dict[int, RequestOutcome]) -> Request | None:
+        """Admit and route ``requests[position]``: shed at its tenant's
+        bucket, else queued — or returned, held for an immediate serve,
+        when every cluster it probes is resident (:meth:`_immediate`)."""
+        request = requests[position]
+        bucket = self.buckets.get(request.tenant)
+        if bucket is not None and not bucket.admit(request.arrival_us):
+            # Shed at the door: completes on the spot.
+            outcomes[request.request_id] = RequestOutcome(
+                request=request, status=RequestStatus.SHED_ADMISSION,
+                dispatch_us=float("nan"), complete_us=request.arrival_us,
+                wave_id=-1, ef_used=0)
+            return None
+        self._route(requests, position)
+        if self._immediate(request):
+            return request
+        self.queues.push(request)
+        return None
+
     def _route(self, requests: Sequence[Request], position: int) -> None:
         """Charge ``requests[position]``'s meta-HNSW walk to the clock
         now, through the engine's ``planner.route``, and keep its routes
@@ -483,11 +496,26 @@ class FrontDoor:
         ``due <= now`` against it — never ``now - oldest >= max_wait_us``,
         which can round below the budget at the boundary and spin.
         """
-        if not self.queues.pending:
-            return None
         if self.queues.pending >= self.config.max_batch:
             return -math.inf
+        return self._timer_us()
+
+    def _timer_us(self) -> float | None:
+        """When the oldest waiting request has waited ``max_wait_us``;
+        ``None`` when nothing waits."""
+        if not self.queues.pending:
+            return None
         return self.queues.oldest_arrival_us() + self.config.max_wait_us
+
+    def _dispatch_due(self, waves: list[WaveRecord],
+                      outcomes: dict[int, RequestOutcome]) -> bool:
+        """Form and dispatch the pending wave if it is due now."""
+        now = self.clock.now_us
+        due = self._due_us()
+        if due is None or due > now:
+            return False
+        self._dispatch(self._form_wave(), now, waves, outcomes)
+        return True
 
     # -- wave formation ----------------------------------------------------
     def _form_wave(self) -> list[Request]:

@@ -21,16 +21,15 @@ pieces:
   candidate.  A batch of inserts (:meth:`HnswIndex.add`) keeps the rows
   ``insert`` computes anyway in a :class:`PairTable`, and the column is a
   gather from it — a pair's distance is evaluated once per build, not
-  once per accepted neighbour per insert.  Without a row (a lone
-  ``add_one``, a graph past ``TABLE_NODES_MAX``, a node that predates the
-  batch) the column is an einsum over the gathered candidate matrix.
+  once per accepted neighbour per insert.  Without a table (a lone
+  ``add_one``, a graph past ``TABLE_NODES_MAX``) the column is an einsum
+  over the gathered candidate matrix.
 * **The per-level block.**  At each level an insert adds all its reverse
   edges first, then prunes every list that went over its bound.  The
-  prunes are independent — each rewrites only its own list — so the
-  lists whose members all have pair rows gather their ``D[c, c']``
-  blocks in one fancy index, and Algorithm 4 runs per list as an
-  integer-bitmask loop (:func:`_prune_block`).  A list naming a node
-  without a row prunes on columns.
+  prunes are independent — each rewrites only its own list — so under a
+  pair table the lists gather their ``D[c, c']`` blocks in one fancy
+  index, and Algorithm 4 runs per list as an integer-bitmask loop
+  (:func:`_prune_block`).  Without a table each list prunes on columns.
 * **The reach sweep.**  While a graph holds no more than
   ``ef_construction`` nodes the construction beam can never fill, so it
   visits exactly the nodes reachable from its seeds;
@@ -74,42 +73,37 @@ class PairTable:
     the same float32 last-axis einsum), and mirrored into the earlier new
     nodes' rows it completes them (float negation is exact).  So a row
     costs nothing to keep and covers every node inserted so far.  Nodes
-    that predate the batch get a row only when the batch asks for one
-    (``kernel`` in :meth:`for_batch`): each node's uncounted ``l2_table``
-    row against the nodes before it, the row ``insert`` would have kept
-    for it, mirrored as :meth:`append` does (half the pairs).  A
-    rebuild's appends onto a deserialized graph ask: every list they
-    overfill names base nodes, and with rows for those all of them prune
-    on one gathered block (:func:`_prune_block`) instead of einsum
-    columns — about half the wall time of a rebuild's appends, for the
-    same graph.  Reads are uncounted like ``l2_table``; callers credit
+    that predate the batch — a deserialized graph being appended to, as
+    a rebuild does — get their rows up front (:meth:`for_batch`): each
+    node's uncounted ``l2_table`` row against the nodes before it, the
+    row ``insert`` would have kept for it, mirrored as :meth:`append`
+    does (half the pairs).  So every node has a row and every overfull
+    list prunes on one gathered block (:func:`_prune_block`) — for a
+    rebuild's appends, whose overfull lists name base nodes, about half
+    the wall time of pruning them on einsum columns, for the same graph.
+    Reads are uncounted like ``l2_table``; callers credit
     ``kernel.num_evaluations`` as the textbook loop would.
 
     Owned by the batch (:meth:`HnswIndex.add`), never by the index: at
     most ``TABLE_NODES_MAX² × 4 B`` = 16 MiB, gone when the batch returns.
     """
 
-    def __init__(self, first: int, capacity: int) -> None:
-        #: Rows are kept for node ids ``first <= id < capacity``.
-        self._first = first
+    def __init__(self, capacity: int) -> None:
+        #: Rows are kept for node ids ``0 <= id < capacity``.
         self.capacity = capacity
-        self._rows = np.zeros((capacity - first, capacity),
-                              dtype=np.float32)
+        self._rows = np.zeros((capacity, capacity), dtype=np.float32)
 
     @classmethod
-    def for_batch(cls, graph: LayeredGraph, batch: int,
-                  kernel: DistanceKernel | None = None
-                  ) -> "PairTable | None":
+    def for_batch(cls, graph: LayeredGraph, kernel: DistanceKernel,
+                  batch: int) -> "PairTable | None":
         """A table for ``batch`` inserts into ``graph``, capped at
-        ``TABLE_NODES_MAX`` nodes; None for a graph already at the cap.
-        With ``kernel``, the graph's nodes get their rows up front too."""
+        ``TABLE_NODES_MAX`` nodes, with the graph's nodes' rows already
+        in it; None for a graph already at the cap."""
         existing = len(graph)
         capacity = min(existing + batch, TABLE_NODES_MAX)
         if capacity <= existing:
             return None
-        if kernel is None:
-            return cls(existing, capacity)
-        table = cls(0, capacity)
+        table = cls(capacity)
         vectors = graph.vectors
         for node in range(existing):
             table.append(node, kernel.l2_table(vectors[node],
@@ -117,29 +111,19 @@ class PairTable:
         return table
 
     def append(self, node: int, row: np.ndarray) -> None:
-        """Record new node ``node``'s distances to nodes ``0..node-1``."""
-        own = node - self._first
-        self._rows[own, :node] = row
-        self._rows[:own, node] = row[self._first:]
+        """Record node ``node``'s distances to nodes ``0..node-1``."""
+        self._rows[node, :node] = row
+        self._rows[:node, node] = row
 
     def column(self, node: int,
-               others: "np.ndarray | list[int]") -> np.ndarray | None:
-        """``node``'s distance to each node id in ``others``, or None for
-        a node that predates the batch."""
-        if node < self._first:
-            return None
-        return self._rows[node - self._first, others]
-
-    def covers(self, nodes: list[int]) -> bool:
-        """Whether every node of ``nodes`` has a row."""
-        return min(nodes) >= self._first
+               others: "np.ndarray | list[int]") -> np.ndarray:
+        """``node``'s distance to each node id in ``others``."""
+        return self._rows[node, others]
 
     def block(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """``D[r, c]`` for every ``r`` of ``rows`` and ``c`` of
-        ``columns``, broadcast together; every ``r`` must have a row
-        (:meth:`covers`)."""
-        return self._rows.reshape(-1).take(
-            (rows - self._first) * self.capacity + columns)
+        ``columns``, broadcast together."""
+        return self._rows.reshape(-1).take(rows * self.capacity + columns)
 
 
 def sample_level(rng: random.Random, params: HnswParams) -> int:
@@ -218,9 +202,9 @@ def _select_vectorized(
         evaluations += (free - cursor + 1) * len(selected)
         cursor = free + 1
         selected.append(nodes[free])
-        column = (pairs.column(nodes[free], node_index)
-                  if pairs is not None else None)
-        if column is None:
+        if pairs is not None:
+            column = pairs.column(nodes[free], node_index)
+        else:
             if cand_vectors is None:
                 cand_vectors = graph.vectors[node_index]
             diff = cand_vectors - cand_vectors[free]
@@ -240,10 +224,11 @@ def _prune(graph: LayeredGraph, kernel: DistanceKernel, owners: list[int],
            level: int, bound: int, pairs: PairTable | None) -> None:
     """Shrink every list of ``owners`` at ``level`` that is over ``bound``.
 
-    Lists whose members all have pair rows are pruned together from one
-    gathered block (:func:`_prune_block`, grouped by length so each group
-    is one rectangular gather); the rest on columns.  Each prune rewrites
-    only its own list, so the order they run in changes nothing.
+    Under a pair table they are pruned together from gathered blocks
+    (:func:`_prune_block`, grouped by length so each group is one
+    rectangular gather); without one, each on columns
+    (:func:`_prune_columns`).  Each prune rewrites only its own list, so
+    the order they run in changes nothing.
     """
     adjacency = graph.adjacency
     blocks: dict[int, list[int]] = {}
@@ -251,18 +236,21 @@ def _prune(graph: LayeredGraph, kernel: DistanceKernel, owners: list[int],
         listed = adjacency[owner][level]
         if len(listed) <= bound:
             continue
-        if pairs is not None and pairs.covers(listed):
+        if pairs is not None:
             blocks.setdefault(len(listed), []).append(owner)
-            continue
-        dists = pairs.column(owner, listed) if pairs is not None else None
-        if dists is None:
-            dists = kernel.many(graph.vector(owner), graph.vectors[listed])
         else:
-            kernel.num_evaluations += len(listed)
-        graph.set_neighbors(owner, level, select_neighbors_heuristic(
-            graph, kernel, list(zip(dists.tolist(), listed)), bound, pairs))
+            _prune_columns(graph, kernel, owner, level, bound)
     for group in blocks.values():
         _prune_block(graph, kernel, group, level, bound, pairs)
+
+
+def _prune_columns(graph: LayeredGraph, kernel: DistanceKernel, owner: int,
+                   level: int, bound: int) -> None:
+    """Algorithm 4 over ``owner``'s list, on einsum columns."""
+    listed = graph.adjacency[owner][level]
+    dists = kernel.many(graph.vector(owner), graph.vectors[listed])
+    graph.set_neighbors(owner, level, select_neighbors_heuristic(
+        graph, kernel, list(zip(dists.tolist(), listed)), bound))
 
 
 def _prune_block(graph: LayeredGraph, kernel: DistanceKernel,

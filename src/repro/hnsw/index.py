@@ -75,8 +75,7 @@ class HnswIndex:
 
     def add(self, vectors: np.ndarray,
             labels: Sequence[int] | None = None,
-            forced_levels: Sequence[int] | None = None,
-            pair_existing: bool = False) -> list[int]:
+            forced_levels: Sequence[int] | None = None) -> list[int]:
         """Insert a batch of vectors (rows); returns internal node ids.
 
         ``forced_levels[i]`` overrides level sampling for row ``i``.  The
@@ -84,9 +83,6 @@ class HnswIndex:
         because only the batch knows how far the graph will grow; it is
         dropped once the graph outgrows it and when the batch ends, so a
         batch builds the same graph as :meth:`add_one` row by row, faster.
-        ``pair_existing`` gives the nodes already in the graph table rows
-        too, at half a ``len(self)``-squared distance table: worth it when
-        the batch prunes many of their lists (a rebuild's appends).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         NonFiniteVectorError.check(vectors, "vector")
@@ -98,9 +94,8 @@ class HnswIndex:
             raise ValueError(
                 f"got {vectors.shape[0]} vectors but {len(forced_levels)} "
                 f"forced levels")
-        pairs = PairTable.for_batch(
-            self.graph, vectors.shape[0],
-            self.kernel if pair_existing else None)
+        pairs = PairTable.for_batch(self.graph, self.kernel,
+                                    vectors.shape[0])
         ids = []
         for row_index, vector in enumerate(vectors):
             if pairs is not None and len(self.graph) == pairs.capacity:

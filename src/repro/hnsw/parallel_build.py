@@ -89,9 +89,7 @@ def rebuild_cluster_blob(task: ClusterRebuildTask) -> bytes:
                  if label in latest)
     live = [record for record in latest.values() if record is not None]
     if live:
-        # One batch, so every insert shares its pair table, and the base
-        # nodes get rows in it: the lists the appends overfill name them.
+        # One batch, so every insert shares its pair table.
         index.add(np.stack([record.vector for record in live]),
-                  labels=[record.global_id for record in live],
-                  pair_existing=True)
+                  labels=[record.global_id for record in live])
     return serialize_cluster(index, task.cluster_id)

@@ -340,7 +340,8 @@ class TestPairTableLifetime:
     def test_peak_is_the_table_and_the_table_is_bounded(self, monkeypatch):
         params = HnswParams(m=4, ef_construction=12, seed=1)
         # At the real bound the table is 16 MiB whatever the batch asks.
-        biggest = PairTable.for_batch(HnswIndex(32, params).graph, 10 ** 6)
+        empty = HnswIndex(32, params)
+        biggest = PairTable.for_batch(empty.graph, empty.kernel, 10 ** 6)
         assert biggest._rows.nbytes == 16 << 20
         del biggest
         # Traced at a quarter of the bound: tracing the two million row

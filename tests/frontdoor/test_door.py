@@ -212,6 +212,24 @@ class TestImmediateServe:
         assert serve.request_id == 0
         assert serve.served_us == wave.formed_us + wave.service_us
 
+    def test_held_requests_wait_out_one_wave_only(self, warm_door,
+                                                  small_dataset):
+        # Four cold requests make two full waves, both due once the pass
+        # ends; the two resident ones that arrived with them wait for the
+        # first wave only, and are served back to back before the second.
+        door = warm_door(FrontDoorConfig(max_wait_us=2000.0, max_batch=2))
+        rows = [0, 0, 4, 6, 4, 6]
+        report = door.run([self.request(small_dataset, i, row, 1000.0)
+                           for i, row in enumerate(rows)])
+        first, second = report.waves
+        assert first.request_ids == (2, 3)
+        assert second.request_ids == (4, 5)
+        held = report.immediate
+        assert [s.request_id for s in held] == [0, 1]
+        assert held[0].served_us == first.formed_us + first.service_us
+        assert held[1].served_us == held[0].served_us + held[0].service_us
+        assert second.formed_us == held[1].served_us + held[1].service_us
+
     def test_a_late_request_is_left_to_the_wave(self, warm_door,
                                                small_dataset):
         # Past its deadline once routed: queued, and the wave sheds it.
@@ -244,6 +262,39 @@ class TestAdmissionPath:
             assert outcome.queue_delay_us == 0.0
             assert outcome.wave_id == -1
             assert outcome.ids is None
+
+
+class TestRoutingOverload:
+    def test_arrivals_faster_than_routing_do_not_hold_a_wave_back(
+            self, make_door, small_dataset):
+        """Each admission charges a routing walk; arrivals three to a
+        walk keep the door admitting, yet the first wave forms within one
+        walk of its timer, while requests still arrive, and every later
+        one within the batching budget (and one walk) of the door
+        finishing the wave and serves before it."""
+        door = make_door(FrontDoorConfig(max_wait_us=20.0, max_batch=1000))
+        client = door.client
+        queries = small_dataset.queries
+        walk = client.engine.planner.walk(queries)
+        charges = [client.node.cost_model.compute_us(evaluations,
+                                                     client.meta.dim)
+                   for evaluations in walk.evaluations]
+        gap_us = min(charges) / 3.0
+        requests = [Request(request_id=i, tenant="t",
+                            query=queries[i % len(queries)], k=5,
+                            arrival_us=gap_us * i, slo_us=1e9)
+                    for i in range(600)]
+        report = door.run(requests)
+        assert report.served == 600
+        first = report.waves[0]
+        assert 20.0 <= first.formed_us <= 20.0 + max(charges)
+        assert first.formed_us < requests[-1].arrival_us
+        assert len(report.waves) >= 2
+        for before, wave in zip(report.waves, report.waves[1:]):
+            free_us = before.formed_us + before.service_us + sum(
+                serve.service_us for serve in report.immediate
+                if before.formed_us <= serve.served_us < wave.formed_us)
+            assert wave.formed_us <= free_us + 20.0 + max(charges)
 
 
 class TestSloPath:

@@ -24,9 +24,9 @@ TENANTS = {"limited": TenantPolicy(rate_qps=2000.0),
            "light": TenantPolicy(weight=1.0)}
 
 SCHEDULE_SHA256 = (
-    "b0c9476a7836db850cb5f6a725be0df17b650c5ce0be2bb9b1170139e8bd642a")
+    "c46db6a762141feada7786a14bf24f565db8d4f2b15338c347d2b3a5b4b0f82d")
 OUTCOMES_SHA256 = (
-    "7c9d798aae93c6306a569e0b89e22d9263a567aa898f46808ee3a7c18795a4af")
+    "e22c2b6055a20dac8aace139f1845766c3e79d9857724d1465de594919681e2e")
 
 
 def pinned_requests(queries: np.ndarray) -> list:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import repro.hnsw.build as build_module
 from repro.core.meta_index import MetaHnsw
-from repro.hnsw.build import PairTable
 from repro.hnsw.distance import DistanceKernel
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.index import HnswIndex
@@ -35,21 +34,18 @@ class Spy:
     """Counts the calls each construction path received."""
 
     def __init__(self, patch: pytest.MonkeyPatch) -> None:
-        self.calls = {"block": 0, "sweep": 0, "beam": 0}
-        self.columns = 0  # overfull lists pruned on columns
+        # ``columns``: overfull lists pruned on columns.
+        self.calls = {"block": 0, "sweep": 0, "beam": 0, "columns": 0}
         for name, key in (("_prune_block", "block"),
+                          ("_prune_columns", "columns"),
                           ("_sweep_layer_table", "sweep"),
                           ("search_layer_table", "beam")):
             patch.setattr(build_module, name,
                           self._counted(getattr(build_module, name), key))
-        covers = PairTable.covers
 
-        def counted_covers(table, nodes):
-            covered = covers(table, nodes)
-            self.columns += not covered
-            return covered
-
-        patch.setattr(PairTable, "covers", counted_covers)
+    @property
+    def columns(self) -> int:
+        return self.calls["columns"]
 
     def _counted(self, function, key):
         def counted(*args, **kwargs):
@@ -140,36 +136,26 @@ class TestAgainstReference:
         assert spy.calls["block"] > 0 and spy.calls["sweep"] > 0
 
     def test_appends_onto_a_deserialized_graph(self):
-        """Base nodes have no pair row: their lists prune on columns, the
-        lists of appended nodes among themselves from blocks."""
+        """Base nodes get pair rows up front: every overfull list the
+        appends make, base nodes' lists included, prunes from a block,
+        none on columns, into the textbook loops' blob and count."""
         params = HnswParams(m=4, ef_construction=48, seed=4)
         base = HnswIndex(DIM, params)
         base.add(vectors(30, 2))
         blob = serialize_cluster(base, 0)
         spy = assert_matches_reference(
             lambda: deserialize_cluster(blob, params)[0], vectors(150, 3))
-        assert spy.columns > 0
+        assert spy.columns == 0
         assert spy.calls["block"] > 0 and spy.calls["sweep"] > 0
 
-    def test_appends_with_base_rows_prune_only_on_blocks(self):
-        """A rebuild's appends give the base nodes pair rows
-        (``pair_existing``): every overfull list prunes from a block,
-        none on columns, into the textbook loops' blob and count."""
+    def test_without_a_table_lists_prune_on_columns(self, monkeypatch):
+        """Past ``TABLE_NODES_MAX`` there is no table: overfull lists
+        prune on columns, into the textbook loops' blob and count."""
+        monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 0)
         params = HnswParams(m=4, ef_construction=48, seed=4)
-        base = HnswIndex(DIM, params)
-        base.add(vectors(120, 2))
-        blob = serialize_cluster(base, 0)
-        rows = vectors(30, 3)
-        with pytest.MonkeyPatch.context() as patch:
-            spy = Spy(patch)
-            index = deserialize_cluster(blob, params)[0]
-            index.add(rows, pair_existing=True)
-        index.graph.check_invariants()
-        paired = serialize_cluster(index, 0), index.kernel.num_evaluations
-        reference, _ = spied(lambda: deserialize_cluster(blob, params)[0],
-                             rows, "reference", None)
-        assert paired == reference
-        assert spy.columns == 0 and spy.calls["block"] > 0
+        spy = assert_matches_reference(lambda: HnswIndex(DIM, params),
+                                       vectors(120, 2))
+        assert spy.columns > 0 and spy.calls["block"] == 0
 
 
 class TestSweep:

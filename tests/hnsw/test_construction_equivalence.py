@@ -89,8 +89,9 @@ class TestThreeWayEquivalence:
                            vectors(300, 1), table_reads)
 
     def test_appends_onto_a_deserialized_graph(self, table_reads):
-        """The incremental rebuild: base nodes have no table row, the
-        appended ones do, and one select mixes both kinds of column."""
+        """The incremental rebuild: the base nodes' table rows are
+        computed up front, the appended ones' as they are inserted, and
+        one select reads both kinds of row."""
         params = HnswParams(m=8, ef_construction=48, seed=4)
         base = HnswIndex(DIM, params)
         base.add(vectors(200, 2))
@@ -148,36 +149,35 @@ class TestThreeWayEquivalence:
 class TestPairTable:
     def test_columns_are_the_kernel_distances(self):
         """Every stored pair, read in either direction, is bit for bit
-        what ``kernel.many`` computes for it."""
+        what ``kernel.many`` computes for it — the rows of nodes that
+        predate the batch as well as the appended ones."""
         rows = vectors(40, 7)
         graph = HnswIndex(DIM, HnswParams(m=4, seed=1)).graph
         kernel = DistanceKernel(DIM)
         for vector in rows[:15]:
             graph.add_node(vector, 0)
-        pairs = PairTable.for_batch(graph, 25)
+        pairs = PairTable.for_batch(graph, kernel, 25)
         assert pairs.capacity == 40
         for vector in rows[15:]:
             row = kernel.l2_table(vector, graph.vectors)
             pairs.append(graph.add_node(vector, 0), row)
         everyone = np.arange(40)
         for node in range(40):
-            column = pairs.column(node, everyone)
-            if node < 15:
-                assert column is None  # predates the batch
-            else:
-                assert np.array_equal(
-                    column, kernel.many(rows[node], rows))
+            assert np.array_equal(pairs.column(node, everyone),
+                                  kernel.many(rows[node], rows))
 
     def test_not_built_without_distance_tables(self, monkeypatch):
-        graph = HnswIndex(DIM, HnswParams(m=4)).graph
-        assert PairTable.for_batch(graph, 8).capacity == 8
+        index = HnswIndex(DIM, HnswParams(m=4))
+        assert PairTable.for_batch(index.graph, index.kernel,
+                                   8).capacity == 8
         monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 0)
-        assert PairTable.for_batch(graph, 8) is None
+        assert PairTable.for_batch(index.graph, index.kernel, 8) is None
 
     def test_bounded_by_table_nodes_max(self, monkeypatch):
         monkeypatch.setattr(build_module, "TABLE_NODES_MAX", 32)
-        graph = HnswIndex(DIM, HnswParams(m=4)).graph
-        assert PairTable.for_batch(graph, 500).capacity == 32
+        index = HnswIndex(DIM, HnswParams(m=4))
+        graph, kernel = index.graph, index.kernel
+        assert PairTable.for_batch(graph, kernel, 500).capacity == 32
         for vector in vectors(32, 8):
             graph.add_node(vector, 0)
-        assert PairTable.for_batch(graph, 500) is None
+        assert PairTable.for_batch(graph, kernel, 500) is None
