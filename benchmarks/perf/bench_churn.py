@@ -353,7 +353,7 @@ def run_inflight_phase(corpus, queries, config, scale):
                                   ef_search=48).latency_per_query_us
               for batch in batches]
 
-    rebuild = ShadowRebuild(writer, group_id)
+    rebuild = ShadowRebuild(writer.ctx, group_id)
     inflight = []
     steps = []
     rotation = 0

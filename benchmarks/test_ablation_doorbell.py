@@ -38,7 +38,7 @@ def test_ablation_doorbell_limit(sift_world, benchmark):
         model = dataclasses.replace(world.cost_model, doorbell_limit=limit)
         qp = QueuePair(layout.memory_node, SimClock(), model)
         qp.connect()
-        qp.post_read_batch(descriptors)
+        qp.read_batch(descriptors)
         results.append((limit, qp.stats.round_trips,
                         qp.stats.network_time_us))
 
@@ -61,6 +61,6 @@ def test_ablation_doorbell_limit(sift_world, benchmark):
     model = world.cost_model
     qp = QueuePair(layout.memory_node, SimClock(), model)
     qp.connect()
-    benchmark.pedantic(lambda: qp.post_read_batch(descriptors),
+    benchmark.pedantic(lambda: qp.read_batch(descriptors),
                        rounds=1, iterations=1)
     benchmark.extra_info["times_us"] = dict(zip(LIMITS, times))

@@ -50,18 +50,18 @@ def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
     contiguous_qp = QueuePair(layout.memory_node, SimClock(),
                               world.cost_model)
     contiguous_qp.connect()
-    contiguous_qp.post_read(layout.rkey, layout.addr(offset), length)
+    contiguous_qp.read(layout.rkey, layout.addr(offset), length)
     contiguous = contiguous_qp.stats
 
     # Fragmented: blob READ + one READ per scattered record.
     fragmented_qp = QueuePair(layout.memory_node, SimClock(),
                               world.cost_model)
     fragmented_qp.connect()
-    fragmented_qp.post_read(layout.rkey, layout.addr(entry.blob_offset),
+    fragmented_qp.read(layout.rkey, layout.addr(entry.blob_offset),
                             entry.blob_length)
     group = metadata.groups[entry.group_id]
     for slot in range(NUM_INSERTS):
-        fragmented_qp.post_read(
+        fragmented_qp.read(
             layout.rkey,
             layout.addr(group.overflow_offset + 8 + slot * record), record)
     fragmented = fragmented_qp.stats
@@ -101,7 +101,7 @@ def test_ablation_contiguous_vs_fragmented(sift_world, benchmark):
     assert live.bytes_read < contiguous.bytes_read
 
     benchmark.pedantic(
-        lambda: contiguous_qp.post_read(layout.rkey, layout.addr(offset),
+        lambda: contiguous_qp.read(layout.rkey, layout.addr(offset),
                                         length),
         rounds=1, iterations=1)
     benchmark.extra_info["round_trip_savings"] = fragmented.round_trips

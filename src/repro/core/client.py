@@ -12,7 +12,7 @@ The client is a *façade* over three lower layers:
 * :mod:`repro.transport` — every remote byte moves through
   :attr:`DHnswClient.transport` (one-sided READ / WRITE / CAS / FAA plus
   doorbell-batched and async READs).  Assign ``client.transport`` to
-  wrap the simulated-RDMA transport in decorators (fault injection,
+  wrap the compute node's queue pair in decorators (fault injection,
   retries); every stage reads it per call.
 * :mod:`repro.serving` — the batched query path is the staged pipeline
   Planner → Fetcher → Decoder → Executor → Merger composed by
@@ -21,9 +21,11 @@ The client is a *façade* over three lower layers:
   insert, CAS-coordinated shadow rebuilds, grace-period reclamation)
   composed by :attr:`DHnswClient.mutation`.
 
-Callers that need a single stage reach it through those attributes
-(``client.engine.fetcher``, ``client.mutation.rebuild_group`` …); the
-client itself exposes only the request-level API.
+Every stage is built from one :class:`~repro.core.context.ClientContext`
+(``client.ctx``), never from the client; callers that need a single stage
+reach it through ``client.engine`` / ``client.mutation`` (``client.engine.
+fetcher``, ``client.mutation.rebuild_group`` …), and the client itself
+exposes only the request-level API.
 
 The client's loading behaviour is controlled by a
 :class:`~repro.core.baselines.Scheme`, which is how the three systems of
@@ -41,6 +43,7 @@ import numpy as np
 from repro.core.baselines import Scheme, SchemePolicy, policy_for
 from repro.core.cache import ClusterCache
 from repro.core.config import DHnswConfig
+from repro.core.context import ClientContext
 from repro.core.engine import RemoteLayout
 from repro.core.meta_index import MetaHnsw
 from repro.core.results import BatchResult, QueryResult
@@ -55,7 +58,6 @@ from repro.serving.engine import ServingEngine
 from repro.transport import (
     ReplicatedTransport,
     RetryingTransport,
-    SimRdmaTransport,
     Transport,
     connect,
 )
@@ -104,12 +106,12 @@ class DHnswClient:
         # otherwise) absorbs transient errors, and the ReplicatedTransport
         # on top fails reads over / fans writes out.  All per-replica
         # transports share this client's clock, stats, and NIC channel.
-        self.transport: Transport = SimRdmaTransport(self.node.qp)
+        transport: Transport = self.node.qp
         if layout.replicas:
             stack: list[Transport] = []
             for index, replica_node in enumerate(layout.memory_nodes):
                 base: Transport = (
-                    self.transport if index == 0
+                    transport if index == 0
                     else connect(replica_node, self.node.clock,
                                  self.cost_model, self.node.stats))
                 if replica_transport_factory is not None:
@@ -117,22 +119,9 @@ class DHnswClient:
                 stack.append(RetryingTransport(
                     base, MAX_RETRIES if max_retries is None
                     else max_retries))
-            self.transport = ReplicatedTransport(stack,
-                                                 seed=self.config.seed)
+            transport = ReplicatedTransport(stack, seed=self.config.seed)
         elif max_retries is not None:
-            self.transport = RetryingTransport(self.transport, max_retries)
-
-        # The staged serving pipeline (Planner → Fetcher → Decoder →
-        # Executor → Merger); reads client state late, so decorating
-        # ``self.transport`` afterwards affects every stage.
-        self.engine = ServingEngine(self)
-
-        # The write-side sibling: slot reservation, shadow rebuilds,
-        # sealed-tail retries (see ``repro.mutation``).
-        self.mutation = MutationEngine(self)
-        # Grace-period observer registration is lazy (first
-        # ``refresh_metadata``), so an idle client pins nothing.
-        self._observer_token: int | None = None
+            transport = RetryingTransport(transport, max_retries)
 
         # Connection setup: verify the region with the memory node's
         # control daemon (two-sided RPC), when one is attached.
@@ -147,8 +136,31 @@ class DHnswClient:
                     "control daemon disagrees with the layout handle "
                     f"about region {layout.rkey}")
 
-        # Fetch the authoritative metadata block (one READ at startup).
-        self.metadata = self._read_metadata()
+        # What every stage is built from; it reads the metadata block (one
+        # READ) and resolves ``self.transport`` at each verb.
+        self.ctx = ClientContext(layout, self.meta, self.config, self.policy,
+                                 self.cost_model, self.node, self.cache,
+                                 transport)
+        # The staged serving pipeline (Planner → Fetcher → Decoder →
+        # Executor → Merger).
+        self.engine = ServingEngine(self.ctx)
+        # The write-side sibling: slot reservation, shadow rebuilds,
+        # sealed-tail retries (see ``repro.mutation``).
+        self.mutation = MutationEngine(self.ctx)
+
+    @property
+    def transport(self) -> Transport:
+        """Every stage's transport; assign a decorated one to install it."""
+        return self.ctx.transport
+
+    @transport.setter
+    def transport(self, transport: Transport) -> None:
+        self.ctx.transport = transport
+
+    @property
+    def metadata(self) -> GlobalMetadata:
+        """This client's view of the metadata block."""
+        return self.ctx.metadata
 
     @property
     def dram_used_bytes(self) -> int:
@@ -166,81 +178,15 @@ class DHnswClient:
         Safe to call on a partially constructed client and after a failed
         ``with`` body — ``__exit__`` routes here unconditionally.
         """
-        token = getattr(self, "_observer_token", None)
-        if token is not None:
-            self.layout.retired.deregister(token)
-            self._observer_token = None
+        ctx = getattr(self, "ctx", None)
+        if ctx is not None:
+            ctx.close()
 
     def __enter__(self) -> "DHnswClient":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Metadata freshness
-    # ------------------------------------------------------------------
-    def _read_metadata(self) -> GlobalMetadata:
-        blob = self.transport.read(
-            self.layout.rkey, self.layout.addr(0),
-            self.layout.metadata_nbytes)
-        return GlobalMetadata.unpack(blob)
-
-    def refresh_metadata(self) -> bool:
-        """Peek the remote version; re-read the block if it moved.
-
-        Returns True when a refresh happened.  Staleness is resolved at
-        *group* granularity: only the members of groups whose version
-        stamp advanced (plus any cluster whose entry changed) are
-        invalidated, so one group's rebuild never evicts the rest of the
-        cache.  Every refresh also reports the observed version to the
-        deployment's grace-period ledger — the pin that keeps retired
-        extents alive until every reader has moved past them.
-        """
-        head = self.transport.read(self.layout.rkey, self.layout.addr(0),
-                                   16)
-        remote_version = GlobalMetadata.peek_version(head)
-        if remote_version == self.metadata.version:
-            self.observe_version(self.metadata.version)
-            return False
-        self.adopt_metadata(self._read_metadata())
-        return True
-
-    def adopt_metadata(self, fresh: GlobalMetadata) -> None:
-        """Serve from ``fresh`` from now on.
-
-        Every cluster whose entry or group version changed is invalidated
-        *before* the version is observed: observing it may hand the old
-        extents, which those entries' zero-copy views alias, back to the
-        allocator.  A refresh and a rebuild's cutover both adopt here, so
-        a cutover whose re-read block carries a peer's rebuild of another
-        group drops that group's members too.
-        """
-        stale_groups = {
-            gid for gid, (old, new) in enumerate(zip(self.metadata.groups,
-                                                     fresh.groups))
-            if old.version != new.version}
-        for cid, (old, new) in enumerate(zip(self.metadata.clusters,
-                                             fresh.clusters)):
-            if old != new or new.group_id in stale_groups:
-                self.cache.invalidate(cid)
-        self.metadata = fresh
-        self.observe_version(fresh.version)
-
-    def observe_version(self, version: int) -> None:
-        """Report an observed metadata version to the grace-period ledger.
-
-        Registers this client lazily on first call; any extent whose grace
-        period just elapsed is returned to the allocator immediately.
-        """
-        log = self.layout.retired
-        if self._observer_token is None:
-            self._observer_token = log.register(version)
-        else:
-            log.observe(self._observer_token, version)
-        freed = log.reclaim(self.layout.allocator)
-        if freed:
-            self.mutation.stats.reclaimed_bytes += freed
 
     # ------------------------------------------------------------------
     # Replica repair (fsck-driven, scheduled by the transport on failover)

@@ -78,7 +78,7 @@ class DHnswConfig:
     pipeline_waves:
         Extension, on by default: the look-ahead of the ready-list
         loader, which keeps up to two waves' READs in flight
-        (non-blocking ``post_read_batch_async`` + ``poll_cq`` in the
+        (non-blocking ``read_batch_async`` + ``poll`` in the
         RDMA sim) while the CPU routes the rest of the batch and searches
         whatever is already in DRAM — hits, then each wave as it lands —
         and releases each row once its own clusters are searched.

@@ -42,8 +42,8 @@ from repro.rdma.clock import SimClock
 from repro.rdma.control import ControlClient, MemoryDaemon
 from repro.rdma.network import CostModel
 from repro.rdma.stats import RdmaStats
-from repro.transport.replica import ReplicatedTransport
-from repro.transport.sim import connect as connect_transport
+from repro.transport import ReplicatedTransport
+from repro.transport import connect as connect_transport
 
 __all__ = ["RemoteLayout", "BuildReport", "DHnswBuilder"]
 

@@ -128,13 +128,18 @@ class ShadowRebuild:
 
     STEPS = ("acquire", "snapshot", "build", "write", "cutover")
 
-    def __init__(self, host, group_id: int,
+    def __init__(self, ctx, group_id: int,
                  trace: TraceContext | None = None) -> None:
-        self.host = host
+        # The client's context, kept as ``host``: the spine's tracer
+        # (``benchmarks/spine/tracer.py``) reads a rebuild step's clock as
+        # ``rebuild.host.node.clock``.
+        self.host = ctx
         self.group_id = group_id
         self.trace = trace
         self.state = "acquire"
-        self.token = writer_token(host.node.name)
+        self.token = writer_token(ctx.node.name)
+        self._lock = rebuild_lock_offset(ctx.layout.metadata_nbytes,
+                                         group_id)
         self.migrated_records = 0
         self._snapshot: _Snapshot | None = None
         self._new_blobs: list[bytes] = []
@@ -167,15 +172,8 @@ class ShadowRebuild:
         return state
 
     # -- step implementations --------------------------------------------
-    def _lock_addr(self) -> int:
-        offset = rebuild_lock_offset(self.host.layout.metadata_nbytes,
-                                     self.group_id)
-        return self.host.layout.addr(offset)
-
     def _step_acquire(self) -> None:
-        host = self.host
-        prior = host.transport.cas(host.layout.rkey, self._lock_addr(),
-                                   0, self.token)
+        prior = self.host.cas(self._lock, 0, self.token)
         if prior != 0:
             # Another writer leads this group's rebuild; don't duplicate.
             self.state = "yielded"
@@ -183,16 +181,14 @@ class ShadowRebuild:
         self.state = "snapshot"
 
     def _step_snapshot(self) -> None:
-        host = self.host
-        metadata = host.metadata
+        ctx = self.host
+        metadata = ctx.metadata
         group = metadata.groups[self.group_id]
         member_ids = metadata.group_members(self.group_id)
         start, length = group_extent(metadata, self.group_id)
         with span(self.trace, "snapshot"):
-            payload = host.transport.read(host.layout.rkey,
-                                          host.layout.addr(start), length)
-            host.node.charge_time(
-                host.cost_model.deserialize_us(len(payload)))
+            payload = ctx.read(start, length)
+            ctx.node.charge_time(ctx.cost_model.deserialize_us(len(payload)))
         overflow_off = group.overflow_offset - start
         t0, sealed = decode_overflow_tail(
             unpack_overflow_tail(payload, overflow_off),
@@ -220,7 +216,7 @@ class ShadowRebuild:
         self.state = "build"
 
     def _step_build(self) -> None:
-        host = self.host
+        ctx = self.host
         snap = self._snapshot
         assert snap is not None
         tasks = []
@@ -233,13 +229,13 @@ class ShadowRebuild:
         # Members rebuild independently; tasks are pure, so any worker
         # count produces the same blobs.
         with span(self.trace, "build"):
-            with BuildPool(min(host.config.build_workers,
+            with BuildPool(min(ctx.config.build_workers,
                                len(tasks))) as pool:
                 self._new_blobs = list(pool.map(rebuild_cluster_blob, tasks))
         self.state = "write"
 
     def _step_write(self) -> None:
-        host = self.host
+        ctx = self.host
         snap = self._snapshot
         assert snap is not None
         sizes = [(cid, len(blob))
@@ -248,70 +244,56 @@ class ShadowRebuild:
         # before its base (hence the pad) is known, so it allows a full
         # 8 B; what the placement did not use goes straight back, or the
         # sliver would keep the retired neighbours from ever coalescing.
-        allocator = host.layout.allocator
+        allocator = ctx.layout.allocator
         total = (sum(nbytes for _, nbytes in sizes) + 8
-                 + overflow_area_size(host.metadata.dim,
+                 + overflow_area_size(ctx.metadata.dim,
                                       snap.capacity_records))
         base = allocator.allocate(total)
         plan = place_group(self.group_id, base, sizes[0],
                            sizes[1] if len(sizes) > 1 else None,
-                           host.metadata.dim, snap.capacity_records)
+                           ctx.metadata.dim, snap.capacity_records)
         allocator.retire(plan.end_offset, base + total - plan.end_offset)
         with span(self.trace, "write"):
             for blob, offset in zip(self._new_blobs,
                                     (plan.first_offset, plan.second_offset)):
-                host.transport.write(host.layout.rkey,
-                                     host.layout.addr(offset), blob)
+                ctx.write(offset, blob)
             # Fresh tail = 0; written explicitly so relocation onto
             # recycled space never inherits a stale (sealed) counter.
-            host.transport.write(host.layout.rkey,
-                                 host.layout.addr(plan.overflow_offset),
-                                 pack_overflow_tail(0))
+            ctx.write(plan.overflow_offset, pack_overflow_tail(0))
         self._new_plan = plan
         self.state = "cutover"
 
     def _step_cutover(self) -> None:
-        host = self.host
+        ctx = self.host
         snap, plan = self._snapshot, self._new_plan
         assert snap is not None and plan is not None
-        dim = host.metadata.dim
+        dim = ctx.metadata.dim
         with span(self.trace, "publish"):
             # 1. Seal the old tail.  The FAA's return value is the exact
             #    final raw tail — no later reservation can land below the
             #    sentinel, so T1 is pinned atomically with the seal.
-            raw_prior = host.transport.faa(
-                host.layout.rkey,
-                host.layout.addr(snap.old_overflow_offset),
-                OVERFLOW_SEALED)
+            raw_prior = ctx.faa(snap.old_overflow_offset, OVERFLOW_SEALED)
             t1, _ = decode_overflow_tail(raw_prior, snap.capacity_records)
             # 2. Migrate the late records [T0, T1) into the new overflow.
             migrated: list[OverflowRecord] = []
             if t1 > snap.t0:
-                blob = host.transport.read(
-                    host.layout.rkey,
-                    host.layout.addr(overflow_slot_offset(
-                        snap.old_overflow_offset, dim, snap.t0)),
+                blob = ctx.read(
+                    overflow_slot_offset(snap.old_overflow_offset, dim,
+                                         snap.t0),
                     (t1 - snap.t0) * overflow_record_size(dim))
                 migrated = unpack_overflow_records(
                     bytes(blob), dim, t1 - snap.t0)
-                host.transport.write(
-                    host.layout.rkey,
-                    host.layout.addr(overflow_slot_offset(
-                        plan.overflow_offset, dim, 0)),
-                    pack_overflow_records(migrated))
-            host.transport.write(
-                host.layout.rkey,
-                host.layout.addr(plan.overflow_offset),
-                pack_overflow_tail(len(migrated)))
+                ctx.write(overflow_slot_offset(plan.overflow_offset, dim, 0),
+                          pack_overflow_records(migrated))
+            ctx.write(plan.overflow_offset,
+                      pack_overflow_tail(len(migrated)))
             self.migrated_records = len(migrated)
             # 3. Publish against the *authoritative* block: another
             #    group's rebuild may have published since this one
             #    started, so re-read rather than trusting the local copy
             #    (read-modify-write; atomic at the simulator's op
             #    granularity).
-            remote = GlobalMetadata.unpack(host.transport.read(
-                host.layout.rkey, host.layout.addr(0),
-                host.layout.metadata_nbytes))
+            remote = ctx.read_metadata()
             clusters = list(remote.clusters)
             for cid, offset, blob in zip(
                     snap.member_ids, (plan.first_offset, plan.second_offset),
@@ -328,15 +310,13 @@ class ShadowRebuild:
                 version=remote.version + 1, dim=remote.dim,
                 overflow_capacity_records=remote.overflow_capacity_records,
                 clusters=clusters, groups=groups)
-            host.transport.write(host.layout.rkey, host.layout.addr(0),
-                                 fresh.pack())
+            ctx.write(0, fresh.pack())
             # 4. Retire the old extents behind the grace period: readers
             #    pinned to the previous epoch may still be decoding them.
-            host.layout.retired.retire(*snap.old_extent, fresh.version)
+            ctx.layout.retired.retire(*snap.old_extent, fresh.version)
             # 5. Adopt the new epoch locally (by the rule a refresh
             #    follows) and release the lock.
-            host.layout.metadata = GlobalMetadata.unpack(fresh.pack())
-            host.adopt_metadata(fresh)
-            host.transport.write(host.layout.rkey, self._lock_addr(),
-                                 _U64.pack(0))
+            ctx.layout.metadata = GlobalMetadata.unpack(fresh.pack())
+            ctx.adopt_metadata(fresh)
+            ctx.write(self._lock, _U64.pack(0))
         self.state = "done"

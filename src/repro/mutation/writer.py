@@ -49,7 +49,6 @@ from repro.layout.serializer import (
 )
 from repro.mutation.rebuild import ShadowRebuild
 from repro.serving.trace import TraceContext, span
-from repro.transport import WriteDescriptor
 
 __all__ = ["InsertReport", "MutationEngine", "MutationStats"]
 
@@ -93,12 +92,12 @@ class MutationStats:
 class MutationEngine:
     """Executes mutations for one client over the shared memory pool."""
 
-    def __init__(self, host) -> None:
-        self.host = host
-        self.stats = MutationStats()
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        #: Write-side counters, kept on the context (its reclaim adds).
+        self.stats: MutationStats = ctx.mutation_stats
         #: Trace of the most recent mutation (None before the first).
         self.last_trace: TraceContext | None = None
-        self._request_counter = 0
 
     # -- public mutations -------------------------------------------------
     def insert(self, vector: np.ndarray, global_id: int) -> InsertReport:
@@ -127,33 +126,32 @@ class MutationEngine:
     def _write(self, vectors: np.ndarray, global_ids: list[int],
                tombstone: bool = False) -> list[InsertReport]:
         """Route, reserve, WRITE: one record per row of ``vectors``."""
-        host = self.host
+        ctx = self.ctx
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if vectors.shape[0] != len(global_ids):
             raise ValueError(
                 f"{vectors.shape[0]} vectors but {len(global_ids)} ids")
         NonFiniteVectorError.check(vectors, "vector")
         trace = self.last_trace = TraceContext(
-            self._request_counter, host.node.clock, host.node.stats)
-        self._request_counter += 1
+            ctx.next_request_id(), ctx.node.clock, ctx.node.stats)
         with span(trace, "classify"):
-            host.refresh_metadata()
-            host.meta.reset_compute_counter()
-            cluster_ids = host.meta.classify_batch(
-                vectors, ef=host.config.ef_meta).tolist()
-            host.node.charge_compute(host.meta.reset_compute_counter(),
-                                     host.meta.dim)
+            ctx.refresh_metadata()
+            ctx.meta.reset_compute_counter()
+            cluster_ids = ctx.meta.classify_batch(
+                vectors, ef=ctx.config.ef_meta).tolist()
+            ctx.node.charge_compute(ctx.meta.reset_compute_counter(),
+                                    ctx.meta.dim)
 
         # Cluster->group membership is fixed at build time; only a group's
         # *location* moves, so its entry is re-read per reservation.
         by_group: dict[int, list[int]] = {}
         for row, cid in enumerate(cluster_ids):
             by_group.setdefault(
-                host.metadata.clusters[cid].group_id, []).append(row)
+                ctx.metadata.clusters[cid].group_id, []).append(row)
 
-        record_size = overflow_record_size(host.metadata.dim)
+        record_size = overflow_record_size(ctx.metadata.dim)
         reports: list[InsertReport] = [None] * len(global_ids)
-        #: Reserved but not yet written: (group, slot, address, record).
+        #: Reserved but not yet written: (group, slot, offset, record).
         deferred: list[tuple[int, int, int, OverflowRecord]] = []
 
         def flush() -> None:
@@ -162,15 +160,14 @@ class MutationEngine:
             with span(trace, "write"):
                 if len(deferred) == 1:
                     # A doorbell ring is for more than one WQE.
-                    _, _, addr, record = deferred[0]
-                    host.transport.write(host.layout.rkey, addr,
-                                         pack_overflow_record(record))
+                    _, _, offset, record = deferred[0]
+                    ctx.write(offset, pack_overflow_record(record))
                 else:
-                    host.transport.write_batch(
-                        [WriteDescriptor(host.layout.rkey, addr,
-                                         pack_overflow_record(record))
-                         for _, _, addr, record in deferred],
-                        doorbell=host.policy.doorbell_batching)
+                    ctx.transport.write_batch(
+                        ctx.write_descriptors(
+                            (offset, pack_overflow_record(record))
+                            for _, _, offset, record in deferred),
+                        doorbell=ctx.policy.doorbell_batching)
             # Keep this instance's own cached entries coherent.
             for group_id, slot, _, record in deferred:
                 self._patch_cached_entries(group_id, slot, record)
@@ -199,7 +196,7 @@ class MutationEngine:
                     if sealed or not self.rebuild_group(group_id, trace):
                         # The group moved under us, or another writer
                         # leads its rebuild: adopt the new epoch.
-                        host.refresh_metadata()
+                        ctx.refresh_metadata()
                     else:
                         # Overflow genuinely full and rebuilt by this
                         # writer; keep claiming the remainder of the run.
@@ -208,20 +205,20 @@ class MutationEngine:
                     if stalls >= _RETRY_LIMIT:
                         raise OverflowFullError(
                             group_id,
-                            host.metadata.groups[group_id].capacity_records,
+                            ctx.metadata.groups[group_id].capacity_records,
                             len(pending) * record_size)
                     continue
                 stalls = 0
                 chunks += 1
-                group = host.metadata.groups[group_id]
+                group = ctx.metadata.groups[group_id]
                 for slot, row in enumerate(pending[:claimed], slot0):
                     record = OverflowRecord(
                         global_id=global_ids[row],
                         cluster_id=cluster_ids[row], vector=vectors[row],
                         tombstone=tombstone)
-                    record_addr = host.layout.addr(overflow_slot_offset(
-                        group.overflow_offset, host.metadata.dim, slot))
-                    deferred.append((group_id, slot, record_addr, record))
+                    deferred.append((group_id, slot, overflow_slot_offset(
+                        group.overflow_offset, ctx.metadata.dim, slot),
+                        record))
                     reports[row] = InsertReport(
                         global_id=global_ids[row],
                         cluster_id=cluster_ids[row], overflow_slot=slot,
@@ -247,39 +244,37 @@ class MutationEngine:
         :class:`GroupSealedError` (fully rolled back) when the area was
         sealed by a concurrent cutover.
         """
-        host = self.host
-        group = host.metadata.groups[group_id]
-        tail_addr = host.layout.addr(group.overflow_offset)
+        ctx = self.ctx
+        group = ctx.metadata.groups[group_id]
+        tail_word = group.overflow_offset
         with span(trace, "reserve"):
-            slot0, sealed = decode_overflow_tail(
-                host.transport.faa(host.layout.rkey, tail_addr, count),
-                group.capacity_records)
+            slot0, sealed = decode_overflow_tail(ctx.faa(tail_word, count),
+                                                 group.capacity_records)
             if sealed:
-                host.transport.faa(host.layout.rkey, tail_addr, -count)
+                ctx.faa(tail_word, -count)
                 raise GroupSealedError(group_id)
             # A reservation that lands past capacity decodes clamped to it.
             claimed = min(count, group.capacity_records - slot0)
             if claimed < count:
-                host.transport.faa(host.layout.rkey, tail_addr,
-                                   -(count - claimed))
+                ctx.faa(tail_word, -(count - claimed))
         # The FAA's answer is a tail word like any other: this client's
         # next fetch of the group reads as far as its own records.
-        host.engine.decoder.note_tail(group_id, slot0 + claimed)
+        ctx.note_tail(group_id, slot0 + claimed)
         return slot0, claimed
 
     def _patch_cached_entries(self, group_id: int, slot: int,
                               record: OverflowRecord) -> None:
         """Keep this instance's cached entries of a group coherent with a
         record just written at ``slot``."""
-        for cid in self.host.metadata.group_members(group_id):
-            entry = self.host.cache.peek(cid)
+        ctx = self.ctx
+        for cid in ctx.metadata.group_members(group_id):
+            entry = ctx.cache.peek(cid)
             if entry is not None and entry.overflow_tail == slot:
                 if cid == record.cluster_id:
                     entry.overflow.append(record)
                 entry.overflow_tail = slot + 1
-                self.host.cache.grow(
-                    entry, overflow_record_size(self.host.metadata.dim),
-                    self.host.node.clock.now_us)
+                ctx.cache.grow(entry, overflow_record_size(ctx.metadata.dim),
+                               ctx.node.clock.now_us)
 
     # -- rebuild ----------------------------------------------------------
     def rebuild_group(self, group_id: int,
@@ -289,7 +284,7 @@ class MutationEngine:
         Returns True when this client led the rebuild to completion,
         False when it lost the leadership CAS to another writer.
         """
-        rebuild = ShadowRebuild(self.host, group_id, trace=trace)
+        rebuild = ShadowRebuild(self.ctx, group_id, trace=trace)
         led = rebuild.run()
         if led:
             self.stats.rebuilds_led += 1

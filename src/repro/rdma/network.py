@@ -132,7 +132,7 @@ class CostModel:
         """Total time of several READs issued back to back *without*
         doorbell batching: each pays its own RTT and PCIe transaction.
 
-        Used by ``post_read_batch_async`` when the caller's scheme has
+        Used by ``read_batch_async`` when the caller's scheme has
         doorbell batching disabled, so the async path charges the same wire
         time as a loop of synchronous :meth:`read_us` calls.
         """

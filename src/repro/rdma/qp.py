@@ -4,14 +4,15 @@ A :class:`QueuePair` connects one compute instance to one memory node and
 exposes the one-sided verbs d-HNSW relies on — READ, WRITE, CAS, FAA — plus
 doorbell-batched READs (§3.2: "we leverage doorbell batching to read them in
 a single network round-trip with RDMA NIC issuing multiple PCIe
-transactions").
+transactions").  Its verbs are the :class:`repro.transport.Transport`
+protocol's, so a queue pair is the base transport every decorator wraps.
 
 Every synchronous verb returns its result, charges simulated time to the
 owning clock, and records traffic in :class:`~repro.rdma.stats.RdmaStats`.
 Batched READs additionally come in a non-blocking flavour —
-:meth:`QueuePair.post_read_batch_async` returns a :class:`PendingRead`
+:meth:`QueuePair.read_batch_async` returns a :class:`PendingRead`
 occupying the clock's network channel without advancing time, and
-:meth:`QueuePair.poll_cq` later waits only for whatever portion of the wire
+:meth:`QueuePair.poll` later waits only for whatever portion of the wire
 time has not already elapsed under the caller's compute.  The hidden portion
 is recorded as ``RdmaStats.overlapped_time_us``, which is how the pipelined
 serving engine charges fetch/compute overlap honestly instead of estimating
@@ -70,13 +71,13 @@ class WriteDescriptor:
 
 @dataclasses.dataclass
 class PendingRead:
-    """An in-flight READ batch issued by ``post_read_batch_async``.
+    """An in-flight READ batch issued by ``read_batch_async``.
 
     Payloads are zero-copy region views observed at issue time; a
     copy-on-write guard on the memory node preserves snapshot-at-issue
     semantics (a write landing inside a payload's range between issue and
     poll materializes that payload first).  Also carries the timeline
-    bookkeeping :meth:`QueuePair.poll_cq` needs to split wire time into an
+    bookkeeping :meth:`QueuePair.poll` needs to split wire time into an
     exposed wait and an overlapped (hidden) portion.
     """
 
@@ -119,7 +120,7 @@ class QueuePair:
             raise QpStateError(f"verb posted on QP in state {self.state.value}")
 
     # ------------------------------------------------------------------
-    def post_read(self, rkey: int, addr: int, length: int) -> memoryview:
+    def _read(self, rkey: int, addr: int, length: int) -> memoryview:
         """One-sided READ of ``length`` bytes (zero-copy region view)."""
         self._require_ready()
         data = self.memory_node.read(rkey, addr, length)
@@ -128,7 +129,7 @@ class QueuePair:
         self.stats.record_read(length, charged)
         return data
 
-    def post_write(self, rkey: int, addr: int, data) -> None:
+    def _write(self, rkey: int, addr: int, data) -> None:
         """One-sided WRITE of any buffer-protocol ``data``."""
         self._require_ready()
         nbytes = self.memory_node.write(rkey, addr, data)
@@ -136,8 +137,13 @@ class QueuePair:
         charged = self.clock.advance_channel(NETWORK_CHANNEL, elapsed)
         self.stats.record_write(nbytes, charged)
 
-    def post_cas(self, rkey: int, addr: int, expected: int,
-                 desired: int) -> int:
+    # The public single verbs.  The ``doorbell=False`` batch loops call
+    # the private methods, so a wrapper installed on an instance's
+    # ``read`` / ``write`` sees each verb the caller posted, once.
+    read = _read
+    write = _write
+
+    def cas(self, rkey: int, addr: int, expected: int, desired: int) -> int:
         """Compare-and-swap on a remote u64; returns the prior value."""
         self._require_ready()
         prior = self.memory_node.compare_and_swap(rkey, addr, expected, desired)
@@ -148,7 +154,7 @@ class QueuePair:
             self.stats.record_cas_failure()
         return prior
 
-    def post_faa(self, rkey: int, addr: int, delta: int) -> int:
+    def faa(self, rkey: int, addr: int, delta: int) -> int:
         """Fetch-and-add on a remote u64; returns the prior value."""
         self._require_ready()
         prior = self.memory_node.fetch_and_add(rkey, addr, delta)
@@ -158,14 +164,18 @@ class QueuePair:
         return prior
 
     # ------------------------------------------------------------------
-    def post_read_batch(self, descriptors: list[ReadDescriptor]
-                        ) -> list[memoryview]:
+    def read_batch(self, descriptors: list[ReadDescriptor],
+                   doorbell: bool = True) -> list[memoryview]:
         """Doorbell-batched READ: many WQEs, few network round trips.
 
         The cost model splits the batch into rings of at most
         ``doorbell_limit`` WQEs; each ring is one round trip.  Payloads
-        are zero-copy region views.
+        are zero-copy region views.  With ``doorbell=False`` the batch is
+        a loop of single READs (the no-doorbell baseline scheme).
         """
+        if not doorbell:
+            return [self._read(d.rkey, d.addr, d.length)
+                    for d in descriptors]
         self._require_ready()
         if not descriptors:
             return []
@@ -178,7 +188,7 @@ class QueuePair:
         self.stats.record_doorbell_read(sizes, rings, charged)
         return payloads
 
-    def post_read_batch_async(self, descriptors: list[ReadDescriptor],
+    def read_batch_async(self, descriptors: list[ReadDescriptor],
                               doorbell: bool = True) -> PendingRead:
         """Issue a READ batch without waiting for completion.
 
@@ -186,7 +196,7 @@ class QueuePair:
         the channel is free; ``now_us`` does not advance.  Payloads observe
         remote memory as of the issue (one-sided semantics): they are
         zero-copy views, armed with a copy-on-write guard so a conflicting
-        write before :meth:`poll_cq` snapshots the affected payload first.
+        write before :meth:`poll` snapshots the affected payload first.
         Only the portion of the wire time that has not already passed
         under intervening compute is charged at poll.  With
         ``doorbell=False`` the batch costs the same as a loop of single
@@ -219,7 +229,7 @@ class QueuePair:
                            completes_at_us=completes, elapsed_us=elapsed,
                            guard=guard)
 
-    def abandon_cq(self, pending: PendingRead) -> None:
+    def abandon(self, pending: PendingRead) -> None:
         """Discard an async READ whose payloads will never be consumed.
 
         An error completion carries no data, so the failed batch's token
@@ -236,7 +246,7 @@ class QueuePair:
             self.memory_node.release_guard(pending.guard)
             pending.guard = None
 
-    def poll_cq(self, pending: PendingRead) -> "list[memoryview | bytes]":
+    def poll(self, pending: PendingRead) -> "list[memoryview | bytes]":
         """Wait for an async READ batch and return its payloads.
 
         Advances the clock only to the batch's completion time — time that
@@ -245,7 +255,7 @@ class QueuePair:
         """
         self._require_ready()
         if pending.completed:
-            raise QpStateError("poll_cq called twice on the same PendingRead")
+            raise QpStateError("poll called twice on the same PendingRead")
         pending.completed = True
         if pending.guard is not None:
             self.memory_node.release_guard(pending.guard)
@@ -264,12 +274,18 @@ class QueuePair:
                                      doorbell=pending.doorbell)
         return pending.payloads
 
-    def post_write_batch(self, descriptors: list[WriteDescriptor]) -> None:
+    def write_batch(self, descriptors: list[WriteDescriptor],
+                    doorbell: bool = True) -> None:
         """Doorbell-batched WRITE: many WQEs, few network round trips.
 
-        Same cost shape as :meth:`post_read_batch`; d-HNSW uses it for
-        batched insertions into scattered overflow areas.
+        Same cost shape as :meth:`read_batch`; d-HNSW uses it for
+        batched insertions into scattered overflow areas.  With
+        ``doorbell=False`` the batch is a loop of single WRITEs.
         """
+        if not doorbell:
+            for d in descriptors:
+                self._write(d.rkey, d.addr, d.data)
+            return
         self._require_ready()
         if not descriptors:
             return

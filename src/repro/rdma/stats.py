@@ -31,7 +31,7 @@ class RdmaStats:
     bytes_written: int = 0
     network_time_us: float = 0.0
     #: Portion of read wire time that completed under overlapped compute —
-    #: issued via ``post_read_batch_async`` and already finished when the
+    #: issued via ``read_batch_async`` and already finished when the
     #: caller polled.  ``network_time_us`` holds only the *exposed* wait, so
     #: exposed + overlapped equals the serial wire time.
     overlapped_time_us: float = 0.0

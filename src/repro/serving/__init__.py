@@ -4,8 +4,9 @@ A batched query flows Planner → Fetcher → Decoder → Executor → Merger,
 composed by :class:`ServingEngine`; a :class:`TraceContext` rides along
 attributing wall/simulated time and bytes to each stage.  The layer talks
 to remote memory exclusively through :mod:`repro.transport` (enforced by
-``tests/test_layering.py``) and holds no index state — the client remains
-the single owner of metadata, cache, and transport.
+``tests/test_layering.py``) and holds no index state: every stage is
+built from the client's :class:`~repro.core.context.ClientContext`, which
+owns the metadata view and the transport cell.
 """
 
 from repro.serving.decoder import Decoder

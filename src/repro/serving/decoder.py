@@ -3,11 +3,11 @@
 Finds the serialized sub-HNSW blob, the group's tail word and the record
 slots in the ranges a fetch brought in
 (:func:`~repro.layout.group_layout.cluster_read_ranges`) and deserializes
-them.  Owns what this client remembers of remote bytes it has decoded:
-the simulation-only retention of decoded bases, and the live tail last
-seen per group, from which the fetcher sizes its next read.  The
-simulated CPU cost of a decode is posted by the wave loop, which knows
-when a READ is in flight.
+them.  Owns the simulation-only retention of decoded bases; the live
+tail each decode finds goes to the context
+(:meth:`~repro.core.context.ClientContext.note_tail`), from which the
+fetcher sizes its next read.  The simulated CPU cost of a decode is
+posted by the wave loop, which knows when a READ is in flight.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = ["Decoder"]
 class Decoder:
     """Deserializes fetched ranges, retaining each cluster's decoded base."""
 
-    def __init__(self, host) -> None:
-        self.host = host
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
         # Simulation-only retention: per cluster, the entry (empty
         # overflow) decoded from its current base extent.  A write changes
         # the tail, a rebuild changes one group's extents — neither changes
@@ -40,10 +40,6 @@ class Decoder:
         # regardless; this just keeps the simulator's wall-clock time
         # proportional to unique blobs rather than total fetches.
         self._bases: dict[int, CachedCluster] = {}
-        # Per group: (group version, live tail) of the last tail word this
-        # client decoded.  A hint only — it sizes the next read, and the
-        # word inside that read's payload overrules it.
-        self._tails: dict[int, tuple[int, int]] = {}
 
     def drop_memo(self) -> None:
         """Forget retained bases (no simulated-cost effect).
@@ -54,21 +50,6 @@ class Decoder:
         resurface through the memo.  Replica repair does not call it.
         """
         self._bases.clear()
-
-    # -- live-tail memory -------------------------------------------------
-    def note_tail(self, group_id: int, tail: int) -> None:
-        """Remember ``tail`` as the live record count last seen for the
-        group at its current version."""
-        self._tails[group_id] = (
-            self.host.metadata.groups[group_id].version, tail)
-
-    def tail_seen(self, group_id: int) -> int:
-        """The live tail last seen for the group's *current* version; 0
-        for a group never read or rebuilt since (its area restarts)."""
-        version, tail = self._tails.get(group_id, (None, 0))
-        if version != self.host.metadata.groups[group_id].version:
-            return 0
-        return tail
 
     def decode_extent(self, cluster_id: int,
                       ranges: Sequence[tuple[int, int]],
@@ -83,7 +64,7 @@ class Decoder:
         records the payload carries: ``overflow_tail`` is the live count,
         or the number of slots read when that is smaller (slots past the
         live count are never parsed; the fetcher tops a short entry up
-        from :meth:`tail_seen` before admitting it).
+        from the context's ``tail_seen`` before admitting it).
 
         The blob is deserialized once per *extent epoch* — ``(group
         version, blob offset, blob length)``, which names the bytes: an
@@ -99,9 +80,10 @@ class Decoder:
         — the decoded index's vector store is a frozen NumPy view over
         the payload's memory (see :func:`deserialize_cluster`).
         """
-        host = self.host
-        cluster = host.metadata.clusters[cluster_id]
-        group = host.metadata.groups[cluster.group_id]
+        ctx = self.ctx
+        metadata = ctx.metadata
+        cluster = metadata.clusters[cluster_id]
+        group = metadata.groups[cluster.group_id]
         # ``cluster_read_ranges`` puts the tail word in the first range
         # and the blob in the last.
         area = payloads[0]
@@ -116,9 +98,9 @@ class Decoder:
         count = live_overflow_count(area, group.capacity_records,
                                     f"extent of cluster {cluster_id}",
                                     offset=area_start)
-        self.note_tail(cluster.group_id, count)
+        ctx.note_tail(cluster.group_id, count)
         carried = ((len(area) - area_start - OVERFLOW_TAIL_BYTES)
-                   // overflow_record_size(host.metadata.dim))
+                   // overflow_record_size(metadata.dim))
         parsed = min(count, carried)
         epoch = (group.version, cluster.blob_offset, cluster.blob_length)
         base = self._bases.get(cluster_id)
@@ -138,7 +120,7 @@ class Decoder:
         return CachedCluster(
             cluster_id=cluster_id, index=base.index,
             overflow=unpack_overflow_area(area[area_start:],
-                                          host.metadata.dim, parsed,
+                                          metadata.dim, parsed,
                                           cluster_id),
             overflow_tail=parsed, extent_epoch=epoch,
             nbytes=sum(map(len, payloads)),

@@ -6,9 +6,10 @@ Composes the five stages — :class:`~repro.serving.planner.Planner`,
 :class:`~repro.serving.executor.WaveExecutor`,
 :class:`~repro.serving.merger.Merger` — into the batched query path the
 client exposes.  The engine holds no index state of its own: everything it
-needs (metadata, cache, transport, cost model, policy) lives on the host
-client and is read late, so decorating ``host.transport`` after
-construction (fault injection, retries) affects every stage immediately.
+needs (metadata, cache, transport, cost model, policy) lives on the
+client's :class:`~repro.core.context.ClientContext` and is read late, so
+decorating ``ctx.transport`` after construction (fault injection,
+retries) affects every stage immediately.
 
 A caller that routed its rows ahead — the front door routes each request
 at its admission — hands the routes to the next ``search_batch`` through
@@ -44,14 +45,13 @@ __all__ = ["ServingEngine"]
 class ServingEngine:
     """Staged execution pipeline for one compute instance."""
 
-    def __init__(self, host) -> None:
-        self.host = host
-        self.decoder = Decoder(host)
-        self.fetcher = Fetcher(host, self.decoder)
-        self.planner = Planner(host, self.fetcher)
-        self.executor = WaveExecutor(host, self.fetcher)
-        self.merger = Merger(host)
-        self._request_counter = 0
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.decoder = Decoder(ctx)
+        self.fetcher = Fetcher(ctx, self.decoder)
+        self.planner = Planner(ctx, self.fetcher)
+        self.executor = WaveExecutor(ctx, self.fetcher)
+        self.merger = Merger()
         #: Routes handed to the next ``search_batch`` (:meth:`routed`).
         self._routed: tuple[list[list[int]], float] | None = None
 
@@ -104,7 +104,7 @@ class ServingEngine:
             return self._search_batch_once(queries, k, ef_search, filter_fn,
                                            routed=routed)
         except StaleReadError:
-            self.host.refresh_metadata()
+            self.ctx.refresh_metadata()
             # The first attempt already recorded the batch's accesses.
             return self._search_batch_once(queries, k, ef_search, filter_fn,
                                            record_access=False,
@@ -116,10 +116,10 @@ class ServingEngine:
                            record_access: bool = True,
                            routed: tuple[list[list[int]], float] | None
                            = None) -> BatchResult:
-        host = self.host
+        ctx = self.ctx
         queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim not in (1, 2) or queries.shape[-1] != host.meta.dim:
-            raise DimensionMismatchError(host.meta.dim, queries.shape)
+        if queries.ndim not in (1, 2) or queries.shape[-1] != ctx.meta.dim:
+            raise DimensionMismatchError(ctx.meta.dim, queries.shape)
         queries = np.atleast_2d(queries)
         NonFiniteVectorError.check(queries, "query")
         if isinstance(k, (bool, np.bool_)) or not isinstance(
@@ -131,16 +131,15 @@ class ServingEngine:
             raise ValueError(f"{len(routed[0])} routes handed in for "
                              f"{len(queries)} queries")
 
-        self._request_counter += 1
-        trace = TraceContext(self._request_counter, host.node.clock,
-                             host.node.stats)
-        before = host.node.stats.snapshot()
+        trace = TraceContext(ctx.next_request_id(), ctx.node.clock,
+                             ctx.node.stats)
+        before = ctx.node.stats.snapshot()
         breakdown = LatencyBreakdown()
-        host.refresh_metadata()
+        ctx.refresh_metadata()
 
         merger = self.merger.create(len(queries), k, filter_fn)
-        cache_counters_before = host.cache.counters()
-        streamed_before = host.cache.streamed
+        cache_counters_before = ctx.cache.counters()
+        streamed_before = ctx.cache.streamed
         plan = loop = None
 
         def first_wave(routes: list[list[int]]):
@@ -167,11 +166,11 @@ class ServingEngine:
             # with large batches nearly every cluster appears in every
             # batch, and presence alone cannot tell a Zipf head cluster
             # from the tail.  Cache admission and eviction rank by it.
-            now_us = host.node.clock.now_us
+            now_us = ctx.node.clock.now_us
             probes = collections.Counter(cid for row in required
                                          for cid in row)
             for cid, weight in probes.items():
-                host.cache.record_access(cid, now_us, weight=weight)
+                ctx.cache.record_access(cid, now_us, weight=weight)
 
         # --- cluster loading + sub-HNSW search -------------------------
         execution = loop.run()
@@ -182,7 +181,7 @@ class ServingEngine:
         # --- finalize ---------------------------------------------------
         results = self.merger.finalize(merger, len(queries), k, filter_fn,
                                        trace)
-        rdma_delta = host.node.stats.delta(before)
+        rdma_delta = ctx.node.stats.delta(before)
         breakdown.network_us += rdma_delta.network_time_us
         # Fault-path attribution: which request paid for retries and
         # replica failovers (counters are this request's deltas).
@@ -191,7 +190,7 @@ class ServingEngine:
         trace.record_event("backoff_us", rdma_delta.backoff_time_us)
         trace.record_event("failovers", rdma_delta.failovers)
         _, misses_before, evictions_before = cache_counters_before
-        _, misses_after, evictions_after = host.cache.counters()
+        _, misses_after, evictions_after = ctx.cache.counters()
         return BatchResult(results=results, breakdown=breakdown,
                            rdma=rdma_delta,
                            clusters_fetched=execution.fetched,
@@ -203,5 +202,5 @@ class ServingEngine:
                            sub_evals=execution.sub_evals,
                            cache_misses=misses_after - misses_before,
                            cache_evictions=evictions_after - evictions_before,
-                           cache_streamed=host.cache.streamed - streamed_before,
+                           cache_streamed=ctx.cache.streamed - streamed_before,
                            trace=trace, complete_us=execution.complete_us)

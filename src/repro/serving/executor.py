@@ -27,7 +27,7 @@ from repro.serving.trace import TraceContext, span
 from repro.transport import PendingRead
 
 __all__ = ["OPEN_WAVES", "PlanExecution", "ReadyList", "WaveExecutor",
-           "lookahead", "probe_ef"]
+           "probe_ef"]
 
 #: Posted waves the loop keeps open, without and with look-ahead.
 OPEN_WAVES = (1, 2)
@@ -39,12 +39,6 @@ def probe_ef(ef: int, k: int, rank: int) -> int:
     ``k``.  The lead probe supplies most of a row's top-k, so the later
     ones search narrower beams; every probe still keeps ``k``."""
     return max(k, -(-ef // (rank + 1)))
-
-
-def lookahead(host) -> bool:
-    """The loop's look-ahead: ``config.pipeline_waves`` under a
-    query-aware scheme."""
-    return host.config.pipeline_waves and host.policy.query_aware_loading
 
 
 @dataclasses.dataclass
@@ -88,8 +82,8 @@ class WaveExecutor:
     """Searches planned clusters, one at a time, in the serving
     process."""
 
-    def __init__(self, host, fetcher: Fetcher) -> None:
-        self.host = host
+    def __init__(self, ctx, fetcher: Fetcher) -> None:
+        self.ctx = ctx
         self.fetcher = fetcher
 
     # -- the schedule -----------------------------------------------------
@@ -104,7 +98,7 @@ class WaveExecutor:
     def take_hit(self, cluster_id: int) -> CachedCluster:
         """A planned hit's entry (counted as a hit).  Nothing runs between
         planning and this call that could evict it."""
-        entry = self.host.cache.get(cluster_id)
+        entry = self.ctx.cache.get(cluster_id)
         if entry is None:
             raise LayoutError(
                 f"planned hit {cluster_id} left the cache before its batch")
@@ -123,12 +117,12 @@ class WaveExecutor:
                 kept.append((cid, decode_us))
         execution.decode_backlog = kept
         with span(trace, "decode"):
-            return self.host.node.charge_time(owed)
+            return self.ctx.node.charge_time(owed)
 
     def charge_search(self, evals: int, trace: TraceContext | None) -> float:
         """Charge ``evals`` distance evaluations; returns the µs."""
         with span(trace, "compute"):
-            return self.host.node.charge_compute(evals, self.host.meta.dim)
+            return self.ctx.node.charge_compute(evals, self.ctx.meta.dim)
 
     # -- compute ------------------------------------------------------------
     def run_wave_compute(self, cluster_id: int, entry: CachedCluster,
@@ -143,7 +137,7 @@ class WaveExecutor:
         with span(trace, "compute"):
             started = time.perf_counter()
             output = search_cluster_entry(entry, queries[rows], k, beams)
-            self.host.node.record_wall_compute(time.perf_counter() - started)
+            self.ctx.node.record_wall_compute(time.perf_counter() - started)
         return output
 
 
@@ -184,12 +178,12 @@ class ReadyList:
                  queries: np.ndarray, merger: TopKMerger, k: int, ef: int,
                  trace: TraceContext | None) -> None:
         self.executor = executor
-        self.host = host = executor.host
+        self.ctx = executor.ctx
         self.fetcher = executor.fetcher
         self.plan = plan
         self.queries, self.merger, self.k = queries, merger, k
         self.trace = trace
-        self.lookahead = lookahead(host)
+        self.lookahead = self.ctx.lookahead
         #: Rows routed before the first READ is posted: those that fix
         #: it under look-ahead, else every row (routing overlaps nothing).
         self.first_rows = (plan.first_wave_rows if self.lookahead
@@ -251,7 +245,7 @@ class ReadyList:
 
     def run(self) -> PlanExecution:
         """Search every planned cluster; returns what the loop did."""
-        clock = self.host.node.clock
+        clock = self.ctx.node.clock
         try:
             while self.unmerged:
                 pos = min(self.ready, default=None)
@@ -276,11 +270,11 @@ class ReadyList:
         """Retire what is still in flight uncharged (an error escaped, or
         its copy-on-write guard would outlive the request) and drop every
         pin the batch still holds."""
-        host = self.host
+        ctx = self.ctx
         while self.rings:
-            host.transport.abandon(self.rings.popleft().token)
+            ctx.transport.abandon(self.rings.popleft().token)
         for entry in self.pinned.values():
-            host.cache.unpin(entry)
+            ctx.cache.unpin(entry)
         self.pinned.clear()
 
     # -- READs --------------------------------------------------------------
@@ -298,7 +292,7 @@ class ReadyList:
             self.open_waves.append(set(positions))
         elif self.next_wave < len(waves) or not self.unposted:
             return
-        metadata = self.host.metadata
+        metadata = self.ctx.metadata
         words: dict[int, list[int]] = {}
         for pos in self.unposted:
             words.setdefault(metadata.clusters[self.cluster_ids[pos]].group_id,
@@ -306,7 +300,7 @@ class ReadyList:
         self.unposted = []
         groups = sorted(words)
         token, extents = self.fetcher.issue_async(
-            cluster_ids, self.host.policy.doorbell_batching, groups)
+            cluster_ids, self.ctx.policy.doorbell_batching, groups)
         self.rings.append(_Ring(token, extents, positions,
                                 [(gid, words[gid]) for gid in groups]))
 
@@ -371,8 +365,8 @@ class ReadyList:
         self.execution.sub_evals += output.evals
         self.ready.pop(pos, None)
         self.unmerged -= 1
-        self.host.cache.unpin(self.pinned.pop(pos))
-        now_us = self.host.node.clock.now_us
+        self.ctx.cache.unpin(self.pinned.pop(pos))
+        now_us = self.ctx.node.clock.now_us
         for row in rows:
             self.left[row] -= 1
             if not self.left[row]:
@@ -384,6 +378,6 @@ class ReadyList:
             self._post_next()
 
     def _pin(self, pos: int, entry: CachedCluster) -> CachedCluster:
-        self.host.cache.pin(entry)
+        self.ctx.cache.pin(entry)
         self.pinned[pos] = entry
         return entry

@@ -71,8 +71,8 @@ def _pieces(payloads: list, shapes: Iterable[Sequence]) -> Iterable[list]:
 class Fetcher:
     """Loads cluster extents through the transport and admits them."""
 
-    def __init__(self, host, decoder: Decoder) -> None:
-        self.host = host
+    def __init__(self, ctx, decoder: Decoder) -> None:
+        self.ctx = ctx
         self.decoder = decoder
 
     # -- descriptor construction ----------------------------------------
@@ -81,26 +81,18 @@ class Fetcher:
         WQE: what that WQE costs under the client's scheme (a PCIe fetch
         in a doorbell ring, a whole round trip without) over what a byte
         costs to move and deserialize."""
-        host = self.host
-        cost = host.cost_model
+        cost = self.ctx.cost_model
         wqe_us = cost.pcie_us_per_wqe
-        if not host.policy.doorbell_batching:
+        if not self.ctx.policy.doorbell_batching:
             wqe_us += cost.base_rtt_us
         return wqe_us / (cost.transfer_us(1) + cost.deserialize_us(1))
 
-    def _descriptors(self, ranges: Iterable[tuple[int, int]]
-                     ) -> list[ReadDescriptor]:
-        layout = self.host.layout
-        rkey, base = layout.rkey, layout.addr(0)
-        return [ReadDescriptor(rkey, base + offset, length)
-                for offset, length in ranges]
-
     def _read_ranges(self, cluster_id: int, merge: float
                      ) -> tuple[tuple[int, int], ...]:
-        metadata = self.host.metadata
+        metadata = self.ctx.metadata
         return cluster_read_ranges(
             metadata, cluster_id,
-            self.decoder.tail_seen(metadata.clusters[cluster_id].group_id)
+            self.ctx.tail_seen(metadata.clusters[cluster_id].group_id)
             + TAIL_SLACK_SLOTS, merge)
 
     def extent_descriptors(self, cluster_ids: Sequence[int]
@@ -109,7 +101,7 @@ class Fetcher:
         merge = self.merge_hole_bytes()
         extents = [(cid, self._read_ranges(cid, merge))
                    for cid in cluster_ids]
-        return self._descriptors(
+        return self.ctx.read_descriptors(
             piece for _, ranges in extents for piece in ranges), extents
 
     def fetch_bytes(self, cluster_id: int) -> int:
@@ -128,19 +120,20 @@ class Fetcher:
 
         The tail words of ``tail_groups`` ride in the same ring, ahead of
         the extents: their payloads come first (:meth:`note_tails`)."""
-        metadata = self.host.metadata
+        ctx = self.ctx
         descriptors, extents = self.extent_descriptors(cluster_ids)
-        words = self._descriptors(overflow_tail_extent(metadata.groups[gid])
-                                  for gid in tail_groups)
-        token = self.host.transport.read_batch_async(words + descriptors,
-                                                     doorbell=doorbell)
+        words = ctx.read_descriptors(
+            overflow_tail_extent(ctx.metadata.groups[gid])
+            for gid in tail_groups)
+        token = ctx.transport.read_batch_async(words + descriptors,
+                                               doorbell=doorbell)
         return token, extents
 
     def poll(self, token: PendingRead,
              trace: TraceContext | None = None) -> list[bytes]:
         """Complete an async fetch, charging only the exposed wait."""
         with span(trace, "fetch"):
-            return self.host.transport.poll(token)
+            return self.ctx.transport.poll(token)
 
     # -- cache admission --------------------------------------------------
     def offer(self, entries: Iterable[CachedCluster]) -> None:
@@ -148,8 +141,8 @@ class Fetcher:
         entry stays pinned until the whole wave is offered so that none
         is the victim of a sibling's admission: the wave searches every
         entry it loaded."""
-        cache = self.host.cache
-        now_us = self.host.node.clock.now_us
+        cache = self.ctx.cache
+        now_us = self.ctx.node.clock.now_us
         admitted = []
         try:
             for entry in entries:
@@ -169,8 +162,7 @@ class Fetcher:
         it; a top-up ring is decoded with the first extent), and offer
         them to the cache (admitted or streamed, each is searched in this
         batch)."""
-        host = self.host
-        deserialize_us = host.cost_model.deserialize_us
+        deserialize_us = self.ctx.cost_model.deserialize_us
         loaded: dict[int, CachedCluster] = {}
         with span(trace, "decode"):
             for (cid, ranges), pieces in zip(extents, _pieces(
@@ -185,7 +177,7 @@ class Fetcher:
             execution.decode_backlog.append(
                 (extents[0][0], deserialize_us(topped_up)))
         execution.fetched += len(loaded)
-        if host.policy.query_aware_loading:
+        if self.ctx.policy.query_aware_loading:
             self.offer(loaded.values())
         return loaded
 
@@ -194,13 +186,13 @@ class Fetcher:
                    payloads: Sequence["bytes | memoryview"]) -> None:
         """Remember the live tails the words of ``group_ids`` carry (the
         first of ``payloads``, one word each)."""
-        metadata = self.host.metadata
+        ctx = self.ctx
         for gid, payload in zip(group_ids, payloads):
             # A sealed tail means the group was relocated by a cutover
             # after this plan's metadata refresh; never graft records
             # from a retired epoch onto cached entries.
-            self.decoder.note_tail(gid, live_overflow_count(
-                payload, metadata.groups[gid].capacity_records,
+            ctx.note_tail(gid, live_overflow_count(
+                payload, ctx.metadata.groups[gid].capacity_records,
                 f"overflow tail of group {gid}"))
 
     def top_up(self, entries: Iterable[CachedCluster],
@@ -220,8 +212,8 @@ class Fetcher:
         if delta is None:
             return 0
         with span(trace, "fetch"):
-            payloads = self.host.transport.read_batch(
-                delta.descriptors, doorbell=self.host.policy.doorbell_batching)
+            payloads = self.ctx.transport.read_batch(
+                delta.descriptors, doorbell=self.ctx.policy.doorbell_batching)
         return self.graft(delta, payloads)
 
     def issue_top_up(self, entries: Iterable[CachedCluster]
@@ -231,15 +223,14 @@ class Fetcher:
         delta = self.delta(entries)
         if delta is None:
             return None
-        return self.host.transport.read_batch_async(
+        return self.ctx.transport.read_batch_async(
             delta.descriptors,
-            doorbell=self.host.policy.doorbell_batching), delta
+            doorbell=self.ctx.policy.doorbell_batching), delta
 
     def delta(self, entries: Iterable[CachedCluster]) -> "Delta | None":
         """The delta ring ``entries`` need, or None when none lags."""
-        host = self.host
-        metadata = host.metadata
-        tail_seen = self.decoder.tail_seen
+        metadata = self.ctx.metadata
+        tail_seen = self.ctx.tail_seen
         lagging: list[tuple[int, CachedCluster]] = []
         starts: dict[int, int] = {}
         for entry in entries:
@@ -255,13 +246,14 @@ class Fetcher:
         deltas = {gid: (start, tail_seen(gid), overflow_delta_ranges(
             metadata.groups[gid], metadata.dim, start, tail_seen(gid), merge))
                   for gid, start in sorted(starts.items())}
-        return Delta(lagging, deltas, self._descriptors(
+        return Delta(lagging, deltas, self.ctx.read_descriptors(
             piece for *_, ranges in deltas.values() for piece in ranges))
 
     def graft(self, delta: "Delta", payloads: list) -> int:
         """Graft a landed delta ring onto its lagging entries; returns the
         bytes it read."""
-        metadata = self.host.metadata
+        ctx = self.ctx
+        metadata = ctx.metadata
         dim = metadata.dim
         record_size = overflow_record_size(dim)
         records: dict[int, "bytes | memoryview"] = {}
@@ -280,6 +272,6 @@ class Fetcher:
                 records[gid][(entry.overflow_tail - start) * record_size:],
                 dim, missing, entry.cluster_id))
             entry.overflow_tail = tail
-            self.host.cache.grow(entry, missing * record_size,
-                                 self.host.node.clock.now_us)
+            ctx.cache.grow(entry, missing * record_size,
+                           ctx.node.clock.now_us)
         return sum(map(len, payloads))

@@ -20,9 +20,6 @@ __all__ = ["Merger"]
 class Merger:
     """Builds and finalizes the batch's top-k merger."""
 
-    def __init__(self, host) -> None:
-        self.host = host
-
     def create(self, num_queries: int, k: int,
                filter_fn: "Callable[[int], bool] | None") -> TopKMerger:
         """A merger for the batch; pruning is disabled under a filter so

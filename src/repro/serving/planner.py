@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.query_planner import BatchPlan, plan_batch, plan_naive
 from repro.metrics.latency import LatencyBreakdown
-from repro.serving.executor import OPEN_WAVES, lookahead
+from repro.serving.executor import OPEN_WAVES
 from repro.serving.fetcher import Fetcher
 from repro.serving.trace import TraceContext, span
 
@@ -47,20 +47,20 @@ class Walk(NamedTuple):
 class Planner:
     """Routes queries to clusters and schedules fetch waves."""
 
-    def __init__(self, host, fetcher: Fetcher) -> None:
-        self.host = host
+    def __init__(self, ctx, fetcher: Fetcher) -> None:
+        self.ctx = ctx
         self.fetcher = fetcher
 
     def walk(self, queries: np.ndarray) -> Walk:
         """Walk the meta-HNSW for every row of ``queries`` in one
         ``route_batch`` call; charges nothing.  A row's routes and
         evaluation count do not depend on the rows walked with it."""
-        host = self.host
-        host.meta.reset_compute_counter()
+        meta, config = self.ctx.meta, self.ctx.config
+        meta.reset_compute_counter()
         evaluations: list[int] = []
-        clusters = host.meta.route_batch(queries, host.config.nprobe,
-                                         host.config.ef_meta, evaluations)
-        host.meta.reset_compute_counter()
+        clusters = meta.route_batch(queries, config.nprobe, config.ef_meta,
+                                    evaluations)
+        meta.reset_compute_counter()
         return Walk(clusters, evaluations)
 
     def route(self, queries: np.ndarray, breakdown: LatencyBreakdown,
@@ -78,33 +78,32 @@ class Planner:
         rows are paid for.  Without it (routing ahead of any batch, at a
         request's admission) the rows are billed in one part.
         """
-        host = self.host
+        ctx = self.ctx
         with span(trace, "route"):
             if walk is None:
                 walk = self.walk(queries)
             clusters, evaluations = walk
             rows, post = (first_wave(clusters) if first_wave is not None
                           else (len(clusters), None))
-            breakdown.meta_hnsw_us += host.node.charge_compute(
-                sum(evaluations[:rows]), host.meta.dim)
+            breakdown.meta_hnsw_us += ctx.node.charge_compute(
+                sum(evaluations[:rows]), ctx.meta.dim)
             if post is not None:
                 post()
-                breakdown.meta_hnsw_us += host.node.charge_compute(
-                    sum(evaluations[rows:]), host.meta.dim)
+                breakdown.meta_hnsw_us += ctx.node.charge_compute(
+                    sum(evaluations[rows:]), ctx.meta.dim)
         return clusters
 
     def plan(self, required: list[list[int]],
              trace: TraceContext) -> BatchPlan:
         """Wave schedule for the routed cluster lists: deduplicated (§3.3)
         unless the scheme is the naive baseline."""
-        host = self.host
-        cache = host.cache
+        cache = self.ctx.cache
         cap = cache.capacity_bytes
         with trace.stage("plan"):
-            if not host.policy.query_aware_loading:
+            if not self.ctx.policy.query_aware_loading:
                 return plan_naive(required)
             return plan_batch(
                 required, cache, cache.capacity_clusters,
                 wave_bytes=(None if cap is None
-                            else cap // OPEN_WAVES[lookahead(host)]),
+                            else cap // OPEN_WAVES[self.ctx.lookahead]),
                 fetch_bytes=self.fetcher.fetch_bytes)

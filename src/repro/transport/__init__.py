@@ -1,12 +1,13 @@
 """Transport layer: the seam between index logic and one-sided memory.
 
 Upper layers (``repro.core``, ``repro.serving``, ``repro.cluster``) obtain
-remote bytes exclusively through a :class:`Transport`; the simulated-RDMA
-substrate in ``repro.rdma`` sits behind :class:`SimRdmaTransport`.
-Decorators compose fault tolerance::
+remote bytes exclusively through a :class:`Transport`; the simulated
+queue pair in ``repro.rdma`` speaks the protocol itself, and
+:func:`connect` stands one up.  Decorators compose fault tolerance::
 
     transport = RetryingTransport(
-        FaultInjectingTransport(SimRdmaTransport(qp), plan), max_retries=3)
+        FaultInjectingTransport(connect(node, clock, cost), plan),
+        max_retries=3)
 
 See ``docs/architecture.md`` for the layer contract and
 ``tests/test_layering.py`` for its enforcement.
@@ -17,6 +18,7 @@ from repro.transport.base import (
     ReadDescriptor,
     Transport,
     WriteDescriptor,
+    connect,
 )
 from repro.transport.fault import (
     FaultInjectingTransport,
@@ -29,7 +31,6 @@ from repro.transport.replica import (
     ReplicatedTransport,
 )
 from repro.transport.retry import RetryingTransport
-from repro.transport.sim import SimRdmaTransport, connect
 
 __all__ = [
     "FaultInjectingTransport",
@@ -41,7 +42,6 @@ __all__ = [
     "ReplicaSelector",
     "ReplicatedTransport",
     "RetryingTransport",
-    "SimRdmaTransport",
     "Transport",
     "WriteDescriptor",
     "connect",

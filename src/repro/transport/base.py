@@ -3,11 +3,11 @@
 Everything above this layer (``repro.core``, ``repro.serving``,
 ``repro.cluster``) speaks :class:`Transport` — a small verb vocabulary of
 one-sided READ / WRITE / CAS / FAA plus doorbell-batched and asynchronous
-batched READs.  Everything below it (``repro.rdma`` today; a libibverbs,
-CXL, or TCP fallback port tomorrow) hides behind an adapter implementing
-this protocol.  The layering contract is enforced by
-``tests/test_layering.py``: no serving- or core-layer module may import the
-raw queue-pair or memory-node machinery directly.
+batched READs.  The simulated queue pair (``repro.rdma.qp.QueuePair``)
+speaks it itself, and :func:`connect` stands one up; a libibverbs, CXL,
+or TCP port would implement it too.  ``tests/test_layering.py`` enforces
+the contract: no serving- or core-layer module may import the raw
+queue-pair or memory-node machinery directly.
 
 Decorator transports (:class:`~repro.transport.fault.FaultInjectingTransport`,
 :class:`~repro.transport.retry.RetryingTransport`) wrap any other transport,
@@ -18,11 +18,17 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.rdma.clock import SimClock
+from repro.rdma.memory_node import MemoryNode
+from repro.rdma.network import CostModel
 # Descriptors and the pending-completion token are transport-level currency;
 # re-exported here so upper layers never name ``repro.rdma.qp``.
-from repro.rdma.qp import PendingRead, ReadDescriptor, WriteDescriptor
+from repro.rdma.qp import (PendingRead, QueuePair, ReadDescriptor,
+                           WriteDescriptor)
+from repro.rdma.stats import RdmaStats
 
-__all__ = ["PendingRead", "ReadDescriptor", "Transport", "WriteDescriptor"]
+__all__ = ["PendingRead", "ReadDescriptor", "Transport", "WriteDescriptor",
+           "connect"]
 
 
 @runtime_checkable
@@ -109,3 +115,13 @@ class Transport(Protocol):
     def close(self) -> None:
         """Tear the transport down; further verbs raise."""
         ...
+
+
+def connect(memory_node: MemoryNode, clock: SimClock, cost_model: CostModel,
+            stats: RdmaStats | None = None) -> QueuePair:
+    """A fresh queue pair to ``memory_node``, ready to send: the base
+    transport of a connection that no compute node owns (``DHnswBuilder``'s
+    bulk load, a client's replica mirrors)."""
+    qp = QueuePair(memory_node, clock, cost_model, stats)
+    qp.connect()
+    return qp

@@ -241,7 +241,7 @@ class TestDecodeRetention:
         for i in range(writer.config.overflow_capacity_records):
             writer.insert(probe + i * 1e-4, base_gid + i)
         gid = writer.metadata.clusters[writer.meta.classify(probe)].group_id
-        assert ShadowRebuild(writer, gid).run()
+        assert ShadowRebuild(writer.ctx, gid).run()
         return gid, [cid for cid, cluster
                      in enumerate(writer.metadata.clusters)
                      if cluster.group_id == gid]
@@ -258,7 +258,7 @@ class TestDecodeRetention:
         before = {cid: self.fetch(reader, cid) for cid in (inside, outside)}
 
         assert inside in self.rebuild_group_of(writer, probe)[1]
-        assert reader.refresh_metadata()
+        assert reader.ctx.refresh_metadata()
 
         kept = self.fetch(reader, outside)
         assert kept.index is before[outside].index

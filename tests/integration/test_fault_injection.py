@@ -20,13 +20,13 @@ class TestProtectionFaults:
         layout = mutable_deployment.layout
         client = mutable_deployment.client(0)
         with pytest.raises(ProtectionError):
-            client.node.qp.post_read(layout.rkey + 999, layout.addr(0), 16)
+            client.node.qp.read(layout.rkey + 999, layout.addr(0), 16)
 
     def test_read_past_region_fails(self, mutable_deployment):
         layout = mutable_deployment.layout
         client = mutable_deployment.client(0)
         with pytest.raises(ProtectionError):
-            client.node.qp.post_read(layout.rkey,
+            client.node.qp.read(layout.rkey,
                                      layout.addr(layout.region.length), 16)
 
     def test_closed_qp_rejects_search_traffic(self, mutable_deployment,
@@ -48,13 +48,13 @@ class TestStaleMetadata:
         for i in range(small_config.overflow_capacity_records + 1):
             actor.insert(probe + i * 1e-4, 500_000 + i)
         assert stale.metadata.version < actor.metadata.version
-        assert stale.refresh_metadata()
+        assert stale.ctx.refresh_metadata()
         assert stale.metadata.version == actor.metadata.version
 
     def test_refresh_is_noop_when_current(self, mutable_deployment,
                                           small_config):
         client = fresh_client(mutable_deployment, small_config)
-        assert not client.refresh_metadata()
+        assert not client.ctx.refresh_metadata()
 
     def test_corrupted_metadata_detected(self, mutable_deployment,
                                          small_config):
@@ -93,7 +93,7 @@ class TestTornOverflow:
         cid = client.meta.classify(probe)
         group = client.metadata.groups[client.metadata.clusters[cid].group_id]
         # Simulate the torn write: bump the tail without writing a record.
-        client.node.qp.post_faa(mutable_deployment.layout.rkey,
+        client.node.qp.faa(mutable_deployment.layout.rkey,
                                 mutable_deployment.layout.addr(
                                     group.overflow_offset), 1)
         result = client.search(probe, 5, ef_search=32)

@@ -149,7 +149,7 @@ class TestCutoverAdoption:
         group = reader.metadata.clusters[2].group_id
         assert group != 0
 
-        rebuild = ShadowRebuild(reader, 0)
+        rebuild = ShadowRebuild(reader.ctx, 0)
         while rebuild.state != "cutover":
             rebuild.step()
         assert peer.mutation.rebuild_group(group)

@@ -32,7 +32,7 @@ class TestStepMachine:
         client = fresh_client(mutable_deployment, small_config)
         gid = fill_group(client, small_dataset.queries[0],
                          small_config.overflow_capacity_records)
-        rebuild = ShadowRebuild(client, gid)
+        rebuild = ShadowRebuild(client.ctx, gid)
         executed = []
         while not rebuild.done:
             executed.append(rebuild.step())
@@ -46,7 +46,7 @@ class TestStepMachine:
                          small_config.overflow_capacity_records)
         group_before = client.metadata.groups[gid].version
         global_before = client.metadata.version
-        assert ShadowRebuild(client, gid).run()
+        assert ShadowRebuild(client.ctx, gid).run()
         assert client.metadata.groups[gid].version == group_before + 1
         assert client.metadata.version == global_before + 1
         # Untouched groups keep their stamps.
@@ -64,7 +64,7 @@ class TestStepMachine:
         client = fresh_client(mutable_deployment, small_config)
         gid = fill_group(client, small_dataset.queries[0],
                          small_config.overflow_capacity_records)
-        ShadowRebuild(client, gid).run()
+        ShadowRebuild(client.ctx, gid).run()
         report = fsck(mutable_deployment.layout)
         assert report.clean, report.summary()
         assert not any("lock held" in finding.message
@@ -76,10 +76,10 @@ class TestStepMachine:
         follower = fresh_client(mutable_deployment, small_config)
         gid = fill_group(leader, small_dataset.queries[0],
                          small_config.overflow_capacity_records)
-        held = ShadowRebuild(leader, gid)
+        held = ShadowRebuild(leader.ctx, gid)
         assert held.step() == "acquire"  # leader now owns the lock word
         cas_before = follower.node.stats.cas_failures
-        loser = ShadowRebuild(follower, gid)
+        loser = ShadowRebuild(follower.ctx, gid)
         assert not loser.run()
         assert loser.yielded
         assert follower.node.stats.cas_failures == cas_before + 1
@@ -92,7 +92,7 @@ class TestStepMachine:
         follower = fresh_client(mutable_deployment, small_config)
         gid = fill_group(leader, small_dataset.queries[0],
                          small_config.overflow_capacity_records)
-        held = ShadowRebuild(leader, gid)
+        held = ShadowRebuild(leader.ctx, gid)
         held.step()
         assert follower.mutation.rebuild_group(gid) is False
         assert follower.mutation.stats.rebuilds_yielded == 1
@@ -108,7 +108,7 @@ class TestSealedTail:
         capacity = small_config.overflow_capacity_records
         gid = fill_group(client, small_dataset.queries[0], capacity)
         old_offset = client.metadata.groups[gid].overflow_offset
-        ShadowRebuild(client, gid).run()
+        ShadowRebuild(client.ctx, gid).run()
         node = mutable_deployment.layout.memory_node
         raw = int.from_bytes(
             node.read(mutable_deployment.layout.rkey,
@@ -125,8 +125,8 @@ class TestSealedTail:
         probe = small_dataset.queries[0]
         gid = fill_group(writer, probe,
                          small_config.overflow_capacity_records)
-        stale.refresh_metadata()  # pin the pre-cutover epoch
-        ShadowRebuild(writer, gid).run()
+        stale.ctx.refresh_metadata()  # pin the pre-cutover epoch
+        ShadowRebuild(writer.ctx, gid).run()
         old_offset = stale.metadata.groups[gid].overflow_offset
         with pytest.raises(GroupSealedError):
             stale.mutation._reserve_run(gid, 1)
@@ -155,7 +155,7 @@ class TestSealedTail:
         late_writer = fresh_client(mutable_deployment, small_config)
         probe = small_dataset.queries[0]
         gid = fill_group(writer, probe, 3)
-        rebuild = ShadowRebuild(writer, gid)
+        rebuild = ShadowRebuild(writer.ctx, gid)
         while rebuild.state != "cutover":
             rebuild.step()
         # Rebuild snapshotted T0=3; a concurrent writer appends two more.
@@ -179,7 +179,7 @@ class TestNonBlockingReads:
         gid = fill_group(writer, probe,
                          small_config.overflow_capacity_records)
         expected = reader.search(probe, 5, ef_search=48).ids.tolist()
-        rebuild = ShadowRebuild(writer, gid)
+        rebuild = ShadowRebuild(writer.ctx, gid)
         while not rebuild.done:
             step = rebuild.step()
             result = reader.search(probe, 5, ef_search=48)
@@ -193,7 +193,7 @@ class TestNonBlockingReads:
         probe = small_dataset.queries[0]
         gid = fill_group(writer, probe,
                          small_config.overflow_capacity_records)
-        rebuild = ShadowRebuild(writer, gid)
+        rebuild = ShadowRebuild(writer.ctx, gid)
         while not rebuild.done:
             rebuild.step()
             batch = reader.search_batch(np.atleast_2d(probe), 5,
@@ -210,7 +210,7 @@ class TestNonBlockingReads:
         gid = fill_group(writer, probe,
                          small_config.overflow_capacity_records)
         log = mutable_deployment.layout.retired
-        ShadowRebuild(writer, gid).run()
+        ShadowRebuild(writer.ctx, gid).run()
         # Writer observed the new version at publish, but the reader is
         # still pinned one epoch back: nothing may be reclaimed yet.
         assert log.pending_bytes > 0
@@ -230,13 +230,13 @@ class TestNonBlockingReads:
         gid = fill_group(writer, probe,
                          small_config.overflow_capacity_records)
         log = mutable_deployment.layout.retired
-        ShadowRebuild(writer, gid).run()
+        ShadowRebuild(writer.ctx, gid).run()
         assert log.pending_bytes > 0
         straggler.close()
         assert not [entry for entry in log.entries
                     if entry not in log.reclaimable()]
         # The next writer-side observation reclaims eagerly.
-        writer.refresh_metadata()
+        writer.ctx.refresh_metadata()
         assert log.pending_bytes == 0
 
 
@@ -286,7 +286,7 @@ class TestEpochConsistency:
         gid = fill_group(writer, probe, capacity)
         inserted = {500_000 + i for i in range(capacity)}
 
-        rebuild = ShadowRebuild(writer, gid)
+        rebuild = ShadowRebuild(writer.ctx, gid)
         while rebuild.state != "cutover":
             rebuild.step()
         reader.transport = CutoverDuringFetch(reader.transport, rebuild)
@@ -329,7 +329,7 @@ class TestReaderRetentionAcrossCutovers:
             gid = fill_group(writer, probe,
                              small_config.overflow_capacity_records,
                              base_gid=800_000 + 100 * round_index)
-            assert ShadowRebuild(writer, gid).run()
+            assert ShadowRebuild(writer.ctx, gid).run()
             groups.add(gid)
             got = reader.search_batch(queries, 10, ef_search=48)
             fresh = fresh_client(mutable_deployment, small_config)

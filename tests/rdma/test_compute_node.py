@@ -26,12 +26,12 @@ class TestComputeCharging:
 
     def test_qp_ready_out_of_the_box(self, node):
         region = node.qp.memory_node.register(64)
-        node.qp.post_write(region.rkey, region.base_addr, b"ok")
-        assert node.qp.post_read(region.rkey, region.base_addr, 2) == b"ok"
+        node.qp.write(region.rkey, region.base_addr, b"ok")
+        assert node.qp.read(region.rkey, region.base_addr, 2) == b"ok"
 
     def test_network_and_compute_tracked_separately(self, node):
         region = node.qp.memory_node.register(64)
-        node.qp.post_read(region.rkey, region.base_addr, 8)
+        node.qp.read(region.rkey, region.base_addr, 8)
         node.charge_compute(10, 16)
         assert node.stats.network_time_us > 0
         assert node.compute_time_us > 0

@@ -33,9 +33,9 @@ def test_reads_reflect_last_write(writes):
         data = data[:REGION_SIZE - offset]
         if not data:
             continue
-        qp.post_write(region.rkey, region.base_addr + offset, data)
+        qp.write(region.rkey, region.base_addr + offset, data)
         model[offset:offset + len(data)] = data
-    assert qp.post_read(region.rkey, region.base_addr,
+    assert qp.read(region.rkey, region.base_addr,
                         REGION_SIZE) == bytes(model)
 
 
@@ -47,7 +47,7 @@ def test_faa_sequence_sums(deltas):
     qp, region = fresh_qp()
     running = 0
     for delta in deltas:
-        observed = qp.post_faa(region.rkey, region.base_addr, delta)
+        observed = qp.faa(region.rkey, region.base_addr, delta)
         assert observed == running % (1 << 64)
         running += delta
 
@@ -60,12 +60,12 @@ def test_cas_chain(values):
     qp, region = fresh_qp()
     current = 0
     for value in values:
-        observed = qp.post_cas(region.rkey, region.base_addr, current,
+        observed = qp.cas(region.rkey, region.base_addr, current,
                                value)
         assert observed == current
         current = value
     # A CAS with a stale expectation must fail and leave the value.
-    stale = qp.post_cas(region.rkey, region.base_addr, current + 1, 0)
+    stale = qp.cas(region.rkey, region.base_addr, current + 1, 0)
     assert stale == current
 
 
@@ -78,6 +78,6 @@ def test_network_time_additive(chunks):
     model = qp.cost_model
     expected = 0.0
     for size in chunks:
-        qp.post_read(region.rkey, region.base_addr, min(size, REGION_SIZE))
+        qp.read(region.rkey, region.base_addr, min(size, REGION_SIZE))
         expected += model.read_us(min(size, REGION_SIZE))
     assert qp.stats.network_time_us == np.float64(expected)

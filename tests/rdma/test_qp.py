@@ -31,13 +31,13 @@ class TestStateMachine:
         region = node.register(64)
         qp = QueuePair(node, SimClock(), CostModel())
         with pytest.raises(QpStateError):
-            qp.post_read(region.rkey, region.base_addr, 8)
+            qp.read(region.rkey, region.base_addr, 8)
 
     def test_verb_after_close_rejected(self, setup):
         _, region, _, qp = setup
         qp.close()
         with pytest.raises(QpStateError):
-            qp.post_read(region.rkey, region.base_addr, 8)
+            qp.read(region.rkey, region.base_addr, 8)
 
     def test_reconnect_after_close_rejected(self, setup):
         _, _, _, qp = setup
@@ -57,30 +57,30 @@ class TestStateMachine:
 class TestVerbs:
     def test_write_then_read(self, setup):
         _, region, _, qp = setup
-        qp.post_write(region.rkey, region.base_addr, b"abcdef")
-        assert qp.post_read(region.rkey, region.base_addr, 6) == b"abcdef"
+        qp.write(region.rkey, region.base_addr, b"abcdef")
+        assert qp.read(region.rkey, region.base_addr, 6) == b"abcdef"
 
     def test_read_advances_clock(self, setup):
         _, region, clock, qp = setup
         model = qp.cost_model
-        qp.post_read(region.rkey, region.base_addr, 1000)
+        qp.read(region.rkey, region.base_addr, 1000)
         assert clock.now_us == pytest.approx(model.read_us(1000))
 
     def test_faa_roundtrip(self, setup):
         _, region, _, qp = setup
-        assert qp.post_faa(region.rkey, region.base_addr, 7) == 0
-        assert qp.post_faa(region.rkey, region.base_addr, 1) == 7
+        assert qp.faa(region.rkey, region.base_addr, 7) == 0
+        assert qp.faa(region.rkey, region.base_addr, 1) == 7
 
     def test_cas_roundtrip(self, setup):
         _, region, _, qp = setup
-        assert qp.post_cas(region.rkey, region.base_addr, 0, 5) == 0
-        assert qp.post_cas(region.rkey, region.base_addr, 5, 9) == 5
+        assert qp.cas(region.rkey, region.base_addr, 0, 5) == 0
+        assert qp.cas(region.rkey, region.base_addr, 5, 9) == 5
 
     def test_stats_record_each_verb(self, setup):
         _, region, _, qp = setup
-        qp.post_write(region.rkey, region.base_addr, b"xy")
-        qp.post_read(region.rkey, region.base_addr, 2)
-        qp.post_faa(region.rkey, region.base_addr + 8, 1)
+        qp.write(region.rkey, region.base_addr, b"xy")
+        qp.read(region.rkey, region.base_addr, 2)
+        qp.faa(region.rkey, region.base_addr + 8, 1)
         stats = qp.stats
         assert stats.write_ops == 1
         assert stats.read_ops == 1
@@ -94,9 +94,9 @@ class TestVerbs:
 class TestDoorbellBatch:
     def test_returns_payloads_in_order(self, setup):
         _, region, _, qp = setup
-        qp.post_write(region.rkey, region.base_addr, b"AA")
-        qp.post_write(region.rkey, region.base_addr + 100, b"BB")
-        payloads = qp.post_read_batch([
+        qp.write(region.rkey, region.base_addr, b"AA")
+        qp.write(region.rkey, region.base_addr + 100, b"BB")
+        payloads = qp.read_batch([
             ReadDescriptor(region.rkey, region.base_addr, 2),
             ReadDescriptor(region.rkey, region.base_addr + 100, 2),
         ])
@@ -104,7 +104,7 @@ class TestDoorbellBatch:
 
     def test_empty_batch_noop(self, setup):
         _, _, clock, qp = setup
-        assert qp.post_read_batch([]) == []
+        assert qp.read_batch([]) == []
         assert clock.now_us == 0.0
         assert qp.stats.round_trips == 0
 
@@ -112,7 +112,7 @@ class TestDoorbellBatch:
         _, region, _, qp = setup
         descriptors = [ReadDescriptor(region.rkey, region.base_addr + i, 1)
                        for i in range(4)]  # limit is 4
-        qp.post_read_batch(descriptors)
+        qp.read_batch(descriptors)
         assert qp.stats.round_trips == 1
         assert qp.stats.read_ops == 4
         assert qp.stats.doorbell_batches == 1
@@ -121,20 +121,20 @@ class TestDoorbellBatch:
         _, region, _, qp = setup
         descriptors = [ReadDescriptor(region.rkey, region.base_addr + i, 1)
                        for i in range(9)]  # limit 4 -> 3 rings
-        qp.post_read_batch(descriptors)
+        qp.read_batch(descriptors)
         assert qp.stats.round_trips == 3
 
     def test_doorbell_cheaper_than_individual(self, setup):
         node, region, _, qp = setup
         descriptors = [ReadDescriptor(region.rkey, region.base_addr + 64 * i,
                                       64) for i in range(4)]
-        qp.post_read_batch(descriptors)
+        qp.read_batch(descriptors)
         batched_time = qp.stats.network_time_us
 
         other = QueuePair(node, SimClock(), qp.cost_model)
         other.connect()
         for descriptor in descriptors:
-            other.post_read(descriptor.rkey, descriptor.addr,
+            other.read(descriptor.rkey, descriptor.addr,
                             descriptor.length)
         assert batched_time < other.stats.network_time_us
 
@@ -146,45 +146,45 @@ class TestAsyncReadBatch:
 
     def test_issue_does_not_advance_clock(self, setup):
         _, region, clock, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         assert clock.now_us == 0.0
         assert pending.elapsed_us > 0.0
         assert pending.completes_at_us == pytest.approx(pending.elapsed_us)
 
     def test_poll_returns_payloads_in_order(self, setup):
         _, region, _, qp = setup
-        qp.post_write(region.rkey, region.base_addr, b"AA")
-        qp.post_write(region.rkey, region.base_addr + 100, b"BB")
-        pending = qp.post_read_batch_async([
+        qp.write(region.rkey, region.base_addr, b"AA")
+        qp.write(region.rkey, region.base_addr + 100, b"BB")
+        pending = qp.read_batch_async([
             ReadDescriptor(region.rkey, region.base_addr, 2),
             ReadDescriptor(region.rkey, region.base_addr + 100, 2),
         ])
-        assert qp.poll_cq(pending) == [b"AA", b"BB"]
+        assert qp.poll(pending) == [b"AA", b"BB"]
 
     def test_payloads_snapshot_at_issue(self, setup):
         """One-sided READs observe remote memory as of the issue; a write
         landing between issue and poll must not be visible."""
         _, region, _, qp = setup
-        qp.post_write(region.rkey, region.base_addr, b"old")
-        pending = qp.post_read_batch_async(
+        qp.write(region.rkey, region.base_addr, b"old")
+        pending = qp.read_batch_async(
             [ReadDescriptor(region.rkey, region.base_addr, 3)])
-        qp.post_write(region.rkey, region.base_addr, b"new")
-        assert qp.poll_cq(pending) == [b"old"]
+        qp.write(region.rkey, region.base_addr, b"new")
+        assert qp.poll(pending) == [b"old"]
 
     def test_immediate_poll_charges_full_wire_time(self, setup):
         _, region, clock, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
-        qp.poll_cq(pending)
+        pending = qp.read_batch_async(self.descriptors(region))
+        qp.poll(pending)
         assert clock.now_us == pytest.approx(pending.elapsed_us)
         assert qp.stats.network_time_us == pytest.approx(pending.elapsed_us)
         assert qp.stats.overlapped_time_us == 0.0
 
     def test_compute_between_issue_and_poll_is_hidden(self, setup):
         _, region, clock, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         overlap = pending.elapsed_us / 2
         clock.advance(overlap)                      # simulated compute
-        qp.poll_cq(pending)
+        qp.poll(pending)
         assert clock.now_us == pytest.approx(pending.elapsed_us)
         assert qp.stats.network_time_us == pytest.approx(
             pending.elapsed_us - overlap)
@@ -192,10 +192,10 @@ class TestAsyncReadBatch:
 
     def test_fully_hidden_fetch_charges_nothing(self, setup):
         _, region, clock, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         clock.advance(pending.elapsed_us * 3)       # compute dominates
         before = clock.now_us
-        qp.poll_cq(pending)
+        qp.poll(pending)
         assert clock.now_us == before               # no exposed wait
         assert qp.stats.network_time_us == 0.0
         assert qp.stats.overlapped_time_us == pytest.approx(
@@ -207,17 +207,17 @@ class TestAsyncReadBatch:
         node, region, clock, qp = setup
         sync = QueuePair(node, SimClock(), qp.cost_model)
         sync.connect()
-        sync.post_read_batch(self.descriptors(region))
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        sync.read_batch(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         clock.advance(1.0)
-        qp.poll_cq(pending)
+        qp.poll(pending)
         assert (qp.stats.network_time_us + qp.stats.overlapped_time_us
                 == pytest.approx(sync.stats.network_time_us))
 
     def test_stats_count_batch_like_sync_doorbell(self, setup):
         _, region, _, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region, count=9))
-        qp.poll_cq(pending)
+        pending = qp.read_batch_async(self.descriptors(region, count=9))
+        qp.poll(pending)
         assert qp.stats.read_ops == 9
         assert qp.stats.round_trips == 3            # doorbell_limit=4
         assert qp.stats.doorbell_batches == 1
@@ -226,25 +226,25 @@ class TestAsyncReadBatch:
     def test_non_doorbell_costs_serial_reads(self, setup):
         _, region, _, qp = setup
         descriptors = self.descriptors(region, count=4)
-        pending = qp.post_read_batch_async(descriptors, doorbell=False)
+        pending = qp.read_batch_async(descriptors, doorbell=False)
         expected = sum(qp.cost_model.read_us(d.length) for d in descriptors)
         assert pending.elapsed_us == pytest.approx(expected)
         assert pending.rings == 4
-        qp.poll_cq(pending)
+        qp.poll(pending)
         assert qp.stats.doorbell_batches == 0
         assert qp.stats.round_trips == 4
 
     def test_double_poll_raises(self, setup):
         _, region, _, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
-        qp.poll_cq(pending)
+        pending = qp.read_batch_async(self.descriptors(region))
+        qp.poll(pending)
         with pytest.raises(QpStateError, match="twice"):
-            qp.poll_cq(pending)
+            qp.poll(pending)
 
     def test_empty_batch_is_free(self, setup):
         _, _, clock, qp = setup
-        pending = qp.post_read_batch_async([])
-        assert qp.poll_cq(pending) == []
+        pending = qp.read_batch_async([])
+        assert qp.poll(pending) == []
         assert clock.now_us == 0.0
         assert qp.stats.round_trips == 0
 
@@ -252,21 +252,21 @@ class TestAsyncReadBatch:
         """A blocking verb issued while an async batch occupies the wire
         waits for the channel, exactly like a second WQE on one NIC."""
         _, region, clock, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         read_cost = qp.cost_model.read_us(8)
-        qp.post_read(region.rkey, region.base_addr, 8)
+        qp.read(region.rkey, region.base_addr, 8)
         assert clock.now_us == pytest.approx(
             pending.elapsed_us + read_cost)
         # The async batch then completes under the sync verb's wait.
-        qp.poll_cq(pending)
+        qp.poll(pending)
         assert qp.stats.overlapped_time_us == pytest.approx(
             pending.elapsed_us)
 
     def test_verbs_require_ready_state(self, setup):
         _, region, _, qp = setup
-        pending = qp.post_read_batch_async(self.descriptors(region))
+        pending = qp.read_batch_async(self.descriptors(region))
         qp.close()
         with pytest.raises(QpStateError):
-            qp.post_read_batch_async(self.descriptors(region))
+            qp.read_batch_async(self.descriptors(region))
         with pytest.raises(QpStateError):
-            qp.poll_cq(pending)
+            qp.poll(pending)

@@ -20,7 +20,6 @@ import pytest
 from repro.hnsw import HnswIndex, HnswParams
 from repro.layout.serializer import deserialize_cluster, serialize_cluster
 from repro.rdma import CostModel, MemoryNode, QueuePair, ReadDescriptor, SimClock
-from repro.transport.sim import SimRdmaTransport
 
 
 @pytest.fixture()
@@ -33,10 +32,10 @@ def region_bytes(region) -> np.ndarray:
     return np.frombuffer(region.buffer, dtype=np.uint8)
 
 
-def make_transport(node: MemoryNode) -> SimRdmaTransport:
+def make_transport(node: MemoryNode) -> QueuePair:
     qp = QueuePair(node, SimClock(), CostModel())
     qp.connect()
-    return SimRdmaTransport(qp)
+    return qp
 
 
 def build_index(count: int, dim: int, seed: int = 0) -> HnswIndex:

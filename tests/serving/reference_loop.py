@@ -111,7 +111,7 @@ class _DeserializeLedger:
     def __init__(self, decoder) -> None:
         self.pending_us = 0.0
         decode_extent = decoder.decode_extent
-        self.cost_model = decoder.host.cost_model
+        self.cost_model = decoder.ctx.cost_model
 
         def counted(cluster_id, ranges, payloads):
             self.add(sum(len(payload) for payload in payloads))
@@ -382,7 +382,7 @@ def execute_plan_pipelined(host, plan: BatchPlan, routes: list[list[int]],
                               []).append(cid)
         group_ids = sorted(groups)
         descriptors, extents = fetcher.extent_descriptors(list(fetch_ids))
-        words = fetcher._descriptors(
+        words = host.ctx.read_descriptors(
             overflow_tail_extent(host.metadata.groups[gid])
             for gid in group_ids)
         token = host.transport.read_batch_async(words + descriptors,

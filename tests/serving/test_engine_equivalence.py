@@ -396,7 +396,8 @@ def test_stamps_come_from_the_attempt_that_returned(small_dataset,
         clients += [writer, reader]
         if install:
             reference_loop.install(reader)
-        rebuild = ShadowRebuild(writer, fill_group(writer, probe, capacity))
+        rebuild = ShadowRebuild(writer.ctx,
+                                fill_group(writer, probe, capacity))
         while rebuild.state != "cutover":
             rebuild.step()
         reader.transport = CutoverDuringFetch(reader.transport, rebuild)

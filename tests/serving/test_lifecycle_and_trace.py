@@ -21,7 +21,7 @@ class TestTeardown:
         client = make_client(built_deployment, "td1")
         client.search_batch(small_dataset.queries[:4], k=5)
         client.close()
-        assert client._observer_token is None
+        assert client.ctx._observer_token is None
         client.close()  # second close must be a no-op, not an error
         client.close()
 
@@ -34,10 +34,10 @@ class TestTeardown:
         with pytest.raises(RuntimeError, match="boom"):
             with make_client(built_deployment, "td3") as client:
                 client.search_batch(small_dataset.queries[:4], k=5)
-                assert client._observer_token is not None
+                assert client.ctx._observer_token is not None
                 raise RuntimeError("boom")
         # __exit__ ran despite the raise: the grace-period pin is gone.
-        assert client._observer_token is None
+        assert client.ctx._observer_token is None
 
 
 class TestTraceContext:

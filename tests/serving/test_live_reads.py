@@ -166,7 +166,7 @@ def test_entry_equals_whole_extent_oracle(case):
 
     with slack(case["slack"]), \
             make_client(deployment, case["cost_model"]) as client:
-        client.engine.decoder.note_tail(gid, case["hint"])
+        client.ctx.note_tail(gid, case["hint"])
         merge = client.engine.fetcher.merge_hole_bytes()
         ranges = cluster_read_ranges(
             metadata, cid, case["hint"] + case["slack"], merge)
@@ -179,7 +179,7 @@ def test_entry_equals_whole_extent_oracle(case):
         assert entry.overflow_tail == tail
         assert plain(entry.overflow) == plain(wanted)
         assert serialize_cluster(entry.index, cid) == blob
-        assert client.engine.decoder.tail_seen(gid) == tail
+        assert client.ctx.tail_seen(gid) == tail
 
         whole = ranges == (cluster_read_extent(metadata, cid),)
         slots_read = (case["capacity"] if whole

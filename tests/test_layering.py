@@ -23,10 +23,14 @@ FORBIDDEN = ("repro.rdma.qp", "repro.rdma.memory_node")
 #: Packages bound by the contract.
 CONSTRAINED = ("serving", "core", "frontdoor", "mutation")
 
-#: The mutation path sits beside serving, above the transport seam, and
-#: must not import the client/engine modules it is hosted by — the host
-#: is duck-typed, which is what keeps writer logic testable in isolation.
+#: The serving and mutation stages sit above the transport seam and must
+#: not import the client/engine modules: each stage receives a
+#: ``ClientContext`` (``repro.core.context``), which is what lets a test
+#: build and drive a stage without a client.
 MUTATION_FORBIDDEN = ("repro.core.client", "repro.core.engine")
+
+#: The packages whose stages take a ``ClientContext``.
+STAGE_PACKAGES = ("serving", "mutation")
 
 #: The front door is a pure client of the serving layer: it may import
 #: ``repro.core`` / ``repro.serving``, but the transport seam and the
@@ -100,20 +104,46 @@ def test_frontdoor_stays_above_the_transport_seam():
 
 
 def test_mutation_never_imports_its_host():
-    """``repro.mutation`` speaks transport verbs against a duck-typed
-    host; importing the concrete client/engine would create a cycle and
-    couple writer logic to the façade it serves."""
+    """``repro.serving`` and ``repro.mutation`` speak transport verbs
+    through the ``ClientContext`` they are built from; importing the
+    concrete client/engine would create a cycle and couple stage logic
+    to the façade it serves."""
     violations = []
-    for path in sorted((SRC_ROOT / "mutation").rglob("*.py")):
-        for module, lineno in iter_imports(path):
-            if any(module == banned or module.startswith(banned + ".")
-                   for banned in MUTATION_FORBIDDEN):
-                violations.append(
-                    f"{path.relative_to(SRC_ROOT.parent)}:{lineno} "
-                    f"imports {module}")
+    for package in STAGE_PACKAGES:
+        for path in sorted((SRC_ROOT / package).rglob("*.py")):
+            for module, lineno in iter_imports(path):
+                if any(module == banned or module.startswith(banned + ".")
+                       for banned in MUTATION_FORBIDDEN):
+                    violations.append(
+                        f"{path.relative_to(SRC_ROOT.parent)}:{lineno} "
+                        f"imports {module}")
     assert not violations, (
-        "the mutation path must not import its host:\n  "
+        "the stages must not import the client:\n  "
         + "\n  ".join(violations))
+
+
+def test_no_stage_takes_a_host():
+    """No function in ``repro.serving`` or ``repro.mutation`` has a
+    parameter named ``host``: a stage is handed its client's context,
+    never the client."""
+    violations = []
+    for package in STAGE_PACKAGES:
+        for path in sorted((SRC_ROOT / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                arguments = node.args
+                names = [arg.arg for arg in (
+                    *arguments.posonlyargs, *arguments.args,
+                    *arguments.kwonlyargs, arguments.vararg,
+                    arguments.kwarg) if arg is not None]
+                if "host" in names:
+                    violations.append(
+                        f"{path.relative_to(SRC_ROOT.parent)}:"
+                        f"{node.lineno} takes host")
+    assert not violations, "\n".join(violations)
 
 
 def test_one_traversal_engine_and_one_worker_pool():

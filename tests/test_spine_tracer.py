@@ -24,14 +24,15 @@ EXPECTED_SPANS = {
     "build.meta_hnsw", "build.assign_partitions", "build.sub_hnsws",
     "build.serialize_cluster", "build.load_write",
     # install_shared
-    "executor.search_cluster", "merger.add",
+    "executor.search_cluster", "merger.add", "rebuild.acquire",
+    "rebuild.snapshot", "rebuild.build", "rebuild.write", "rebuild.cutover",
     # install_client
     "engine.search_batch", "engine.attempt", "planner.route",
     "planner.plan", "decoder.decode_extent", "executor.run_wave_compute",
     "merger.finalize", "writer.insert", "node.charge_compute",
     "node.charge_time", "transport.read", "transport.read_batch",
     "transport.read_batch_async", "transport.poll", "transport.write",
-    "transport.faa",
+    "transport.faa", "transport.cas",
     # install_door
     "frontdoor.run",
 }
@@ -67,6 +68,12 @@ def test_every_bound_name_exists_and_records_spans(small_dataset,
         door.run(make_requests(poisson_arrivals(3000.0, 6, rng),
                                small_dataset.queries, k=10, slo_us=50_000.0,
                                rng=rng, tenants=("a",)))
+        # One shadow rebuild, step by step: the tracer names each step's
+        # span by ``ShadowRebuild.state`` and reads its clock through
+        # ``ShadowRebuild.host``; acquiring the lock is the CAS.
+        first_rebuild_span = len(tracer.spans)
+        assert client.mutation.rebuild_group(0)
+        rebuild_spans = tracer.spans[first_rebuild_span:]
     finally:
         tracer.restore()
         if client is not None:
@@ -94,6 +101,14 @@ def test_every_bound_name_exists_and_records_spans(small_dataset,
     assert named("executor.search_cluster")
     assert all(span.parent.name == "executor.run_wave_compute"
                for span in named("executor.search_cluster"))
+
+    steps = [span for span in rebuild_spans
+             if span.name.startswith("rebuild.")]
+    assert [span.name for span in steps] == [
+        "rebuild.acquire", "rebuild.snapshot", "rebuild.build",
+        "rebuild.write", "rebuild.cutover"]
+    assert all(span.sim_end >= span.sim_start for span in steps)
+    assert sum(span.sim_us for span in steps) > 0
 
     # restore() leaves nothing behind.
     assert executor_module.search_cluster_entry is search_cluster_entry
